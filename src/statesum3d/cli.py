@@ -342,7 +342,6 @@ def run(argv) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    os.environ.setdefault("STATESUM3D_CACHE_DIR", "")  # reserved, in-memory in v1
     rep = _Report(" ".join(argv))
     try:
         code = _HANDLERS[args.cmd](args, rep)
@@ -358,3 +357,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

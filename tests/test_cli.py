@@ -1,7 +1,10 @@
 import io
 import contextlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,3 +136,14 @@ def test_golden_files_regenerate(name):
     assert code == 0
     expected = (GOLDEN / name).read_text()
     assert _strip_timing(out) == _strip_timing(expected)
+
+
+def test_module_entry_point():
+    name = "invariant_s3_z2t1.txt"
+    src = str(GOLDEN.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "statesum3d.cli", *GOLDEN_COMMANDS[name]],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert _strip_timing(proc.stdout) == _strip_timing((GOLDEN / name).read_text())

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from statesum3d.exactnum import FieldElement, arith, make_field, root_of_unity
+import refkernel
+from statesum3d import exactnum
+from statesum3d.exactnum import FieldElement, FieldSpec, arith, make_field, root_of_unity
 
 
 Q = make_field("rational")
@@ -132,3 +134,68 @@ def test_power_and_approx():
     phi = GOLD.gen()
     assert phi ** 2 == phi + GOLD.one()
     assert abs(phi.approx().real - 1.618) < 1e-2
+
+
+def test_fieldspec_requires_minpoly():
+    for kind in ("algebraic", "cyclotomic"):
+        with pytest.raises(ValueError):
+            FieldSpec(kind)
+
+
+def test_cyclotomic_degree_is_checked(monkeypatch):
+    monkeypatch.setattr(exactnum, "_FIELD_CACHE", {})
+    monkeypatch.setattr(exactnum, "_cyclotomic_poly",
+                        lambda n: [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)])
+    with pytest.raises(ArithmeticError):
+        make_field("cyclotomic", 3)
+
+
+# Every shipped field, Phi_5 (degree 4) and a degree-2 field whose minimal
+# polynomial is not integral cover the three arithmetic paths.
+AGREEMENT_FIELDS = BUILTIN_FIELDS + [make_field("algebraic", minpoly=[Fraction(-1, 2), 0, 1])]
+
+COEFFS = st.lists(st.fractions(min_value=-60, max_value=60, max_denominator=30), max_size=8)
+
+
+def _agree(x, rx):
+    assert x.coeffs == rx.coeffs
+    assert x.to_text() == rx.to_text()
+    assert x.is_zero() == rx.is_zero()
+    assert x.is_one() == rx.is_one()
+
+
+@pytest.mark.parametrize("spec", AGREEMENT_FIELDS)
+@given(a=COEFFS, b=COEFFS, k=st.integers(-4, 4))
+@settings(max_examples=40, deadline=None)
+def test_kernel_agrees_with_reference(spec, a, b, k):
+    ref = refkernel.FieldSpec.from_json(spec.to_json())
+    x, y = spec.element(a), spec.element(b)
+    rx, ry = ref.element(a), ref.element(b)
+    for u, ru in ((x, rx), (y, ry), (x + y, rx + ry), (x - y, rx - ry), (-x, -rx),
+                  (x * y, rx * ry)):
+        _agree(u, ru)
+    if ry.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            y.inv()
+    else:
+        _agree(y.inv(), ry.inv())
+        _agree(x / y, rx / ry)
+    if k < 0 and rx.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x ** k
+    else:
+        _agree(x ** k, rx ** k)
+
+
+@pytest.mark.parametrize("spec", AGREEMENT_FIELDS)
+@given(a=COEFFS, b=COEFFS)
+@settings(max_examples=40, deadline=None)
+def test_equality_and_hash_consistent(spec, a, b):
+    ref = refkernel.FieldSpec.from_json(spec.to_json())
+    x, y = spec.element(a), spec.element(b)
+    assert (x == y) == (ref.element(a) == ref.element(b))
+    for same in ((x + y) - y, spec.element(x.coeffs), spec.element(list(a) + [0] * spec.degree)):
+        assert same == x
+        assert hash(same) == hash(x)
+    if x == y:
+        assert hash(x) == hash(y)
