@@ -269,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Inputs may be shipped names (see the data directory) or file "
                "paths. File formats are line-based; see README.md.")
     ap.add_argument("--json", action="store_true", help="emit the report as JSON")
-    ap.add_argument("--workers", default="auto",
-                    help="worker count hint; results are independent of it")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("validate-category", help="run all category checks")

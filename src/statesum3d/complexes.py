@@ -306,6 +306,8 @@ def parse_triangulation(text: str) -> Triangulation:
         if toks[0] == "tets":
             ntets = int(toks[1])
         elif toks[0] == "glue":
+            if len(toks) < 6:
+                raise ValueError(f"bad glue line {line!r}: expected 'glue t f t' f' PPPP'")
             t, f, t2, f2 = (int(x) for x in toks[1:5])
             perm = tuple(int(c) for c in toks[5])
             if sorted(perm) != [0, 1, 2, 3]:
@@ -860,14 +862,6 @@ class Skeleton:
 
     def region_balls(self, r):
         return self.regions[r][1], self.regions[r][2]
-
-    def link_colored_graph(self, v, coloring):
-        """The link of v as a ColoredGraph colored through region -> simple."""
-        from .graphcalc import ColoredGraph
-        lk = self.links[v]
-        return ColoredGraph(len(lk.rotations),
-                            [(t, h, coloring[r]) for (t, h, r) in lk.arcs],
-                            lk.rotations)
 
     def is_spine(self):
         """Matveev-special check: one ball, at least two vertices, every

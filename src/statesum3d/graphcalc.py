@@ -381,7 +381,12 @@ def trace_rotation_faces(nvertices, edges, rotations):
     for v, rot in enumerate(rotations):
         for i, d in enumerate(rot):
             dart_pos[tuple(d)] = (v, i)
-    corners = {(v, i) for v in range(nvertices) for i in range(len(rotations[v]))}
+    return _walk_faces(rotations, dart_pos), dart_pos
+
+
+def _walk_faces(rotations, dart_pos):
+    """Face orbits of the corners, each walked from its least corner."""
+    corners = {(v, i) for v, rot in enumerate(rotations) for i in range(len(rot))}
     faces = []
     while corners:
         start = min(corners)
@@ -397,7 +402,7 @@ def trace_rotation_faces(nvertices, edges, rotations):
             if cur == start:
                 break
         faces.append(tuple(walk))
-    return faces, dart_pos
+    return faces
 
 
 class ColoredGraph:
@@ -431,7 +436,7 @@ class ColoredGraph:
             if seen[(k, 0)][0] != t or seen[(k, 1)][0] != h:
                 raise ValueError(f"edge {k} endpoints disagree with the rotation system")
         self.dart_pos = seen
-        orbits = self._trace_faces()
+        orbits = _walk_faces(self.rotations, seen)
         if faces is None:
             self.faces = orbits
         else:
@@ -473,27 +478,6 @@ class ColoredGraph:
         for t, h, _ in self.edges:
             parent[find(t)] = find(h)
         return len({find(v) for v in range(self.nvertices)})
-
-    def _trace_faces(self):
-        corners = {(v, i) for v in range(self.nvertices)
-                   for i in range(len(self.rotations[v]))}
-        faces = []
-        while corners:
-            start = min(corners)
-            walk = []
-            cur = start
-            while True:
-                walk.append(cur)
-                corners.discard(cur)
-                v, i = cur
-                rot = self.rotations[v]
-                d = rot[(i + 1) % len(rot)]
-                e, end = d
-                cur = self.dart_pos[(e, 1 - end)]
-                if cur == start:
-                    break
-            faces.append(tuple(walk))
-        return faces
 
     def vertex_cset(self, v: int) -> CyclicCSet:
         items = []
@@ -543,52 +527,53 @@ def _find_layout(graph: ColoredGraph, outer_face: int):
     """Backtracking search for a bottom-up planar sweep realizing the given
     embedding with the chosen outer face.  Returns a list of actions
     ('box', vertex, offset, gap_index) and ('cap', strand_index)."""
-    nv = graph.nvertices
-
-    def search(frontier, gaps, placed, seen):
-        if len(placed) == nv and not frontier:
-            return []
-        key = (frontier, gaps, placed)
-        if key in seen:
-            return None
-        seen.add(key)
-        # caps first
-        for q in range(len(frontier) - 1):
-            (e1, a1), (e2, a2) = frontier[q], frontier[q + 1]
-            if e1 == e2 and a1 != a2:
-                if gaps[q + 1] != graph.right_face_of_dart(frontier[q]):
-                    continue
-                if gaps[q] != gaps[q + 2]:
-                    continue
-                nf = frontier[:q] + frontier[q + 2:]
-                ng = gaps[:q] + (gaps[q],) + gaps[q + 3:]
-                rest = search(nf, ng, placed, seen)
-                if rest is not None:
-                    return [("cap", q)] + rest
-        for v in range(nv):
-            if v in placed:
-                continue
-            rot = graph.rotations[v]
-            k = len(rot)
-            for p in range(len(gaps)):
-                for r in range(k):
-                    under = graph.corner_face[(v, (r - 1) % k)]
-                    if under != gaps[p]:
-                        continue
-                    emitted = tuple(rot[(r + j) % k] for j in range(k))
-                    corner_gaps = tuple(graph.corner_face[(v, (r + j) % k)]
-                                        for j in range(k - 1))
-                    nf = frontier[:p] + emitted + frontier[p:]
-                    ng = gaps[:p] + (gaps[p],) + corner_gaps + (gaps[p],) + gaps[p + 1:]
-                    rest = search(nf, ng, placed | {v}, seen)
-                    if rest is not None:
-                        return [("box", v, r, p)] + rest
-        return None
-
-    actions = search((), (outer_face,), frozenset(), set())
+    actions = _layout_search(graph, (), (outer_face,), frozenset(), set())
     if actions is None:
         raise _SweepFail(f"no planar sweep found for outer face {outer_face}")
     return actions
+
+
+def _layout_search(graph, frontier, gaps, placed, seen):
+    """One backtracking step of ``_find_layout``; ``seen`` memoizes dead
+    states.  A module function, so no closure cycle keeps the graph alive."""
+    if len(placed) == graph.nvertices and not frontier:
+        return []
+    key = (frontier, gaps, placed)
+    if key in seen:
+        return None
+    seen.add(key)
+    # caps first
+    for q in range(len(frontier) - 1):
+        (e1, a1), (e2, a2) = frontier[q], frontier[q + 1]
+        if e1 == e2 and a1 != a2:
+            if gaps[q + 1] != graph.right_face_of_dart(frontier[q]):
+                continue
+            if gaps[q] != gaps[q + 2]:
+                continue
+            nf = frontier[:q] + frontier[q + 2:]
+            ng = gaps[:q] + (gaps[q],) + gaps[q + 3:]
+            rest = _layout_search(graph, nf, ng, placed, seen)
+            if rest is not None:
+                return [("cap", q)] + rest
+    for v in range(graph.nvertices):
+        if v in placed:
+            continue
+        rot = graph.rotations[v]
+        k = len(rot)
+        for p in range(len(gaps)):
+            for r in range(k):
+                under = graph.corner_face[(v, (r - 1) % k)]
+                if under != gaps[p]:
+                    continue
+                emitted = tuple(rot[(r + j) % k] for j in range(k))
+                corner_gaps = tuple(graph.corner_face[(v, (r + j) % k)]
+                                    for j in range(k - 1))
+                nf = frontier[:p] + emitted + frontier[p:]
+                ng = gaps[:p] + (gaps[p],) + corner_gaps + (gaps[p],) + gaps[p + 1:]
+                rest = _layout_search(graph, nf, ng, placed | {v}, seen)
+                if rest is not None:
+                    return [("box", v, r, p)] + rest
+    return None
 
 
 def evaluate_graph(data: GFusionData, graph: ColoredGraph, slots=None,
@@ -735,5 +720,8 @@ def parse_graph(text: str) -> ColoredGraph:
         else:
             raise ValueError(f"unknown graph key {toks[0]!r}")
     edge_list = [edges[k] for k in range(len(edges))]
+    missing = [v for v in range(nv) if v not in rots]
+    if missing:
+        raise ValueError(f"missing rot line for vertex {missing[0]}")
     rot_list = [rots[v] for v in range(nv)]
     return ColoredGraph(nv, edge_list, rot_list, faces=faces or None)

@@ -35,8 +35,9 @@ from itertools import product as iproduct
 
 from .catdata import FiniteGroup, GFusionData, neutral_dimension
 from .exactnum import FieldElement
-from .graphcalc import ColoredGraph, CyclicCSet, PairingData, evaluate_graph, hom_dim, tree_paths
+from .graphcalc import ColoredGraph, CyclicCSet, PairingData, hom_dim, tree_paths
 from .linalg import matrix_mul, matrix_rank
+from .statesum import _Evaluator
 
 __all__ = [
     "SurfaceSkeleton",
@@ -360,98 +361,26 @@ def relative_invariant(cob: CobordismSkeleton, cat: GFusionData,
     one free index per boundary vertex (bottom ends then top ends), indexed
     by the tree bases of the corresponding link cyclic sets.  Includes the
     dim(C_1)^(-|P|) normalization."""
-    field = cat.field
     nd = neutral_dimension(cat)
     if nd.is_zero():
         raise ValueError("neutral dimension is zero")
-    # fix pinned region colors, enumerate free ones
-    nreg = len(cob.regions)
-    pinned = {}
-    for r, (chi, label, pin) in enumerate(cob.regions):
-        if pin is not None:
-            side, e = pin
-            c = (c_bot if side == "bot" else c_top)[e]
-            if cat.grade[c] != label:
-                return None  # grading obstruction: zero block
-            pinned[r] = c
-    free = [r for r in range(nreg) if r not in pinned]
-    sectors = {r: cat.sector(cob.regions[r][1]) for r in free}
-
-    ends = list(cob.bot_ends) + list(cob.top_ends)
-    out = None
-    gram_cache: dict = {}
-    link_cache: dict = {}
-
-    for combo in iproduct(*(sectors[r] for r in free)):
-        coloring = dict(pinned)
-        coloring.update(dict(zip(free, combo)))
-        # admissibility at interior edges and boundary sets
-        ok = True
-        for eid in range(len(cob.edges)):
-            (v0, g0), _ = cob.edges[eid]
-            items = [(coloring[r], s) for (r, s) in cob.links[v0].items_at(g0)]
-            if hom_dim(cat, items) == 0:
-                ok = False
-                break
-        if not ok:
+    # pinned regions get their boundary color as the only candidate
+    sectors = []
+    for chi, label, pin in cob.regions:
+        if pin is None:
+            sectors.append(cat.sector(label))
             continue
-        weight = field.one()
-        for r in range(nreg):
-            weight = weight * cat.dim(coloring[r]) ** cob.regions[r][0]
-        # link tensors
-        tensors = []
-        for v in range(len(cob.links)):
-            lk = cob.links[v]
-            key = (v, tuple(coloring[r] for (_, _, r) in lk.arcs))
-            if key not in link_cache:
-                graph = ColoredGraph(len(lk.rotations),
-                                     [(t, h, coloring[r]) for (t, h, r) in lk.arcs],
-                                     lk.rotations)
-                link_cache[key] = evaluate_graph(cat, graph)
-            tensors.append(link_cache[key])
-        entries = {}
-        for c2 in iproduct(*(list(t.entries.keys()) for t in tensors)):
-            val = weight
-            for t, idx in zip(tensors, c2):
-                val = val * t.entries[idx]
-            entries[c2] = val
-        for eid, ((v0, g0), (v1, g1)) in enumerate(cob.edges):
-            key = (eid, tuple(coloring[r] for r, _ in cob.links[v0].items_at(g0)))
-            if key not in gram_cache:
-                cset = CyclicCSet([(coloring[r], s)
-                                   for (r, s) in cob.links[v0].items_at(g0)])
-                gram_cache[key] = PairingData(cat, cset).gram_inverse()
-            ginv = gram_cache[key]
-            nxt = {}
-            for c2, val in entries.items():
-                f = ginv[c2[v0][g0]][c2[v1][g1]]
-                if f.is_zero():
-                    continue
-                nc = []
-                for vv, idxs in enumerate(c2):
-                    if vv in (v0, v1):
-                        lst = list(idxs)
-                        if vv == v0:
-                            lst[g0] = None
-                        if vv == v1:
-                            lst[g1] = None
-                        nc.append(tuple(lst))
-                    else:
-                        nc.append(idxs)
-                nc = tuple(nc)
-                cur = nxt.get(nc)
-                add = val * f
-                nxt[nc] = add if cur is None else cur + add
-            entries = nxt
-        # project out the boundary indices
-        if out is None:
-            out = {}
-        for c2, val in entries.items():
-            bidx = tuple(c2[v][g] for (v, g) in ends)
-            cur = out.get(bidx)
-            out[bidx] = val if cur is None else cur + val
-    if out is None:
-        out = {}
+        side, e = pin
+        c = (c_bot if side == "bot" else c_top)[e]
+        if cat.grade[c] != label:
+            return None  # grading obstruction: zero block
+        sectors.append([c])
+    ev = _Evaluator(cob, cat, cob.bot_ends + cob.top_ends)
+    out = {}
+    for coloring in ev.colorings(sectors):
+        for key, val in ev.contribution(coloring).items():
+            cur = out.get(key)
+            out[key] = val if cur is None else cur + val
     norm = nd.inv() ** cob.ball_count
     return {k: v * norm for k, v in out.items() if not v.is_zero()}
 

@@ -9,16 +9,20 @@ where a coloring assigns to each region a simple of the grade given by the
 labeling, each vertex link evaluated as a colored graph on its sphere
 contributes a tensor, and every edge contracts the two end tensors through
 the inverse Gram matrix of the duality pairing of its branch cyclic set.
+
+The same engine evaluates cobordism skeletons for :mod:`statesum3d.hqft`:
+boundary regions get pinned colors and boundary link vertices stay open.
 """
 
 from __future__ import annotations
 import time
+from itertools import product as iproduct
 
-from .catdata import FiniteGroup, GFusionData, neutral_dimension
+from .catdata import GFusionData, neutral_dimension
 from .complexes import Skeleton
 from .exactnum import FieldElement
 from .gauge import enumerate_labelings, gauge_orbits
-from .graphcalc import CyclicCSet, PairingData, VertexTensorSlot, evaluate_graph, hom_dim
+from .graphcalc import ColoredGraph, CyclicCSet, PairingData, evaluate_graph, hom_dim
 
 __all__ = [
     "StateSumResult",
@@ -43,87 +47,80 @@ class StateSumResult:
 
 
 class _Evaluator:
-    """Shared machinery: coloring enumeration with edge-admissibility
-    pruning, link tensors with memoization, Gram caches."""
+    """The state-sum engine for closed skeletons and cobordism skeletons.
 
-    def __init__(self, sk: Skeleton, cat: GFusionData):
+    It reads only ``regions`` (chi first), ``links`` and ``edges``.  The
+    link vertices in ``ends`` stay open: a cobordism leaves its boundary
+    ends open, a closed skeleton none.  Colorings are enumerated with
+    edge-admissibility pruning; link tensors and Gram inverses are memoized.
+    """
+
+    def __init__(self, sk, cat: GFusionData, ends=()):
         self.sk = sk
         self.cat = cat
+        self.ends = tuple(ends)
         self.link_cache: dict = {}
         self.gram_cache: dict = {}
-        # regions incident to each edge, and the edges completed at a region
-        nreg = len(sk.regions)
-        self.edge_regions = []
-        for eid in range(len(sk.edges)):
-            self.edge_regions.append([(r, s) for (r, s) in sk.edge_branches(eid)])
-        self.edges_done_at = [[] for _ in range(nreg)]
+        self.visited = 0
+        # branch list of each edge (end-0 anchored); edges_done_at[r] holds
+        # the edges whose highest region is r, checked once r is colored
+        self.edge_regions = [sk.links[v0].items_at(g0) for (v0, g0), _ in sk.edges]
+        self.edges_done_at = [[] for _ in sk.regions]
         for eid, branches in enumerate(self.edge_regions):
-            regions = [r for r, _ in branches]
-            if regions:
-                self.edges_done_at[max(regions)].append(eid)
+            self.edges_done_at[max(r for r, _ in branches)].append(eid)
 
-    def colorings(self, labeling):
-        """Admissible colorings (region -> simple), grading-constrained and
-        pruned edge by edge; yields dicts."""
-        sk, cat = self.sk, self.cat
-        nreg = len(sk.regions)
-        sectors = [cat.sector(labeling[r]) for r in range(nreg)]
-        coloring = [None] * nreg
-        visited = [0]
+    def colorings(self, sectors):
+        """Admissible colorings, one candidate list per region (a pinned
+        region gets a singleton), pruned edge by edge; yields dicts."""
+        self.visited = 0
+        return self._extend(0, sectors, [None] * len(sectors))
 
-        def admissible_edge(eid):
-            items = [(coloring[r], s) for (r, s) in self.edge_regions[eid]]
-            return hom_dim(cat, items) >= 1
+    def _extend(self, r, sectors, coloring):
+        if r == len(sectors):
+            self.visited += 1
+            yield dict(enumerate(coloring))
+            return
+        for c in sectors[r]:
+            coloring[r] = c
+            self.visited += 1
+            if all(self._admissible(e, coloring) for e in self.edges_done_at[r]):
+                yield from self._extend(r + 1, sectors, coloring)
+        coloring[r] = None
 
-        def go(r):
-            if r == nreg:
-                visited[0] += 1
-                yield dict(enumerate(coloring))
-                return
-            for c in sectors[r]:
-                coloring[r] = c
-                visited[0] += 1
-                if all(admissible_edge(e) for e in self.edges_done_at[r]):
-                    yield from go(r + 1)
-                coloring[r] = None
-
-        self.visited = visited
-        return go(0)
-
-    def edge_cset(self, eid, coloring) -> CyclicCSet:
-        return CyclicCSet([(coloring[r], s) for (r, s) in self.edge_regions[eid]])
+    def _admissible(self, eid, coloring):
+        items = [(coloring[r], s) for (r, s) in self.edge_regions[eid]]
+        return hom_dim(self.cat, items) >= 1
 
     def gram_inv(self, eid, coloring):
-        key = (eid, tuple(coloring[r] for r, _ in self.edge_regions[eid]))
+        branches = self.edge_regions[eid]
+        key = (eid, tuple(coloring[r] for r, _ in branches))
         if key not in self.gram_cache:
-            pd = PairingData(self.cat, self.edge_cset(eid, coloring))
-            self.gram_cache[key] = pd.gram_inverse()
+            cset = CyclicCSet([(coloring[r], s) for (r, s) in branches])
+            self.gram_cache[key] = PairingData(self.cat, cset).gram_inverse()
         return self.gram_cache[key]
 
     def link_tensor(self, v, coloring):
         lk = self.sk.links[v]
         key = (v, tuple(coloring[r] for (_, _, r) in lk.arcs))
         if key not in self.link_cache:
-            graph = self.sk.link_colored_graph(v, coloring)
+            graph = ColoredGraph(len(lk.rotations),
+                                 [(t, h, coloring[r]) for (t, h, r) in lk.arcs],
+                                 lk.rotations)
             self.link_cache[key] = evaluate_graph(self.cat, graph)
         return self.link_cache[key]
 
-    def contribution(self, coloring) -> FieldElement:
-        """prod_r dim^chi times the full contraction for one coloring."""
+    def contribution(self, coloring) -> dict:
+        """prod_r dim^chi times the contraction of the link tensors over the
+        edges, for one coloring, as {open end index tuple: value}."""
         sk, cat = self.sk, self.cat
-        field = cat.field
-        weight = field.one()
-        for r in range(len(sk.regions)):
-            weight = weight * cat.dim(coloring[r]) ** sk.region_euler(r)
-        tensors = [self.link_tensor(v, coloring) for v in range(sk.nvertices())]
-        # contract edges one at a time over the tensor product of link tensors
-        # state: map (per-vertex index tuples, partially contracted) -> value;
-        # represent as dict keyed by a tuple of per-vertex index tuples
-        from itertools import product as iproduct
+        weight = cat.field.one()
+        for r, region in enumerate(sk.regions):
+            weight = weight * cat.dim(coloring[r]) ** region[0]
+        tensors = [self.link_tensor(v, coloring) for v in range(len(sk.links))]
+        # state: a tuple of per-vertex index tuples, contracted slots None
         entries = {}
-        keys = [list(t.entries.keys()) for t in tensors]
-        for combo in iproduct(*keys):
-            val = field.one()
+        for combo in iproduct(*(t.entries for t in tensors)):
+            val = weight
             for t, idx in zip(tensors, combo):
                 val = val * t.entries[idx]
             entries[combo] = val
@@ -131,42 +128,35 @@ class _Evaluator:
             ginv = self.gram_inv(eid, coloring)
             nxt = {}
             for combo, val in entries.items():
-                t_idx = combo[v0][g0]
-                u_idx = combo[v1][g1]
-                factor = ginv[t_idx][u_idx]
+                factor = ginv[combo[v0][g0]][combo[v1][g1]]
                 if factor.is_zero():
                     continue
-                newcombo = []
-                for vv, idxs in enumerate(combo):
-                    if vv in (v0, v1):
-                        lst = list(idxs)
-                        if vv == v0:
-                            lst[g0] = None
-                        if vv == v1:
-                            lst[g1] = None
-                        newcombo.append(tuple(lst))
-                    else:
-                        newcombo.append(idxs)
+                newcombo = list(combo)
+                for v, g in ((v0, g0), (v1, g1)):
+                    newcombo[v] = newcombo[v][:g] + (None,) + newcombo[v][g + 1:]
                 newcombo = tuple(newcombo)
                 cur = nxt.get(newcombo)
                 add = val * factor
                 nxt[newcombo] = add if cur is None else cur + add
             entries = nxt
-        total = field.zero()
+        out = {}
         for combo, val in entries.items():
-            assert all(x is None for ix in combo for x in ix)
-            total = total + val
-        return weight * total
+            key = tuple(combo[v][g] for (v, g) in self.ends)
+            cur = out.get(key)
+            out[key] = val if cur is None else cur + val
+        return out
 
 
 def _sigma(sk: Skeleton, labeling, cat: GFusionData, ev: _Evaluator | None = None):
     ev = ev or _Evaluator(sk, cat)
     total = cat.field.zero()
     admissible = 0
-    for coloring in ev.colorings(labeling):
+    sectors = [cat.sector(labeling[r]) for r in range(len(sk.regions))]
+    for coloring in ev.colorings(sectors):
         admissible += 1
-        total = total + ev.contribution(coloring)
-    return total, ev.visited[0], admissible
+        for val in ev.contribution(coloring).values():
+            total = total + val
+    return total, ev.visited, admissible
 
 
 def closed_invariant(sk: Skeleton, labeling, cat: GFusionData,

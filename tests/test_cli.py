@@ -67,6 +67,30 @@ def test_io_and_domain_errors():
     assert code == 3
 
 
+_THETA_GRAPH = """vertices 2
+edges 3
+edge 0 0 1 color 1
+edge 1 0 1 color 1
+edge 2 0 1 color 1
+rot 0 o0 o1 o2
+rot 1 i2 i1 i0
+"""
+
+
+@pytest.mark.parametrize("argv, name, text, message", [
+    (["invariant", "--category", "vect_Z2_theta0", "--triangulation"], "bad.tri",
+     "tets 2\nglue 0 0 1 0\n", "bad glue line"),
+    (["eval-graph", "--category", "fibonacci", "--graph"], "bad.graph",
+     _THETA_GRAPH.replace("rot 1 i2 i1 i0\n", ""), "missing rot line for vertex 1"),
+], ids=["glue-without-permutation", "graph-without-rot-line"])
+def test_malformed_input_is_a_domain_error(tmp_path, argv, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = _run(argv + [str(path)])
+    assert code == 3
+    assert message in err and len(err.splitlines()) == 1 and out == ""
+
+
 def test_labelings_partition_pachner_hqft(tmp_path):
     code, out, _ = _run(["labelings", "--skeleton", "s1xs2_paper", "--group", "Z2"])
     assert code == 0 and "count orbits: 2" in out

@@ -125,9 +125,14 @@ def test_transitivity_and_gluing():
             assert matrix_mul(p1, m_up, cat.field) == matrix_mul(m_up, p0, cat.field)
 
 
-def test_relative_invariant_closed_case():
-    sk = dual_skeleton(load_tri("l31"))
-    cat = builtin_category("vect_Z3_theta1")
+@pytest.mark.parametrize("cname, mname", [
+    ("vect_Z3_theta1", "l31"),
+    ("fibonacci", "s3_2tet"),
+    ("ising_like", "s3_2tet"),
+])
+def test_relative_invariant_closed_case(cname, mname):
+    sk = dual_skeleton(load_tri(mname))
+    cat = builtin_category(cname)
     labs = enumerate_labelings(sk, cat.group)
     orbits = gauge_orbits(sk, cat.group, labs)
     for rep, _ in orbits:

@@ -146,3 +146,31 @@ def test_pointed_gauge_change_of_tree_bases():
             assert [v.to_text() for (_, _, v) in t1.rows] == \
                 [v.to_text() for (_, _, v) in t2.rows]
             assert t1.aggregate == t2.aggregate
+
+
+def test_evaluations_leave_no_reference_cycles():
+    # an evaluation must free its caches when it returns; a recursive closure
+    # would keep them alive in a cycle until the cyclic collector runs
+    import gc
+    from statesum3d.graphcalc import ColoredGraph, evaluate_graph
+    from statesum3d.hqft import build_product_cylinder, builtin_surface, relative_invariant
+    fib = builtin_category("fibonacci")
+    ising = builtin_category("ising_like")
+    sk = dual_skeleton(load_tri("l31"))
+    rep = _orbit_reps(sk, fib.group)[0][0]
+    surf = builtin_surface("torus_fine", ising.group)
+    cob = build_product_cylinder(surf)
+    c = surf.colorings(ising)[0]
+    theta = ColoredGraph(2, [(0, 1, 1), (0, 1, 1), (0, 1, 1)],
+                         [[(0, 0), (1, 0), (2, 0)], [(2, 1), (1, 1), (0, 1)]])
+    calls = [lambda: closed_invariant(sk, rep, fib),
+             lambda: relative_invariant(cob, ising, c, c),
+             lambda: evaluate_graph(fib, theta)]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
