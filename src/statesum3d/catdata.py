@@ -849,6 +849,9 @@ def save_category(data: GFusionData) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SIMPLE_KEYS = ("name", "grade", "dual", "dim_l", "dim_r", "pivotal")
+
+
 def load_category(text: str) -> GFusionData:
     lines = [ln.rstrip() for ln in text.splitlines()]
     idx = 0
@@ -901,8 +904,11 @@ def load_category(text: str) -> GFusionData:
             nsimples = int(rest)
         elif key == "simple":
             toks = ln.split()
-            i = int(toks[1])
             kv = dict(zip(toks[2::2], toks[3::2]))
+            missing = [k for k in _SIMPLE_KEYS if k not in kv]
+            if missing:
+                raise ValueError(f"incomplete simple line {ln.strip()!r}: no {missing[0]}")
+            i = int(toks[1])
             names[i] = kv["name"]
             grade[i] = int(kv["grade"])
             dual[i] = int(kv["dual"])
@@ -926,6 +932,9 @@ def load_category(text: str) -> GFusionData:
         raise ValueError("category file missing field, group, or simples")
     fsym = {k: FieldElement.from_text(field, v) for k, v in fsym_raw}
     order = range(nsimples)
+    missing = [i for i in order if i not in names]
+    if missing:
+        raise ValueError(f"missing simple line for simple {missing[0]}")
     return GFusionData(field, group, [names[i] for i in order],
                        [grade[i] for i in order], [dual[i] for i in order], triples,
                        fsym, [dim_l[i] for i in order], [dim_r[i] for i in order],

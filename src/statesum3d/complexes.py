@@ -304,6 +304,8 @@ def parse_triangulation(text: str) -> Triangulation:
             continue
         toks = line.split()
         if toks[0] == "tets":
+            if len(toks) < 2:
+                raise ValueError(f"bad tets line {line!r}: expected 'tets N'")
             ntets = int(toks[1])
         elif toks[0] == "glue":
             if len(toks) < 6:

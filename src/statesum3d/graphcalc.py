@@ -696,6 +696,16 @@ def save_graph(graph: ColoredGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _numbered(entries: dict, keys, what: str) -> list:
+    """``[entries[k] for k in keys]``; a missing key is a malformed file."""
+    out = []
+    for k in keys:
+        if k not in entries:
+            raise ValueError(f"missing {what} {k}")
+        out.append(entries[k])
+    return out
+
+
 def parse_graph(text: str) -> ColoredGraph:
     nv = 0
     edges = {}
@@ -719,9 +729,6 @@ def parse_graph(text: str) -> ColoredGraph:
             faces.append(tuple(tuple(int(x) for x in t.split(".")) for t in toks[1:]))
         else:
             raise ValueError(f"unknown graph key {toks[0]!r}")
-    edge_list = [edges[k] for k in range(len(edges))]
-    missing = [v for v in range(nv) if v not in rots]
-    if missing:
-        raise ValueError(f"missing rot line for vertex {missing[0]}")
-    rot_list = [rots[v] for v in range(nv)]
+    edge_list = _numbered(edges, range(len(edges)), "edge")
+    rot_list = _numbered(rots, range(nv), "rot line for vertex")
     return ColoredGraph(nv, edge_list, rot_list, faces=faces or None)

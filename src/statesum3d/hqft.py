@@ -35,7 +35,7 @@ from itertools import product as iproduct
 
 from .catdata import FiniteGroup, GFusionData, neutral_dimension
 from .exactnum import FieldElement
-from .graphcalc import ColoredGraph, CyclicCSet, PairingData, hom_dim, tree_paths
+from .graphcalc import ColoredGraph, CyclicCSet, PairingData, _numbered, hom_dim, tree_paths
 from .linalg import matrix_mul, matrix_rank
 from .statesum import _Evaluator
 
@@ -615,8 +615,8 @@ def parse_surface(text: str, group: FiniteGroup) -> SurfaceSkeleton:
             rots[v] = [(int(d[1:]), 1 if d[0] == "i" else 0) for d in toks[2:]]
         else:
             raise ValueError(f"unknown surface key {toks[0]!r}")
-    edge_list = [edges[k] for k in range(len(edges))]
-    rot_list = [rots[v] for v in range(nv)]
+    edge_list = _numbered(edges, range(len(edges)), "edge")
+    rot_list = _numbered(rots, range(nv), "rot line for vertex")
     return SurfaceSkeleton(group, edge_list, rot_list, labels, comps, name=name)
 
 
@@ -754,12 +754,11 @@ def parse_cobordism(text: str, group: FiniteGroup) -> CobordismSkeleton:
         else:
             raise ValueError(f"unknown cobordism key {toks[0]!r}")
     links = []
-    for v in range(nvert):
-        ng, na = sizes[v]
-        links.append(LinkGraph([arcs[(v, a)] for a in range(na)],
-                               [rots[(v, g)] for g in range(ng)]))
-    region_list = [regions[k] for k in range(len(regions))]
-    edge_list = [edges[k] for k in range(len(edges))]
+    for v, (ng, na) in enumerate(_numbered(sizes, range(nvert), "vertex line")):
+        links.append(LinkGraph(_numbered(arcs, [(v, a) for a in range(na)], "arc"),
+                               _numbered(rots, [(v, g) for g in range(ng)], "rot line")))
+    region_list = _numbered(regions, range(len(regions)), "region")
+    edge_list = _numbered(edges, range(len(edges)), "edge")
+    bot, top = _numbered(surfaces, ("bot", "top"), "surface block")
     return CobordismSkeleton(group, region_list, links, edge_list, bot_ends,
-                             top_ends, balls, surfaces["bot"], surfaces["top"],
-                             name=name)
+                             top_ends, balls, bot, top, name=name)

@@ -152,6 +152,18 @@ def test_file_roundtrip(name):
     assert validate_category(back).passed()
 
 
+@pytest.mark.parametrize("name", ["fibonacci", "ising_like"])
+def test_file_truncated_in_simple_lines_is_rejected(name):
+    text = save_category(builtin_category(name))
+    start = text.index("\nsimple ") + 1
+    end = text.index("\nfusion ")  # the newline that ends the last simple line
+    cuts = [k for k in range(start, end) if text[k] in " \n"]
+    assert cuts
+    for cut in cuts:
+        with pytest.raises(ValueError, match="simple line"):
+            load_category(text[:cut])
+
+
 def test_sector_dimension_identity_all_builtins():
     for name in builtin_category_names():
         cat = builtin_category(name)

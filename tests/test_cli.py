@@ -76,13 +76,33 @@ rot 0 o0 o1 o2
 rot 1 i2 i1 i0
 """
 
+_FIBONACCI_HEAD = """name fibonacci
+field {"minpoly": ["-1", "-1", "1"]}
+group 1
+simples 2
+simple 0 name 1 grade 0 dual 0 dim_l [1,0] dim_r [1,0] pivotal [1,0]
+"""
+
 
 @pytest.mark.parametrize("argv, name, text, message", [
     (["invariant", "--category", "vect_Z2_theta0", "--triangulation"], "bad.tri",
      "tets 2\nglue 0 0 1 0\n", "bad glue line"),
     (["eval-graph", "--category", "fibonacci", "--graph"], "bad.graph",
      _THETA_GRAPH.replace("rot 1 i2 i1 i0\n", ""), "missing rot line for vertex 1"),
-], ids=["glue-without-permutation", "graph-without-rot-line"])
+    (["invariant", "--category", "vect_Z2_theta0", "--triangulation"], "bad.tri",
+     "tets\n", "bad tets line"),
+    (["eval-graph", "--category", "fibonacci", "--graph"], "bad.graph",
+     _THETA_GRAPH.replace("edge 1 0 1 color 1\n", ""), "missing edge 1"),
+    (["hqft-rank", "--category", "vect_Z2_theta1", "--surface"], "bad.surf",
+     "vertices 1\nedge 1 0 0 label 0\nrot 0 o1 i1\n", "missing edge 0"),
+    (["cobordism-map", "--category", "vect_Z2_theta1", "--cobordism"], "bad.cob",
+     "balls 1\nregion 1 chi 1 label 0 pin none\n", "missing region 0"),
+    (["validate-category", "--category"], "bad.cat",
+     _FIBONACCI_HEAD + "simple 1 name tau grade 0 dual 1 dim_l [0,1]\n",
+     "incomplete simple line"),
+], ids=["glue-without-permutation", "graph-without-rot-line", "tets-without-count",
+        "graph-edge-gap", "surface-edge-gap", "cobordism-region-gap",
+        "category-cut-in-simple-line"])
 def test_malformed_input_is_a_domain_error(tmp_path, argv, name, text, message):
     path = tmp_path / name
     path.write_text(text)

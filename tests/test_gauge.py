@@ -1,9 +1,10 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from statesum3d.catdata import FiniteGroup
-from statesum3d.complexes import dual_skeleton
+from statesum3d.complexes import dual_skeleton, pachner
 from statesum3d.gauge import (
     enumerate_labelings,
     gauge_act,
@@ -11,7 +12,8 @@ from statesum3d.gauge import (
     labeling_valid,
 )
 
-from trifiles import load_skeleton, load_tri
+import refgauge
+from trifiles import load_skeleton, load_tri, shipped_names
 
 
 def test_labeling_counts():
@@ -96,3 +98,51 @@ def test_orbit_sizes_partition_labelings(n):
     labs = enumerate_labelings(sk, group)
     orbits = gauge_orbits(sk, group, labs)
     assert sum(len(m) for _, m in orbits) == len(labs)
+
+
+_GROUPS = [FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.cyclic(4),
+           FiniteGroup.symmetric(3)]
+
+
+@pytest.mark.parametrize("group", _GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("name", shipped_names() + ["s1xs2_paper"])
+def test_matches_reference(name, group):
+    sk = load_skeleton(name) if name == "s1xs2_paper" else dual_skeleton(load_tri(name))
+    labs = enumerate_labelings(sk, group)
+    assert labs == refgauge.enumerate_labelings(sk, group)
+    assert gauge_orbits(sk, group, labs) == refgauge.gauge_orbits(sk, group, labs)
+
+
+def test_matches_reference_on_grown_sphere():
+    tri = load_tri("s3_2tet")
+    rnd = random.Random(5)
+    for _ in range(3):
+        tri = pachner(tri, "1-4", rnd.randrange(tri.ntets))
+    sk = dual_skeleton(tri)
+    z3 = FiniteGroup.cyclic(3)
+    labs = enumerate_labelings(sk, z3)
+    assert labs == refgauge.enumerate_labelings(sk, z3)
+    assert gauge_orbits(sk, z3, labs) == refgauge.gauge_orbits(sk, z3, labs)
+
+
+@pytest.mark.parametrize("name, group", [("t3_6tet", FiniteGroup.symmetric(3)),
+                                         ("s1xs2", FiniteGroup.cyclic(4))],
+                         ids=["t3_6tet-S3", "s1xs2-Z4"])
+def test_shuffled_list_matches_reference(name, group):
+    sk = dual_skeleton(load_tri(name))
+    labs = enumerate_labelings(sk, group)
+    random.Random(11).shuffle(labs)
+    assert gauge_orbits(sk, group, labs) == refgauge.gauge_orbits(sk, group, labs)
+
+
+@pytest.mark.parametrize("name, group", [("s3_2tet", FiniteGroup.cyclic(3)),
+                                         ("t3_6tet", FiniteGroup.symmetric(3))],
+                         ids=["s3_2tet-Z3", "t3_6tet-S3"])
+def test_list_missing_an_orbit_member_is_rejected(name, group):
+    sk = dual_skeleton(load_tri(name))
+    labs = enumerate_labelings(sk, group)
+    _, members = max(gauge_orbits(sk, group, labs), key=lambda row: len(row[1]))
+    assert len(members) > 1
+    labs.remove(members[-1])
+    with pytest.raises(ValueError, match="not closed under the gauge action"):
+        gauge_orbits(sk, group, labs)
