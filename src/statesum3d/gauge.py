@@ -148,7 +148,6 @@ def gauge_orbits(sk: Skeleton, group: FiniteGroup, labelings):
     """
     table, over_inv, n = group.table, _times_inverse(group), group.order
     steps, residual = _ball_forest(sk)
-    abelian = all(table[a][b] == table[b][a] for a in range(n) for b in range(a))
     conjugations = [tuple(over_inv[table[g][x]][g] for x in range(n)) for g in range(n)]
     least_conjugate = {}   # fixed labels -> (least conjugate, centraliser order)
     lam = [group.identity] * sk.ball_count
@@ -162,10 +161,6 @@ def gauge_orbits(sk: Skeleton, group: FiniteGroup, labelings):
         stabiliser = 1
         for res in residual:
             fixed = tuple(over_inv[table[lam[bn]][key[r]]][lam[bp]] for r, bn, bp in res)
-            if abelian:
-                form.append(fixed)
-                stabiliser *= n
-                continue
             hit = least_conjugate.get(fixed)
             if hit is None:
                 conjugates = [tuple(map(c.__getitem__, fixed)) for c in conjugations]
