@@ -296,6 +296,11 @@ class GFusionData:
         self.fsym = dict(fsym)
         self._fblock_cache: dict = {}
         self._finv_cache: dict = {}
+        # colour-independent link-evaluation data of graphcalc (planar
+        # sweeps, tree bases, re-basing matrices, Gram inverses), built once
+        # per key; values are tuples, action lists and matrices that hold no
+        # reference back to this object
+        self._memo: dict = {}
         # duality scalars, see module docstring
         self._lev = {}
         self._rev = {}
@@ -333,7 +338,10 @@ class GFusionData:
             return None
         if a == self.unit or b == self.unit or c == self.unit:
             return self.field.one()
-        return self.fsym[(a, b, c, d, e, f)]
+        try:
+            return self.fsym[(a, b, c, d, e, f)]
+        except KeyError:
+            raise ValueError(f"missing F-symbol {(a, b, c, d, e, f)}") from None
 
     def f_block(self, a, b, c, d):
         """(e_list, f_list, rows) of the F-block at (a,b,c,d)."""
@@ -572,6 +580,9 @@ def validate_category(data: GFusionData) -> ValidationReport:
     rep.add("F-table domain", not missing and not extra,
             f"missing {sorted(missing)[:2]} extra {sorted(extra)[:2]}"
             if missing or extra else "")
+    if missing:
+        # the remaining checks read the missing entries
+        return rep
 
     # block invertibility
     bad = []
@@ -683,27 +694,36 @@ def neutral_dimension(data: GFusionData) -> FieldElement:
 # universal grading
 
 
+class UnionFind:
+    """Disjoint classes of 0..n-1; each class is rooted at its least member."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> bool:
+        """Merge the classes of x and y; False when they were one already."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[max(rx, ry)] = min(rx, ry)
+        return True
+
+
 def graduator(data: GFusionData):
     """Universal grading of the fusion ring: classes of simples under the
     congruence generated by 'co-summands of a product are equivalent',
     iterated until multiplication of classes is well defined.  Returns
     (FiniteGroup, projection list simple -> class index)."""
     n = data.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-            return True
-        return False
-
+    classes = UnionFind(n)
+    find, union = classes.find, classes.union
     for i in range(n):
         for j in range(n):
             ks = data.fuse(i, j)
@@ -891,11 +911,15 @@ def load_category(text: str) -> GFusionData:
             field = FieldSpec.from_text(rest)
         elif key == "group":
             toks = rest.split()
+            if not toks or (toks[0] == "table" and len(toks) < 2):
+                raise ValueError(f"incomplete group line {ln.strip()!r}")
             if toks[0] == "table":
                 n = int(toks[1])
                 rows = []
                 for _ in range(n):
                     row_ln = next_line()
+                    if row_ln is None:
+                        raise ValueError(f"group table ends after {len(rows)} of {n} rows")
                     rows.append([int(x) for x in row_ln.split()])
                 group = FiniteGroup(rows)
             else:
@@ -917,6 +941,8 @@ def load_category(text: str) -> GFusionData:
             pivotal[i] = FieldElement.from_text(field, kv["pivotal"])
         elif key == "fusion":
             toks = rest.split()
+            if len(toks) < 3:
+                raise ValueError(f"incomplete fusion line {ln.strip()!r}")
             i, j, k = int(toks[0]), int(toks[1]), int(toks[2])
             mult = int(toks[3]) if len(toks) > 3 else 1
             if mult != 1:
@@ -924,6 +950,8 @@ def load_category(text: str) -> GFusionData:
             triples.add((i, j, k))
         elif key == "fsym":
             toks = rest.split(None, 6)
+            if len(toks) < 7:
+                raise ValueError(f"incomplete fsym line {ln.strip()!r}")
             a, b, c, d, e, f = (int(t) for t in toks[:6])
             fsym_raw.append(((a, b, c, d, e, f), toks[6]))
         else:

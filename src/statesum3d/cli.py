@@ -5,7 +5,8 @@ partition, dw, pachner, hqft-rank, cobordism-map.  Reports are structured
 text (or JSON with --json) containing the exact results, input digests and
 the convention version; timing lives in a separate field so repeated runs
 are otherwise byte-identical.  Exit codes: 0 success, 2 validation
-failure, 3 domain error, 4 I/O error.
+failure, 3 domain error, 4 I/O error, 5 internal error (a broken invariant
+of the evaluator, a bug rather than bad input).
 """
 
 from __future__ import annotations
@@ -349,6 +350,9 @@ def run(argv) -> int:
     except (ValueError, AssertionError) as exc:
         sys.stderr.write(f"domain error ({args.cmd}): {exc}\n")
         return 3
+    except graphcalc.InternalError as exc:
+        sys.stderr.write(f"internal error ({args.cmd}): {exc}\n")
+        return 5
     sys.stdout.write(rep.render(args.json))
     return code
 

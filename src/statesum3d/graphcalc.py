@@ -20,11 +20,12 @@ unknot against a basis vector of Hom(1, U* (x) U) is the left evaluation.
 
 from __future__ import annotations
 
-from .catdata import GFusionData
+from .catdata import GFusionData, UnionFind
 from .exactnum import FieldElement
 from .linalg import matrix_inverse
 
 __all__ = [
+    "InternalError",
     "CyclicCSet",
     "MultiplicityBasis",
     "VertexTensorSlot",
@@ -41,6 +42,11 @@ __all__ = [
     "save_graph",
     "parse_graph",
 ]
+
+
+class InternalError(Exception):
+    """A broken internal invariant of the graph calculus: a bug in the
+    evaluator, never a property of the input."""
 
 
 class CyclicCSet:
@@ -158,7 +164,8 @@ class HomState:
         return HomState(self.data, word, out)
 
     def delete_unit(self, p: int) -> "HomState":
-        assert self.word[p] == self.data.unit
+        if self.word[p] != self.data.unit:
+            raise InternalError(f"delete_unit at {p}: letter {self.word[p]} is not the unit")
         word = self.word[:p] + self.word[p + 1:]
         out: dict = {}
         for path, v in self.paths.items():
@@ -221,13 +228,14 @@ class HomState:
         data = self.data
         dual = data.dual[color]
         if kind == "l":
-            assert self.word[p] == dual and self.word[p + 1] == color
-            st = self.fuse(p, data.unit).scale(data.lev_scalar(color))
+            left, right, scalar = dual, color, data.lev_scalar(color)
         elif kind == "r":
-            assert self.word[p] == color and self.word[p + 1] == dual
-            st = self.fuse(p, data.unit).scale(data.rev_scalar(color))
+            left, right, scalar = color, dual, data.rev_scalar(color)
         else:
             raise ValueError("cap kind must be 'l' or 'r'")
+        if self.word[p] != left or self.word[p + 1] != right:
+            raise InternalError(f"cap {kind} of {color} at {p} meets letters {self.word[p:p + 2]}")
+        st = self.fuse(p, data.unit).scale(scalar)
         return st.delete_unit(p)
 
     def insert_tree(self, p: int, letters, path) -> "HomState":
@@ -237,8 +245,8 @@ class HomState:
         st = self.insert_unit(p)
         for j in range(k - 1, 0, -1):
             st = st.split(p, path[j - 1], letters[j])
-        if k:
-            assert path[0] == letters[0]
+        if k and path[0] != letters[0]:
+            raise InternalError(f"tree {tuple(path)} does not start at letter {letters[0]}")
         return st
 
     def insert_state(self, p: int, other: "HomState") -> "HomState":
@@ -261,7 +269,8 @@ class HomState:
         return HomState(self.data, word, out)
 
     def scalar(self) -> FieldElement:
-        assert self.word == ()
+        if self.word:
+            raise InternalError(f"scalar of a state on the word {self.word}")
         return self.paths.get((), self.data.field.zero())
 
 
@@ -275,7 +284,11 @@ class MultiplicityBasis:
         self.anchor = anchor % len(cset)
         self.anchored = cset.rotate(self.anchor)
         self.word = self.anchored.word(data)
-        self.trees = tree_paths(data, self.word)
+        key = ("trees", self.word)
+        trees = data._memo.get(key)
+        if trees is None:
+            trees = data._memo[key] = tuple(tree_paths(data, self.word))
+        self.trees = list(trees)
 
     def dim(self) -> int:
         return len(self.trees)
@@ -324,7 +337,8 @@ def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
         for _ in range(steps):
             items, st = _rotate_state_once(data, items, st)
         col = [data.field.zero()] * target.dim()
-        assert st.word == target.word
+        if st.word != target.word:
+            raise InternalError(f"rotation ends on the word {st.word}, not {target.word}")
         for path, v in st.paths.items():
             col[index[path]] = v
         cols.append(col)
@@ -362,6 +376,16 @@ class PairingData:
         if self._inv is None:
             self._inv = matrix_inverse(self.gram, self.data.field)
         return self._inv
+
+
+def _gram_inverse(data: GFusionData, items: tuple):
+    """``PairingData(data, CyclicCSet(items)).gram_inverse()``, built once per
+    category and signed colour tuple; callers must not mutate it."""
+    key = ("gram_inverse", items)
+    inv = data._memo.get(key)
+    if inv is None:
+        inv = data._memo[key] = PairingData(data, CyclicCSet(items)).gram_inverse()
+    return inv
 
 
 def pairing_gram(data: GFusionData, cset: CyclicCSet):
@@ -467,17 +491,10 @@ class ColoredGraph:
                 self.corner_face[c] = fi
 
     def _component_count(self) -> int:
-        parent = list(range(self.nvertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        classes = UnionFind(self.nvertices)
         for t, h, _ in self.edges:
-            parent[find(t)] = find(h)
-        return len({find(v) for v in range(self.nvertices)})
+            classes.union(t, h)
+        return len({classes.find(v) for v in range(self.nvertices)})
 
     def vertex_cset(self, v: int) -> CyclicCSet:
         items = []
@@ -588,7 +605,13 @@ def evaluate_graph(data: GFusionData, graph: ColoredGraph, slots=None,
         raise ValueError("slots must cover each vertex exactly once")
     if outer_face is None:
         outer_face = 0
-    actions = _find_layout(graph, outer_face)
+    # the sweep depends only on the uncoloured graph; the rotations fix the
+    # edge endpoints (checked by ColoredGraph)
+    memo = data._memo
+    key = ("layout", tuple(graph.rotations), tuple(graph.faces), outer_face)
+    actions = memo.get(key)
+    if actions is None:
+        actions = memo[key] = _find_layout(graph, outer_face)
 
     csets = [graph.vertex_cset(v) for v in range(graph.nvertices)]
     insert_offset = {}
@@ -642,7 +665,8 @@ def evaluate_graph(data: GFusionData, graph: ColoredGraph, slots=None,
 
     raw: dict = {}
     for (path, choice), coeff in states.items():
-        assert path == ()
+        if path != ():
+            raise InternalError(f"sweep ends on the tree {path}, not the empty one")
         raw[choice] = coeff
 
     # re-express each index in the requested slot basis
@@ -655,7 +679,11 @@ def evaluate_graph(data: GFusionData, graph: ColoredGraph, slots=None,
         slot_basis = MultiplicityBasis(data, csets[v], slot.anchor)
         out_bases.append(slot_basis)
         steps = (insert_offset[v] - slot.anchor) % len(csets[v])
-        mats.append(rotation_matrix(data, slot_basis, steps))
+        key = ("rebase", csets[v].items, slot_basis.anchor, steps)
+        mat = memo.get(key)
+        if mat is None:
+            mat = memo[key] = rotation_matrix(data, slot_basis, steps)
+        mats.append(mat)
 
     entries: dict = {}
     from itertools import product as iproduct

@@ -22,7 +22,7 @@ from .catdata import GFusionData, neutral_dimension
 from .complexes import Skeleton
 from .exactnum import FieldElement
 from .gauge import enumerate_labelings, gauge_orbits
-from .graphcalc import ColoredGraph, CyclicCSet, PairingData, evaluate_graph, hom_dim
+from .graphcalc import ColoredGraph, _gram_inverse, evaluate_graph, hom_dim
 
 __all__ = [
     "StateSumResult",
@@ -52,7 +52,9 @@ class _Evaluator:
     It reads only ``regions`` (chi first), ``links`` and ``edges``.  The
     link vertices in ``ends`` stay open: a cobordism leaves its boundary
     ends open, a closed skeleton none.  Colorings are enumerated with
-    edge-admissibility pruning; link tensors and Gram inverses are memoized.
+    edge-admissibility pruning.  Link tensors, edge admissibility per signed
+    colour tuple and ``dim(c)**chi`` per (label, chi) are memoized here;
+    Gram inverses are memoized on the category (``graphcalc``).
     """
 
     def __init__(self, sk, cat: GFusionData, ends=()):
@@ -60,7 +62,8 @@ class _Evaluator:
         self.cat = cat
         self.ends = tuple(ends)
         self.link_cache: dict = {}
-        self.gram_cache: dict = {}
+        self.admissible_cache: dict = {}
+        self.weight_cache: dict = {}
         self.visited = 0
         # branch list of each edge (end-0 anchored); edges_done_at[r] holds
         # the edges whose highest region is r, checked once r is colored
@@ -87,17 +90,15 @@ class _Evaluator:
                 yield from self._extend(r + 1, sectors, coloring)
         coloring[r] = None
 
-    def _admissible(self, eid, coloring):
-        items = [(coloring[r], s) for (r, s) in self.edge_regions[eid]]
-        return hom_dim(self.cat, items) >= 1
+    def _branch_colors(self, eid, coloring):
+        return tuple((coloring[r], s) for (r, s) in self.edge_regions[eid])
 
-    def gram_inv(self, eid, coloring):
-        branches = self.edge_regions[eid]
-        key = (eid, tuple(coloring[r] for r, _ in branches))
-        if key not in self.gram_cache:
-            cset = CyclicCSet([(coloring[r], s) for (r, s) in branches])
-            self.gram_cache[key] = PairingData(self.cat, cset).gram_inverse()
-        return self.gram_cache[key]
+    def _admissible(self, eid, coloring):
+        items = self._branch_colors(eid, coloring)
+        ok = self.admissible_cache.get(items)
+        if ok is None:
+            ok = self.admissible_cache[items] = hom_dim(self.cat, items) >= 1
+        return ok
 
     def link_tensor(self, v, coloring):
         lk = self.sk.links[v]
@@ -115,7 +116,11 @@ class _Evaluator:
         sk, cat = self.sk, self.cat
         weight = cat.field.one()
         for r, region in enumerate(sk.regions):
-            weight = weight * cat.dim(coloring[r]) ** region[0]
+            key = (coloring[r], region[0])
+            power = self.weight_cache.get(key)
+            if power is None:
+                power = self.weight_cache[key] = cat.dim(key[0]) ** key[1]
+            weight = weight * power
         tensors = [self.link_tensor(v, coloring) for v in range(len(sk.links))]
         # state: a tuple of per-vertex index tuples, contracted slots None
         entries = {}
@@ -125,7 +130,7 @@ class _Evaluator:
                 val = val * t.entries[idx]
             entries[combo] = val
         for eid, ((v0, g0), (v1, g1)) in enumerate(sk.edges):
-            ginv = self.gram_inv(eid, coloring)
+            ginv = _gram_inverse(cat, self._branch_colors(eid, coloring))
             nxt = {}
             for combo, val in entries.items():
                 factor = ginv[combo[v0][g0]][combo[v1][g1]]

@@ -56,6 +56,12 @@ def test_validate_command_and_exit_codes(tmp_path):
     path.write_text(bad)
     code, out, _ = _run(["validate-category", "--category", str(path)])
     assert code == 2 and "FAIL" in out
+    # a missing F-symbol outside the blocks the duality scalars read: exit 2
+    missing = text.replace("fsym 1 1 1 0 1 1 [1,0]\n", "")
+    assert missing != text
+    path.write_text(missing)
+    code, out, _ = _run(["validate-category", "--category", str(path)])
+    assert code == 2 and "FAIL F-table domain" in out
 
 
 def test_io_and_domain_errors():
@@ -100,15 +106,46 @@ simple 0 name 1 grade 0 dual 0 dim_l [1,0] dim_r [1,0] pivotal [1,0]
     (["validate-category", "--category"], "bad.cat",
      _FIBONACCI_HEAD + "simple 1 name tau grade 0 dual 1 dim_l [0,1]\n",
      "incomplete simple line"),
+    (["validate-category", "--category"], "bad.cat",
+     _FIBONACCI_HEAD.replace("group 1\n", "group table 2\n  0 1\n").split("simples")[0],
+     "group table ends after 1 of 2 rows"),
 ], ids=["glue-without-permutation", "graph-without-rot-line", "tets-without-count",
         "graph-edge-gap", "surface-edge-gap", "cobordism-region-gap",
-        "category-cut-in-simple-line"])
+        "category-cut-in-simple-line", "category-cut-in-group-table"])
 def test_malformed_input_is_a_domain_error(tmp_path, argv, name, text, message):
     path = tmp_path / name
     path.write_text(text)
     code, out, err = _run(argv + [str(path)])
     assert code == 3
     assert message in err and len(err.splitlines()) == 1 and out == ""
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising_like", "vect_Z2_theta1"])
+def test_truncated_category_file_is_not_a_traceback(tmp_path, name):
+    from statesum3d.catdata import builtin_category, save_category
+    text = save_category(builtin_category(name))
+    path = tmp_path / "cut.cat"
+    cuts = [k for k, ch in enumerate(text) if ch in " \n"]
+    for cut in cuts:
+        path.write_text(text[:cut])
+        code, out, err = _run(["validate-category", "--category", str(path)])
+        assert code in (0, 2, 3), (text[:cut].splitlines()[-1:], code, err)
+        if code == 3:
+            assert len(err.splitlines()) == 1 and out == "", err
+
+
+def test_internal_error_has_its_own_exit_code(tmp_path, monkeypatch):
+    from statesum3d import graphcalc
+
+    def broken(*args, **kwargs):
+        raise graphcalc.InternalError("sweep ends on the tree (1,), not the empty one")
+
+    monkeypatch.setattr(graphcalc, "evaluate_graph", broken)
+    path = tmp_path / "theta.graph"
+    path.write_text(_THETA_GRAPH)
+    code, out, err = _run(["eval-graph", "--category", "fibonacci", "--graph", str(path)])
+    assert code == 5 and out == ""
+    assert err.startswith("internal error (eval-graph):") and len(err.splitlines()) == 1
 
 
 def test_labelings_partition_pachner_hqft(tmp_path):

@@ -8,6 +8,8 @@ from statesum3d.exactnum import make_field
 from statesum3d.graphcalc import (
     ColoredGraph,
     CyclicCSet,
+    HomState,
+    InternalError,
     MultiplicityBasis,
     PairingData,
     VertexTensorSlot,
@@ -76,6 +78,49 @@ def test_rotation_identity_and_pointed_scalar():
             break
         acc = acc * val
     assert order is not None
+
+
+def test_rotation_matrix_and_trees_are_fresh_per_call():
+    cat = fibonacci_category()
+    basis = MultiplicityBasis(cat, CyclicCSet([(1, 1)] * 4), 1)
+    mat = rotation_matrix(cat, basis, 1)
+    expected = [row[:] for row in mat]
+    mat[0][0] = mat[0][0] + cat.field.one()
+    mat.append([])
+    assert rotation_matrix(cat, basis, 1) == expected
+    trees = list(basis.trees)
+    basis.trees.append((0, 0, 0, 0))
+    assert MultiplicityBasis(cat, CyclicCSet([(1, 1)] * 4), 1).trees == trees
+
+
+def test_categories_do_not_share_memoized_data():
+    # the same uncoloured graph under two categories in turn, each category
+    # evaluating it twice, against evaluations on freshly built categories
+    theta = ColoredGraph(2, [(0, 1, 1), (0, 1, 1), (0, 1, 1)],
+                         [[(0, 0), (1, 0), (2, 0)], [(2, 1), (1, 1), (0, 1)]])
+    slot_sets = [None] + [[VertexTensorSlot(0, a), VertexTensorSlot(1, b)]
+                          for a in range(3) for b in range(3)]
+    names = ["fibonacci", "vect_Z3_theta1"]
+    cats = {name: builtin_category(name) for name in names}
+    for _ in range(2):
+        for name in names:
+            for slots in slot_sets:
+                got = evaluate_graph(cats[name], theta, slots=slots)
+                fresh = evaluate_graph(builtin_category(name), theta, slots=slots)
+                assert got == fresh and got.entries == fresh.entries, (name, slots)
+    assert all(cat._memo for cat in cats.values())
+
+
+def test_broken_invariant_is_an_internal_error():
+    assert not issubclass(InternalError, (ValueError, AssertionError))
+    fib = fibonacci_category()
+    st = HomState.basis_tree(fib, (1, 1), (1, 0))
+    with pytest.raises(InternalError):
+        st.scalar()
+    with pytest.raises(InternalError):
+        st.delete_unit(0)
+    with pytest.raises(InternalError):
+        HomState.empty(fib).insert_tree(0, (0, 1), (1, 0))
 
 
 def test_gram_examples():

@@ -150,22 +150,22 @@ def test_pointed_gauge_change_of_tree_bases():
 
 def test_evaluations_leave_no_reference_cycles():
     # an evaluation must free its caches when it returns; a recursive closure
-    # would keep them alive in a cycle until the cyclic collector runs
+    # would keep them alive in a cycle until the cyclic collector runs.  Each
+    # call builds its category and drops it, so a memo entry that refers back
+    # to its category shows up as a cycle too.
     import gc
     from statesum3d.graphcalc import ColoredGraph, evaluate_graph
     from statesum3d.hqft import build_product_cylinder, builtin_surface, relative_invariant
-    fib = builtin_category("fibonacci")
-    ising = builtin_category("ising_like")
     sk = dual_skeleton(load_tri("l31"))
-    rep = _orbit_reps(sk, fib.group)[0][0]
-    surf = builtin_surface("torus_fine", ising.group)
+    rep = _orbit_reps(sk, builtin_category("fibonacci").group)[0][0]
+    surf = builtin_surface("torus_fine", builtin_category("ising_like").group)
     cob = build_product_cylinder(surf)
-    c = surf.colorings(ising)[0]
+    c = surf.colorings(builtin_category("ising_like"))[0]
     theta = ColoredGraph(2, [(0, 1, 1), (0, 1, 1), (0, 1, 1)],
                          [[(0, 0), (1, 0), (2, 0)], [(2, 1), (1, 1), (0, 1)]])
-    calls = [lambda: closed_invariant(sk, rep, fib),
-             lambda: relative_invariant(cob, ising, c, c),
-             lambda: evaluate_graph(fib, theta)]
+    calls = [lambda: closed_invariant(sk, rep, builtin_category("fibonacci")),
+             lambda: relative_invariant(cob, builtin_category("ising_like"), c, c),
+             lambda: evaluate_graph(builtin_category("fibonacci"), theta)]
     gc.collect()
     gc.disable()
     try:
