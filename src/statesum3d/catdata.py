@@ -252,10 +252,6 @@ class CocycleTable:
             vals[(a, b, c)] = root_of_unity(field, q * a * ((b + c) // n))
         return CocycleTable(group, field, vals)
 
-    @staticmethod
-    def from_values(group: FiniteGroup, field: FieldSpec, values: dict) -> CocycleTable:
-        return CocycleTable(group, field, values)
-
 
 class GFusionData:
     """Skeletal spherical G-graded fusion data; immutable after validation.
@@ -387,9 +383,6 @@ class GFusionData:
 
     def dim(self, i: int) -> FieldElement:
         return self.dim_l[i]
-
-    def simple_index(self, name: str) -> int:
-        return self.names.index(name)
 
     def __repr__(self):
         return f"GFusionData({self.name}: {self.n} simples over {self.group!r})"
@@ -908,7 +901,10 @@ def load_category(text: str) -> GFusionData:
         if key == "name":
             name = rest.strip()
         elif key == "field":
-            field = FieldSpec.from_text(rest)
+            try:
+                field = FieldSpec.from_text(rest)
+            except ValueError as exc:
+                raise ValueError(f"bad field line {ln.strip()!r}: {exc}") from None
         elif key == "group":
             toks = rest.split()
             if not toks or (toks[0] == "table" and len(toks) < 2):
@@ -932,6 +928,8 @@ def load_category(text: str) -> GFusionData:
             missing = [k for k in _SIMPLE_KEYS if k not in kv]
             if missing:
                 raise ValueError(f"incomplete simple line {ln.strip()!r}: no {missing[0]}")
+            if field is None:
+                raise ValueError(f"no field line before {ln.strip()!r}")
             i = int(toks[1])
             names[i] = kv["name"]
             grade[i] = int(kv["grade"])

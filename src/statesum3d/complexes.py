@@ -203,9 +203,6 @@ class Triangulation:
 
     # -- derived data ---------------------------------------------------------
 
-    def vertex_class_of(self, t, v):
-        return self.vertex_class[(t, v)]
-
     def edge_class_of(self, t, a, b):
         """Class id and direction sign of the directed edge (a -> b) of t."""
         if (t, a, b) in self.edge_class:
@@ -219,36 +216,6 @@ class Triangulation:
     def summary(self):
         return {"tets": self.ntets, "triangles": self.ntriangles,
                 "edges": self.nedges, "vertices": self.nvertices}
-
-    def walk_around_edge(self, eid):
-        """Cyclic walk around a directed edge class in the positive linking
-        direction: list of (tet, directed edge in tet, enter face, exit face),
-        visiting each (tet, edge slot) exactly once."""
-        t0, a0, b0 = self.edge_members[eid][0]
-        walk = []
-        t, a, b = t0, a0, b0
-        enter = None
-        seen = set()
-        while True:
-            fin, fout = _edge_walk_faces(self.orientations[t], a, b)
-            if enter is not None and enter != fin:
-                raise AssertionError("edge walk orientation mismatch")
-            walk.append((t, a, b, fin, fout))
-            key = (t, frozenset((a, b)))
-            if key in seen:
-                raise AssertionError("edge walk revisits a slot")
-            seen.add(key)
-            t2, f2, perm = self.gluings[(t, fout)]
-            t, a, b, enter = t2, perm[a], perm[b], f2
-            if (t, a, b) == (t0, a0, b0):
-                fin0, _ = _edge_walk_faces(self.orientations[t0], a0, b0)
-                if enter != fin0:
-                    raise AssertionError("edge walk does not close compatibly")
-                break
-        expect = sum(1 for (tt, aa, bb) in self.edge_members[eid])
-        if len(walk) != expect:
-            raise AssertionError("edge walk misses slots")
-        return walk
 
 
 _SIMPLEX = {
@@ -277,20 +244,6 @@ def _det3(u, v, w):
 
 def _face_bary(k):
     return _vavg(*(setat for v, setat in _SIMPLEX.items() if v != k))
-
-
-def _edge_walk_faces(sign, a, b):
-    """Faces through which the positive loop around the directed edge (a,b)
-    enters and exits a tetrahedron of the given orientation sign."""
-    c, d = (x for x in range(4) if x not in (a, b))
-    mid = _vavg(_SIMPLEX[a], _SIMPLEX[b])
-    det = _det3(_vsub(_SIMPLEX[b], _SIMPLEX[a]),
-                _vsub(_SIMPLEX[d], mid), _vsub(_SIMPLEX[c], mid))
-    if det * sign > 0:
-        # positive rotation carries the d side to the c side:
-        # enter through the face containing d (missing c), exit missing d
-        return c, d
-    return d, c
 
 
 def parse_triangulation(text: str) -> Triangulation:
@@ -343,6 +296,19 @@ def save_triangulation(tri: Triangulation, name: str = "") -> str:
 
 # ---------------------------------------------------------------------------
 # Pachner moves
+#
+# A Pachner move swaps the tetrahedra of the boundary of the 4-simplex on the
+# vertex labels 0..4 that contain a simplex sigma for those that contain its
+# complement.  The star of sigma is labelled by walking across the faces that
+# contain sigma; a labelled tetrahedron lacks exactly one label.
+
+# the error when the star of sigma is not as on the 4-simplex
+_STAR_ERRORS = {
+    "1-4": None,    # the star of a tetrahedron is itself
+    "2-3": "2-3 move needs two distinct tetrahedra",
+    "3-2": "3-2 move needs an edge of valence three with three distinct tetrahedra",
+    "4-1": "4-1 move needs a vertex with cone star of four tetrahedra",
+}
 
 
 def pachner(tri: Triangulation, move: str, location) -> Triangulation:
@@ -352,356 +318,124 @@ def pachner(tri: Triangulation, move: str, location) -> Triangulation:
     whose partner tetrahedron is distinct; '3-2' an edge class id of
     valence three with three distinct tetrahedra; '4-1' a vertex class id
     whose star is the cone pattern of four distinct tetrahedra.
+
+    The new tetrahedra, one per vertex of sigma in ascending order, take the
+    indices of the removed ones in ascending order; extra ones are appended
+    and unused indices compacted.  Each copies the vertex order of the
+    removed tetrahedron whose index it takes (the last one, if appended), so
+    orientation signs and the orientation of the manifold are kept.
     """
-    if move == "1-4":
-        return _pachner_14(tri, int(location))
+    if move not in _STAR_ERRORS:
+        raise ValueError(f"unknown Pachner move {move!r}")
+    seed, sigma = _move_simplex(tri, move, location)
+    star = _star_labels(tri, seed, sigma)
+    if star is None or len(star) != 5 - len(sigma):
+        raise ValueError(_STAR_ERRORS[move])
+    return _replace_star(tri, star, sigma)
+
+
+def _move_simplex(tri: Triangulation, move: str, location):
+    """Seed tetrahedron and the local vertices of the simplex a move names."""
     if move == "2-3":
         t, f = location
-        return _pachner_23(tri, t, f)
-    if move == "3-2":
-        return _pachner_32(tri, int(location))
-    if move == "4-1":
-        return _pachner_41(tri, int(location))
-    raise ValueError(f"unknown Pachner move {move!r}")
+        if t in range(tri.ntets) and f in range(4):
+            return t, tuple(v for v in range(4) if v != f)
+    else:
+        k = int(location)
+        if move == "1-4" and k in range(tri.ntets):
+            return k, (0, 1, 2, 3)
+        if move == "3-2" and k in range(tri.nedges):
+            t, a, b = tri.edge_members[k][0]
+            return t, (a, b)
+        if move == "4-1" and k in range(tri.nvertices):
+            t, v = min(tv for tv, c in tri.vertex_class.items() if c == k)
+            return t, (v,)
+    raise ValueError(f"{move} location {location!r} out of range")
 
 
-def _redirect(gluings, mapping):
-    """Rewrite a gluing dict through face renames given by mapping:
-    old (t,f) -> new (t,f); faces not in the mapping are kept."""
-    out = {}
-    for (t, f), (t2, f2, perm) in gluings.items():
-        a = mapping.get((t, f), (t, f))
-        b = mapping.get((t2, f2), (t2, f2))
-        out[a] = (b[0], b[1], perm)
-    return out
+def _missing(lab):
+    """The label of 0..4 that a labelled tetrahedron lacks."""
+    return 10 - sum(lab)
 
 
-def _pachner_14(tri: Triangulation, t0: int) -> Triangulation:
-    n = tri.ntets
-    # new tets: T_k replaces t0 coned over face k; T_0 takes index t0,
-    # T_1..T_3 are appended
-    tid = {0: t0, 1: n, 2: n + 1, 3: n + 2}
-    gl = {}
-    for (t, f), val in tri.gluings.items():
-        if t != t0 and val[0] != t0:
-            gl[(t, f)] = val
-    for k in range(4):
-        t2, f2, perm = tri.gluings[(t0, k)]
-        if t2 == t0:
-            k2 = f2
-            gl[(tid[k], k)] = (tid[k2], k2, perm)
-            gl[(tid[k2], k2)] = (tid[k], k, _perm_inv(perm))
-        else:
-            gl[(tid[k], k)] = (t2, f2, perm)
-            gl[(t2, f2)] = (tid[k], k, _perm_inv(perm))
-    for k in range(4):
-        for j in range(4):
-            if j == k:
-                continue
-            perm = list(range(4))
-            perm[k], perm[j] = j, k
-            gl[(tid[k], j)] = (tid[j], k, tuple(perm))
-    return Triangulation(n + 3, gl)
+def _match(lab, lab2):
+    """Vertex map between tetrahedra labelled ``lab`` and ``lab2``: equal
+    labels correspond, and the label only ``lab`` has goes to the one only
+    ``lab2`` has."""
+    return tuple(lab2.index(_missing(lab) if x == _missing(lab2) else x) for x in lab)
 
 
-def _pachner_23(tri: Triangulation, tA: int, fA: int) -> Triangulation:
-    tB, fB, pi = tri.gluings[(tA, fA)]
-    if tA == tB:
-        raise ValueError("2-3 move needs two distinct tetrahedra")
-    xs = [v for v in range(4) if v != fA]          # face vertices in tA
-    pA = fA
-    pB = fB
-    n = tri.ntets
-    keep = [t for t in range(n) if t not in (tA, tB)]
-    newid = {t: i for i, t in enumerate(keep)}
-    nid = [len(keep), len(keep) + 1, len(keep) + 2]
-
-    # vertex meaning of N_i: 0 -> apex of A, 1 -> apex of B,
-    # 2 -> x_(i+1), 3 -> x_(i+2)
-    mu = []
-    nu = []
-    for i in range(3):
-        m = [None] * 4
-        m[0] = pA
-        m[1] = xs[i]
-        m[2] = xs[(i + 1) % 3]
-        m[3] = xs[(i + 2) % 3]
-        mu.append(tuple(m))          # N_i label -> tA label (face 1 of N_i)
-        w = [None] * 4
-        w[0] = pi[xs[i]]
-        w[1] = pB
-        w[2] = pi[xs[(i + 1) % 3]]
-        w[3] = pi[xs[(i + 2) % 3]]
-        nu.append(tuple(w))          # N_i label -> tB label (face 0 of N_i)
-
-    mapping = {}
-    for i in range(3):
-        mapping[(tA, xs[i])] = (nid[i], 1)
-        mapping[(tB, pi[xs[i]])] = (nid[i], 0)
-    for t in keep:
+def _star_labels(tri: Triangulation, seed: int, sigma):
+    """{tet: labels of its vertices 0..3} over the star of sigma, with the
+    seed labelled 0..3; None when a tetrahedron is reached with two
+    labellings or two tetrahedra lack the same label."""
+    star = {seed: (0, 1, 2, 3)}
+    stack = [seed]
+    while stack:
+        t = stack.pop()
+        lab = star[t]
         for f in range(4):
-            mapping[(t, f)] = (newid[t], f)
+            if lab[f] in sigma:
+                continue
+            t2, f2, perm = tri.gluings[(t, f)]
+            # the far vertex takes the label this tetrahedron lacks
+            lab2 = [_missing(lab)] * 4
+            for v in range(4):
+                if v != f:
+                    lab2[perm[v]] = lab[v]
+            lab2 = tuple(lab2)
+            if t2 not in star:
+                star[t2] = lab2
+                stack.append(t2)
+            elif star[t2] != lab2:
+                return None
+    if len({_missing(lab) for lab in star.values()}) != len(star):
+        return None
+    return star
 
+
+def _replace_star(tri: Triangulation, star: dict, sigma) -> Triangulation:
+    """Swap the labelled star of sigma for one tetrahedron per vertex of
+    sigma, the one lacking that label."""
+    removed = sorted(star)
+    slots = removed + list(range(tri.ntets, tri.ntets + len(sigma) - len(removed)))
+    new = {}    # slot -> vertex labels of the new tetrahedron there
+    for s, slot in zip(sigma, slots):
+        lab = star[slot if slot in star else removed[-1]]
+        new[slot] = tuple(_missing(lab) if x == s else x for x in lab)
+    dead = set(removed[len(sigma):])
+    alive = [t for t in range(tri.ntets) if t not in dead] + slots[len(removed):]
+    index = {t: i for i, t in enumerate(alive)}
+    slot_of = {_missing(lab): slot for slot, lab in new.items()}
+
+    # where each surviving face goes: (new tet, new face, vertex map)
+    where = {}
+    for t in range(tri.ntets):
+        for f in range(4):
+            if t not in star:
+                where[(t, f)] = (index[t], f, (0, 1, 2, 3))
+            elif star[t][f] in sigma:
+                slot = slot_of[star[t][f]]
+                m = _match(star[t], new[slot])
+                where[(t, f)] = (index[slot], m[f], m)
+    # a face that contains sigma is glued only to another such face, or the
+    # walk would have labelled a tetrahedron twice
     gl = {}
     for (t, f), (t2, f2, perm) in tri.gluings.items():
-        if (t, f) in ((tA, fA), (tB, fB)):
-            continue
-        if t in (tA, tB) and f != (fA if t == tA else fB):
-            # rewrite the perm to new labels on the near side
-            if t == tA:
-                i = xs.index(f)
-                near = mu[i]
-            else:
-                i = [pi[x] for x in xs].index(f)
-                near = nu[i]
-            src = mapping[(t, f)]
-            dst = mapping.get((t2, f2), (newid.get(t2, t2), f2))
-            if t2 in (tA, tB):
-                if t2 == tA:
-                    j = xs.index(f2)
-                    far = mu[j]
-                else:
-                    j = [pi[x] for x in xs].index(f2)
-                    far = nu[j]
-                newperm = tuple(_pos(far, perm[near[k]]) for k in range(4))
-            else:
-                newperm = tuple(perm[near[k]] for k in range(4))
-            gl[src] = (dst[0], dst[1], newperm)
-        elif t not in (tA, tB):
-            src = (newid[t], f)
-            if t2 in (tA, tB):
-                continue  # written from the other side
-            gl[src] = (newid[t2], f2, perm)
-    # ensure both directions present for rewritten external faces
-    for (t, f), (t2, f2, perm) in list(gl.items()):
-        gl[(t2, f2)] = (t, f, _perm_inv(perm))
-    # internal gluings between the N_i around the new edge
-    for i in range(3):
-        j = (i + 1) % 3
-        perm = (0, 1, 3, 2)
-        gl[(nid[i], 2)] = (nid[j], 3, perm)
-        gl[(nid[j], 3)] = (nid[i], 2, perm)
-    return Triangulation(len(keep) + 3, gl)
-
-
-def _pos(tup, val):
-    return tup.index(val)
-
-
-def _pachner_32(tri: Triangulation, eid: int) -> Triangulation:
-    walk = tri.walk_around_edge(eid)
-    if len(walk) != 3:
-        raise ValueError("3-2 move needs an edge of valence three")
-    tets = [w[0] for w in walk]
-    if len(set(tets)) != 3:
-        raise ValueError("3-2 move needs three distinct tetrahedra")
-    # normalize each N_i so the shared edge is (apexA -> apexB)? Instead,
-    # rebuild by inverting the 2-3 construction: the walk gives tets
-    # N_0, N_1, N_2 around the edge (a_i -> b_i); equator vertices are the
-    # remaining two in each tet.
-    n = tri.ntets
-    keep = [t for t in range(n) if t not in tets]
-    newid = {t: i for i, t in enumerate(keep)}
-    tA = len(keep)
-    tB = len(keep) + 1
-    # local labels: in N_i the directed edge is (a_i, b_i); faces fin/fout
-    # pair with the neighbors. pA corresponds to all a_i, pB to all b_i.
-    # equator vertex shared by N_i and N_(i+1) is the one opposite fout.
-    a = {}
-    b = {}
-    fin = {}
-    fout = {}
-    for i, (t, aa, bb, fi, fo) in enumerate(walk):
-        a[i], b[i], fin[i], fout[i] = aa, bb, fi, fo
-    # choose labels of tA: apex pA=3, equator x_i = i for i in 0..2
-    # x_i sits opposite the face of tA glued to ... we reconstruct directly:
-    # tA's face i is glued to where N_i's face b_i led (the a-side cone).
-    # vertex x_i of tA corresponds in N_i to the vertex e_i := the vertex of
-    # N_i not in {a_i, b_i, (vertex opposite fin...)}; work with explicit
-    # correspondences per walk step instead:
-    # In N_i, the four vertices are a_i, b_i, u_i, w_i where u_i is opposite
-    # fout[i] (shared with N_(i+1)) and w_i opposite fin[i].
-    # the shared face between N_i and N_(i+1) is fout[i]; it contains the
-    # edge vertices a, b and one equator vertex u_i
-    u = {}
-    w = {}
-    for i in range(3):
-        third = [x for x in range(4) if x != fout[i] and x not in (a[i], b[i])]
-        u[i] = third[0]
-        w[i] = fout[i]
-    # tA vertices: pA=3 (corresponds to a_i), x_0=0, x_1=1, x_2=2 where the
-    # equator vertex x_i lives in N_i as u_i and in N_(i+1) as ...
-    # tA's face opposite x_i must glue to the outside through N_?'s face b-side.
-    # Each N_i has two outside faces: opposite a_i (b-side cone -> tB) and
-    # opposite b_i (a-side -> tA)?? The faces of N_i: fin, fout (internal),
-    # face opposite a_i (contains b,u,w: outside, belongs to B cone),
-    # face opposite b_i (outside, A cone).
-    # Assign equator labels: x_i := vertex u_i viewed in tA/tB, for i=0,1,2.
-    # In N_i the equator vertices are u_i (shared with N_(i+1)) and u_(i-1)
-    # (shared with N_(i-1)), which appears in N_i as w'... derive from gluing:
-    prev_u_in_i = {}
-    for i in range(3):
-        j = (i + 1) % 3
-        _, _, perm = tri.gluings[(tets[i], fout[i])]
-        prev_u_in_i[j] = perm[u[i]]
-    # N_i contains equator vertices u[i] (=x_i) and prev_u_in_i[i] (=x_(i-1)).
-    # outside faces of N_i:
-    # A-side: opposite b_i, contains {a_i, u_i, x_(i-1)} -> tA face f = i+1
-    #   mapping to tA labels: a_i -> 3(pA), u_i -> i, prev -> i-1
-    # B-side: opposite a_i -> tB face, a-apex replaced by b.
-    glA = {}
-    mapping = {}
-    for t in keep:
-        for f in range(4):
-            mapping[(t, f)] = (newid[t], f)
-    gl = {}
-    for i in range(3):
-        im1 = (i - 1) % 3
-        # A side
-        srcA = (tets[i], b[i])
-        labA = {a[i]: 3, u[i]: i, prev_u_in_i[i]: im1}
-        # tA face index = the missing equator label (i+1 mod 3)? tA face
-        # opposite vertex v: the outside face srcA contains vertices
-        # {3, i, im1}: the missing one is (i+1)%3: face (i+1)%3 of tA.
-        fAi = (i + 1) % 3
-        t2, f2, perm = tri.gluings[srcA]
-        # B side
-        srcB = (tets[i], a[i])
-        labB = {b[i]: 3, u[i]: i, prev_u_in_i[i]: im1}
-        fBi = (i + 1) % 3
-        for (src, lab, tnew, fnew) in ((srcA, labA, tA, fAi), (srcB, labB, tB, fBi)):
-            t2, f2, perm = tri.gluings[src]
-            if t2 in tets:
-                continue  # handled when pairing both rewritten sides below
-            inv = {v: k for k, v in lab.items()}
-            newperm = [None] * 4
-            for k in range(4):
-                if k == fnew:
-                    newperm[k] = f2
-                else:
-                    newperm[k] = perm[inv[k]]
-            gl[(tnew, fnew)] = (newid[t2], f2, tuple(newperm))
-            gl[(newid[t2], f2)] = (tnew, fnew, _perm_inv(tuple(newperm)))
-    # outside faces glued between two of the removed tets (tA/tB self gluings)
-    rewritten = {}
-    for i in range(3):
-        im1 = (i - 1) % 3
-        labA = {a[i]: 3, u[i]: i, prev_u_in_i[i]: im1}
-        labB = {b[i]: 3, u[i]: i, prev_u_in_i[i]: im1}
-        rewritten[(tets[i], b[i])] = (tA, (i + 1) % 3, labA)
-        rewritten[(tets[i], a[i])] = (tB, (i + 1) % 3, labB)
-    for src, (tnew, fnew, lab) in rewritten.items():
-        t2, f2, perm = tri.gluings[src]
-        if (t2, f2) not in rewritten:
-            continue
-        tn2, fn2, lab2 = rewritten[(t2, f2)]
-        inv = {v: k for k, v in lab.items()}
-        newperm = [None] * 4
-        for k in range(4):
-            if k == fnew:
-                newperm[k] = fn2
-            else:
-                newperm[k] = lab2[perm[inv[k]]]
-        gl[(tnew, fnew)] = (tn2, fn2, tuple(newperm))
-    for t in keep:
-        for f in range(4):
-            t2, f2, perm = tri.gluings[(t, f)]
-            if t2 in tets:
-                continue
-            gl[(newid[t], f)] = (newid[t2], f2, perm)
-    # internal gluing tA <-> tB along face 3 (the equator triangle x0x1x2)
-    gl[(tA, 3)] = (tB, 3, (0, 1, 2, 3))
-    gl[(tB, 3)] = (tA, 3, (0, 1, 2, 3))
-    return Triangulation(len(keep) + 2, gl)
-
-
-def _pachner_41(tri: Triangulation, vclass: int) -> Triangulation:
-    corners = sorted((t, v) for (t, v), c in tri.vertex_class.items() if c == vclass)
-    star = [t for (t, v) in corners]
-    if len(star) != 4 or len(set(star)) != 4:
-        raise ValueError("4-1 move needs a vertex with cone star of four tetrahedra")
-    center = dict(corners)
-    # reconstruct the labels of the replacement tetrahedron: mu[T] maps the
-    # non-center vertices of T to new-tet labels, slot[T] is the new face
-    # covered by T's external face
-    t0 = star[0]
-    mu = {t0: {v: v for v in range(4) if v != center[t0]}}
-    slot = {t0: center[t0]}
-    queue = [t0]
-    seen = {t0}
-    while queue:
-        t = queue.pop(0)
-        for f in range(4):
-            if f == center[t]:
-                continue
-            t2, f2, perm = tri.gluings[(t, f)]
-            if t2 not in star:
-                raise ValueError("4-1 star face leaves the cone")
-            if perm[center[t]] != center[t2]:
-                raise ValueError("4-1 star centers do not match across a face")
-            if t2 in seen:
-                continue
-            mu2 = {}
+        if (t, f) in where:
+            a, fa, ma = where[(t, f)]
+            b, fb, mb = where[(t2, f2)]
+            p = [0] * 4
             for v in range(4):
-                if v in (center[t], f):
-                    continue
-                mu2[perm[v]] = mu[t][v]
-            s2 = mu[t][f]
-            rest_label = next(x for x in range(4)
-                              if x != s2 and x not in mu2.values())
-            rest_vertex = next(x for x in range(4)
-                               if x != center[t2] and x not in mu2)
-            mu2[rest_vertex] = rest_label
-            mu[t2] = mu2
-            slot[t2] = s2
-            seen.add(t2)
-            queue.append(t2)
-    if len(seen) != 4 or len(set(slot.values())) != 4:
-        raise ValueError("4-1 star is not internally a cone")
-    n = tri.ntets
-    keep = [t for t in range(n) if t not in star]
-    newid = {t: i for i, t in enumerate(keep)}
-    tnew = len(keep)
-    gl = {}
-    for t in keep:
+                p[ma[v]] = mb[perm[v]]
+            gl[(a, fa)] = (b, fb, tuple(p))
+    for slot, lab in new.items():
         for f in range(4):
-            t2, f2, perm = tri.gluings[(t, f)]
-            if t2 in star:
-                continue
-            gl[(newid[t], f)] = (newid[t2], f2, perm)
-    inv_mu = {t: {lab: v for v, lab in mu[t].items()} for t in star}
-    for t in star:
-        ext = center[t]
-        t2, f2, perm = tri.gluings[(t, ext)]
-        fnew = slot[t]
-        if t2 in star:
-            if f2 != center[t2]:
-                raise ValueError("4-1 external face glued into the cone interior")
-            newperm = [None] * 4
-            newperm[fnew] = slot[t2]
-            for lab in range(4):
-                if lab == fnew:
-                    continue
-                newperm[lab] = mu[t2][perm[inv_mu[t][lab]]]
-            gl[(tnew, fnew)] = (tnew, slot[t2], tuple(newperm))
-        else:
-            newperm = [None] * 4
-            newperm[fnew] = f2
-            for lab in range(4):
-                if lab == fnew:
-                    continue
-                newperm[lab] = perm[inv_mu[t][lab]]
-            gl[(tnew, fnew)] = (t2 if t2 not in newid else newid[t2], f2,
-                                tuple(newperm))
-            gl[(newid[t2], f2)] = (tnew, fnew, _perm_inv(tuple(newperm)))
-    return Triangulation(len(keep) + 1, gl)
-
-
-def _inv_lab(lab, k):
-    for v, x in lab.items():
-        if x == k:
-            return v
-    raise KeyError(k)
+            if lab[f] in sigma:
+                other = slot_of[lab[f]]
+                m = _match(lab, new[other])
+                gl[(index[slot], f)] = (index[other], m[f], m)
+    return Triangulation(len(alive), gl)
 
 
 def triangulations_isomorphic(t1: Triangulation, t2: Triangulation) -> bool:
@@ -858,9 +592,6 @@ class Skeleton:
 
     def nregions(self):
         return len(self.regions)
-
-    def region_euler(self, r):
-        return self.regions[r][0]
 
     def region_balls(self, r):
         return self.regions[r][1], self.regions[r][2]

@@ -35,7 +35,7 @@ from itertools import product as iproduct
 
 from .catdata import FiniteGroup, GFusionData, neutral_dimension
 from .exactnum import FieldElement
-from .graphcalc import ColoredGraph, CyclicCSet, PairingData, _numbered, hom_dim, tree_paths
+from .graphcalc import ColoredGraph, CyclicCSet, _gram_inverse, _numbered, hom_dim, tree_paths
 from .linalg import matrix_mul, matrix_rank
 from .statesum import _Evaluator
 
@@ -202,9 +202,6 @@ class CobordismSkeleton:
             items1 = self.links[v1].items_at(g1)
             if items1 != [(r, -s) for (r, s) in reversed(items0)]:
                 raise ValueError(f"interior edge {eid} ends are not dual")
-
-    def region_label(self, r):
-        return self.regions[r][1]
 
 
 def build_sheet_cylinder(bot: SurfaceSkeleton, top: SurfaceSkeleton,
@@ -427,11 +424,10 @@ def cobordism_map(cob: CobordismSkeleton, cat: GFusionData, c_bot, c_top):
     convs = []
     for v in range(top_surf.nvertices):
         south = top_surf.boundary_cset(v, c_top)
-        pd = PairingData(cat, south)
-        # sanity: the opp of the south set must be the link's top set
-        if pd.basis_opp.anchored.items != tuple(top_sets[v].items):
-            raise AssertionError("top cyclic set does not match the surface dual set")
-        convs.append(pd.gram_inverse())
+        if south.opp().items != top_sets[v].items:
+            raise ValueError(f"top vertex {v}: the link's cyclic set is not the dual "
+                             "of the top surface's")
+        convs.append(_gram_inverse(cat, south.items))
     # normalization
     norm = neutral_dimension(cat) ** len(top_surf.faces)
     for e in range(len(top_surf.edges)):

@@ -76,15 +76,6 @@ class OrderedTriangulation:
         perm = self.local_orders[t]
         return -self.tri.orientations[t] * _perm_sign(perm)
 
-    def edge_value(self, coloring, t, a, b):
-        """Group value of the directed edge a -> b of tet t under a coloring
-        of the edge classes (stored in branching direction)."""
-        eid, sgn = self.tri.edge_class_of(t, a, b)
-        g = coloring[eid]
-        if sgn * self.edge_dirs[eid] > 0:
-            return g, False
-        return g, True  # caller inverts
-
 
 def find_branching(tri: Triangulation) -> OrderedTriangulation:
     """Backtracking search for a branching; raises when none exists."""

@@ -193,9 +193,6 @@ class PartitionTable:
         self.group_order = group_order
         self.ball_count = ball_count
 
-    def orbit_values(self):
-        return [value for (_, _, value) in self.rows]
-
     def __repr__(self):
         return f"PartitionTable({len(self.rows)} orbits, aggregate {self.aggregate.to_text()})"
 

@@ -89,6 +89,13 @@ simples 2
 simple 0 name 1 grade 0 dual 0 dim_l [1,0] dim_r [1,0] pivotal [1,0]
 """
 
+_S3_2TET = "tets 2\n" + "".join(f"glue 0 {f} 1 {f} 0123\n" for f in range(4))
+
+
+def _move_at(move, location):
+    return (["pachner", "--move", move, "--location", location, "--triangulation"],
+            "s3.tri", _S3_2TET, f"{move} location")
+
 
 @pytest.mark.parametrize("argv, name, text, message", [
     (["invariant", "--category", "vect_Z2_theta0", "--triangulation"], "bad.tri",
@@ -109,9 +116,23 @@ simple 0 name 1 grade 0 dual 0 dim_l [1,0] dim_r [1,0] pivotal [1,0]
     (["validate-category", "--category"], "bad.cat",
      _FIBONACCI_HEAD.replace("group 1\n", "group table 2\n  0 1\n").split("simples")[0],
      "group table ends after 1 of 2 rows"),
+    (["validate-category", "--category"], "bad.cat",
+     _FIBONACCI_HEAD.replace('field {"minpoly": ["-1", "-1", "1"]}\n', ""), "no field line"),
+    (["validate-category", "--category"], "bad.cat",
+     _FIBONACCI_HEAD.replace('field {"minpoly": ["-1", "-1", "1"]}\n', "field\n"),
+     "bad field line 'field'"),
+    _move_at("1-4", "99"),
+    _move_at("1-4", "-1"),
+    _move_at("2-3", "0,7"),
+    _move_at("2-3", "5,0"),
+    _move_at("3-2", "99"),
+    _move_at("4-1", "4"),
 ], ids=["glue-without-permutation", "graph-without-rot-line", "tets-without-count",
         "graph-edge-gap", "surface-edge-gap", "cobordism-region-gap",
-        "category-cut-in-simple-line", "category-cut-in-group-table"])
+        "category-cut-in-simple-line", "category-cut-in-group-table",
+        "category-without-field-line", "category-bare-field-line",
+        "pachner-1-4-past-the-end", "pachner-1-4-negative", "pachner-2-3-face-7",
+        "pachner-2-3-tet-5", "pachner-3-2-past-the-end", "pachner-4-1-past-the-end"])
 def test_malformed_input_is_a_domain_error(tmp_path, argv, name, text, message):
     path = tmp_path / name
     path.write_text(text)

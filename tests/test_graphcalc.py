@@ -176,7 +176,7 @@ def test_theta_graph_matches_gram():
 @pytest.mark.parametrize("name", BACKENDS)
 def test_outer_face_independence(name):
     cat = _cat(name)
-    rnd = random.Random(hash(name) % 10**6)
+    rnd = random.Random(f"outer-face/{name}")
     checked = 0
     while checked < 20:
         g = random_admissible_graph(rnd, cat)
@@ -189,7 +189,7 @@ def test_outer_face_independence(name):
 @pytest.mark.parametrize("name", ["vect_Z2_theta1", "fibonacci"])
 def test_disjoint_union_multiplicative(name):
     cat = _cat(name)
-    rnd = random.Random(5 + hash(name) % 100)
+    rnd = random.Random(f"disjoint-union/{name}")
     for _ in range(6):
         g1 = random_admissible_graph(rnd, cat, max_vertices=3)
         g2 = random_admissible_graph(rnd, cat, max_vertices=3)
