@@ -206,13 +206,16 @@ def _cmd_dw(args, rep):
 
 def _cmd_pachner(args, rep):
     tri = _load_triangulation(args.triangulation)
-    if args.move in ("1-4", "4-1"):
-        location = int(args.location)
-    elif args.move == "3-2":
-        location = int(args.location)
-    else:
-        t, f = args.location.split(",")
-        location = (int(t), int(f))
+    try:
+        if args.move == "2-3":
+            t, f = args.location.split(",")
+            location = (int(t), int(f))
+        else:
+            location = int(args.location)
+    except ValueError:
+        form = "'t,f'" if args.move == "2-3" else "an integer"
+        raise ValueError(f"bad --location {args.location!r} for a {args.move} move: "
+                         f"expected {form}") from None
     out = complexes.pachner(tri, args.move, location)
     text = complexes.save_triangulation(out, name=f"{args.triangulation}_{args.move}")
     rep.data["results"]["summary"] = str(out.summary())

@@ -28,6 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
+from .graphcalc import ColoredGraph, _fields
+
 __all__ = [
     "Triangulation",
     "parse_triangulation",
@@ -246,33 +248,41 @@ def _face_bary(k):
     return _vavg(*(setat for v, setat in _SIMPLEX.items() if v != k))
 
 
+_TRIANGULATION_FORMS = {"tets": "tets N", "glue": "glue t f t' f' PPPP"}
+
+
 def parse_triangulation(text: str) -> Triangulation:
     """Parse the triangulation file format: ``tets N`` then lines
     ``glue t f t' f' PPPP`` with PPPP the images of vertices 0..3."""
     ntets = None
-    gluings = {}
+    glues = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        toks = line.split()
+        toks = _fields(line, _TRIANGULATION_FORMS)
         if toks[0] == "tets":
-            if len(toks) < 2:
-                raise ValueError(f"bad tets line {line!r}: expected 'tets N'")
             ntets = int(toks[1])
+            if ntets < 1:
+                raise ValueError(f"bad tets line {line!r}: expected N >= 1")
         elif toks[0] == "glue":
-            if len(toks) < 6:
-                raise ValueError(f"bad glue line {line!r}: expected 'glue t f t' f' PPPP'")
-            t, f, t2, f2 = (int(x) for x in toks[1:5])
-            perm = tuple(int(c) for c in toks[5])
-            if sorted(perm) != [0, 1, 2, 3]:
-                raise ValueError(f"bad permutation {toks[5]}")
-            gluings[(t, f)] = (t2, f2, perm)
-            gluings.setdefault((t2, f2), (t, f, _perm_inv(perm)))
+            glues.append((line, toks))
         else:
             raise ValueError(f"unknown triangulation key {toks[0]!r}")
     if ntets is None:
         raise ValueError("missing tets line")
+    gluings = {}
+    for line, toks in glues:
+        t, f, t2, f2 = (int(x) for x in toks[1:5])
+        if t not in range(ntets) or t2 not in range(ntets):
+            raise ValueError(f"bad glue line {line!r}: tet index outside 0..{ntets - 1}")
+        if f not in range(4) or f2 not in range(4):
+            raise ValueError(f"bad glue line {line!r}: face outside 0..3")
+        perm = tuple(int(c) for c in toks[5])
+        if sorted(perm) != [0, 1, 2, 3]:
+            raise ValueError(f"bad permutation {toks[5]}")
+        gluings[(t, f)] = (t2, f2, perm)
+        gluings.setdefault((t2, f2), (t, f, _perm_inv(perm)))
     return Triangulation(ntets, gluings)
 
 
@@ -439,15 +449,25 @@ def _replace_star(tri: Triangulation, star: dict, sigma) -> Triangulation:
 
 
 def triangulations_isomorphic(t1: Triangulation, t2: Triangulation) -> bool:
+    """True when a relabeling of tetrahedra and vertices that respects
+    orientation carries t1 onto t2.  Each triangulation is oriented by its
+    tetrahedron signs (``Triangulation.orientations``), so a mirror image
+    is not isomorphic unless the complex also has an orientation-reversing
+    self-map."""
     if t1.ntets != t2.ntets:
         return False
     return _canonical_signature(t1) == _canonical_signature(t2)
 
 
 def _canonical_signature(tri: Triangulation):
+    """Least signature over the start labelings that are positively
+    oriented: the sign of the vertex relabeling of the start tetrahedron
+    matches its orientation sign."""
     best = None
     for start in range(tri.ntets):
         for perm0 in permutations(range(4)):
+            if _perm_sign(perm0) != tri.orientations[start]:
+                continue
             sig = _signature_from(tri, start, perm0)
             if best is None or sig < best:
                 best = sig
@@ -573,7 +593,6 @@ class Skeleton:
                 raise ValueError("region adjacent to unknown ball")
 
     def _check_link_sphere(self, v, lk):
-        from .graphcalc import ColoredGraph
         try:
             ColoredGraph(len(lk.rotations),
                          [(t, h, r) for (t, h, r) in lk.arcs], lk.rotations)
@@ -1394,6 +1413,14 @@ def save_skeleton(sk: Skeleton) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SKELETON_FORMS = {
+    "name": "name NAME", "balls": "balls N", "region": "region I chi X balls B0 B1",
+    "vertices": "vertices N", "vertex": "vertex V gvertices G arcs A",
+    "arc": "arc V A tail T head H region R", "rot": "rot V G DART...",
+    "edge": "edge E ends V0 G0 V1 G1",
+}
+
+
 def parse_skeleton(text: str) -> Skeleton:
     name = "skeleton"
     balls = None
@@ -1407,7 +1434,7 @@ def parse_skeleton(text: str) -> Skeleton:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        toks = line.split()
+        toks = _fields(line, _SKELETON_FORMS)
         if toks[0] == "name":
             name = toks[1]
         elif toks[0] == "balls":

@@ -9,6 +9,21 @@ operations are insertions of ``id (x) elementary (x) id`` and are realized
 on tree coordinates by single F-moves; see the convention block in
 :mod:`statesum3d.catdata`.
 
+The cone isomorphism that re-anchors a multiplicity module one step on
+(moving the first leg to the end) is applied in closed form: n - 2 inverse
+F-moves take the first leg ``x_1`` of a left-comb tree out of the comb, and
+the remaining two-letter tree ``B(x_1, x_1*; 1)`` is bent to
+``lambda B(x_1*, x_1; 1)`` with
+
+    lambda(c, +1) = rcoev_c lev_c F[x*, x, x*, x*]_(1, 1),
+    lambda(c, -1) = lcoev_c rev_c F[x*, x, x*, x*]_(1, 1),
+
+``x`` the letter of the first signed colour; :func:`_bend_scalar` derives
+both from the cup and cap of the round trip they replace.  Past half a turn
+the inverse step is used instead: it bends the last leg to the front,
+divides by lambda of the last item, and takes n - 2 F-moves back to a left
+comb.
+
 Cyclic sets follow the surface convention that the half-edge order at a
 vertex is taken clockwise (opposite surface orientation), a half-edge
 pointing at the vertex carries sign +, and the object of a signed color
@@ -120,6 +135,15 @@ def hom_dim(data: GFusionData, seq) -> int:
     return counts.get(data.unit, 0)
 
 
+def _trees(data: GFusionData, word: tuple) -> tuple:
+    """``tree_paths`` of ``word``, built once per category."""
+    key = ("trees", word)
+    trees = data._memo.get(key)
+    if trees is None:
+        trees = data._memo[key] = tuple(tree_paths(data, word))
+    return trees
+
+
 class HomState:
     """Vector in Hom(1, word) as a map from tree paths to scalars."""
 
@@ -212,17 +236,6 @@ class HomState:
             self._add(out, path[:p] + path[p + 1:], v * coeff)
         return HomState(data, word, out)
 
-    def cup(self, p: int, color: int, kind: str) -> "HomState":
-        """Insert lcoev (kind 'l': letters (c, c*)) or rcoev ('r': (c*, c))."""
-        data = self.data
-        dual = data.dual[color]
-        st = self.insert_unit(p)
-        if kind == "l":
-            return st.split(p, color, dual).scale(data.lcoev_scalar(color))
-        if kind == "r":
-            return st.split(p, dual, color).scale(data.rcoev_scalar(color))
-        raise ValueError("cup kind must be 'l' or 'r'")
-
     def cap(self, p: int, color: int, kind: str) -> "HomState":
         """Apply lev (kind 'l': letters (c*, c)) or rev ('r': (c, c*))."""
         data = self.data
@@ -249,25 +262,6 @@ class HomState:
             raise InternalError(f"tree {tuple(path)} does not start at letter {letters[0]}")
         return st
 
-    def insert_state(self, p: int, other: "HomState") -> "HomState":
-        out: dict = {}
-        word = None
-        for path, v in other.paths.items():
-            st = self.scale(v).insert_tree(p, other.word, path)
-            word = st.word
-            for q, u in st.paths.items():
-                if q in out:
-                    s = out[q] + u
-                    if s.is_zero():
-                        del out[q]
-                    else:
-                        out[q] = s
-                elif not u.is_zero():
-                    out[q] = u
-        if word is None:
-            word = self.word[:p] + tuple(other.word) + self.word[p:]
-        return HomState(self.data, word, out)
-
     def scalar(self) -> FieldElement:
         if self.word:
             raise InternalError(f"scalar of a state on the word {self.word}")
@@ -284,11 +278,7 @@ class MultiplicityBasis:
         self.anchor = anchor % len(cset)
         self.anchored = cset.rotate(self.anchor)
         self.word = self.anchored.word(data)
-        key = ("trees", self.word)
-        trees = data._memo.get(key)
-        if trees is None:
-            trees = data._memo[key] = tuple(tree_paths(data, self.word))
-        self.trees = list(trees)
+        self.trees = list(_trees(data, self.word))
 
     def dim(self) -> int:
         return len(self.trees)
@@ -308,41 +298,162 @@ class VertexTensorSlot:
         self.anchor = anchor
 
 
-def _rotate_state_once(data: GFusionData, items, state: HomState):
-    """One cone-isomorphism step H_(e1) -> H_(e2) on the anchored signed
-    items; returns (rotated items, new state)."""
-    color, sign = items[0]
+def _bend_scalar(data: GFusionData, item) -> FieldElement:
+    """The scalar lambda with which one cone-isomorphism step turns the
+    two-letter tree ``B(x, x*; 1)`` into ``lambda B(x*, x; 1)``, ``x`` the
+    letter of the signed colour ``item = (c, s)``.
+
+    The step is the round trip ``(lev_c (x) id) (id_c* (x) T (x) id_c)
+    rcoev_c`` for s = +1 and ``(rev_c (x) id) (id_c (x) T (x) id_c*)
+    lcoev_c`` for s = -1.  On ``T = B(x, x*; 1)``: the cup puts the tree
+    ``(x*, 1)`` times ``rcoev_c`` (``lcoev_c``); inserting T after its
+    first letter splits the unit between them into ``(x, x*)`` by
+    ``F[x*, x, x*, x*]_(mu, 1)``, towards the intermediates
+    ``(x*, mu, x*, 1)``; the cap fuses the first two letters into the unit,
+    which keeps only ``mu = 1`` (an inverse unit block, 1), and scales by
+    ``lev_c`` (``rev_c``).  Hence
+
+        lambda(c, +1) = rcoev_c lev_c F[x*, x, x*, x*]_(1, 1),
+        lambda(c, -1) = lcoev_c rev_c F[x*, x, x*, x*]_(1, 1).
+    """
+    color, sign = item
+    x = color if sign > 0 else data.dual[color]
+    xd = data.dual[x]
     if sign > 0:
-        st = HomState.empty(data).cup(0, color, "r")
-        st = st.insert_state(1, state)
-        st = st.cap(0, color, "l")
+        lam = data.rcoev_scalar(color) * data.lev_scalar(color)
     else:
-        st = HomState.empty(data).cup(0, color, "l")
-        st = st.insert_state(1, state)
-        st = st.cap(0, color, "r")
-    return items[1:] + items[:1], st
+        lam = data.lcoev_scalar(color) * data.rev_scalar(color)
+    return lam * data.f_entry(xd, x, xd, xd, data.unit, data.unit)
+
+
+def _sparse_columns(data: GFusionData, sums, target_word: tuple, items) -> tuple:
+    """Column s lists ``(t, value)`` for the partial sums ``sums[s]``
+    (target tree -> value) in the ``tree_paths`` order of ``target_word``."""
+    index = {t: i for i, t in enumerate(_trees(data, target_word))}
+    try:
+        return tuple(tuple((index[t], v) for t, v in col.items()) for col in sums)
+    except KeyError as err:
+        raise InternalError(f"bending {items} reaches no tree {err}") from None
+
+
+def _bend_first_leg(data: GFusionData, items: tuple) -> tuple:
+    """Sparse matrix of one cone-isomorphism step, which moves the first leg
+    to the end: column s lists ``(t, value)`` over the trees of the word of
+    ``items`` rotated by one, in ``tree_paths`` order on both sides.
+
+    The step is natural in the letters after the first, so a tree
+    ``(m_1 = x_1, ..., m_n = 1)`` is first re-associated by n - 2 inverse
+    F-moves into ``(id_x1 (x) comb) B(x_1, y_n; 1)`` over the comb
+    ``(y_2 = x_2, y_3, ..., y_n = x_1*)`` of the letters after the first,
+    for j = 3..n:
+
+        (B(x_1, y_(j-1); m_(j-1)) (x) id) B(m_(j-1), x_j; m_j)
+            = sum_(y_j) Finv[x_1, y_(j-1), x_j, m_j]_(y_j, m_(j-1))
+              (id (x) B(y_(j-1), x_j; y_j)) B(x_1, y_j; m_j);
+
+    then ``B(x_1, x_1*; 1)`` is bent by :func:`_bend_scalar`, which leaves
+    the tree ``(y_2, ..., y_n, 1)`` of the rotated word.  A one-letter word
+    (the unit) takes no F-move.
+    """
+    word = tuple(c if s > 0 else data.dual[c] for c, s in items)
+    x = word[0]
+    lam = _bend_scalar(data, items[0])
+    sums = []
+    for path in _trees(data, word):
+        partial = {tuple(word[1:2]): lam}
+        for j in range(2, len(word)):
+            nxt = {}
+            for ys, v in partial.items():
+                for y in data.fuse(ys[-1], word[j]):
+                    f = data.finv_entry(x, ys[-1], word[j], path[j], y, path[j - 1])
+                    if f is not None and not f.is_zero():
+                        nxt[ys + (y,)] = v if f.is_one() else v * f
+            partial = nxt
+        sums.append({ys + (data.unit,): v for ys, v in partial.items()})
+    return _sparse_columns(data, sums, word[1:] + word[:1], items)
+
+
+def _bend_last_leg(data: GFusionData, items: tuple) -> tuple:
+    """Sparse matrix of the inverse step, which moves the last leg to the
+    front, laid out as in :func:`_bend_first_leg`.
+
+    The inverse of a natural isomorphism is natural, so a tree
+    ``(m_1, ..., m_(n-1) = x_n*, 1)`` is ``(comb (x) id_xn) B(x_n*, x_n; 1)``
+    and its image is ``(id_xn (x) comb) B(x_n, x_n*; 1)`` divided by the
+    bending scalar of the last item.  n - 2 F-moves, for j = n-1 down to 2,
+    bring it back to a left comb ``(z_1 = x_n, z_2, ..., z_n = 1)``:
+
+        (id (x) B(m_(j-1), x_j; m_j)) B(x_n, m_j; z_(j+1))
+            = sum_(z_j) F[x_n, m_(j-1), x_j, z_(j+1)]_(z_j, m_j)
+              (B(x_n, m_(j-1); z_j) (x) id) B(z_j, x_j; z_(j+1)).
+    """
+    word = tuple(c if s > 0 else data.dual[c] for c, s in items)
+    x = word[-1]
+    mu = _bend_scalar(data, items[-1]).inv()
+    sums = []
+    for path in _trees(data, word):
+        partial = {(data.unit,): mu}
+        for j in range(len(word) - 2, 0, -1):
+            nxt = {}
+            for zs, v in partial.items():
+                for z in data.fuse(x, path[j - 1]):
+                    f = data.f_entry(x, path[j - 1], word[j], zs[0], z, path[j])
+                    if f is not None and not f.is_zero():
+                        nxt[(z,) + zs] = v if f.is_one() else v * f
+            partial = nxt
+        head = (x,) if len(word) > 1 else ()
+        sums.append({head + zs: v for zs, v in partial.items()})
+    return _sparse_columns(data, sums, word[-1:] + word[:-1], items)
 
 
 def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
     """Matrix R of the iterated cone isomorphism from ``basis`` to the basis
     anchored ``steps`` further on: image of basis vector s is
-    ``sum_t R[t][s] (target tree t)``."""
-    steps %= max(len(basis.cset), 1)
+    ``sum_t R[t][s] (target tree t)``.
+
+    Each step moves the first leg of a left-comb tree to the end in closed
+    form, by F-moves and one bending scalar (the A/B move of Kitaev,
+    "Anyons in an exactly solved model and beyond", App. E; Bonderson,
+    "Non-Abelian anyons and interferometry", sec. 2): the tree
+    ``(m_1 = x_1, ..., m_n = 1)`` of the word ``(x_1, ..., x_n)`` goes to
+
+        sum_y lambda(c_1, s_1) prod_(j=3..n) Finv[x_1, y_(j-1), x_j, m_j]_(y_j, m_(j-1))
+              (y_2 = x_2, y_3, ..., y_n = x_1*, 1),
+
+    with lambda derived from the cup and cap in :func:`_bend_scalar`.  Past
+    half a turn the rotation goes the other way, moving the last leg to the
+    front (:func:`_bend_last_leg`).  The sparse matrix of each step is
+    memoized per category and anchored signed items, and the columns are
+    pushed through the steps one by one.
+    """
+    n = len(basis.cset)
+    steps %= n
     target = MultiplicityBasis(data, basis.cset, basis.anchor + steps)
-    index = {tuple(t): i for i, t in enumerate(target.trees)}
-    cols = []
+    items = basis.anchored.items
+    forward = 2 * steps <= n
+    maps = []
+    for _ in range(steps if forward else n - steps):
+        key = ("bend" if forward else "bend back", items)
+        step = data._memo.get(key)
+        if step is None:
+            bend = _bend_first_leg if forward else _bend_last_leg
+            step = data._memo[key] = bend(data, items)
+        maps.append(step)
+        items = items[1:] + items[:1] if forward else items[-1:] + items[:-1]
+    zero = data.field.zero()
+    out = [[zero] * basis.dim() for _ in range(target.dim())]
     for s in range(basis.dim()):
-        st = basis.state(s)
-        items = basis.anchored.items
-        for _ in range(steps):
-            items, st = _rotate_state_once(data, items, st)
-        col = [data.field.zero()] * target.dim()
-        if st.word != target.word:
-            raise InternalError(f"rotation ends on the word {st.word}, not {target.word}")
-        for path, v in st.paths.items():
-            col[index[path]] = v
-        cols.append(col)
-    return [[cols[s][t] for s in range(basis.dim())] for t in range(target.dim())]
+        col = dict(maps[0][s]) if maps else {s: data.field.one()}
+        for step in maps[1:]:
+            nxt: dict = {}
+            for i, v in col.items():
+                for t, u in step[i]:
+                    cur = nxt.get(t)
+                    nxt[t] = v * u if cur is None else cur + v * u
+            col = nxt
+        for t, v in col.items():
+            out[t][s] = v
+    return out
 
 
 class PairingData:
@@ -734,6 +845,20 @@ def _numbered(entries: dict, keys, what: str) -> list:
     return out
 
 
+def _fields(line: str, forms: dict) -> list:
+    """Tokens of ``line``; a line with fewer tokens than the form of its
+    key in ``forms`` is malformed."""
+    toks = line.split()
+    form = forms.get(toks[0])
+    if form is not None and len(toks) < len(form.split()):
+        raise ValueError(f"bad {toks[0]} line {line!r}: expected '{form}'")
+    return toks
+
+
+_GRAPH_FORMS = {"vertices": "vertices N", "edge": "edge K T H color C",
+                "rot": "rot V DART..."}
+
+
 def parse_graph(text: str) -> ColoredGraph:
     nv = 0
     edges = {}
@@ -743,7 +868,7 @@ def parse_graph(text: str) -> ColoredGraph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        toks = line.split()
+        toks = _fields(line, _GRAPH_FORMS)
         if toks[0] == "vertices":
             nv = int(toks[1])
         elif toks[0] == "edges":

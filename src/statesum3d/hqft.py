@@ -35,7 +35,8 @@ from itertools import product as iproduct
 
 from .catdata import FiniteGroup, GFusionData, neutral_dimension
 from .exactnum import FieldElement
-from .graphcalc import ColoredGraph, CyclicCSet, _gram_inverse, _numbered, hom_dim, tree_paths
+from .graphcalc import (ColoredGraph, CyclicCSet, _fields, _gram_inverse, _numbered, hom_dim,
+                        tree_paths)
 from .linalg import matrix_mul, matrix_rank
 from .statesum import _Evaluator
 
@@ -580,6 +581,10 @@ def save_surface(surf: SurfaceSkeleton) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SURFACE_FORMS = {"name": "name NAME", "group": "group G", "vertices": "vertices N",
+                  "edge": "edge K T H label L", "rot": "rot V DART..."}
+
+
 def parse_surface(text: str, group: FiniteGroup) -> SurfaceSkeleton:
     name = "surface"
     comps = []
@@ -591,7 +596,7 @@ def parse_surface(text: str, group: FiniteGroup) -> SurfaceSkeleton:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        toks = line.split()
+        toks = _fields(line, _SURFACE_FORMS)
         if toks[0] == "name":
             name = toks[1]
         elif toks[0] == "group":

@@ -97,6 +97,11 @@ def _move_at(move, location):
             "s3.tri", _S3_2TET, f"{move} location")
 
 
+def _bad_location(move, location, form):
+    return (["pachner", "--move", move, "--location", location, "--triangulation"],
+            "s3.tri", _S3_2TET, f"bad --location {location!r} for a {move} move: expected {form}")
+
+
 @pytest.mark.parametrize("argv, name, text, message", [
     (["invariant", "--category", "vect_Z2_theta0", "--triangulation"], "bad.tri",
      "tets 2\nglue 0 0 1 0\n", "bad glue line"),
@@ -106,6 +111,9 @@ def _move_at(move, location):
      "tets\n", "bad tets line"),
     (["eval-graph", "--category", "fibonacci", "--graph"], "bad.graph",
      _THETA_GRAPH.replace("edge 1 0 1 color 1\n", ""), "missing edge 1"),
+    (["eval-graph", "--category", "fibonacci", "--graph"], "bad.graph",
+     _THETA_GRAPH.replace("edge 1 0 1 color 1", "edge 1 0 1 color"),
+     "bad edge line 'edge 1 0 1 color': expected 'edge K T H color C'"),
     (["hqft-rank", "--category", "vect_Z2_theta1", "--surface"], "bad.surf",
      "vertices 1\nedge 1 0 0 label 0\nrot 0 o1 i1\n", "missing edge 0"),
     (["cobordism-map", "--category", "vect_Z2_theta1", "--cobordism"], "bad.cob",
@@ -127,18 +135,69 @@ def _move_at(move, location):
     _move_at("2-3", "5,0"),
     _move_at("3-2", "99"),
     _move_at("4-1", "4"),
+    (["invariant", "--category", "vect_Z2_theta0", "--triangulation"], "bad.tri",
+     _S3_2TET.replace("glue 0 3 1 3", "glue 0 3 5 3"),
+     "bad glue line 'glue 0 3 5 3 0123': tet index outside 0..1"),
+    (["invariant", "--category", "vect_Z2_theta0", "--triangulation"], "bad.tri",
+     _S3_2TET.replace("glue 0 3 1 3", "glue 0 3 1 4"),
+     "bad glue line 'glue 0 3 1 4 0123': face outside 0..3"),
+    (["invariant", "--category", "vect_Z2_theta0", "--triangulation"], "bad.tri",
+     "tets 0\nglue 0 0 0 1 0123\n", "bad tets line 'tets 0': expected N >= 1"),
+    _bad_location("2-3", "0", "'t,f'"),
+    _bad_location("2-3", "0,1,2", "'t,f'"),
+    _bad_location("1-4", "0,0", "an integer"),
+    _bad_location("3-2", "x", "an integer"),
+    _bad_location("4-1", "", "an integer"),
 ], ids=["glue-without-permutation", "graph-without-rot-line", "tets-without-count",
-        "graph-edge-gap", "surface-edge-gap", "cobordism-region-gap",
+        "graph-edge-gap", "graph-short-edge-line", "surface-edge-gap", "cobordism-region-gap",
         "category-cut-in-simple-line", "category-cut-in-group-table",
         "category-without-field-line", "category-bare-field-line",
         "pachner-1-4-past-the-end", "pachner-1-4-negative", "pachner-2-3-face-7",
-        "pachner-2-3-tet-5", "pachner-3-2-past-the-end", "pachner-4-1-past-the-end"])
+        "pachner-2-3-tet-5", "pachner-3-2-past-the-end", "pachner-4-1-past-the-end",
+        "glue-tet-out-of-range", "glue-face-out-of-range", "no-tets",
+        "pachner-2-3-integer-location", "pachner-2-3-three-fields",
+        "pachner-1-4-pair-location", "pachner-3-2-word-location", "pachner-4-1-empty-location"])
 def test_malformed_input_is_a_domain_error(tmp_path, argv, name, text, message):
     path = tmp_path / name
     path.write_text(text)
     code, out, err = _run(argv + [str(path)])
     assert code == 3
     assert message in err and len(err.splitlines()) == 1 and out == ""
+
+
+_DATA = Path(__file__).resolve().parents[1] / "src" / "statesum3d" / "data"
+_SKELETON_ARGV = ["labelings", "--group", "Z2", "--skeleton"]
+_SURFACE_ARGV = ["hqft-rank", "--category", "vect_Z2_theta1", "--surface"]
+
+
+@pytest.mark.parametrize("argv, shipped, line, short", [
+    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "name s1xs2_paper", "name"),
+    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "balls 2", "balls"),
+    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "region 1 chi 0 balls 0 1",
+     "region 1 chi 0 balls 0"),
+    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "vertices 1", "vertices"),
+    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "vertex 0 gvertices 2 arcs 4",
+     "vertex 0 gvertices 2"),
+    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "arc 0 2 tail 0 head 1 region 2",
+     "arc 0 2 tail 0 head 1"),
+    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "rot 0 1 i3 i2 o1 o0", "rot 0"),
+    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "edge 0 ends 0 0 0 1", "edge 0 ends 0"),
+    (_SURFACE_ARGV, "surfaces/sphere_circle_Z2.surf", "name sphere_circle", "name"),
+    (_SURFACE_ARGV, "surfaces/sphere_circle_Z2.surf", "group Z2", "group"),
+    (_SURFACE_ARGV, "surfaces/sphere_circle_Z2.surf", "vertices 1", "vertices"),
+    (_SURFACE_ARGV, "surfaces/sphere_circle_Z2.surf", "edge 0 0 0 label 0", "edge 0 0 0 label"),
+    (_SURFACE_ARGV, "surfaces/sphere_circle_Z2.surf", "rot 0 o0 i0", "rot 0"),
+], ids=["skeleton-name", "skeleton-balls", "skeleton-region", "skeleton-vertices",
+        "skeleton-vertex", "skeleton-arc", "skeleton-rot", "skeleton-edge", "surface-name",
+        "surface-group", "surface-vertices", "surface-edge", "surface-rot"])
+def test_short_line_is_a_domain_error_naming_it(tmp_path, argv, shipped, line, short):
+    lines = (_DATA / shipped).read_text().splitlines()
+    assert lines.count(line) == 1
+    path = tmp_path / Path(shipped).name
+    path.write_text("\n".join(short if ln == line else ln for ln in lines) + "\n")
+    code, out, err = _run(argv + [str(path)])
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+    assert f"bad {line.split()[0]} line {short!r}: expected '" in err
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "ising_like", "vect_Z2_theta1"])

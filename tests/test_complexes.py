@@ -7,6 +7,7 @@ from statesum3d.catdata import FiniteGroup, builtin_category
 from statesum3d.complexes import (
     MoveSpec,
     Skeleton,
+    Triangulation,
     apply_move,
     dual_skeleton,
     pachner,
@@ -101,6 +102,25 @@ def test_pachner_roundtrips_isomorphic():
                 ok = True
                 break
     assert ok
+
+
+def _relabeled(tri, sigma):
+    """The triangulation with vertex v of every tetrahedron renamed sigma[v];
+    an odd sigma gives the mirror image."""
+    inv = [sigma.index(v) for v in range(4)]
+    gluings = {(t, sigma[f]): (t2, sigma[f2], tuple(sigma[perm[inv[v]]] for v in range(4)))
+               for (t, f), (t2, f2, perm) in tri.gluings.items()}
+    return Triangulation(tri.ntets, gluings)
+
+
+@pytest.mark.parametrize("name", ["l31", "l41"])
+def test_isomorphism_respects_orientation(name):
+    # lens spaces are chiral, so a mirror image is not orientedly isomorphic
+    tri = load_tri(name)
+    mirror = _relabeled(tri, (1, 0, 2, 3))
+    assert triangulations_isomorphic(tri, _relabeled(tri, (1, 2, 0, 3)))
+    assert not triangulations_isomorphic(tri, mirror)
+    assert triangulations_isomorphic(mirror, _relabeled(tri, (0, 1, 3, 2)))
 
 
 def _partition(tri, cat):

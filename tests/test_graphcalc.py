@@ -1,9 +1,16 @@
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from statesum3d.catdata import builtin_category, fibonacci_category, ising_like_category
+from statesum3d.catdata import (
+    builtin_category,
+    builtin_category_names,
+    fibonacci_category,
+    ising_like_category,
+    load_category,
+)
 from statesum3d.exactnum import make_field
 from statesum3d.graphcalc import (
     ColoredGraph,
@@ -13,15 +20,22 @@ from statesum3d.graphcalc import (
     MultiplicityBasis,
     PairingData,
     VertexTensorSlot,
+    _bend_first_leg,
+    _bend_last_leg,
+    _bend_scalar,
     evaluate_graph,
     hom_dim,
     pairing_gram,
+    parse_graph,
     rotation_matrix,
     tree_paths,
 )
-from statesum3d.linalg import identity_matrix
+from statesum3d.linalg import identity_matrix, matrix_mul
 
+import refrotation
 from graphutil import random_admissible_graph
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BACKENDS = ["vect_Z2_theta1", "vect_Z3_theta1", "fibonacci", "ising_like"]
 
@@ -91,6 +105,80 @@ def test_rotation_matrix_and_trees_are_fresh_per_call():
     trees = list(basis.trees)
     basis.trees.append((0, 0, 0, 0))
     assert MultiplicityBasis(cat, CyclicCSet([(1, 1)] * 4), 1).trees == trees
+
+
+def test_rotation_matrix_matches_round_trip():
+    # seeded random cyclic sets of 1-7 items on every built-in category, at
+    # every anchor and step count, against the cup / insert / cap round trip
+    rnd = random.Random("rotation/round-trip")
+    for name in builtin_category_names():
+        cat = builtin_category(name)
+        nonzero = 0
+        while nonzero < 10:
+            n = rnd.randrange(1, 8)
+            cs = CyclicCSet([(rnd.randrange(cat.n), rnd.choice([1, -1]))
+                             for _ in range(n)])
+            for anchor in range(n):
+                basis = MultiplicityBasis(cat, cs, anchor)
+                for steps in range(n + 1):
+                    assert rotation_matrix(cat, basis, steps) == \
+                        refrotation.rotation_matrix(cat, basis, steps), (name, cs, anchor, steps)
+            nonzero += MultiplicityBasis(cat, cs).dim() > 0
+
+
+def test_rotation_matrix_matches_round_trip_on_graph_pool():
+    # every vertex cyclic set of the benchmark's graph pool (read only), at
+    # every anchor and step count; the reference for k steps is the product
+    # of k reference one-step matrices, since the round trip is linear
+    pool = sorted((ROOT / "perfbench" / "graphs").glob("*.graph"))
+    assert pool
+    csets = {}
+    for path in pool:
+        graph = parse_graph(path.read_text())
+        for v in range(graph.nvertices):
+            cs = graph.vertex_cset(v)
+            csets[cs.items] = cs
+    for name in ("fibonacci", "ising_like"):
+        cat = builtin_category(name)
+        for cs in csets.values():
+            n = len(cs)
+            one_step = [refrotation.rotation_matrix(cat, MultiplicityBasis(cat, cs, a), 1)
+                        for a in range(n)]
+            for anchor in range(n):
+                basis = MultiplicityBasis(cat, cs, anchor)
+                expected = identity_matrix(basis.dim(), cat.field)
+                for steps in range(n + 1):
+                    assert rotation_matrix(cat, basis, steps) == expected, \
+                        (name, cs, anchor, steps)
+                    expected = matrix_mul(one_step[(anchor + steps) % n], expected, cat.field)
+
+
+def test_bend_scalar_matches_two_letter_round_trip():
+    # lambda(c, s) of the closed form against the round trip on the one tree
+    # of the word (x, x*), for every colour and sign, on every built-in
+    # category and every shipped category file; the inverse step divides
+    cats = [builtin_category(name) for name in builtin_category_names()]
+    files = sorted((ROOT / "src" / "statesum3d" / "data" / "categories").glob("*.cat"))
+    assert files
+    cats += [load_category(path.read_text()) for path in files]
+    for cat in cats:
+        for c in range(cat.n):
+            for s in (1, -1):
+                x = c if s > 0 else cat.dual[c]
+                xd = cat.dual[x]
+                items = ((c, s), (c, -s))
+                lam = _bend_scalar(cat, (c, s))
+                if s > 0:
+                    duality = cat.rcoev_scalar(c) * cat.lev_scalar(c)
+                else:
+                    duality = cat.lcoev_scalar(c) * cat.rev_scalar(c)
+                assert lam == duality * cat.f_entry(xd, x, xd, xd, cat.unit, cat.unit)
+                rotated, st = refrotation.rotate_state_once(
+                    cat, items, HomState.basis_tree(cat, (x, xd), (x, cat.unit)))
+                assert rotated == items[::-1]
+                assert st.word == (xd, x) and st.paths == {(xd, cat.unit): lam}, (cat, c, s)
+                assert _bend_first_leg(cat, items) == (((0, lam),),)
+                assert _bend_last_leg(cat, items[::-1]) == (((0, lam.inv()),),)
 
 
 def test_categories_do_not_share_memoized_data():
