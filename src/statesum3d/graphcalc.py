@@ -19,10 +19,11 @@ the remaining two-letter tree ``B(x_1, x_1*; 1)`` is bent to
     lambda(c, -1) = lcoev_c rev_c F[x*, x, x*, x*]_(1, 1),
 
 ``x`` the letter of the first signed colour; :func:`_bend_scalar` derives
-both from the cup and cap of the round trip they replace.  Past half a turn
-the inverse step is used instead: it bends the last leg to the front,
-divides by lambda of the last item, and takes n - 2 F-moves back to a left
-comb.
+both from the cup and cap of the round trip they replace.  A rotation by k
+steps pushes sparse columns through k memoized one-step matrices; past
+half a turn it takes n - k inverse steps instead, each of which bends the
+last leg to the front, divides by lambda of the last item, and takes
+n - 2 F-moves back to a left comb.
 
 Cyclic sets follow the surface convention that the half-edge order at a
 vertex is taken clockwise (opposite surface orientation), a half-edge
@@ -355,7 +356,7 @@ def _bend_first_leg(data: GFusionData, items: tuple) -> tuple:
     the tree ``(y_2, ..., y_n, 1)`` of the rotated word.  A one-letter word
     (the unit) takes no F-move.
     """
-    word = tuple(c if s > 0 else data.dual[c] for c, s in items)
+    word = CyclicCSet(items).word(data)
     x = word[0]
     lam = _bend_scalar(data, items[0])
     sums = []
@@ -367,7 +368,7 @@ def _bend_first_leg(data: GFusionData, items: tuple) -> tuple:
                 for y in data.fuse(ys[-1], word[j]):
                     f = data.finv_entry(x, ys[-1], word[j], path[j], y, path[j - 1])
                     if f is not None and not f.is_zero():
-                        nxt[ys + (y,)] = v if f.is_one() else v * f
+                        nxt[ys + (y,)] = v * f
             partial = nxt
         sums.append({ys + (data.unit,): v for ys, v in partial.items()})
     return _sparse_columns(data, sums, word[1:] + word[:1], items)
@@ -387,7 +388,7 @@ def _bend_last_leg(data: GFusionData, items: tuple) -> tuple:
             = sum_(z_j) F[x_n, m_(j-1), x_j, z_(j+1)]_(z_j, m_j)
               (B(x_n, m_(j-1); z_j) (x) id) B(z_j, x_j; z_(j+1)).
     """
-    word = tuple(c if s > 0 else data.dual[c] for c, s in items)
+    word = CyclicCSet(items).word(data)
     x = word[-1]
     mu = _bend_scalar(data, items[-1]).inv()
     sums = []
@@ -399,7 +400,7 @@ def _bend_last_leg(data: GFusionData, items: tuple) -> tuple:
                 for z in data.fuse(x, path[j - 1]):
                     f = data.f_entry(x, path[j - 1], word[j], zs[0], z, path[j])
                     if f is not None and not f.is_zero():
-                        nxt[(z,) + zs] = v if f.is_one() else v * f
+                        nxt[(z,) + zs] = v * f
             partial = nxt
         head = (x,) if len(word) > 1 else ()
         sums.append({head + zs: v for zs, v in partial.items()})
@@ -420,11 +421,15 @@ def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
         sum_y lambda(c_1, s_1) prod_(j=3..n) Finv[x_1, y_(j-1), x_j, m_j]_(y_j, m_(j-1))
               (y_2 = x_2, y_3, ..., y_n = x_1*, 1),
 
-    with lambda derived from the cup and cap in :func:`_bend_scalar`.  Past
-    half a turn the rotation goes the other way, moving the last leg to the
-    front (:func:`_bend_last_leg`).  The sparse matrix of each step is
-    memoized per category and anchored signed items, and the columns are
-    pushed through the steps one by one.
+    where ``lambda(c, +1) = rcoev_c lev_c F[x*, x, x*, x*]_(1, 1)`` and
+    ``lambda(c, -1) = lcoev_c rev_c F[x*, x, x*, x*]_(1, 1)``, ``x`` the
+    letter of ``(c, s)``: the round trip on ``B(x, x*; 1)`` takes the cup's
+    scalar, the F-entry that splits the unit between the cup's letters into
+    ``(x, x*)``, and the cap's scalar (derived in :func:`_bend_scalar`).  A
+    rotation takes ``min(steps, n - steps)`` steps: past half a turn it goes
+    the other way, moving the last leg to the front (:func:`_bend_last_leg`).  The sparse
+    matrix of each step is memoized per category and anchored signed items,
+    and the columns are pushed through the steps one by one.
     """
     n = len(basis.cset)
     steps %= n
@@ -443,8 +448,8 @@ def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
     zero = data.field.zero()
     out = [[zero] * basis.dim() for _ in range(target.dim())]
     for s in range(basis.dim()):
-        col = dict(maps[0][s]) if maps else {s: data.field.one()}
-        for step in maps[1:]:
+        col = {s: data.field.one()}
+        for step in maps:
             nxt: dict = {}
             for i, v in col.items():
                 for t, u in step[i]:
