@@ -8,9 +8,13 @@ other three vertex slots to vertex slots.  Orientability requires signs
 
 The dual skeleton places one 2-polyhedron vertex per tetrahedron, one edge
 per triangle class, one disk region per edge class.  All cyclic orders,
-edge orientations, branch signs and vertex-link rotation systems are
-derived from one explicit rational-coordinate model of the standard
-simplex; the conventions are:
+edge orientations, branch signs and vertex-link rotation systems come from
+one model of the standard simplex (vertices at the origin and the unit
+vectors of Q^3, link vertex k at the barycentre of face k), reduced to two
+sign tables: the direction of the arc dual to a directed edge is a
+permutation sign, and the clockwise order of the arcs at link vertex k is
+``_CLOCKWISE``, per orientation sign of the tetrahedron.  The conventions
+are:
 
 * an edge class is directed by its lexicographically least representative;
 * the dual region of a directed edge class is oriented so that the edge
@@ -25,10 +29,9 @@ simplex; the conventions are:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 
-from .graphcalc import ColoredGraph, _fields
+from .graphcalc import ColoredGraph, InternalError, _fields, _numbered
 
 __all__ = [
     "Triangulation",
@@ -220,32 +223,24 @@ class Triangulation:
                 "edges": self.nedges, "vertices": self.nvertices}
 
 
-_SIMPLEX = {
-    0: (Fraction(0), Fraction(0), Fraction(0)),
-    1: (Fraction(1), Fraction(0), Fraction(0)),
-    2: (Fraction(0), Fraction(1), Fraction(0)),
-    3: (Fraction(0), Fraction(0), Fraction(1)),
+def _dual_arc(aa: int, bb: int, sign: int) -> tuple:
+    """Tail and head link vertices of the arc dual to the directed edge
+    aa -> bb of a tetrahedron of orientation ``sign``: from c to d (c < d
+    the other two corners) when the permutation (aa, bb, c, d) and the
+    tetrahedron differ in sign."""
+    c, d = (x for x in range(4) if x not in (aa, bb))
+    return (c, d) if _perm_sign((aa, bb, c, d)) != sign else (d, c)
+
+
+# clockwise order (against the link-sphere orientation), at link vertex k,
+# of the arcs dual to the edges of face k, per orientation sign of the
+# tetrahedron
+_CLOCKWISE = {
+    1: (((2, 3), (1, 3), (1, 2)), ((0, 3), (2, 3), (0, 2)),
+        ((1, 3), (0, 3), (0, 1)), ((0, 2), (1, 2), (0, 1))),
+    -1: (((1, 3), (2, 3), (1, 2)), ((2, 3), (0, 3), (0, 2)),
+         ((0, 3), (1, 3), (0, 1)), ((1, 2), (0, 2), (0, 1))),
 }
-_BARY = tuple(sum(_SIMPLEX[v][i] for v in range(4)) / 4 for i in range(3))
-
-
-def _vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vavg(*pts):
-    n = len(pts)
-    return tuple(sum(p[i] for p in pts) / n for i in range(3))
-
-
-def _det3(u, v, w):
-    return (u[0] * (v[1] * w[2] - v[2] * w[1])
-            - u[1] * (v[0] * w[2] - v[2] * w[0])
-            + u[2] * (v[0] * w[1] - v[1] * w[0]))
-
-
-def _face_bary(k):
-    return _vavg(*(setat for v, setat in _SIMPLEX.items() if v != k))
 
 
 _TRIANGULATION_FORMS = {"tets": "tets N", "glue": "glue t f t' f' PPPP"}
@@ -653,46 +648,18 @@ def dual_skeleton(tri: Triangulation) -> Skeleton:
         arc_of_edge = {}
         for a in range(4):
             for b in range(a + 1, 4):
-                c, d = (x for x in range(4) if x not in (a, b))
                 eid, dirsign = tri.edge_class_of(t, a, b)
                 # direction of the class inside this tet
                 aa, bb = (a, b) if dirsign > 0 else (b, a)
-                mid = _vavg(_SIMPLEX[aa], _SIMPLEX[bb])
-                mc, md = _face_bary(c), _face_bary(d)
-                x = _vavg(mc, md)
-                nu = _vsub(_BARY, x)
-                wvec = _vsub(md, mc)
-                s = _det3(_vsub(_SIMPLEX[bb], _SIMPLEX[aa]), nu, wvec)
-                if s * sign > 0:
-                    tail_gv, head_gv = c, d
-                else:
-                    tail_gv, head_gv = d, c
+                tail_gv, head_gv = _dual_arc(aa, bb, sign)
                 arc_id = len(arcs)
                 arcs.append((tail_gv, head_gv, eid))
                 arc_of_edge[frozenset((a, b))] = arc_id
                 arc_index[(t, frozenset((a, b)))] = arc_id
         for k in range(4):
-            face_vs = [x for x in range(4) if x != k]
-            mk = _face_bary(k)
-            naxis = _vsub(_BARY, mk)
-            # the three arcs at gvertex k belong to the edges of face k;
-            # order them clockwise (minus the link-sphere orientation)
-            pairs = [(face_vs[0], face_vs[1]), (face_vs[0], face_vs[2]),
-                     (face_vs[1], face_vs[2])]
-            us = [_vsub(_vavg(_SIMPLEX[x], _SIMPLEX[y]), mk) for (x, y) in pairs]
-            d01 = _det3(naxis, us[0], us[1])
-            d12 = _det3(naxis, us[1], us[2])
-            d20 = _det3(naxis, us[2], us[0])
-            pos = sum(1 for dd in (d01, d12, d20) if dd * sign > 0)
-            ccw = [pairs[0], pairs[1], pairs[2]] if pos >= 2 else \
-                  [pairs[0], pairs[2], pairs[1]]
-            clockwise = list(reversed(ccw))
-            rotations[k] = []
-            for (x, y) in clockwise:
+            for (x, y) in _CLOCKWISE[sign][k]:
                 arc_id = arc_of_edge[frozenset((x, y))]
-                tail_gv, head_gv, _ = arcs[arc_id]
-                end = 1 if head_gv == k else 0
-                rotations[k].append((arc_id, end))
+                rotations[k].append((arc_id, 1 if arcs[arc_id][1] == k else 0))
         links.append(LinkGraph(arcs, rotations))
 
     # edges: one per triangle class; align the end-1 rotation positionally
@@ -718,7 +685,8 @@ def dual_skeleton(tri: Triangulation) -> Skeleton:
                     shift = s
                     break
             if shift is None:
-                raise AssertionError("triangle gluing does not align link rotations")
+                raise InternalError(f"triangle gluing ({t},{f}) -> ({t2},{f2}) does not "
+                                    "align link rotations")
             links[t2].rotations[f2] = [rot1[(shift + i) % m] for i in range(m)]
             edges.append(((t, f), (t2, f2)))
 
@@ -1467,10 +1435,9 @@ def parse_skeleton(text: str) -> Skeleton:
     if balls is None:
         raise ValueError("skeleton file missing balls")
     links = []
-    for v in range(nvert):
-        ng, na = sizes[v]
-        links.append(LinkGraph([arcs[(v, a)] for a in range(na)],
-                               [rots[(v, g)] for g in range(ng)]))
-    region_list = [regions[i] for i in range(len(regions))]
-    edge_list = [edges[i] for i in range(len(edges))]
+    for v, (ng, na) in enumerate(_numbered(sizes, range(nvert), "vertex line")):
+        links.append(LinkGraph(_numbered(arcs, [(v, a) for a in range(na)], "arc line"),
+                               _numbered(rots, [(v, g) for g in range(ng)], "rot line")))
+    region_list = _numbered(regions, range(len(regions)), "region")
+    edge_list = _numbered(edges, range(len(edges)), "edge")
     return Skeleton(region_list, balls, links, edge_list, name=name)

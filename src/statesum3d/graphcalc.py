@@ -36,6 +36,8 @@ unknot against a basis vector of Hom(1, U* (x) U) is the left evaluation.
 
 from __future__ import annotations
 
+from itertools import product as iproduct
+
 from .catdata import GFusionData, UnionFind
 from .exactnum import FieldElement
 from .linalg import matrix_inverse
@@ -545,6 +547,48 @@ def _walk_faces(rotations, dart_pos):
     return faces
 
 
+def _canonical_rotation_system(rotations) -> tuple:
+    """Rooted canonical form of a connected rotation system with directed
+    edges (``rotations[v]`` the darts ``(edge, end)`` at v, as in
+    :class:`ColoredGraph`).
+
+    From a root dart, a breadth-first walk numbers the vertices in the order
+    it reaches them, starts each vertex's rotation at the dart it arrived
+    by (the root's at the root dart), and numbers the edges in the order it
+    meets them.  Its code lists, per vertex in that order, the darts from
+    the start on as (end, number of the vertex at the other end, position
+    of the other dart after that vertex's start).  Two rotation systems
+    have the same least code over all root darts exactly when an
+    orientation-preserving isomorphism maps one onto the other, and then it
+    maps vertex ``order[k]`` with rotation start ``starts[order[k]]`` and
+    edge ``edge_order[j]`` to their counterparts.
+
+    Returns ``(code, order, starts, edge_order)``."""
+    rotations = [tuple(rot) for rot in rotations]
+    dart_pos = {d: (v, i) for v, rot in enumerate(rotations) for i, d in enumerate(rot)}
+    best = None
+    for v0, i0 in sorted(dart_pos.values()):
+        number, starts, order, edges = {v0: 0}, {v0: i0}, [v0], {}
+        code = []
+        for v in order:
+            rot = rotations[v]
+            row = []
+            for j in range(len(rot)):
+                e, end = rot[(starts[v] + j) % len(rot)]
+                w, i = dart_pos[(e, 1 - end)]
+                if w not in number:
+                    number[w], starts[w] = len(order), i
+                    order.append(w)
+                edges.setdefault(e, len(edges))
+                row.append((end, number[w], (i - starts[w]) % len(rotations[w])))
+            code.append(tuple(row))
+        code = tuple(code)
+        if best is None or code < best[0]:
+            best = (code, tuple(order), tuple(starts[v] for v in range(len(rotations))),
+                    tuple(sorted(edges, key=edges.get)))
+    return best
+
+
 class ColoredGraph:
     """Oriented colored graph with a rotation system certified to embed in
     the 2-sphere.
@@ -648,7 +692,6 @@ class GraphTensor:
 
 
 def _dense(t: GraphTensor):
-    from itertools import product as iproduct
     return {idx: t.value(idx) for idx in iproduct(*(range(d) for d in t.dims()))}
 
 
@@ -786,41 +829,48 @@ def evaluate_graph(data: GFusionData, graph: ColoredGraph, slots=None,
         raw[choice] = coeff
 
     # re-express each index in the requested slot basis
-    out_bases = []
     nver = graph.nvertices
-    order_pos = {v: i for i, v in enumerate(vertex_order)}
-    mats = []
-    for v in range(nver):
-        slot = slot_by_vertex[v]
-        slot_basis = MultiplicityBasis(data, csets[v], slot.anchor)
-        out_bases.append(slot_basis)
-        steps = (insert_offset[v] - slot.anchor) % len(csets[v])
-        key = ("rebase", csets[v].items, slot_basis.anchor, steps)
+    out_bases, entries = _rebased(
+        data, raw, csets, [vertex_order.index(v) for v in range(nver)],
+        [insert_offset[v] for v in range(nver)],
+        [slot_by_vertex[v].anchor for v in range(nver)])
+    return GraphTensor(data, range(nver), out_bases, entries)
+
+
+def _rebased(data: GFusionData, raw: dict, csets, positions, sources, anchors):
+    """Re-express a tensor over the vertex cyclic sets ``csets`` in new
+    bases.  The index of vertex v sits at ``positions[v]`` of the keys of
+    ``raw`` and counts trees of ``csets[v]`` anchored at ``sources[v]``; the
+    result is the target bases, anchored at ``anchors[v]``, and the nonzero
+    entries keyed in vertex order.  The re-basing matrices are memoized on
+    the category."""
+    memo = data._memo
+    field = data.field
+    bases, mats = [], []
+    for cset, source, anchor in zip(csets, sources, anchors):
+        basis = MultiplicityBasis(data, cset, anchor)
+        steps = (source - basis.anchor) % len(cset)
+        key = ("rebase", cset.items, basis.anchor, steps)
         mat = memo.get(key)
         if mat is None:
-            mat = memo[key] = rotation_matrix(data, slot_basis, steps)
+            mat = memo[key] = rotation_matrix(data, basis, steps)
+        bases.append(basis)
         mats.append(mat)
-
     entries: dict = {}
-    from itertools import product as iproduct
-    dims = [b.dim() for b in out_bases]
-    for sidx in iproduct(*(range(d) for d in dims)):
+    for sidx in iproduct(*(range(b.dim()) for b in bases)):
         total = field.zero()
         for choice, coeff in raw.items():
             term = coeff
-            dead = False
-            for v in range(nver):
-                t = choice[order_pos[v]]
-                factor = mats[v][t][sidx[v]]
+            for mat, pos, s in zip(mats, positions, sidx):
+                factor = mat[choice[pos]][s]
                 if factor.is_zero():
-                    dead = True
                     break
                 term = term * factor
-            if not dead:
+            else:
                 total = total + term
         if not total.is_zero():
             entries[sidx] = total
-    return GraphTensor(data, range(nver), out_bases, entries)
+    return bases, entries
 
 
 # ---------------------------------------------------------------------------

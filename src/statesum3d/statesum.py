@@ -12,6 +12,15 @@ the inverse Gram matrix of the duality pairing of its branch cyclic set.
 
 The same engine evaluates cobordism skeletons for :mod:`statesum3d.hqft`:
 boundary regions get pinned colors and boundary link vertices stay open.
+
+Link tensors are evaluated once per isomorphism class of colored link and
+category: a link whose colored rotation system has the canonical form of
+one already evaluated (:func:`graphcalc._canonical_rotation_system`) takes
+that tensor, re-anchored vertex by vertex.  This assumes that the
+evaluation of a colored graph does not depend on its outer face or on how
+its vertices and edges are numbered, which holds for spherical data: the
+``spherical`` line of ``validate-category`` checks the data, and
+``test_outer_face_independence`` checks the evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +31,8 @@ from .catdata import GFusionData, neutral_dimension
 from .complexes import Skeleton
 from .exactnum import FieldElement
 from .gauge import enumerate_labelings, gauge_orbits
-from .graphcalc import ColoredGraph, _gram_inverse, evaluate_graph, hom_dim
+from .graphcalc import (ColoredGraph, CyclicCSet, _canonical_rotation_system,
+                        _gram_inverse, _rebased, evaluate_graph, hom_dim)
 
 __all__ = [
     "StateSumResult",
@@ -54,7 +64,8 @@ class _Evaluator:
     ends open, a closed skeleton none.  Colorings are enumerated with
     edge-admissibility pruning.  Link tensors, edge admissibility per signed
     colour tuple and ``dim(c)**chi`` per (label, chi) are memoized here;
-    Gram inverses are memoized on the category (``graphcalc``).
+    link tensors per isomorphism class (:func:`_link_tensor`) and Gram
+    inverses are memoized on the category.
     """
 
     def __init__(self, sk, cat: GFusionData, ends=()):
@@ -100,15 +111,13 @@ class _Evaluator:
             ok = self.admissible_cache[items] = hom_dim(self.cat, items) >= 1
         return ok
 
-    def link_tensor(self, v, coloring):
+    def link_tensor(self, v, coloring) -> dict:
         lk = self.sk.links[v]
-        key = (v, tuple(coloring[r] for (_, _, r) in lk.arcs))
-        if key not in self.link_cache:
-            graph = ColoredGraph(len(lk.rotations),
-                                 [(t, h, coloring[r]) for (t, h, r) in lk.arcs],
-                                 lk.rotations)
-            self.link_cache[key] = evaluate_graph(self.cat, graph)
-        return self.link_cache[key]
+        colors = tuple(coloring[r] for (_, _, r) in lk.arcs)
+        entries = self.link_cache.get((v, colors))
+        if entries is None:
+            entries = self.link_cache[(v, colors)] = _link_tensor(self.cat, lk, colors)
+        return entries
 
     def contribution(self, coloring) -> dict:
         """prod_r dim^chi times the contraction of the link tensors over the
@@ -124,10 +133,10 @@ class _Evaluator:
         tensors = [self.link_tensor(v, coloring) for v in range(len(sk.links))]
         # state: a tuple of per-vertex index tuples, contracted slots None
         entries = {}
-        for combo in iproduct(*(t.entries for t in tensors)):
+        for combo in iproduct(*tensors):
             val = weight
             for t, idx in zip(tensors, combo):
-                val = val * t.entries[idx]
+                val = val * t[idx]
             entries[combo] = val
         for eid, ((v0, g0), (v1, g1)) in enumerate(sk.edges):
             ginv = _gram_inverse(cat, self._branch_colors(eid, coloring))
@@ -150,6 +159,41 @@ class _Evaluator:
             cur = out.get(key)
             out[key] = val if cur is None else cur + val
         return out
+
+
+def _link_tensor(cat: GFusionData, lk, colors: tuple) -> dict:
+    """Entries of the link tensor of ``lk`` with arc colors ``colors``, in
+    the tree bases anchored at each vertex's first dart, as
+    ``evaluate_graph`` gives them.
+
+    The first link of an isomorphism class is evaluated on its own graph;
+    its entries are stored on the category with the index of canonical
+    vertex k at position k, next to the rotation starts its vertices had.
+    A later link of the class re-anchors each vertex from the start the
+    stored one had to its own first dart."""
+    memo = cat._memo
+    rotations = tuple(map(tuple, lk.rotations))
+    form = memo.get(("link form", rotations))
+    if form is None:
+        form = memo[("link form", rotations)] = _canonical_rotation_system(rotations)
+    code, order, starts, arc_order = form
+    key = ("link class", code, tuple(colors[a] for a in arc_order))
+    stored = memo.get(key)
+    if stored is None:
+        graph = ColoredGraph(len(rotations),
+                             [(t, h, c) for (t, h, _), c in zip(lk.arcs, colors)],
+                             rotations)
+        entries = evaluate_graph(cat, graph).entries
+        memo[key] = (tuple(starts[v] for v in order),
+                      {tuple(idx[v] for v in order): val for idx, val in entries.items()})
+        return entries
+    class_starts, class_entries = stored
+    n = len(rotations)
+    position = [order.index(v) for v in range(n)]
+    csets = [CyclicCSet((colors[a], 1 if end == 1 else -1) for a, end in rot)
+             for rot in rotations]
+    return _rebased(cat, class_entries, csets, position,
+                    [starts[v] - class_starts[position[v]] for v in range(n)], [0] * n)[1]
 
 
 def _sigma(sk: Skeleton, labeling, cat: GFusionData, ev: _Evaluator | None = None):

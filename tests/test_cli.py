@@ -91,6 +91,15 @@ simple 0 name 1 grade 0 dual 0 dim_l [1,0] dim_r [1,0] pivotal [1,0]
 
 _S3_2TET = "tets 2\n" + "".join(f"glue 0 {f} 1 {f} 0123\n" for f in range(4))
 
+_DATA = Path(__file__).resolve().parents[1] / "src" / "statesum3d" / "data"
+_S1XS2_SKELETON = (_DATA / "skeletons" / "s1xs2_paper.skel").read_text()
+
+
+def _skeleton_without(line, message):
+    assert _S1XS2_SKELETON.count(line + "\n") == 1
+    return (["labelings", "--group", "Z2", "--skeleton"], "bad.skel",
+            _S1XS2_SKELETON.replace(line + "\n", ""), message)
+
 
 def _move_at(move, location):
     return (["pachner", "--move", move, "--location", location, "--triangulation"],
@@ -148,6 +157,9 @@ def _bad_location(move, location, form):
     _bad_location("1-4", "0,0", "an integer"),
     _bad_location("3-2", "x", "an integer"),
     _bad_location("4-1", "", "an integer"),
+    _skeleton_without("arc 0 3 tail 0 head 1 region 1", "missing arc line (0, 3)"),
+    _skeleton_without("rot 0 1 i3 i2 o1 o0", "missing rot line (0, 1)"),
+    _skeleton_without("vertex 0 gvertices 2 arcs 4", "missing vertex line 0"),
 ], ids=["glue-without-permutation", "graph-without-rot-line", "tets-without-count",
         "graph-edge-gap", "graph-short-edge-line", "surface-edge-gap", "cobordism-region-gap",
         "category-cut-in-simple-line", "category-cut-in-group-table",
@@ -156,7 +168,9 @@ def _bad_location(move, location, form):
         "pachner-2-3-tet-5", "pachner-3-2-past-the-end", "pachner-4-1-past-the-end",
         "glue-tet-out-of-range", "glue-face-out-of-range", "no-tets",
         "pachner-2-3-integer-location", "pachner-2-3-three-fields",
-        "pachner-1-4-pair-location", "pachner-3-2-word-location", "pachner-4-1-empty-location"])
+        "pachner-1-4-pair-location", "pachner-3-2-word-location", "pachner-4-1-empty-location",
+        "skeleton-without-arc-line", "skeleton-without-rot-line",
+        "skeleton-without-vertex-line"])
 def test_malformed_input_is_a_domain_error(tmp_path, argv, name, text, message):
     path = tmp_path / name
     path.write_text(text)
@@ -165,7 +179,6 @@ def test_malformed_input_is_a_domain_error(tmp_path, argv, name, text, message):
     assert message in err and len(err.splitlines()) == 1 and out == ""
 
 
-_DATA = Path(__file__).resolve().parents[1] / "src" / "statesum3d" / "data"
 _SKELETON_ARGV = ["labelings", "--group", "Z2", "--skeleton"]
 _SURFACE_ARGV = ["hqft-rank", "--category", "vect_Z2_theta1", "--surface"]
 

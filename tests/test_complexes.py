@@ -18,8 +18,11 @@ from statesum3d.complexes import (
     save_triangulation,
     triangulations_isomorphic,
 )
+from statesum3d.complexes import _CLOCKWISE, _dual_arc
+from statesum3d.graphcalc import InternalError
 from statesum3d.statesum import partition_all_classes
 
+import refskeleton
 from trifiles import load_tri, shipped_names
 
 
@@ -174,6 +177,63 @@ def test_grown_triangulations_are_pinned():
             tri = pachner(tri, "1-4", rnd.randrange(tri.ntets))
         text = save_triangulation(tri, name=f"{base}_plus{moves}")
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (base, moves, seed)
+
+
+def test_sign_tables_match_the_barycentric_model():
+    for sign in (1, -1):
+        for aa in range(4):
+            for bb in range(4):
+                if aa != bb:
+                    c, d = (x for x in range(4) if x not in (aa, bb))
+                    want = (c, d) if refskeleton.arc_runs_c_to_d(aa, bb, sign) else (d, c)
+                    assert _dual_arc(aa, bb, sign) == want, (aa, bb, sign)
+        for k in range(4):
+            assert _CLOCKWISE[sign][k] == refskeleton.clockwise(k, sign), (k, sign)
+
+
+# sha256 of save_skeleton(dual_skeleton(tri)) as the barycentric
+# construction wrote it, for the shipped triangulations and the grown ones of
+# _GROWN_DIGESTS
+_DUAL_DIGESTS = {
+    "l31": "b7cf0ece6ab35d29a618bdc9c222e73480569c7f4a95fdea5fb4b663a69072e5",
+    "l41": "fdd0c72a84e1c56d284b8f5148a10fed223cb0000be424b1ff591109a2b7ccbc",
+    "rp3": "76ed331364222ac01e5de16144295d50562a16573071ea6d01d89c51c958b590",
+    "s1xs2": "065702082f6986e11fc4d1b4c7fb777a52f352c000b42744e88661d033fb04ab",
+    "s3_1vtx": "34e5b005a6f82e910b285b1fa29a02b204061123effc55eba667dbef2d21baa9",
+    "s3_2tet": "6c0a78514f58a195c5bf895a86108e0616fa0fb3a34db071ee725b4679f0be04",
+    "s3_5tet": "f6131e7fdebf2ff0783b857ff4253f7f6411b6f935fc3145ce2767d86cf5bf41",
+    "t3_6tet": "2bf2d0a83f128a91483b72cda12c1e85e610f34832bb545f9db44f7f9d8d4996",
+    ("s3_2tet", 5, 0): "aaa5b1ece05046a030a4a1c301f724357e16f39ea274cb0d387800367ff0e684",
+    ("s3_2tet", 5, 1): "425e807367927ef300991c7b3e0b84daa3a21efa56c5c28b9a00c1f1696f4992",
+    ("s3_2tet", 5, 7): "0e8d61a745288c87bd68c8dc857df450f47f411039c34cb1c6618140ae6850ff",
+    ("t3_6tet", 2, 0): "6c5d0a6ca5069324b42a4fe860f584d34a27d98d9c028af790bdb5804a6e81d7",
+    ("t3_6tet", 2, 1): "47770270cd336a5825651742c57f7c8a609d863463fe0185d3e792b6876398c5",
+    ("t3_6tet", 2, 7): "988c1acc8c183f84427484bb93e4fff68f9385ddee16f76629fc6b6fde6b494e",
+}
+
+
+def test_dual_skeletons_are_pinned():
+    assert set(shipped_names()) | set(_GROWN_DIGESTS) == set(_DUAL_DIGESTS)
+    for key, digest in _DUAL_DIGESTS.items():
+        if isinstance(key, str):
+            tri = load_tri(key)
+        else:
+            base, moves, seed = key
+            tri = load_tri(base)
+            rnd = random.Random(f"{seed}/{base}/{moves}")
+            for _ in range(moves):
+                tri = pachner(tri, "1-4", rnd.randrange(tri.ntets))
+        text = save_skeleton(dual_skeleton(tri))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, key
+
+
+def test_misaligned_gluing_is_an_internal_error(monkeypatch):
+    # one clockwise table for both orientations breaks the invariant that
+    # the two link vertices of a glued triangle carry reversed rotations
+    from statesum3d import complexes
+    monkeypatch.setattr(complexes, "_CLOCKWISE", {1: _CLOCKWISE[1], -1: _CLOCKWISE[1]})
+    with pytest.raises(InternalError, match=r"triangle gluing \(0,0\) -> \(1,0\)"):
+        dual_skeleton(load_tri("s3_2tet"))
 
 
 def test_dual_skeleton_structure():

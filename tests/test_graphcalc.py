@@ -23,6 +23,7 @@ from statesum3d.graphcalc import (
     _bend_first_leg,
     _bend_last_leg,
     _bend_scalar,
+    _canonical_rotation_system,
     evaluate_graph,
     hom_dim,
     pairing_gram,
@@ -33,7 +34,7 @@ from statesum3d.graphcalc import (
 from statesum3d.linalg import identity_matrix, matrix_mul
 
 import refrotation
-from graphutil import random_admissible_graph
+from graphutil import grow_random_planar, random_admissible_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -402,3 +403,32 @@ def test_embedding_certificate_errors():
     with pytest.raises(ValueError, match="certificate"):
         ColoredGraph(1, [(0, 0, 0)], [[(0, 0), (0, 1)]],
                      faces=[((0, 0), (0, 1))])
+
+
+def _in_canonical_numbering(rotations, form):
+    _, order, starts, edge_order = form
+    number = {e: j for j, e in enumerate(edge_order)}
+    return [[(number[e], end) for e, end in rotations[v][starts[v]:] + rotations[v][:starts[v]]]
+            for v in order]
+
+
+def test_canonical_form_is_invariant_under_relabeling():
+    # renumbering vertices and edges and re-anchoring every rotation list
+    # keeps the code, and both forms map their graph onto the same
+    # canonically numbered rotation system
+    rnd = random.Random("canonical-form")
+    for _ in range(80):
+        nv, edges, rotations = grow_random_planar(rnd)
+        vperm = rnd.sample(range(nv), nv)
+        eperm = rnd.sample(range(len(edges)), len(edges))
+        relabeled = [None] * nv
+        for v, rot in enumerate(rotations):
+            rot = [(eperm[e], end) for e, end in rot]
+            shift = rnd.randrange(len(rot))
+            relabeled[vperm[v]] = rot[shift:] + rot[:shift]
+        form = _canonical_rotation_system(rotations)
+        form2 = _canonical_rotation_system(relabeled)
+        assert form2[0] == form[0]
+        assert sorted(form[1]) == list(range(nv)) and sorted(form[3]) == list(range(len(edges)))
+        assert (_in_canonical_numbering(rotations, form)
+                == _in_canonical_numbering(relabeled, form2))

@@ -1,15 +1,21 @@
+import random
+
 import pytest
 
 from statesum3d.catdata import builtin_category, builtin_category_names, neutral_dimension
-from statesum3d.complexes import Skeleton, dual_skeleton
+from statesum3d.complexes import LinkGraph, Skeleton, dual_skeleton
 from statesum3d.gauge import enumerate_labelings, gauge_orbits
+from statesum3d.graphcalc import ColoredGraph, evaluate_graph
 from statesum3d.statesum import (
+    _Evaluator,
+    _link_tensor,
     closed_invariant,
     partition_all_classes,
     unnormalized_invariant,
 )
 
-from trifiles import load_skeleton, load_tri
+from graphutil import color_graph, grow_random_planar
+from trifiles import load_skeleton, load_tri, shipped_names
 
 
 def _orbit_reps(sk, group):
@@ -174,3 +180,99 @@ def test_evaluations_leave_no_reference_cycles():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("category", ["fibonacci", "ising_like", "vect_Z3_theta1"])
+def test_memoized_link_tensors_match_direct_evaluation(category):
+    # link tensors come from the per-category memo of isomorphism classes;
+    # each one must equal the evaluation of the vertex's own link graph on
+    # a separately built category, whose memo holds no link classes
+    cat = builtin_category(category)
+    direct = builtin_category(category)
+    skeletons = [dual_skeleton(load_tri(name)) for name in shipped_names()]
+    skeletons.append(load_skeleton("s1xs2_paper"))
+    for sk in skeletons:
+        ev = _Evaluator(sk, cat)
+        checked = set()
+        for rep, _ in _orbit_reps(sk, cat.group):
+            sectors = [cat.sector(rep[r]) for r in range(sk.nregions())]
+            for coloring in ev.colorings(sectors):
+                for v, lk in enumerate(sk.links):
+                    colors = tuple(coloring[r] for (_, _, r) in lk.arcs)
+                    if (v, colors) in checked:
+                        continue
+                    checked.add((v, colors))
+                    graph = ColoredGraph(len(lk.rotations),
+                                         [(t, h, c) for (t, h, _), c in zip(lk.arcs, colors)],
+                                         lk.rotations)
+                    want = evaluate_graph(direct, graph).entries
+                    assert ev.link_tensor(v, coloring) == want, (sk.name, v, colors)
+        assert checked
+
+
+def test_link_tensors_are_evaluated_once_per_class(monkeypatch):
+    from statesum3d import statesum
+    calls = []
+
+    def counted(cat, graph):
+        calls.append(graph)
+        return evaluate_graph(cat, graph)
+
+    monkeypatch.setattr(statesum, "evaluate_graph", counted)
+    sk = dual_skeleton(load_tri("t3_6tet"))
+    cat = builtin_category("vect_Z4_theta1")
+    ev = _Evaluator(sk, cat)
+    for rep, _ in _orbit_reps(sk, cat.group):
+        closed_invariant(sk, rep, cat, _ev=ev)
+    assert 0 < len(calls) < len(ev.link_cache), (len(calls), len(ev.link_cache))
+
+
+def _relabeled(rnd, edges, rotations, colors):
+    """The same colored rotation system with its vertices and edges
+    renumbered and every rotation list re-anchored."""
+    nv = len(rotations)
+    vperm = rnd.sample(range(nv), nv)
+    eperm = rnd.sample(range(len(edges)), len(edges))
+    edges2, colors2 = [None] * len(edges), [None] * len(edges)
+    for e, (t, h) in enumerate(edges):
+        edges2[eperm[e]] = (vperm[t], vperm[h])
+        colors2[eperm[e]] = colors[e]
+    rotations2 = [None] * nv
+    for v, rot in enumerate(rotations):
+        shift = rnd.randrange(len(rot))
+        rotations2[vperm[v]] = [(eperm[e], end) for e, end in rot[shift:] + rot[:shift]]
+    return edges2, rotations2, colors2
+
+
+@pytest.mark.parametrize("category", ["vect_Z2_theta1", "vect_Z4_theta1", "fibonacci",
+                                      "ising_like"])
+def test_link_classes_of_relabeled_and_reversed_random_graphs(category):
+    # random sphere graphs, each with relabeled copies and a copy with one
+    # self-dual strand reversed (same words, other graph), through one
+    # category's class memo against direct evaluation on a fresh category
+    rnd = random.Random(f"link-classes/{category}")
+    cat, direct = builtin_category(category), builtin_category(category)
+    graphs = 0
+    for _ in range(30):
+        nv, edges, rotations = grow_random_planar(rnd, max_vertices=4)
+        colors = color_graph(rnd, cat, nv, edges, rotations)
+        if colors is None:
+            continue
+        variants = [(edges, rotations, colors)]
+        selfdual = [e for e, c in enumerate(colors) if cat.dual[c] == c]
+        if selfdual:
+            e = rnd.choice(selfdual)
+            t, h = edges[e]
+            variants.append(([(h, t) if k == e else ends for k, ends in enumerate(edges)],
+                             [[(k, 1 - end if k == e else end) for k, end in rot]
+                              for rot in rotations], colors))
+        for edges1, rotations1, colors1 in variants:
+            for _ in range(2):
+                edges2, rotations2, colors2 = _relabeled(rnd, edges1, rotations1, colors1)
+                lk = LinkGraph([(t, h, 0) for t, h in edges2], rotations2)
+                graph = ColoredGraph(nv, [(t, h, c) for (t, h), c in zip(edges2, colors2)],
+                                     rotations2)
+                want = evaluate_graph(direct, graph).entries
+                assert _link_tensor(cat, lk, tuple(colors2)) == want, (edges2, colors2)
+                graphs += 1
+    assert graphs >= 60
