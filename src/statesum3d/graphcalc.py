@@ -564,7 +564,6 @@ def _canonical_rotation_system(rotations) -> tuple:
     edge ``edge_order[j]`` to their counterparts.
 
     Returns ``(code, order, starts, edge_order)``."""
-    rotations = [tuple(rot) for rot in rotations]
     dart_pos = {d: (v, i) for v, rot in enumerate(rotations) for i, d in enumerate(rot)}
     best = None
     for v0, i0 in sorted(dart_pos.values()):
