@@ -292,10 +292,10 @@ class GFusionData:
         self.fsym = dict(fsym)
         self._fblock_cache: dict = {}
         self._finv_cache: dict = {}
-        # colour-independent link-evaluation data of graphcalc (planar
-        # sweeps, tree bases, re-basing matrices, Gram inverses), built once
-        # per key; values are tuples, action lists and matrices that hold no
-        # reference back to this object
+        # link-evaluation data of graphcalc (planar layouts, box and cap
+        # transfer tables, tree bases, re-basing matrices, Gram inverses),
+        # built once per key; values are tuples, dicts, action lists and
+        # matrices that hold no reference back to this object
         self._memo: dict = {}
         # duality scalars, see module docstring
         self._lev = {}
@@ -878,7 +878,7 @@ def load_category(text: str) -> GFusionData:
     dim_l = {}
     dim_r = {}
     pivotal = {}
-    triples = set()
+    triples = {}
     fsym_raw = []
 
     def next_line():
@@ -945,7 +945,7 @@ def load_category(text: str) -> GFusionData:
             mult = int(toks[3]) if len(toks) > 3 else 1
             if mult != 1:
                 raise ValueError("fusion multiplicities > 1 are not supported in v1")
-            triples.add((i, j, k))
+            triples[(i, j, k)] = ln.strip()
         elif key == "fsym":
             toks = rest.split(None, 6)
             if len(toks) < 7:
@@ -961,6 +961,9 @@ def load_category(text: str) -> GFusionData:
     missing = [i for i in order if i not in names]
     if missing:
         raise ValueError(f"missing simple line for simple {missing[0]}")
+    for triple, ln in triples.items():
+        if any(x not in order for x in triple):
+            raise ValueError(f"bad fusion line {ln!r}: label outside 0..{nsimples - 1}")
     return GFusionData(field, group, [names[i] for i in order],
                        [grade[i] for i in order], [dual[i] for i in order], triples,
                        fsym, [dim_l[i] for i in order], [dim_r[i] for i in order],

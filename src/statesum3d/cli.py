@@ -350,7 +350,7 @@ def run(argv) -> int:
     except _CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"domain error ({args.cmd}): {exc}\n")
         return 3
     except graphcalc.InternalError as exc:

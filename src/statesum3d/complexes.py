@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .graphcalc import ColoredGraph, InternalError, _fields, _numbered
+from .graphcalc import ColoredGraph, InternalError, _dart, _fields, _numbered
 
 __all__ = [
     "Triangulation",
@@ -193,8 +193,10 @@ class Triangulation:
                         index[y] = cls
                         stack.append(y)
                     elif index[y] != cls:
-                        # merge should not happen with orbit-closure ordering
-                        raise AssertionError("orbit closure conflict")
+                        # the neighbour relation is symmetric (the gluings
+                        # are checked to be involutions), so a closed orbit
+                        # never reaches another one
+                        raise InternalError(f"orbit closure conflict at {y}")
             # renumber densely below
         # compact class ids in first-seen order
         remap = {}
@@ -755,9 +757,11 @@ def region_boundary_walks(sk: Skeleton, region: int):
             v, g, pos = dart_location(eid, j, exit_end)
             arc_id, arc_end = arc_at(v, g, pos)
             if arc_end != 0:
-                raise AssertionError("region walk does not enter the arc at its tail")
+                raise InternalError(f"region walk of region {region} does not enter "
+                                    f"arc {arc_id} of vertex {v} at its tail")
             if sk.links[v].arcs[arc_id][2] != region:
-                raise AssertionError("region walk color mismatch")
+                raise InternalError(f"region walk of region {region} meets arc {arc_id} "
+                                    f"of vertex {v} of another region")
             cycle.append(("arc", v, arc_id))
             head_gv = sk.links[v].arcs[arc_id][1]
             pos2 = next(p for p, d in enumerate(sk.links[v].rotations[head_gv])
@@ -1181,7 +1185,7 @@ def _move_t2(sk: Skeleton, labeling, group, edge: int):
         for (sd, aa) in chain:
             r2 = (lk0 if sd == 0 else lk1).arcs[aa][2]
             if r2 != r:
-                raise AssertionError("T2 chain changes region")
+                raise InternalError(f"T2 chain across edge {edge} changes region")
         tail_desc = ends[chain[0]]["tail"]
         head_desc = ends[chain[-1]]["head"]
         newarcs.append((tail_desc, head_desc, r))
@@ -1420,11 +1424,7 @@ def parse_skeleton(text: str) -> Skeleton:
             arcs[(v, a)] = (int(toks[4]), int(toks[6]), int(toks[8]))
         elif toks[0] == "rot":
             v, g = int(toks[1]), int(toks[2])
-            rot = []
-            for d in toks[3:]:
-                end = 1 if d[0] == "i" else 0
-                rot.append((int(d[1:]), end))
-            rots[(v, g)] = rot
+            rots[(v, g)] = [_dart(d) for d in toks[3:]]
         elif toks[0] == "edges":
             pass
         elif toks[0] == "edge":

@@ -9,6 +9,26 @@ operations are insertions of ``id (x) elementary (x) id`` and are realized
 on tree coordinates by single F-moves; see the convention block in
 :mod:`statesum3d.catdata`.
 
+A colored graph is evaluated by a planar sweep (:func:`evaluate_graph`)
+on a flat state ``{(path, choice): value}``: ``path`` is a tree of the
+current word and ``choice`` lists the basis tree taken at each vertex
+inserted so far.  Both sweep actions read transfer tables memoized in the
+category's ``_memo``:
+
+* box table ``("box", letters, tree)``, looked up by the intermediate
+  ``mb`` before the insertion point: the (inserted intermediates,
+  coefficient) pairs of basis tree ``tree`` of ``Hom(1, letters)``
+  inserted after ``mb`` (:func:`_box_rows`, k - 1 F-moves); the rest of
+  the path is unchanged;
+* cap table ``("cap", color, kind)``, looked up by the intermediates
+  ``(path[q-1], path[q], path[q+1])`` around the capped letters: the
+  inverse F-entry that fuses them into the unit times the lev or rev
+  scalar (:func:`_cap_coeff`).
+
+:class:`PairingData` builds its Gram matrix from the same two tables, and
+the sweep's result is re-based to the slot anchors one vertex at a time
+(:func:`_rebased`).
+
 The cone isomorphism that re-anchors a multiplicity module one step on
 (moving the first leg to the end) is applied in closed form: n - 2 inverse
 F-moves take the first leg ``x_1`` of a left-comb tree out of the comb, and
@@ -49,7 +69,6 @@ __all__ = [
     "VertexTensorSlot",
     "ColoredGraph",
     "GraphTensor",
-    "HomState",
     "hom_dim",
     "tree_paths",
     "rotation_matrix",
@@ -147,130 +166,6 @@ def _trees(data: GFusionData, word: tuple) -> tuple:
     return trees
 
 
-class HomState:
-    """Vector in Hom(1, word) as a map from tree paths to scalars."""
-
-    __slots__ = ("data", "word", "paths")
-
-    def __init__(self, data: GFusionData, word: tuple, paths: dict):
-        self.data = data
-        self.word = word
-        self.paths = paths
-
-    @staticmethod
-    def empty(data: GFusionData) -> "HomState":
-        return HomState(data, (), {(): data.field.one()})
-
-    @staticmethod
-    def basis_tree(data: GFusionData, word, path) -> "HomState":
-        return HomState(data, tuple(word), {tuple(path): data.field.one()})
-
-    def scale(self, c: FieldElement) -> "HomState":
-        if c.is_one():
-            return self
-        return HomState(self.data, self.word,
-                        {p: v * c for p, v in self.paths.items()})
-
-    def _add(self, store: dict, path: tuple, val: FieldElement):
-        if path in store:
-            s = store[path] + val
-            if s.is_zero():
-                del store[path]
-            else:
-                store[path] = s
-        elif not val.is_zero():
-            store[path] = val
-
-    def insert_unit(self, p: int) -> "HomState":
-        unit = self.data.unit
-        word = self.word[:p] + (unit,) + self.word[p:]
-        out: dict = {}
-        for path, v in self.paths.items():
-            prev = path[p - 1] if p > 0 else unit
-            self._add(out, path[:p] + (prev,) + path[p:], v)
-        return HomState(self.data, word, out)
-
-    def delete_unit(self, p: int) -> "HomState":
-        if self.word[p] != self.data.unit:
-            raise InternalError(f"delete_unit at {p}: letter {self.word[p]} is not the unit")
-        word = self.word[:p] + self.word[p + 1:]
-        out: dict = {}
-        for path, v in self.paths.items():
-            self._add(out, path[:p] + path[p + 1:], v)
-        return HomState(self.data, word, out)
-
-    def split(self, p: int, a: int, b: int) -> "HomState":
-        """Compose with id (x) B(a,b; word[p]) (x) id."""
-        data = self.data
-        unit = data.unit
-        x = self.word[p]
-        if not data.nmat(a, b, x):
-            raise ValueError("inadmissible split")
-        word = self.word[:p] + (a, b) + self.word[p + 1:]
-        out: dict = {}
-        for path, v in self.paths.items():
-            mb = path[p - 1] if p > 0 else unit
-            ma = path[p]
-            for mu in data.fuse(mb, a):
-                coeff = data.f_entry(mb, a, b, ma, mu, x)
-                if coeff is None or coeff.is_zero():
-                    continue
-                self._add(out, path[:p] + (mu,) + path[p:], v * coeff)
-        return HomState(data, word, out)
-
-    def fuse(self, p: int, c: int) -> "HomState":
-        """Compose with id (x) Y(word[p], word[p+1]; c) (x) id."""
-        data = self.data
-        unit = data.unit
-        a, b = self.word[p], self.word[p + 1]
-        if not data.nmat(a, b, c):
-            raise ValueError("inadmissible fuse")
-        word = self.word[:p] + (c,) + self.word[p + 2:]
-        out: dict = {}
-        for path, v in self.paths.items():
-            mb = path[p - 1] if p > 0 else unit
-            mu = path[p]
-            ma = path[p + 1]
-            if not data.nmat(mb, c, ma):
-                continue
-            coeff = data.finv_entry(mb, a, b, ma, c, mu)
-            if coeff is None or coeff.is_zero():
-                continue
-            self._add(out, path[:p] + path[p + 1:], v * coeff)
-        return HomState(data, word, out)
-
-    def cap(self, p: int, color: int, kind: str) -> "HomState":
-        """Apply lev (kind 'l': letters (c*, c)) or rev ('r': (c, c*))."""
-        data = self.data
-        dual = data.dual[color]
-        if kind == "l":
-            left, right, scalar = dual, color, data.lev_scalar(color)
-        elif kind == "r":
-            left, right, scalar = color, dual, data.rev_scalar(color)
-        else:
-            raise ValueError("cap kind must be 'l' or 'r'")
-        if self.word[p] != left or self.word[p + 1] != right:
-            raise InternalError(f"cap {kind} of {color} at {p} meets letters {self.word[p:p + 2]}")
-        st = self.fuse(p, data.unit).scale(scalar)
-        return st.delete_unit(p)
-
-    def insert_tree(self, p: int, letters, path) -> "HomState":
-        """Insert the basis tree of Hom(1, letters) with the given
-        intermediate tuple at word position p."""
-        k = len(letters)
-        st = self.insert_unit(p)
-        for j in range(k - 1, 0, -1):
-            st = st.split(p, path[j - 1], letters[j])
-        if k and path[0] != letters[0]:
-            raise InternalError(f"tree {tuple(path)} does not start at letter {letters[0]}")
-        return st
-
-    def scalar(self) -> FieldElement:
-        if self.word:
-            raise InternalError(f"scalar of a state on the word {self.word}")
-        return self.paths.get((), self.data.field.zero())
-
-
 class MultiplicityBasis:
     """Tree basis of the multiplicity module of a cyclic set, anchored at a
     chosen element."""
@@ -285,9 +180,6 @@ class MultiplicityBasis:
 
     def dim(self) -> int:
         return len(self.trees)
-
-    def state(self, tree_index: int) -> HomState:
-        return HomState.basis_tree(self.data, self.word, self.trees[tree_index])
 
     def __repr__(self):
         return f"MultiplicityBasis({self.anchored!r}, dim {self.dim()})"
@@ -463,29 +355,138 @@ def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
     return out
 
 
+# ---------------------------------------------------------------------------
+# the planar sweep on tree coordinates
+
+
+def _box_rows(data: GFusionData, letters: tuple, tree: tuple, mb: int) -> tuple:
+    """Row ``mb`` of the box table of ``(letters, tree)``: the pairs
+    (inserted intermediates, coefficient) with which the basis tree ``tree``
+    of Hom(1, letters), inserted after the intermediate ``mb``, expands.
+
+    The unit goes in after ``mb`` and is split k - 1 times at the insertion
+    point, for j = k-1 down to 1, by ``B(tree[j-1], letters[j]; tree[j])``:
+
+        (id (x) B(a, b; x)) B(mb, x; ma)
+            = sum_mu F[mb, a, b, ma]_(mu, x) (B(mb, a; mu) (x) id) B(mu, b; ma),
+
+    where ``ma`` is the first intermediate inserted so far.  The last
+    inserted intermediate is ``mb`` again."""
+    rows = {(mb,): data.field.one()}
+    for j in range(len(letters) - 1, 0, -1):
+        a, b, x = tree[j - 1], letters[j], tree[j]
+        nxt = {}
+        for ins, v in rows.items():
+            for mu in data.fuse(mb, a):
+                f = data.f_entry(mb, a, b, ins[0], mu, x)
+                if f is not None and not f.is_zero():
+                    nxt[(mu,) + ins] = v * f
+        rows = nxt
+    return tuple(rows.items())
+
+
+def _box(data: GFusionData, states: dict, p: int, letters: tuple, trees) -> dict:
+    """Insert every basis tree of Hom(1, letters) at word position p into the
+    sweep states ``{(path, choice): value}``; tree ``trees[i]`` appends i to
+    the choice.  Each image is one path, so nothing sums or cancels."""
+    memo = data._memo
+    unit = data.unit
+    tables = []
+    for tree in trees:
+        key = ("box", letters, tree)
+        table = memo.get(key)
+        if table is None:
+            for j in range(len(letters) - 1, 0, -1):
+                if not data.nmat(tree[j - 1], letters[j], tree[j]):
+                    raise ValueError("inadmissible split")
+            if letters and tree[0] != letters[0]:
+                raise InternalError(f"tree {tree} does not start at letter {letters[0]}")
+            table = memo[key] = {}
+        tables.append(table)
+    out = {}
+    for (path, choice), val in states.items():
+        mb = path[p - 1] if p else unit
+        head, tail = path[:p], path[p:]
+        for i, table in enumerate(tables):
+            rows = table.get(mb)
+            if rows is None:
+                rows = table[mb] = _box_rows(data, letters, trees[i], mb)
+            chosen = choice + (i,)
+            for ins, c in rows:
+                out[(head + ins + tail, chosen)] = val * c
+    return out
+
+
+def _cap_coeff(data: GFusionData, corner: tuple, a: int, b: int, scalar: FieldElement):
+    """Coefficient of the cap on the letters (a, b) at the intermediates
+    ``corner = (mb, mu, ma)`` around them: fusing a and b into the unit
+    takes ``Finv[mb, a, b, ma]_(1, mu)``, which needs ``ma = mb``, and the
+    evaluation scales by ``scalar``.  None when it vanishes."""
+    mb, mu, ma = corner
+    if not data.nmat(mb, data.unit, ma):
+        return None
+    f = data.finv_entry(mb, a, b, ma, data.unit, mu)
+    if f is None or f.is_zero():
+        return None
+    return f * scalar
+
+
+def _cap(data: GFusionData, states: dict, word: tuple, q: int, color: int,
+         kind: str) -> dict:
+    """Close the strands at word positions q and q + 1 of the sweep states by
+    lev (kind 'l': letters (c*, c)) or rev ('r': (c, c*)) of ``color``."""
+    dual = data.dual[color]
+    if kind == "l":
+        left, right, scalar = dual, color, data.lev_scalar(color)
+    else:
+        left, right, scalar = color, dual, data.rev_scalar(color)
+    if word[q] != left or word[q + 1] != right:
+        raise InternalError(f"cap {kind} of {color} at {q} meets letters {word[q:q + 2]}")
+    if not data.nmat(left, right, data.unit):
+        raise ValueError("inadmissible fuse")
+    key = ("cap", color, kind)
+    table = data._memo.get(key)
+    if table is None:
+        table = data._memo[key] = {}
+    unit = data.unit
+    out: dict = {}
+    for (path, choice), val in states.items():
+        corner = (path[q - 1] if q else unit, path[q], path[q + 1])
+        if corner not in table:
+            table[corner] = _cap_coeff(data, corner, left, right, scalar)
+        c = table[corner]
+        if c is None:
+            continue
+        key = (path[:q] + path[q + 2:], choice)
+        term = val * c
+        cur = out.get(key)
+        out[key] = term if cur is None else cur + term
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
 class PairingData:
     """Gram data of the duality pairing of a cyclic set E: rows are indexed
     by the trees of H(E^opp) (anchored per :meth:`CyclicCSet.opp`), columns
-    by the trees of H(E)."""
+    by the trees of H(E).  Entry [u][t] is the sweep that inserts tree t of
+    H(E) and then tree u of H(E^opp) after it, and caps the n strand pairs
+    from the middle out."""
 
     def __init__(self, data: GFusionData, cset: CyclicCSet):
         self.data = data
         self.basis = MultiplicityBasis(data, cset, 0)
         self.basis_opp = MultiplicityBasis(data, cset.opp(), 0)
         n = len(cset)
-        rows = []
-        for u in range(self.basis_opp.dim()):
-            row = []
-            for t in range(self.basis.dim()):
-                st = HomState.empty(data)
-                st = st.insert_tree(0, self.basis.word, self.basis.trees[t])
-                st = st.insert_tree(n, self.basis_opp.word, self.basis_opp.trees[u])
-                for k in range(n - 1, -1, -1):
-                    color, sign = cset.items[k]
-                    st = st.cap(k, color, "r" if sign > 0 else "l")
-                row.append(st.scalar())
-            rows.append(row)
-        self.gram = rows
+        word = self.basis.word + self.basis_opp.word
+        states = _box(data, {((), ()): data.field.one()}, 0, self.basis.word,
+                      self.basis.trees)
+        states = _box(data, states, n, self.basis_opp.word, self.basis_opp.trees)
+        for k in range(n - 1, -1, -1):
+            color, sign = cset.items[k]
+            states = _cap(data, states, word, k, color, "r" if sign > 0 else "l")
+            word = word[:k] + word[k + 2:]
+        zero = data.field.zero()
+        self.gram = [[states.get(((), (t, u)), zero) for t in range(self.basis.dim())]
+                     for u in range(self.basis_opp.dim())]
         self._inv = None
 
     def gram_inverse(self):
@@ -771,53 +772,28 @@ def evaluate_graph(data: GFusionData, graph: ColoredGraph, slots=None,
     if actions is None:
         actions = memo[key] = _find_layout(graph, outer_face)
 
+    # symbolic sweep: state keyed by (tree path, choice tuple)
     csets = [graph.vertex_cset(v) for v in range(graph.nvertices)]
     insert_offset = {}
-    for act in actions:
-        if act[0] == "box":
-            insert_offset[act[1]] = act[2]
-    insert_bases = {v: MultiplicityBasis(data, csets[v], insert_offset[v])
-                    for v in range(graph.nvertices)}
-
-    # symbolic sweep: state keyed by (tree path, choice tuple)
-    field = data.field
     word: tuple = ()
-    states: dict = {((), ()): field.one()}
+    states: dict = {((), ()): data.field.one()}
     vertex_order = []
     strand_darts: list = []
-
     for act in actions:
         if act[0] == "box":
             _, v, r, p = act
             vertex_order.append(v)
-            basis = insert_bases[v]
-            letters = basis.word
-            nxt: dict = {}
-            for (path, choice), coeff in states.items():
-                base = HomState(data, word, {path: coeff})
-                for ti, tree in enumerate(basis.trees):
-                    st = base.insert_tree(p, letters, tree)
-                    for q, u in st.paths.items():
-                        key = (q, choice + (ti,))
-                        cur = nxt.get(key)
-                        nxt[key] = u if cur is None else cur + u
-            states = {k: v2 for k, v2 in nxt.items() if not v2.is_zero()}
+            insert_offset[v] = r
+            letters = csets[v].word(data)
+            letters = letters[r:] + letters[:r]
+            states = _box(data, states, p, letters, _trees(data, letters))
             word = word[:p] + letters + word[p:]
-            strand_darts[p:p] = [graph.rotations[v][(r + j) % len(graph.rotations[v])]
-                                 for j in range(len(letters))]
+            rot = graph.rotations[v]
+            strand_darts[p:p] = rot[r:] + rot[:r]
         else:
             _, q = act
             e, end = strand_darts[q]
-            color = graph.edges[e][2]
-            kind = "l" if end == 0 else "r"
-            nxt = {}
-            for (path, choice), coeff in states.items():
-                st = HomState(data, word, {path: coeff}).cap(q, color, kind)
-                for pth, u in st.paths.items():
-                    key = (pth, choice)
-                    cur = nxt.get(key)
-                    nxt[key] = u if cur is None else cur + u
-            states = {k: v2 for k, v2 in nxt.items() if not v2.is_zero()}
+            states = _cap(data, states, word, q, graph.edges[e][2], "l" if end == 0 else "r")
             word = word[:q] + word[q + 2:]
             del strand_darts[q:q + 2]
 
@@ -829,47 +805,49 @@ def evaluate_graph(data: GFusionData, graph: ColoredGraph, slots=None,
 
     # re-express each index in the requested slot basis
     nver = graph.nvertices
-    out_bases, entries = _rebased(
-        data, raw, csets, [vertex_order.index(v) for v in range(nver)],
-        [insert_offset[v] for v in range(nver)],
-        [slot_by_vertex[v].anchor for v in range(nver)])
-    return GraphTensor(data, range(nver), out_bases, entries)
+    anchors = [slot_by_vertex[v].anchor for v in range(nver)]
+    entries = _rebased(data, raw, [cs.items for cs in csets],
+                       [vertex_order.index(v) for v in range(nver)],
+                       [insert_offset[v] for v in range(nver)], anchors)
+    bases = [MultiplicityBasis(data, cs, a) for cs, a in zip(csets, anchors)]
+    return GraphTensor(data, range(nver), bases, entries)
 
 
-def _rebased(data: GFusionData, raw: dict, csets, positions, sources, anchors):
-    """Re-express a tensor over the vertex cyclic sets ``csets`` in new
-    bases.  The index of vertex v sits at ``positions[v]`` of the keys of
-    ``raw`` and counts trees of ``csets[v]`` anchored at ``sources[v]``; the
-    result is the target bases, anchored at ``anchors[v]``, and the nonzero
-    entries keyed in vertex order.  The re-basing matrices are memoized on
-    the category."""
+def _rebased(data: GFusionData, raw: dict, items, positions, sources, anchors) -> dict:
+    """Re-express a tensor over the vertex cyclic sets of the signed colour
+    tuples ``items`` in new bases.  The index of vertex v sits at
+    ``positions[v]`` of the keys of ``raw`` and counts trees of ``items[v]``
+    anchored at ``sources[v]``; the result holds the nonzero entries in the
+    bases anchored at ``anchors[v]``, keyed in vertex order.
+
+    The re-basing matrix of each vertex is applied in turn, so vertex v
+    costs one pass over the entries times the trees each maps to; a vertex
+    whose anchor does not move is left alone.  The matrices are memoized on
+    the category as sparse rows (source tree -> ``(target tree, value)``
+    pairs)."""
     memo = data._memo
-    field = data.field
-    bases, mats = [], []
-    for cset, source, anchor in zip(csets, sources, anchors):
-        basis = MultiplicityBasis(data, cset, anchor)
-        steps = (source - basis.anchor) % len(cset)
-        key = ("rebase", cset.items, basis.anchor, steps)
-        mat = memo.get(key)
-        if mat is None:
-            mat = memo[key] = rotation_matrix(data, basis, steps)
-        bases.append(basis)
-        mats.append(mat)
-    entries: dict = {}
-    for sidx in iproduct(*(range(b.dim()) for b in bases)):
-        total = field.zero()
-        for choice, coeff in raw.items():
-            term = coeff
-            for mat, pos, s in zip(mats, positions, sidx):
-                factor = mat[choice[pos]][s]
-                if factor.is_zero():
-                    break
-                term = term * factor
-            else:
-                total = total + term
-        if not total.is_zero():
-            entries[sidx] = total
-    return bases, entries
+    entries = {tuple(key[p] for p in positions): val for key, val in raw.items()}
+    for v, (its, source, anchor) in enumerate(zip(items, sources, anchors)):
+        anchor %= len(its)
+        steps = (source - anchor) % len(its)
+        if not steps:
+            continue
+        key = ("rebase", its, anchor, steps)
+        rows = memo.get(key)
+        if rows is None:
+            mat = rotation_matrix(data, MultiplicityBasis(data, CyclicCSet(its), anchor), steps)
+            rows = memo[key] = tuple(tuple((s, x) for s, x in enumerate(row) if not x.is_zero())
+                                     for row in mat)
+        nxt: dict = {}
+        for idx, val in entries.items():
+            head, tail = idx[:v], idx[v + 1:]
+            for s, x in rows[idx[v]]:
+                k = head + (s,) + tail
+                term = val * x
+                cur = nxt.get(k)
+                nxt[k] = term if cur is None else cur + term
+        entries = {k: x for k, x in nxt.items() if not x.is_zero()}
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -909,6 +887,15 @@ def _fields(line: str, forms: dict) -> list:
     return toks
 
 
+def _dart(token: str) -> tuple:
+    """The dart ``(edge, end)`` of a rotation-list token: ``i<edge>`` points
+    at the vertex (end 1), ``o<edge>`` away from it (end 0)."""
+    digits = token[1:]
+    if token[:1] not in ("i", "o") or not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad dart {token!r}: expected i<edge> or o<edge>")
+    return int(digits), 1 if token[0] == "i" else 0
+
+
 _GRAPH_FORMS = {"vertices": "vertices N", "edge": "edge K T H color C",
                 "rot": "rot V DART..."}
 
@@ -931,7 +918,7 @@ def parse_graph(text: str) -> ColoredGraph:
             edges[int(toks[1])] = (int(toks[2]), int(toks[3]), int(toks[5]))
         elif toks[0] == "rot":
             v = int(toks[1])
-            rots[v] = [(int(d[1:]), 1 if d[0] == "i" else 0) for d in toks[2:]]
+            rots[v] = [_dart(d) for d in toks[2:]]
         elif toks[0] == "face":
             faces.append(tuple(tuple(int(x) for x in t.split(".")) for t in toks[1:]))
         else:

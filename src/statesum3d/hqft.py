@@ -35,8 +35,8 @@ from itertools import product as iproduct
 
 from .catdata import FiniteGroup, GFusionData, neutral_dimension
 from .exactnum import FieldElement
-from .graphcalc import (ColoredGraph, CyclicCSet, _fields, _gram_inverse, _numbered, hom_dim,
-                        tree_paths)
+from .graphcalc import (ColoredGraph, CyclicCSet, _dart, _fields, _gram_inverse, _numbered,
+                        hom_dim, tree_paths)
 from .linalg import matrix_mul, matrix_rank
 from .statesum import _Evaluator
 
@@ -613,7 +613,7 @@ def parse_surface(text: str, group: FiniteGroup) -> SurfaceSkeleton:
             labels[int(toks[1])] = int(toks[5])
         elif toks[0] == "rot":
             v = int(toks[1])
-            rots[v] = [(int(d[1:]), 1 if d[0] == "i" else 0) for d in toks[2:]]
+            rots[v] = [_dart(d) for d in toks[2:]]
         else:
             raise ValueError(f"unknown surface key {toks[0]!r}")
     edge_list = _numbered(edges, range(len(edges)), "edge")
@@ -742,7 +742,7 @@ def parse_cobordism(text: str, group: FiniteGroup) -> CobordismSkeleton:
             arcs[(v, a)] = (int(toks[4]), int(toks[6]), int(toks[8]))
         elif toks[0] == "rot":
             v, g = int(toks[1]), int(toks[2])
-            rots[(v, g)] = [(int(d[1:]), 1 if d[0] == "i" else 0) for d in toks[3:]]
+            rots[(v, g)] = [_dart(d) for d in toks[3:]]
         elif toks[0] == "edges":
             pass
         elif toks[0] == "edge":

@@ -31,7 +31,7 @@ from .catdata import GFusionData, neutral_dimension
 from .complexes import Skeleton
 from .exactnum import FieldElement
 from .gauge import enumerate_labelings, gauge_orbits
-from .graphcalc import (ColoredGraph, CyclicCSet, _canonical_rotation_system,
+from .graphcalc import (ColoredGraph, _canonical_rotation_system,
                         _gram_inverse, _rebased, evaluate_graph, hom_dim)
 
 __all__ = [
@@ -190,10 +190,9 @@ def _link_tensor(cat: GFusionData, lk, colors: tuple) -> dict:
     class_starts, class_entries = stored
     n = len(rotations)
     position = [order.index(v) for v in range(n)]
-    csets = [CyclicCSet((colors[a], 1 if end == 1 else -1) for a, end in rot)
-             for rot in rotations]
-    return _rebased(cat, class_entries, csets, position,
-                    [starts[v] - class_starts[position[v]] for v in range(n)], [0] * n)[1]
+    items = [tuple((colors[a], 1 if end == 1 else -1) for a, end in rot) for rot in rotations]
+    return _rebased(cat, class_entries, items, position,
+                    [starts[v] - class_starts[position[v]] for v in range(n)], [0] * n)
 
 
 def _sigma(sk: Skeleton, labeling, cat: GFusionData, ev: _Evaluator | None = None):

@@ -3,13 +3,16 @@ cone-isomorphism step as a round trip through the word category (a cup in
 front, the state inserted after it, a cap on the first two letters), kept
 unchanged so that the tests can check the closed-form bending step against
 an independent computation.  ``cup`` and ``insert_state`` were methods of
-``HomState`` that nothing else used.  Nothing in ``src/`` imports it.
+``HomState`` (now in ``refsweep``) that nothing else used.  Nothing in
+``src/`` imports it.
 """
 
 from __future__ import annotations
 
 from statesum3d.catdata import GFusionData
-from statesum3d.graphcalc import HomState, InternalError, MultiplicityBasis
+from statesum3d.graphcalc import InternalError, MultiplicityBasis
+
+from refsweep import HomState
 
 
 def cup(state: HomState, p: int, color: int, kind: str) -> HomState:
@@ -68,7 +71,7 @@ def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
     index = {tuple(t): i for i, t in enumerate(target.trees)}
     cols = []
     for s in range(basis.dim()):
-        st = basis.state(s)
+        st = HomState.basis_tree(data, basis.word, basis.trees[s])
         items = basis.anchored.items
         for _ in range(steps):
             items, st = rotate_state_once(data, items, st)

@@ -93,6 +93,8 @@ _S3_2TET = "tets 2\n" + "".join(f"glue 0 {f} 1 {f} 0123\n" for f in range(4))
 
 _DATA = Path(__file__).resolve().parents[1] / "src" / "statesum3d" / "data"
 _S1XS2_SKELETON = (_DATA / "skeletons" / "s1xs2_paper.skel").read_text()
+_SPHERE_CIRCLE_SURFACE = (_DATA / "surfaces" / "sphere_circle_Z2.surf").read_text()
+_FIBONACCI_FILE = (_DATA / "categories" / "fibonacci.cat").read_text()
 
 
 def _skeleton_without(line, message):
@@ -160,6 +162,19 @@ def _bad_location(move, location, form):
     _skeleton_without("arc 0 3 tail 0 head 1 region 1", "missing arc line (0, 3)"),
     _skeleton_without("rot 0 1 i3 i2 o1 o0", "missing rot line (0, 1)"),
     _skeleton_without("vertex 0 gvertices 2 arcs 4", "missing vertex line 0"),
+    (["labelings", "--group", "Z2", "--skeleton"], "bad.skel",
+     _S1XS2_SKELETON.replace("rot 0 1 i3 i2 o1 o0", "rot 0 1 i3 i2 o1 x0"),
+     "bad dart 'x0': expected i<edge> or o<edge>"),
+    (["eval-graph", "--category", "fibonacci", "--graph"], "bad.graph",
+     _THETA_GRAPH.replace("rot 0 o0 o1 o2", "rot 0 z0 o1 o2"), "bad dart 'z0'"),
+    (["hqft-rank", "--category", "vect_Z2_theta1", "--surface"], "bad.surf",
+     _SPHERE_CIRCLE_SURFACE.replace("rot 0 o0 i0", "rot 0 o0 i"), "bad dart 'i'"),
+    (["validate-category", "--category"], "bad.cat",
+     _FIBONACCI_FILE.replace("fusion 1 1 1 1", "fusion 2 1 1 1"),
+     "bad fusion line 'fusion 2 1 1 1': label outside 0..1"),
+    (["invariant", "--triangulation", "l31", "--category"], "bad.cat",
+     _FIBONACCI_FILE.replace("fusion 1 1 1 1", "fusion 2 1 1 1"),
+     "bad fusion line 'fusion 2 1 1 1'"),
 ], ids=["glue-without-permutation", "graph-without-rot-line", "tets-without-count",
         "graph-edge-gap", "graph-short-edge-line", "surface-edge-gap", "cobordism-region-gap",
         "category-cut-in-simple-line", "category-cut-in-group-table",
@@ -170,7 +185,9 @@ def _bad_location(move, location, form):
         "pachner-2-3-integer-location", "pachner-2-3-three-fields",
         "pachner-1-4-pair-location", "pachner-3-2-word-location", "pachner-4-1-empty-location",
         "skeleton-without-arc-line", "skeleton-without-rot-line",
-        "skeleton-without-vertex-line"])
+        "skeleton-without-vertex-line", "skeleton-bad-dart", "graph-bad-dart",
+        "surface-bad-dart", "category-fusion-label-out-of-range",
+        "invariant-with-fusion-label-out-of-range"])
 def test_malformed_input_is_a_domain_error(tmp_path, argv, name, text, message):
     path = tmp_path / name
     path.write_text(text)

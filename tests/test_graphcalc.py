@@ -15,7 +15,6 @@ from statesum3d.exactnum import make_field
 from statesum3d.graphcalc import (
     ColoredGraph,
     CyclicCSet,
-    HomState,
     InternalError,
     MultiplicityBasis,
     PairingData,
@@ -23,7 +22,9 @@ from statesum3d.graphcalc import (
     _bend_first_leg,
     _bend_last_leg,
     _bend_scalar,
+    _box,
     _canonical_rotation_system,
+    _cap,
     evaluate_graph,
     hom_dim,
     pairing_gram,
@@ -34,11 +35,16 @@ from statesum3d.graphcalc import (
 from statesum3d.linalg import identity_matrix, matrix_mul
 
 import refrotation
-from graphutil import grow_random_planar, random_admissible_graph
+import refsweep
+from refsweep import HomState
+from graphutil import color_graph, grow_random_planar, random_admissible_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
 BACKENDS = ["vect_Z2_theta1", "vect_Z3_theta1", "fibonacci", "ising_like"]
+
+DATA = ROOT / "src" / "statesum3d" / "data"
+SHIPPED = sorted(path.stem for path in (DATA / "categories").glob("*.cat"))
 
 
 def _cat(name):
@@ -210,6 +216,102 @@ def test_broken_invariant_is_an_internal_error():
         st.delete_unit(0)
     with pytest.raises(InternalError):
         HomState.empty(fib).insert_tree(0, (0, 1), (1, 0))
+
+
+def test_sweep_checks_raise_per_action():
+    # the table-driven sweep keeps the per-entry sweep's checks, also on an
+    # empty state: a tree off its first letter, an inadmissible split, cap
+    # letters that do not match
+    fib = fibonacci_category()
+    one = {((), ()): fib.field.one()}
+    with pytest.raises(InternalError, match="does not start at letter"):
+        _box(fib, one, 0, (0, 1), [(1, 0)])
+    with pytest.raises(ValueError, match="inadmissible split"):
+        _box(fib, {}, 0, (1, 0), [(1, 0)])
+    with pytest.raises(InternalError, match="meets letters"):
+        _cap(fib, {}, (1, 0), 0, 1, "l")
+    states = _box(fib, one, 0, (1, 1), [(1, 0)])
+    assert states == {((1, 0), (0,)): fib.field.one()}
+    assert _cap(fib, states, (1, 1), 0, 1, "r") == {((), (0,)): fib.rev_scalar(1)}
+
+
+def _sweep_graphs(cat, rnd):
+    """The benchmark's graph pool (read only), with its own colours where
+    they are labels of ``cat`` and recoloured admissibly, and random sphere
+    graphs."""
+    out = []
+    for path in sorted((ROOT / "perfbench" / "graphs").glob("*.graph")):
+        graph = parse_graph(path.read_text())
+        if all(c < cat.n for _, _, c in graph.edges):
+            out.append(graph)
+        colors = color_graph(rnd, cat, graph.nvertices, [e[:2] for e in graph.edges],
+                             graph.rotations)
+        if colors is not None:
+            out.append(ColoredGraph(graph.nvertices,
+                                    [(t, h, c) for (t, h, _), c in zip(graph.edges, colors)],
+                                    graph.rotations))
+    out += [random_admissible_graph(rnd, cat, max_vertices=5) for _ in range(4)]
+    return out
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_table_sweep_matches_per_entry_sweep(name):
+    # every shipped category, every outer face, slot anchors 0 and random
+    # ones: the transfer-table sweep and the per-vertex re-basing against the
+    # per-entry HomState sweep and the dense re-basing loop
+    cat = load_category((DATA / "categories" / f"{name}.cat").read_text())
+    rnd = random.Random(f"table-sweep/{name}")
+    nonzero = 0
+    for graph in _sweep_graphs(cat, rnd):
+        anchored = [VertexTensorSlot(v, rnd.randrange(len(rot)))
+                    for v, rot in enumerate(graph.rotations)]
+        for face in range(len(graph.faces)):
+            for slots in (None, anchored):
+                got = evaluate_graph(cat, graph, slots=slots, outer_face=face)
+                want = refsweep.evaluate_graph(cat, graph, slots=slots, outer_face=face)
+                assert got.dims() == want.dims(), (name, graph.edges, face)
+                assert got.entries == want.entries, (name, graph.edges, face, slots)
+                nonzero += bool(got.entries)
+    assert nonzero
+
+
+def _branch_patterns():
+    """Signed branch lists ``(id, sign)`` of every edge of ``s1xs2_paper``,
+    of every interior edge of the product cylinder over each shipped surface
+    and of every boundary vertex of those surfaces."""
+    from statesum3d.catdata import FiniteGroup
+    from statesum3d.complexes import parse_skeleton
+    from statesum3d.hqft import build_product_cylinder, parse_surface
+
+    sk = parse_skeleton((DATA / "skeletons" / "s1xs2_paper.skel").read_text())
+    patterns = {tuple(sk.edge_branches(eid)) for eid in range(len(sk.edges))}
+    for path in sorted((DATA / "surfaces").glob("*.surf")):
+        surf = parse_surface(path.read_text(), FiniteGroup.cyclic(2))
+        cob = build_product_cylinder(surf)
+        patterns |= {tuple(cob.links[v0].items_at(g0)) for (v0, g0), _ in cob.edges}
+        patterns |= {tuple((e, -1 if end == 1 else 1) for e, end in rot)
+                     for rot in surf.rotations}
+    return sorted(patterns)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_pairing_gram_matches_per_entry_sweep(name):
+    # every colouring of every edge cyclic set of the shipped surfaces and
+    # of s1xs2_paper by the labels of each shipped category
+    cat = load_category((DATA / "categories" / f"{name}.cat").read_text())
+    csets = set()
+    for pattern in _branch_patterns():
+        ids = sorted({r for r, _ in pattern})
+        for colors in product(range(cat.n), repeat=len(ids)):
+            color = dict(zip(ids, colors))
+            csets.add(tuple((color[r], s) for r, s in pattern))
+    nonzero = 0
+    for items in sorted(csets):
+        cs = CyclicCSet(items)
+        gram = PairingData(cat, cs).gram
+        assert gram == refsweep.pairing_gram(cat, cs), (name, items)
+        nonzero += bool(gram) and bool(gram[0])
+    assert nonzero
 
 
 def test_gram_examples():
