@@ -556,6 +556,9 @@ class Skeleton:
         owner = {}
         for eid, ((v0, g0), (v1, g1)) in enumerate(self.edges):
             for key in ((v0, g0), (v1, g1)):
+                v, g = key
+                if not (0 <= v < len(self.links) and 0 <= g < len(self.links[v].rotations)):
+                    raise ValueError(f"edge {eid} end {key} is not a link vertex")
                 if key in owner:
                     raise ValueError(f"link vertex {key} used by two edge ends")
                 owner[key] = eid

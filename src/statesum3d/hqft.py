@@ -354,11 +354,12 @@ def build_sheet_cylinder(bot: SurfaceSkeleton, top: SurfaceSkeleton,
 
 
 def relative_invariant(cob: CobordismSkeleton, cat: GFusionData,
-                       c_bot, c_top):
+                       c_bot, c_top, _ev: _Evaluator | None = None):
     """Tensor of the labeled cobordism for pinned boundary colorings, with
     one free index per boundary vertex (bottom ends then top ends), indexed
     by the tree bases of the corresponding link cyclic sets.  Includes the
-    dim(C_1)^(-|P|) normalization."""
+    dim(C_1)^(-|P|) normalization.  ``_ev`` is an evaluator of ``cob`` with
+    these ends, shared by the blocks of one cobordism."""
     nd = neutral_dimension(cat)
     if nd.is_zero():
         raise ValueError("neutral dimension is zero")
@@ -373,12 +374,8 @@ def relative_invariant(cob: CobordismSkeleton, cat: GFusionData,
         if cat.grade[c] != label:
             return None  # grading obstruction: zero block
         sectors.append([c])
-    ev = _Evaluator(cob, cat, cob.bot_ends + cob.top_ends)
-    out = {}
-    for coloring in ev.colorings(sectors):
-        for key, val in ev.contribution(coloring).items():
-            cur = out.get(key)
-            out[key] = val if cur is None else cur + val
+    ev = _ev or _Evaluator(cob, cat, cob.bot_ends + cob.top_ends)
+    out, _ = ev.total(sectors)
     norm = nd.inv() ** cob.ball_count
     return {k: v * norm for k, v in out.items() if not v.is_zero()}
 
@@ -392,12 +389,13 @@ def _end_colors(cob, cat, c_bot, c_top):
     return coloring
 
 
-def cobordism_map(cob: CobordismSkeleton, cat: GFusionData, c_bot, c_top):
+def cobordism_map(cob: CobordismSkeleton, cat: GFusionData, c_bot, c_top,
+                  _ev: _Evaluator | None = None):
     """Matrix of the cobordism block from the bottom coloring to the top
     coloring, in the south-type tree bases, with the functoriality
     normalization dim(C_1)^(#top faces) / dim(top coloring)."""
     field = cat.field
-    raw = relative_invariant(cob, cat, c_bot, c_top)
+    raw = relative_invariant(cob, cat, c_bot, c_top, _ev=_ev)
     top_surf = cob.top_surface
     # index shapes
     coloring = _end_colors(cob, cat, c_bot, c_top)
@@ -489,11 +487,12 @@ def assemble_block_matrix(cob: CobordismSkeleton, cat: GFusionData):
     n_out = sum(top_dims)
     field = cat.field
     full = [[field.zero() for _ in range(n_in)] for _ in range(n_out)]
+    ev = _Evaluator(cob, cat, cob.bot_ends + cob.top_ends)
     row0 = 0
     for ci, c_top in enumerate(top_cols):
         col0 = 0
         for cj, c_bot in enumerate(bot_cols):
-            block = cobordism_map(cob, cat, c_bot, c_top)
+            block = cobordism_map(cob, cat, c_bot, c_top, _ev=ev)
             for i in range(top_dims[ci]):
                 for j in range(bot_dims[cj]):
                     full[row0 + i][col0 + j] = block[i][j]
@@ -592,6 +591,7 @@ def parse_surface(text: str, group: FiniteGroup) -> SurfaceSkeleton:
     edges = {}
     labels = {}
     rots = {}
+    lines = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -611,13 +611,26 @@ def parse_surface(text: str, group: FiniteGroup) -> SurfaceSkeleton:
         elif toks[0] == "edge":
             edges[int(toks[1])] = (int(toks[2]), int(toks[3]))
             labels[int(toks[1])] = int(toks[5])
+            lines[("edge", int(toks[1]))] = line
         elif toks[0] == "rot":
             v = int(toks[1])
             rots[v] = [_dart(d) for d in toks[2:]]
+            lines[("rot", v)] = line
         else:
             raise ValueError(f"unknown surface key {toks[0]!r}")
     edge_list = _numbered(edges, range(len(edges)), "edge")
     rot_list = _numbered(rots, range(nv), "rot line for vertex")
+    for k, ends in enumerate(edge_list):
+        if not all(0 <= v < nv for v in ends):
+            raise ValueError(f"bad edge line {lines['edge', k]!r}: endpoint outside 0..{nv - 1}")
+        if not 0 <= labels[k] < group.order:
+            raise ValueError(f"bad edge line {lines['edge', k]!r}: "
+                             f"label outside 0..{group.order - 1}")
+    for v, rot in enumerate(rot_list):
+        at_v = [(e, end) for e, ends in enumerate(edge_list) for end in (0, 1) if ends[end] == v]
+        if sorted(rot) != at_v:
+            raise ValueError(f"bad rot line {lines['rot', v]!r}: expected each edge end "
+                             f"at vertex {v} once")
     return SurfaceSkeleton(group, edge_list, rot_list, labels, comps, name=name)
 
 

@@ -13,6 +13,15 @@ the inverse Gram matrix of the duality pairing of its branch cyclic set.
 The same engine evaluates cobordism skeletons for :mod:`statesum3d.hqft`:
 boundary regions get pinned colors and boundary link vertices stay open.
 
+The contraction runs along the enumeration of the colorings, not once per
+coloring.  Regions are colored depth first in index order; a plan made once
+per skeleton applies each factor at the first depth where its colors are
+known: ``dim^chi`` of a region at its own depth (into a scalar folded in at
+the leaf), a vertex's link tensor at the depth of the last region of its
+link, and an edge's inverse Gram matrix as soon as both its end vertices
+have joined.  A coloring shares with its siblings every factor of their
+common prefix.
+
 Link tensors are evaluated once per isomorphism class of colored link and
 category: a link whose colored rotation system has the canonical form of
 one already evaluated (:func:`graphcalc._canonical_rotation_system`) takes
@@ -25,7 +34,6 @@ its vertices and edges are numbered, which holds for spherical data: the
 
 from __future__ import annotations
 import time
-from itertools import product as iproduct
 
 from .catdata import GFusionData, neutral_dimension
 from .complexes import Skeleton
@@ -61,11 +69,33 @@ class _Evaluator:
 
     It reads only ``regions`` (chi first), ``links`` and ``edges``.  The
     link vertices in ``ends`` stay open: a cobordism leaves its boundary
-    ends open, a closed skeleton none.  Colorings are enumerated with
-    edge-admissibility pruning.  Link tensors, edge admissibility per signed
-    colour tuple and ``dim(c)**chi`` per (label, chi) are memoized here;
-    link tensors per isomorphism class (:func:`_link_tensor`) and Gram
-    inverses are memoized on the category.
+    ends open, a closed skeleton none.
+
+    :meth:`total` colors the regions depth first in index order, pruned by
+    edge admissibility, and carries the partial contraction down the search,
+    so colorings that share a prefix share the factors the prefix fixes.
+    The plan, built here once, says which factor is applied at which depth
+    (the depth of region r is r; depth -1 comes before any region):
+
+    * ``dim(c)**chi`` of region r multiplies a prefix scalar at depth r,
+      which is folded into the entries at the leaf;
+    * the link tensor of a vertex joins the state, as an outer product, at
+      the depth of the last region its link meets (-1 if none);
+    * an edge is contracted through the inverse Gram matrix of its branch
+      colors right after the later of its two end vertices joins (vertices
+      join in order of depth, then index).  Its branch regions lie in both
+      end links, so its admissibility was checked by then, and the branch
+      tuple built for that check is kept for the Gram lookup.
+
+    The state is a dict ``{open slot indices: value}``.  ``plan[d + 1]``
+    lists the vertices joining at depth d, each with the edges it completes
+    as (edge, the positions of its two slots, the positions kept), and
+    ``end_positions`` places ``ends`` in the final layout.
+
+    Link tensors, edge admissibility per signed colour tuple and
+    ``dim(c)**chi`` per (label, chi) are memoized here; link tensors per
+    isomorphism class (:func:`_link_tensor`) and Gram inverses are memoized
+    on the category.
     """
 
     def __init__(self, sk, cat: GFusionData, ends=()):
@@ -77,88 +107,109 @@ class _Evaluator:
         self.weight_cache: dict = {}
         self.visited = 0
         # branch list of each edge (end-0 anchored); edges_done_at[r] holds
-        # the edges whose highest region is r, checked once r is colored
+        # the edges whose highest region is r, checked once r is colored;
+        # branch[eid] keeps the colors of the last check
         self.edge_regions = [sk.links[v0].items_at(g0) for (v0, g0), _ in sk.edges]
         self.edges_done_at = [[] for _ in sk.regions]
         for eid, branches in enumerate(self.edge_regions):
             self.edges_done_at[max(r for r, _ in branches)].append(eid)
+        self.branch = [None] * len(sk.edges)
+        joins = [max((r for (_, _, r) in lk.arcs), default=-1) for lk in sk.links]
+        order = sorted(range(len(sk.links)), key=lambda v: (joins[v], v))
+        rank = {v: k for k, v in enumerate(order)}
+        due = [[] for _ in order]
+        for eid, (a, b) in enumerate(sk.edges):
+            due[max(rank[a[0]], rank[b[0]])].append(eid)
+        self.plan = [[] for _ in range(len(sk.regions) + 1)]
+        layout = []
+        for v, edges in zip(order, due):
+            layout.extend((v, g) for g in range(len(sk.links[v].rotations)))
+            contractions = []
+            for eid in edges:
+                p0, p1 = (layout.index(end) for end in sk.edges[eid])
+                kept = tuple(i for i in range(len(layout)) if i not in (p0, p1))
+                contractions.append((eid, p0, p1, kept))
+                layout = [layout[i] for i in kept]
+            self.plan[joins[v] + 1].append((v, tuple(contractions)))
+        self.end_positions = tuple(layout.index(end) for end in self.ends)
 
-    def colorings(self, sectors):
-        """Admissible colorings, one candidate list per region (a pinned
-        region gets a singleton), pruned edge by edge; yields dicts."""
+    def total(self, sectors):
+        """The state sum over the admissible colorings, one candidate list
+        per region (a pinned region gets a singleton), as
+        ``({open end index tuple: value}, admissible colorings)``."""
         self.visited = 0
-        return self._extend(0, sectors, [None] * len(sectors))
+        coloring = [None] * len(sectors)
+        out = {}
+        one = self.cat.field.one()
+        state = self._step(-1, coloring, {(): one})
+        admissible = self._descend(0, sectors, coloring, state, one, out)
+        return out, admissible
 
-    def _extend(self, r, sectors, coloring):
+    def _descend(self, r, sectors, coloring, state, scalar, out):
         if r == len(sectors):
             self.visited += 1
-            yield dict(enumerate(coloring))
-            return
+            for key, val in state.items():
+                key = tuple(key[p] for p in self.end_positions)
+                add = scalar * val
+                cur = out.get(key)
+                out[key] = add if cur is None else cur + add
+            return 1
+        admissible = 0
+        chi = self.sk.regions[r][0]
         for c in sectors[r]:
             coloring[r] = c
             self.visited += 1
-            if all(self._admissible(e, coloring) for e in self.edges_done_at[r]):
-                yield from self._extend(r + 1, sectors, coloring)
+            for e in self.edges_done_at[r]:
+                if not self._admissible(e, coloring):
+                    break
+            else:
+                admissible += self._descend(r + 1, sectors, coloring,
+                                            self._step(r, coloring, state),
+                                            scalar * self._weight(c, chi), out)
         coloring[r] = None
-
-    def _branch_colors(self, eid, coloring):
-        return tuple((coloring[r], s) for (r, s) in self.edge_regions[eid])
+        return admissible
 
     def _admissible(self, eid, coloring):
-        items = self._branch_colors(eid, coloring)
+        items = self.branch[eid] = tuple([(coloring[r], s) for r, s in self.edge_regions[eid]])
         ok = self.admissible_cache.get(items)
         if ok is None:
             ok = self.admissible_cache[items] = hom_dim(self.cat, items) >= 1
         return ok
 
+    def _weight(self, c, chi):
+        power = self.weight_cache.get((c, chi))
+        if power is None:
+            power = self.weight_cache[(c, chi)] = self.cat.dim(c) ** chi
+        return power
+
+    def _step(self, depth, coloring, state):
+        """``state`` with the link tensors joining at ``depth`` multiplied in,
+        each followed by the edges it completes, contracted."""
+        for v, contractions in self.plan[depth + 1]:
+            tensor = self.link_tensor(v, coloring)
+            state = {key + idx: val * t for key, val in state.items()
+                     for idx, t in tensor.items()}
+            for eid, p0, p1, kept in contractions:
+                ginv = _gram_inverse(self.cat, self.branch[eid])
+                nxt = {}
+                for key, val in state.items():
+                    factor = ginv[key[p0]][key[p1]]
+                    if factor.is_zero():
+                        continue
+                    key = tuple([key[i] for i in kept])
+                    add = val * factor
+                    cur = nxt.get(key)
+                    nxt[key] = add if cur is None else cur + add
+                state = nxt
+        return state
+
     def link_tensor(self, v, coloring) -> dict:
         lk = self.sk.links[v]
-        colors = tuple(coloring[r] for (_, _, r) in lk.arcs)
+        colors = tuple([coloring[r] for _, _, r in lk.arcs])
         entries = self.link_cache.get((v, colors))
         if entries is None:
             entries = self.link_cache[(v, colors)] = _link_tensor(self.cat, lk, colors)
         return entries
-
-    def contribution(self, coloring) -> dict:
-        """prod_r dim^chi times the contraction of the link tensors over the
-        edges, for one coloring, as {open end index tuple: value}."""
-        sk, cat = self.sk, self.cat
-        weight = cat.field.one()
-        for r, region in enumerate(sk.regions):
-            key = (coloring[r], region[0])
-            power = self.weight_cache.get(key)
-            if power is None:
-                power = self.weight_cache[key] = cat.dim(key[0]) ** key[1]
-            weight = weight * power
-        tensors = [self.link_tensor(v, coloring) for v in range(len(sk.links))]
-        # state: a tuple of per-vertex index tuples, contracted slots None
-        entries = {}
-        for combo in iproduct(*tensors):
-            val = weight
-            for t, idx in zip(tensors, combo):
-                val = val * t[idx]
-            entries[combo] = val
-        for eid, ((v0, g0), (v1, g1)) in enumerate(sk.edges):
-            ginv = _gram_inverse(cat, self._branch_colors(eid, coloring))
-            nxt = {}
-            for combo, val in entries.items():
-                factor = ginv[combo[v0][g0]][combo[v1][g1]]
-                if factor.is_zero():
-                    continue
-                newcombo = list(combo)
-                for v, g in ((v0, g0), (v1, g1)):
-                    newcombo[v] = newcombo[v][:g] + (None,) + newcombo[v][g + 1:]
-                newcombo = tuple(newcombo)
-                cur = nxt.get(newcombo)
-                add = val * factor
-                nxt[newcombo] = add if cur is None else cur + add
-            entries = nxt
-        out = {}
-        for combo, val in entries.items():
-            key = tuple(combo[v][g] for (v, g) in self.ends)
-            cur = out.get(key)
-            out[key] = val if cur is None else cur + val
-        return out
 
 
 def _link_tensor(cat: GFusionData, lk, colors: tuple) -> dict:
@@ -198,12 +249,10 @@ def _link_tensor(cat: GFusionData, lk, colors: tuple) -> dict:
 def _sigma(sk: Skeleton, labeling, cat: GFusionData, ev: _Evaluator | None = None):
     ev = ev or _Evaluator(sk, cat)
     total = cat.field.zero()
-    admissible = 0
     sectors = [cat.sector(labeling[r]) for r in range(len(sk.regions))]
-    for coloring in ev.colorings(sectors):
-        admissible += 1
-        for val in ev.contribution(coloring).values():
-            total = total + val
+    out, admissible = ev.total(sectors)
+    for val in out.values():
+        total = total + val
     return total, ev.visited, admissible
 
 

@@ -95,6 +95,7 @@ _DATA = Path(__file__).resolve().parents[1] / "src" / "statesum3d" / "data"
 _S1XS2_SKELETON = (_DATA / "skeletons" / "s1xs2_paper.skel").read_text()
 _SPHERE_CIRCLE_SURFACE = (_DATA / "surfaces" / "sphere_circle_Z2.surf").read_text()
 _FIBONACCI_FILE = (_DATA / "categories" / "fibonacci.cat").read_text()
+_TORUS_SURFACE = (_DATA / "surfaces" / "torus_2loop_Z2.surf").read_text()
 
 
 def _skeleton_without(line, message):
@@ -175,6 +176,20 @@ def _bad_location(move, location, form):
     (["invariant", "--triangulation", "l31", "--category"], "bad.cat",
      _FIBONACCI_FILE.replace("fusion 1 1 1 1", "fusion 2 1 1 1"),
      "bad fusion line 'fusion 2 1 1 1'"),
+    (["labelings", "--group", "Z2", "--skeleton"], "bad.skel",
+     _S1XS2_SKELETON.replace("vertices 1", "vertices 0"), "edge 0 end (0, 0) is not a link vertex"),
+    (["hqft-rank", "--category", "vect_Z2_theta1", "--surface"], "bad.surf",
+     _SPHERE_CIRCLE_SURFACE.replace("rot 0 o0 i0", "rot 0 o0"),
+     "bad rot line 'rot 0 o0': expected each edge end at vertex 0 once"),
+    (["hqft-rank", "--category", "vect_Z2_theta1", "--surface"], "bad.surf",
+     _SPHERE_CIRCLE_SURFACE.replace("edge 0 0 0 label 0", "edge 0 0 1 label 0"),
+     "bad edge line 'edge 0 0 1 label 0': endpoint outside 0..0"),
+    (["hqft-rank", "--category", "vect_Z2_theta1", "--surface"], "bad.surf",
+     _SPHERE_CIRCLE_SURFACE.replace("edge 0 0 0 label 0", "edge 0 -1 0 label 0"),
+     "bad edge line 'edge 0 -1 0 label 0': endpoint outside 0..0"),
+    (["hqft-rank", "--category", "vect_Z2_theta1", "--surface"], "bad.surf",
+     _TORUS_SURFACE.replace("edge 1 0 0 label 0", "edge 1 0 0 label 2"),
+     "bad edge line 'edge 1 0 0 label 2': label outside 0..1"),
 ], ids=["glue-without-permutation", "graph-without-rot-line", "tets-without-count",
         "graph-edge-gap", "graph-short-edge-line", "surface-edge-gap", "cobordism-region-gap",
         "category-cut-in-simple-line", "category-cut-in-group-table",
@@ -187,7 +202,9 @@ def _bad_location(move, location, form):
         "skeleton-without-arc-line", "skeleton-without-rot-line",
         "skeleton-without-vertex-line", "skeleton-bad-dart", "graph-bad-dart",
         "surface-bad-dart", "category-fusion-label-out-of-range",
-        "invariant-with-fusion-label-out-of-range"])
+        "invariant-with-fusion-label-out-of-range", "skeleton-edge-end-without-link-vertex",
+        "surface-missing-dart", "surface-endpoint-past-the-end", "surface-negative-endpoint",
+        "surface-label-out-of-range"])
 def test_malformed_input_is_a_domain_error(tmp_path, argv, name, text, message):
     path = tmp_path / name
     path.write_text(text)

@@ -1,0 +1,73 @@
+"""Seeded mutation fuzz of the input parsers, through the command line.
+
+Every shipped skeleton, surface and triangulation file is mutated by line
+deletions and duplications, token deletions and small integer edits, and
+each result is run through ``cli.run``.  Malformed input must end in a
+documented exit code (0, 2 validation, 3 domain, 4 I/O) with at most one
+line on standard error, never in a traceback or an internal error.
+"""
+
+import contextlib
+import io
+import random
+import re
+
+import pytest
+
+from statesum3d.cli import run
+
+from trifiles import DATA
+
+_KINDS = {
+    "skeletons": (["labelings", "--group", "Z2", "--skeleton"], 300),
+    "surfaces": (["hqft-rank", "--category", "vect_Z2_theta1", "--surface"], 80),
+    "triangulations": (["labelings", "--group", "Z2", "--triangulation"], 60),
+}
+
+
+def _mutate(rnd, text):
+    lines = text.splitlines()
+    k = rnd.randrange(len(lines))
+    kind = rnd.choice(["delete line", "duplicate line", "delete token", "edit integer"])
+    if kind == "delete line":
+        del lines[k]
+    elif kind == "duplicate line":
+        lines.insert(k, lines[k])
+    else:
+        toks = lines[k].split()
+        if kind == "edit integer":
+            spots = [i for i, t in enumerate(toks) if re.fullmatch(r"-?\d+", t)]
+            if not spots:
+                return None
+            i = rnd.choice(spots)
+            toks[i] = str(int(toks[i]) + rnd.choice([-1, 1, 2]))
+        elif toks:
+            del toks[rnd.randrange(len(toks))]
+        lines[k] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_mutated_inputs_exit_with_a_documented_code(tmp_path, kind):
+    argv, per_file = _KINDS[kind]
+    files = sorted((DATA / kind).iterdir())
+    rnd = random.Random(f"parser-fuzz/{kind}")
+    path = tmp_path / "mutant"
+    runs = 0
+    for shipped in files:
+        text = shipped.read_text()
+        for _ in range(per_file):
+            mutant = _mutate(rnd, text)
+            if mutant is None:
+                continue
+            path.write_text(mutant)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = run(argv + [str(path)])
+                except Exception as exc:  # the mutant goes into the failure message
+                    raise AssertionError(f"{shipped.name} mutant:\n{mutant}") from exc
+            assert code in (0, 2, 3, 4), (shipped.name, mutant, err.getvalue())
+            assert len(err.getvalue().splitlines()) <= 1, (shipped.name, mutant, err.getvalue())
+            runs += 1
+    assert runs >= len(files) * per_file // 2

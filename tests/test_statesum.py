@@ -14,6 +14,7 @@ from statesum3d.statesum import (
     unnormalized_invariant,
 )
 
+import refstatesum
 from graphutil import color_graph, grow_random_planar
 from trifiles import load_skeleton, load_tri, shipped_names
 
@@ -161,17 +162,23 @@ def test_evaluations_leave_no_reference_cycles():
     # to its category shows up as a cycle too.
     import gc
     from statesum3d.graphcalc import ColoredGraph, evaluate_graph
-    from statesum3d.hqft import build_product_cylinder, builtin_surface, relative_invariant
+    from statesum3d.hqft import (assemble_block_matrix, build_product_cylinder,
+                                 builtin_surface, relative_invariant)
     sk = dual_skeleton(load_tri("l31"))
     rep = _orbit_reps(sk, builtin_category("fibonacci").group)[0][0]
     surf = builtin_surface("torus_fine", builtin_category("ising_like").group)
     cob = build_product_cylinder(surf)
     c = surf.colorings(builtin_category("ising_like"))[0]
+    sphere = build_product_cylinder(builtin_surface("sphere_circle",
+                                                    builtin_category("ising_like").group))
     theta = ColoredGraph(2, [(0, 1, 1), (0, 1, 1), (0, 1, 1)],
                          [[(0, 0), (1, 0), (2, 0)], [(2, 1), (1, 1), (0, 1)]])
     calls = [lambda: closed_invariant(sk, rep, builtin_category("fibonacci")),
              lambda: relative_invariant(cob, builtin_category("ising_like"), c, c),
-             lambda: evaluate_graph(builtin_category("fibonacci"), theta)]
+             lambda: evaluate_graph(builtin_category("fibonacci"), theta),
+             # one evaluator shared by every orbit, and by every block
+             lambda: partition_all_classes(sk, builtin_category("vect_Z3_theta1")),
+             lambda: assemble_block_matrix(sphere, builtin_category("ising_like"))]
     gc.collect()
     gc.disable()
     try:
@@ -180,6 +187,64 @@ def test_evaluations_leave_no_reference_cycles():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _grown(name, moves):
+    from statesum3d.complexes import pachner
+    rnd = random.Random(f"grown/{name}/{moves}")
+    tri = load_tri(name)
+    for _ in range(moves):
+        tri = pachner(tri, "1-4", rnd.randrange(tri.ntets))
+    sk = dual_skeleton(tri)
+    sk.name = f"{name}+{moves}"
+    return sk
+
+
+@pytest.mark.parametrize("category", ["fibonacci", "ising_like", "vect_Z2_theta1",
+                                      "vect_Z3_theta1", "vect_Z4_theta1"])
+def test_contraction_along_the_enumeration_matches_per_coloring_reference(category):
+    # total() carries the partial contraction down the coloring search; the
+    # reference rebuilds the whole product for every coloring.  One evaluator
+    # serves every orbit of a skeleton, as in partition_all_classes.
+    cat = builtin_category(category)
+    skeletons = [dual_skeleton(load_tri(name)) for name in shipped_names()]
+    skeletons += [load_skeleton("s1xs2_paper"), _grown("s3_2tet", 3), _grown("t3_6tet", 2)]
+    for sk in skeletons:
+        ev = _Evaluator(sk, cat)
+        for rep, _ in _orbit_reps(sk, cat.group):
+            sectors = [cat.sector(rep[r]) for r in range(sk.nregions())]
+            out, admissible = ev.total(sectors)
+            want, visited, want_admissible = refstatesum.total(sk, cat, sectors)
+            assert {k: v for k, v in out.items() if not v.is_zero()} == want, sk.name
+            assert (ev.visited, admissible) == (visited, want_admissible), sk.name
+
+
+@pytest.mark.parametrize("category", ["fibonacci", "ising_like", "vect_Z2_theta1"])
+def test_relative_invariant_matches_per_coloring_reference(category):
+    # open ends: every boundary coloring pair of the product cylinder over
+    # each shipped surface, through one evaluator shared by the blocks, as
+    # in assemble_block_matrix
+    from statesum3d.hqft import build_product_cylinder, builtin_surface, relative_invariant
+    cat = builtin_category(category)
+    norm = neutral_dimension(cat).inv()
+    blocks = 0
+    for name in ["sphere_circle", "sphere_fine", "torus_2loop", "torus_fine"]:
+        surf = builtin_surface(name, cat.group)
+        cob = build_product_cylinder(surf)
+        ends = cob.bot_ends + cob.top_ends
+        ev = _Evaluator(cob, cat, ends)
+        cols = surf.colorings(cat)
+        for c_bot in cols:
+            for c_top in cols:
+                got = relative_invariant(cob, cat, c_bot, c_top, _ev=ev)
+                sectors = [cat.sector(label) if pin is None
+                           else [(c_bot if pin[0] == "bot" else c_top)[pin[1]]]
+                           for _, label, pin in cob.regions]
+                want, _, _ = refstatesum.total(cob, cat, sectors, ends)
+                assert got == {k: v * norm ** cob.ball_count for k, v in want.items()}, \
+                    (name, c_bot, c_top)
+                blocks += 1
+    assert blocks >= 4
 
 
 @pytest.mark.parametrize("category", ["fibonacci", "ising_like", "vect_Z3_theta1"])
@@ -196,7 +261,7 @@ def test_memoized_link_tensors_match_direct_evaluation(category):
         checked = set()
         for rep, _ in _orbit_reps(sk, cat.group):
             sectors = [cat.sector(rep[r]) for r in range(sk.nregions())]
-            for coloring in ev.colorings(sectors):
+            for coloring in refstatesum.Enumerator(sk, cat).colorings(sectors):
                 for v, lk in enumerate(sk.links):
                     colors = tuple(coloring[r] for (_, _, r) in lk.arcs)
                     if (v, colors) in checked:
