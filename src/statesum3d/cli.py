@@ -139,14 +139,13 @@ def _cmd_eval_graph(args, rep):
 def _cmd_labelings(args, rep):
     sk = _skeleton_for(args)
     group = catdata.FiniteGroup.by_name(args.group)
-    labs = gauge.enumerate_labelings(sk, group)
-    orbits = gauge.gauge_orbits(sk, group, labs)
-    rep.data["counts"]["labelings"] = len(labs)
+    orbits = gauge.gauge_classes(sk, group)
+    rep.data["counts"]["labelings"] = sum(size for _, size in orbits)
     rep.data["counts"]["orbits"] = len(orbits)
     rows = []
-    for k, (rep_lab, members) in enumerate(orbits):
+    for k, (rep_lab, size) in enumerate(orbits):
         key = " ".join(str(rep_lab[r]) for r in range(sk.nregions()))
-        rows.append(f"orbit {k}: size {len(members)} representative [{key}]")
+        rows.append(f"orbit {k}: size {size} representative [{key}]")
     rep.data["results"]["orbits"] = rows
     return 0
 
@@ -154,18 +153,16 @@ def _cmd_labelings(args, rep):
 def _cmd_invariant(args, rep):
     sk = _skeleton_for(args)
     cat = _load_category(args.category)
-    group = cat.group
-    labs = gauge.enumerate_labelings(sk, group)
-    orbits = gauge.gauge_orbits(sk, group, labs)
+    orbits = gauge.gauge_classes(sk, cat.group)
     rep.data["counts"]["orbits"] = len(orbits)
     wanted = range(len(orbits)) if args.all_orbits else [args.orbit]
     rows = []
     for k in wanted:
         if not (0 <= k < len(orbits)):
             raise _CliError(3, f"orbit index {k} out of range")
-        rep_lab, members = orbits[k]
+        rep_lab, size = orbits[k]
         res = statesum.closed_invariant(sk, rep_lab, cat)
-        rows.append(f"orbit {k}: size {len(members)} value {res.value.to_text()}")
+        rows.append(f"orbit {k}: size {size} value {res.value.to_text()}")
         rep.data["counts"][f"colorings_orbit_{k}"] = res.colorings_admissible
     rep.data["results"]["invariants"] = rows
     return 0

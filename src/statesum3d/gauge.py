@@ -16,6 +16,17 @@ labels, so two labelings share an orbit exactly when their normal forms are
 equal.  The stabiliser of a labeling is the product over components of the
 centralisers of the fixed labels, which gives the orbit size
 ``|G|^balls / prod_c |C_G(f_c)|``.
+
+:func:`gauge_classes`, the path the state sum and the command line take,
+never lists all labelings.  It enumerates only those that are already the
+identity on the tree regions, ``|G|^(balls - components)`` times fewer,
+and keeps one per orbit: the labeling whose fixed labels are, per
+component, their own least conjugate.  The orbit's representative, its
+lexicographically least member, comes from a search over partial gauges
+(:func:`_least_member`), not from the orbit's members.
+:func:`enumerate_labelings` and :func:`gauge_orbits` list every labeling
+and partition such a list; they share the forest and the normal form with
+:func:`gauge_classes`.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ __all__ = [
     "enumerate_labelings",
     "gauge_act",
     "gauge_orbits",
+    "gauge_classes",
 ]
 
 
@@ -51,12 +63,13 @@ def _times_inverse(group: FiniteGroup):
     return tuple(tuple(row[b] for b in group.inverse_table) for row in group.table)
 
 
-def enumerate_labelings(sk: Skeleton, group: FiniteGroup):
-    """All labelings, found by backtracking over regions in index order with
-    the edge conditions checked as soon as they complete.  Deterministic."""
+def _backtrack(sk: Skeleton, group: FiniteGroup, pinned=frozenset()):
+    """Label tuples of all labelings whose ``pinned`` regions are the
+    identity, found by backtracking over regions in index order with the
+    edge conditions checked as soon as they complete.  Deterministic."""
     nreg = len(sk.regions)
     if nreg == 0:
-        return [{}]
+        return [()]
     table, over_inv, ident, n = group.table, _times_inverse(group), group.identity, group.order
     # checks[r]: per edge completed by region r, its branches as
     # (region, table to multiply by that region's label or its inverse)
@@ -66,13 +79,18 @@ def enumerate_labelings(sk: Skeleton, group: FiniteGroup):
                          for r, sign in sk.edge_branches(eid))
         if branches:
             checks[max(r for r, _ in branches)].append(branches)
+    # region r runs through first[r], ..., stop[r] - 1: all of G, or only
+    # the identity when pinned
+    first = [ident if r in pinned else 0 for r in range(nreg)]
+    stop = [ident + 1 if r in pinned else n for r in range(nreg)]
     out = []
-    values = [-1] * nreg
+    values = [f - 1 for f in first]
     last = nreg - 1
     r = 0
     while r >= 0:
         g = values[r] + 1
-        while g < n:
+        end = stop[r]
+        while g < end:
             values[r] = g
             for branches in checks[r]:
                 total = ident
@@ -83,14 +101,20 @@ def enumerate_labelings(sk: Skeleton, group: FiniteGroup):
             else:
                 break
             g += 1
-        if g == n:
-            values[r] = -1
+        if g == end:
+            values[r] = first[r] - 1
             r -= 1
         elif r == last:
-            out.append(dict(enumerate(values)))
+            out.append(tuple(values))
         else:
             r += 1
     return out
+
+
+def enumerate_labelings(sk: Skeleton, group: FiniteGroup):
+    """All labelings, found by backtracking over regions in index order with
+    the edge conditions checked as soon as they complete.  Deterministic."""
+    return [dict(enumerate(key)) for key in _backtrack(sk, group)]
 
 
 def gauge_act(sk: Skeleton, group: FiniteGroup, lam, labeling):
@@ -105,9 +129,9 @@ def gauge_act(sk: Skeleton, group: FiniteGroup, lam, labeling):
 def _ball_forest(sk: Skeleton):
     """Spanning forest of the ball graph, grown breadth-first from the least
     unreached ball.  Returns the tree steps ``(region, ball, new ball,
-    new ball is ball+)`` in the order they reach each ball, and per
-    component the ``(region, ball-, ball+)`` of its non-tree regions in
-    region order."""
+    new ball is ball+)`` in the order they reach each ball, per component
+    the ``(region, ball-, ball+)`` of its non-tree regions in region order,
+    and the component of each ball."""
     adjacent = [[] for _ in range(sk.ball_count)]
     for r, (_, bn, bp) in enumerate(sk.regions):
         adjacent[bn].append((r, bp, True))
@@ -133,7 +157,30 @@ def _ball_forest(sk: Skeleton):
     for r, (_, bn, bp) in enumerate(sk.regions):
         if r not in tree:
             residual[component[bn]].append((r, bn, bp))
-    return steps, residual
+    return steps, residual, component
+
+
+def _conjugations(group: FiniteGroup):
+    """Per group element g, the table of ``x -> g x g^{-1}``."""
+    table, over_inv = group.table, _times_inverse(group)
+    return [tuple(over_inv[table[g][x]][g] for x in group.elements())
+            for g in group.elements()]
+
+
+def _normal_form(conjugations, memo: dict, fixed: tuple):
+    """``(least conjugate, centraliser order, transversal)`` of the label
+    tuple ``fixed`` under simultaneous conjugation: the least of its
+    conjugates, the number of elements fixing it, and one conjugating
+    element per distinct conjugate (the least), a transversal of the left
+    cosets of the centraliser.  Memoized in ``memo``."""
+    hit = memo.get(fixed)
+    if hit is None:
+        by_conjugate = {}
+        for g, c in enumerate(conjugations):
+            by_conjugate.setdefault(tuple(map(c.__getitem__, fixed)), g)
+        hit = memo[fixed] = (min(by_conjugate), len(conjugations) // len(by_conjugate),
+                             tuple(by_conjugate.values()))
+    return hit
 
 
 def gauge_orbits(sk: Skeleton, group: FiniteGroup, labelings):
@@ -147,9 +194,9 @@ def gauge_orbits(sk: Skeleton, group: FiniteGroup, labelings):
     representative, so the partition is independent of input order.
     """
     table, over_inv, n = group.table, _times_inverse(group), group.order
-    steps, residual = _ball_forest(sk)
-    conjugations = [tuple(over_inv[table[g][x]][g] for x in range(n)) for g in range(n)]
-    least_conjugate = {}   # fixed labels -> (least conjugate, centraliser order)
+    steps, residual, _ = _ball_forest(sk)
+    conjugations = _conjugations(group)
+    forms = {}
     lam = [group.identity] * sk.ball_count
     regions = range(len(sk.regions))
     classes = {}           # normal form -> (member keys, members, stabiliser order)
@@ -161,12 +208,9 @@ def gauge_orbits(sk: Skeleton, group: FiniteGroup, labelings):
         stabiliser = 1
         for res in residual:
             fixed = tuple(over_inv[table[lam[bn]][key[r]]][lam[bp]] for r, bn, bp in res)
-            hit = least_conjugate.get(fixed)
-            if hit is None:
-                conjugates = [tuple(map(c.__getitem__, fixed)) for c in conjugations]
-                hit = least_conjugate[fixed] = (min(conjugates), conjugates.count(fixed))
-            form.append(hit[0])
-            stabiliser *= hit[1]
+            least, centraliser, _ = _normal_form(conjugations, forms, fixed)
+            form.append(least)
+            stabiliser *= centraliser
         form = tuple(form)
         cls = classes.get(form)
         if cls is None:
@@ -181,3 +225,112 @@ def gauge_orbits(sk: Skeleton, group: FiniteGroup, labelings):
         rows.append((min(keys), members))
     rows.sort(key=lambda row: row[0])
     return [(dict(enumerate(rep)), members) for rep, members in rows]
+
+
+def _search_plan(sk: Skeleton, component):
+    """Per region in index order, what the least-member search does there:
+    ``(region, free ball, free component, kind, ball-, ball+)``.  A region
+    whose balls are both still unset first sets ``ball-`` to every allowed
+    element (the free ball; the free component is its forest component when
+    no ball of that component is set yet, else None); then the region either
+    fixes its other ball (``kind`` 1: ball+ is set from ball-, 2: ball- from
+    ball+) or, with both balls set, is checked (``kind`` 0)."""
+    assigned = [False] * sk.ball_count
+    seen = set()
+    plan = []
+    for r, (_, bn, bp) in enumerate(sk.regions):
+        free = free_component = None
+        if not (assigned[bn] or assigned[bp]):
+            free = bn
+            if component[bn] not in seen:
+                free_component = component[bn]
+                seen.add(free_component)
+            assigned[bn] = True
+        kind = 0 if assigned[bn] and assigned[bp] else 1 if assigned[bn] else 2
+        assigned[bn] = assigned[bp] = True
+        plan.append((r, free, free_component, kind, bn, bp))
+    return plan
+
+
+def _least_member(group: FiniteGroup, over_inv, plan, ball_count, key, transversals):
+    """The lexicographically least member of the gauge orbit of the labeling
+    ``key``, which is the identity on the forest regions.
+
+    The search runs over regions in index order and keeps every partial
+    gauge (a group element for each ball set so far) that gives the least
+    prefix.  A region with one ball unset takes the least element, which
+    fixes that ball; a region with both balls set keeps the gauges that
+    give its least value.  A gauge and its product with a stabiliser
+    element give the same labeling, so the first ball set in each forest
+    component takes only the transversal of that component's centraliser
+    cosets; all other free balls take every element."""
+    table = group.table
+    to_plus = table[group.inverse_table[0]]        # ball+ = 0^{-1} ball- x
+    gauges = [[None] * ball_count]
+    rep = []
+    for r, free, free_component, kind, bn, bp in plan:
+        x = key[r]
+        if free is not None:
+            options = group.elements() if free_component is None else transversals[free_component]
+            if len(options) == 1:
+                for lam in gauges:
+                    lam[free] = options[0]
+            else:
+                gauges = [lam[:free] + [g] + lam[free + 1:] for lam in gauges for g in options]
+        if kind == 1:
+            for lam in gauges:
+                lam[bp] = to_plus[table[lam[bn]][x]]
+            rep.append(0)
+        elif kind == 2:
+            for lam in gauges:
+                lam[bn] = table[0][over_inv[lam[bp]][x]]
+            rep.append(0)
+        elif len(gauges) == 1:
+            lam = gauges[0]
+            rep.append(over_inv[table[lam[bn]][x]][lam[bp]])
+        else:
+            values = [over_inv[table[lam[bn]][x]][lam[bp]] for lam in gauges]
+            least = min(values)
+            gauges = [lam for lam, v in zip(gauges, values) if v == least]
+            rep.append(least)
+    return tuple(rep)
+
+
+def gauge_classes(sk: Skeleton, group: FiniteGroup):
+    """The gauge orbits of all labelings of ``sk``, as ``[(representative,
+    orbit size)]`` sorted by representative, found without listing them.
+
+    Only the labelings that are the identity on the forest regions of
+    :func:`_ball_forest` are enumerated; every orbit meets them, in one
+    orbit of the residual conjugation (one constant per component).  The
+    labeling whose fixed labels are, per component, their least conjugate
+    stands for the orbit; its size is ``|G|^balls`` over the stabiliser
+    order.  The representative is the orbit's lexicographically least
+    member (:func:`_least_member`), as in :func:`gauge_orbits`, whose rows
+    these equal with each member list replaced by its length.
+    """
+    steps, residual, component = _ball_forest(sk)
+    conjugations = _conjugations(group)
+    over_inv = _times_inverse(group)
+    forms = {}
+    plan = _search_plan(sk, component)
+    fixed_regions = [tuple(r for r, _, _ in res) for res in residual]
+    size = group.order ** sk.ball_count
+    rows = []
+    for key in _backtrack(sk, group, frozenset(r for r, _, _, _ in steps)):
+        stabiliser = 1
+        transversals = []
+        for regions in fixed_regions:
+            fixed = tuple([key[r] for r in regions])
+            least, centraliser, transversal = _normal_form(conjugations, forms, fixed)
+            if fixed != least:
+                break
+            stabiliser *= centraliser
+            transversals.append(transversal)
+        else:
+            # an orbit of one labeling is its own least member
+            rep = key if stabiliser == size else \
+                _least_member(group, over_inv, plan, sk.ball_count, key, transversals)
+            rows.append((rep, size // stabiliser))
+    rows.sort()
+    return [(dict(enumerate(rep)), n) for rep, n in rows]

@@ -182,22 +182,35 @@ class CobordismSkeleton:
 
     def _validate(self):
         owner = {}
-        for eid, (a, b) in enumerate(self.edges):
-            for key in (a, b):
-                if key in owner:
-                    raise ValueError(f"link vertex {key} used twice")
-                owner[key] = ("edge", eid)
-        for side, ends in (("bot", self.bot_ends), ("top", self.top_ends)):
-            for i, key in enumerate(ends):
-                if key in owner:
-                    raise ValueError(f"link vertex {key} used twice")
-                owner[key] = (side, i)
+        ends = [(f"edge {eid} end", key) for eid, e in enumerate(self.edges) for key in e]
+        ends += [(f"{side} end {i}", key)
+                 for side, keys in (("bot", self.bot_ends), ("top", self.top_ends))
+                 for i, key in enumerate(keys)]
+        for what, key in ends:
+            if not (len(key) == 2 and 0 <= key[0] < len(self.links)
+                    and 0 <= key[1] < len(self.links[key[0]].rotations)):
+                raise ValueError(f"{what} {key} is not a link vertex")
+            if key in owner:
+                raise ValueError(f"link vertex {key} used twice")
+            owner[key] = what
         for v, lk in enumerate(self.links):
             for g in range(len(lk.rotations)):
                 if (v, g) not in owner:
                     raise ValueError(f"link vertex ({v},{g}) unattached")
+            for a, (_, _, r) in enumerate(lk.arcs):
+                if not 0 <= r < len(self.regions):
+                    raise ValueError(f"arc {a} of vertex {v} has region {r}, "
+                                     f"outside 0..{len(self.regions) - 1}")
             ColoredGraph(len(lk.rotations), [(t, h, r) for (t, h, r) in lk.arcs],
                          lk.rotations)
+        for r, (_, label, pin) in enumerate(self.regions):
+            if not 0 <= label < self.group.order:
+                raise ValueError(f"region {r} label {label} outside 0..{self.group.order - 1}")
+            if pin is not None:
+                surf = self.bot_surface if pin[0] == "bot" else self.top_surface
+                if not 0 <= pin[1] < len(surf.edges):
+                    raise ValueError(f"region {r} pinned to {pin[0]} edge {pin[1]}, "
+                                     f"outside 0..{len(surf.edges) - 1}")
         for eid, ((v0, g0), (v1, g1)) in enumerate(self.edges):
             items0 = self.links[v0].items_at(g0)
             items1 = self.links[v1].items_at(g1)
@@ -698,6 +711,14 @@ def save_cobordism(cob: CobordismSkeleton) -> str:
     return "\n".join(lines) + "\n"
 
 
+_COBORDISM_FORMS = {
+    "name": "name NAME", "balls": "balls N", "group": "group G", "begin": "begin SIDE_surface",
+    "region": "region I chi X label L pin P", "vertices": "vertices N",
+    "vertex": "vertex V gvertices G arcs A", "arc": "arc V A tail T head H region R",
+    "rot": "rot V G DART...", "edge": "edge E ends V0 G0 V1 G1",
+}
+
+
 def parse_cobordism(text: str, group: FiniteGroup) -> CobordismSkeleton:
     from .complexes import LinkGraph
     lines = text.splitlines()
@@ -719,7 +740,7 @@ def parse_cobordism(text: str, group: FiniteGroup) -> CobordismSkeleton:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        toks = line.split()
+        toks = _fields(line, _COBORDISM_FORMS)
         if toks[0] == "name":
             name = toks[1]
         elif toks[0] == "balls":
@@ -743,7 +764,10 @@ def parse_cobordism(text: str, group: FiniteGroup) -> CobordismSkeleton:
         elif toks[0] == "region":
             pin = None
             if toks[7] != "none":
-                side, e = toks[7].split(":")
+                side, _, e = toks[7].partition(":")
+                if side not in ("bot", "top"):
+                    raise ValueError(f"bad region line {line!r}: expected pin none, "
+                                     "bot:E or top:E")
                 pin = (side, int(e))
             regions[int(toks[1])] = (int(toks[3]), int(toks[5]), pin)
         elif toks[0] == "vertices":
@@ -767,6 +791,8 @@ def parse_cobordism(text: str, group: FiniteGroup) -> CobordismSkeleton:
             top_ends = [tuple(int(x) for x in t.split(".")) for t in toks[1:]]
         else:
             raise ValueError(f"unknown cobordism key {toks[0]!r}")
+    if balls is None:
+        raise ValueError("cobordism file missing balls")
     links = []
     for v, (ng, na) in enumerate(_numbered(sizes, range(nvert), "vertex line")):
         links.append(LinkGraph(_numbered(arcs, [(v, a) for a in range(na)], "arc"),

@@ -38,7 +38,7 @@ import time
 from .catdata import GFusionData, neutral_dimension
 from .complexes import Skeleton
 from .exactnum import FieldElement
-from .gauge import enumerate_labelings, gauge_orbits
+from .gauge import gauge_classes
 from .graphcalc import (ColoredGraph, _canonical_rotation_system,
                         _gram_inverse, _rebased, evaluate_graph, hom_dim)
 
@@ -78,7 +78,8 @@ class _Evaluator:
     (the depth of region r is r; depth -1 comes before any region):
 
     * ``dim(c)**chi`` of region r multiplies a prefix scalar at depth r,
-      which is folded into the entries at the leaf;
+      which is folded into the entries at the leaf (a unit weight, and the
+      scalar while it is one, are not multiplied: they are None);
     * the link tensor of a vertex joins the state, as an outer product, at
       the depth of the last region its link meets (-1 if none);
     * an edge is contracted through the inverse Gram matrix of its branch
@@ -87,7 +88,9 @@ class _Evaluator:
       end links, so its admissibility was checked by then, and the branch
       tuple built for that check is kept for the Gram lookup.
 
-    The state is a dict ``{open slot indices: value}``.  ``plan[d + 1]``
+    The state is a dict ``{open slot indices: value}``, None before the
+    first link tensor joins (the first one becomes the state as it is, not
+    multiplied by one).  ``plan[d + 1]``
     lists the vertices joining at depth d, each with the edges it completes
     as (edge, the positions of its two slots, the positions kept), and
     ``end_positions`` places ``ends`` in the final layout.
@@ -140,17 +143,18 @@ class _Evaluator:
         self.visited = 0
         coloring = [None] * len(sectors)
         out = {}
-        one = self.cat.field.one()
-        state = self._step(-1, coloring, {(): one})
-        admissible = self._descend(0, sectors, coloring, state, one, out)
+        state = self._step(-1, coloring, None)
+        admissible = self._descend(0, sectors, coloring, state, None, out)
         return out, admissible
 
     def _descend(self, r, sectors, coloring, state, scalar, out):
         if r == len(sectors):
             self.visited += 1
+            if state is None:
+                state = {(): self.cat.field.one()}
             for key, val in state.items():
                 key = tuple(key[p] for p in self.end_positions)
-                add = scalar * val
+                add = _times(scalar, val)
                 cur = out.get(key)
                 out[key] = add if cur is None else cur + add
             return 1
@@ -165,7 +169,7 @@ class _Evaluator:
             else:
                 admissible += self._descend(r + 1, sectors, coloring,
                                             self._step(r, coloring, state),
-                                            scalar * self._weight(c, chi), out)
+                                            _times(scalar, self._weight(c, chi)), out)
         coloring[r] = None
         return admissible
 
@@ -177,18 +181,20 @@ class _Evaluator:
         return ok
 
     def _weight(self, c, chi):
-        power = self.weight_cache.get((c, chi))
-        if power is None:
-            power = self.weight_cache[(c, chi)] = self.cat.dim(c) ** chi
-        return power
+        """``dim(c)**chi``, or None when it is one."""
+        key = (c, chi)
+        if key not in self.weight_cache:
+            power = self.cat.dim(c) ** chi
+            self.weight_cache[key] = None if power.is_one() else power
+        return self.weight_cache[key]
 
     def _step(self, depth, coloring, state):
         """``state`` with the link tensors joining at ``depth`` multiplied in,
         each followed by the edges it completes, contracted."""
         for v, contractions in self.plan[depth + 1]:
             tensor = self.link_tensor(v, coloring)
-            state = {key + idx: val * t for key, val in state.items()
-                     for idx, t in tensor.items()}
+            state = tensor if state is None else \
+                {key + idx: val * t for key, val in state.items() for idx, t in tensor.items()}
             for eid, p0, p1, kept in contractions:
                 ginv = _gram_inverse(self.cat, self.branch[eid])
                 nxt = {}
@@ -210,6 +216,11 @@ class _Evaluator:
         if entries is None:
             entries = self.link_cache[(v, colors)] = _link_tensor(self.cat, lk, colors)
         return entries
+
+
+def _times(a, b):
+    """``a * b``, where None stands for one."""
+    return b if a is None else a if b is None else a * b
 
 
 def _link_tensor(cat: GFusionData, lk, colors: tuple) -> dict:
@@ -293,15 +304,13 @@ def partition_all_classes(sk: Skeleton, cat: GFusionData) -> PartitionTable:
     """Per-orbit invariant table plus the aggregate
     |G|^(-|P|) * sum over all labelings of the invariant."""
     group = cat.group
-    labelings = enumerate_labelings(sk, group)
-    orbits = gauge_orbits(sk, group, labelings)
     ev = _Evaluator(sk, cat)
     field = cat.field
     rows = []
     total = field.zero()
-    for rep, members in orbits:
+    for rep, size in gauge_classes(sk, group):
         value = closed_invariant(sk, rep, cat, _ev=ev).value
-        rows.append((rep, len(members), value))
-        total = total + value * field.rational(len(members))
+        rows.append((rep, size, value))
+        total = total + value * field.rational(size)
     aggregate = total * field.rational(group.order).inv() ** sk.ball_count
     return PartitionTable(rows, aggregate, group.order, sk.ball_count)

@@ -312,6 +312,48 @@ def test_cobordism_map_command(tmp_path):
     assert code == 0 and "matrix" in out
 
 
+def _cylinder_text():
+    from statesum3d.catdata import FiniteGroup
+    from statesum3d.hqft import build_product_cylinder, builtin_surface, save_cobordism
+    return save_cobordism(build_product_cylinder(builtin_surface("sphere_circle",
+                                                                 FiniteGroup.cyclic(2))))
+
+
+@pytest.mark.parametrize("line, edited, message", [
+    ("name cyl(sphere_circle->sphere_circle)", "name",
+     "bad name line 'name': expected 'name NAME'"),
+    ("balls 4", "balls", "bad balls line 'balls': expected 'balls N'"),
+    ("balls 4", None, "cobordism file missing balls"),
+    ("region 2 chi 1 label 0 pin none", "region 2 chi 1 label 0 pin",
+     "bad region line 'region 2 chi 1 label 0 pin': expected"),
+    ("region 0 chi 1 label 0 pin bot:0", "region 0 chi 1 label 0 pin side:0",
+     "bad region line 'region 0 chi 1 label 0 pin side:0': expected pin none"),
+    ("region 0 chi 1 label 0 pin bot:0", "region 0 chi 1 label 0 pin bot:1",
+     "region 0 pinned to bot edge 1, outside 0..0"),
+    ("region 2 chi 1 label 0 pin none", "region 2 chi 1 label 2 pin none",
+     "region 2 label 2 outside 0..1"),
+    ("arc 0 4 tail 2 head 3 region 2", "arc 0 4 tail 2 head 3",
+     "bad arc line 'arc 0 4 tail 2 head 3': expected"),
+    ("arc 0 4 tail 2 head 3 region 2", "arc 0 4 tail 2 head 3 region 4",
+     "arc 4 of vertex 0 has region 4, outside 0..3"),
+    ("edge 0 ends 0 2 0 3", "edge 0 ends 0 2 0 4", "edge 0 end (0, 4) is not a link vertex"),
+    ("vertices 1", None, "edge 0 end (0, 2) is not a link vertex"),
+    ("top_ends 0.1", "top_ends 0", "top end 0 (0,) is not a link vertex"),
+], ids=["short-name", "short-balls", "missing-balls", "short-region", "bad-pin-side",
+        "pin-past-the-end", "label-out-of-range", "short-arc", "arc-region-past-the-end",
+        "edge-end-without-link-vertex", "missing-vertices-line", "end-without-gvertex"])
+def test_malformed_cobordism_is_a_domain_error(tmp_path, line, edited, message):
+    lines = _cylinder_text().splitlines()
+    assert lines.count(line) == 1
+    path = tmp_path / "cyl.cob"
+    path.write_text("".join(f"{edited if ln == line else ln}\n" for ln in lines
+                            if ln != line or edited is not None))
+    code, out, err = _run(["cobordism-map", "--category", "vect_Z2_theta1",
+                           "--cobordism", str(path)])
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+    assert message in err
+
+
 def test_json_flag_and_reproducibility():
     argv = ["--json", "partition", "--triangulation", "l31",
             "--category", "vect_Z3_theta1"]

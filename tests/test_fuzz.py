@@ -1,6 +1,7 @@
 """Seeded mutation fuzz of the input parsers, through the command line.
 
-Every shipped skeleton, surface and triangulation file is mutated by line
+Every shipped skeleton, surface and triangulation file, and the cobordism
+file of the product cylinder over each shipped surface, is mutated by line
 deletions and duplications, token deletions and small integer edits, and
 each result is run through ``cli.run``.  Malformed input must end in a
 documented exit code (0, 2 validation, 3 domain, 4 I/O) with at most one
@@ -14,15 +15,27 @@ import re
 
 import pytest
 
+from statesum3d.catdata import FiniteGroup
 from statesum3d.cli import run
+from statesum3d.hqft import build_product_cylinder, parse_surface, save_cobordism
 
 from trifiles import DATA
 
 _KINDS = {
+    "cobordisms": (["cobordism-map", "--category", "vect_Z2_theta1", "--cobordism"], 100),
     "skeletons": (["labelings", "--group", "Z2", "--skeleton"], 300),
     "surfaces": (["hqft-rank", "--category", "vect_Z2_theta1", "--surface"], 80),
     "triangulations": (["labelings", "--group", "Z2", "--triangulation"], 60),
 }
+
+
+def _originals(kind):
+    """``(name, text)`` of the inputs mutated for ``kind``."""
+    if kind == "cobordisms":
+        z2 = FiniteGroup.cyclic(2)
+        return [(f"{p.stem}.cob", save_cobordism(build_product_cylinder(parse_surface(p.read_text(), z2))))
+                for p in sorted((DATA / "surfaces").iterdir())]
+    return [(p.name, p.read_text()) for p in sorted((DATA / kind).iterdir())]
 
 
 def _mutate(rnd, text):
@@ -50,12 +63,11 @@ def _mutate(rnd, text):
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_mutated_inputs_exit_with_a_documented_code(tmp_path, kind):
     argv, per_file = _KINDS[kind]
-    files = sorted((DATA / kind).iterdir())
+    originals = _originals(kind)
     rnd = random.Random(f"parser-fuzz/{kind}")
     path = tmp_path / "mutant"
     runs = 0
-    for shipped in files:
-        text = shipped.read_text()
+    for name, text in originals:
         for _ in range(per_file):
             mutant = _mutate(rnd, text)
             if mutant is None:
@@ -66,8 +78,8 @@ def test_mutated_inputs_exit_with_a_documented_code(tmp_path, kind):
                 try:
                     code = run(argv + [str(path)])
                 except Exception as exc:  # the mutant goes into the failure message
-                    raise AssertionError(f"{shipped.name} mutant:\n{mutant}") from exc
-            assert code in (0, 2, 3, 4), (shipped.name, mutant, err.getvalue())
-            assert len(err.getvalue().splitlines()) <= 1, (shipped.name, mutant, err.getvalue())
+                    raise AssertionError(f"{name} mutant:\n{mutant}") from exc
+            assert code in (0, 2, 3, 4), (name, mutant, err.getvalue())
+            assert len(err.getvalue().splitlines()) <= 1, (name, mutant, err.getvalue())
             runs += 1
-    assert runs >= len(files) * per_file // 2
+    assert runs >= len(originals) * per_file // 2

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from statesum3d.catdata import FiniteGroup
-from statesum3d.complexes import dual_skeleton, pachner
+from statesum3d.complexes import LinkGraph, Skeleton, dual_skeleton, pachner
 from statesum3d.gauge import (
     enumerate_labelings,
     gauge_act,
+    gauge_classes,
     gauge_orbits,
     labeling_valid,
 )
@@ -146,3 +147,103 @@ def test_list_missing_an_orbit_member_is_rejected(name, group):
     labs.remove(members[-1])
     with pytest.raises(ValueError, match="not closed under the gauge action"):
         gauge_orbits(sk, group, labs)
+
+
+def _grown(base, moves, seed):
+    tri = load_tri(base)
+    rnd = random.Random(seed)
+    for _ in range(moves):
+        tri = pachner(tri, "1-4", rnd.randrange(tri.ntets))
+    return dual_skeleton(tri)
+
+
+def _renumbered(sk, order):
+    """``sk`` with region ``order[k]`` renumbered k."""
+    new = {r: k for k, r in enumerate(order)}
+    links = [LinkGraph([(t, h, new[r]) for t, h, r in lk.arcs], lk.rotations)
+             for lk in sk.links]
+    return Skeleton([sk.regions[r] for r in order], sk.ball_count, links, sk.edges)
+
+
+def _disjoint_union(a, b):
+    """The skeleton of the disjoint union; the parts of ``b`` follow those of ``a``."""
+    nr, nb, nv = len(a.regions), a.ball_count, len(a.links)
+    regions = a.regions + [(chi, bn + nb, bp + nb) for chi, bn, bp in b.regions]
+    links = a.links + [LinkGraph([(t, h, r + nr) for t, h, r in lk.arcs], lk.rotations)
+                       for lk in b.links]
+    edges = a.edges + [tuple((v + nv, g) for v, g in e) for e in b.edges]
+    return Skeleton(regions, nb + b.ball_count, links, edges)
+
+
+def _relabelled(group, perm):
+    """``group`` with element x renamed perm[x]."""
+    back = {p: x for x, p in enumerate(perm)}
+    n = group.order
+    return FiniteGroup([[perm[group.table[back[a]][back[b]]] for b in range(n)]
+                        for a in range(n)], name=group.name)
+
+
+def _skeleton(name):
+    """A shipped skeleton; ``base+N`` is ``base`` after N seeded 1-4 moves,
+    ``union`` is rp3 beside the paper S1xS2, and ``shuffled X`` is X with
+    its regions in a seeded random order."""
+    if name.startswith("shuffled "):
+        sk = _skeleton(name[len("shuffled "):])
+        order = list(range(len(sk.regions)))
+        random.Random(name).shuffle(order)
+        return _renumbered(sk, order)
+    if name == "union":
+        return _disjoint_union(dual_skeleton(load_tri("rp3")), load_skeleton("s1xs2_paper"))
+    if name == "s1xs2_paper":
+        return load_skeleton(name)
+    if "+" in name:
+        base, moves = name.split("+")
+        return _grown(base, int(moves), f"gauge-classes/{name}")
+    return dual_skeleton(load_tri(name))
+
+
+def _reference_classes(sk, group):
+    labs = refgauge.enumerate_labelings(sk, group)
+    return [(rep, len(members)) for rep, members in refgauge.gauge_orbits(sk, group, labs)]
+
+
+_S3 = FiniteGroup.symmetric(3)
+# cases whose reference lists at most about 2,000 labelings
+_CLASS_CASES = [(name, group) for name in shipped_names() + ["s1xs2_paper"] for group in _GROUPS]
+_CLASS_CASES += [("s3_2tet+3", FiniteGroup.cyclic(2)), ("s3_2tet+3", FiniteGroup.cyclic(3)),
+                 ("t3_6tet+2", FiniteGroup.cyclic(2)), ("t3_6tet+2", FiniteGroup.cyclic(3)),
+                 ("t3_6tet+2", FiniteGroup.cyclic(4)), ("t3_6tet+2", _S3),
+                 ("shuffled union", _S3), ("shuffled union", FiniteGroup.cyclic(4)),
+                 ("shuffled s3_2tet+2", FiniteGroup.cyclic(4)),
+                 ("shuffled t3_6tet+2", FiniteGroup.cyclic(4)),
+                 ("shuffled l41+2", FiniteGroup.cyclic(4)), ("shuffled l41+2", _S3)]
+
+
+@pytest.mark.parametrize("name, group", _CLASS_CASES,
+                         ids=[f"{name}-{group.name}" for name, group in _CLASS_CASES])
+def test_gauge_classes_match_reference(name, group):
+    sk = _skeleton(name)
+    assert gauge_classes(sk, group) == _reference_classes(sk, group)
+
+
+@pytest.mark.parametrize("name, group", [
+    ("t3_6tet", _S3), ("s3_2tet", _S3), ("shuffled union", _S3),
+    ("shuffled t3_6tet+2", FiniteGroup.cyclic(4)), ("shuffled l41+2", _S3)])
+def test_gauge_classes_with_identity_not_first(name, group):
+    # the elements renamed so that the identity is not element 0
+    group = _relabelled(group, [3, 0, 2, 1, 5, 4][:group.order])
+    assert group.identity != 0
+    sk = _skeleton(name)
+    assert gauge_classes(sk, group) == _reference_classes(sk, group)
+
+
+@pytest.mark.parametrize("moves, group, classes", [
+    (8, FiniteGroup.cyclic(3), 1), (5, _S3, 1), (3, FiniteGroup.cyclic(4), 1)])
+def test_gauge_classes_of_grown_spheres(moves, group, classes):
+    # far past what listing every labeling allows: one class, whose
+    # stabiliser is the constant gauges
+    sk = _grown("s3_2tet", moves, f"gauge-classes/{moves}")
+    rows = gauge_classes(sk, group)
+    assert len(rows) == classes
+    assert rows[0] == ({r: group.identity for r in range(sk.nregions())},
+                       group.order ** (sk.ball_count - 1))
