@@ -46,7 +46,7 @@ from .complexes import (
     save_triangulation,
 )
 from .exactnum import FieldElement, FieldSpec, arith, make_field, root_of_unity
-from .gauge import enumerate_labelings, gauge_act, gauge_orbits
+from .gauge import enumerate_labelings, gauge_act, gauge_classes, gauge_orbits
 from .graphcalc import (
     ColoredGraph,
     CyclicCSet,

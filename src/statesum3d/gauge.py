@@ -265,7 +265,9 @@ def _least_member(group: FiniteGroup, over_inv, plan, ball_count, key, transvers
     component takes only the transversal of that component's centraliser
     cosets; all other free balls take every element."""
     table = group.table
-    to_plus = table[group.inverse_table[0]]        # ball+ = 0^{-1} ball- x
+    # a region with one ball unset takes the least element, 0:
+    # ball+ = 0^{-1} ball- x, or ball- = 0 ball+ x^{-1}
+    to_plus, to_minus = table[group.inverse_table[0]], table[0]
     gauges = [[None] * ball_count]
     rep = []
     for r, free, free_component, kind, bn, bp in plan:
@@ -283,7 +285,7 @@ def _least_member(group: FiniteGroup, over_inv, plan, ball_count, key, transvers
             rep.append(0)
         elif kind == 2:
             for lam in gauges:
-                lam[bn] = table[0][over_inv[lam[bp]][x]]
+                lam[bn] = to_minus[over_inv[lam[bp]][x]]
             rep.append(0)
         elif len(gauges) == 1:
             lam = gauges[0]
