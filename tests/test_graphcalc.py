@@ -30,6 +30,7 @@ from statesum3d.graphcalc import (
     pairing_gram,
     parse_graph,
     rotation_matrix,
+    save_graph,
     tree_paths,
 )
 from statesum3d.linalg import identity_matrix, matrix_mul
@@ -252,6 +253,18 @@ def _sweep_graphs(cat, rnd):
                                     graph.rotations))
     out += [random_admissible_graph(rnd, cat, max_vertices=5) for _ in range(4)]
     return out
+
+
+def test_graph_file_roundtrip_reaches_a_fixed_point():
+    # parsing re-sorts face corners, so a file written by hand need not come
+    # back byte for byte; what the writer writes must
+    rnd = random.Random("graph-file-roundtrip")
+    cat = builtin_category("fibonacci")
+    texts = [path.read_text() for path in sorted((ROOT / "perfbench" / "graphs").glob("*.graph"))]
+    texts += [save_graph(random_admissible_graph(rnd, cat)) for _ in range(8)]
+    for text in texts:
+        once = save_graph(parse_graph(text))
+        assert save_graph(parse_graph(once)) == once
 
 
 @pytest.mark.parametrize("name", SHIPPED)

@@ -23,7 +23,7 @@ from statesum3d.hqft import (
 from statesum3d.linalg import matrix_mul
 from statesum3d.statesum import closed_invariant
 
-from trifiles import load_tri
+from trifiles import DATA, load_tri
 
 TRIV = FiniteGroup.trivial()
 Z2 = FiniteGroup.cyclic(2)
@@ -165,6 +165,36 @@ def test_torus_cylinder_grading_diagonal():
     assert len(cols) == 1  # pointed: one simple per grade
     matrix, *_ = assemble_block_matrix(cob, cat)
     assert matrix == cylinder_projector(surf, cat).matrix
+
+
+_SURFACE_FILES = sorted((DATA / "surfaces").iterdir())
+
+
+@pytest.mark.parametrize("path", _SURFACE_FILES, ids=lambda p: p.stem)
+def test_surface_file_roundtrip(path):
+    text = path.read_text()
+    assert save_surface(parse_surface(text, Z2)) == text
+
+
+def _cylinders():
+    """Product cylinders of the shipped surfaces and the sheet cylinders of
+    their shipped refinements, both ways."""
+    surf = {p.stem.removesuffix("_Z2"): parse_surface(p.read_text(), Z2) for p in _SURFACE_FILES}
+    out = {f"product-{name}": build_product_cylinder(s) for name, s in surf.items()}
+    for coarse, fine in [("sphere_circle", "sphere_fine"), ("torus_2loop", "torus_fine")]:
+        parent = refinement_parent(fine)
+        out[f"up-{fine}"] = build_sheet_cylinder(surf[coarse], surf[fine], parent, True)
+        out[f"down-{fine}"] = build_sheet_cylinder(surf[fine], surf[coarse], parent, False)
+    return out
+
+
+_CYLINDERS = _cylinders()
+
+
+@pytest.mark.parametrize("name", sorted(_CYLINDERS))
+def test_cobordism_file_roundtrip(name):
+    text = save_cobordism(_CYLINDERS[name])
+    assert save_cobordism(parse_cobordism(text, Z2)) == text
 
 
 def test_file_roundtrips():
