@@ -33,6 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+from . import records
 from .exactnum import FieldElement, FieldSpec, make_field, root_of_unity
 from .linalg import matrix_inverse
 
@@ -862,112 +863,69 @@ def save_category(data: GFusionData) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SIMPLE_KEYS = ("name", "grade", "dual", "dim_l", "dim_r", "pivotal")
+_CATEGORY = records.Format(
+    "category", ("name NAME", "field JSON...", "group table N:", "group GROUP", "simples N",
+                 "simple I name NAME grade G dual D dim_l VALUE dim_r VALUE pivotal VALUE",
+                 "fusion I J K M", "fsym A B C D E F VALUE"),
+    numbered={"simple": 1, "fusion": 3, "fsym": 6})
+
+
+def _group_table(n: int, rows) -> FiniteGroup:
+    """The group of a ``group table N`` block: N rows of N elements 0..N-1."""
+    if len(rows) < n:
+        raise ValueError(f"group table ends after {len(rows)} of {n} rows")
+    table = []
+    for row in rows:
+        cells = row.split()
+        if len(table) == n or len(cells) != n or not all(c.isdecimal() and int(c) < n
+                                                         for c in cells):
+            raise ValueError(f"bad group table row {row!r}: expected {n} rows "
+                             f"of {n} elements of 0..{n - 1}")
+        table.append([int(c) for c in cells])
+    return FiniteGroup(table)
 
 
 def load_category(text: str) -> GFusionData:
-    lines = [ln.rstrip() for ln in text.splitlines()]
-    idx = 0
-    name = "category"
-    field = None
-    group = None
-    nsimples = None
-    names = {}
-    grade = {}
-    dual = {}
-    dim_l = {}
-    dim_r = {}
-    pivotal = {}
-    triples = {}
-    fsym_raw = []
+    recs = _CATEGORY.read(text)
 
-    def next_line():
-        nonlocal idx
-        while idx < len(lines) and (not lines[idx].strip() or lines[idx].lstrip().startswith("#")):
-            idx += 1
-        if idx >= len(lines):
-            return None
-        ln = lines[idx]
-        idx += 1
-        return ln
+    def required(key):
+        value = recs.get(key)
+        if value is None:
+            raise ValueError(f"category file has no {key} line")
+        return value
 
-    while True:
-        ln = next_line()
-        if ln is None:
-            break
-        parts = ln.split(None, 1)
-        key = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
-        if key == "name":
-            name = rest.strip()
-        elif key == "field":
-            try:
-                field = FieldSpec.from_text(rest)
-            except ValueError as exc:
-                raise ValueError(f"bad field line {ln.strip()!r}: {exc}") from None
-        elif key == "group":
-            toks = rest.split()
-            if not toks or (toks[0] == "table" and len(toks) < 2):
-                raise ValueError(f"incomplete group line {ln.strip()!r}")
-            if toks[0] == "table":
-                n = int(toks[1])
-                rows = []
-                for _ in range(n):
-                    row_ln = next_line()
-                    if row_ln is None:
-                        raise ValueError(f"group table ends after {len(rows)} of {n} rows")
-                    rows.append([int(x) for x in row_ln.split()])
-                group = FiniteGroup(rows)
-            else:
-                group = FiniteGroup.by_name(toks[0])
-        elif key == "simples":
-            nsimples = int(rest)
-        elif key == "simple":
-            toks = ln.split()
-            kv = dict(zip(toks[2::2], toks[3::2]))
-            missing = [k for k in _SIMPLE_KEYS if k not in kv]
-            if missing:
-                raise ValueError(f"incomplete simple line {ln.strip()!r}: no {missing[0]}")
-            if field is None:
-                raise ValueError(f"no field line before {ln.strip()!r}")
-            i = int(toks[1])
-            names[i] = kv["name"]
-            grade[i] = int(kv["grade"])
-            dual[i] = int(kv["dual"])
-            dim_l[i] = FieldElement.from_text(field, kv["dim_l"])
-            dim_r[i] = FieldElement.from_text(field, kv["dim_r"])
-            pivotal[i] = FieldElement.from_text(field, kv["pivotal"])
-        elif key == "fusion":
-            toks = rest.split()
-            if len(toks) < 3:
-                raise ValueError(f"incomplete fusion line {ln.strip()!r}")
-            i, j, k = int(toks[0]), int(toks[1]), int(toks[2])
-            mult = int(toks[3]) if len(toks) > 3 else 1
-            if mult != 1:
-                raise ValueError("fusion multiplicities > 1 are not supported in v1")
-            triples[(i, j, k)] = ln.strip()
-        elif key == "fsym":
-            toks = rest.split(None, 6)
-            if len(toks) < 7:
-                raise ValueError(f"incomplete fsym line {ln.strip()!r}")
-            a, b, c, d, e, f = (int(t) for t in toks[:6])
-            fsym_raw.append(((a, b, c, d, e, f), toks[6]))
-        else:
-            raise ValueError(f"unknown category file key {key!r}")
-    if field is None or group is None or nsimples is None:
-        raise ValueError("category file missing field, group, or simples")
-    fsym = {k: FieldElement.from_text(field, v) for k, v in fsym_raw}
-    order = range(nsimples)
-    missing = [i for i in order if i not in names]
-    if missing:
-        raise ValueError(f"missing simple line for simple {missing[0]}")
-    for triple, ln in triples.items():
-        if any(x not in order for x in triple):
-            raise ValueError(f"bad fusion line {ln!r}: label outside 0..{nsimples - 1}")
-    return GFusionData(field, group, [names[i] for i in order],
-                       [grade[i] for i in order], [dual[i] for i in order], triples,
-                       fsym, [dim_l[i] for i in order], [dim_r[i] for i in order],
-                       [pivotal[i] for i in order], name=name)
+    def element(key, number, value):
+        try:
+            return FieldElement.from_text(field, value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise recs.bad(key, number, exc) from None
+
+    spec = required("field")
+    try:
+        field = FieldSpec.from_text(spec)
+    except ValueError as exc:
+        raise recs.bad("field", (), exc) from None
+    group = required("group")
+    group = _group_table(*group) if isinstance(group, tuple) else FiniteGroup.by_name(group)
+    n = required("simples")
+    simples = recs.numbered("simple", range(n), "simple line for simple")
+    for i, (_, grade, dual, *_) in enumerate(simples):
+        if not 0 <= grade < group.order:
+            raise recs.bad("simple", i, f"grade outside 0..{group.order - 1}")
+        if not 0 <= dual < n:
+            raise recs.bad("simple", i, f"dual outside 0..{n - 1}")
+    for triple, mult in recs.items("fusion"):
+        if any(x not in range(n) for x in triple):
+            raise recs.bad("fusion", triple, f"label outside 0..{n - 1}")
+        if mult != 1:
+            raise recs.bad("fusion", triple, "fusion multiplicities > 1 are not supported in v1")
+    fsym = {key: element("fsym", key, value) for key, value in recs.items("fsym")}
+    dims = [[element("simple", i, value) for value in values[3:]]
+            for i, values in enumerate(simples)]
+    return GFusionData(field, group, [s[0] for s in simples], [s[1] for s in simples],
+                       [s[2] for s in simples], [triple for triple, _ in recs.items("fusion")],
+                       fsym, [d[0] for d in dims], [d[1] for d in dims], [d[2] for d in dims],
+                       name=recs.get("name", "category"))
 
 
 _BUILTIN_BUILDERS = {}

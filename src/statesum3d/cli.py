@@ -64,17 +64,20 @@ class _CliError(Exception):
         self.code = code
 
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _CliError(4, f"cannot read {path}: {exc}") from None
+
+
 def _data_text(kind: str, name: str) -> str:
     """Load an input by shipped name or by path."""
     if os.path.exists(name):
-        try:
-            with open(name) as fh:
-                return fh.read()
-        except OSError as exc:
-            raise _CliError(4, f"cannot read {name}: {exc}") from None
-    sub = {"triangulation": "triangulations", "skeleton": "skeletons",
-           "surface": "surfaces"}[kind]
-    suffix = {"triangulation": ".tri", "skeleton": ".skel", "surface": ".surf"}[kind]
+        return _read_file(name)
+    sub, suffix = {"triangulation": ("triangulations", ".tri"), "skeleton": ("skeletons", ".skel"),
+                   "surface": ("surfaces", ".surf")}[kind]
     try:
         root = resources.files("statesum3d").joinpath("data", sub, name + suffix)
         return root.read_text()
@@ -84,11 +87,7 @@ def _data_text(kind: str, name: str) -> str:
 
 def _load_category(name: str) -> catdata.GFusionData:
     if os.path.exists(name):
-        try:
-            with open(name) as fh:
-                return catdata.load_category(fh.read())
-        except OSError as exc:
-            raise _CliError(4, str(exc)) from None
+        return catdata.load_category(_read_file(name))
     try:
         return catdata.builtin_category(name)
     except ValueError:
@@ -120,13 +119,13 @@ def _cmd_validate_category(args, rep):
 
 def _cmd_eval_graph(args, rep):
     cat = _load_category(args.category)
-    try:
-        with open(args.graph) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _CliError(4, str(exc)) from None
+    text = _read_file(args.graph)
     rep.digest("graph", text)
     graph = graphcalc.parse_graph(text)
+    for k, (_, _, color) in enumerate(graph.edges):
+        if not 0 <= color < cat.n:
+            raise ValueError(f"graph edge {k} has color {color}, not a simple 0..{cat.n - 1} "
+                             f"of {cat.name}")
     tensor = graphcalc.evaluate_graph(cat, graph, outer_face=args.outer_face)
     rep.data["counts"]["vertices"] = graph.nvertices
     rep.data["counts"]["entries"] = len(tensor.entries)
@@ -246,11 +245,7 @@ def _cmd_hqft_rank(args, rep):
 
 def _cmd_cobordism_map(args, rep):
     cat = _load_category(args.category)
-    try:
-        with open(args.cobordism) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _CliError(4, str(exc)) from None
+    text = _read_file(args.cobordism)
     rep.digest("cobordism", text)
     cob = hqft.parse_cobordism(text, cat.group)
     matrix, bot_cols, bot_dims, top_cols, top_dims = hqft.assemble_block_matrix(cob, cat)

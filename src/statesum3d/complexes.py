@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .graphcalc import ColoredGraph, InternalError, _dart, _fields, _numbered
+from . import records
+from .graphcalc import ColoredGraph, InternalError
 
 __all__ = [
     "Triangulation",
@@ -245,39 +246,28 @@ _CLOCKWISE = {
 }
 
 
-_TRIANGULATION_FORMS = {"tets": "tets N", "glue": "glue t f t' f' PPPP"}
+_TRIANGULATION = records.Format("triangulation", ("tets N", "glue T F T2 F2 PPPP"),
+                                numbered={"glue": 2})
 
 
 def parse_triangulation(text: str) -> Triangulation:
     """Parse the triangulation file format: ``tets N`` then lines
-    ``glue t f t' f' PPPP`` with PPPP the images of vertices 0..3."""
-    ntets = None
-    glues = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = _fields(line, _TRIANGULATION_FORMS)
-        if toks[0] == "tets":
-            ntets = int(toks[1])
-            if ntets < 1:
-                raise ValueError(f"bad tets line {line!r}: expected N >= 1")
-        elif toks[0] == "glue":
-            glues.append((line, toks))
-        else:
-            raise ValueError(f"unknown triangulation key {toks[0]!r}")
+    ``glue T F T2 F2 PPPP`` with PPPP the images of vertices 0..3."""
+    recs = _TRIANGULATION.read(text)
+    ntets = recs.get("tets")
     if ntets is None:
         raise ValueError("missing tets line")
+    if ntets < 1:
+        raise recs.bad("tets", (), "expected N >= 1")
     gluings = {}
-    for line, toks in glues:
-        t, f, t2, f2 = (int(x) for x in toks[1:5])
+    for (t, f), (t2, f2, perm) in recs.items("glue"):
         if t not in range(ntets) or t2 not in range(ntets):
-            raise ValueError(f"bad glue line {line!r}: tet index outside 0..{ntets - 1}")
+            raise recs.bad("glue", (t, f), f"tet index outside 0..{ntets - 1}")
         if f not in range(4) or f2 not in range(4):
-            raise ValueError(f"bad glue line {line!r}: face outside 0..3")
-        perm = tuple(int(c) for c in toks[5])
-        if sorted(perm) != [0, 1, 2, 3]:
-            raise ValueError(f"bad permutation {toks[5]}")
+            raise recs.bad("glue", (t, f), "face outside 0..3")
+        if sorted(perm) != ["0", "1", "2", "3"]:
+            raise recs.bad("glue", (t, f), f"{perm} is not a permutation of 0123")
+        perm = tuple(int(c) for c in perm)
         gluings[(t, f)] = (t2, f2, perm)
         gluings.setdefault((t2, f2), (t, f, _perm_inv(perm)))
     return Triangulation(ntets, gluings)
@@ -528,6 +518,45 @@ class LinkGraph:
         return out
 
 
+def validate_links(links, edges, nregions: int, open_ends=()):
+    """Check the vertex links of a skeleton and the edges that join them.
+
+    Each link is a graph on the sphere whose vertices have valence at least
+    2 and whose arcs name regions ``0..nregions-1``.  Each link vertex is
+    the end of exactly one edge ``((v0, gv0), (v1, gv1))``, or one of the
+    ``open_ends``: ``(what, (v, gv))`` pairs for the ends left open on a
+    boundary, ``what`` naming the end in messages.  The two ends of an edge
+    carry positionally dual branch lists.
+    """
+    owner = set()
+    ends = [(f"edge {eid} end", key) for eid, edge in enumerate(edges) for key in edge]
+    for what, key in ends + list(open_ends):
+        if not (len(key) == 2 and 0 <= key[0] < len(links)
+                and 0 <= key[1] < len(links[key[0]].rotations)):
+            raise ValueError(f"{what} {key} is not a link vertex")
+        if key in owner:
+            raise ValueError(f"link vertex {key} used twice")
+        owner.add(key)
+    for v, lk in enumerate(links):
+        for g, rot in enumerate(lk.rotations):
+            if (v, g) not in owner:
+                raise ValueError(f"link vertex ({v},{g}) is not an edge end")
+            if len(rot) < 2:
+                raise ValueError(f"link vertex ({v},{g}) has fewer than 2 half-edges")
+        for a, (_, _, r) in enumerate(lk.arcs):
+            if not 0 <= r < nregions:
+                raise ValueError(f"arc {a} of vertex {v} has region {r}, "
+                                 f"outside 0..{nregions - 1}")
+        try:
+            ColoredGraph(len(lk.rotations), lk.arcs, lk.rotations)
+        except ValueError as exc:
+            raise ValueError(f"vertex {v} link is not a sphere graph: {exc}") from None
+    for eid, ((v0, g0), (v1, g1)) in enumerate(edges):
+        want = [(r, -s) for (r, s) in reversed(links[v0].items_at(g0))]
+        if links[v1].items_at(g1) != want:
+            raise ValueError(f"edge {eid} ends are not positionally dual")
+
+
 class Skeleton:
     """Oriented stratified 2-polyhedron of a closed manifold.
 
@@ -553,51 +582,10 @@ class Skeleton:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
-        owner = {}
-        for eid, ((v0, g0), (v1, g1)) in enumerate(self.edges):
-            for key in ((v0, g0), (v1, g1)):
-                v, g = key
-                if not (0 <= v < len(self.links) and 0 <= g < len(self.links[v].rotations)):
-                    raise ValueError(f"edge {eid} end {key} is not a link vertex")
-                if key in owner:
-                    raise ValueError(f"link vertex {key} used by two edge ends")
-                owner[key] = eid
-        for v, lk in enumerate(self.links):
-            for g in range(len(lk.rotations)):
-                if (v, g) not in owner:
-                    raise ValueError(f"link vertex ({v},{g}) not attached to an edge")
-                if len(lk.rotations[g]) < 2:
-                    raise ValueError(f"link vertex ({v},{g}) has fewer than 2 half-edges")
-            seen = {}
-            for g, rot in enumerate(lk.rotations):
-                for pos, dart in enumerate(rot):
-                    if dart in seen:
-                        raise ValueError(f"dart {dart} repeated in link of vertex {v}")
-                    seen[tuple(dart)] = (g, pos)
-            for a, (tail, head, region) in enumerate(lk.arcs):
-                if (a, 0) not in seen or (a, 1) not in seen:
-                    raise ValueError(f"arc {a} of vertex {v} missing from rotations")
-                if seen[(a, 0)][0] != tail or seen[(a, 1)][0] != head:
-                    raise ValueError(f"arc {a} of vertex {v} endpoint mismatch")
-                if not (0 <= region < len(self.regions)):
-                    raise ValueError(f"arc {a} of vertex {v} has bad region")
-            self._check_link_sphere(v, lk)
-        for eid, ((v0, g0), (v1, g1)) in enumerate(self.edges):
-            items0 = self.links[v0].items_at(g0)
-            items1 = self.links[v1].items_at(g1)
-            want = [(r, -s) for (r, s) in reversed(items0)]
-            if items1 != want:
-                raise ValueError(f"edge {eid} ends are not positionally dual")
+        validate_links(self.links, self.edges, len(self.regions))
         for chi, bn, bp in self.regions:
             if not (0 <= bn < self.ball_count and 0 <= bp < self.ball_count):
                 raise ValueError("region adjacent to unknown ball")
-
-    def _check_link_sphere(self, v, lk):
-        try:
-            ColoredGraph(len(lk.rotations),
-                         [(t, h, r) for (t, h, r) in lk.arcs], lk.rotations)
-        except ValueError as exc:
-            raise ValueError(f"vertex {v} link is not a sphere graph: {exc}") from None
 
     # -- views ---------------------------------------------------------------
 
@@ -1369,78 +1357,58 @@ def _move_t2_inv(sk: Skeleton, labeling, group, vertex: int, circle):
 # skeleton files
 
 
+# the vertex, arc, rot and edge lines of skeleton and cobordism files, and
+# the fields that number them
+LINK_FORMS = ("vertices N", "vertex V gvertices G arcs A", "arc V A tail T head H region R",
+              "rot V G DART...", "edges N", "edge E ends V0 G0 V1 G1")
+LINK_NUMBERS = {"vertex": 1, "arc": 2, "rot": 2, "edge": 1}
+
+
+def link_lines(links, edges) -> list:
+    """The ``LINK_FORMS`` lines of vertex links and of the edges joining them."""
+    lines = [f"vertices {len(links)}"]
+    for v, lk in enumerate(links):
+        lines.append(f"vertex {v} gvertices {len(lk.rotations)} arcs {len(lk.arcs)}")
+        for a, (tail, head, r) in enumerate(lk.arcs):
+            lines.append(f"arc {v} {a} tail {tail} head {head} region {r}")
+        for g, rot in enumerate(lk.rotations):
+            lines.append(f"rot {v} {g} {records.dart_tokens(rot)}")
+    lines.append(f"edges {len(edges)}")
+    for eid, ((v0, g0), (v1, g1)) in enumerate(edges):
+        lines.append(f"edge {eid} ends {v0} {g0} {v1} {g1}")
+    return lines
+
+
+def read_links(recs: records.Records):
+    """The vertex links and the edges of the ``LINK_FORMS`` lines of a file."""
+    links = []
+    sizes = recs.numbered("vertex", range(recs.get("vertices", 0)), "vertex line")
+    for v, (ng, na) in enumerate(sizes):
+        links.append(LinkGraph(recs.numbered("arc", ((v, a) for a in range(na)), "arc line"),
+                               recs.numbered("rot", ((v, g) for g in range(ng)), "rot line")))
+    edges = [((v0, g0), (v1, g1)) for v0, g0, v1, g1
+             in recs.numbered("edge", range(recs.count("edge")), "edge")]
+    return links, edges
+
+
 def save_skeleton(sk: Skeleton) -> str:
     lines = ["# statesum3d skeleton v1", f"name {sk.name}", f"balls {sk.ball_count}",
              f"regions {len(sk.regions)}"]
     for i, (chi, bn, bp) in enumerate(sk.regions):
         lines.append(f"region {i} chi {chi} balls {bn} {bp}")
-    lines.append(f"vertices {len(sk.links)}")
-    for v, lk in enumerate(sk.links):
-        lines.append(f"vertex {v} gvertices {len(lk.rotations)} arcs {len(lk.arcs)}")
-        for a, (tail, head, r) in enumerate(lk.arcs):
-            lines.append(f"arc {v} {a} tail {tail} head {head} region {r}")
-        for g, rot in enumerate(lk.rotations):
-            darts = " ".join(("i" if e == 1 else "o") + str(a) for (a, e) in rot)
-            lines.append(f"rot {v} {g} {darts}")
-    lines.append(f"edges {len(sk.edges)}")
-    for eid, ((v0, g0), (v1, g1)) in enumerate(sk.edges):
-        lines.append(f"edge {eid} ends {v0} {g0} {v1} {g1}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + link_lines(sk.links, sk.edges)) + "\n"
 
 
-_SKELETON_FORMS = {
-    "name": "name NAME", "balls": "balls N", "region": "region I chi X balls B0 B1",
-    "vertices": "vertices N", "vertex": "vertex V gvertices G arcs A",
-    "arc": "arc V A tail T head H region R", "rot": "rot V G DART...",
-    "edge": "edge E ends V0 G0 V1 G1",
-}
+_SKELETON = records.Format(
+    "skeleton", ("name NAME", "balls N", "regions N", "region I chi X balls B0 B1") + LINK_FORMS,
+    numbered={"region": 1, **LINK_NUMBERS})
 
 
 def parse_skeleton(text: str) -> Skeleton:
-    name = "skeleton"
-    balls = None
-    regions = {}
-    nvert = 0
-    arcs = {}
-    rots = {}
-    sizes = {}
-    edges = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = _fields(line, _SKELETON_FORMS)
-        if toks[0] == "name":
-            name = toks[1]
-        elif toks[0] == "balls":
-            balls = int(toks[1])
-        elif toks[0] == "regions":
-            pass
-        elif toks[0] == "region":
-            regions[int(toks[1])] = (int(toks[3]), int(toks[5]), int(toks[6]))
-        elif toks[0] == "vertices":
-            nvert = int(toks[1])
-        elif toks[0] == "vertex":
-            sizes[int(toks[1])] = (int(toks[3]), int(toks[5]))
-        elif toks[0] == "arc":
-            v, a = int(toks[1]), int(toks[2])
-            arcs[(v, a)] = (int(toks[4]), int(toks[6]), int(toks[8]))
-        elif toks[0] == "rot":
-            v, g = int(toks[1]), int(toks[2])
-            rots[(v, g)] = [_dart(d) for d in toks[3:]]
-        elif toks[0] == "edges":
-            pass
-        elif toks[0] == "edge":
-            edges[int(toks[1])] = ((int(toks[3]), int(toks[4])),
-                                   (int(toks[5]), int(toks[6])))
-        else:
-            raise ValueError(f"unknown skeleton key {toks[0]!r}")
+    recs = _SKELETON.read(text)
+    balls = recs.get("balls")
     if balls is None:
         raise ValueError("skeleton file missing balls")
-    links = []
-    for v, (ng, na) in enumerate(_numbered(sizes, range(nvert), "vertex line")):
-        links.append(LinkGraph(_numbered(arcs, [(v, a) for a in range(na)], "arc line"),
-                               _numbered(rots, [(v, g) for g in range(ng)], "rot line")))
-    region_list = _numbered(regions, range(len(regions)), "region")
-    edge_list = _numbered(edges, range(len(edges)), "edge")
-    return Skeleton(region_list, balls, links, edge_list, name=name)
+    links, edges = read_links(recs)
+    regions = recs.numbered("region", range(recs.count("region")), "region")
+    return Skeleton(regions, balls, links, edges, name=recs.get("name", "skeleton"))

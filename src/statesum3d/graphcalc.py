@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
+from . import records
 from .catdata import GFusionData, UnionFind
 from .exactnum import FieldElement
 from .linalg import matrix_inverse
@@ -619,6 +620,8 @@ class ColoredGraph:
                 raise ValueError(f"edge {k} missing darts in the rotation system")
             if seen[(k, 0)][0] != t or seen[(k, 1)][0] != h:
                 raise ValueError(f"edge {k} endpoints disagree with the rotation system")
+        if len(seen) != 2 * len(self.edges):
+            raise ValueError("rotation system lists a dart of no edge")
         self.dart_pos = seen
         orbits = _walk_faces(self.rotations, seen)
         if faces is None:
@@ -860,69 +863,21 @@ def save_graph(graph: ColoredGraph) -> str:
     for k, (t, h, c) in enumerate(graph.edges):
         lines.append(f"edge {k} {t} {h} color {c}")
     for v, rot in enumerate(graph.rotations):
-        darts = " ".join(("i" if end == 1 else "o") + str(e) for (e, end) in rot)
-        lines.append(f"rot {v} {darts}")
+        lines.append(f"rot {v} {records.dart_tokens(rot)}")
     for f in graph.faces:
         lines.append("face " + " ".join(f"{v}.{i}" for (v, i) in f))
     return "\n".join(lines) + "\n"
 
 
-def _numbered(entries: dict, keys, what: str) -> list:
-    """``[entries[k] for k in keys]``; a missing key is a malformed file."""
-    out = []
-    for k in keys:
-        if k not in entries:
-            raise ValueError(f"missing {what} {k}")
-        out.append(entries[k])
-    return out
-
-
-def _fields(line: str, forms: dict) -> list:
-    """Tokens of ``line``; a line with fewer tokens than the form of its
-    key in ``forms`` is malformed."""
-    toks = line.split()
-    form = forms.get(toks[0])
-    if form is not None and len(toks) < len(form.split()):
-        raise ValueError(f"bad {toks[0]} line {line!r}: expected '{form}'")
-    return toks
-
-
-def _dart(token: str) -> tuple:
-    """The dart ``(edge, end)`` of a rotation-list token: ``i<edge>`` points
-    at the vertex (end 1), ``o<edge>`` away from it (end 0)."""
-    digits = token[1:]
-    if token[:1] not in ("i", "o") or not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"bad dart {token!r}: expected i<edge> or o<edge>")
-    return int(digits), 1 if token[0] == "i" else 0
-
-
-_GRAPH_FORMS = {"vertices": "vertices N", "edge": "edge K T H color C",
-                "rot": "rot V DART..."}
+_GRAPH = records.Format(
+    "graph", ("vertices N", "edges N", "edge K T H color C", "rot V DART...", "face V.I..."),
+    numbered={"edge": 1, "rot": 1}, repeated=("face",))
 
 
 def parse_graph(text: str) -> ColoredGraph:
-    nv = 0
-    edges = {}
-    rots = {}
-    faces = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = _fields(line, _GRAPH_FORMS)
-        if toks[0] == "vertices":
-            nv = int(toks[1])
-        elif toks[0] == "edges":
-            pass
-        elif toks[0] == "edge":
-            edges[int(toks[1])] = (int(toks[2]), int(toks[3]), int(toks[5]))
-        elif toks[0] == "rot":
-            v = int(toks[1])
-            rots[v] = [_dart(d) for d in toks[2:]]
-        elif toks[0] == "face":
-            faces.append(tuple(tuple(int(x) for x in t.split(".")) for t in toks[1:]))
-        else:
-            raise ValueError(f"unknown graph key {toks[0]!r}")
-    edge_list = _numbered(edges, range(len(edges)), "edge")
-    rot_list = _numbered(rots, range(nv), "rot line for vertex")
-    return ColoredGraph(nv, edge_list, rot_list, faces=faces or None)
+    recs = _GRAPH.read(text)
+    edges = recs.numbered("edge", range(recs.count("edge")), "edge")
+    nv = recs.get("vertices", 0)
+    rots = recs.numbered("rot", range(nv), "rot line for vertex")
+    faces = [face for _, face in recs.items("face")]
+    return ColoredGraph(nv, edges, rots, faces=faces or None)

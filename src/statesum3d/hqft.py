@@ -33,10 +33,12 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
+from . import records
 from .catdata import FiniteGroup, GFusionData, neutral_dimension
+from .complexes import (LINK_FORMS, LINK_NUMBERS, LinkGraph, link_lines, read_links,
+                        validate_links)
 from .exactnum import FieldElement
-from .graphcalc import (ColoredGraph, CyclicCSet, _dart, _fields, _gram_inverse, _numbered,
-                        hom_dim, tree_paths)
+from .graphcalc import CyclicCSet, _gram_inverse, hom_dim, trace_rotation_faces, tree_paths
 from .linalg import matrix_mul, matrix_rank
 from .statesum import _Evaluator
 
@@ -77,7 +79,6 @@ class SurfaceSkeleton:
         self.nvertices = len(rotations)
         if not self.edges:
             raise ValueError("surface skeleton needs at least one edge")
-        from .graphcalc import trace_rotation_faces
         self.faces, self.dart_pos = trace_rotation_faces(
             self.nvertices, self.edges, self.rotations)
         self.corner_face = {}
@@ -181,28 +182,10 @@ class CobordismSkeleton:
         self._validate()
 
     def _validate(self):
-        owner = {}
-        ends = [(f"edge {eid} end", key) for eid, e in enumerate(self.edges) for key in e]
-        ends += [(f"{side} end {i}", key)
-                 for side, keys in (("bot", self.bot_ends), ("top", self.top_ends))
-                 for i, key in enumerate(keys)]
-        for what, key in ends:
-            if not (len(key) == 2 and 0 <= key[0] < len(self.links)
-                    and 0 <= key[1] < len(self.links[key[0]].rotations)):
-                raise ValueError(f"{what} {key} is not a link vertex")
-            if key in owner:
-                raise ValueError(f"link vertex {key} used twice")
-            owner[key] = what
-        for v, lk in enumerate(self.links):
-            for g in range(len(lk.rotations)):
-                if (v, g) not in owner:
-                    raise ValueError(f"link vertex ({v},{g}) unattached")
-            for a, (_, _, r) in enumerate(lk.arcs):
-                if not 0 <= r < len(self.regions):
-                    raise ValueError(f"arc {a} of vertex {v} has region {r}, "
-                                     f"outside 0..{len(self.regions) - 1}")
-            ColoredGraph(len(lk.rotations), [(t, h, r) for (t, h, r) in lk.arcs],
-                         lk.rotations)
+        validate_links(self.links, self.edges, len(self.regions),
+                       [(f"{side} end {i}", key)
+                        for side, keys in (("bot", self.bot_ends), ("top", self.top_ends))
+                        for i, key in enumerate(keys)])
         for r, (_, label, pin) in enumerate(self.regions):
             if not 0 <= label < self.group.order:
                 raise ValueError(f"region {r} label {label} outside 0..{self.group.order - 1}")
@@ -211,11 +194,6 @@ class CobordismSkeleton:
                 if not 0 <= pin[1] < len(surf.edges):
                     raise ValueError(f"region {r} pinned to {pin[0]} edge {pin[1]}, "
                                      f"outside 0..{len(surf.edges) - 1}")
-        for eid, ((v0, g0), (v1, g1)) in enumerate(self.edges):
-            items0 = self.links[v0].items_at(g0)
-            items1 = self.links[v1].items_at(g1)
-            if items1 != [(r, -s) for (r, s) in reversed(items0)]:
-                raise ValueError(f"interior edge {eid} ends are not dual")
 
 
 def build_sheet_cylinder(bot: SurfaceSkeleton, top: SurfaceSkeleton,
@@ -230,7 +208,6 @@ def build_sheet_cylinder(bot: SurfaceSkeleton, top: SurfaceSkeleton,
     the sheet as chords.  Sheet regions are ambient faces with identity
     labels, so the cylinder represents the identity homotopy class.
     """
-    from .complexes import LinkGraph
     ambient = top if ambient_is_top else bot
     coarse = bot if ambient_is_top else top
     group = bot.group
@@ -588,63 +565,36 @@ def save_surface(surf: SurfaceSkeleton) -> str:
     for k, (t, h) in enumerate(surf.edges):
         lines.append(f"edge {k} {t} {h} label {surf.labels[k]}")
     for v, rot in enumerate(surf.rotations):
-        darts = " ".join(("i" if end == 1 else "o") + str(e) for (e, end) in rot)
-        lines.append(f"rot {v} {darts}")
+        lines.append(f"rot {v} {records.dart_tokens(rot)}")
     return "\n".join(lines) + "\n"
 
 
-_SURFACE_FORMS = {"name": "name NAME", "group": "group G", "vertices": "vertices N",
-                  "edge": "edge K T H label L", "rot": "rot V DART..."}
+_SURFACE = records.Format(
+    "surface", ("name NAME", "group GROUP", "components G:B...", "vertices N", "edges N",
+                "edge K T H label L", "rot V DART..."),
+    numbered={"edge": 1, "rot": 1})
 
 
 def parse_surface(text: str, group: FiniteGroup) -> SurfaceSkeleton:
-    name = "surface"
-    comps = []
-    nv = 0
-    edges = {}
-    labels = {}
-    rots = {}
-    lines = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = _fields(line, _SURFACE_FORMS)
-        if toks[0] == "name":
-            name = toks[1]
-        elif toks[0] == "group":
-            if FiniteGroup.by_name(toks[1]).order != group.order:
-                raise ValueError("surface file group does not match the backend group")
-        elif toks[0] == "components":
-            comps = [tuple(int(x) for x in t.split(":")) for t in toks[1:]]
-        elif toks[0] == "vertices":
-            nv = int(toks[1])
-        elif toks[0] == "edges":
-            pass
-        elif toks[0] == "edge":
-            edges[int(toks[1])] = (int(toks[2]), int(toks[3]))
-            labels[int(toks[1])] = int(toks[5])
-            lines[("edge", int(toks[1]))] = line
-        elif toks[0] == "rot":
-            v = int(toks[1])
-            rots[v] = [_dart(d) for d in toks[2:]]
-            lines[("rot", v)] = line
-        else:
-            raise ValueError(f"unknown surface key {toks[0]!r}")
-    edge_list = _numbered(edges, range(len(edges)), "edge")
-    rot_list = _numbered(rots, range(nv), "rot line for vertex")
-    for k, ends in enumerate(edge_list):
-        if not all(0 <= v < nv for v in ends):
-            raise ValueError(f"bad edge line {lines['edge', k]!r}: endpoint outside 0..{nv - 1}")
-        if not 0 <= labels[k] < group.order:
-            raise ValueError(f"bad edge line {lines['edge', k]!r}: "
-                             f"label outside 0..{group.order - 1}")
-    for v, rot in enumerate(rot_list):
-        at_v = [(e, end) for e, ends in enumerate(edge_list) for end in (0, 1) if ends[end] == v]
+    recs = _SURFACE.read(text)
+    gname = recs.get("group")
+    if gname is not None and FiniteGroup.by_name(gname).order != group.order:
+        raise ValueError("surface file group does not match the backend group")
+    nv = recs.get("vertices", 0)
+    edges = recs.numbered("edge", range(recs.count("edge")), "edge")
+    rots = recs.numbered("rot", range(nv), "rot line for vertex")
+    for k, (t, h, label) in enumerate(edges):
+        if not (0 <= t < nv and 0 <= h < nv):
+            raise recs.bad("edge", k, f"endpoint outside 0..{nv - 1}")
+        if not 0 <= label < group.order:
+            raise recs.bad("edge", k, f"label outside 0..{group.order - 1}")
+    for v, rot in enumerate(rots):
+        at_v = [(e, end) for e, ends in enumerate(edges) for end in (0, 1) if ends[end] == v]
         if sorted(rot) != at_v:
-            raise ValueError(f"bad rot line {lines['rot', v]!r}: expected each edge end "
-                             f"at vertex {v} once")
-    return SurfaceSkeleton(group, edge_list, rot_list, labels, comps, name=name)
+            raise recs.bad("rot", v, f"expected each edge end at vertex {v} once")
+    return SurfaceSkeleton(group, [(t, h) for t, h, _ in edges], rots,
+                           {k: label for k, (_, _, label) in enumerate(edges)},
+                           recs.get("components", []), name=recs.get("name", "surface"))
 
 
 def cobordism_from_closed(sk, labeling, group) -> CobordismSkeleton:
@@ -695,110 +645,35 @@ def save_cobordism(cob: CobordismSkeleton) -> str:
     for i, (chi, label, pin) in enumerate(cob.regions):
         pin_s = "none" if pin is None else f"{pin[0]}:{pin[1]}"
         lines.append(f"region {i} chi {chi} label {label} pin {pin_s}")
-    lines.append(f"vertices {len(cob.links)}")
-    for v, lk in enumerate(cob.links):
-        lines.append(f"vertex {v} gvertices {len(lk.rotations)} arcs {len(lk.arcs)}")
-        for a, (tail, head, r) in enumerate(lk.arcs):
-            lines.append(f"arc {v} {a} tail {tail} head {head} region {r}")
-        for g, rot in enumerate(lk.rotations):
-            darts = " ".join(("i" if e == 1 else "o") + str(a) for (a, e) in rot)
-            lines.append(f"rot {v} {g} {darts}")
-    lines.append(f"edges {len(cob.edges)}")
-    for eid, ((v0, g0), (v1, g1)) in enumerate(cob.edges):
-        lines.append(f"edge {eid} ends {v0} {g0} {v1} {g1}")
+    lines += link_lines(cob.links, cob.edges)
     lines.append("bot_ends " + " ".join(f"{v}.{g}" for (v, g) in cob.bot_ends))
     lines.append("top_ends " + " ".join(f"{v}.{g}" for (v, g) in cob.top_ends))
     return "\n".join(lines) + "\n"
 
 
-_COBORDISM_FORMS = {
-    "name": "name NAME", "balls": "balls N", "group": "group G", "begin": "begin SIDE_surface",
-    "region": "region I chi X label L pin P", "vertices": "vertices N",
-    "vertex": "vertex V gvertices G arcs A", "arc": "arc V A tail T head H region R",
-    "rot": "rot V G DART...", "edge": "edge E ends V0 G0 V1 G1",
-}
+_COBORDISM = records.Format(
+    "cobordism", ("name NAME", "balls N", "group GROUP", "begin SIDE:", "end SIDE", "regions N",
+                  "region I chi X label L pin PIN") + LINK_FORMS
+    + ("bot_ends [V.G...]", "top_ends [V.G...]"),
+    numbered={"begin": 1, "end": 1, "region": 1, **LINK_NUMBERS})
 
 
 def parse_cobordism(text: str, group: FiniteGroup) -> CobordismSkeleton:
-    from .complexes import LinkGraph
-    lines = text.splitlines()
-    name = "cobordism"
-    balls = None
-    surfaces = {}
-    regions = {}
-    sizes = {}
-    arcs = {}
-    rots = {}
-    edges = {}
-    bot_ends = []
-    top_ends = []
-    nvert = 0
-    i = 0
-    while i < len(lines):
-        raw = lines[i]
-        i += 1
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = _fields(line, _COBORDISM_FORMS)
-        if toks[0] == "name":
-            name = toks[1]
-        elif toks[0] == "balls":
-            balls = int(toks[1])
-        elif toks[0] == "group":
-            pass
-        elif toks[0] == "begin":
-            side = toks[1].split("_")[0]
-            body = []
-            while i < len(lines) and not lines[i].strip().startswith("end "):
-                body.append(lines[i].strip())
-                i += 1
-            i += 1
-            body_text = "\n".join(body)
-            if "name empty" in body_text and "vertices" not in body_text:
-                surfaces[side] = _EmptySurface(group)
-            else:
-                surfaces[side] = parse_surface(body_text, group)
-        elif toks[0] == "regions":
-            pass
-        elif toks[0] == "region":
-            pin = None
-            if toks[7] != "none":
-                side, _, e = toks[7].partition(":")
-                if side not in ("bot", "top"):
-                    raise ValueError(f"bad region line {line!r}: expected pin none, "
-                                     "bot:E or top:E")
-                pin = (side, int(e))
-            regions[int(toks[1])] = (int(toks[3]), int(toks[5]), pin)
-        elif toks[0] == "vertices":
-            nvert = int(toks[1])
-        elif toks[0] == "vertex":
-            sizes[int(toks[1])] = (int(toks[3]), int(toks[5]))
-        elif toks[0] == "arc":
-            v, a = int(toks[1]), int(toks[2])
-            arcs[(v, a)] = (int(toks[4]), int(toks[6]), int(toks[8]))
-        elif toks[0] == "rot":
-            v, g = int(toks[1]), int(toks[2])
-            rots[(v, g)] = [_dart(d) for d in toks[3:]]
-        elif toks[0] == "edges":
-            pass
-        elif toks[0] == "edge":
-            edges[int(toks[1])] = ((int(toks[3]), int(toks[4])),
-                                   (int(toks[5]), int(toks[6])))
-        elif toks[0] == "bot_ends":
-            bot_ends = [tuple(int(x) for x in t.split(".")) for t in toks[1:]]
-        elif toks[0] == "top_ends":
-            top_ends = [tuple(int(x) for x in t.split(".")) for t in toks[1:]]
-        else:
-            raise ValueError(f"unknown cobordism key {toks[0]!r}")
+    recs = _COBORDISM.read(text)
+    balls = recs.get("balls")
     if balls is None:
         raise ValueError("cobordism file missing balls")
-    links = []
-    for v, (ng, na) in enumerate(_numbered(sizes, range(nvert), "vertex line")):
-        links.append(LinkGraph(_numbered(arcs, [(v, a) for a in range(na)], "arc"),
-                               _numbered(rots, [(v, g) for g in range(ng)], "rot line")))
-    region_list = _numbered(regions, range(len(regions)), "region")
-    edge_list = _numbered(edges, range(len(edges)), "edge")
-    bot, top = _numbered(surfaces, ("bot", "top"), "surface block")
-    return CobordismSkeleton(group, region_list, links, edge_list, bot_ends,
-                             top_ends, balls, bot, top, name=name)
+    links, edges = read_links(recs)
+    regions = []
+    for r, (chi, label, pin) in enumerate(
+            recs.numbered("region", range(recs.count("region")), "region")):
+        side, _, e = pin.partition(":")
+        if pin != "none" and (side not in ("bot", "top") or not e.isdecimal()):
+            raise recs.bad("region", r, "expected pin none, bot:E or top:E")
+        regions.append((chi, label, None if pin == "none" else (side, int(e))))
+    bot, top = (_EmptySurface(group) if body == ["name empty"]
+                else parse_surface("\n".join(body), group)
+                for body in recs.numbered("begin", ("bot_surface", "top_surface"), "surface block"))
+    return CobordismSkeleton(group, regions, links, edges, recs.get("bot_ends", []),
+                             recs.get("top_ends", []), balls, bot, top,
+                             name=recs.get("name", "cobordism"))

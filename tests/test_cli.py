@@ -96,6 +96,14 @@ _S1XS2_SKELETON = (_DATA / "skeletons" / "s1xs2_paper.skel").read_text()
 _SPHERE_CIRCLE_SURFACE = (_DATA / "surfaces" / "sphere_circle_Z2.surf").read_text()
 _FIBONACCI_FILE = (_DATA / "categories" / "fibonacci.cat").read_text()
 _TORUS_SURFACE = (_DATA / "surfaces" / "torus_2loop_Z2.surf").read_text()
+_VECT_Z2_FILE = (_DATA / "categories" / "vect_Z2_theta1.cat").read_text()
+_SIMPLE_G1 = "simple 1 name g1 grade 1 dual 1 dim_l [1] dim_r [1] pivotal [-1]"
+
+
+def _simple_g1(edit):
+    line = _SIMPLE_G1.replace(*edit)
+    return (["validate-category", "--category"], "bad.cat", _VECT_Z2_FILE.replace(_SIMPLE_G1, line),
+            f"bad simple line {line!r}: {edit[0].split()[0]} outside 0..1")
 
 
 def _skeleton_without(line, message):
@@ -132,7 +140,7 @@ def _bad_location(move, location, form):
      "balls 1\nregion 1 chi 1 label 0 pin none\n", "missing region 0"),
     (["validate-category", "--category"], "bad.cat",
      _FIBONACCI_HEAD + "simple 1 name tau grade 0 dual 1 dim_l [0,1]\n",
-     "incomplete simple line"),
+     "bad simple line 'simple 1 name tau grade 0 dual 1 dim_l [0,1]': expected '"),
     (["validate-category", "--category"], "bad.cat",
      _FIBONACCI_HEAD.replace("group 1\n", "group table 2\n  0 1\n").split("simples")[0],
      "group table ends after 1 of 2 rows"),
@@ -190,6 +198,35 @@ def _bad_location(move, location, form):
     (["hqft-rank", "--category", "vect_Z2_theta1", "--surface"], "bad.surf",
      _TORUS_SURFACE.replace("edge 1 0 0 label 0", "edge 1 0 0 label 2"),
      "bad edge line 'edge 1 0 0 label 2': label outside 0..1"),
+    _simple_g1(("dual 1", "dual 2")),
+    _simple_g1(("dual 1", "dual -1")),
+    _simple_g1(("grade 1", "grade 3")),
+    (["eval-graph", "--category", "fibonacci", "--graph"], "bad.graph",
+     _THETA_GRAPH.replace("edge 1 0 1 color 1", "edge 1 0 1 color 2"),
+     "graph edge 1 has color 2, not a simple 0..1 of fibonacci"),
+    (["eval-graph", "--category", "fibonacci", "--graph"], "bad.graph",
+     _THETA_GRAPH.replace("edge 2 0 1 color 1", "edge 2 0 1 color -1"),
+     "graph edge 2 has color -1, not a simple 0..1 of fibonacci"),
+    (["labelings", "--group", "Z2", "--skeleton"], "bad.skel",
+     _S1XS2_SKELETON.replace("region 1 chi 0 balls 0 1\n", "region 1 chi 0 balls 0 1\n" * 2),
+     "bad region line 'region 1 chi 0 balls 0 1': repeats an earlier region line"),
+    (["labelings", "--group", "Z2", "--skeleton"], "bad.skel",
+     _S1XS2_SKELETON.replace("region 1 chi 0 balls 0 1", "region 1 chi 0 ball 0 1"),
+     "bad region line 'region 1 chi 0 ball 0 1': expected 'region I chi X balls B0 B1'"),
+    (["eval-graph", "--category", "fibonacci", "--graph"], "bad.graph",
+     _THETA_GRAPH.replace("edge 1 0 1 color 1", "edge 1 0 x color 1"),
+     "bad edge line 'edge 1 0 x color 1': expected 'edge K T H color C'"),
+    (["invariant", "--category", "vect_Z2_theta0", "--triangulation"], "bad.tri",
+     _S3_2TET.replace("tets 2", "tets 2 3"), "bad tets line 'tets 2 3': expected 'tets N'"),
+    (["invariant", "--category", "vect_Z2_theta0", "--triangulation"], "bad.tri",
+     _S3_2TET.replace("glue 0 3", "glu 0 3"),
+     "unknown triangulation key 'glu' in line 'glu 0 3 1 3 0123'"),
+    (["eval-graph", "--category", "fibonacci", "--graph"], "bad.graph",
+     _THETA_GRAPH.replace("rot 0 o0 o1 o2", "rot 0 o0 o1 o2 o5"),
+     "rotation system lists a dart of no edge"),
+    (["validate-category", "--category"], "bad.cat",
+     _FIBONACCI_FILE.replace("group 1\n", "group table 2\n  0 1\n  1 2\n"),
+     "bad group table row '1 2': expected 2 rows of 2 elements of 0..1"),
 ], ids=["glue-without-permutation", "graph-without-rot-line", "tets-without-count",
         "graph-edge-gap", "graph-short-edge-line", "surface-edge-gap", "cobordism-region-gap",
         "category-cut-in-simple-line", "category-cut-in-group-table",
@@ -204,7 +241,11 @@ def _bad_location(move, location, form):
         "surface-bad-dart", "category-fusion-label-out-of-range",
         "invariant-with-fusion-label-out-of-range", "skeleton-edge-end-without-link-vertex",
         "surface-missing-dart", "surface-endpoint-past-the-end", "surface-negative-endpoint",
-        "surface-label-out-of-range"])
+        "surface-label-out-of-range", "category-dual-past-the-end", "category-negative-dual",
+        "category-grade-outside-the-group", "graph-color-past-the-end", "graph-negative-color",
+        "skeleton-repeated-region", "skeleton-keyword-out-of-place", "graph-bad-integer",
+        "triangulation-long-line", "triangulation-unknown-key", "graph-dart-of-no-edge",
+        "category-group-table-element-out-of-range"])
 def test_malformed_input_is_a_domain_error(tmp_path, argv, name, text, message):
     path = tmp_path / name
     path.write_text(text)

@@ -1,9 +1,11 @@
 """Seeded mutation fuzz of the input parsers, through the command line.
 
-Every shipped skeleton, surface and triangulation file, and the cobordism
-file of the product cylinder over each shipped surface, is mutated by line
-deletions and duplications, token deletions and small integer edits, and
-each result is run through ``cli.run``.  Malformed input must end in a
+Every shipped skeleton, surface and triangulation file, four shipped
+category files, the cobordism file of the product cylinder over each
+shipped surface, and the theta graph and seeded random sphere graphs
+colored by fibonacci, is mutated by line deletions and duplications, token
+deletions and small integer edits, and each result is run through
+``cli.run``.  Malformed input must end in a
 documented exit code (0, 2 validation, 3 domain, 4 I/O) with at most one
 line on standard error, never in a traceback or an internal error.
 """
@@ -15,14 +17,18 @@ import re
 
 import pytest
 
-from statesum3d.catdata import FiniteGroup
+from statesum3d.catdata import FiniteGroup, builtin_category
 from statesum3d.cli import run
+from statesum3d.graphcalc import ColoredGraph, save_graph
 from statesum3d.hqft import build_product_cylinder, parse_surface, save_cobordism
 
+from graphutil import random_admissible_graph
 from trifiles import DATA
 
 _KINDS = {
+    "categories": (["validate-category", "--category"], 80),
     "cobordisms": (["cobordism-map", "--category", "vect_Z2_theta1", "--cobordism"], 100),
+    "graphs": (["eval-graph", "--category", "fibonacci", "--graph"], 60),
     "skeletons": (["labelings", "--group", "Z2", "--skeleton"], 300),
     "surfaces": (["hqft-rank", "--category", "vect_Z2_theta1", "--surface"], 80),
     "triangulations": (["labelings", "--group", "Z2", "--triangulation"], 60),
@@ -31,10 +37,19 @@ _KINDS = {
 
 def _originals(kind):
     """``(name, text)`` of the inputs mutated for ``kind``."""
+    if kind == "categories":
+        return [(f"{name}.cat", (DATA / "categories" / f"{name}.cat").read_text())
+                for name in ("fibonacci", "ising_like", "vect_Z2_theta1", "vect_Z3_theta1")]
     if kind == "cobordisms":
         z2 = FiniteGroup.cyclic(2)
         return [(f"{p.stem}.cob", save_cobordism(build_product_cylinder(parse_surface(p.read_text(), z2))))
                 for p in sorted((DATA / "surfaces").iterdir())]
+    if kind == "graphs":
+        theta = ColoredGraph(2, [(0, 1, 1)] * 3, [[(0, 0), (1, 0), (2, 0)], [(2, 1), (1, 1), (0, 1)]])
+        rnd = random.Random("parser-fuzz/graph-originals")
+        fibonacci = builtin_category("fibonacci")
+        graphs = [theta] + [random_admissible_graph(rnd, fibonacci) for _ in range(3)]
+        return [(f"graph{k}.graph", save_graph(g)) for k, g in enumerate(graphs)]
     return [(p.name, p.read_text()) for p in sorted((DATA / kind).iterdir())]
 
 
