@@ -126,6 +126,8 @@ def _cmd_eval_graph(args, rep):
         if not 0 <= color < cat.n:
             raise ValueError(f"graph edge {k} has color {color}, not a simple 0..{cat.n - 1} "
                              f"of {cat.name}")
+    if not 0 <= args.outer_face < len(graph.faces):
+        raise ValueError(f"--outer-face {args.outer_face} is not a face 0..{len(graph.faces) - 1}")
     tensor = graphcalc.evaluate_graph(cat, graph, outer_face=args.outer_face)
     rep.data["counts"]["vertices"] = graph.nvertices
     rep.data["counts"]["entries"] = len(tensor.entries)

@@ -182,10 +182,10 @@ class CobordismSkeleton:
         self._validate()
 
     def _validate(self):
-        validate_links(self.links, self.edges, len(self.regions),
-                       [(f"{side} end {i}", key)
-                        for side, keys in (("bot", self.bot_ends), ("top", self.top_ends))
-                        for i, key in enumerate(keys)])
+        ends = [(f"{side} end {i}", key)
+                for side, keys in (("bot", self.bot_ends), ("top", self.top_ends))
+                for i, key in enumerate(keys)]
+        validate_links(self.links, self.edges, len(self.regions), ends)
         for r, (_, label, pin) in enumerate(self.regions):
             if not 0 <= label < self.group.order:
                 raise ValueError(f"region {r} label {label} outside 0..{self.group.order - 1}")
@@ -194,6 +194,11 @@ class CobordismSkeleton:
                 if not 0 <= pin[1] < len(surf.edges):
                     raise ValueError(f"region {r} pinned to {pin[0]} edge {pin[1]}, "
                                      f"outside 0..{len(surf.edges) - 1}")
+        # the boundary colorings color the regions at the boundary ends
+        for what, (v, g) in ends:
+            for r, _ in self.links[v].items_at(g):
+                if self.regions[r][2] is None:
+                    raise ValueError(f"{what} meets region {r}, which has no pin")
 
 
 def build_sheet_cylinder(bot: SurfaceSkeleton, top: SurfaceSkeleton,

@@ -207,6 +207,8 @@ def _bad_location(move, location, form):
     (["eval-graph", "--category", "fibonacci", "--graph"], "bad.graph",
      _THETA_GRAPH.replace("edge 2 0 1 color 1", "edge 2 0 1 color -1"),
      "graph edge 2 has color -1, not a simple 0..1 of fibonacci"),
+    (["eval-graph", "--category", "fibonacci", "--outer-face", "3", "--graph"], "theta.graph",
+     _THETA_GRAPH, "--outer-face 3 is not a face 0..2"),
     (["labelings", "--group", "Z2", "--skeleton"], "bad.skel",
      _S1XS2_SKELETON.replace("region 1 chi 0 balls 0 1\n", "region 1 chi 0 balls 0 1\n" * 2),
      "bad region line 'region 1 chi 0 balls 0 1': repeats an earlier region line"),
@@ -242,7 +244,7 @@ def _bad_location(move, location, form):
         "invariant-with-fusion-label-out-of-range", "skeleton-edge-end-without-link-vertex",
         "surface-missing-dart", "surface-endpoint-past-the-end", "surface-negative-endpoint",
         "surface-label-out-of-range", "category-dual-past-the-end", "category-negative-dual",
-        "category-grade-outside-the-group", "graph-color-past-the-end", "graph-negative-color",
+        "category-grade-outside-the-group", "graph-color-past-the-end", "graph-negative-color", "graph-outer-face-past-the-end",
         "skeleton-repeated-region", "skeleton-keyword-out-of-place", "graph-bad-integer",
         "triangulation-long-line", "triangulation-unknown-key", "graph-dart-of-no-edge",
         "category-group-table-element-out-of-range"])
@@ -380,9 +382,12 @@ def _cylinder_text():
     ("edge 0 ends 0 2 0 3", "edge 0 ends 0 2 0 4", "edge 0 end (0, 4) is not a link vertex"),
     ("vertices 1", None, "edge 0 end (0, 2) is not a link vertex"),
     ("top_ends 0.1", "top_ends 0", "top end 0 (0,) is not a link vertex"),
+    ("region 0 chi 1 label 0 pin bot:0", "region 0 chi 1 label 0 pin none",
+     "bot end 0 meets region 0, which has no pin"),
 ], ids=["short-name", "short-balls", "missing-balls", "short-region", "bad-pin-side",
         "pin-past-the-end", "label-out-of-range", "short-arc", "arc-region-past-the-end",
-        "edge-end-without-link-vertex", "missing-vertices-line", "end-without-gvertex"])
+        "edge-end-without-link-vertex", "missing-vertices-line", "end-without-gvertex",
+        "boundary-region-without-pin"])
 def test_malformed_cobordism_is_a_domain_error(tmp_path, line, edited, message):
     lines = _cylinder_text().splitlines()
     assert lines.count(line) == 1
