@@ -888,26 +888,20 @@ def _group_table(n: int, rows) -> FiniteGroup:
 def load_category(text: str) -> GFusionData:
     recs = _CATEGORY.read(text)
 
-    def required(key):
-        value = recs.get(key)
-        if value is None:
-            raise ValueError(f"category file has no {key} line")
-        return value
-
     def element(key, number, value):
         try:
             return FieldElement.from_text(field, value)
         except (ValueError, ZeroDivisionError) as exc:
             raise recs.bad(key, number, exc) from None
 
-    spec = required("field")
+    spec = recs.one("field")
     try:
         field = FieldSpec.from_text(spec)
     except ValueError as exc:
         raise recs.bad("field", (), exc) from None
-    group = required("group")
+    group = recs.one("group")
     group = _group_table(*group) if isinstance(group, tuple) else FiniteGroup.by_name(group)
-    n = required("simples")
+    n = recs.one("simples")
     simples = recs.numbered("simple", range(n), "simple line for simple")
     for i, (_, grade, dual, *_) in enumerate(simples):
         if not 0 <= grade < group.order:

@@ -254,9 +254,7 @@ def parse_triangulation(text: str) -> Triangulation:
     """Parse the triangulation file format: ``tets N`` then lines
     ``glue T F T2 F2 PPPP`` with PPPP the images of vertices 0..3."""
     recs = _TRIANGULATION.read(text)
-    ntets = recs.get("tets")
-    if ntets is None:
-        raise ValueError("missing tets line")
+    ntets = recs.one("tets")
     if ntets < 1:
         raise recs.bad("tets", (), "expected N >= 1")
     gluings = {}
@@ -1406,9 +1404,7 @@ _SKELETON = records.Format(
 
 def parse_skeleton(text: str) -> Skeleton:
     recs = _SKELETON.read(text)
-    balls = recs.get("balls")
-    if balls is None:
-        raise ValueError("skeleton file missing balls")
+    balls = recs.one("balls")
     links, edges = read_links(recs)
     regions = recs.numbered("region", range(recs.count("region")), "region")
     return Skeleton(regions, balls, links, edges, name=recs.get("name", "skeleton"))

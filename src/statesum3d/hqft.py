@@ -665,9 +665,7 @@ _COBORDISM = records.Format(
 
 def parse_cobordism(text: str, group: FiniteGroup) -> CobordismSkeleton:
     recs = _COBORDISM.read(text)
-    balls = recs.get("balls")
-    if balls is None:
-        raise ValueError("cobordism file missing balls")
+    balls = recs.one("balls")
     links, edges = read_links(recs)
     regions = []
     for r, (chi, label, pin) in enumerate(
@@ -676,9 +674,9 @@ def parse_cobordism(text: str, group: FiniteGroup) -> CobordismSkeleton:
         if pin != "none" and (side not in ("bot", "top") or not e.isdecimal()):
             raise recs.bad("region", r, "expected pin none, bot:E or top:E")
         regions.append((chi, label, None if pin == "none" else (side, int(e))))
+    blocks = recs.numbered("begin", ("bot_surface", "top_surface"), "surface block")
     bot, top = (_EmptySurface(group) if body == ["name empty"]
-                else parse_surface("\n".join(body), group)
-                for body in recs.numbered("begin", ("bot_surface", "top_surface"), "surface block"))
+                else parse_surface("\n".join(body), group) for body in blocks)
     return CobordismSkeleton(group, regions, links, edges, recs.get("bot_ends", []),
                              recs.get("top_ends", []), balls, bot, top,
                              name=recs.get("name", "cobordism"))

@@ -101,7 +101,7 @@ class Format:
             self.forms.setdefault(key, []).append(form)
 
     def read(self, text: str) -> Records:
-        records = Records(self.forms)
+        records = Records(self.name, self.forms)
         values, lines, block = records.values, records.lines, None
         for raw in text.splitlines():
             body = raw.split("#", 1)[0]
@@ -148,13 +148,20 @@ class Records:
     which is ``()`` for a key that is not numbered and the place among its
     lines for a key that repeats, and the text of each line."""
 
-    def __init__(self, keys):
+    def __init__(self, name: str, keys):
+        self.name = name
         self.values = {key: {} for key in keys}
         self.lines = {}
 
     def get(self, key: str, default=None):
         """The value of the line of an unnumbered key, or ``default``."""
         return self.values[key].get((), default)
+
+    def one(self, key: str):
+        """The value of the line of an unnumbered key that the file must have."""
+        if () not in self.values[key]:
+            raise ValueError(f"{self.name} file missing {key} (no {key} line)")
+        return self.values[key][()]
 
     def count(self, key: str) -> int:
         return len(self.values[key])

@@ -244,9 +244,10 @@ def _bad_location(move, location, form):
         "invariant-with-fusion-label-out-of-range", "skeleton-edge-end-without-link-vertex",
         "surface-missing-dart", "surface-endpoint-past-the-end", "surface-negative-endpoint",
         "surface-label-out-of-range", "category-dual-past-the-end", "category-negative-dual",
-        "category-grade-outside-the-group", "graph-color-past-the-end", "graph-negative-color", "graph-outer-face-past-the-end",
-        "skeleton-repeated-region", "skeleton-keyword-out-of-place", "graph-bad-integer",
-        "triangulation-long-line", "triangulation-unknown-key", "graph-dart-of-no-edge",
+        "category-grade-outside-the-group", "graph-color-past-the-end", "graph-negative-color",
+        "graph-outer-face-past-the-end", "skeleton-repeated-region",
+        "skeleton-keyword-out-of-place", "graph-bad-integer", "triangulation-long-line",
+        "triangulation-unknown-key", "graph-dart-of-no-edge",
         "category-group-table-element-out-of-range"])
 def test_malformed_input_is_a_domain_error(tmp_path, argv, name, text, message):
     path = tmp_path / name

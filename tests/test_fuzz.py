@@ -5,9 +5,9 @@ category files, the cobordism file of the product cylinder over each
 shipped surface, and the theta graph and seeded random sphere graphs
 colored by fibonacci, is mutated by line deletions and duplications, token
 deletions and small integer edits, and each result is run through
-``cli.run``.  Malformed input must end in a
-documented exit code (0, 2 validation, 3 domain, 4 I/O) with at most one
-line on standard error, never in a traceback or an internal error.
+``cli.run``.  Malformed input must end in a documented exit code (0, 2
+validation, 3 domain, 4 I/O) with at most one line on standard error,
+never in a traceback or an internal error.
 """
 
 import contextlib
@@ -45,7 +45,8 @@ def _originals(kind):
         return [(f"{p.stem}.cob", save_cobordism(build_product_cylinder(parse_surface(p.read_text(), z2))))
                 for p in sorted((DATA / "surfaces").iterdir())]
     if kind == "graphs":
-        theta = ColoredGraph(2, [(0, 1, 1)] * 3, [[(0, 0), (1, 0), (2, 0)], [(2, 1), (1, 1), (0, 1)]])
+        theta = ColoredGraph(2, [(0, 1, 1)] * 3,
+                             [[(0, 0), (1, 0), (2, 0)], [(2, 1), (1, 1), (0, 1)]])
         rnd = random.Random("parser-fuzz/graph-originals")
         fibonacci = builtin_category("fibonacci")
         graphs = [theta] + [random_admissible_graph(rnd, fibonacci) for _ in range(3)]
