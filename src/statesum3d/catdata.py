@@ -887,6 +887,11 @@ def _group_table(n: int, rows) -> FiniteGroup:
 
 def load_category(text: str) -> GFusionData:
     recs = _CATEGORY.read(text)
+    spec = recs.one("field")
+    try:
+        field = FieldSpec.from_text(spec)
+    except ValueError as exc:
+        raise recs.bad("field", (), exc) from None
 
     def element(key, number, value):
         try:
@@ -894,11 +899,6 @@ def load_category(text: str) -> GFusionData:
         except (ValueError, ZeroDivisionError) as exc:
             raise recs.bad(key, number, exc) from None
 
-    spec = recs.one("field")
-    try:
-        field = FieldSpec.from_text(spec)
-    except ValueError as exc:
-        raise recs.bad("field", (), exc) from None
     group = recs.one("group")
     group = _group_table(*group) if isinstance(group, tuple) else FiniteGroup.by_name(group)
     n = recs.one("simples")
