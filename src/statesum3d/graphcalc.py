@@ -9,11 +9,13 @@ operations are insertions of ``id (x) elementary (x) id`` and are realized
 on tree coordinates by single F-moves; see the convention block in
 :mod:`statesum3d.catdata`.
 
-A colored graph is evaluated by a planar sweep (:func:`evaluate_graph`)
-on a flat state ``{(path, choice): value}``: ``path`` is a tree of the
-current word and ``choice`` lists the basis tree taken at each vertex
-inserted so far.  Both sweep actions read transfer tables memoized in the
-category's ``_memo``:
+A colored graph is evaluated by a planar sweep (:func:`evaluate_graph`):
+its plan of box and cap actions, found once per category, uncoloured graph
+and outer face (:func:`_sweep_plan`), runs with the edge colours
+(:func:`_sweep`) on a flat state ``{(path, choice): value}``: ``path`` is
+a tree of the current word and ``choice`` lists the basis tree taken at
+each vertex inserted so far.  Both sweep actions read transfer tables
+memoized in the category's ``_memo``:
 
 * box table ``("box", letters, tree)``, looked up by the intermediate
   ``mb`` before the insertion point: the (inserted intermediates,
@@ -43,7 +45,8 @@ both from the cup and cap of the round trip they replace.  A rotation by k
 steps pushes sparse columns through k memoized one-step matrices; past
 half a turn it takes n - k inverse steps instead, each of which bends the
 last leg to the front, divides by lambda of the last item, and takes
-n - 2 F-moves back to a left comb.
+n - 2 F-moves back to a left comb.  The result is memoized as sparse rows
+(:func:`_rebase_rows`).
 
 Cyclic sets follow the surface convention that the half-edge order at a
 vertex is taken clockwise (opposite surface orientation), a half-edge
@@ -322,38 +325,45 @@ def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
     scalar, the F-entry that splits the unit between the cup's letters into
     ``(x, x*)``, and the cap's scalar (derived in :func:`_bend_scalar`).  A
     rotation takes ``min(steps, n - steps)`` steps: past half a turn it goes
-    the other way, moving the last leg to the front (:func:`_bend_last_leg`).  The sparse
-    matrix of each step is memoized per category and anchored signed items,
-    and the columns are pushed through the steps one by one.
+    the other way, moving the last leg to the front (:func:`_bend_last_leg`).
+    The matrix is the dense view of the sparse rows of :func:`_rebase_rows`.
     """
-    n = len(basis.cset)
-    steps %= n
-    target = MultiplicityBasis(data, basis.cset, basis.anchor + steps)
-    items = basis.anchored.items
+    rows = _rebase_rows(data, basis.cset.items, basis.anchor, steps % len(basis.cset))
+    return [[row.get(s, data.field.zero()) for s in range(basis.dim())] for row in map(dict, rows)]
+
+
+def _rebase_rows(data: GFusionData, items: tuple, anchor: int, steps: int) -> tuple:
+    """Sparse rows of :func:`rotation_matrix` for the basis of ``items``
+    anchored at ``anchor`` and ``0 <= steps < n``: row t lists the pairs
+    ``(s, R[t][s])`` with a nonzero value, s ascending.  The columns are
+    pushed through the memoized one-step maps, and the rows are memoized."""
+    memo = data._memo
+    key = ("rebase", items, anchor, steps)
+    rows = memo.get(key)
+    if rows is not None:
+        return rows
+    n = len(items)
+    its = items[anchor:] + items[:anchor]
+    one = data.field.one()
+    cols = [{s: one} for s in range(len(_trees(data, CyclicCSet(its).word(data))))]
     forward = 2 * steps <= n
-    maps = []
     for _ in range(steps if forward else n - steps):
-        key = ("bend" if forward else "bend back", items)
-        step = data._memo.get(key)
+        step_key = ("bend" if forward else "bend back", its)
+        step = memo.get(step_key)
         if step is None:
             bend = _bend_first_leg if forward else _bend_last_leg
-            step = data._memo[key] = bend(data, items)
-        maps.append(step)
-        items = items[1:] + items[:1] if forward else items[-1:] + items[:-1]
-    zero = data.field.zero()
-    out = [[zero] * basis.dim() for _ in range(target.dim())]
-    for s in range(basis.dim()):
-        col = {s: data.field.one()}
-        for step in maps:
-            nxt: dict = {}
+            step = memo[step_key] = bend(data, its)
+        for s, col in enumerate(cols):
+            cols[s] = nxt = {}
             for i, v in col.items():
                 for t, u in step[i]:
                     cur = nxt.get(t)
                     nxt[t] = v * u if cur is None else cur + v * u
-            col = nxt
-        for t, v in col.items():
-            out[t][s] = v
-    return out
+        its = its[1:] + its[:1] if forward else its[-1:] + its[:-1]
+    rows = memo[key] = tuple(
+        tuple((s, col[t]) for s, col in enumerate(cols) if t in col and not col[t].is_zero())
+        for t in range(len(_trees(data, CyclicCSet(its).word(data)))))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +600,19 @@ def _canonical_rotation_system(rotations) -> tuple:
     return best
 
 
+def _canonical_graph(code) -> "ColoredGraph":
+    """The rotation system of the canonical ``code`` (see
+    :func:`_canonical_rotation_system`), numbered as the code numbers it."""
+    rotations = [[None] * len(row) for row in code]
+    edges = []
+    for k, row in enumerate(code):
+        for j, (end, w, i) in enumerate(row):
+            if rotations[k][j] is None:
+                rotations[k][j], rotations[w][i] = (len(edges), end), (len(edges), 1 - end)
+                edges.append((k, w, 0) if end == 0 else (w, k, 0))
+    return ColoredGraph(len(code), edges, rotations)
+
+
 class ColoredGraph:
     """Oriented colored graph with a rotation system certified to embed in
     the 2-sphere.
@@ -755,6 +778,59 @@ def _layout_search(graph, frontier, gaps, placed, seen):
     return None
 
 
+def _sweep_plan(data: GFusionData, graph: ColoredGraph, outer_face: int) -> tuple:
+    """Sweep plan ``(ops, offsets, positions)`` of the uncoloured ``graph``
+    from ``outer_face``, memoized on the category: ops ``("box", p, darts)``
+    insert a vertex's darts from its offset on at word position p, ops
+    ``("cap", q, edge, 'l' (lev) or 'r' (rev))`` close an edge, and vertex
+    v's index sits at choice position ``positions[v]``, anchored at
+    ``offsets[v]``."""
+    key = ("sweep plan", tuple(graph.rotations), tuple(graph.faces), outer_face)
+    plan = data._memo.get(key)
+    if plan is not None:
+        return plan
+    ops, offsets, order, strand_darts = [], {}, [], []
+    for act in _find_layout(graph, outer_face):
+        if act[0] == "box":
+            _, v, r, p = act
+            rot = graph.rotations[v]
+            order.append(v)
+            offsets[v] = r
+            ops.append(("box", p, rot[r:] + rot[:r]))
+            strand_darts[p:p] = rot[r:] + rot[:r]
+        else:
+            _, q = act
+            e, end = strand_darts[q]
+            ops.append(("cap", q, e, "l" if end == 0 else "r"))
+            del strand_darts[q:q + 2]
+    plan = data._memo[key] = (tuple(ops), tuple(map(offsets.get, range(len(order)))),
+                              tuple(map(order.index, range(len(order)))))
+    return plan
+
+
+def _sweep(data: GFusionData, plan: tuple, edge_colors) -> dict:
+    """Run the ops of ``plan`` (:func:`_sweep_plan`) with the colours
+    ``edge_colors`` on the flat state ``{(path, choice): value}``; returns
+    the raw entries ``{choice: value}``."""
+    dual = data.dual
+    word: tuple = ()
+    states: dict = {((), ()): data.field.one()}
+    for op in plan[0]:
+        if op[0] == "box":
+            _, p, darts = op
+            letters = tuple([edge_colors[e] if end else dual[edge_colors[e]] for e, end in darts])
+            states = _box(data, states, p, letters, _trees(data, letters))
+            word = word[:p] + letters + word[p:]
+        else:
+            _, q, e, kind = op
+            states = _cap(data, states, word, q, edge_colors[e], kind)
+            word = word[:q] + word[q + 2:]
+    for path, _ in states:
+        if path != ():
+            raise InternalError(f"sweep ends on the tree {path}, not the empty one")
+    return {choice: coeff for (_, choice), coeff in states.items()}
+
+
 def evaluate_graph(data: GFusionData, graph: ColoredGraph, slots=None,
                    outer_face: int | None = None) -> GraphTensor:
     """Invariant of a colored graph on the sphere as a tensor over the slot
@@ -765,55 +841,13 @@ def evaluate_graph(data: GFusionData, graph: ColoredGraph, slots=None,
     slot_by_vertex = {s.vertex: s for s in slots}
     if sorted(slot_by_vertex) != list(range(graph.nvertices)):
         raise ValueError("slots must cover each vertex exactly once")
-    if outer_face is None:
-        outer_face = 0
-    # the sweep depends only on the uncoloured graph; the rotations fix the
-    # edge endpoints (checked by ColoredGraph)
-    memo = data._memo
-    key = ("layout", tuple(graph.rotations), tuple(graph.faces), outer_face)
-    actions = memo.get(key)
-    if actions is None:
-        actions = memo[key] = _find_layout(graph, outer_face)
-
-    # symbolic sweep: state keyed by (tree path, choice tuple)
+    plan = _sweep_plan(data, graph, 0 if outer_face is None else outer_face)
+    raw = _sweep(data, plan, [c for _, _, c in graph.edges])
     csets = [graph.vertex_cset(v) for v in range(graph.nvertices)]
-    insert_offset = {}
-    word: tuple = ()
-    states: dict = {((), ()): data.field.one()}
-    vertex_order = []
-    strand_darts: list = []
-    for act in actions:
-        if act[0] == "box":
-            _, v, r, p = act
-            vertex_order.append(v)
-            insert_offset[v] = r
-            letters = csets[v].word(data)
-            letters = letters[r:] + letters[:r]
-            states = _box(data, states, p, letters, _trees(data, letters))
-            word = word[:p] + letters + word[p:]
-            rot = graph.rotations[v]
-            strand_darts[p:p] = rot[r:] + rot[:r]
-        else:
-            _, q = act
-            e, end = strand_darts[q]
-            states = _cap(data, states, word, q, graph.edges[e][2], "l" if end == 0 else "r")
-            word = word[:q] + word[q + 2:]
-            del strand_darts[q:q + 2]
-
-    raw: dict = {}
-    for (path, choice), coeff in states.items():
-        if path != ():
-            raise InternalError(f"sweep ends on the tree {path}, not the empty one")
-        raw[choice] = coeff
-
-    # re-express each index in the requested slot basis
-    nver = graph.nvertices
-    anchors = [slot_by_vertex[v].anchor for v in range(nver)]
-    entries = _rebased(data, raw, [cs.items for cs in csets],
-                       [vertex_order.index(v) for v in range(nver)],
-                       [insert_offset[v] for v in range(nver)], anchors)
+    anchors = [slot_by_vertex[v].anchor for v in range(graph.nvertices)]
+    entries = _rebased(data, raw, [cs.items for cs in csets], plan[2], plan[1], anchors)
     bases = [MultiplicityBasis(data, cs, a) for cs, a in zip(csets, anchors)]
-    return GraphTensor(data, range(nver), bases, entries)
+    return GraphTensor(data, range(graph.nvertices), bases, entries)
 
 
 def _rebased(data: GFusionData, raw: dict, items, positions, sources, anchors) -> dict:
@@ -823,24 +857,16 @@ def _rebased(data: GFusionData, raw: dict, items, positions, sources, anchors) -
     anchored at ``sources[v]``; the result holds the nonzero entries in the
     bases anchored at ``anchors[v]``, keyed in vertex order.
 
-    The re-basing matrix of each vertex is applied in turn, so vertex v
-    costs one pass over the entries times the trees each maps to; a vertex
-    whose anchor does not move is left alone.  The matrices are memoized on
-    the category as sparse rows (source tree -> ``(target tree, value)``
-    pairs)."""
-    memo = data._memo
-    entries = {tuple(key[p] for p in positions): val for key, val in raw.items()}
+    The re-basing rows of each vertex (:func:`_rebase_rows`) are applied in
+    turn, so vertex v costs one pass over the entries times the trees each
+    maps to; a vertex whose anchor does not move is left alone."""
+    entries = {tuple([key[p] for p in positions]): val for key, val in raw.items()}
     for v, (its, source, anchor) in enumerate(zip(items, sources, anchors)):
         anchor %= len(its)
         steps = (source - anchor) % len(its)
         if not steps:
             continue
-        key = ("rebase", its, anchor, steps)
-        rows = memo.get(key)
-        if rows is None:
-            mat = rotation_matrix(data, MultiplicityBasis(data, CyclicCSet(its), anchor), steps)
-            rows = memo[key] = tuple(tuple((s, x) for s, x in enumerate(row) if not x.is_zero())
-                                     for row in mat)
+        rows = _rebase_rows(data, its, anchor, steps)
         nxt: dict = {}
         for idx, val in entries.items():
             head, tail = idx[:v], idx[v + 1:]

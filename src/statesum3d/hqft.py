@@ -182,23 +182,32 @@ class CobordismSkeleton:
         self._validate()
 
     def _validate(self):
-        ends = [(f"{side} end {i}", key)
-                for side, keys in (("bot", self.bot_ends), ("top", self.top_ends))
-                for i, key in enumerate(keys)]
+        sides = (("bot", self.bot_ends), ("top", self.top_ends))
+        ends = [(f"{side} end {i}", key) for side, keys in sides for i, key in enumerate(keys)]
         validate_links(self.links, self.edges, len(self.regions), ends)
-        for r, (_, label, pin) in enumerate(self.regions):
-            if not 0 <= label < self.group.order:
-                raise ValueError(f"region {r} label {label} outside 0..{self.group.order - 1}")
-            if pin is not None:
-                surf = self.bot_surface if pin[0] == "bot" else self.top_surface
-                if not 0 <= pin[1] < len(surf.edges):
-                    raise ValueError(f"region {r} pinned to {pin[0]} edge {pin[1]}, "
-                                     f"outside 0..{len(surf.edges) - 1}")
-        # the boundary colorings color the regions at the boundary ends
+        # the boundary colorings of a side color exactly the regions at its ends
+        met = {side: {r for v, g in keys for r, _ in self.links[v].items_at(g)}
+               for side, keys in sides}
         for what, (v, g) in ends:
             for r, _ in self.links[v].items_at(g):
                 if self.regions[r][2] is None:
                     raise ValueError(f"{what} meets region {r}, which has no pin")
+        for r, (_, label, pin) in enumerate(self.regions):
+            if not 0 <= label < self.group.order:
+                raise ValueError(f"region {r} label {label} outside 0..{self.group.order - 1}")
+            if pin is None:
+                continue
+            side, e = pin
+            surf = self.bot_surface if side == "bot" else self.top_surface
+            if not 0 <= e < len(surf.edges):
+                raise ValueError(f"region {r} pinned to {side} edge {e}, "
+                                 f"outside 0..{len(surf.edges) - 1}")
+            if surf.labels[e] != label:
+                raise ValueError(f"region {r} label {label} differs from the label "
+                                 f"{surf.labels[e]} of its pin {side} edge {e}")
+            if r not in met[side] or r in met["top" if side == "bot" else "bot"]:
+                raise ValueError(f"region {r} is pinned to {side} edge {e}, "
+                                 f"but does not meet {side} ends alone")
 
 
 def build_sheet_cylinder(bot: SurfaceSkeleton, top: SurfaceSkeleton,
@@ -333,12 +342,8 @@ def build_sheet_cylinder(bot: SurfaceSkeleton, top: SurfaceSkeleton,
         jt = next(j for j, d in enumerate(ambient.rotations[t]) if d == (e, 0))
         jh = next(j for j, d in enumerate(ambient.rotations[h]) if d == (e, 1))
         edges.append(((t, equator_gv[(t, jt)]), (h, equator_gv[(h, jh)])))
-    if ambient_is_top:
-        bot_ends = [(v, south_gv[v]) for v in range(bot.nvertices)]
-        top_ends = [(v, north_gv[v]) for v in range(top.nvertices)]
-    else:
-        bot_ends = [(v, south_gv[v]) for v in range(bot.nvertices)]
-        top_ends = [(v, north_gv[v]) for v in range(top.nvertices)]
+    bot_ends = [(v, south_gv[v]) for v in range(bot.nvertices)]
+    top_ends = [(v, north_gv[v]) for v in range(top.nvertices)]
     return CobordismSkeleton(group, regions, links, edges, bot_ends, top_ends,
                              len(bot.faces) + len(top.faces), bot, top,
                              name=f"cyl({bot.name}->{top.name})")

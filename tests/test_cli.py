@@ -385,10 +385,17 @@ def _cylinder_text():
     ("top_ends 0.1", "top_ends 0", "top end 0 (0,) is not a link vertex"),
     ("region 0 chi 1 label 0 pin bot:0", "region 0 chi 1 label 0 pin none",
      "bot end 0 meets region 0, which has no pin"),
+    ("region 0 chi 1 label 0 pin bot:0", "region 0 chi 1 label 0 pin top:0",
+     "region 0 is pinned to top edge 0, but does not meet top ends alone"),
+    ("region 0 chi 1 label 0 pin bot:0", "region 0 chi 1 label 1 pin bot:0",
+     "region 0 label 1 differs from the label 0 of its pin bot edge 0"),
+    ("region 2 chi 1 label 0 pin none", "region 2 chi 1 label 0 pin bot:0",
+     "region 2 is pinned to bot edge 0, but does not meet bot ends alone"),
 ], ids=["short-name", "short-balls", "missing-balls", "short-region", "bad-pin-side",
         "pin-past-the-end", "label-out-of-range", "short-arc", "arc-region-past-the-end",
         "edge-end-without-link-vertex", "missing-vertices-line", "end-without-gvertex",
-        "boundary-region-without-pin"])
+        "boundary-region-without-pin", "boundary-region-pinned-to-the-other-side",
+        "pinned-label-differs-from-the-edge-label", "interior-region-pinned"])
 def test_malformed_cobordism_is_a_domain_error(tmp_path, line, edited, message):
     lines = _cylinder_text().splitlines()
     assert lines.count(line) == 1

@@ -25,6 +25,7 @@ from statesum3d.graphcalc import (
     _box,
     _canonical_rotation_system,
     _cap,
+    _rebased,
     evaluate_graph,
     hom_dim,
     pairing_gram,
@@ -132,6 +133,32 @@ def test_rotation_matrix_matches_round_trip():
                     assert rotation_matrix(cat, basis, steps) == \
                         refrotation.rotation_matrix(cat, basis, steps), (name, cs, anchor, steps)
             nonzero += MultiplicityBasis(cat, cs).dim() > 0
+
+
+def test_rebasing_rows_match_round_trip():
+    # the sparse rows that _rebased applies, read off unit tensors, against
+    # the rows of the cup / insert / cap round trip, on seeded random
+    # admissible cyclic sets of 2-5 items at every anchor and step count
+    rnd = random.Random("rebase/round-trip")
+    for name in ("fibonacci", "ising_like", "vect_Z3_theta1", "vect_Z4_theta1"):
+        cat = builtin_category(name)
+        one = cat.field.one()
+        for n in range(2, 6):
+            found = 0
+            while found < 6:
+                items = tuple((rnd.randrange(cat.n), rnd.choice([1, -1])) for _ in range(n))
+                if hom_dim(cat, items) == 0:
+                    continue
+                found += 1
+                for anchor in range(n):
+                    basis = MultiplicityBasis(cat, CyclicCSet(items), anchor)
+                    for steps in range(n):
+                        ref = refrotation.rotation_matrix(cat, basis, steps)
+                        for t, row in enumerate(ref):
+                            want = {(s,): x for s, x in enumerate(row) if not x.is_zero()}
+                            got = _rebased(cat, {(t,): one}, [items], [0], [anchor + steps],
+                                           [anchor])
+                            assert got == want, (name, items, anchor, steps, t)
 
 
 def test_rotation_matrix_matches_round_trip_on_graph_pool():

@@ -5,7 +5,7 @@ import pytest
 from statesum3d.catdata import builtin_category, builtin_category_names, neutral_dimension
 from statesum3d.complexes import LinkGraph, Skeleton, dual_skeleton
 from statesum3d.gauge import enumerate_labelings, gauge_orbits
-from statesum3d.graphcalc import ColoredGraph, evaluate_graph
+from statesum3d.graphcalc import ColoredGraph, _canonical_rotation_system, evaluate_graph
 from statesum3d.statesum import (
     _Evaluator,
     _link_tensor,
@@ -278,18 +278,38 @@ def test_memoized_link_tensors_match_direct_evaluation(category):
 def test_link_tensors_are_evaluated_once_per_class(monkeypatch):
     from statesum3d import statesum
     calls = []
+    sweep = statesum._sweep
 
-    def counted(cat, graph):
-        calls.append(graph)
-        return evaluate_graph(cat, graph)
+    def counted(cat, plan, edge_colors):
+        calls.append(edge_colors)
+        return sweep(cat, plan, edge_colors)
 
-    monkeypatch.setattr(statesum, "evaluate_graph", counted)
+    monkeypatch.setattr(statesum, "_sweep", counted)
     sk = dual_skeleton(load_tri("t3_6tet"))
     cat = builtin_category("vect_Z4_theta1")
     ev = _Evaluator(sk, cat)
     for rep, _ in _orbit_reps(sk, cat.group):
         closed_invariant(sk, rep, cat, _ev=ev)
     assert 0 < len(calls) < len(ev.link_cache), (len(calls), len(ev.link_cache))
+
+
+def test_sweep_plans_are_built_once_per_canonical_code(monkeypatch):
+    from statesum3d import graphcalc
+    layouts = []
+    find_layout = graphcalc._find_layout
+
+    def counted(graph, outer_face):
+        layouts.append(graph)
+        return find_layout(graph, outer_face)
+
+    monkeypatch.setattr(graphcalc, "_find_layout", counted)
+    sk = dual_skeleton(load_tri("t3_6tet"))
+    cat = builtin_category("vect_Z4_theta1")
+    ev = _Evaluator(sk, cat)
+    for rep, _ in _orbit_reps(sk, cat.group):
+        closed_invariant(sk, rep, cat, _ev=ev)
+    codes = {_canonical_rotation_system(tuple(map(tuple, lk.rotations)))[0] for lk in sk.links}
+    assert 0 < len(layouts) <= len(codes), (len(layouts), len(codes))
 
 
 def _relabeled(rnd, edges, rotations, colors):
