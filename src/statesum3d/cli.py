@@ -234,10 +234,15 @@ def _cmd_hqft_rank(args, rep):
     if args.surface == "empty":
         rep.data["results"]["rank"] = 1
         return 0
-    if os.path.exists(args.surface):
+    # a path, a built-in name, or the name of a shipped surface file
+    surf = None
+    if not os.path.exists(args.surface):
+        try:
+            surf = hqft.builtin_surface(args.surface, cat.group)
+        except ValueError:
+            pass
+    if surf is None:
         surf = hqft.parse_surface(_data_text("surface", args.surface), cat.group)
-    else:
-        surf = hqft.builtin_surface(args.surface, cat.group)
     space = hqft.cylinder_projector(surf, cat)
     rep.data["results"]["rank"] = space.rank
     rep.data["counts"]["block_space_dim"] = len(space.matrix)

@@ -25,13 +25,23 @@ are:
 * for a skeleton edge, the branch list stored at end 0 and the rotation at
   the end-1 link vertex are positionally reversed copies of each other, so
   the end-1 cyclic set is the dual of the end-0 cyclic set.
+
+The local skeleton moves (T1, T2, T4 and their inverses) each write only
+their local change, in the numbering of the skeleton they are given: added
+regions, balls and vertex links come last and a removed link is None.
+``_assemble`` drops what a move removed and numbers the rest densely, in
+order, and ``_splice`` joins the arcs through the link vertices a move
+removes (the two-valent ends of T1inv, the two ends of the edge T2
+contracts).  No move changes the skeleton it is given.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations
 
 from . import records
+from .catdata import UnionFind
 from .graphcalc import ColoredGraph, InternalError
 
 __all__ = [
@@ -503,10 +513,6 @@ class LinkGraph:
         self.arcs = [tuple(a) for a in arcs]
         self.rotations = [list(r) for r in rotations]
 
-    def copy(self):
-        return LinkGraph([tuple(a) for a in self.arcs],
-                         [list(r) for r in self.rotations])
-
     def items_at(self, gv):
         """Cyclic set [(region, sign)] at a gvertex; incoming arc = +1."""
         out = []
@@ -571,11 +577,6 @@ class Skeleton:
         self.edges = [tuple(map(tuple, e)) for e in edges]
         self.name = name
         self.validate()
-
-    def copy(self):
-        return Skeleton([tuple(r) for r in self.regions], self.ball_count,
-                        [lk.copy() for lk in self.links],
-                        [tuple(map(tuple, e)) for e in self.edges], name=self.name)
 
     # -- validation ---------------------------------------------------------
 
@@ -709,73 +710,42 @@ def region_boundary_walks(sk: Skeleton, region: int):
     are always traversed tail to head; an edge germ is traversed away from
     the end where its arc-dart points into the link vertex.
     """
-    germ_slots = []
-    for eid in range(len(sk.edges)):
-        for j, (r, s) in enumerate(sk.edge_branches(eid)):
-            if r == region:
-                germ_slots.append((eid, j))
-    arcs_by_vertex = {}
-    for v, lk in enumerate(sk.links):
-        for a, (tail, head, r) in enumerate(lk.arcs):
-            if r == region:
-                arcs_by_vertex.setdefault(v, []).append(a)
-
-    def dart_location(eid, j, end):
-        (v0, g0), (v1, g1) = sk.edges[eid]
-        n = len(sk.links[v0].rotations[g0])
-        if end == 0:
-            return v0, g0, j
-        return v1, g1, n - 1 - j
-
-    def arc_at(v, g, pos):
-        lk = sk.links[v]
-        return lk.rotations[g][pos]
-
+    edge_at = {end: (eid, k) for eid, ends in enumerate(sk.edges) for k, end in enumerate(ends)}
+    remaining = {(eid, j) for eid in range(len(sk.edges))
+                 for j, (r, _) in enumerate(sk.edge_branches(eid)) if r == region}
     cycles = []
-    remaining = set(germ_slots)
     while remaining:
-        start = min(remaining)
+        start = eid, j = min(remaining)
         cycle = []
-        eid, j = start
         while True:
-            sign0 = sk.edge_branches(eid)[j][1]
-            from_end = 0 if sign0 > 0 else 1
+            from_end = 0 if sk.edge_branches(eid)[j][1] > 0 else 1
             cycle.append(("edge", eid, j, from_end))
             remaining.discard((eid, j))
-            exit_end = 1 - from_end
-            v, g, pos = dart_location(eid, j, exit_end)
-            arc_id, arc_end = arc_at(v, g, pos)
+            # branch j of an edge is position j at end 0, reversed at end 1
+            v, g = sk.edges[eid][1 - from_end]
+            rot = sk.links[v].rotations[g]
+            arc_id, arc_end = rot[j if from_end == 1 else len(rot) - 1 - j]
             if arc_end != 0:
                 raise InternalError(f"region walk of region {region} does not enter "
                                     f"arc {arc_id} of vertex {v} at its tail")
-            if sk.links[v].arcs[arc_id][2] != region:
+            _, head, r = sk.links[v].arcs[arc_id]
+            if r != region:
                 raise InternalError(f"region walk of region {region} meets arc {arc_id} "
                                     f"of vertex {v} of another region")
             cycle.append(("arc", v, arc_id))
-            head_gv = sk.links[v].arcs[arc_id][1]
-            pos2 = next(p for p, d in enumerate(sk.links[v].rotations[head_gv])
-                        if d == (arc_id, 1))
-            eid2, end2 = _edge_of_gvertex(sk, v, head_gv)
-            n2 = len(sk.links[v].rotations[head_gv])
-            j2 = pos2 if end2 == 0 else n2 - 1 - pos2
-            eid, j = eid2, j2
+            rot = sk.links[v].rotations[head]
+            pos = rot.index((arc_id, 1))
+            eid, end = edge_at[v, head]
+            j = pos if end == 0 else len(rot) - 1 - pos
             if (eid, j) == start:
                 break
         cycles.append(cycle)
     return cycles
 
 
-def _edge_of_gvertex(sk: Skeleton, v, g):
-    for eid, ((v0, g0), (v1, g1)) in enumerate(sk.edges):
-        if (v0, g0) == (v, g):
-            return eid, 0
-        if (v1, g1) == (v, g):
-            return eid, 1
-    raise KeyError((v, g))
-
-
 # ---------------------------------------------------------------------------
-# local moves on labeled skeletons
+# local moves on labeled skeletons (written in the old numbering; see the
+# module docstring)
 
 
 class MoveSpec:
@@ -802,82 +772,106 @@ def apply_move(sk: Skeleton, labeling: dict, spec: MoveSpec, group):
     """Apply a labeled local move; returns (skeleton, labeling).  Labels of
     surviving regions are preserved bit-exactly; small-region labels follow
     the product condition."""
-    if spec.kind == "T1":
-        return _move_t1(sk, labeling, group, **spec.params)
-    if spec.kind == "T1inv":
-        return _move_t1_inv(sk, labeling, group, **spec.params)
-    if spec.kind == "T2":
-        return _move_t2(sk, labeling, group, **spec.params)
-    if spec.kind == "T2inv":
-        return _move_t2_inv(sk, labeling, group, **spec.params)
-    if spec.kind == "T4":
-        return _move_t4(sk, labeling, group, **spec.params)
-    if spec.kind == "T4inv":
-        return _move_t4_inv(sk, labeling, group, **spec.params)
-    raise ValueError(f"unknown move kind {spec.kind!r}")
+    if spec.kind not in _MOVES:
+        raise ValueError(f"unknown move kind {spec.kind!r}")
+    return _MOVES[spec.kind](sk, labeling, group, **spec.params)
+
+
+def _assemble(sk: Skeleton, labeling, regions, ball_count, links, edges,
+              dead_regions=(), into=None, dead_ball=None):
+    """The labeled skeleton a move wrote in the numbering of ``sk``.
+
+    The regions ``dead_regions`` and the ball ``dead_ball`` are dropped, as
+    are the links that are None; an arc still on a dropped region moves to
+    region ``into``.  What is left is numbered densely, in order."""
+    rmap = {r: i for i, r in enumerate(r for r in range(len(regions)) if r not in dead_regions)}
+    if into is not None:
+        rmap.update(dict.fromkeys(dead_regions, rmap[into]))
+    bmap = {b: i for i, b in enumerate(b for b in range(ball_count) if b != dead_ball)}
+    vmap = {v: i for i, v in enumerate(v for v, lk in enumerate(links) if lk is not None)}
+    out = Skeleton([(chi, bmap[bn], bmap[bp]) for r, (chi, bn, bp) in enumerate(regions)
+                    if r not in dead_regions],
+                   len(bmap),
+                   [LinkGraph([(t, h, rmap[r]) for t, h, r in lk.arcs], lk.rotations)
+                    for lk in links if lk is not None],
+                   [((vmap[v0], g0), (vmap[v1], g1)) for (v0, g0), (v1, g1) in edges],
+                   name=sk.name)
+    return out, {rmap[r]: x for r, x in labeling.items() if r not in dead_regions}
+
+
+def _splice(arcs, rotations, partner, what):
+    """Remove the link vertices whose darts ``partner`` pairs, and join the
+    arcs through them.
+
+    An arc whose head dart is paired goes on as the arc of the partner dart,
+    which must be a tail.  Each chain of arcs so joined becomes one arc, with
+    the region of its first arc; chains are numbered in the order of their
+    first arcs, and the link vertices left densely, in order.  Returns the
+    link, the chains (lists of old arc ids) and the map of the link vertices
+    left; ``what`` is the error when arcs close up through removed vertices
+    alone."""
+    gone = {arcs[a][end] for a, end in partner}
+    gmap = {g: i for i, g in enumerate(g for g in range(len(rotations)) if g not in gone)}
+    chains = []
+    for a, (tail, _, _) in enumerate(arcs):
+        if tail in gone:
+            continue
+        chain = [a]
+        while arcs[chain[-1]][1] in gone:
+            b, end = partner[chain[-1], 1]
+            if end != 0:
+                raise InternalError(f"splice joins the head of arc {chain[-1]} to a head")
+            chain.append(b)
+        chains.append(chain)
+    if sum(map(len, chains)) != len(arcs):
+        raise ValueError(what)
+    dart = {}
+    for c, chain in enumerate(chains):
+        dart[chain[0], 0] = (c, 0)
+        dart[chain[-1], 1] = (c, 1)
+    link = LinkGraph([(gmap[arcs[c[0]][0]], gmap[arcs[c[-1]][1]], arcs[c[0]][2]) for c in chains],
+                     [[dart[d] for d in rotations[g]] for g in gmap])
+    return link, chains, gmap
 
 
 def _move_t4(sk: Skeleton, labeling, group, region: int, side: str, label: int):
     chi, bn, bp = sk.regions[region]
     if side not in ("+", "-"):
         raise ValueError("T4 side must be '+' or '-'")
-    b = bp if side == "+" else bn
-    sk2 = sk.copy()
-    b_new = sk2.ball_count
-    sk2.ball_count += 1
-    r_dm = len(sk2.regions)
-    r_dp = r_dm + 1
-    if side == "+":
-        dm_balls = (bn, b_new)
-        dp_balls = (b_new, b)
-    else:
-        dm_balls = (b_new, bp)
-        dp_balls = (bn, b_new)
-    sk2.regions[region] = (chi - 1, bn, bp)
-    sk2.regions.append((1, dm_balls[0], dm_balls[1]))
-    sk2.regions.append((1, dp_balls[0], dp_balls[1]))
-    # theta link of the new vertex; branch order at the outgoing end:
+    # a bubble: a new ball b bounded by the disks D- = n and D+ = n + 1, on a
+    # theta link whose branch order at the outgoing end is
     #   side '+': (r out-, D- in+, D+ in+)   side '-': (r out-, D+ in+, D- in+)
+    n, b = len(sk.regions), sk.ball_count
+    regions = list(sk.regions)
+    regions[region] = (chi - 1, bn, bp)
     if side == "+":
-        arcs = [(0, 1, region), (1, 0, r_dm), (1, 0, r_dp)]
-        rot0 = [(0, 0), (1, 1), (2, 1)]
-        rot1 = [(2, 0), (1, 0), (0, 1)]
-    else:
-        arcs = [(0, 1, region), (1, 0, r_dp), (1, 0, r_dm)]
-        rot0 = [(0, 0), (1, 1), (2, 1)]
-        rot1 = [(2, 0), (1, 0), (0, 1)]
-    w = len(sk2.links)
-    sk2.links.append(LinkGraph(arcs, [rot0, rot1]))
-    sk2.edges.append(((w, 0), (w, 1)))
-    lab2 = dict(labeling)
-    g = label
-    lr = labeling[region]
-    if side == "+":
+        regions += [(1, bn, b), (1, b, bp)]
+        arcs = [(0, 1, region), (1, 0, n), (1, 0, n + 1)]
         # product around the new edge: l(r)^-1 l(D-) l(D+) = 1
-        lab2[r_dm] = group.mul(lr, group.inv(g))
+        small = group.mul(labeling[region], group.inv(label))
     else:
+        regions += [(1, b, bp), (1, bn, b)]
+        arcs = [(0, 1, region), (1, 0, n + 1), (1, 0, n)]
         # l(r)^-1 l(D+) l(D-) = 1
-        lab2[r_dm] = group.mul(group.inv(g), lr)
-    lab2[r_dp] = g
-    out = Skeleton(sk2.regions, sk2.ball_count, sk2.links, sk2.edges, name=sk.name)
-    return out, lab2
+        small = group.mul(group.inv(label), labeling[region])
+    theta = LinkGraph(arcs, [[(0, 0), (1, 1), (2, 1)], [(2, 0), (1, 0), (0, 1)]])
+    w = len(sk.links)
+    return _assemble(sk, {**labeling, n: small, n + 1: label}, regions, b + 1,
+                     [*sk.links, theta], sk.edges + [((w, 0), (w, 1))])
 
 
 def _move_t4_inv(sk: Skeleton, labeling, group, vertex: int):
     lk = sk.links[vertex]
     if len(lk.rotations) != 2 or len(lk.arcs) != 3:
         raise ValueError("T4inv: vertex link is not a three-arc theta graph")
-    eid, end = _edge_of_gvertex(sk, vertex, 0)
-    (va, ga), (vb, gb) = sk.edges[eid]
+    eid = {end: e for e, ends in enumerate(sk.edges) for end in ends}[vertex, 0]
+    (va, _), (vb, _) = sk.edges[eid]
     if va != vertex or vb != vertex:
         raise ValueError("T4inv: the vertex edge is not a loop")
     # find the bubble pair: two disk regions incident only to this bubble
-    counts = {}
-    for v2, lk2 in enumerate(sk.links):
-        for (t, h, r) in lk2.arcs:
-            counts[r] = counts.get(r, 0) + 1
+    counts = Counter(r for lk2 in sk.links for (_, _, r) in lk2.arcs)
     regs = {r for (_, _, r) in lk.arcs}
-    disks = [r for r in regs if sk.regions[r][0] == 1 and counts.get(r) == 1]
+    disks = [r for r in regs if sk.regions[r][0] == 1 and counts[r] == 1]
     if len(disks) < 2:
         raise ValueError("T4inv: no bubble pair at this vertex")
     ball_usage = {}
@@ -899,35 +893,14 @@ def _move_t4_inv(sk: Skeleton, labeling, group, vertex: int):
         raise ValueError("T4inv: no bubble ball found")
     dm, dp, bub = pair
     r = next(x for x in regs if x not in (dm, dp))
-    sk2 = sk.copy()
-    chi, bn, bp = sk2.regions[r]
-    sk2.regions[r] = (chi + 1, bn, bp)
-
-    def drop(indexed, dead):
-        remap = {}
-        out = []
-        for i, item in enumerate(indexed):
-            if i in dead:
-                continue
-            remap[i] = len(out)
-            out.append(item)
-        return out, remap
-
-    regions2, rmap = drop(sk2.regions, {dm, dp})
-    links2, vmap = drop(sk2.links, {vertex})
-    # balls: delete bub, renumber
-    bmap = {i: (i if i < bub else i - 1) for i in range(sk2.ball_count) if i != bub}
-    regions3 = [(chi2, bmap[x], bmap[y]) for (chi2, x, y) in regions2]
-    links3 = [LinkGraph([(t, h, rmap[rr]) for (t, h, rr) in lk2.arcs], lk2.rotations)
-              for lk2 in links2]
-    edges2 = []
-    for eid2, ((v0, g0), (v1, g1)) in enumerate(sk2.edges):
-        if eid2 == eid:
-            continue
-        edges2.append(((vmap[v0], g0), (vmap[v1], g1)))
-    lab2 = {rmap[k]: v for k, v in labeling.items() if k in rmap}
-    out = Skeleton(regions3, sk2.ball_count - 1, links3, edges2, name=sk.name)
-    return out, lab2
+    regions = list(sk.regions)
+    chi, bn, bp = regions[r]
+    regions[r] = (chi + 1, bn, bp)
+    links = list(sk.links)
+    links[vertex] = None
+    return _assemble(sk, labeling, regions, sk.ball_count, links,
+                     [ends for e, ends in enumerate(sk.edges) if e != eid],
+                     dead_regions=(dm, dp), dead_ball=bub)
 
 
 def _move_t1(sk: Skeleton, labeling, group, vertex1: int, arc1: int,
@@ -938,87 +911,44 @@ def _move_t1(sk: Skeleton, labeling, group, vertex1: int, arc1: int,
     if sk.links[vertex2].arcs[arc2][2] != region:
         raise ValueError("T1 arcs must bound the same region")
     cycles = region_boundary_walks(sk, region)
-
-    def locate(v, a):
-        for ci, cyc in enumerate(cycles):
-            for pos, slot in enumerate(cyc):
-                if slot[0] == "arc" and slot[1] == v and slot[2] == a:
-                    return ci, pos
-        raise ValueError("arc is not on the region boundary")
-
-    c1, p1 = locate(vertex1, arc1)
-    c2, p2 = locate(vertex2, arc2)
-    chi = sk.regions[region][0]
-    if c1 == c2:
+    at = {slot[1:]: (c, pos) for c, cyc in enumerate(cycles)
+          for pos, slot in enumerate(cyc) if slot[0] == "arc"}
+    try:
+        (c1, p1), (c2, p2) = at[vertex1, arc1], at[vertex2, arc2]
+    except KeyError:
+        raise ValueError("arc is not on the region boundary") from None
+    chi, bn, bp = sk.regions[region]
+    regions = list(sk.regions)
+    if c1 != c2:
+        # the new edge joins two boundary circles of the region
+        r1 = r2 = region
+        regions[region] = (chi + 1, bn, bp)
+        side2 = set()
+    else:
         if chi != 1 or len(cycles) != 1:
             raise ValueError("ambiguous T1 on a non-disk region; rejected")
-        split = True
-    else:
-        split = False
-
-    sk2 = sk.copy()
-    lk1 = sk2.links[vertex1]
-    lk2 = sk2.links[vertex2]
-    bn, bp = sk.regions[region][1], sk.regions[region][2]
-    if split:
-        r1 = region
-        r2 = len(sk2.regions)
-        sk2.regions.append((1, bn, bp))
-        sk2.regions[region] = (1, bn, bp)
-    else:
-        r1 = r2 = region
-        sk2.regions[region] = (chi + 1, bn, bp)
-
-    # side slots (walk direction): side 1 from after arc1 to before arc2
-    if split:
+        # the new edge cuts the disk in two; the arcs strictly between arc2
+        # and arc1 along the walk go to the new region r2
+        r1, r2 = region, len(regions)
+        regions.append((1, bn, bp))
         cyc = cycles[c1]
-        m = len(cyc)
-        side1 = [cyc[(p1 + k) % m] for k in range(1, (p2 - p1) % m)]
-        side2 = [cyc[(p2 + k) % m] for k in range(1, (p1 - p2) % m)]
-        arcs_side1 = {(s[1], s[2]) for s in side1 if s[0] == "arc"}
-        arcs_side2 = {(s[1], s[2]) for s in side2 if s[0] == "arc"}
-    else:
-        arcs_side1 = set()
-        arcs_side2 = set()
-
-    def cut(lk, arc_id, x_gv):
-        tail, head, _ = lk.arcs[arc_id]
-        pre = arc_id                       # tail -> x (reuse id)
-        post = len(lk.arcs)                # x -> head
-        lk.arcs[arc_id] = (tail, x_gv, None)
-        lk.arcs.append((x_gv, head, None))
-        for g, rot in enumerate(lk.rotations):
-            for i, (a, e) in enumerate(rot):
-                if a == arc_id and e == 1:
-                    rot[i] = (post, 1)
-        return pre, post
-
-    x1 = len(lk1.rotations)
-    lk1.rotations.append([])
-    pre1, post1 = cut(lk1, arc1, x1)
-    x2 = len(lk2.rotations)
-    lk2.rotations.append([])
-    pre2, post2 = cut(lk2, arc2, x2)
-    # sides: r1 gets post1, W1 arcs, pre2; r2 gets post2, W2 arcs, pre1
-    lk1.arcs[pre1] = (lk1.arcs[pre1][0], lk1.arcs[pre1][1], r2)
-    lk1.arcs[post1] = (lk1.arcs[post1][0], lk1.arcs[post1][1], r1)
-    lk2.arcs[pre2] = (lk2.arcs[pre2][0], lk2.arcs[pre2][1], r1)
-    lk2.arcs[post2] = (lk2.arcs[post2][0], lk2.arcs[post2][1], r2)
-    if split:
-        for (v, a) in arcs_side1:
-            lk = sk2.links[v]
-            lk.arcs[a] = (lk.arcs[a][0], lk.arcs[a][1], r1)
-        for (v, a) in arcs_side2:
-            lk = sk2.links[v]
-            lk.arcs[a] = (lk.arcs[a][0], lk.arcs[a][1], r2)
-    lk1.rotations[x1] = [(pre1, 1), (post1, 0)]
-    lk2.rotations[x2] = [(pre2, 1), (post2, 0)]
-    sk2.edges.append(((vertex1, x1), (vertex2, x2)))
-    lab2 = dict(labeling)
-    lab2[r2] = labeling[region]
-    lab2[r1] = labeling[region]
-    out = Skeleton(sk2.regions, sk2.ball_count, sk2.links, sk2.edges, name=sk.name)
-    return out, lab2
+        side2 = {cyc[(p2 + k) % len(cyc)][1:] for k in range(1, (p1 - p2) % len(cyc))}
+    links = [LinkGraph([(t, h, r2 if (v, a) in side2 else r)
+                        for a, (t, h, r) in enumerate(lk.arcs)], lk.rotations)
+             for v, lk in enumerate(sk.links)]
+    # each arc is cut at a new link vertex x: it now ends at x, in region
+    # ``pre``, and a new arc b goes on from x to its old head, in region ``post``
+    x1, x2 = len(sk.links[vertex1].rotations), len(sk.links[vertex2].rotations)
+    for v, a, x, pre, post in ((vertex1, arc1, x1, r2, r1), (vertex2, arc2, x2, r1, r2)):
+        lk = links[v]
+        tail, head, _ = lk.arcs[a]
+        b = len(lk.arcs)
+        lk.arcs[a] = (tail, x, pre)
+        lk.arcs.append((x, head, post))
+        lk.rotations = ([[(b, 1) if d == (a, 1) else d for d in rot] for rot in lk.rotations]
+                        + [[(a, 1), (b, 0)]])
+    return _assemble(sk, {**labeling, r2: labeling[region]}, regions, sk.ball_count, links,
+                     sk.edges + [((vertex1, x1), (vertex2, x2))])
 
 
 def _move_t1_inv(sk: Skeleton, labeling, group, edge: int):
@@ -1035,87 +965,22 @@ def _move_t1_inv(sk: Skeleton, labeling, group, edge: int):
         raise ValueError("T1inv: adjacent region orientations are incompatible")
     if labeling[ra] != labeling[rb]:
         raise ValueError("T1inv: labels disagree across the edge")
-    sk2 = sk.copy()
-    if ra != rb:
-        chiA = sk.regions[ra][0]
-        chiB = sk.regions[rb][0]
-        keep, dead = min(ra, rb), max(ra, rb)
-        sk2.regions[keep] = (chiA + chiB - 1, sk.regions[keep][1], sk.regions[keep][2])
-    else:
-        keep, dead = ra, None
-        sk2.regions[keep] = (sk.regions[ra][0] - 1, sk.regions[ra][1], sk.regions[ra][2])
-
-    def heal(lk, gv):
-        a_in = a_out = None
-        darts = lk.rotations[gv]
-        if len(darts) != 2:
-            raise ValueError("T1inv: edge end is not 2-valent")
-        for (a, e) in darts:
-            if e == 1:
-                a_in = a
-            else:
-                a_out = a
-        if a_in is None or a_out is None:
-            raise ValueError("T1inv: incompatible dart pattern")
-        if a_in == a_out:
-            raise ValueError("T1inv would close a vertexless circle; rejected")
-        tail = lk.arcs[a_in][0]
-        head = lk.arcs[a_out][1]
-        rcol = lk.arcs[a_in][2]
-        lk.arcs[a_in] = (tail, head, rcol)
-        # redirect darts of a_out
-        for g2, rot in enumerate(lk.rotations):
-            for i, (a, e) in enumerate(rot):
-                if a == a_out:
-                    rot[i] = (a_in, e)
-        return a_out, gv
-
-    dead_arc0, dg0 = heal(sk2.links[v0], g0)
-    dead_arc1, dg1 = heal(sk2.links[v1], g1)
-
-    def compact_link(lk, dead_arc, dead_gv):
-        amap = {}
-        arcs = []
-        for i, a in enumerate(lk.arcs):
-            if i == dead_arc:
-                continue
-            amap[i] = len(arcs)
-            arcs.append(a)
-        gmap = {}
-        rots = []
-        for g, rot in enumerate(lk.rotations):
-            if g == dead_gv:
-                continue
-            gmap[g] = len(rots)
-            rots.append([(amap[a], e) for (a, e) in rot])
-        arcs = [(gmap[t], gmap[h], r) for (t, h, r) in arcs]
-        return LinkGraph(arcs, rots), gmap
-
-    sk2.links[v0], gmap0 = compact_link(sk2.links[v0], dead_arc0, g0)
-    sk2.links[v1], gmap1 = compact_link(sk2.links[v1], dead_arc1, g1)
-    edges2 = []
-    for eid, ((a0, b0), (a1, b1)) in enumerate(sk2.edges):
-        if eid == edge:
-            continue
-        nb0 = gmap0[b0] if a0 == v0 else (gmap1[b0] if a0 == v1 else b0)
-        nb1 = gmap0[b1] if a1 == v0 else (gmap1[b1] if a1 == v1 else b1)
-        edges2.append(((a0, nb0), (a1, nb1)))
-    # region renumber if merged
-    if dead is not None:
-        rmap = {i: (i if i < dead else i - 1) for i in range(len(sk2.regions)) if i != dead}
-        rmap[dead] = rmap.get(keep, keep if keep < dead else keep - 1)
-        regions2 = [r for i, r in enumerate(sk2.regions) if i != dead]
-        links2 = [LinkGraph([(t, h, rmap[r]) for (t, h, r) in lk.arcs], lk.rotations)
-                  for lk in sk2.links]
-        lab2 = {}
-        for rid, val in labeling.items():
-            if rid == dead:
-                continue
-            lab2[rmap[rid]] = val
-        out = Skeleton(regions2, sk2.ball_count, links2, edges2, name=sk.name)
-        return out, lab2
-    out = Skeleton(sk2.regions, sk2.ball_count, sk2.links, edges2, name=sk.name)
-    return out, dict(labeling)
+    # the regions on the two sides become one, numbered as the lesser
+    keep = min(ra, rb)
+    _, bn, bp = sk.regions[keep]
+    regions = list(sk.regions)
+    regions[keep] = (sum(sk.regions[r][0] for r in {ra, rb}) - 1, bn, bp)
+    # each end is a two-valent link vertex, whose two arcs become one
+    links = list(sk.links)
+    gmaps = {}
+    for v, g in ((v0, g0), (v1, g1)):
+        d, e = sk.links[v].rotations[g]
+        links[v], _, gmaps[v] = _splice(sk.links[v].arcs, sk.links[v].rotations, {d: e, e: d},
+                                        "T1inv would close a vertexless circle; rejected")
+    edges = [tuple((v, gmaps[v][g]) if v in gmaps else (v, g) for v, g in ends)
+             for eid, ends in enumerate(sk.edges) if eid != edge]
+    return _assemble(sk, labeling, regions, sk.ball_count, links, edges,
+                     dead_regions={ra, rb} - {keep}, into=keep)
 
 
 def _move_t2(sk: Skeleton, labeling, group, edge: int):
@@ -1124,120 +989,25 @@ def _move_t2(sk: Skeleton, labeling, group, edge: int):
         raise ValueError("T2 is allowed only when the endpoints of the edge are distinct")
     if len(sk.links[v0].rotations) < 2 and len(sk.links[v1].rotations) < 2:
         raise ValueError("T2 needs an endpoint meeting another edge")
+    # the two links as one, the arcs and link vertices of v1 after those of
+    # v0; the ends of the edge meet positionally reversed
     lk0, lk1 = sk.links[v0], sk.links[v1]
-    n = len(lk0.rotations[g0])
-
-    # segments: (side, arc_id) with open ends where they met g0/g1
-    def seg_ends(side, lk, gv):
-        out = {}
-        for a, (tail, head, r) in enumerate(lk.arcs):
-            out[(side, a)] = {"tail": ("open", side, a, 0) if tail == gv else ("real", side, tail, a, 0),
-                              "head": ("open", side, a, 1) if head == gv else ("real", side, head, a, 1)}
-        return out
-
-    ends0 = seg_ends(0, lk0, g0)
-    ends1 = seg_ends(1, lk1, g1)
-    ends = {**ends0, **ends1}
-
-    # pair open ends across the contracted edge positionally
-    pairing = {}
-    for j in range(n):
-        a0, e0 = lk0.rotations[g0][j]
-        a1, e1 = lk1.rotations[g1][n - 1 - j]
-        pairing[(0, a0, e0)] = (1, a1, e1)
-        pairing[(1, a1, e1)] = (0, a0, e0)
-
-    # build chains, each starting at a real tail end
-    segs = list(ends.keys())
-    chains = []
-    used = set()
-    for seg in segs:
-        if ends[seg]["tail"][0] != "real":
-            continue
-        chain = [seg]
-        while ends[chain[-1]]["head"][0] == "open":
-            side, a = chain[-1]
-            nxt = pairing[(side, a, 1)]
-            if nxt[2] != 0:
-                raise ValueError("T2 splice direction mismatch")
-            chain.append((nxt[0], nxt[1]))
-        chains.append(chain)
-        used.update(chain)
-    if used != set(segs):
-        raise ValueError("T2 would create a closed region circle in the link")
-
-    # region colors along a chain must agree
-    newarcs = []
+    na, ng = len(lk0.arcs), len(lk0.rotations)
+    arcs = lk0.arcs + [(t + ng, h + ng, r) for t, h, r in lk1.arcs]
+    rotations = lk0.rotations + [[(a + na, e) for a, e in rot] for rot in lk1.rotations]
+    pairs = list(zip(rotations[g0], reversed(rotations[ng + g1])))
+    merged, chains, gmap = _splice(arcs, rotations, dict(pairs + [(e, d) for d, e in pairs]),
+                                   "T2 would create a closed region circle in the link")
     for chain in chains:
-        side0, a0 = chain[0]
-        r = (lk0 if side0 == 0 else lk1).arcs[a0][2]
-        for (sd, aa) in chain:
-            r2 = (lk0 if sd == 0 else lk1).arcs[aa][2]
-            if r2 != r:
-                raise InternalError(f"T2 chain across edge {edge} changes region")
-        tail_desc = ends[chain[0]]["tail"]
-        head_desc = ends[chain[-1]]["head"]
-        newarcs.append((tail_desc, head_desc, r))
-
-    # merged link vertex
-    gmap = {}
-    rots = []
-    for g in range(len(lk0.rotations)):
-        if g == g0:
-            continue
-        gmap[(0, g)] = len(rots)
-        rots.append(lk0.rotations[g])
-    for g in range(len(lk1.rotations)):
-        if g == g1:
-            continue
-        gmap[(1, g)] = len(rots)
-        rots.append(lk1.rotations[g])
-    arcs2 = []
-    for (tail_desc, head_desc, r) in newarcs:
-        _, sdt, gvt, at, _ = tail_desc
-        _, sdh, gvh, ah, _ = head_desc
-        arcs2.append((gmap[(sdt, gvt)], gmap[(sdh, gvh)], r))
-    # rewrite darts: dart (arc a, end e) at a surviving gvertex belongs to the
-    # chain containing (side, a); the chain's new dart is (chain_id, e) only
-    # at its extreme ends
-    dart_map = {}
-    for cid, chain in enumerate(chains):
-        dart_map[(chain[0][0], chain[0][1], 0)] = (cid, 0)
-        dart_map[(chain[-1][0], chain[-1][1], 1)] = (cid, 1)
-    new_rots = []
-    idx = 0
-    for g in range(len(lk0.rotations)):
-        if g == g0:
-            continue
-        new_rots.append([dart_map[(0, a, e)] for (a, e) in lk0.rotations[g]])
-    for g in range(len(lk1.rotations)):
-        if g == g1:
-            continue
-        new_rots.append([dart_map[(1, a, e)] for (a, e) in lk1.rotations[g]])
-    merged = LinkGraph(arcs2, new_rots)
-
-    # assemble skeleton
-    links2 = []
-    vmap = {}
-    for v in range(len(sk.links)):
-        if v in (v0, v1):
-            continue
-        vmap[v] = len(links2)
-        links2.append(sk.links[v].copy())
-    vnew = len(links2)
-    vmap[v0] = vnew
-    vmap[v1] = vnew
-    links2.append(merged)
-    edges2 = []
-    for eid, ((a0, b0), (a1, b1)) in enumerate(sk.edges):
-        if eid == edge:
-            continue
-        nb0 = gmap[(0 if a0 == v0 else 1, b0)] if a0 in (v0, v1) else b0
-        nb1 = gmap[(0 if a1 == v0 else 1, b1)] if a1 in (v0, v1) else b1
-        edges2.append(((vmap[a0], nb0), (vmap[a1], nb1)))
-    out = Skeleton([tuple(r) for r in sk.regions], sk.ball_count, links2, edges2,
-                   name=sk.name)
-    return out, dict(labeling)
+        if len({arcs[a][2] for a in chain}) != 1:
+            raise InternalError(f"T2 chain across edge {edge} changes region")
+    w = len(sk.links)
+    links = [*sk.links, merged]
+    links[v0] = links[v1] = None
+    first = {v0: 0, v1: ng}
+    edges = [tuple((w, gmap[first[v] + g]) if v in first else (v, g) for v, g in ends)
+             for eid, ends in enumerate(sk.edges) if eid != edge]
+    return _assemble(sk, labeling, sk.regions, sk.ball_count, links, edges)
 
 
 def _move_t2_inv(sk: Skeleton, labeling, group, vertex: int, circle):
@@ -1245,29 +1015,14 @@ def _move_t2_inv(sk: Skeleton, labeling, group, vertex: int, circle):
     crossed = list(circle)
     if len(set(crossed)) != len(crossed) or not crossed:
         raise ValueError("T2inv circle must cross distinct arcs")
-    # side split by BFS over non-crossed arcs
-    adj = {}
-    for a, (tail, head, r) in enumerate(lk.arcs):
-        if a in crossed:
-            continue
-        adj.setdefault(tail, set()).add(head)
-        adj.setdefault(head, set()).add(tail)
-    all_gv = set(range(len(lk.rotations)))
-    comp = {}
-    for start in sorted(all_gv):
-        if start in comp:
-            continue
-        cid = len(set(comp.values()))
-        stack = [start]
-        comp[start] = cid
-        while stack:
-            x = stack.pop()
-            for y in adj.get(x, ()):
-                if y not in comp:
-                    comp[y] = cid
-                    stack.append(y)
-    sides = sorted(set(comp.values()))
-    if len(sides) != 2:
+    # the sides of the circle: classes of link vertices joined by arcs it
+    # does not cross
+    classes = UnionFind(len(lk.rotations))
+    for a, (tail, head, _) in enumerate(lk.arcs):
+        if a not in crossed:
+            classes.union(tail, head)
+    comp = [classes.find(g) for g in range(len(lk.rotations))]
+    if len(set(comp)) != 2:
         raise ValueError("T2inv circle does not split the link into two sides")
     for a in crossed:
         tail, head, _ = lk.arcs[a]
@@ -1279,76 +1034,36 @@ def _move_t2_inv(sk: Skeleton, labeling, group, vertex: int, circle):
     total = group.identity
     for a in crossed:
         tail, head, r = lk.arcs[a]
-        sgn = 1 if comp[tail] == side_a else -1
-        val = labeling[r] if sgn > 0 else group.inv(labeling[r])
+        val = labeling[r] if comp[tail] == side_a else group.inv(labeling[r])
         total = group.mul(total, val)
     if total != group.identity:
         raise ValueError("T2inv circle violates the product condition")
 
-    def build_side(side_id, order, which):
-        gsel = [g for g in range(len(lk.rotations)) if comp[g] == side_id]
-        gmap = {g: i for i, g in enumerate(gsel)}
-        x = len(gsel)
-        arcs = []
-        amap = {}
-        for a, (tail, head, r) in enumerate(lk.arcs):
-            if a in crossed:
-                continue
-            if comp[tail] != side_id:
-                continue
-            amap[a] = len(arcs)
-            arcs.append((gmap[tail], gmap[head], r))
-        half = {}
-        for a in order:
-            tail, head, r = lk.arcs[a]
-            if comp[tail] == side_id:
-                half[a] = len(arcs)
-                arcs.append((gmap[tail], x, r))    # tail-side half: into x
-            else:
-                half[a] = len(arcs)
-                arcs.append((x, gmap[head], r))    # head-side half: out of x
-        rots = []
-        for g in gsel:
-            rots.append([( (amap[a], e) if a in amap else (half[a], e) )
-                         for (a, e) in lk.rotations[g]])
-        xrot = []
-        for a in order:
-            tail, head, r = lk.arcs[a]
-            if comp[tail] == side_id:
-                xrot.append((half[a], 1))
-            else:
-                xrot.append((half[a], 0))
-        rots.append(xrot)
-        return LinkGraph(arcs, rots), gmap, x
+    # each side becomes a link (vertices w and w + 1) whose new last link
+    # vertex x ends the halves of the crossed arcs, in the circle's order on
+    # side A and in reverse on side B
+    w = len(sk.links)
+    sides = [[g for g, s in enumerate(comp) if (s == side_a) == on_a] for on_a in (True, False)]
+    at = {g: (w + k, i) for k, gs in enumerate(sides) for i, g in enumerate(gs)}
+    links = list(sk.links)
+    links[vertex] = None
+    for gs, order in zip(sides, (crossed, crossed[::-1])):
+        s, x = comp[gs[0]], len(gs)
+        kept = [a for a, (t, _, _) in enumerate(lk.arcs) if a not in crossed and comp[t] == s]
+        ids = {a: i for i, a in enumerate(kept + order)}
+        arcs = [(at[t][1], at[h][1], r) for t, h, r in (lk.arcs[a] for a in kept)]
+        arcs += [(at[t][1], x, r) if comp[t] == s else (x, at[h][1], r)
+                 for t, h, r in (lk.arcs[a] for a in order)]
+        rotations = [[(ids[a], e) for a, e in lk.rotations[g]] for g in gs]
+        rotations.append([(ids[a], int(comp[lk.arcs[a][0]] == s)) for a in order])
+        links.append(LinkGraph(arcs, rotations))
+    edges = [tuple(at[g] if v == vertex else (v, g) for v, g in ends) for ends in sk.edges]
+    edges.append(((w, len(sides[0])), (w + 1, len(sides[1]))))
+    return _assemble(sk, labeling, sk.regions, sk.ball_count, links, edges)
 
-    link_a, gmap_a, xa = build_side(side_a, crossed, 0)
-    other = next(s for s in sides if s != side_a)
-    link_b, gmap_b, xb = build_side(other, list(reversed(crossed)), 1)
 
-    links2 = []
-    vmap = {}
-    for v in range(len(sk.links)):
-        if v == vertex:
-            continue
-        vmap[v] = len(links2)
-        links2.append(sk.links[v].copy())
-    va = len(links2)
-    links2.append(link_a)
-    vb = len(links2)
-    links2.append(link_b)
-    edges2 = []
-    for eid, ((a0, b0), (a1, b1)) in enumerate(sk.edges):
-        def newend(v, g):
-            if v != vertex:
-                return (vmap[v], g)
-            if comp[g] == side_a:
-                return (va, gmap_a[g])
-            return (vb, gmap_b[g])
-        edges2.append((newend(a0, b0), newend(a1, b1)))
-    edges2.append(((va, xa), (vb, xb)))
-    out = Skeleton([tuple(r) for r in sk.regions], sk.ball_count, links2, edges2,
-                   name=sk.name)
-    return out, dict(labeling)
+_MOVES = {"T1": _move_t1, "T1inv": _move_t1_inv, "T2": _move_t2, "T2inv": _move_t2_inv,
+          "T4": _move_t4, "T4inv": _move_t4_inv}
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ the functoriality normalization.
 from __future__ import annotations
 
 from itertools import product as iproduct
+from math import prod
 
 from . import records
 from .catdata import FiniteGroup, GFusionData, neutral_dimension
@@ -408,21 +409,15 @@ def cobordism_map(cob: CobordismSkeleton, cat: GFusionData, c_bot, c_top,
         items = [(coloring[r], s) for (r, s) in cob.links[v].items_at(g)]
         top_sets.append(CyclicCSet(items))
     bot_dims = [len(tree_paths(cat, s.word(cat))) for s in bot_sets]
-    top_dims = [len(tree_paths(cat, s.word(cat))) for s in top_sets]
-    nrow = 1
-    for v in range(top_surf.nvertices):
-        nrow *= hom_dim(cat, top_surf.boundary_cset(v, c_top).items)
-    ncol = 1
-    for d in bot_dims:
-        ncol *= d
-    rows = [[field.zero() for _ in range(ncol)] for _ in range(nrow)]
+    souths = [top_surf.boundary_cset(v, c_top) for v in range(top_surf.nvertices)]
+    south_dims = [hom_dim(cat, south.items) for south in souths]
+    rows = [[field.zero() for _ in range(prod(bot_dims))] for _ in range(prod(south_dims))]
     if raw is None:
         return rows
     # conversion at each top vertex: the top set is the dual of the south
     # set of the top surface; contract with the inverse Gram of the pairing
     convs = []
-    for v in range(top_surf.nvertices):
-        south = top_surf.boundary_cset(v, c_top)
+    for v, south in enumerate(souths):
         if south.opp().items != top_sets[v].items:
             raise ValueError(f"top vertex {v}: the link's cyclic set is not the dual "
                              "of the top surface's")
@@ -439,8 +434,6 @@ def cobordism_map(cob: CobordismSkeleton, cat: GFusionData, c_bot, c_top,
             out = out * d + i
         return out
 
-    south_dims = [hom_dim(cat, top_surf.boundary_cset(v, c_top).items)
-                  for v in range(top_surf.nvertices)]
     for bidx, val in raw.items():
         bot_idx = bidx[:nb]
         top_idx = bidx[nb:]
@@ -611,9 +604,8 @@ def cobordism_from_closed(sk, labeling, group) -> CobordismSkeleton:
     """View a closed labeled skeleton as a cobordism with empty boundary;
     its empty-index relative invariant equals the closed invariant."""
     regions = [(chi, labeling[r], None) for r, (chi, bn, bp) in enumerate(sk.regions)]
-    links = [lk.copy() for lk in sk.links]
     empty = _EmptySurface(group)
-    return CobordismSkeleton(group, regions, links, sk.edges, [], [],
+    return CobordismSkeleton(group, regions, sk.links, sk.edges, [], [],
                              sk.ball_count, empty, empty, name=f"closed({sk.name})")
 
 

@@ -291,6 +291,23 @@ def test_short_line_is_a_domain_error_naming_it(tmp_path, argv, shipped, line, s
     assert f"bad {line.split()[0]} line {short!r}: expected '" in err
 
 
+@pytest.mark.parametrize("name", ["sphere_circle_Z2", "sphere_fine_Z2", "torus_2loop_Z2",
+                                  "torus_fine_Z2"])
+def test_hqft_rank_reads_a_shipped_surface_by_name(name):
+    by_name = _run(_SURFACE_ARGV + [name])
+    by_path = _run(_SURFACE_ARGV + [str(_DATA / "surfaces" / f"{name}.surf")])
+
+    def results(out):
+        return [ln for ln in out.splitlines() if ln.startswith(("rank", "count"))]
+    assert by_name[0] == by_path[0] == 0 and by_name[2] == ""
+    assert results(by_name[1]) == results(by_path[1]) and "rank: 1" in by_name[1]
+
+
+def test_hqft_rank_of_an_unknown_surface_is_an_io_error():
+    code, out, err = _run(_SURFACE_ARGV + ["no_such_surface"])
+    assert code == 4 and out == "" and "no_such_surface" in err
+
+
 @pytest.mark.parametrize("name", ["fibonacci", "ising_like", "vect_Z2_theta1"])
 def test_truncated_category_file_is_not_a_traceback(tmp_path, name):
     from statesum3d.catdata import builtin_category, save_category

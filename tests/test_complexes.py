@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import permutations
 
 import pytest
 
@@ -365,3 +366,60 @@ def test_t2inv_roundtrip():
         if found:
             break
     assert found
+
+
+def _moves_and_inverses(sk, group):
+    """(move, inverses) pairs: T1 on three arc pairs of region 0, T4 on
+    region 0 for both sides and every label, T2 on the first edge that is
+    not a loop.  ``inverses`` maps the moved skeleton to the inverse moves
+    to try: T1inv on the new edge, T4inv on the new vertex, T2inv along
+    each three-arc circle of the merged vertex."""
+    arcs0 = [(v, a) for v, lk in enumerate(sk.links)
+             for a, (_, _, r) in enumerate(lk.arcs) if r == 0]
+    for (v1, a1), (v2, a2) in [(p, q) for p in arcs0 for q in arcs0 if p[0] < q[0]][:3]:
+        yield (MoveSpec("T1", vertex1=v1, arc1=a1, vertex2=v2, arc2=a2),
+               lambda moved: [MoveSpec("T1inv", edge=len(moved.edges) - 1)])
+    for side in "+-":
+        for g in group.elements():
+            yield (MoveSpec("T4", region=0, side=side, label=g),
+                   lambda moved: [MoveSpec("T4inv", vertex=len(moved.links) - 1)])
+    eid = next(e for e, ((x, _), (y, _)) in enumerate(sk.edges) if x != y)
+    yield (MoveSpec("T2", edge=eid),
+           lambda moved: [MoveSpec("T2inv", vertex=len(moved.links) - 1, circle=list(c))
+                          for c in permutations(range(len(moved.links[-1].arcs)), 3)])
+
+
+@pytest.mark.parametrize("name", ["s3_2tet", "rp3", "l31", "t3_6tet"])
+def test_every_move_keeps_the_state_sum_and_inverses_round_trip(name):
+    """Every move and its inverse keep the closed invariant of the last
+    orbit representative; T1 then T1inv, and T4 then T4inv, give back the
+    skeleton file and the labeling exactly.  T2inv appends the two halves
+    last, so T2 is undone only up to numbering, along two circles."""
+    from statesum3d.gauge import enumerate_labelings, gauge_orbits
+    from statesum3d.statesum import closed_invariant
+    sk = dual_skeleton(load_tri(name))
+    text = save_skeleton(sk)
+    for cname in ("vect_Z2_theta1", "vect_Z3_theta1", "fibonacci"):
+        cat = builtin_category(cname)
+        group = cat.group
+        lab = gauge_orbits(sk, group, enumerate_labelings(sk, group))[-1][0]
+        base = closed_invariant(sk, lab, cat).value
+        kinds = set()
+        for spec, inverses in _moves_and_inverses(sk, group):
+            kinds.add(spec.kind)
+            moved, lab1 = apply_move(sk, lab, spec, group)
+            assert closed_invariant(moved, lab1, cat).value == base, (cname, spec)
+            undone = 0
+            for inv in inverses(moved):
+                try:
+                    back, lab2 = apply_move(moved, lab1, inv, group)
+                except ValueError:
+                    continue
+                assert closed_invariant(back, lab2, cat).value == base, (cname, spec, inv)
+                undone += 1
+                if spec.kind != "T2":
+                    assert save_skeleton(back) == text and lab2 == lab, (cname, spec)
+                elif undone == 2:
+                    break
+            assert undone == (2 if spec.kind == "T2" else 1), (cname, spec)
+        assert kinds == {"T1", "T2", "T4"}, cname
