@@ -774,7 +774,24 @@ def apply_move(sk: Skeleton, labeling: dict, spec: MoveSpec, group):
     the product condition."""
     if spec.kind not in _MOVES:
         raise ValueError(f"unknown move kind {spec.kind!r}")
-    return _MOVES[spec.kind](sk, labeling, group, **spec.params)
+    params = spec.params
+    nlinks = len(sk.links)
+    for name, size in (("vertex", nlinks), ("vertex1", nlinks), ("vertex2", nlinks),
+                       ("edge", len(sk.edges)), ("region", len(sk.regions))):
+        if name in params:
+            _check_index(spec.kind, name, params[name], size)
+    for name, vertex in (("arc1", "vertex1"), ("arc2", "vertex2"), ("circle", "vertex")):
+        if name in params and vertex in params:
+            arcs = len(sk.links[params[vertex]].arcs)
+            for a in params[name] if name == "circle" else [params[name]]:
+                _check_index(spec.kind, name, a, arcs)
+    return _MOVES[spec.kind](sk, labeling, group, **params)
+
+
+def _check_index(kind, name, value, size):
+    """Refuse a move parameter that is not an index in ``range(size)``."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < size:
+        raise ValueError(f"{kind}: {name} {value!r} is outside 0..{size - 1}")
 
 
 def _assemble(sk: Skeleton, labeling, regions, ball_count, links, edges,

@@ -13,14 +13,18 @@ the inverse Gram matrix of the duality pairing of its branch cyclic set.
 The same engine evaluates cobordism skeletons for :mod:`statesum3d.hqft`:
 boundary regions get pinned colors and boundary link vertices stay open.
 
-The contraction runs along the enumeration of the colorings, not once per
-coloring.  Regions are colored depth first in index order; a plan made once
-per skeleton applies each factor at the first depth where its colors are
-known: ``dim^chi`` of a region at its own depth (into a scalar folded in at
-the leaf), a vertex's link tensor at the depth of the last region of its
-link, and an edge's inverse Gram matrix as soon as both its end vertices
-have joined.  A coloring shares with its siblings every factor of their
-common prefix.
+The sum is not enumerated coloring by coloring: it is contracted by
+eliminating the skeleton's vertices one at a time, in a greedy order, as in
+the treewidth algorithm of Burton, Maria and Spreer ("Algorithms and
+complexity for Turaev-Viro invariants") and the greedy path search of
+opt_einsum (Smith and Gray, 2018).  A dynamic programme keeps, for each
+coloring of the frontier (the regions already colored that a later
+vertex's link still meets), a sparse tensor over the open link slots and
+the number of admissible partial colorings.  The step of a vertex colors
+its new regions, multiplies in its link tensor, contracts the edges it
+closes, weighs and drops the regions no later link meets, and adds up what
+then falls on one key.  Its cost grows with the number of frontier
+colorings, not with the number of colorings.
 
 Link tensors are swept once per isomorphism class of colored link and
 category, the class being the canonical code of the link's rotation
@@ -37,6 +41,10 @@ the data, and ``test_outer_face_independence`` checks the evaluation.
 
 from __future__ import annotations
 import time
+from collections import Counter
+from itertools import product
+from operator import itemgetter
+from typing import NamedTuple
 
 from .catdata import GFusionData, neutral_dimension
 from .complexes import Skeleton
@@ -58,13 +66,29 @@ class StateSumResult:
     def __init__(self, value: FieldElement, visited: int, admissible: int,
                  seconds: float):
         self.value = value
-        self.colorings_visited = visited
+        self.colorings_visited = visited  # extensions of the vertex elimination
         self.colorings_admissible = admissible
         self.seconds = seconds
 
     def __repr__(self):
         return (f"StateSumResult({self.value.to_text()}, admissible "
-                f"{self.colorings_admissible}/{self.colorings_visited})")
+                f"{self.colorings_admissible}, extensions {self.colorings_visited})")
+
+
+class _Step(NamedTuple):
+    """One vertex of the elimination order: the regions its step reads and
+    colors, and what it fixes.  A picker (:func:`_picker`) takes the items
+    at fixed positions; the local colors are those of the old regions
+    followed by those of the new."""
+    vertex: int | None   # None in the one step of a skeleton without vertices
+    old: itemgetter      # the frontier regions it reads, from the key
+    new: itemgetter      # the regions it colors, from the candidate lists
+    checks: tuple        # (picker, signs) of the edges it checks, from local colors
+    arcs: itemgetter     # its link's arc colors, from local colors
+    contractions: tuple  # (slot, slot, picker, signs) of the edges it closes
+    weights: tuple       # (local position, dim(c)**chi by color) of the regions it drops
+    keep: itemgetter     # the next key, from the key followed by the new colors
+    slots: itemgetter    # the open slots left, from the slots with the link's appended
 
 
 class _Evaluator:
@@ -74,34 +98,35 @@ class _Evaluator:
     link vertices in ``ends`` stay open: a cobordism leaves its boundary
     ends open, a closed skeleton none.
 
-    :meth:`total` colors the regions depth first in index order, pruned by
-    edge admissibility, and carries the partial contraction down the search,
-    so colorings that share a prefix share the factors the prefix fixes.
-    The plan, built here once, says which factor is applied at which depth
-    (the depth of region r is r; depth -1 comes before any region):
+    :meth:`total` eliminates the vertices in the order :func:`_vertex_order`
+    picks.  Its state maps the colors of the frontier (the regions already
+    colored that a later vertex's link still meets) to a pair: a sparse
+    tensor ``{open slot indices: value}``, None before the first link
+    tensor joins, and the number of admissible partial colorings.  For each
+    key, the step of vertex v
 
-    * ``dim(c)**chi`` of region r multiplies a prefix scalar at depth r,
-      which is folded into the entries at the leaf (a unit weight, and the
-      scalar while it is one, are not multiplied: they are None);
-    * the link tensor of a vertex joins the state, as an outer product, at
-      the depth of the last region its link meets (-1 if none);
-    * an edge is contracted through the inverse Gram matrix of its branch
-      colors right after the later of its two end vertices joins (vertices
-      join in order of depth, then index).  Its branch regions lie in both
-      end links, so its admissibility was checked by then, and the branch
-      tuple built for that check is kept for the Gram lookup.
+    * extends the key by each coloring of the regions v colors (those of
+      its link not yet colored; at the first step also the regions no link
+      meets) under which every edge whose branch regions are now all
+      colored is admissible;
+    * multiplies in v's link tensor (the first joins as it is, not
+      multiplied by one) and contracts, through the inverse Gram matrix of
+      its branch colors, every edge whose ends are now both eliminated;
+    * multiplies in ``dim(c)**chi`` of each region no later link meets
+      (unit weights are not multiplied), drops those regions from the key,
+      and adds the result, and the count, to the new key's.
 
-    The state is a dict ``{open slot indices: value}``, None before the
-    first link tensor joins (the first one becomes the state as it is, not
-    multiplied by one).  ``plan[d + 1]``
-    lists the vertices joining at depth d, each with the edges it completes
-    as (edge, the positions of its two slots, the positions kept), and
-    ``end_positions`` places ``ends`` in the final layout.
+    All of this but the products depends only on the colors of the regions
+    the step reads, so it is computed once per their coloring and step
+    (:meth:`_extensions`).  The plan, one :class:`_Step` per vertex, is built
+    here once; ``end_positions`` picks ``ends`` from the final slots.
+    :attr:`visited` counts the extensions of the last :meth:`total`, one
+    per key and admissible coloring of a step's new regions.
 
-    Link tensors, edge admissibility per signed colour tuple and
-    ``dim(c)**chi`` per (label, chi) are memoized here; link tensors per
-    isomorphism class (:func:`_link_tensor`) and Gram inverses are memoized
-    on the category.
+    Link tensors, edge admissibility and Gram inverses per colored branch
+    list are memoized here; link tensors per isomorphism class
+    (:func:`_link_tensor`) and Gram inverses are memoized on the category
+    too.
     """
 
     def __init__(self, sk, cat: GFusionData, ends=()):
@@ -110,120 +135,229 @@ class _Evaluator:
         self.ends = tuple(ends)
         self.link_cache: dict = {}
         self.admissible_cache: dict = {}
-        self.weight_cache: dict = {}
+        self.gram_cache: dict = {}
+        self.sectors = [cat.sector(g) for g in range(cat.group.order)]
         self.visited = 0
-        # branch list of each edge (end-0 anchored); edges_done_at[r] holds
-        # the edges whose highest region is r, checked once r is colored;
-        # branch[eid] keeps the colors of the last check
-        self.edge_regions = [sk.links[v0].items_at(g0) for (v0, g0), _ in sk.edges]
-        self.edges_done_at = [[] for _ in sk.regions]
-        for eid, branches in enumerate(self.edge_regions):
-            self.edges_done_at[max(r for r, _ in branches)].append(eid)
-        self.branch = [None] * len(sk.edges)
-        joins = [max((r for (_, _, r) in lk.arcs), default=-1) for lk in sk.links]
-        order = sorted(range(len(sk.links)), key=lambda v: (joins[v], v))
+        # dim(c)**chi per chi and color, None when it is one
+        powers = {chi: [None if p.is_one() else p
+                        for p in (cat.dim(c) ** chi for c in range(cat.n))]
+                  for chi in {region[0] for region in sk.regions}}
+        link_regions = [{r for _, _, r in lk.arcs} for lk in sk.links]
+        order = _vertex_order(link_regions, max(Counter(cat.grade).values()))
         rank = {v: k for k, v in enumerate(order)}
-        due = [[] for _ in order]
-        for eid, (a, b) in enumerate(sk.edges):
-            due[max(rank[a[0]], rank[b[0]])].append(eid)
-        self.plan = [[] for _ in range(len(sk.regions) + 1)]
-        layout = []
-        for v, edges in zip(order, due):
-            layout.extend((v, g) for g in range(len(sk.links[v].rotations)))
-            contractions = []
-            for eid in edges:
-                p0, p1 = (layout.index(end) for end in sk.edges[eid])
-                kept = tuple(i for i in range(len(layout)) if i not in (p0, p1))
-                contractions.append((eid, p0, p1, kept))
-                layout = [layout[i] for i in kept]
-            self.plan[joins[v] + 1].append((v, tuple(contractions)))
-        self.end_positions = tuple(layout.index(end) for end in self.ends)
+        # the step that colors each region (the first, for a region no link
+        # meets), and how many links still meet it
+        start = [0] * len(sk.regions)
+        left = [0] * len(sk.regions)
+        for v in reversed(order):
+            for r in link_regions[v]:
+                start[r] = rank[v]
+                left[r] += 1
+        order = order or [None]  # without vertices, one step colors every region
+        fresh = [[] for _ in order]
+        for r, k in enumerate(start):
+            fresh[k].append(r)
+        # an edge is checked once its branch regions are colored and
+        # contracted at the later of its ends
+        checked = [[] for _ in order]
+        joined = [[] for _ in order]
+        for edge in sk.edges:
+            (v0, g0), (v1, _) = edge
+            branches = sk.links[v0].items_at(g0)
+            checked[max(start[r] for r, _ in branches)].append(branches)
+            joined[max(rank[v0], rank[v1])].append((edge, branches))
+        frontier, layout, self.steps = [], [], []
+        for v, new, checks, joins in zip(order, fresh, checked, joined):
+            regions = link_regions[v] if v is not None else set()
+            read = regions.union(*[[r for r, _ in branches] for branches in checks])
+            old = [i for i, r in enumerate(frontier) if r in read]
+            local = {r: i for i, r in enumerate([frontier[i] for i in old] + new)}
+            if v is not None:
+                layout += [(v, g) for g in range(len(sk.links[v].rotations))]
+            contractions = tuple([(layout.index(edge[0]), layout.index(edge[1]),
+                                   *_branch(branches, local)) for edge, branches in joins])
+            paired = {p for p0, p1, _, _ in contractions for p in (p0, p1)}
+            slots = [i for i in range(len(layout)) if i not in paired]
+            layout = [layout[i] for i in slots]
+            for r in regions:
+                left[r] -= 1
+            colored = frontier + new
+            self.steps.append(_Step(
+                v, _picker(old), _picker(new),
+                tuple([_branch(branches, local) for branches in checks]),
+                v is not None and _picker([local[r] for _, _, r in sk.links[v].arcs]),
+                contractions,
+                tuple([(local[r], powers[sk.regions[r][0]]) for r in colored if not left[r]]),
+                _picker([i for i, r in enumerate(colored) if left[r]]), _picker(slots)))
+            frontier = [r for r in colored if left[r]]
+        self.end_positions = _picker([layout.index(end) for end in self.ends])
 
     def total(self, sectors):
         """The state sum over the admissible colorings, one candidate list
         per region (a pinned region gets a singleton), as
         ``({open end index tuple: value}, admissible colorings)``."""
-        self.visited = 0
-        coloring = [None] * len(sectors)
-        out = {}
-        state = self._step(-1, coloring, None)
-        admissible = self._descend(0, sectors, coloring, state, None, out)
-        return out, admissible
+        cat = self.cat
+        visited = 0
+        state = {(): (None, 1)}
+        for step in self.steps:
+            old, keep, slots = step.old, step.keep, step.slots
+            extensions, nxt = {}, {}
+            for key, (tensor, count) in state.items():
+                local = old(key)
+                exts = extensions.get(local)
+                if exts is None:
+                    exts = extensions[local] = self._extensions(step, local, sectors)
+                visited += len(exts)
+                entries = tensor.items() if tensor is not None else [((), None)]
+                for ext, link, contractions, scalar in exts:
+                    if link is None:  # no vertices
+                        out = {(): cat.field.one() if scalar is None else scalar}
+                    else:
+                        out = {}
+                        for k, val in entries:
+                            for idx, x in link.items():
+                                k2 = k + idx
+                                for p0, p1, ginv in contractions:
+                                    factor = ginv[k2[p0]][k2[p1]]
+                                    if factor.is_zero():
+                                        break
+                                    x = x * factor
+                                else:
+                                    if val is not None:
+                                        x = val * x
+                                    if scalar is not None:
+                                        x = x * scalar
+                                    k2 = slots(k2)
+                                    cur = out.get(k2)
+                                    out[k2] = x if cur is None else cur + x
+                    nk = keep(key + ext)
+                    entry = nxt.get(nk)
+                    nxt[nk] = (out, count) if entry is None else \
+                        (_sum(entry[0], out), entry[1] + count)
+            state = nxt
+        self.visited = visited
+        if () not in state:
+            return {}, 0
+        tensor, count = state[()]
+        return {self.end_positions(k): val for k, val in tensor.items()}, count
 
-    def _descend(self, r, sectors, coloring, state, scalar, out):
-        if r == len(sectors):
-            self.visited += 1
-            if state is None:
-                state = {(): self.cat.field.one()}
-            for key, val in state.items():
-                key = tuple(key[p] for p in self.end_positions)
-                add = _times(scalar, val)
-                cur = out.get(key)
-                out[key] = add if cur is None else cur + add
-            return 1
-        admissible = 0
-        chi = self.sk.regions[r][0]
-        for c in sectors[r]:
-            coloring[r] = c
-            self.visited += 1
-            for e in self.edges_done_at[r]:
-                if not self._admissible(e, coloring):
+    def _extensions(self, step, local, sectors):
+        """The admissible colorings of the new regions of ``step`` after
+        ``local``, the colors of the old regions it reads, each with what it
+        fixes: the link tensor, the contractions with their inverse Gram
+        matrices, and the product of the weights (None when it is one)."""
+        v, _, new, checks, arcs, contractions, weights, _, _ = step
+        cat, admissible, grams = self.cat, self.admissible_cache, self.gram_cache
+        out = []
+        for ext in product(*new(sectors)):
+            colors = local + ext
+            for pick, signs in checks:
+                items = pick(colors) + signs
+                ok = admissible.get(items)
+                if ok is None:
+                    ok = admissible[items] = hom_dim(cat, _branch_items(items)) >= 1
+                if not ok:
                     break
             else:
-                admissible += self._descend(r + 1, sectors, coloring,
-                                            self._step(r, coloring, state),
-                                            _times(scalar, self._weight(c, chi)), out)
-        coloring[r] = None
-        return admissible
-
-    def _admissible(self, eid, coloring):
-        items = self.branch[eid] = tuple([(coloring[r], s) for r, s in self.edge_regions[eid]])
-        ok = self.admissible_cache.get(items)
-        if ok is None:
-            ok = self.admissible_cache[items] = hom_dim(self.cat, items) >= 1
-        return ok
-
-    def _weight(self, c, chi):
-        """``dim(c)**chi``, or None when it is one."""
-        key = (c, chi)
-        if key not in self.weight_cache:
-            power = self.cat.dim(c) ** chi
-            self.weight_cache[key] = None if power.is_one() else power
-        return self.weight_cache[key]
-
-    def _step(self, depth, coloring, state):
-        """``state`` with the link tensors joining at ``depth`` multiplied in,
-        each followed by the edges it completes, contracted."""
-        for v, contractions in self.plan[depth + 1]:
-            tensor = self.link_tensor(v, coloring)
-            state = tensor if state is None else \
-                {key + idx: val * t for key, val in state.items() for idx, t in tensor.items()}
-            for eid, p0, p1, kept in contractions:
-                ginv = _gram_inverse(self.cat, self.branch[eid])
-                nxt = {}
-                for key, val in state.items():
-                    factor = ginv[key[p0]][key[p1]]
-                    if factor.is_zero():
-                        continue
-                    key = tuple([key[i] for i in kept])
-                    add = val * factor
-                    cur = nxt.get(key)
-                    nxt[key] = add if cur is None else cur + add
-                state = nxt
-        return state
+                scalar = None
+                for i, powers in weights:
+                    w = powers[colors[i]]
+                    if w is not None:
+                        scalar = w if scalar is None else scalar * w
+                ops = []
+                for p0, p1, pick, signs in contractions:
+                    items = pick(colors) + signs
+                    ginv = grams.get(items)
+                    if ginv is None:
+                        ginv = grams[items] = _gram_inverse(cat, _branch_items(items))
+                    ops.append((p0, p1, ginv))
+                out.append((ext, None if v is None else self._link(v, arcs(colors)), ops, scalar))
+        return out
 
     def link_tensor(self, v, coloring) -> dict:
-        lk = self.sk.links[v]
-        colors = tuple([coloring[r] for _, _, r in lk.arcs])
+        """The link tensor of vertex ``v`` under ``coloring`` (region → color)."""
+        return self._link(v, tuple([coloring[r] for _, _, r in self.sk.links[v].arcs]))
+
+    def _link(self, v, colors) -> dict:
         entries = self.link_cache.get((v, colors))
         if entries is None:
-            entries = self.link_cache[(v, colors)] = _link_tensor(self.cat, lk, colors)
+            entries = _link_tensor(self.cat, self.sk.links[v], colors)
+            self.link_cache[(v, colors)] = entries
         return entries
 
 
-def _times(a, b):
-    """``a * b``, where None stands for one."""
-    return b if a is None else a if b is None else a * b
+def _vertex_order(link_regions, width):
+    """The elimination order of the vertices whose links meet the region
+    sets ``link_regions``.
+
+    From each start vertex a greedy order takes next the vertex that colors
+    the fewest regions, then the one that leaves the fewest colored after
+    it, then the lowest.  The order of least cost wins, the cost being the
+    sum over its steps of ``width ** colored regions``.  The search stops at
+    the first order that reaches the lower bound, the sum over the vertices
+    of ``width ** len(regions)``; with ``width`` one every order does, and
+    the index order is taken."""
+    n = len(link_regions)
+    if width == 1:
+        return list(range(n))
+    owners = Counter(r for regions in link_regions for r in regions)
+    bound = sum(width ** len(regions) for regions in link_regions)
+    best, best_cost = None, None
+    for start in range(n):
+        left = dict(owners)
+        last = {r for r, k in left.items() if k == 1}  # met by one vertex to come
+        todo = set(range(n))
+        frontier, order, cost, v = set(), [], 0, start
+        while best_cost is None or cost < best_cost:
+            todo.discard(v)
+            order.append(v)
+            frontier |= link_regions[v]
+            cost += width ** len(frontier)
+            for r in link_regions[v]:
+                left[r] -= 1
+                if left[r] == 1:
+                    last.add(r)
+                elif not left[r]:
+                    last.discard(r)
+                    frontier.discard(r)
+            if not todo:
+                best, best_cost = order, cost
+                break
+            v = min(todo, key=lambda u: (len(link_regions[u] - frontier),
+                                         -len(link_regions[u] & last), u))
+        if best_cost == bound:
+            break
+    return best
+
+
+def _picker(positions):
+    """``operator.itemgetter(*positions)``, always returning a tuple (or a
+    list, from a list)."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
+
+
+def _branch(branches, local):
+    """A branch list ``[(region, sign)]`` as the picker of its regions'
+    positions in ``local`` and its signs."""
+    return _picker([local[r] for r, _ in branches]), tuple([s for _, s in branches])
+
+
+def _branch_items(key):
+    """The signed colour tuple of a branch list, from its colors followed by
+    its signs (the key of the evaluator's branch caches)."""
+    n = len(key) // 2
+    return tuple(zip(key[:n], key[n:]))
+
+
+def _sum(a, b):
+    """The entrywise sum of two tensors."""
+    out = dict(a)
+    for key, val in b.items():
+        cur = out.get(key)
+        out[key] = val if cur is None else cur + val
+    return out
 
 
 def _link_tensor(cat: GFusionData, lk, colors: tuple) -> dict:
@@ -256,22 +390,30 @@ def _link_tensor(cat: GFusionData, lk, colors: tuple) -> dict:
 def _sigma(sk: Skeleton, labeling, cat: GFusionData, ev: _Evaluator | None = None):
     ev = ev or _Evaluator(sk, cat)
     total = cat.field.zero()
-    sectors = [cat.sector(labeling[r]) for r in range(len(sk.regions))]
-    out, admissible = ev.total(sectors)
+    out, admissible = ev.total([ev.sectors[labeling[r]] for r in range(len(sk.regions))])
     for val in out.values():
         total = total + val
     return total, ev.visited, admissible
 
 
+def _normalization(cat: GFusionData, balls: int) -> FieldElement:
+    """``dim(C_1)**(-balls)``, memoized on the category."""
+    norm = cat._memo.get(("normalization", balls))
+    if norm is None:
+        nd = neutral_dimension(cat)
+        if nd.is_zero():
+            raise ValueError("neutral dimension is zero; normalized invariant undefined")
+        norm = cat._memo[("normalization", balls)] = nd.inv() ** balls
+    return norm
+
+
 def closed_invariant(sk: Skeleton, labeling, cat: GFusionData,
                      _ev: _Evaluator | None = None) -> StateSumResult:
     """Normalized invariant of a closed labeled skeleton."""
-    nd = neutral_dimension(cat)
-    if nd.is_zero():
-        raise ValueError("neutral dimension is zero; normalized invariant undefined")
+    norm = _normalization(cat, sk.ball_count)
     t0 = time.perf_counter()
     total, visited, admissible = _sigma(sk, labeling, cat, _ev)
-    value = total * nd.inv() ** sk.ball_count
+    value = total * norm
     return StateSumResult(value, visited, admissible, time.perf_counter() - t0)
 
 

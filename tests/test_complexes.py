@@ -300,6 +300,30 @@ def test_move_applicability_errors():
         apply_move(sk, lab, MoveSpec("T4inv", vertex=0), z2)
 
 
+@pytest.mark.parametrize("kind, params, name", [
+    ("T1", {"vertex1": 0, "arc1": None, "vertex2": 1, "arc2": 0}, "arc1"),
+    ("T1inv", {"edge": None}, "edge"),
+    ("T2", {"edge": None}, "edge"),
+    ("T2inv", {"vertex": 0, "circle": [0, None]}, "circle"),
+    ("T4", {"region": None, "side": "+", "label": 1}, "region"),
+    ("T4inv", {"vertex": None}, "vertex"),
+], ids=["T1", "T1inv", "T2", "T2inv", "T4", "T4inv"])
+def test_moves_refuse_out_of_range_indices(kind, params, name):
+    # one past the end and -1 (which Python indexing would read from the
+    # end) are refused, naming the parameter, before the move runs
+    z2 = FiniteGroup.cyclic(2)
+    sk = dual_skeleton(parse_triangulation(S3_TEXT))
+    lab = _rep_labeling(sk, z2)
+    sizes = {"arc1": len(sk.links[0].arcs), "circle": len(sk.links[0].arcs),
+             "edge": len(sk.edges), "region": len(sk.regions), "vertex": len(sk.links)}
+    for bad in (-1, sizes[name]):
+        filled = {k: [bad if a is None else a for a in v] if isinstance(v, list)
+                  else bad if v is None else v for k, v in params.items()}
+        message = f"^{kind}: {name} {bad} is outside 0..{sizes[name] - 1}$"
+        with pytest.raises(ValueError, match=message):
+            apply_move(sk, lab, MoveSpec(kind, **filled), z2)
+
+
 def _skeleton_signature(sk):
     regions = sorted((chi,) for (chi, _, _) in sk.regions)
     edges = sorted(tuple(sorted((s for _, s in sk.edge_branches(e))))
