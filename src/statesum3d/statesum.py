@@ -302,7 +302,7 @@ def _vertex_order(link_regions, width):
         return list(range(n))
     owners = Counter(r for regions in link_regions for r in regions)
     bound = sum(width ** len(regions) for regions in link_regions)
-    best, best_cost = None, None
+    best, best_cost = [], None
     for start in range(n):
         left = dict(owners)
         last = {r for r, k in left.items() if k == 1}  # met by one vertex to come

@@ -230,7 +230,9 @@ def test_contraction_along_the_enumeration_matches_per_coloring_reference(catego
     cat = builtin_category(category)
     grown = [_grown("s3_2tet", 3), _grown("t3_6tet", 2)]
     skeletons = [dual_skeleton(load_tri(name)) for name in shipped_names()]
-    skeletons += [load_skeleton("s1xs2_paper")] + grown
+    # regions that no vertex link meets, on a skeleton without vertices
+    bare = Skeleton([(2, 0, 0), (0, 0, 0), (-1, 0, 0)], 1, [], [], name="no vertices")
+    skeletons += [load_skeleton("s1xs2_paper"), bare] + grown
     singletons = all(len(cat.sector(g)) == 1 for g in range(cat.group.order))
     for sk in skeletons:
         ev = _Evaluator(sk, cat)
