@@ -41,10 +41,9 @@ the data, and ``test_outer_face_independence`` checks the evaluation.
 
 from __future__ import annotations
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import product
 from operator import itemgetter
-from typing import NamedTuple
 
 from .catdata import GFusionData, neutral_dimension
 from .complexes import Skeleton
@@ -75,20 +74,20 @@ class StateSumResult:
                 f"{self.colorings_admissible}, extensions {self.colorings_visited})")
 
 
-class _Step(NamedTuple):
-    """One vertex of the elimination order: the regions its step reads and
-    colors, and what it fixes.  A picker (:func:`_picker`) takes the items
-    at fixed positions; the local colors are those of the old regions
-    followed by those of the new."""
-    vertex: int | None   # None in the one step of a skeleton without vertices
-    old: itemgetter      # the frontier regions it reads, from the key
-    new: itemgetter      # the regions it colors, from the candidate lists
-    checks: tuple        # (picker, signs) of the edges it checks, from local colors
-    arcs: itemgetter     # its link's arc colors, from local colors
-    contractions: tuple  # (slot, slot, picker, signs) of the edges it closes
-    weights: tuple       # (local position, dim(c)**chi by color) of the regions it drops
-    keep: itemgetter     # the next key, from the key followed by the new colors
-    slots: itemgetter    # the open slots left, from the slots with the link's appended
+# One vertex of the elimination order: the regions its step reads and
+# colors, and what it fixes.  A picker (_picker) takes the items at fixed
+# positions; the local colors are those of the old regions followed by
+# those of the new.
+#   vertex        None in the one step of a skeleton without vertices
+#   old           picks the frontier regions it reads from the key
+#   new           picks the regions it colors from the candidate lists
+#   checks        (picker, signs) of the edges it checks, on local colors
+#   arcs          picks its link's arc colors from local colors
+#   contractions  (slot, slot, picker, signs) of the edges it closes
+#   weights       (local position, dim(c)**chi by color) of the regions it drops
+#   keep          picks the next key from the key followed by the new colors
+#   slots         picks the open slots left from the slots with the link's appended
+_Step = namedtuple("_Step", "vertex old new checks arcs contractions weights keep slots")
 
 
 class _Evaluator:
