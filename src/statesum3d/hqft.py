@@ -41,7 +41,7 @@ from .complexes import (LINK_FORMS, LINK_NUMBERS, LinkGraph, link_lines, read_li
 from .exactnum import FieldElement
 from .graphcalc import CyclicCSet, _gram_inverse, hom_dim, trace_rotation_faces, tree_paths
 from .linalg import matrix_mul, matrix_rank
-from .statesum import _Evaluator, _normalization
+from .statesum import _Evaluator
 
 __all__ = [
     "SurfaceSkeleton",
@@ -361,20 +361,23 @@ def relative_invariant(cob: CobordismSkeleton, cat: GFusionData,
     by the tree bases of the corresponding link cyclic sets.  Includes the
     dim(C_1)^(-|P|) normalization.  ``_ev`` is an evaluator of ``cob`` with
     these ends, shared by the blocks of one cobordism."""
-    norm = _normalization(cat, cob.ball_count)
-    ev = _ev or _Evaluator(cob, cat, cob.bot_ends + cob.top_ends)
+    nd = neutral_dimension(cat)
+    if nd.is_zero():
+        raise ValueError("neutral dimension is zero")
     # pinned regions get their boundary color as the only candidate
     sectors = []
     for chi, label, pin in cob.regions:
         if pin is None:
-            sectors.append(ev.sectors[label])
+            sectors.append(cat.sector(label))
             continue
         side, e = pin
         c = (c_bot if side == "bot" else c_top)[e]
         if cat.grade[c] != label:
             return None  # grading obstruction: zero block
         sectors.append([c])
+    ev = _ev or _Evaluator(cob, cat, cob.bot_ends + cob.top_ends)
     out, _ = ev.total(sectors)
+    norm = nd.inv() ** cob.ball_count
     return {k: v * norm for k, v in out.items() if not v.is_zero()}
 
 

@@ -122,10 +122,9 @@ class _Evaluator:
     :attr:`visited` counts the extensions of the last :meth:`total`, one
     per key and admissible coloring of a step's new regions.
 
-    Link tensors, edge admissibility and Gram inverses per colored branch
-    list are memoized here; link tensors per isomorphism class
-    (:func:`_link_tensor`) and Gram inverses are memoized on the category
-    too.
+    Link tensors and edge admissibility per colored branch list are
+    memoized here; link tensors per isomorphism class (:func:`_link_tensor`)
+    and Gram inverses are memoized on the category.
     """
 
     def __init__(self, sk, cat: GFusionData, ends=()):
@@ -134,8 +133,6 @@ class _Evaluator:
         self.ends = tuple(ends)
         self.link_cache: dict = {}
         self.admissible_cache: dict = {}
-        self.gram_cache: dict = {}
-        self.sectors = [cat.sector(g) for g in range(cat.group.order)]
         self.visited = 0
         # dim(c)**chi per chi and color, None when it is one
         powers = {chi: [None if p.is_one() else p
@@ -246,15 +243,15 @@ class _Evaluator:
         fixes: the link tensor, the contractions with their inverse Gram
         matrices, and the product of the weights (None when it is one)."""
         v, _, new, checks, arcs, contractions, weights, _, _ = step
-        cat, admissible, grams = self.cat, self.admissible_cache, self.gram_cache
+        cat, admissible = self.cat, self.admissible_cache
         out = []
         for ext in product(*new(sectors)):
             colors = local + ext
             for pick, signs in checks:
-                items = pick(colors) + signs
+                items = tuple(zip(pick(colors), signs))
                 ok = admissible.get(items)
                 if ok is None:
-                    ok = admissible[items] = hom_dim(cat, _branch_items(items)) >= 1
+                    ok = admissible[items] = hom_dim(cat, items) >= 1
                 if not ok:
                     break
             else:
@@ -263,21 +260,13 @@ class _Evaluator:
                     w = powers[colors[i]]
                     if w is not None:
                         scalar = w if scalar is None else scalar * w
-                ops = []
-                for p0, p1, pick, signs in contractions:
-                    items = pick(colors) + signs
-                    ginv = grams.get(items)
-                    if ginv is None:
-                        ginv = grams[items] = _gram_inverse(cat, _branch_items(items))
-                    ops.append((p0, p1, ginv))
+                ops = [(p0, p1, _gram_inverse(cat, tuple(zip(pick(colors), signs))))
+                       for p0, p1, pick, signs in contractions]
                 out.append((ext, None if v is None else self._link(v, arcs(colors)), ops, scalar))
         return out
 
-    def link_tensor(self, v, coloring) -> dict:
-        """The link tensor of vertex ``v`` under ``coloring`` (region → color)."""
-        return self._link(v, tuple([coloring[r] for _, _, r in self.sk.links[v].arcs]))
-
     def _link(self, v, colors) -> dict:
+        """The link tensor of vertex ``v`` with arc colors ``colors``."""
         entries = self.link_cache.get((v, colors))
         if entries is None:
             entries = _link_tensor(self.cat, self.sk.links[v], colors)
@@ -343,13 +332,6 @@ def _branch(branches, local):
     return _picker([local[r] for r, _ in branches]), tuple([s for _, s in branches])
 
 
-def _branch_items(key):
-    """The signed colour tuple of a branch list, from its colors followed by
-    its signs (the key of the evaluator's branch caches)."""
-    n = len(key) // 2
-    return tuple(zip(key[:n], key[n:]))
-
-
 def _sum(a, b):
     """The entrywise sum of two tensors."""
     out = dict(a)
@@ -389,30 +371,22 @@ def _link_tensor(cat: GFusionData, lk, colors: tuple) -> dict:
 def _sigma(sk: Skeleton, labeling, cat: GFusionData, ev: _Evaluator | None = None):
     ev = ev or _Evaluator(sk, cat)
     total = cat.field.zero()
-    out, admissible = ev.total([ev.sectors[labeling[r]] for r in range(len(sk.regions))])
+    sectors = [cat.sector(labeling[r]) for r in range(len(sk.regions))]
+    out, admissible = ev.total(sectors)
     for val in out.values():
         total = total + val
     return total, ev.visited, admissible
 
 
-def _normalization(cat: GFusionData, balls: int) -> FieldElement:
-    """``dim(C_1)**(-balls)``, memoized on the category."""
-    norm = cat._memo.get(("normalization", balls))
-    if norm is None:
-        nd = neutral_dimension(cat)
-        if nd.is_zero():
-            raise ValueError("neutral dimension is zero; normalized invariant undefined")
-        norm = cat._memo[("normalization", balls)] = nd.inv() ** balls
-    return norm
-
-
 def closed_invariant(sk: Skeleton, labeling, cat: GFusionData,
                      _ev: _Evaluator | None = None) -> StateSumResult:
     """Normalized invariant of a closed labeled skeleton."""
-    norm = _normalization(cat, sk.ball_count)
+    nd = neutral_dimension(cat)
+    if nd.is_zero():
+        raise ValueError("neutral dimension is zero; normalized invariant undefined")
     t0 = time.perf_counter()
     total, visited, admissible = _sigma(sk, labeling, cat, _ev)
-    value = total * norm
+    value = total * nd.inv() ** sk.ball_count
     return StateSumResult(value, visited, admissible, time.perf_counter() - t0)
 
 
