@@ -122,9 +122,12 @@ class _Evaluator:
     :attr:`visited` counts the extensions of the last :meth:`total`, one
     per key and admissible coloring of a step's new regions.
 
-    Link tensors and edge admissibility per colored branch list are
-    memoized here; link tensors per isomorphism class (:func:`_link_tensor`)
-    and Gram inverses are memoized on the category.
+    Link tensors, and edge admissibility and Gram inverses per colored
+    branch list, are memoized here; the branch caches are keyed by the
+    colors followed by the signs (:func:`_branch_items`), which hash faster
+    than the pairs ``graphcalc`` takes.  Link tensors per isomorphism class
+    (:func:`_link_tensor`) and Gram inverses are memoized on the category
+    too.
     """
 
     def __init__(self, sk, cat: GFusionData, ends=()):
@@ -133,6 +136,7 @@ class _Evaluator:
         self.ends = tuple(ends)
         self.link_cache: dict = {}
         self.admissible_cache: dict = {}
+        self.gram_cache: dict = {}
         self.visited = 0
         # dim(c)**chi per chi and color, None when it is one
         powers = {chi: [None if p.is_one() else p
@@ -243,15 +247,15 @@ class _Evaluator:
         fixes: the link tensor, the contractions with their inverse Gram
         matrices, and the product of the weights (None when it is one)."""
         v, _, new, checks, arcs, contractions, weights, _, _ = step
-        cat, admissible = self.cat, self.admissible_cache
+        cat, admissible, grams = self.cat, self.admissible_cache, self.gram_cache
         out = []
         for ext in product(*new(sectors)):
             colors = local + ext
             for pick, signs in checks:
-                items = tuple(zip(pick(colors), signs))
+                items = pick(colors) + signs
                 ok = admissible.get(items)
                 if ok is None:
-                    ok = admissible[items] = hom_dim(cat, items) >= 1
+                    ok = admissible[items] = hom_dim(cat, _branch_items(items)) >= 1
                 if not ok:
                     break
             else:
@@ -260,8 +264,13 @@ class _Evaluator:
                     w = powers[colors[i]]
                     if w is not None:
                         scalar = w if scalar is None else scalar * w
-                ops = [(p0, p1, _gram_inverse(cat, tuple(zip(pick(colors), signs))))
-                       for p0, p1, pick, signs in contractions]
+                ops = []
+                for p0, p1, pick, signs in contractions:
+                    items = pick(colors) + signs
+                    ginv = grams.get(items)
+                    if ginv is None:
+                        ginv = grams[items] = _gram_inverse(cat, _branch_items(items))
+                    ops.append((p0, p1, ginv))
                 out.append((ext, None if v is None else self._link(v, arcs(colors)), ops, scalar))
         return out
 
@@ -330,6 +339,13 @@ def _branch(branches, local):
     """A branch list ``[(region, sign)]`` as the picker of its regions'
     positions in ``local`` and its signs."""
     return _picker([local[r] for r, _ in branches]), tuple([s for _, s in branches])
+
+
+def _branch_items(key):
+    """The signed colour tuple of a branch list from its colors followed by
+    its signs, the flat key of the evaluator's branch caches."""
+    n = len(key) // 2
+    return tuple(zip(key[:n], key[n:]))
 
 
 def _sum(a, b):
