@@ -12,6 +12,7 @@ of the evaluator, a bug rather than bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -265,7 +266,11 @@ def _cmd_cobordism_map(args, rep):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change
+    it, so in-process callers of :func:`run` do not rebuild its nine
+    subparsers for every command."""
     ap = argparse.ArgumentParser(
         prog="statesum3d",
         description="Exact state-sum invariants of labeled 3-manifolds.",

@@ -27,6 +27,18 @@ direction.  The boundary index space at a vertex is the tree basis of the
 south-type cyclic set; a top index is converted to it by the inverse Gram
 matrix of the duality pairing, which realizes the canonical isomorphism of
 the functoriality normalization.
+
+The matrix of a cobordism (:func:`assemble_block_matrix`) has one block per
+pair of bottom and top boundary colorings.  What depends on one coloring is
+built once for it: the tree counts of the bottom ends for a bottom
+coloring; the south-type sets, their inverse Gram matrices and the
+normalization for a top coloring; the candidate lists of the regions
+pinned to its edges for either.  Each pair then runs one state sum, with
+the boundary regions pinned, through an evaluator shared by all pairs, and
+its nonzero entries are written straight into the matrix, so a pair whose
+block is zero costs only its state sum.
+:func:`relative_invariant` and :func:`cobordism_map` read one pair through
+the same helpers.
 """
 
 from __future__ import annotations
@@ -361,33 +373,11 @@ def relative_invariant(cob: CobordismSkeleton, cat: GFusionData,
     by the tree bases of the corresponding link cyclic sets.  Includes the
     dim(C_1)^(-|P|) normalization.  ``_ev`` is an evaluator of ``cob`` with
     these ends, shared by the blocks of one cobordism."""
-    nd = neutral_dimension(cat)
-    if nd.is_zero():
-        raise ValueError("neutral dimension is zero")
-    # pinned regions get their boundary color as the only candidate
-    sectors = []
-    for chi, label, pin in cob.regions:
-        if pin is None:
-            sectors.append(cat.sector(label))
-            continue
-        side, e = pin
-        c = (c_bot if side == "bot" else c_top)[e]
-        if cat.grade[c] != label:
-            return None  # grading obstruction: zero block
-        sectors.append([c])
-    ev = _ev or _Evaluator(cob, cat, cob.bot_ends + cob.top_ends)
-    out, _ = ev.total(sectors)
-    norm = nd.inv() ** cob.ball_count
-    return {k: v * norm for k, v in out.items() if not v.is_zero()}
-
-
-def _end_colors(cob, cat, c_bot, c_top):
-    coloring = {}
-    for r, (chi, label, pin) in enumerate(cob.regions):
-        if pin is not None:
-            side, e = pin
-            coloring[r] = (c_bot if side == "bot" else c_top)[e]
-    return coloring
+    norm = _neutral_power(cat, -cob.ball_count)
+    raw = _raw_block(cob, cat, c_bot, c_top, _ev)
+    if raw is None:
+        return None  # grading obstruction: zero block
+    return {k: v * norm for k, v in raw.items() if not v.is_zero()}
 
 
 def cobordism_map(cob: CobordismSkeleton, cat: GFusionData, c_bot, c_top,
@@ -395,63 +385,124 @@ def cobordism_map(cob: CobordismSkeleton, cat: GFusionData, c_bot, c_top,
     """Matrix of the cobordism block from the bottom coloring to the top
     coloring, in the south-type tree bases, with the functoriality
     normalization dim(C_1)^(#top faces) / dim(top coloring)."""
-    field = cat.field
-    raw = relative_invariant(cob, cat, c_bot, c_top, _ev=_ev)
-    top_surf = cob.top_surface
-    # index shapes
-    coloring = _end_colors(cob, cat, c_bot, c_top)
-    bot_sets = []
-    for (v, g) in cob.bot_ends:
-        items = [(coloring[r], s) for (r, s) in cob.links[v].items_at(g)]
-        bot_sets.append(CyclicCSet(items))
-    top_sets = []
-    for (v, g) in cob.top_ends:
-        items = [(coloring[r], s) for (r, s) in cob.links[v].items_at(g)]
-        top_sets.append(CyclicCSet(items))
-    bot_dims = [len(tree_paths(cat, s.word(cat))) for s in bot_sets]
-    souths = [top_surf.boundary_cset(v, c_top) for v in range(top_surf.nvertices)]
-    south_dims = [hom_dim(cat, south.items) for south in souths]
-    rows = [[field.zero() for _ in range(prod(bot_dims))] for _ in range(prod(south_dims))]
-    if raw is None:
-        return rows
-    # conversion at each top vertex: the top set is the dual of the south
-    # set of the top surface; contract with the inverse Gram of the pairing
-    convs = []
-    for v, south in enumerate(souths):
-        if south.opp().items != top_sets[v].items:
+    bot_dims = _bottom_dims(cob, cat, c_bot)
+    top = _top_side(cob, cat, c_top)
+    zero = cat.field.zero()
+    rows = [[zero] * prod(bot_dims) for _ in range(prod(top[0]))]
+    raw = _raw_block(cob, cat, c_bot, c_top, _ev)
+    if raw:
+        _scatter(raw, bot_dims, top, rows, 0, 0)
+    return rows
+
+
+def _neutral_power(cat, k):
+    """dim(C_1)^k, which is defined only when dim(C_1) is nonzero."""
+    nd = neutral_dimension(cat)
+    if nd.is_zero():
+        raise ValueError("neutral dimension is zero")
+    return nd ** k
+
+
+def _raw_block(cob, cat, c_bot, c_top, ev):
+    """The unnormalized state sum of ``cob`` with its pinned regions
+    colored by ``c_bot`` and ``c_top``, or None when one of those colors has
+    the wrong grade."""
+    ev = ev or _Evaluator(cob, cat, cob.bot_ends + cob.top_ends)
+    free = [cat.sector(label) for _, label, _ in cob.regions]
+    return _pinned_total(ev, free, _pins(cob, cat, "bot", c_bot), _pins(cob, cat, "top", c_top))
+
+
+def _pins(cob, cat, side, coloring):
+    """``(region, [color])`` for each region pinned to an edge of ``side``,
+    the color being that of the edge in ``coloring``, or None when one of
+    those colors has the wrong grade (a zero block)."""
+    pins = []
+    for r, (_, label, pin) in enumerate(cob.regions):
+        if pin is not None and pin[0] == side:
+            c = coloring[pin[1]]
+            if cat.grade[c] != label:
+                return None
+            pins.append((r, [c]))
+    return pins
+
+
+def _pinned_total(ev, free, bot, top):
+    """The tensor of ``ev.total`` over the candidate lists ``free`` with the
+    pins ``bot`` and ``top`` applied, or None when either is None."""
+    if bot is None or top is None:
+        return None
+    sectors = list(free)
+    for r, candidates in bot + top:
+        sectors[r] = candidates
+    return ev.total(sectors)[0]
+
+
+def _end_items(cob, ends, coloring):
+    """The signed colour tuple of the link cyclic set at each end, whose
+    regions are pinned to edges of the side that ``coloring`` colors."""
+    return [tuple([(coloring[cob.regions[r][2][1]], s) for r, s in cob.links[v].items_at(g)])
+            for v, g in ends]
+
+
+def _bottom_dims(cob, cat, c_bot):
+    """The tree count of each bottom end's index, for one bottom coloring."""
+    surf = cob.bot_surface
+    dims = []
+    for v, items in enumerate(_end_items(cob, cob.bot_ends, c_bot)):
+        south = surf.boundary_cset(v, c_bot)
+        if south.items != items:
+            raise ValueError(f"bottom vertex {v}: the link's cyclic set is not "
+                             "the bottom surface's")
+        dims.append(len(tree_paths(cat, south.word(cat))))
+    return dims
+
+
+def _top_side(cob, cat, c_top):
+    """What a top coloring fixes in its blocks: the dimension of each top
+    vertex's south-type index; for each top vertex and link index, the
+    nonzero entries ``(south index, value)`` of that column of the inverse
+    Gram matrix that converts it; and the normalization
+    dim(C_1)^(#top faces - |P|) / dim(top coloring)."""
+    surf = cob.top_surface
+    dims, columns = [], []
+    for v, items in enumerate(_end_items(cob, cob.top_ends, c_top)):
+        south = surf.boundary_cset(v, c_top)
+        # the top set is the dual of the south set of the top surface
+        if south.opp().items != items:
             raise ValueError(f"top vertex {v}: the link's cyclic set is not the dual "
                              "of the top surface's")
-        convs.append(_gram_inverse(cat, south.items))
-    # normalization
-    norm = neutral_dimension(cat) ** len(top_surf.faces)
-    for e in range(len(top_surf.edges)):
+        ginv = _gram_inverse(cat, south.items)
+        dims.append(hom_dim(cat, south.items))
+        columns.append([[(s, row[t]) for s, row in enumerate(ginv) if not row[t].is_zero()]
+                        for t in range(len(ginv[0]) if ginv else 0)])
+    norm = _neutral_power(cat, len(surf.faces) - cob.ball_count)
+    for e in range(len(surf.edges)):
         norm = norm / cat.dim(c_top[e])
-    nb = len(cob.bot_ends)
+    return dims, columns, norm
 
-    def flatten(idx, dims):
-        out = 0
-        for i, d in zip(idx, dims):
-            out = out * d + i
-        return out
 
-    for bidx, val in raw.items():
-        bot_idx = bidx[:nb]
-        top_idx = bidx[nb:]
-        col = flatten(bot_idx, bot_dims)
-        for srow in iproduct(*(range(d) for d in south_dims)):
-            f = val
-            dead = False
-            for v in range(top_surf.nvertices):
-                c = convs[v][srow[v]][top_idx[v]]
-                if c.is_zero():
-                    dead = True
-                    break
+def _scatter(raw, bot_dims, top, matrix, row0, col0):
+    """Add the block of one coloring pair, from its unnormalized tensor
+    ``raw``, into ``matrix`` at row ``row0`` and column ``col0``: the bottom
+    indices flatten to the column, and each top index is converted to the
+    south-type tree basis through its inverse Gram column."""
+    south_dims, columns, norm = top
+    nb = len(bot_dims)
+    for idx, val in raw.items():
+        if val.is_zero():
+            continue
+        col = 0
+        for i, d in zip(idx, bot_dims):
+            col = col * d + i
+        col += col0
+        val = val * norm
+        for choice in iproduct(*[columns[v][t] for v, t in enumerate(idx[nb:])]):
+            f, row = val, 0
+            for (s, c), d in zip(choice, south_dims):
                 f = f * c
-            if dead:
-                continue
-            r = flatten(srow, south_dims)
-            rows[r][col] = rows[r][col] + f
-    return [[x * norm for x in row] for row in rows]
+                row = row * d + s
+            row += row0
+            matrix[row][col] = matrix[row][col] + f
 
 
 class HqftSpace:
@@ -471,27 +522,38 @@ class HqftSpace:
 
 
 def assemble_block_matrix(cob: CobordismSkeleton, cat: GFusionData):
-    """Full matrix of the cobordism over all boundary coloring pairs."""
-    bot_cols = cob.bot_surface.colorings(cat)
-    top_cols = cob.top_surface.colorings(cat)
-    bot_dims = [cob.bot_surface.block_dim(cat, c) for c in bot_cols]
-    top_dims = [cob.top_surface.block_dim(cat, c) for c in top_cols]
-    n_in = sum(bot_dims)
-    n_out = sum(top_dims)
-    field = cat.field
-    full = [[field.zero() for _ in range(n_in)] for _ in range(n_out)]
+    """Full matrix of the cobordism over all boundary coloring pairs: one
+    pinned state sum per pair, scattered into the matrix, with what depends
+    on one coloring built once for it (see the module docstring)."""
+    bot_cols, bot_dims = _colorings(cob.bot_surface, cat)
+    if cob.top_surface is cob.bot_surface:
+        top_cols, top_dims = bot_cols, bot_dims
+    else:
+        top_cols, top_dims = _colorings(cob.top_surface, cat)
+    zero = cat.field.zero()
+    full = [[zero] * sum(bot_dims) for _ in range(sum(top_dims))]
     ev = _Evaluator(cob, cat, cob.bot_ends + cob.top_ends)
+    free = [cat.sector(label) for _, label, _ in cob.regions]
+    bottoms = [(_pins(cob, cat, "bot", c_bot), _bottom_dims(cob, cat, c_bot))
+               for c_bot in bot_cols]
     row0 = 0
-    for ci, c_top in enumerate(top_cols):
+    for c_top, top_dim in zip(top_cols, top_dims):
+        top = _top_side(cob, cat, c_top)
+        pins = _pins(cob, cat, "top", c_top)
         col0 = 0
-        for cj, c_bot in enumerate(bot_cols):
-            block = cobordism_map(cob, cat, c_bot, c_top, _ev=ev)
-            for i in range(top_dims[ci]):
-                for j in range(bot_dims[cj]):
-                    full[row0 + i][col0 + j] = block[i][j]
-            col0 += bot_dims[cj]
-        row0 += top_dims[ci]
+        for (bot_pins, ends), bot_dim in zip(bottoms, bot_dims):
+            raw = _pinned_total(ev, free, bot_pins, pins)
+            if raw:
+                _scatter(raw, ends, top, full, row0, col0)
+            col0 += bot_dim
+        row0 += top_dim
     return full, bot_cols, bot_dims, top_cols, top_dims
+
+
+def _colorings(surf, cat):
+    """The colorings of a surface skeleton and their block dimensions."""
+    cols = surf.colorings(cat)
+    return cols, [surf.block_dim(cat, c) for c in cols]
 
 
 def build_product_cylinder(surf: SurfaceSkeleton) -> CobordismSkeleton:

@@ -303,6 +303,16 @@ def test_hqft_rank_reads_a_shipped_surface_by_name(name):
     assert results(by_name[1]) == results(by_path[1]) and "rank: 1" in by_name[1]
 
 
+@pytest.mark.parametrize("category, rank", [("fibonacci", 25), ("ising_like", 100)])
+def test_hqft_rank_of_the_shipped_genus2_surface(category, rank):
+    # the sum over the simples X of Z(C) of (dim C / dim X)^(2g - 2) at
+    # g = 2: the squares of the Verlinde numbers 5 and 10; the file has no
+    # group line, so it reads for the trivial group of both categories
+    code, out, err = _run(["hqft-rank", "--surface", "genus2_k33", "--category", category])
+    assert code == 0 and err == ""
+    assert f"rank: {rank}\n" in out
+
+
 def test_hqft_rank_of_an_unknown_surface_is_an_io_error():
     code, out, err = _run(_SURFACE_ARGV + ["no_such_surface"])
     assert code == 4 and out == "" and "no_such_surface" in err

@@ -4,6 +4,8 @@ from statesum3d.catdata import FiniteGroup, builtin_category
 from statesum3d.complexes import dual_skeleton
 from statesum3d.gauge import enumerate_labelings, gauge_orbits
 from statesum3d.hqft import (
+    CobordismSkeleton,
+    SurfaceSkeleton,
     assemble_block_matrix,
     build_product_cylinder,
     build_sheet_cylinder,
@@ -23,6 +25,7 @@ from statesum3d.hqft import (
 from statesum3d.linalg import matrix_mul
 from statesum3d.statesum import closed_invariant
 
+import refcobordism
 from trifiles import DATA, load_tri
 
 TRIV = FiniteGroup.trivial()
@@ -167,13 +170,64 @@ def test_torus_cylinder_grading_diagonal():
     assert matrix == cylinder_projector(surf, cat).matrix
 
 
+def test_genus2_rank_agrees_across_skeletons():
+    # the shipped genus-2 skeleton gives 25 (test_cli); so must its
+    # refinement by a degree-2 vertex on edge 0
+    cat = builtin_category("fibonacci")
+    surf = parse_surface((DATA / "surfaces" / "genus2_k33.surf").read_text(), cat.group)
+    assert cylinder_projector(subdivide_edge(surf, 0), cat).rank == 25
+
+
+@pytest.mark.parametrize("cname", ["fibonacci", "ising_like", "vect_Z2_theta1"])
+def test_block_assembly_matches_per_pair_reference(cname):
+    # the assembly builds each boundary coloring's data once and writes the
+    # nonzero entries of each pair straight into the matrix; the reference
+    # builds and normalizes a dense block for every pair
+    cat = builtin_category(cname)
+    cylinders = []
+    for coarse, fine in [("sphere_circle", "sphere_fine"), ("torus_2loop", "torus_fine")]:
+        a0, a1 = builtin_surface(coarse, cat.group), builtin_surface(fine, cat.group)
+        parent = refinement_parent(fine)
+        cylinders += [build_product_cylinder(a0), build_product_cylinder(a1),
+                      build_sheet_cylinder(a0, a1, parent, ambient_is_top=True),
+                      build_sheet_cylinder(a1, a0, parent, ambient_is_top=False)]
+    nonzero = 0
+    for cob in cylinders:
+        got = assemble_block_matrix(cob, cat)
+        assert got == refcobordism.assemble_block_matrix(cob, cat), cob.name
+        nonzero += sum(not x.is_zero() for row in got[0] for x in row)
+    assert nonzero
+
+
+def test_boundary_ends_must_read_their_surface():
+    # each end's link cyclic set must be its surface vertex's south-type set
+    # (bottom) or its dual (top), anchored alike: the block of a coloring
+    # pair is written at the offsets of the surfaces' colorings.  Here one
+    # side's vertex lists the same rotation from another dart.
+    cat = builtin_category("fibonacci")
+    surf = builtin_surface("torus_2loop", cat.group)
+    cob = build_product_cylinder(surf)
+    rot = surf.rotations[0]
+    turned = SurfaceSkeleton(cat.group, surf.edges, [rot[1:] + rot[:1]], surf.labels,
+                             surf.components)
+    for bot, top, what in [(turned, surf, "bottom vertex 0"), (surf, turned, "top vertex 0")]:
+        other = CobordismSkeleton(cob.group, cob.regions, cob.links, cob.edges, cob.bot_ends,
+                                  cob.top_ends, cob.ball_count, bot, top)
+        with pytest.raises(ValueError, match=what):
+            assemble_block_matrix(other, cat)
+
+
 _SURFACE_FILES = sorted((DATA / "surfaces").iterdir())
 
 
 @pytest.mark.parametrize("path", _SURFACE_FILES, ids=lambda p: p.stem)
 def test_surface_file_roundtrip(path):
+    # a file without a group line reads for any group; saving writes one
     text = path.read_text()
-    assert save_surface(parse_surface(text, Z2)) == text
+    saved = save_surface(parse_surface(text, Z2)).splitlines(keepends=True)
+    if "\ngroup " not in text:
+        saved.remove("group Z2\n")
+    assert "".join(saved) == text
 
 
 def _cylinders():
