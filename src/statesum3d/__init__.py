@@ -11,7 +11,7 @@ pointed (group-cocycle) backends.
 
 Module map: exactnum (scalars), catdata (fusion backends), graphcalc
 (multiplicity modules and sphere graphs), complexes (triangulations,
-skeletons, moves), gauge (labelings and orbits), statesum (the closed
+skeletons, moves), gauge (gauge classes of labelings), statesum (the closed
 invariant), hqft (cobordisms and projectors), oracle (simplicial
 cross-check), cli (command line).
 """
@@ -46,7 +46,7 @@ from .complexes import (
     save_triangulation,
 )
 from .exactnum import FieldElement, FieldSpec, arith, make_field, root_of_unity
-from .gauge import enumerate_labelings, gauge_act, gauge_classes, gauge_orbits
+from .gauge import gauge_classes
 from .graphcalc import (
     ColoredGraph,
     CyclicCSet,
@@ -63,7 +63,6 @@ from .hqft import (
     builtin_surface,
     build_product_cylinder,
     build_sheet_cylinder,
-    cobordism_map,
     cylinder_projector,
     hqft_space_rank,
     relative_invariant,

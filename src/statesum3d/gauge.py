@@ -17,16 +17,12 @@ equal.  The stabiliser of a labeling is the product over components of the
 centralisers of the fixed labels, which gives the orbit size
 ``|G|^balls / prod_c |C_G(f_c)|``.
 
-:func:`gauge_classes`, the path the state sum and the command line take,
-never lists all labelings.  It enumerates only those that are already the
-identity on the tree regions, ``|G|^(balls - components)`` times fewer,
-and keeps one per orbit: the labeling whose fixed labels are, per
-component, their own least conjugate.  The orbit's representative, its
-lexicographically least member, comes from a search over partial gauges
-(:func:`_least_member`), not from the orbit's members.
-:func:`enumerate_labelings` and :func:`gauge_orbits` list every labeling
-and partition such a list; they share the forest and the normal form with
-:func:`gauge_classes`.
+:func:`gauge_classes` never lists all labelings.  It enumerates only those
+that are already the identity on the tree regions, ``|G|^(balls -
+components)`` times fewer, and keeps one per orbit: the labeling whose
+fixed labels are, per component, their own least conjugate.  The orbit's
+representative, its lexicographically least member, comes from a search
+over partial gauges (:func:`_least_member`), not from the orbit's members.
 """
 
 from __future__ import annotations
@@ -34,28 +30,7 @@ from __future__ import annotations
 from .catdata import FiniteGroup
 from .complexes import Skeleton
 
-__all__ = [
-    "labeling_valid",
-    "enumerate_labelings",
-    "gauge_act",
-    "gauge_orbits",
-    "gauge_classes",
-]
-
-
-def _edge_condition(sk: Skeleton, group: FiniteGroup, values, eid) -> bool:
-    total = group.identity
-    for region, sign in sk.edge_branches(eid):
-        v = values[region]
-        if v is None:
-            return True  # incomplete, cannot falsify yet
-        total = group.mul(total, v if sign > 0 else group.inv(v))
-    return total == group.identity
-
-
-def labeling_valid(sk: Skeleton, group: FiniteGroup, labeling) -> bool:
-    values = [labeling[r] for r in range(len(sk.regions))]
-    return all(_edge_condition(sk, group, values, e) for e in range(len(sk.edges)))
+__all__ = ["gauge_classes"]
 
 
 def _times_inverse(group: FiniteGroup):
@@ -63,7 +38,7 @@ def _times_inverse(group: FiniteGroup):
     return tuple(tuple(row[b] for b in group.inverse_table) for row in group.table)
 
 
-def _backtrack(sk: Skeleton, group: FiniteGroup, pinned=frozenset()):
+def _backtrack(sk: Skeleton, group: FiniteGroup, pinned):
     """Label tuples of all labelings whose ``pinned`` regions are the
     identity, found by backtracking over regions in index order with the
     edge conditions checked as soon as they complete.  Deterministic."""
@@ -108,21 +83,6 @@ def _backtrack(sk: Skeleton, group: FiniteGroup, pinned=frozenset()):
             out.append(tuple(values))
         else:
             r += 1
-    return out
-
-
-def enumerate_labelings(sk: Skeleton, group: FiniteGroup):
-    """All labelings, found by backtracking over regions in index order with
-    the edge conditions checked as soon as they complete.  Deterministic."""
-    return [dict(enumerate(key)) for key in _backtrack(sk, group)]
-
-
-def gauge_act(sk: Skeleton, group: FiniteGroup, lam, labeling):
-    """Left action of a gauge element (map ball -> group element)."""
-    out = {}
-    for r in range(len(sk.regions)):
-        bn, bp = sk.region_balls(r)
-        out[r] = group.mul(group.mul(lam[bn], labeling[r]), group.inv(lam[bp]))
     return out
 
 
@@ -181,50 +141,6 @@ def _normal_form(conjugations, memo: dict, fixed: tuple):
         hit = memo[fixed] = (min(by_conjugate), len(conjugations) // len(by_conjugate),
                              tuple(by_conjugate.values()))
     return hit
-
-
-def gauge_orbits(sk: Skeleton, group: FiniteGroup, labelings):
-    """Partition a complete labeling list into gauge orbits.
-
-    Labelings are grouped by their gauge-fixed normal form (see the module
-    docstring); each group must hold exactly the orbit size of distinct
-    labelings, or the list is not closed under the gauge action.  The
-    representative of an orbit is its lexicographically least member, its
-    members keep their input order, and the output is sorted by
-    representative, so the partition is independent of input order.
-    """
-    table, over_inv, n = group.table, _times_inverse(group), group.order
-    steps, residual, _ = _ball_forest(sk)
-    conjugations = _conjugations(group)
-    forms = {}
-    lam = [group.identity] * sk.ball_count
-    regions = range(len(sk.regions))
-    classes = {}           # normal form -> (member keys, members, stabiliser order)
-    for lab in labelings:
-        key = tuple(map(lab.__getitem__, regions))
-        for r, ball, other, forward in steps:
-            lam[other] = (table if forward else over_inv)[lam[ball]][key[r]]
-        form = []
-        stabiliser = 1
-        for res in residual:
-            fixed = tuple(over_inv[table[lam[bn]][key[r]]][lam[bp]] for r, bn, bp in res)
-            least, centraliser, _ = _normal_form(conjugations, forms, fixed)
-            form.append(least)
-            stabiliser *= centraliser
-        form = tuple(form)
-        cls = classes.get(form)
-        if cls is None:
-            cls = classes[form] = (set(), [], stabiliser)
-        cls[0].add(key)
-        cls[1].append(lab)
-    size = n ** sk.ball_count
-    rows = []
-    for keys, members, stabiliser in classes.values():
-        if len(keys) != size // stabiliser:
-            raise ValueError("labeling list is not closed under the gauge action")
-        rows.append((min(keys), members))
-    rows.sort(key=lambda row: row[0])
-    return [(dict(enumerate(rep)), members) for rep, members in rows]
 
 
 def _search_plan(sk: Skeleton, component):
@@ -308,8 +224,7 @@ def gauge_classes(sk: Skeleton, group: FiniteGroup):
     labeling whose fixed labels are, per component, their least conjugate
     stands for the orbit; its size is ``|G|^balls`` over the stabiliser
     order.  The representative is the orbit's lexicographically least
-    member (:func:`_least_member`), as in :func:`gauge_orbits`, whose rows
-    these equal with each member list replaced by its length.
+    member (:func:`_least_member`).
     """
     steps, residual, component = _ball_forest(sk)
     conjugations = _conjugations(group)

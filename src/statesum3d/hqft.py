@@ -36,22 +36,20 @@ normalization for a top coloring; the candidate lists of the regions
 pinned to its edges for either.  Each pair then runs one state sum, with
 the boundary regions pinned, through an evaluator shared by all pairs, and
 its nonzero entries are written straight into the matrix, so a pair whose
-block is zero costs only its state sum.
-:func:`relative_invariant` and :func:`cobordism_map` read one pair through
-the same helpers.
+block is zero costs only its state sum.  :func:`relative_invariant` reads
+the tensor of one pair through the same pinned state sum.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
-from math import prod
 
 from . import records
 from .catdata import FiniteGroup, GFusionData, neutral_dimension
 from .complexes import (LINK_FORMS, LINK_NUMBERS, LinkGraph, link_lines, read_links,
                         validate_links)
 from .exactnum import FieldElement
-from .graphcalc import CyclicCSet, _gram_inverse, hom_dim, trace_rotation_faces, tree_paths
+from .graphcalc import CyclicCSet, _gram_inverse, hom_dim, trace_rotation_faces
 from .linalg import matrix_mul, matrix_rank
 from .statesum import _Evaluator
 
@@ -62,7 +60,6 @@ __all__ = [
     "build_product_cylinder",
     "build_sheet_cylinder",
     "relative_invariant",
-    "cobordism_map",
     "cylinder_projector",
     "hqft_space_rank",
     "HqftSpace",
@@ -122,17 +119,36 @@ class SurfaceSkeleton:
 
     def colorings(self, cat: GFusionData):
         """Admissible simple colorings: grade matches the label on every
-        edge and all vertex cyclic sets have positive rank."""
-        sectors = [cat.sector(self.labels[e]) for e in range(len(self.edges))]
+        edge and all vertex cyclic sets have positive rank.  Found by
+        backtracking over edges in index order, each vertex checked as soon
+        as its last edge is colored, so they come in the order of the
+        product of the edges' sectors."""
+        nedges = len(self.edges)
+        sectors = [cat.sector(self.labels[e]) for e in range(nedges)]
+        # checks[e]: the vertices whose last edge is e
+        checks = [[] for _ in range(nedges)]
+        for v, rot in enumerate(self.rotations):
+            checks[max(e for e, _ in rot)].append(v)
         out = []
-        for combo in iproduct(*sectors):
-            ok = True
-            for v in range(self.nvertices):
-                if hom_dim(cat, self.vertex_items(v, combo)) == 0:
-                    ok = False
+        combo = [None] * nedges
+        pos = [-1] * nedges        # position of combo[e] in sectors[e]
+        e = 0
+        while e >= 0:
+            k = pos[e] + 1
+            while k < len(sectors[e]):
+                combo[e] = sectors[e][k]
+                if all(hom_dim(cat, self.vertex_items(v, combo)) for v in checks[e]):
                     break
-            if ok:
-                out.append(tuple(combo))
+                k += 1
+            if k == len(sectors[e]):
+                pos[e] = -1
+                e -= 1
+            else:
+                pos[e] = k
+                if e == nedges - 1:
+                    out.append(tuple(combo))
+                else:
+                    e += 1
         return out
 
     def boundary_cset(self, v, coloring) -> CyclicCSet:
@@ -177,7 +193,9 @@ class CobordismSkeleton:
     ids); edges: interior edges ((v,gv),(v,gv)); boundary: per side, the
     list over surface vertices of (interior vertex, gvertex) where the
     transversal edge meets its interior link.  ball complement certified by
-    the builders.
+    the builders.  The constructor checks, once and for every coloring,
+    that end ``v`` of a side reads surface vertex ``v``: its pin edges and
+    signs are the south-type set (bottom) or its dual (top).
     """
 
     def __init__(self, group, regions, links, edges, bot_ends, top_ends,
@@ -221,6 +239,21 @@ class CobordismSkeleton:
             if r not in met[side] or r in met["top" if side == "bot" else "bot"]:
                 raise ValueError(f"region {r} is pinned to {side} edge {e}, "
                                  f"but does not meet {side} ends alone")
+        # blocks are written at the offsets of the surfaces' colorings, so
+        # end v must read surface vertex v
+        for side, keys in sides:
+            surf = self.bot_surface if side == "bot" else self.top_surface
+            if len(keys) != surf.nvertices:
+                raise ValueError(f"{len(keys)} {side} ends for {surf.nvertices} surface vertices")
+            for v, (lv, g) in enumerate(keys):
+                items = [(e, -1 if end == 1 else 1) for e, end in surf.rotations[v]]
+                if side == "top":
+                    items = [(e, -s) for e, s in reversed(items)]
+                if [(self.regions[r][2][1], s) for r, s in self.links[lv].items_at(g)] != items:
+                    raise ValueError(
+                        f"bottom vertex {v}: the link's cyclic set is not the bottom surface's"
+                        if side == "bot" else f"top vertex {v}: the link's cyclic set is not "
+                        "the dual of the top surface's")
 
 
 def build_sheet_cylinder(bot: SurfaceSkeleton, top: SurfaceSkeleton,
@@ -374,25 +407,12 @@ def relative_invariant(cob: CobordismSkeleton, cat: GFusionData,
     dim(C_1)^(-|P|) normalization.  ``_ev`` is an evaluator of ``cob`` with
     these ends, shared by the blocks of one cobordism."""
     norm = _neutral_power(cat, -cob.ball_count)
-    raw = _raw_block(cob, cat, c_bot, c_top, _ev)
+    ev = _ev or _Evaluator(cob, cat, cob.bot_ends + cob.top_ends)
+    free = [cat.sector(label) for _, label, _ in cob.regions]
+    raw = _pinned_total(ev, free, _pins(cob, cat, "bot", c_bot), _pins(cob, cat, "top", c_top))
     if raw is None:
         return None  # grading obstruction: zero block
     return {k: v * norm for k, v in raw.items() if not v.is_zero()}
-
-
-def cobordism_map(cob: CobordismSkeleton, cat: GFusionData, c_bot, c_top,
-                  _ev: _Evaluator | None = None):
-    """Matrix of the cobordism block from the bottom coloring to the top
-    coloring, in the south-type tree bases, with the functoriality
-    normalization dim(C_1)^(#top faces) / dim(top coloring)."""
-    bot_dims = _bottom_dims(cob, cat, c_bot)
-    top = _top_side(cob, cat, c_top)
-    zero = cat.field.zero()
-    rows = [[zero] * prod(bot_dims) for _ in range(prod(top[0]))]
-    raw = _raw_block(cob, cat, c_bot, c_top, _ev)
-    if raw:
-        _scatter(raw, bot_dims, top, rows, 0, 0)
-    return rows
 
 
 def _neutral_power(cat, k):
@@ -401,15 +421,6 @@ def _neutral_power(cat, k):
     if nd.is_zero():
         raise ValueError("neutral dimension is zero")
     return nd ** k
-
-
-def _raw_block(cob, cat, c_bot, c_top, ev):
-    """The unnormalized state sum of ``cob`` with its pinned regions
-    colored by ``c_bot`` and ``c_top``, or None when one of those colors has
-    the wrong grade."""
-    ev = ev or _Evaluator(cob, cat, cob.bot_ends + cob.top_ends)
-    free = [cat.sector(label) for _, label, _ in cob.regions]
-    return _pinned_total(ev, free, _pins(cob, cat, "bot", c_bot), _pins(cob, cat, "top", c_top))
 
 
 def _pins(cob, cat, side, coloring):
@@ -437,24 +448,10 @@ def _pinned_total(ev, free, bot, top):
     return ev.total(sectors)[0]
 
 
-def _end_items(cob, ends, coloring):
-    """The signed colour tuple of the link cyclic set at each end, whose
-    regions are pinned to edges of the side that ``coloring`` colors."""
-    return [tuple([(coloring[cob.regions[r][2][1]], s) for r, s in cob.links[v].items_at(g)])
-            for v, g in ends]
-
-
 def _bottom_dims(cob, cat, c_bot):
     """The tree count of each bottom end's index, for one bottom coloring."""
     surf = cob.bot_surface
-    dims = []
-    for v, items in enumerate(_end_items(cob, cob.bot_ends, c_bot)):
-        south = surf.boundary_cset(v, c_bot)
-        if south.items != items:
-            raise ValueError(f"bottom vertex {v}: the link's cyclic set is not "
-                             "the bottom surface's")
-        dims.append(len(tree_paths(cat, south.word(cat))))
-    return dims
+    return [hom_dim(cat, surf.boundary_cset(v, c_bot).items) for v in range(surf.nvertices)]
 
 
 def _top_side(cob, cat, c_top):
@@ -465,14 +462,10 @@ def _top_side(cob, cat, c_top):
     dim(C_1)^(#top faces - |P|) / dim(top coloring)."""
     surf = cob.top_surface
     dims, columns = [], []
-    for v, items in enumerate(_end_items(cob, cob.top_ends, c_top)):
-        south = surf.boundary_cset(v, c_top)
-        # the top set is the dual of the south set of the top surface
-        if south.opp().items != items:
-            raise ValueError(f"top vertex {v}: the link's cyclic set is not the dual "
-                             "of the top surface's")
-        ginv = _gram_inverse(cat, south.items)
-        dims.append(hom_dim(cat, south.items))
+    for v in range(surf.nvertices):
+        south = surf.boundary_cset(v, c_top).items
+        ginv = _gram_inverse(cat, south)
+        dims.append(hom_dim(cat, south))
         columns.append([[(s, row[t]) for s, row in enumerate(ginv) if not row[t].is_zero()]
                         for t in range(len(ginv[0]) if ginv else 0)])
     norm = _neutral_power(cat, len(surf.faces) - cob.ball_count)

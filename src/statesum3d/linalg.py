@@ -28,6 +28,31 @@ def matrix_mul(a, b, field: FieldSpec):
     return out
 
 
+def _row_reduce(mat, ncols: int) -> int:
+    """Gauss-Jordan elimination of ``mat`` in place over its first ``ncols``
+    columns; returns the number of pivots.  A row update touches only the
+    pivot row's nonzero entries."""
+    n = len(mat)
+    row = 0
+    for col in range(ncols):
+        if row == n:
+            break
+        piv = next((r for r in range(row, n) if not mat[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        mat[row], mat[piv] = mat[piv], mat[row]
+        scale = mat[row][col].inv()
+        pivot_row = mat[row] = [x * scale for x in mat[row]]
+        support = [j for j, y in enumerate(pivot_row) if not y.is_zero()]
+        for r in range(n):
+            if r != row and not mat[r][col].is_zero():
+                target, f = mat[r], mat[r][col]
+                for j in support:
+                    target[j] = target[j] - f * pivot_row[j]
+        row += 1
+    return row
+
+
 def matrix_inverse(rows, field: FieldSpec):
     n = len(rows)
     if n == 0:
@@ -36,40 +61,12 @@ def matrix_inverse(rows, field: FieldSpec):
         raise ValueError("matrix is not square")
     aug = [[rows[i][j] for j in range(n)] + [field.one() if i == j else field.zero()
                                              for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col].inv()
-        aug[col] = [x * scale for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    if _row_reduce(aug, n) < n:
+        raise ValueError("singular matrix")
     return [row[n:] for row in aug]
 
 
 def matrix_rank(rows, field: FieldSpec) -> int:
     if not rows:
         return 0
-    mat = [list(r) for r in rows]
-    n, m = len(mat), len(mat[0])
-    rank = 0
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, n) if not mat[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        scale = mat[row][col].inv()
-        mat[row] = [x * scale for x in mat[row]]
-        for r in range(n):
-            if r != row and not mat[r][col].is_zero():
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
-        rank += 1
-        row += 1
-        if row == n:
-            break
-    return rank
+    return _row_reduce([list(r) for r in rows], len(rows[0]))

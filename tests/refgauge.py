@@ -1,8 +1,9 @@
-"""Reference for ``statesum3d.gauge``: the original labeling enumerator and
-orbit partition (closure under the single-ball gauge generators, merged by
-union-find), kept unchanged so that the tests can check the gauge-fixing
-pass and the table-indexed enumerator against an independent one.  Nothing
-in ``src/`` imports it.
+"""Reference for ``statesum3d.gauge``: the original labeling enumerator,
+gauge action and orbit partition (closure under the single-ball gauge
+generators, merged by union-find).  The tests check ``gauge_classes`` and
+its table-indexed enumerator against it, and take from it the full member
+lists of orbits, which ``src/`` never lists.  Nothing in ``src/`` imports
+it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ def _edge_condition(sk: Skeleton, group: FiniteGroup, values, eid) -> bool:
             return True  # incomplete, cannot falsify yet
         total = group.mul(total, v if sign > 0 else group.inv(v))
     return total == group.identity
+
+
+def labeling_valid(sk: Skeleton, group: FiniteGroup, labeling) -> bool:
+    values = [labeling[r] for r in range(len(sk.regions))]
+    return all(_edge_condition(sk, group, values, e) for e in range(len(sk.edges)))
 
 
 def enumerate_labelings(sk: Skeleton, group: FiniteGroup):

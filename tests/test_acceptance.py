@@ -30,7 +30,7 @@ from statesum3d.complexes import (
     pachner,
     parse_skeleton,
 )
-from statesum3d.gauge import enumerate_labelings, gauge_orbits
+from statesum3d.gauge import gauge_classes
 from statesum3d.graphcalc import (
     ColoredGraph,
     CyclicCSet,
@@ -56,6 +56,7 @@ from statesum3d.statesum import (
     unnormalized_invariant,
 )
 
+import refgauge
 from graphutil import random_admissible_graph
 from trifiles import load_skeleton, load_tri
 
@@ -65,7 +66,8 @@ MANIFOLDS = ["s3_2tet", "s3_1vtx", "rp3", "l31", "l41", "s1xs2", "t3_6tet"]
 
 
 def _orbits(sk, group):
-    return gauge_orbits(sk, group, enumerate_labelings(sk, group))
+    """Every orbit with all its members, from the reference lister."""
+    return refgauge.gauge_orbits(sk, group, refgauge.enumerate_labelings(sk, group))
 
 
 def _report(n, name):
@@ -77,7 +79,7 @@ def test_criterion_1_s3_normalization():
     for name in ALL_BACKENDS:
         cat = builtin_category(name)
         expect = neutral_dimension(cat).inv()
-        for rep, _ in _orbits(sk, cat.group):
+        for rep, _ in gauge_classes(sk, cat.group):
             value = closed_invariant(sk, rep, cat).value
             assert value == expect, (name, value.to_text())
         if name == "fibonacci":
@@ -96,7 +98,7 @@ def test_criterion_2_s1xs2_theorem():
     for name in backends:
         cat = builtin_category(name)
         for sk in (paper, dual):
-            for rep, _ in _orbits(sk, cat.group):
+            for rep, _ in gauge_classes(sk, cat.group):
                 assert closed_invariant(sk, rep, cat).value.is_one(), (name,)
     _report(2, "S1xS2 theorem")
 
@@ -124,7 +126,7 @@ def test_criterion_3_move_invariance():
                 vals2, agg2 = _value_multiset(other, cat)
                 assert vals == vals2 and agg == agg2, (mname, bname)
             # skeleton moves on a nontrivial orbit representative
-            rep = _orbits(sk, group)[-1][0]
+            rep = gauge_classes(sk, group)[-1][0]
             base = closed_invariant(sk, rep, cat).value
             arcs0 = [(v, a) for v, lk in enumerate(sk.links)
                      for a, (_, _, r) in enumerate(lk.arcs) if r == 0]
@@ -256,7 +258,7 @@ def test_criterion_9_spine_relation():
     assert spine.is_spine()
     for name in ["fibonacci"] + POINTED[:4]:
         cat = builtin_category(name)
-        rep = _orbits(spine, cat.group)[0][0]
+        rep = gauge_classes(spine, cat.group)[0][0]
         sigma = unnormalized_invariant(spine, rep, cat)
         assert sigma == neutral_dimension(cat) * closed_invariant(spine, rep, cat).value
         if name == "fibonacci":

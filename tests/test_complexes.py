@@ -277,9 +277,8 @@ def test_region_boundary_walks_cover_all_germs():
 
 
 def _rep_labeling(sk, group):
-    from statesum3d.gauge import enumerate_labelings, gauge_orbits
-    labs = enumerate_labelings(sk, group)
-    return gauge_orbits(sk, group, labs)[0][0]
+    from statesum3d.gauge import gauge_classes
+    return gauge_classes(sk, group)[0][0]
 
 
 def test_move_applicability_errors():
@@ -419,14 +418,14 @@ def test_every_move_keeps_the_state_sum_and_inverses_round_trip(name):
     orbit representative; T1 then T1inv, and T4 then T4inv, give back the
     skeleton file and the labeling exactly.  T2inv appends the two halves
     last, so T2 is undone only up to numbering, along two circles."""
-    from statesum3d.gauge import enumerate_labelings, gauge_orbits
+    from statesum3d.gauge import gauge_classes
     from statesum3d.statesum import closed_invariant
     sk = dual_skeleton(load_tri(name))
     text = save_skeleton(sk)
     for cname in ("vect_Z2_theta1", "vect_Z3_theta1", "fibonacci"):
         cat = builtin_category(cname)
         group = cat.group
-        lab = gauge_orbits(sk, group, enumerate_labelings(sk, group))[-1][0]
+        lab = gauge_classes(sk, group)[-1][0]
         base = closed_invariant(sk, lab, cat).value
         kinds = set()
         for spec, inverses in _moves_and_inverses(sk, group):

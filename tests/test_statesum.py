@@ -4,7 +4,7 @@ import pytest
 
 from statesum3d.catdata import builtin_category, builtin_category_names, neutral_dimension
 from statesum3d.complexes import LinkGraph, Skeleton, dual_skeleton
-from statesum3d.gauge import enumerate_labelings, gauge_orbits
+from statesum3d.gauge import gauge_classes
 from statesum3d.graphcalc import ColoredGraph, _canonical_rotation_system, evaluate_graph
 from statesum3d.statesum import (
     _Evaluator,
@@ -14,21 +14,17 @@ from statesum3d.statesum import (
     unnormalized_invariant,
 )
 
+import refgauge
 import refstatesum
 from graphutil import color_graph, grow_random_planar
 from trifiles import load_skeleton, load_tri, shipped_names
-
-
-def _orbit_reps(sk, group):
-    labs = enumerate_labelings(sk, group)
-    return gauge_orbits(sk, group, labs)
 
 
 def test_s3_normalization_small():
     sk = dual_skeleton(load_tri("s3_2tet"))
     for name in ["vect_Z2_theta1", "fibonacci", "ising_like"]:
         cat = builtin_category(name)
-        rep = _orbit_reps(sk, cat.group)[0][0]
+        rep = gauge_classes(sk, cat.group)[0][0]
         res = closed_invariant(sk, rep, cat)
         assert res.value == neutral_dimension(cat).inv()
         assert res.colorings_admissible >= 1
@@ -38,7 +34,7 @@ def test_s1xs2_paper_skeleton_values():
     sk = load_skeleton("s1xs2_paper")
     for name in ["vect_Z2_theta0", "vect_Z2_theta1", "vect_Z3_theta2"]:
         cat = builtin_category(name)
-        for rep, _ in _orbit_reps(sk, cat.group):
+        for rep, _ in gauge_classes(sk, cat.group):
             assert closed_invariant(sk, rep, cat).value.is_one()
 
 
@@ -47,7 +43,7 @@ def test_pointed_values_are_roots_of_unity():
         sk = dual_skeleton(load_tri(mname))
         for cname in ["vect_Z2_theta1", "vect_Z3_theta1"]:
             cat = builtin_category(cname)
-            for rep, _ in _orbit_reps(sk, cat.group):
+            for rep, _ in gauge_classes(sk, cat.group):
                 v = closed_invariant(sk, rep, cat).value
                 acc = v
                 for _ in range(12):
@@ -60,7 +56,7 @@ def test_pointed_values_are_roots_of_unity():
 def test_region_order_independence():
     sk = dual_skeleton(load_tri("rp3"))
     cat = builtin_category("vect_Z3_theta1")
-    rep = _orbit_reps(sk, cat.group)[-1][0]
+    rep = gauge_classes(sk, cat.group)[-1][0]
     base = closed_invariant(sk, rep, cat).value
     # permute region indices and relabel all references
     perm = list(range(sk.nregions()))
@@ -78,7 +74,7 @@ def test_region_order_independence():
 def test_unnormalized_requires_spine():
     sk = dual_skeleton(load_tri("s3_2tet"))
     cat = builtin_category("vect_Z2_theta0")
-    rep = _orbit_reps(sk, cat.group)[0][0]
+    rep = gauge_classes(sk, cat.group)[0][0]
     with pytest.raises(ValueError, match="spine"):
         unnormalized_invariant(sk, rep, cat)
 
@@ -88,7 +84,7 @@ def test_unnormalized_equals_dim_times_invariant():
     assert spine.is_spine()
     for name in ["fibonacci", "vect_Z2_theta1", "ising_like"]:
         cat = builtin_category(name)
-        rep = _orbit_reps(spine, cat.group)[0][0]
+        rep = gauge_classes(spine, cat.group)[0][0]
         sigma = unnormalized_invariant(spine, rep, cat)
         value = closed_invariant(spine, rep, cat).value
         assert sigma == neutral_dimension(cat) * value
@@ -114,7 +110,8 @@ def test_gauge_invariance_within_orbits():
         sk = dual_skeleton(load_tri(mname))
         for cname in ["vect_Z2_theta1", "vect_Z4_theta1"]:
             cat = builtin_category(cname)
-            for rep, members in _orbit_reps(sk, cat.group):
+            labs = refgauge.enumerate_labelings(sk, cat.group)
+            for rep, members in refgauge.gauge_orbits(sk, cat.group, labs):
                 vals = {closed_invariant(sk, lab, cat).value.to_text()
                         for lab in members}
                 assert len(vals) == 1, (mname, cname)
@@ -165,7 +162,7 @@ def test_evaluations_leave_no_reference_cycles():
     from statesum3d.hqft import (assemble_block_matrix, build_product_cylinder,
                                  builtin_surface, relative_invariant)
     sk = dual_skeleton(load_tri("l31"))
-    rep = _orbit_reps(sk, builtin_category("fibonacci").group)[0][0]
+    rep = gauge_classes(sk, builtin_category("fibonacci").group)[0][0]
     surf = builtin_surface("torus_fine", builtin_category("ising_like").group)
     cob = build_product_cylinder(surf)
     c = surf.colorings(builtin_category("ising_like"))[0]
@@ -244,7 +241,7 @@ def test_contraction_along_the_enumeration_matches_per_coloring_reference(catego
     singletons = all(len(cat.sector(g)) == 1 for g in range(cat.group.order))
     for sk in skeletons:
         ev = _Evaluator(sk, cat)
-        for rep, _ in _orbit_reps(sk, cat.group):
+        for rep, _ in gauge_classes(sk, cat.group):
             sectors = [cat.sector(rep[r]) for r in range(sk.nregions())]
             out, admissible = ev.total(sectors)
             want, visited, want_admissible = refstatesum.total(sk, cat, sectors)
@@ -304,7 +301,7 @@ def test_memoized_link_tensors_match_direct_evaluation(category):
     for sk in skeletons:
         ev = _Evaluator(sk, cat)
         checked = set()
-        for rep, _ in _orbit_reps(sk, cat.group):
+        for rep, _ in gauge_classes(sk, cat.group):
             sectors = [cat.sector(rep[r]) for r in range(sk.nregions())]
             for coloring in refstatesum.Enumerator(sk, cat).colorings(sectors):
                 for v, lk in enumerate(sk.links):
@@ -333,7 +330,7 @@ def test_link_tensors_are_evaluated_once_per_class(monkeypatch):
     sk = dual_skeleton(load_tri("t3_6tet"))
     cat = builtin_category("vect_Z4_theta1")
     ev = _Evaluator(sk, cat)
-    for rep, _ in _orbit_reps(sk, cat.group):
+    for rep, _ in gauge_classes(sk, cat.group):
         closed_invariant(sk, rep, cat, _ev=ev)
     assert 0 < len(calls) < len(ev.link_cache), (len(calls), len(ev.link_cache))
 
@@ -351,7 +348,7 @@ def test_sweep_plans_are_built_once_per_canonical_code(monkeypatch):
     sk = dual_skeleton(load_tri("t3_6tet"))
     cat = builtin_category("vect_Z4_theta1")
     ev = _Evaluator(sk, cat)
-    for rep, _ in _orbit_reps(sk, cat.group):
+    for rep, _ in gauge_classes(sk, cat.group):
         closed_invariant(sk, rep, cat, _ev=ev)
     codes = {_canonical_rotation_system(tuple(map(tuple, lk.rotations)))[0] for lk in sk.links}
     assert 0 < len(layouts) <= len(codes), (len(layouts), len(codes))
