@@ -6,6 +6,10 @@ face', perm)`` with ``perm`` in S4 sending ``face`` to ``face'`` and the
 other three vertex slots to vertex slots.  Orientability requires signs
 ``s(t)`` with ``s(t') = -s(t) sign(perm)`` across every gluing.
 
+Vertex and edge classes are the classes of one union-find each
+(``catdata.UnionFind``) over the corners and directed edges of the
+tetrahedra, joined across every gluing and numbered by their least members.
+
 The dual skeleton places one 2-polyhedron vertex per tetrahedron, one edge
 per triangle class, one disk region per edge class.  All cyclic orders,
 edge orientations, branch signs and vertex-link rotation systems come from
@@ -24,7 +28,9 @@ are:
   colored-graph convention of :mod:`statesum3d.graphcalc`;
 * for a skeleton edge, the branch list stored at end 0 and the rotation at
   the end-1 link vertex are positionally reversed copies of each other, so
-  the end-1 cyclic set is the dual of the end-0 cyclic set.
+  the end-1 cyclic set is the dual of the end-0 cyclic set.  The end-1
+  rotation is built from the gluing: the end-0 arcs carried through the
+  gluing permutation, in reverse order.
 
 The local skeleton moves (T1, T2, T4 and their inverses) each write only
 their local change, in the numbering of the skeleton they are given: added
@@ -38,7 +44,7 @@ contracts).  No move changes the skeleton it is given.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 from . import records
 from .catdata import UnionFind
@@ -123,43 +129,35 @@ class Triangulation:
         self.orientations = tuple(sign)
 
     def _build_classes(self):
-        # vertex classes
-        verts = {(t, v) for t in range(self.ntets) for v in range(4)}
-        self.vertex_class = self._orbits(
-            verts,
-            lambda tv: [self._map_vertex(tv, f) for f in range(4) if f != tv[1]])
-        self.nvertices = max(self.vertex_class.values()) + 1
+        # vertex (t, v) is 4t + v and directed edge (t, a, b) is 16t + 4a + b;
+        # a gluing identifies the cells of its face, and classes are numbered
+        # in the order of their least members
+        verts, dedges = UnionFind(4 * self.ntets), UnionFind(16 * self.ntets)
+        for (t, f), (t2, _, perm) in self.gluings.items():
+            face = [x for x in range(4) if x != f]
+            for a in face:
+                verts.union(4 * t + a, 4 * t2 + perm[a])
+            for a, b in permutations(face, 2):
+                dedges.union(16 * t + 4 * a + b, 16 * t2 + 4 * perm[a] + perm[b])
+        roots = {}
+        self.vertex_class = {(t, v): roots.setdefault(verts.find(4 * t + v), len(roots))
+                             for t in range(self.ntets) for v in range(4)}
+        self.nvertices = len(roots)
 
-        # directed edge classes
-        dedges = {(t, a, b) for t in range(self.ntets)
-                  for a in range(4) for b in range(4) if a != b}
-        dclass = self._orbits(
-            dedges,
-            lambda e: [self._map_dedge(e, f) for f in range(4) if f not in e[1:]])
-        # pair directed classes under reversal
-        rev_of = {}
-        for (t, a, b), c in dclass.items():
-            rev_of[c] = dclass[(t, b, a)]
-        for c, cr in rev_of.items():
-            if c == cr:
-                raise ValueError("edge class identified with its own reversal")
-        chosen = {}
-        eid = 0
-        members = {}
-        for e in sorted(dedges):
-            c = dclass[e]
-            if c in chosen or rev_of[c] in chosen:
-                continue
-            chosen[c] = eid
-            eid += 1
+        # an edge class is the directed class whose least member is below
+        # that of its reversal
+        ids = {}
         self.edge_class = {}
-        for e, c in dclass.items():
-            if c in chosen:
-                self.edge_class[e] = chosen[c]
-        self.nedges = eid
         self.edge_members = {}
-        for e, c in sorted(self.edge_class.items()):
-            self.edge_members.setdefault(c, []).append(e)
+        for t in range(self.ntets):
+            for a, b in permutations(range(4), 2):
+                r, rr = dedges.find(16 * t + 4 * a + b), dedges.find(16 * t + 4 * b + a)
+                if r == rr:
+                    raise ValueError("edge class identified with its own reversal")
+                if r < rr:
+                    c = self.edge_class[(t, a, b)] = ids.setdefault(r, len(ids))
+                    self.edge_members.setdefault(c, []).append((t, a, b))
+        self.nedges = len(ids)
 
         # triangle classes
         self.triangle_class = {}
@@ -175,49 +173,6 @@ class Triangulation:
         self.ntriangles = tid
         if 2 * self.ntriangles != 4 * self.ntets:
             raise ValueError("inconsistent triangle pairing")
-
-    def _map_vertex(self, tv, f):
-        t, v = tv
-        if v == f:
-            return tv
-        t2, _, perm = self.gluings[(t, f)]
-        return (t2, perm[v])
-
-    def _map_dedge(self, e, f):
-        t, a, b = e
-        t2, _, perm = self.gluings[(t, f)]
-        return (t2, perm[a], perm[b])
-
-    @staticmethod
-    def _orbits(items, neighbors):
-        index = {}
-        for start in sorted(items):
-            if start in index:
-                continue
-            cls = len(set(index.values()))
-            stack = [start]
-            index[start] = cls
-            while stack:
-                x = stack.pop()
-                for y in neighbors(x):
-                    if y not in index:
-                        index[y] = cls
-                        stack.append(y)
-                    elif index[y] != cls:
-                        # the neighbour relation is symmetric (the gluings
-                        # are checked to be involutions), so a closed orbit
-                        # never reaches another one
-                        raise InternalError(f"orbit closure conflict at {y}")
-            # renumber densely below
-        # compact class ids in first-seen order
-        remap = {}
-        out = {}
-        for x in sorted(items):
-            c = index[x]
-            if c not in remap:
-                remap[c] = len(remap)
-            out[x] = remap[c]
-        return out
 
     # -- derived data ---------------------------------------------------------
 
@@ -631,71 +586,42 @@ def dual_skeleton(tri: Triangulation) -> Skeleton:
         tail, head = tri.edge_class_ends(eid)
         regions.append((1, tail, head))
 
+    # edges: one per triangle class.  Link vertex (t, k) lists the edges of
+    # face k clockwise; at the end-1 vertex of a skeleton edge that is the
+    # end-0 list carried across the gluing and reversed.
+    order = {(t, k): _CLOCKWISE[tri.orientations[t]][k]
+             for t in range(tri.ntets) for k in range(4)}
+    edges = []
+    for (t, f), (t2, f2, perm) in sorted(tri.gluings.items()):
+        if (t2, f2) < (t, f):
+            continue
+        end1 = tuple(tuple(sorted((perm[x], perm[y]))) for x, y in reversed(order[(t, f)]))
+        clockwise = order[(t2, f2)]
+        s = clockwise.index(end1[0])
+        if end1 != clockwise[s:] + clockwise[:s]:
+            raise InternalError(f"triangle gluing ({t},{f}) -> ({t2},{f2}) does not "
+                                "align link rotations")
+        order[(t2, f2)] = end1
+        edges.append(((t, f), (t2, f2)))
+
+    # the arc dual to edge (a, b), a < b, has the same id in every link
+    arc_of = {p: i for i, p in enumerate(combinations(range(4), 2))}
     links = []
-    arc_index = {}   # (tet, frozenset edge) -> arc id
     for t in range(tri.ntets):
         sign = tri.orientations[t]
         arcs = []
-        rotations = [[] for _ in range(4)]
-        arc_of_edge = {}
-        for a in range(4):
-            for b in range(a + 1, 4):
-                eid, dirsign = tri.edge_class_of(t, a, b)
-                # direction of the class inside this tet
-                aa, bb = (a, b) if dirsign > 0 else (b, a)
-                tail_gv, head_gv = _dual_arc(aa, bb, sign)
-                arc_id = len(arcs)
-                arcs.append((tail_gv, head_gv, eid))
-                arc_of_edge[frozenset((a, b))] = arc_id
-                arc_index[(t, frozenset((a, b)))] = arc_id
+        for a, b in arc_of:
+            eid, dirsign = tri.edge_class_of(t, a, b)
+            # direction of the class inside this tet
+            aa, bb = (a, b) if dirsign > 0 else (b, a)
+            arcs.append((*_dual_arc(aa, bb, sign), eid))
+        rotations = []
         for k in range(4):
-            for (x, y) in _CLOCKWISE[sign][k]:
-                arc_id = arc_of_edge[frozenset((x, y))]
-                rotations[k].append((arc_id, 1 if arcs[arc_id][1] == k else 0))
+            ids = [arc_of[p] for p in order[(t, k)]]
+            rotations.append([(i, 1 if arcs[i][1] == k else 0) for i in ids])
         links.append(LinkGraph(arcs, rotations))
-
-    # edges: one per triangle class; align the end-1 rotation positionally
-    edges = []
-    done = set()
-    for t in range(tri.ntets):
-        for f in range(4):
-            if (t, f) in done:
-                continue
-            t2, f2, perm = tri.gluings[(t, f)]
-            done.add((t, f))
-            done.add((t2, f2))
-            # match branches across the gluing and re-anchor the end-1 list
-            rot0 = links[t].rotations[f]
-            part0 = [_pair_of_arc(t, arc_id, arc_index, f) for arc_id, _ in rot0]
-            want_pairs = [tuple(sorted((perm[x], perm[y]))) for (x, y) in reversed(part0)]
-            rot1 = links[t2].rotations[f2]
-            pairs1 = [_pair_of_arc(t2, arc_id, arc_index, f2) for arc_id, _ in rot1]
-            shift = None
-            m = len(rot1)
-            for s in range(m):
-                if [pairs1[(s + i) % m] for i in range(m)] == want_pairs:
-                    shift = s
-                    break
-            if shift is None:
-                raise InternalError(f"triangle gluing ({t},{f}) -> ({t2},{f2}) does not "
-                                    "align link rotations")
-            links[t2].rotations[f2] = [rot1[(shift + i) % m] for i in range(m)]
-            edges.append(((t, f), (t2, f2)))
-
-    # renumber edge ends as (vertex, gvertex) = (tet, face)
-    sk = Skeleton(regions, tri.nvertices, links,
-                  [((t, f), (t2, f2)) for ((t, f), (t2, f2)) in edges],
-                  name="dual")
-    return sk
-
-
-def _pair_of_arc(t, arc_id, arc_index, f):
-    vs = [x for x in range(4) if x != f]
-    for i, x in enumerate(vs):
-        for y in vs[i + 1:]:
-            if arc_index[(t, frozenset((x, y)))] == arc_id:
-                return (x, y)
-    raise KeyError((t, arc_id))
+    # edge ends are (vertex, gvertex) = (tet, face)
+    return Skeleton(regions, tri.nvertices, links, edges, name="dual")
 
 
 # ---------------------------------------------------------------------------

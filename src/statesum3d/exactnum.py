@@ -50,21 +50,10 @@ def _cyclotomic_poly(n: int) -> list[Fraction]:
     poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
     for d in range(1, n):
         if n % d == 0:
-            poly = _poly_divexact(poly, _cyclotomic_poly(d))
+            poly, rem = _poly_divmod(poly, _cyclotomic_poly(d))
+            if any(rem):
+                raise ArithmeticError("inexact polynomial division")
     return poly
-
-
-def _poly_divexact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        out[k] = c
-        for j, dj in enumerate(den):
-            num[k + j] -= c * dj
-    if any(c != 0 for c in num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
 
 
 def _euler_phi(n: int) -> int:

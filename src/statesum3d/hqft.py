@@ -21,28 +21,33 @@ Link rotation systems, arc directions and branch signs follow one local
 model of the product neighborhood (surface orientation times the interval):
 south-pole rotation is the stored clockwise dart order with the surface
 signs negated, north-pole rotation is the reversed order with the surface
-signs, a level edge reads (top strip +, right face -, bottom strip -,
-left face +) at its tail end, and sheet arcs run in the stored rotation
-direction.  The boundary index space at a vertex is the tree basis of the
+signs (one pole writer makes both: the top pole is the bottom one with its
+arcs and its rotation reversed, a chord included), a level edge reads (top
+strip +, right face -, bottom strip -, left face +) at its tail end, and
+sheet arcs run in the stored rotation direction.  The boundary index space at a vertex is the tree basis of the
 south-type cyclic set; a top index is converted to it by the inverse Gram
 matrix of the duality pairing, which realizes the canonical isomorphism of
-the functoriality normalization.
+the functoriality normalization.  The product condition of a labeling is
+the grade condition of the south-type sets: at each vertex, the product in
+dart order of the outgoing labels and the inverted incoming ones is the
+identity.
 
 The matrix of a cobordism (:func:`assemble_block_matrix`) has one block per
 pair of bottom and top boundary colorings.  What depends on one coloring is
-built once for it: the tree counts of the bottom ends for a bottom
-coloring; the south-type sets, their inverse Gram matrices and the
-normalization for a top coloring; the candidate lists of the regions
-pinned to its edges for either.  Each pair then runs one state sum, with
-the boundary regions pinned, through an evaluator shared by all pairs, and
-its nonzero entries are written straight into the matrix, so a pair whose
-block is zero costs only its state sum.  :func:`relative_invariant` reads
-the tensor of one pair through the same pinned state sum.
+built once for it: the tree count of each vertex's south-type set and the
+candidate lists of the regions pinned to its edges for either side; the
+inverse Gram matrices of those sets and the normalization for a top
+coloring.  Each pair then runs one state sum, with the boundary regions
+pinned, through an evaluator shared by all pairs, and its nonzero entries
+are written straight into the matrix, so a pair whose block is zero costs
+only its state sum.  :func:`relative_invariant` reads the tensor of one
+pair through the same pinned state sum.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
+from math import prod
 
 from . import records
 from .catdata import FiniteGroup, GFusionData, neutral_dimension
@@ -73,7 +78,10 @@ class SurfaceSkeleton:
     """Labeled skeleton of a closed oriented pointed surface.
 
     edges: (tail, head); rotations: clockwise dart lists per vertex;
-    labels: edge -> group element with the vertex product condition;
+    labels: edge -> group element, such that at each vertex the product
+    in dart order of the labels of the outgoing edges and the inverses of
+    those of the incoming ones is the identity (the grade condition of the
+    south-type set, see :meth:`boundary_cset`);
     component descriptors: list of (genus, base_face) checked against the
     traced Euler characteristic, base faces pairwise distinct per component.
     """
@@ -110,16 +118,13 @@ class SurfaceSkeleton:
             total = group.identity
             for (e, end) in self.rotations[v]:
                 g = self.labels[e]
-                total = group.mul(total, g if end == 1 else group.inv(g))
+                total = group.mul(total, group.inv(g) if end == 1 else g)
             if total != group.identity:
                 raise ValueError(f"labeling violates the product condition at vertex {v}")
 
-    def vertex_items(self, v, coloring):
-        return [(coloring[e], 1 if end == 1 else -1) for (e, end) in self.rotations[v]]
-
     def colorings(self, cat: GFusionData):
         """Admissible simple colorings: grade matches the label on every
-        edge and all vertex cyclic sets have positive rank.  Found by
+        edge and all vertex south-type sets have positive rank.  Found by
         backtracking over edges in index order, each vertex checked as soon
         as its last edge is colored, so they come in the order of the
         product of the edges' sectors."""
@@ -137,7 +142,7 @@ class SurfaceSkeleton:
             k = pos[e] + 1
             while k < len(sectors[e]):
                 combo[e] = sectors[e][k]
-                if all(hom_dim(cat, self.vertex_items(v, combo)) for v in checks[e]):
+                if all(hom_dim(cat, self._south_items(v, combo)) for v in checks[e]):
                     break
                 k += 1
             if k == len(sectors[e]):
@@ -154,8 +159,10 @@ class SurfaceSkeleton:
     def boundary_cset(self, v, coloring) -> CyclicCSet:
         """South-type cyclic set at a vertex: stored dart order, negated
         surface signs."""
-        return CyclicCSet([(coloring[e], -1 if end == 1 else 1)
-                           for (e, end) in self.rotations[v]])
+        return CyclicCSet(self._south_items(v, coloring))
+
+    def _south_items(self, v, coloring):
+        return [(coloring[e], -1 if end == 1 else 1) for (e, end) in self.rotations[v]]
 
     def block_dim(self, cat, coloring) -> int:
         d = 1
@@ -276,87 +283,38 @@ def build_sheet_cylinder(bot: SurfaceSkeleton, top: SurfaceSkeleton,
     for e in range(len(ambient.edges)):
         if coarse.labels[parent[e]] != ambient.labels[e]:
             raise ValueError("refinement labels disagree with the coarse labels")
-    regions = []
-    bot_region = {}
-    for e in range(len(bot.edges)):
-        bot_region[e] = len(regions)
-        regions.append((1, bot.labels[e], ("bot", e)))
-    top_region = {}
-    for e in range(len(top.edges)):
-        top_region[e] = len(regions)
-        regions.append((1, top.labels[e], ("top", e)))
+    surfs = (bot, top)
+    regions, strip = [], []   # strip[i][e]: side i's strip region over ambient edge e
+    for i, side in enumerate(("bot", "top")):
+        first = len(regions)
+        regions += [(1, surfs[i].labels[e], (side, e)) for e in range(len(surfs[i].edges))]
+        is_coarse = (i == 0) == ambient_is_top
+        strip.append([first + (parent[e] if is_coarse else e) for e in range(len(ambient.edges))])
     sheet_region = {}
     for f in range(len(ambient.faces)):
         sheet_region[f] = len(regions)
         regions.append((1, group.identity, None))
 
-    def south_region(e):
-        return bot_region[parent[e]] if ambient_is_top else bot_region[e]
-
-    def north_region(e):
-        return top_region[e] if ambient_is_top else top_region[parent[e]]
-
-    coarse_vertices = set(range(coarse.nvertices))
-
     links = []
-    equator_gv = {}
-    south_gv = {}
-    north_gv = {}
+    ends = ([], [])
+    equator0 = []    # gvertex of the first equator vertex, per ambient vertex
     for v in range(ambient.nvertices):
         rot = ambient.rotations[v]
         k = len(rot)
+        # gvertices: the poles of the sides that have v, bottom first, then the equator
+        poles = [i for i in (0, 1) if v < surfs[i].nvertices]
+        q_of = [len(poles) + j for j in range(k)]
+        equator0.append(len(poles))
         arcs = []
-        has_south = (not ambient_is_top) or v in coarse_vertices
-        has_north = ambient_is_top or v in coarse_vertices
-        gid = 0
-        gv_s = gv_n = None
-        if has_south:
-            gv_s = gid
-            south_gv[v] = gid
-            gid += 1
-        if has_north:
-            gv_n = gid
-            north_gv[v] = gid
-            gid += 1
-        q_of = {}
-        for j in range(k):
-            q_of[j] = gid
-            equator_gv[(v, j)] = gid
-            gid += 1
-        south_dart = {}
-        north_dart = {}
-        if has_south:
-            for j, (e, end) in enumerate(rot):
-                a = len(arcs)
-                if end == 0:
-                    arcs.append((q_of[j], gv_s, south_region(e)))
-                    south_dart[j] = (a, 0)
-                else:
-                    arcs.append((gv_s, q_of[j], south_region(e)))
-                    south_dart[j] = (a, 1)
-        else:
-            down = next(j for j, (e, end) in enumerate(rot) if end == 0)
-            up = next(j for j, (e, end) in enumerate(rot) if end == 1)
-            a = len(arcs)
-            arcs.append((q_of[down], q_of[up], south_region(rot[down][0])))
-            south_dart[down] = (a, 0)
-            south_dart[up] = (a, 1)
-        if has_north:
-            for j, (e, end) in enumerate(rot):
-                a = len(arcs)
-                if end == 0:
-                    arcs.append((gv_n, q_of[j], north_region(e)))
-                    north_dart[j] = (a, 1)
-                else:
-                    arcs.append((q_of[j], gv_n, north_region(e)))
-                    north_dart[j] = (a, 0)
-        else:
-            down = next(j for j, (e, end) in enumerate(rot) if end == 0)
-            up = next(j for j, (e, end) in enumerate(rot) if end == 1)
-            a = len(arcs)
-            arcs.append((q_of[up], q_of[down], north_region(rot[down][0])))
-            north_dart[down] = (a, 1)
-            north_dart[up] = (a, 0)
+        rotations = [None] * (len(poles) + k)
+        darts = []
+        for i in (0, 1):
+            gv = poles.index(i) if i in poles else None
+            side_darts, pole_rotation = _pole(arcs, rot, q_of, gv, strip[i], i == 1)
+            darts.append(side_darts)
+            if gv is not None:
+                rotations[gv] = pole_rotation
+                ends[i].append((v, gv))
         sheet_dart_out = {}
         sheet_dart_in = {}
         for i in range(k):
@@ -365,18 +323,11 @@ def build_sheet_cylinder(bot: SurfaceSkeleton, top: SurfaceSkeleton,
             arcs.append((q_of[i], q_of[(i + 1) % k], sheet_region[f]))
             sheet_dart_out[i] = (a, 0)
             sheet_dart_in[(i + 1) % k] = (a, 1)
-        rotations = [None] * gid
-        if has_south:
-            rotations[gv_s] = [(south_dart[j][0], 1 - south_dart[j][1])
-                               for j in range(k)]
-        if has_north:
-            rotations[gv_n] = [(north_dart[j][0], 1 - north_dart[j][1])
-                               for j in range(k - 1, -1, -1)]
         for j, (e, end) in enumerate(rot):
             left_in = sheet_dart_in[j]
             right_out = sheet_dart_out[j]
-            bot_dart = south_dart[j]
-            top_dart = north_dart[j]
+            bot_dart = darts[0][j]
+            top_dart = darts[1][j]
             if end == 0:
                 rotations[q_of[j]] = [top_dart, right_out, bot_dart, left_in]
             else:
@@ -387,12 +338,38 @@ def build_sheet_cylinder(bot: SurfaceSkeleton, top: SurfaceSkeleton,
     for e, (t, h) in enumerate(ambient.edges):
         jt = next(j for j, d in enumerate(ambient.rotations[t]) if d == (e, 0))
         jh = next(j for j, d in enumerate(ambient.rotations[h]) if d == (e, 1))
-        edges.append(((t, equator_gv[(t, jt)]), (h, equator_gv[(h, jh)])))
-    bot_ends = [(v, south_gv[v]) for v in range(bot.nvertices)]
-    top_ends = [(v, north_gv[v]) for v in range(top.nvertices)]
+        edges.append(((t, equator0[t] + jt), (h, equator0[h] + jh)))
+    bot_ends, top_ends = ends
     return CobordismSkeleton(group, regions, links, edges, bot_ends, top_ends,
                              len(bot.faces) + len(top.faces), bot, top,
                              name=f"cyl({bot.name}->{top.name})")
+
+
+def _pole(arcs, rot, q_of, gv, strip, top):
+    """Append the arcs of one pole of a sheet vertex with darts ``rot`` and
+    equator gvertices ``q_of``; return the dart of each equator gvertex on
+    them and the rotation at the pole gvertex ``gv``.
+
+    The bottom pole has one arc per dart, from the equator to ``gv`` for an
+    outgoing edge and back for an incoming one, listed at ``gv`` in dart
+    order.  The top pole reverses the arcs and their order.  A side that
+    lacks the vertex (``gv`` None) passes the sheet as one chord between
+    the equator gvertices of the outgoing and incoming darts, reversed
+    alike at the top, and has no rotation.
+    """
+    if gv is None:
+        down = next(j for j, (_, end) in enumerate(rot) if end == 0)
+        up = next(j for j, (_, end) in enumerate(rot) if end == 1)
+        tail, head = (up, down) if top else (down, up)
+        arcs.append((q_of[tail], q_of[head], strip[rot[down][0]]))
+        return {tail: (len(arcs) - 1, 0), head: (len(arcs) - 1, 1)}, None
+    darts = []
+    for j, (e, end) in enumerate(rot):
+        at_q = end ^ top   # the end of the arc at the equator: 0 tail, 1 head
+        darts.append((len(arcs), at_q))
+        arcs.append((gv, q_of[j], strip[e]) if at_q else (q_of[j], gv, strip[e]))
+    rotation = [(a, 1 - at_q) for a, at_q in darts]
+    return darts, rotation[::-1] if top else rotation
 
 
 # ---------------------------------------------------------------------------
@@ -448,24 +425,16 @@ def _pinned_total(ev, free, bot, top):
     return ev.total(sectors)[0]
 
 
-def _bottom_dims(cob, cat, c_bot):
-    """The tree count of each bottom end's index, for one bottom coloring."""
-    surf = cob.bot_surface
-    return [hom_dim(cat, surf.boundary_cset(v, c_bot).items) for v in range(surf.nvertices)]
-
-
-def _top_side(cob, cat, c_top):
-    """What a top coloring fixes in its blocks: the dimension of each top
-    vertex's south-type index; for each top vertex and link index, the
-    nonzero entries ``(south index, value)`` of that column of the inverse
-    Gram matrix that converts it; and the normalization
+def _top_side(cob, cat, c_top, dims):
+    """What a top coloring fixes in its blocks: ``dims``, the dimension of
+    each top vertex's south-type index; for each top vertex and link index,
+    the nonzero entries ``(south index, value)`` of that column of the
+    inverse Gram matrix that converts it; and the normalization
     dim(C_1)^(#top faces - |P|) / dim(top coloring)."""
     surf = cob.top_surface
-    dims, columns = [], []
+    columns = []
     for v in range(surf.nvertices):
-        south = surf.boundary_cset(v, c_top).items
-        ginv = _gram_inverse(cat, south)
-        dims.append(hom_dim(cat, south))
+        ginv = _gram_inverse(cat, surf.boundary_cset(v, c_top).items)
         columns.append([[(s, row[t]) for s, row in enumerate(ginv) if not row[t].is_zero()]
                         for t in range(len(ginv[0]) if ginv else 0)])
     norm = _neutral_power(cat, len(surf.faces) - cob.ball_count)
@@ -518,35 +487,38 @@ def assemble_block_matrix(cob: CobordismSkeleton, cat: GFusionData):
     """Full matrix of the cobordism over all boundary coloring pairs: one
     pinned state sum per pair, scattered into the matrix, with what depends
     on one coloring built once for it (see the module docstring)."""
-    bot_cols, bot_dims = _colorings(cob.bot_surface, cat)
+    bot_cols, bot_trees = _colorings(cob.bot_surface, cat)
     if cob.top_surface is cob.bot_surface:
-        top_cols, top_dims = bot_cols, bot_dims
+        top_cols, top_trees = bot_cols, bot_trees
     else:
-        top_cols, top_dims = _colorings(cob.top_surface, cat)
+        top_cols, top_trees = _colorings(cob.top_surface, cat)
+    bot_dims = [prod(trees) for trees in bot_trees]
+    top_dims = [prod(trees) for trees in top_trees]
     zero = cat.field.zero()
     full = [[zero] * sum(bot_dims) for _ in range(sum(top_dims))]
     ev = _Evaluator(cob, cat, cob.bot_ends + cob.top_ends)
     free = [cat.sector(label) for _, label, _ in cob.regions]
-    bottoms = [(_pins(cob, cat, "bot", c_bot), _bottom_dims(cob, cat, c_bot))
-               for c_bot in bot_cols]
+    bottoms = [_pins(cob, cat, "bot", c_bot) for c_bot in bot_cols]
     row0 = 0
-    for c_top, top_dim in zip(top_cols, top_dims):
-        top = _top_side(cob, cat, c_top)
+    for c_top, trees, top_dim in zip(top_cols, top_trees, top_dims):
+        top = _top_side(cob, cat, c_top, trees)
         pins = _pins(cob, cat, "top", c_top)
         col0 = 0
-        for (bot_pins, ends), bot_dim in zip(bottoms, bot_dims):
+        for bot_pins, trees, bot_dim in zip(bottoms, bot_trees, bot_dims):
             raw = _pinned_total(ev, free, bot_pins, pins)
             if raw:
-                _scatter(raw, ends, top, full, row0, col0)
+                _scatter(raw, trees, top, full, row0, col0)
             col0 += bot_dim
         row0 += top_dim
     return full, bot_cols, bot_dims, top_cols, top_dims
 
 
 def _colorings(surf, cat):
-    """The colorings of a surface skeleton and their block dimensions."""
+    """The colorings of a surface skeleton, each with the tree count of
+    every vertex's south-type set; a block's dimension is their product."""
     cols = surf.colorings(cat)
-    return cols, [surf.block_dim(cat, c) for c in cols]
+    return cols, [[hom_dim(cat, surf.boundary_cset(v, c).items) for v in range(surf.nvertices)]
+                  for c in cols]
 
 
 def build_product_cylinder(surf: SurfaceSkeleton) -> CobordismSkeleton:
@@ -678,9 +650,6 @@ class _EmptySurface:
 
     def colorings(self, cat):
         return [()]
-
-    def block_dim(self, cat, coloring):
-        return 1
 
     def boundary_cset(self, v, coloring):
         raise IndexError("empty surface has no vertices")

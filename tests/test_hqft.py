@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from statesum3d.catdata import FiniteGroup, builtin_category
+from statesum3d.catdata import CocycleTable, FiniteGroup, build_vec_g_theta, builtin_category
 from statesum3d.complexes import dual_skeleton
 from statesum3d.gauge import gauge_classes
 from statesum3d.hqft import (
@@ -175,6 +177,31 @@ def test_genus2_rank_agrees_across_skeletons():
     assert cylinder_projector(subdivide_edge(surf, 0), cat).rank == 25
 
 
+def test_nonabelian_labels_meet_the_south_type_product_condition():
+    # a block is indexed by the tree bases of the south-type sets, so the
+    # product condition is their grade condition: outgoing labels and
+    # inverted incoming ones, in dart order.  The first labeling below meets
+    # it only with the factors inverted in place (incoming labels, inverted
+    # outgoing ones), which for S3 is another condition; each of its blocks
+    # would have dimension 0.
+    s3 = FiniteGroup.symmetric(3)
+    cat = build_vec_g_theta(s3, CocycleTable.trivial(s3))
+    base = parse_surface((DATA / "surfaces" / "genus2_k33.surf").read_text(), s3)
+
+    def labeled(labels):
+        return SurfaceSkeleton(s3, base.edges, base.rotations, dict(enumerate(labels)),
+                               base.components)
+
+    with pytest.raises(ValueError, match="product condition at vertex 4"):
+        labeled((0, 1, 1, 0, 2, 2, 0, 3, 4))
+    # an untwisted pointed category: one coloring, one tree per vertex, and
+    # the state space of a flat G-bundle is a line
+    surf = labeled((0, 3, 4, 0, 2, 2, 0, 1, 1))
+    for s in (surf, subdivide_edge(surf, 0)):
+        space = cylinder_projector(s, cat)
+        assert (space.block_dims, space.rank) == ([1], 1), s.name
+
+
 @pytest.mark.parametrize("cname", ["fibonacci", "ising_like", "vect_Z2_theta1"])
 def test_block_assembly_matches_per_pair_reference(cname):
     # the assembly builds each boundary coloring's data once and writes the
@@ -251,11 +278,32 @@ def _cylinders():
 
 _CYLINDERS = _cylinders()
 
+# sha256 of save_cobordism for each _CYLINDERS entry, as the builder wrote
+# it with one block of code per pole
+_CYLINDER_DIGESTS = {
+    "down-sphere_fine": "060e7c6621fab581f1ca18670f523d5c02346c5eaae0112270322bfff55858a2",
+    "down-torus_fine": "c316512488afe8e65a2a5e862e88abf7b356327ba5c07afd3f3831fc15dc9ac7",
+    "product-genus2_k33": "6a51dd9e5efd5844830ec4608fbca6bce491e3e3373120de452502ef0100a480",
+    "product-sphere_circle": "ec6fc754afd615360f5aa2e25144dfd4078c485cc3d44fb3afa52264a15f83fb",
+    "product-sphere_fine": "6f831c7c13f324ebfb083467f69caf82024c38bd16a134a774f108b94b5e58fd",
+    "product-torus_2loop": "f987995b2c8f7f6beb36eab24a42fd50f8f5dc62566b79a65bef57be5cc245eb",
+    "product-torus_fine": "7e70f5e7a37bdb3a75de4b5da55019290850f4a5b8d30ed109bcc645d35d4899",
+    "up-sphere_fine": "432383ddb3518b7bfd923a4195d9fecd2c67a2c1eb06f6f617fbcf148c0051fd",
+    "up-torus_fine": "4e6f8d2d0431df3e40833c0eb23199596b48c0ae3afb2d15327b0281ccaa1c75",
+}
+
 
 @pytest.mark.parametrize("name", sorted(_CYLINDERS))
 def test_cobordism_file_roundtrip(name):
     text = save_cobordism(_CYLINDERS[name])
     assert save_cobordism(parse_cobordism(text, Z2)) == text
+
+
+def test_cylinders_are_pinned():
+    assert set(_CYLINDERS) == set(_CYLINDER_DIGESTS)
+    for name, digest in _CYLINDER_DIGESTS.items():
+        text = save_cobordism(_CYLINDERS[name])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def test_file_roundtrips():
