@@ -27,9 +27,15 @@ memoized in the category's ``_memo``:
   inverse F-entry that fuses them into the unit times the lev or rev
   scalar (:func:`_cap_coeff`).
 
-:class:`PairingData` builds its Gram matrix from the same two tables, and
-the sweep's result is re-based to the slot anchors one vertex at a time
+The sweep's result is re-based to the slot anchors one vertex at a time
 (:func:`_rebased`).
+
+:class:`PairingData` reads the Gram matrix of the duality pairing off the
+same cap table in closed form: both trees are boxed in after the unit,
+where no F-move applies, and the caps from the middle out keep only the
+tree of H(E^opp) with the reversed intermediates, so column t holds one
+product of n cap coefficients.  The matrix is monomial, and its inverse
+holds the reciprocals at the transposed positions; no elimination runs.
 
 The cone isomorphism that re-anchors a multiplicity module one step on
 (moving the first leg to the end) is applied in closed form: n - 2 inverse
@@ -46,7 +52,8 @@ steps pushes sparse columns through k memoized one-step matrices; past
 half a turn it takes n - k inverse steps instead, each of which bends the
 last leg to the front, divides by lambda of the last item, and takes
 n - 2 F-moves back to a left comb.  The result is memoized as sparse rows
-(:func:`_rebase_rows`).
+(:func:`_rebase_rows`); a one-step rotation's rows are those of the
+memoized step itself.
 
 Cyclic sets follow the surface convention that the half-edge order at a
 vertex is taken clockwise (opposite surface orientation), a half-edge
@@ -64,7 +71,6 @@ from itertools import product as iproduct
 from . import records
 from .catdata import GFusionData, UnionFind
 from .exactnum import FieldElement
-from .linalg import matrix_inverse
 
 __all__ = [
     "InternalError",
@@ -113,7 +119,7 @@ class CyclicCSet:
         return CyclicCSet(tuple((c, -s) for c, s in reversed(self.items)))
 
     def word(self, data: GFusionData) -> tuple:
-        return tuple(c if s > 0 else data.dual[c] for c, s in self.items)
+        return _word(data, self.items)
 
     def __eq__(self, other):
         return isinstance(other, CyclicCSet) and self.items == other.items
@@ -124,6 +130,13 @@ class CyclicCSet:
     def __repr__(self):
         body = " ".join(f"{c}{'+' if s > 0 else '-'}" for c, s in self.items)
         return f"CyclicCSet({body})"
+
+
+def _word(data: GFusionData, items) -> tuple:
+    """The word of the signed colours ``items``: ``c`` for ``(c, +1)``, the
+    dual label for ``(c, -1)``."""
+    dual = data.dual
+    return tuple([c if s > 0 else dual[c] for c, s in items])
 
 
 def tree_paths(data: GFusionData, word) -> list:
@@ -254,7 +267,7 @@ def _bend_first_leg(data: GFusionData, items: tuple) -> tuple:
     the tree ``(y_2, ..., y_n, 1)`` of the rotated word.  A one-letter word
     (the unit) takes no F-move.
     """
-    word = CyclicCSet(items).word(data)
+    word = _word(data, items)
     x = word[0]
     lam = _bend_scalar(data, items[0])
     sums = []
@@ -286,7 +299,7 @@ def _bend_last_leg(data: GFusionData, items: tuple) -> tuple:
             = sum_(z_j) F[x_n, m_(j-1), x_j, z_(j+1)]_(z_j, m_j)
               (B(x_n, m_(j-1); z_j) (x) id) B(z_j, x_j; z_(j+1)).
     """
-    word = CyclicCSet(items).word(data)
+    word = _word(data, items)
     x = word[-1]
     mu = _bend_scalar(data, items[-1]).inv()
     sums = []
@@ -335,8 +348,9 @@ def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
 def _rebase_rows(data: GFusionData, items: tuple, anchor: int, steps: int) -> tuple:
     """Sparse rows of :func:`rotation_matrix` for the basis of ``items``
     anchored at ``anchor`` and ``0 <= steps < n``: row t lists the pairs
-    ``(s, R[t][s])`` with a nonzero value, s ascending.  The columns are
-    pushed through the memoized one-step maps, and the rows are memoized."""
+    ``(s, R[t][s])`` with a nonzero value, s ascending.  The first memoized
+    one-step map gives the columns, each later one is pushed through, and
+    the rows are read off the columns in one pass and memoized."""
     memo = data._memo
     key = ("rebase", items, anchor, steps)
     rows = memo.get(key)
@@ -344,8 +358,7 @@ def _rebase_rows(data: GFusionData, items: tuple, anchor: int, steps: int) -> tu
         return rows
     n = len(items)
     its = items[anchor:] + items[:anchor]
-    one = data.field.one()
-    cols = [{s: one} for s in range(len(_trees(data, CyclicCSet(its).word(data))))]
+    cols = None
     forward = 2 * steps <= n
     for _ in range(steps if forward else n - steps):
         step_key = ("bend" if forward else "bend back", its)
@@ -353,16 +366,28 @@ def _rebase_rows(data: GFusionData, items: tuple, anchor: int, steps: int) -> tu
         if step is None:
             bend = _bend_first_leg if forward else _bend_last_leg
             step = memo[step_key] = bend(data, its)
-        for s, col in enumerate(cols):
-            cols[s] = nxt = {}
-            for i, v in col.items():
-                for t, u in step[i]:
-                    cur = nxt.get(t)
-                    nxt[t] = v * u if cur is None else cur + v * u
+        if cols is None:
+            cols = step
+        else:
+            pushed = []
+            for col in cols:
+                nxt = {}
+                for i, v in col:
+                    for t, u in step[i]:
+                        cur = nxt.get(t)
+                        nxt[t] = v * u if cur is None else cur + v * u
+                pushed.append(nxt.items())
+            cols = pushed
         its = its[1:] + its[:1] if forward else its[-1:] + its[:-1]
-    rows = memo[key] = tuple(
-        tuple((s, col[t]) for s, col in enumerate(cols) if t in col and not col[t].is_zero())
-        for t in range(len(_trees(data, CyclicCSet(its).word(data)))))
+    out = [[] for _ in _trees(data, _word(data, its))]
+    if cols is None:
+        one = data.field.one()
+        cols = [((s, one),) for s in range(len(out))]
+    for s, col in enumerate(cols):
+        for t, v in col:
+            if not v.is_zero():
+                out[t].append((s, v))
+    rows = memo[key] = tuple(map(tuple, out))
     return rows
 
 
@@ -442,23 +467,32 @@ def _cap_coeff(data: GFusionData, corner: tuple, a: int, b: int, scalar: FieldEl
     return f * scalar
 
 
-def _cap(data: GFusionData, states: dict, word: tuple, q: int, color: int,
-         kind: str) -> dict:
-    """Close the strands at word positions q and q + 1 of the sweep states by
-    lev (kind 'l': letters (c*, c)) or rev ('r': (c, c*)) of ``color``."""
+def _cap_table(data: GFusionData, color: int, kind: str) -> tuple:
+    """``(table, left, right, scalar)`` of the cap that closes ``color`` by
+    lev (kind 'l': letters (c*, c)) or rev ('r': (c, c*)): the letters, the
+    evaluation scalar and the memoized table ``("cap", color, kind)`` of
+    :func:`_cap_coeff` by corner."""
     dual = data.dual[color]
     if kind == "l":
         left, right, scalar = dual, color, data.lev_scalar(color)
     else:
         left, right, scalar = color, dual, data.rev_scalar(color)
-    if word[q] != left or word[q + 1] != right:
-        raise InternalError(f"cap {kind} of {color} at {q} meets letters {word[q:q + 2]}")
     if not data.nmat(left, right, data.unit):
         raise ValueError("inadmissible fuse")
     key = ("cap", color, kind)
     table = data._memo.get(key)
     if table is None:
         table = data._memo[key] = {}
+    return table, left, right, scalar
+
+
+def _cap(data: GFusionData, states: dict, word: tuple, q: int, color: int,
+         kind: str) -> dict:
+    """Close the strands at word positions q and q + 1 of the sweep states by
+    lev (kind 'l': letters (c*, c)) or rev ('r': (c, c*)) of ``color``."""
+    table, left, right, scalar = _cap_table(data, color, kind)
+    if word[q] != left or word[q + 1] != right:
+        raise InternalError(f"cap {kind} of {color} at {q} meets letters {word[q:q + 2]}")
     unit = data.unit
     out: dict = {}
     for (path, choice), val in states.items():
@@ -480,31 +514,65 @@ class PairingData:
     by the trees of H(E^opp) (anchored per :meth:`CyclicCSet.opp`), columns
     by the trees of H(E).  Entry [u][t] is the sweep that inserts tree t of
     H(E) and then tree u of H(E^opp) after it, and caps the n strand pairs
-    from the middle out."""
+    from the middle out; ``tests/refsweep.py`` runs that sweep.
+
+    Here it is read off in closed form.  Both trees go in after the unit,
+    where a box takes no F-move, so the sweep starts on the path ``t + u``.
+    A cap keeps only equal intermediates on its two sides, so from the
+    middle out the caps match ``u`` with the reversed intermediates of
+    ``t = (m_1, ..., m_n = 1)``: column t is nonzero at most at the tree
+    ``u = (m_(n-1), ..., m_1, 1)``, with the value
+
+        prod_(k=1..n) cap(c_k, s_k) at the corner (m_(k-1), m_k, m_(k-1)),
+
+    ``m_0`` the unit and ``cap`` the memoized coefficient of the sweep's cap
+    table (:func:`_cap_coeff`).  The Gram matrix is therefore monomial, and
+    so is its inverse."""
 
     def __init__(self, data: GFusionData, cset: CyclicCSet):
         self.data = data
         self.basis = MultiplicityBasis(data, cset, 0)
         self.basis_opp = MultiplicityBasis(data, cset.opp(), 0)
-        n = len(cset)
-        word = self.basis.word + self.basis_opp.word
-        states = _box(data, {((), ()): data.field.one()}, 0, self.basis.word,
-                      self.basis.trees)
-        states = _box(data, states, n, self.basis_opp.word, self.basis_opp.trees)
-        for k in range(n - 1, -1, -1):
-            color, sign = cset.items[k]
-            states = _cap(data, states, word, k, color, "r" if sign > 0 else "l")
-            word = word[:k] + word[k + 2:]
+        unit = data.unit
+        caps = [_cap_table(data, c, "r" if s > 0 else "l") for c, s in cset.items]
+        row_of = {u: i for i, u in enumerate(self.basis_opp.trees)}
         zero = data.field.zero()
-        self.gram = [[states.get(((), (t, u)), zero) for t in range(self.basis.dim())]
-                     for u in range(self.basis_opp.dim())]
+        self.gram = [[zero] * self.basis.dim() for _ in range(self.basis_opp.dim())]
+        self._support = []  # (row, column, value) of the nonzero entries
+        for col, tree in enumerate(self.basis.trees):
+            row = row_of.get(tree[-2::-1] + (unit,))
+            value, prev = None, unit
+            for (table, left, right, scalar), m in zip(caps, tree):
+                corner = (prev, m, prev)
+                c = table.get(corner, False)
+                if c is False:
+                    c = table[corner] = _cap_coeff(data, corner, left, right, scalar)
+                if c is None:
+                    break
+                value = c if value is None else value * c
+                prev = m
+            else:
+                if row is not None:
+                    self.gram[row][col] = value
+                    self._support.append((row, col, value))
         self._inv = None
 
     def gram_inverse(self):
         """Inverse Gram; entry [t][u] pairs an H(E)-tree with an
-        H(E^opp)-tree in the contraction of dual vectors."""
+        H(E^opp)-tree in the contraction of dual vectors.  The inverse of the
+        monomial Gram matrix holds the reciprocals at the transposed
+        positions."""
         if self._inv is None:
-            self._inv = matrix_inverse(self.gram, self.data.field)
+            n = len(self.gram)
+            if any(len(row) != n for row in self.gram):
+                raise ValueError("matrix is not square")
+            if len(self._support) < n:
+                raise ValueError("singular matrix")
+            zero = self.data.field.zero()
+            inv = [[zero] * n for _ in range(n)]
+            for row, col, value in self._support:
+                inv[col][row] = value.inv()
+            self._inv = inv
         return self._inv
 
 
@@ -575,12 +643,16 @@ def _canonical_rotation_system(rotations) -> tuple:
     maps vertex ``order[k]`` with rotation start ``starts[order[k]]`` and
     edge ``edge_order[j]`` to their counterparts.
 
+    The walk from a root stops at the first row of its code that compares
+    greater than the same row of the least code so far, or that the least
+    code lacks; among equal codes the first root is kept.
+
     Returns ``(code, order, starts, edge_order)``."""
     dart_pos = {d: (v, i) for v, rot in enumerate(rotations) for i, d in enumerate(rot)}
     best = None
     for v0, i0 in sorted(dart_pos.values()):
         number, starts, order, edges = {v0: 0}, {v0: i0}, [v0], {}
-        code = []
+        code, less = [], best is None
         for v in order:
             rot = rotations[v]
             row = []
@@ -592,11 +664,18 @@ def _canonical_rotation_system(rotations) -> tuple:
                     order.append(w)
                 edges.setdefault(e, len(edges))
                 row.append((end, number[w], (i - starts[w]) % len(rotations[w])))
-            code.append(tuple(row))
-        code = tuple(code)
-        if best is None or code < best[0]:
-            best = (code, tuple(order), tuple(starts[v] for v in range(len(rotations))),
-                    tuple(sorted(edges, key=edges.get)))
+            row = tuple(row)
+            if not less:
+                k = len(code)
+                if k == len(best[0]) or row > best[0][k]:
+                    break
+                less = row < best[0][k]
+            code.append(row)
+        else:
+            if less or len(code) < len(best[0]):
+                best = (tuple(code), tuple(order),
+                        tuple(starts[v] for v in range(len(rotations))),
+                        tuple(sorted(edges, key=edges.get)))
     return best
 
 
@@ -728,23 +807,39 @@ class _SweepFail(Exception):
 def _find_layout(graph: ColoredGraph, outer_face: int):
     """Backtracking search for a bottom-up planar sweep realizing the given
     embedding with the chosen outer face.  Returns a list of actions
-    ('box', vertex, offset, gap_index) and ('cap', strand_index)."""
-    actions = _layout_search(graph, (), (outer_face,), frozenset(), set())
-    if actions is None:
-        raise _SweepFail(f"no planar sweep found for outer face {outer_face}")
-    return actions
+    ('box', vertex, offset, gap_index) and ('cap', strand_index).
+
+    The search is depth first on an explicit stack of move iterators
+    (:func:`_layout_moves`), so its depth is not bounded by the
+    interpreter's recursion limit; ``seen`` memoizes the states already
+    entered, and a state entered again is dead."""
+    state = ((), (outer_face,), frozenset())
+    seen, actions, stack = set(), [], []
+    while True:
+        frontier, gaps, placed = state
+        if len(placed) == graph.nvertices and not frontier:
+            return actions
+        if state in seen:
+            actions.pop()
+        else:
+            seen.add(state)
+            stack.append(_layout_moves(graph, frontier, gaps, placed))
+        while True:
+            move = next(stack[-1], None)
+            if move is not None:
+                break
+            stack.pop()
+            if not stack:
+                raise _SweepFail(f"no planar sweep found for outer face {outer_face}")
+            actions.pop()
+        action, state = move
+        actions.append(action)
 
 
-def _layout_search(graph, frontier, gaps, placed, seen):
-    """One backtracking step of ``_find_layout``; ``seen`` memoizes dead
-    states.  A module function, so no closure cycle keeps the graph alive."""
-    if len(placed) == graph.nvertices and not frontier:
-        return []
-    key = (frontier, gaps, placed)
-    if key in seen:
-        return None
-    seen.add(key)
-    # caps first
+def _layout_moves(graph, frontier, gaps, placed):
+    """The moves of ``_find_layout`` from one state, in search order, as
+    ``(action, next state)``: caps first, then each unplaced vertex boxed
+    at each gap from each dart whose preceding corner lies in that gap."""
     for q in range(len(frontier) - 1):
         (e1, a1), (e2, a2) = frontier[q], frontier[q + 1]
         if e1 == e2 and a1 != a2:
@@ -754,9 +849,7 @@ def _layout_search(graph, frontier, gaps, placed, seen):
                 continue
             nf = frontier[:q] + frontier[q + 2:]
             ng = gaps[:q] + (gaps[q],) + gaps[q + 3:]
-            rest = _layout_search(graph, nf, ng, placed, seen)
-            if rest is not None:
-                return [("cap", q)] + rest
+            yield ("cap", q), (nf, ng, placed)
     for v in range(graph.nvertices):
         if v in placed:
             continue
@@ -772,10 +865,7 @@ def _layout_search(graph, frontier, gaps, placed, seen):
                                     for j in range(k - 1))
                 nf = frontier[:p] + emitted + frontier[p:]
                 ng = gaps[:p] + (gaps[p],) + corner_gaps + (gaps[p],) + gaps[p + 1:]
-                rest = _layout_search(graph, nf, ng, placed | {v}, seen)
-                if rest is not None:
-                    return [("box", v, r, p)] + rest
-    return None
+                yield ("box", v, r, p), (nf, ng, placed | {v})
 
 
 def _sweep_plan(data: GFusionData, graph: ColoredGraph, outer_face: int) -> tuple:

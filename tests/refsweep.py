@@ -7,7 +7,9 @@ independent computation.
 scalars.  The sweep builds one for every state entry and every inserted
 tree, runs ``insert_unit``, k - 1 ``split``s, ``fuse`` and ``delete_unit``
 on it, and re-bases the result by summing, for every target index tuple,
-over every raw entry.  Nothing in ``src/`` imports this module.
+over every raw entry.  ``find_layout`` is the recursive layout search and
+``canonical_rotation_system`` the canonical form that walks every root to
+the end.  Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -143,6 +145,77 @@ class HomState:
         if self.word:
             raise InternalError(f"scalar of a state on the word {self.word}")
         return self.paths.get((), self.data.field.zero())
+
+
+def find_layout(graph: ColoredGraph, outer_face: int):
+    """``graphcalc._find_layout`` by recursion, one frame per action."""
+    return _layout_search(graph, (), (outer_face,), frozenset(), set())
+
+
+def _layout_search(graph, frontier, gaps, placed, seen):
+    if len(placed) == graph.nvertices and not frontier:
+        return []
+    key = (frontier, gaps, placed)
+    if key in seen:
+        return None
+    seen.add(key)
+    for q in range(len(frontier) - 1):
+        (e1, a1), (e2, a2) = frontier[q], frontier[q + 1]
+        if e1 == e2 and a1 != a2:
+            if gaps[q + 1] != graph.right_face_of_dart(frontier[q]):
+                continue
+            if gaps[q] != gaps[q + 2]:
+                continue
+            nf = frontier[:q] + frontier[q + 2:]
+            ng = gaps[:q] + (gaps[q],) + gaps[q + 3:]
+            rest = _layout_search(graph, nf, ng, placed, seen)
+            if rest is not None:
+                return [("cap", q)] + rest
+    for v in range(graph.nvertices):
+        if v in placed:
+            continue
+        rot = graph.rotations[v]
+        k = len(rot)
+        for p in range(len(gaps)):
+            for r in range(k):
+                if graph.corner_face[(v, (r - 1) % k)] != gaps[p]:
+                    continue
+                emitted = tuple(rot[(r + j) % k] for j in range(k))
+                corner_gaps = tuple(graph.corner_face[(v, (r + j) % k)]
+                                    for j in range(k - 1))
+                nf = frontier[:p] + emitted + frontier[p:]
+                ng = gaps[:p] + (gaps[p],) + corner_gaps + (gaps[p],) + gaps[p + 1:]
+                rest = _layout_search(graph, nf, ng, placed | {v}, seen)
+                if rest is not None:
+                    return [("box", v, r, p)] + rest
+    return None
+
+
+def canonical_rotation_system(rotations) -> tuple:
+    """``graphcalc._canonical_rotation_system``, walking every root dart to
+    the end and keeping the first least code."""
+    dart_pos = {d: (v, i) for v, rot in enumerate(rotations) for i, d in enumerate(rot)}
+    best = None
+    for v0, i0 in sorted(dart_pos.values()):
+        number, starts, order, edges = {v0: 0}, {v0: i0}, [v0], {}
+        code = []
+        for v in order:
+            rot = rotations[v]
+            row = []
+            for j in range(len(rot)):
+                e, end = rot[(starts[v] + j) % len(rot)]
+                w, i = dart_pos[(e, 1 - end)]
+                if w not in number:
+                    number[w], starts[w] = len(order), i
+                    order.append(w)
+                edges.setdefault(e, len(edges))
+                row.append((end, number[w], (i - starts[w]) % len(rotations[w])))
+            code.append(tuple(row))
+        code = tuple(code)
+        if best is None or code < best[0]:
+            best = (code, tuple(order), tuple(starts[v] for v in range(len(rotations))),
+                    tuple(sorted(edges, key=edges.get)))
+    return best
 
 
 def pairing_gram(data: GFusionData, cset: CyclicCSet):

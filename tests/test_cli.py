@@ -372,6 +372,23 @@ def test_eval_graph_command(tmp_path):
     assert code == 0 and "entries" in out
 
 
+def test_eval_graph_of_a_long_cycle(tmp_path):
+    # the layout search keeps its own stack: a 1,000-vertex cycle needs one
+    # box and one cap per vertex, far more frames than the recursion limit;
+    # each rotation lists the incoming dart first, which makes face 0 (the
+    # default outer face) the face from which the search never backtracks
+    from statesum3d.graphcalc import ColoredGraph, save_graph
+    n = 1000
+    g = ColoredGraph(n, [(v, (v + 1) % n, 1) for v in range(n)],
+                     [[((v - 1) % n, 1), (v, 0)] for v in range(n)])
+    path = tmp_path / "cycle.graph"
+    path.write_text(save_graph(g))
+    code, out, err = _run(["--json", "eval-graph", "--graph", str(path),
+                           "--category", "fibonacci"])
+    assert code == 0, err
+    assert json.loads(out)["results"]["dims"] == [1] * n
+
+
 def test_cobordism_map_command(tmp_path):
     from statesum3d.catdata import FiniteGroup
     from statesum3d.hqft import build_product_cylinder, builtin_surface, save_cobordism

@@ -23,8 +23,10 @@ from statesum3d.graphcalc import (
     _bend_last_leg,
     _bend_scalar,
     _box,
+    _canonical_graph,
     _canonical_rotation_system,
     _cap,
+    _find_layout,
     _rebased,
     evaluate_graph,
     hom_dim,
@@ -34,7 +36,7 @@ from statesum3d.graphcalc import (
     save_graph,
     tree_paths,
 )
-from statesum3d.linalg import identity_matrix, matrix_mul
+from statesum3d.linalg import identity_matrix, matrix_inverse, matrix_mul
 
 import refrotation
 import refsweep
@@ -337,7 +339,10 @@ def _branch_patterns():
 @pytest.mark.parametrize("name", SHIPPED)
 def test_pairing_gram_matches_per_entry_sweep(name):
     # every colouring of every edge cyclic set of the shipped surfaces and
-    # of s1xs2_paper by the labels of each shipped category
+    # of s1xs2_paper by the labels of each shipped category, and 40 random
+    # cyclic sets of lengths 1 to 6 with a nonzero multiplicity module: the
+    # closed-form Gram against the sweep of every entry, and its monomial
+    # inverse against Gauss-Jordan elimination
     cat = load_category((DATA / "categories" / f"{name}.cat").read_text())
     csets = set()
     for pattern in _branch_patterns():
@@ -345,13 +350,36 @@ def test_pairing_gram_matches_per_entry_sweep(name):
         for colors in product(range(cat.n), repeat=len(ids)):
             color = dict(zip(ids, colors))
             csets.add(tuple((color[r], s) for r, s in pattern))
+    rnd = random.Random(f"pairing/{name}")
+    drawn = 0
+    while drawn < 40:
+        items = tuple((rnd.randrange(cat.n), rnd.choice([1, -1]))
+                      for _ in range(rnd.randint(1, 6)))
+        if hom_dim(cat, items):
+            csets.add(items)
+            drawn += 1
     nonzero = 0
     for items in sorted(csets):
         cs = CyclicCSet(items)
-        gram = PairingData(cat, cs).gram
-        assert gram == refsweep.pairing_gram(cat, cs), (name, items)
-        nonzero += bool(gram) and bool(gram[0])
+        pd = PairingData(cat, cs)
+        assert pd.gram == refsweep.pairing_gram(cat, cs), (name, items)
+        assert pd.gram_inverse() == matrix_inverse(pd.gram, cat.field), (name, items)
+        nonzero += bool(pd.gram) and bool(pd.gram[0])
     assert nonzero
+
+
+def test_vanishing_pairing_column_is_singular(monkeypatch):
+    # with every cap coefficient zero each column vanishes, and the inverse
+    # raises as Gauss-Jordan elimination does
+    from statesum3d import graphcalc
+    monkeypatch.setattr(graphcalc, "_cap_coeff", lambda *args: None)
+    cat = builtin_category("vect_Z3_theta1")
+    pd = PairingData(cat, CyclicCSet([(1, 1), (2, 1)]))
+    assert pd.gram == [[cat.field.zero()]]
+    with pytest.raises(ValueError, match="singular matrix"):
+        matrix_inverse(pd.gram, cat.field)
+    with pytest.raises(ValueError, match="singular matrix"):
+        pd.gram_inverse()
 
 
 def test_gram_examples():
@@ -574,3 +602,48 @@ def test_canonical_form_is_invariant_under_relabeling():
         assert sorted(form[1]) == list(range(nv)) and sorted(form[3]) == list(range(len(edges)))
         assert (_in_canonical_numbering(rotations, form)
                 == _in_canonical_numbering(relabeled, form2))
+
+
+def _sweep_rotation_systems():
+    """The link rotation systems of the shipped and two grown dual
+    skeletons, of s1xs2_paper and of the product cylinders over the four
+    shipped Z2 surfaces."""
+    from statesum3d.catdata import FiniteGroup
+    from statesum3d.complexes import dual_skeleton, pachner
+    from statesum3d.hqft import build_product_cylinder, builtin_surface
+    from trifiles import load_skeleton, load_tri, shipped_names
+
+    skeletons = [dual_skeleton(load_tri(name)) for name in shipped_names()]
+    skeletons.append(load_skeleton("s1xs2_paper"))
+    for name, moves in [("s3_2tet", 3), ("t3_6tet", 2)]:
+        rnd = random.Random(f"grown/{name}/{moves}")
+        tri = load_tri(name)
+        for _ in range(moves):
+            tri = pachner(tri, "1-4", rnd.randrange(tri.ntets))
+        skeletons.append(dual_skeleton(tri))
+    for name in ["sphere_circle", "sphere_fine", "torus_2loop", "torus_fine"]:
+        skeletons.append(build_product_cylinder(builtin_surface(name, FiniteGroup.cyclic(2))))
+    return sorted({tuple(map(tuple, lk.rotations)) for sk in skeletons for lk in sk.links})
+
+
+def test_canonical_form_matches_full_walk():
+    # abandoning a root once its code exceeds the least one changes nothing
+    rnd = random.Random("canonical-walk")
+    systems = _sweep_rotation_systems()
+    systems += [grow_random_planar(rnd)[2] for _ in range(60)]
+    for rotations in systems:
+        assert _canonical_rotation_system(rotations) == \
+            refsweep.canonical_rotation_system(rotations), rotations
+
+
+def test_layout_search_matches_recursive_search():
+    # the explicit stack visits the moves in the recursion's order: the same
+    # actions from every face of every link code and of every pool graph
+    graphs = [_canonical_graph(code) for code in
+              sorted({_canonical_rotation_system(r)[0] for r in _sweep_rotation_systems()})]
+    graphs += [parse_graph(path.read_text())
+               for path in sorted((ROOT / "perfbench" / "graphs").glob("*.graph"))]
+    for graph in graphs:
+        for face in range(len(graph.faces)):
+            assert _find_layout(graph, face) == refsweep.find_layout(graph, face), \
+                (graph.rotations, face)

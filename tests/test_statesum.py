@@ -261,6 +261,41 @@ def test_contraction_along_the_enumeration_matches_per_coloring_reference(catego
                     (sk.name, ev.visited, visited)
 
 
+def _ungraded_aggregate(sk, cat):
+    """dim(C)^(-balls) times the state sum with every simple in every
+    region, dim(C) the sum of the squared dimensions of all simples."""
+    field = cat.field
+    dim = field.zero()
+    for c in range(cat.n):
+        dim = dim + cat.dim(c) * cat.dim(c)
+    out, _ = _Evaluator(sk, cat).total([list(range(cat.n))] * sk.nregions())
+    total = field.zero()
+    for val in out.values():
+        total = total + val
+    return total * dim.inv() ** sk.ball_count
+
+
+@pytest.mark.parametrize("category", ["vect_Z2_theta1", "vect_Z3_theta1", "vect_Z4_theta1",
+                                      "fibonacci", "ising_like"])
+def test_partition_aggregate_is_the_ungraded_state_sum(category):
+    # summing the graded state sum over all flat labelings (orbit
+    # representatives weighted by orbit size) gives the state sum of the
+    # whole category, with no gauge code on the right-hand side
+    cat = builtin_category(category)
+    for name in shipped_names():
+        sk = dual_skeleton(load_tri(name))
+        assert partition_all_classes(sk, cat).aggregate == _ungraded_aggregate(sk, cat), name
+
+
+@pytest.mark.parametrize("category, orbits", [("vect_Z3_theta1", 27), ("vect_Z4_theta1", 64)])
+def test_partition_aggregate_is_the_ungraded_state_sum_with_many_orbits(category, orbits):
+    cat = builtin_category(category)
+    sk = _grown("t3_6tet", 2)
+    table = partition_all_classes(sk, cat)
+    assert len(table.rows) == orbits
+    assert table.aggregate == _ungraded_aggregate(sk, cat)
+
+
 @pytest.mark.parametrize("category", ["fibonacci", "ising_like", "vect_Z2_theta1"])
 def test_relative_invariant_matches_per_coloring_reference(category):
     # open ends: every boundary coloring pair of the product cylinder over
