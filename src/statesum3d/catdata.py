@@ -294,8 +294,8 @@ class GFusionData:
         self._fblock_cache: dict = {}
         self._finv_cache: dict = {}
         # link-evaluation data of graphcalc (planar layouts, box and cap
-        # transfer tables, tree bases, re-basing matrices, Gram inverses),
-        # built once per key; values are tuples, dicts, action lists and
+        # transfer tables, tree bases, re-basing matrices, link classes,
+        # pairings), built once per key; values are tuples, dicts, action lists and
         # matrices that hold no reference back to this object
         self._memo: dict = {}
         # duality scalars, see module docstring

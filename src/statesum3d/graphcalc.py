@@ -36,6 +36,13 @@ where no F-move applies, and the caps from the middle out keep only the
 tree of H(E^opp) with the reversed intermediates, so column t holds one
 product of n cap coefficients.  The matrix is monomial, and its inverse
 holds the reciprocals at the transposed positions; no elimination runs.
+:func:`_pairing` keeps that inverse as one pair ``(t, Ginv[t][u])`` per
+tree u of H(E^opp), memoized per signed colour tuple.
+
+The link tensors of a skeleton's vertices come from :func:`_link_tensor`:
+one sweep per isomorphism class of colored link, re-based to each link's
+own anchors, with the pairing of every edge folded into the tensor at the
+edge's end 1.  An edge of the state sum then contracts by equal indices.
 
 The cone isomorphism that re-anchors a multiplicity module one step on
 (moving the first leg to the end) is applied in closed form: n - 2 inverse
@@ -555,35 +562,40 @@ class PairingData:
                 if row is not None:
                     self.gram[row][col] = value
                     self._support.append((row, col, value))
-        self._inv = None
 
     def gram_inverse(self):
         """Inverse Gram; entry [t][u] pairs an H(E)-tree with an
-        H(E^opp)-tree in the contraction of dual vectors.  The inverse of the
-        monomial Gram matrix holds the reciprocals at the transposed
-        positions."""
-        if self._inv is None:
-            n = len(self.gram)
-            if any(len(row) != n for row in self.gram):
-                raise ValueError("matrix is not square")
-            if len(self._support) < n:
-                raise ValueError("singular matrix")
-            zero = self.data.field.zero()
-            inv = [[zero] * n for _ in range(n)]
-            for row, col, value in self._support:
-                inv[col][row] = value.inv()
-            self._inv = inv
-        return self._inv
+        H(E^opp)-tree in the contraction of dual vectors: the dense view of
+        :meth:`_inverse_pairs`."""
+        inv = [[self.data.field.zero()] * len(self.gram) for _ in self.gram]
+        for u, (t, value) in enumerate(self._inverse_pairs()):
+            inv[t][u] = value
+        return inv
+
+    def _inverse_pairs(self) -> tuple:
+        """The inverse of the monomial Gram matrix, which holds the
+        reciprocals at the transposed positions, by rows of the Gram matrix:
+        entry u, a tree of H(E^opp), is ``(t, Ginv[t][u])`` for the one tree
+        t of H(E) it pairs with."""
+        n = len(self.gram)
+        if any(len(row) != n for row in self.gram):
+            raise ValueError("matrix is not square")
+        if len(self._support) < n:
+            raise ValueError("singular matrix")
+        pairs = [None] * n
+        for row, col, value in self._support:
+            pairs[row] = (col, value.inv())
+        return tuple(pairs)
 
 
-def _gram_inverse(data: GFusionData, items: tuple):
-    """``PairingData(data, CyclicCSet(items)).gram_inverse()``, built once per
-    category and signed colour tuple; callers must not mutate it."""
-    key = ("gram_inverse", items)
-    inv = data._memo.get(key)
-    if inv is None:
-        inv = data._memo[key] = PairingData(data, CyclicCSet(items)).gram_inverse()
-    return inv
+def _pairing(data: GFusionData, items: tuple) -> tuple:
+    """``PairingData(data, CyclicCSet(items))._inverse_pairs()``, built once
+    per category and signed colour tuple."""
+    key = ("pairing", items)
+    pairing = data._memo.get(key)
+    if pairing is None:
+        pairing = data._memo[key] = PairingData(data, CyclicCSet(items))._inverse_pairs()
+    return pairing
 
 
 def pairing_gram(data: GFusionData, cset: CyclicCSet):
@@ -966,6 +978,50 @@ def _rebased(data: GFusionData, raw: dict, items, positions, sources, anchors) -
                 cur = nxt.get(k)
                 nxt[k] = term if cur is None else cur + term
         entries = {k: x for k, x in nxt.items() if not x.is_zero()}
+    return entries
+
+
+def _link_tensor(data: GFusionData, rotations, colors: tuple, paired) -> dict:
+    """Entries of the link tensor of the rotation system ``rotations``
+    (darts ``(arc, end)`` per link vertex) with arc colors ``colors``, in
+    the tree bases anchored at each vertex's first dart, as
+    ``evaluate_graph`` gives them, with the pairing of each link vertex in
+    ``paired`` folded in.
+
+    The sweep runs once per class: the canonical code of the rotation
+    system (:func:`_canonical_rotation_system`) with the arc colors in
+    canonical edge order, swept on the system rebuilt from the code and
+    memoized raw; each link re-bases it to its own first darts.
+
+    A link vertex g in ``paired`` is end 1 of a skeleton edge, whose end-0
+    branch list E is the reversed dual of the items at g.  Its index u, a
+    tree of H(E^opp), becomes the one tree t of H(E) it pairs with, times
+    ``Ginv[t][u]`` (:func:`_pairing`)."""
+    memo = data._memo
+    rotations = tuple(map(tuple, rotations))
+    form = memo.get(("link form", rotations))
+    if form is None:
+        code, order, starts, arc_order = _canonical_rotation_system(rotations)
+        rank = [order.index(v) for v in range(len(rotations))]
+        # the plan depends on the code alone, as the code's links share its
+        # class sweeps; from the last face, layout searches on 130 link and
+        # random sphere codes took 1,560 steps in all, from face 0 6,072
+        graph = _canonical_graph(code)
+        plan = _sweep_plan(data, graph, len(graph.faces) - 1)
+        form = memo[("link form", rotations)] = (
+            code, arc_order, plan, tuple(plan[2][k] for k in rank),
+            tuple(starts[v] + plan[1][k] for v, k in enumerate(rank)))
+    code, arc_order, plan, positions, sources = form
+    class_colors = tuple([colors[a] for a in arc_order])
+    raw = memo.get(("link class", code, class_colors))
+    if raw is None:
+        raw = memo[("link class", code, class_colors)] = _sweep(data, plan, class_colors)
+    items = [tuple([(colors[a], 1 if end == 1 else -1) for a, end in rot]) for rot in rotations]
+    entries = _rebased(data, raw, items, positions, sources, [0] * len(rotations))
+    for g in paired:
+        pairing = _pairing(data, CyclicCSet(items[g]).opp().items)
+        entries = {idx[:g] + (pairing[idx[g]][0],) + idx[g + 1:]: val * pairing[idx[g]][1]
+                   for idx, val in entries.items()}
     return entries
 
 

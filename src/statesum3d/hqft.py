@@ -27,7 +27,9 @@ strip +, right face -, bottom strip -, left face +) at its tail end, and
 sheet arcs run in the stored rotation direction.  The boundary index space at a vertex is the tree basis of the
 south-type cyclic set; a top index is converted to it by the inverse Gram
 matrix of the duality pairing, which realizes the canonical isomorphism of
-the functoriality normalization.  The product condition of a labeling is
+the functoriality normalization.  That inverse is monomial, so a top index
+goes to one south-type index times one scalar
+(:func:`graphcalc._pairing`).  The product condition of a labeling is
 the grade condition of the south-type sets: at each vertex, the product in
 dart order of the outgoing labels and the inverted incoming ones is the
 identity.
@@ -36,8 +38,7 @@ The matrix of a cobordism (:func:`assemble_block_matrix`) has one block per
 pair of bottom and top boundary colorings.  What depends on one coloring is
 built once for it: the tree count of each vertex's south-type set and the
 candidate lists of the regions pinned to its edges for either side; the
-inverse Gram matrices of those sets and the normalization for a top
-coloring.  Each pair then runs one state sum, with the boundary regions
+pairings of those sets and the normalization for a top coloring.  Each pair then runs one state sum, with the boundary regions
 pinned, through an evaluator shared by all pairs, and its nonzero entries
 are written straight into the matrix, so a pair whose block is zero costs
 only its state sum.  :func:`relative_invariant` reads the tensor of one
@@ -46,7 +47,6 @@ pair through the same pinned state sum.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
 from math import prod
 
 from . import records
@@ -54,7 +54,7 @@ from .catdata import FiniteGroup, GFusionData, neutral_dimension
 from .complexes import (LINK_FORMS, LINK_NUMBERS, LinkGraph, link_lines, read_links,
                         validate_links)
 from .exactnum import FieldElement
-from .graphcalc import CyclicCSet, _gram_inverse, hom_dim, trace_rotation_faces
+from .graphcalc import CyclicCSet, _pairing, hom_dim, trace_rotation_faces
 from .linalg import matrix_mul, matrix_rank
 from .statesum import _Evaluator
 
@@ -427,28 +427,24 @@ def _pinned_total(ev, free, bot, top):
 
 def _top_side(cob, cat, c_top, dims):
     """What a top coloring fixes in its blocks: ``dims``, the dimension of
-    each top vertex's south-type index; for each top vertex and link index,
-    the nonzero entries ``(south index, value)`` of that column of the
-    inverse Gram matrix that converts it; and the normalization
-    dim(C_1)^(#top faces - |P|) / dim(top coloring)."""
+    each top vertex's south-type index; for each top vertex, the pairing of
+    its south-type set, which takes a link index to ``(south index,
+    value)``; and the normalization dim(C_1)^(#top faces - |P|) / dim(top
+    coloring)."""
     surf = cob.top_surface
-    columns = []
-    for v in range(surf.nvertices):
-        ginv = _gram_inverse(cat, surf.boundary_cset(v, c_top).items)
-        columns.append([[(s, row[t]) for s, row in enumerate(ginv) if not row[t].is_zero()]
-                        for t in range(len(ginv[0]) if ginv else 0)])
+    pairings = [_pairing(cat, surf.boundary_cset(v, c_top).items) for v in range(surf.nvertices)]
     norm = _neutral_power(cat, len(surf.faces) - cob.ball_count)
     for e in range(len(surf.edges)):
         norm = norm / cat.dim(c_top[e])
-    return dims, columns, norm
+    return dims, pairings, norm
 
 
 def _scatter(raw, bot_dims, top, matrix, row0, col0):
     """Add the block of one coloring pair, from its unnormalized tensor
     ``raw``, into ``matrix`` at row ``row0`` and column ``col0``: the bottom
     indices flatten to the column, and each top index is converted to the
-    south-type tree basis through its inverse Gram column."""
-    south_dims, columns, norm = top
+    south-type tree basis by its pairing."""
+    south_dims, pairings, norm = top
     nb = len(bot_dims)
     for idx, val in raw.items():
         if val.is_zero():
@@ -457,14 +453,13 @@ def _scatter(raw, bot_dims, top, matrix, row0, col0):
         for i, d in zip(idx, bot_dims):
             col = col * d + i
         col += col0
-        val = val * norm
-        for choice in iproduct(*[columns[v][t] for v, t in enumerate(idx[nb:])]):
-            f, row = val, 0
-            for (s, c), d in zip(choice, south_dims):
-                f = f * c
-                row = row * d + s
-            row += row0
-            matrix[row][col] = matrix[row][col] + f
+        f, row = val * norm, 0
+        for u, pairing, d in zip(idx[nb:], pairings, south_dims):
+            s, c = pairing[u]
+            f = f * c
+            row = row * d + s
+        row += row0
+        matrix[row][col] = matrix[row][col] + f
 
 
 class HqftSpace:
@@ -605,11 +600,17 @@ _SURFACE = records.Format(
     numbered={"edge": 1, "rot": 1})
 
 
-def parse_surface(text: str, group: FiniteGroup) -> SurfaceSkeleton:
-    recs = _SURFACE.read(text)
+def _check_group(recs, group: FiniteGroup, kind: str):
+    """Refuse a file whose ``group`` line names a group of another order
+    than the backend's."""
     gname = recs.get("group")
     if gname is not None and FiniteGroup.by_name(gname).order != group.order:
-        raise ValueError("surface file group does not match the backend group")
+        raise ValueError(f"{kind} file group does not match the backend group")
+
+
+def parse_surface(text: str, group: FiniteGroup) -> SurfaceSkeleton:
+    recs = _SURFACE.read(text)
+    _check_group(recs, group, "surface")
     nv = recs.get("vertices", 0)
     edges = recs.numbered("edge", range(recs.count("edge")), "edge")
     rots = recs.numbered("rot", range(nv), "rot line for vertex")
@@ -686,6 +687,7 @@ _COBORDISM = records.Format(
 
 def parse_cobordism(text: str, group: FiniteGroup) -> CobordismSkeleton:
     recs = _COBORDISM.read(text)
+    _check_group(recs, group, "cobordism")
     balls = recs.one("balls")
     links, edges = read_links(recs)
     regions = []

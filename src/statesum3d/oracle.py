@@ -211,6 +211,26 @@ def _flat_ok(ot: OrderedTriangulation, group: FiniteGroup, coloring, eid_subset=
     return True
 
 
+def _find(parent: list, x: int) -> int:
+    """The root of ``x`` in the union-find forest ``parent``, halving the
+    path on the way (the oracle keeps its own union-find, independent of
+    ``catdata.UnionFind``)."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list, a: int, b: int) -> bool:
+    """Join the classes of ``a`` and ``b`` under the lesser root; False when
+    they are one class already."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    parent[max(ra, rb)] = min(ra, rb)
+    return True
+
+
 def flat_colorings(ot: OrderedTriangulation, group: FiniteGroup,
                    tree_trivial: bool = True):
     """Flat edge colorings (values stored in the branching direction).
@@ -224,19 +244,9 @@ def flat_colorings(ot: OrderedTriangulation, group: FiniteGroup,
     fixed = [None] * n
     if tree_trivial:
         parent = list(range(tri.nvertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for eid in range(n):
             t, a, b = tri.edge_members[eid][0]
-            va, vb = tri.vertex_class[(t, a)], tri.vertex_class[(t, b)]
-            ra, rb = find(va), find(vb)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+            if _union(parent, tri.vertex_class[(t, a)], tri.vertex_class[(t, b)]):
                 fixed[eid] = group.identity
     out = []
     coloring = [None] * n
@@ -300,24 +310,15 @@ def dw_class_table(ot: OrderedTriangulation, group: FiniteGroup,
     cols = flat_colorings(ot, group, tree_trivial=True)
     index = {c: i for i, c in enumerate(cols)}
     parent = list(range(len(cols)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i, col in enumerate(cols):
         for lam in group.elements():
             moved = tuple(group.mul(group.mul(lam, g), group.inv(lam)) for g in col)
             j = index.get(moved)
             if j is not None:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+                _union(parent, i, j)
     classes = {}
     for i in range(len(cols)):
-        classes.setdefault(find(i), []).append(i)
+        classes.setdefault(_find(parent, i), []).append(i)
     out = []
     for root, members in sorted(classes.items()):
         rep = cols[min(members)]

@@ -9,6 +9,8 @@ where a coloring assigns to each region a simple of the grade given by the
 labeling, each vertex link evaluated as a colored graph on its sphere
 contributes a tensor, and every edge contracts the two end tensors through
 the inverse Gram matrix of the duality pairing of its branch cyclic set.
+That inverse is monomial, and :func:`graphcalc._link_tensor` folds it into
+the tensor at the edge's end 1, so an edge contracts by equal indices.
 
 The same engine evaluates cobordism skeletons for :mod:`statesum3d.hqft`:
 boundary regions get pinned colors and boundary link vertices stay open.
@@ -27,16 +29,11 @@ then falls on one key.  Its cost grows with the number of frontier
 colorings, not with the number of colorings.
 
 Link tensors are swept once per isomorphism class of colored link and
-category, the class being the canonical code of the link's rotation
-system (:func:`graphcalc._canonical_rotation_system`) with its arc colors
-in canonical edge order.  The sweep runs on the canonical system rebuilt
-from the code, through one sweep plan per code, and its raw result is
-stored on the category; every link of the class, the first included,
-re-bases it to its own first darts (:func:`graphcalc._rebased`).  This
-assumes that the evaluation of a colored graph does not depend on its
-outer face or on how its vertices and edges are numbered, which holds for
-spherical data: the ``spherical`` line of ``validate-category`` checks
-the data, and ``test_outer_face_independence`` checks the evaluation.
+category (:func:`graphcalc._link_tensor`).  This assumes that the
+evaluation of a colored graph does not depend on its outer face or on how
+its vertices and edges are numbered, which holds for spherical data: the
+``spherical`` line of ``validate-category`` checks the data, and
+``test_outer_face_independence`` checks the evaluation.
 """
 
 from __future__ import annotations
@@ -49,8 +46,7 @@ from .catdata import GFusionData, neutral_dimension
 from .complexes import Skeleton
 from .exactnum import FieldElement
 from .gauge import gauge_classes
-from .graphcalc import (_canonical_graph, _canonical_rotation_system, _gram_inverse,
-                        _rebased, _sweep, _sweep_plan, hom_dim)
+from .graphcalc import _link_tensor, hom_dim
 
 __all__ = [
     "StateSumResult",
@@ -83,7 +79,7 @@ class StateSumResult:
 #   new           picks the regions it colors from the candidate lists
 #   checks        (picker, signs) of the edges it checks, on local colors
 #   arcs          picks its link's arc colors from local colors
-#   contractions  (slot, slot, picker, signs) of the edges it closes
+#   contractions  (end-0 slot, end-1 slot) of the edges it closes
 #   weights       (local position, dim(c)**chi by color) of the regions it drops
 #   keep          picks the next key from the key followed by the new colors
 #   slots         picks the open slots left from the slots with the link's appended
@@ -109,8 +105,10 @@ class _Evaluator:
       meets) under which every edge whose branch regions are now all
       colored is admissible;
     * multiplies in v's link tensor (the first joins as it is, not
-      multiplied by one) and contracts, through the inverse Gram matrix of
-      its branch colors, every edge whose ends are now both eliminated;
+      multiplied by one) and contracts every edge whose ends are now both
+      eliminated: the pairing of its branch colors is folded into the link
+      tensor at its end 1 (the vertex's slots in ``paired``), so the two
+      ends' indices must be equal;
     * multiplies in ``dim(c)**chi`` of each region no later link meets
       (unit weights are not multiplied), drops those regions from the key,
       and adds the result, and the count, to the new key's.
@@ -122,12 +120,11 @@ class _Evaluator:
     :attr:`visited` counts the extensions of the last :meth:`total`, one
     per key and admissible coloring of a step's new regions.
 
-    Link tensors, and edge admissibility and Gram inverses per colored
-    branch list, are memoized here; the branch caches are keyed by the
-    colors followed by the signs (:func:`_branch_items`), which hash faster
-    than the pairs ``graphcalc`` takes.  Link tensors per isomorphism class
-    (:func:`_link_tensor`) and Gram inverses are memoized on the category
-    too.
+    Link tensors, and edge admissibility per colored branch list, are
+    memoized here; the admissibility cache is keyed by the colors followed
+    by the signs (:func:`_branch_items`), which hash faster than the pairs
+    ``graphcalc`` takes.  Link tensors per isomorphism class and pairings
+    are memoized on the category too.
     """
 
     def __init__(self, sk, cat: GFusionData, ends=()):
@@ -136,7 +133,6 @@ class _Evaluator:
         self.ends = tuple(ends)
         self.link_cache: dict = {}
         self.admissible_cache: dict = {}
-        self.gram_cache: dict = {}
         self.visited = 0
         # dim(c)**chi per chi and color, None when it is one
         powers = {chi: [None if p.is_one() else p
@@ -158,14 +154,17 @@ class _Evaluator:
         for r, k in enumerate(start):
             fresh[k].append(r)
         # an edge is checked once its branch regions are colored and
-        # contracted at the later of its ends
+        # contracted at the later of its ends; its pairing is folded in at
+        # end 1
         checked = [[] for _ in order]
         joined = [[] for _ in order]
+        self.paired = [[] for _ in sk.links]
         for edge in sk.edges:
-            (v0, g0), (v1, _) = edge
+            (v0, g0), (v1, g1) = edge
             branches = sk.links[v0].items_at(g0)
             checked[max(start[r] for r, _ in branches)].append(branches)
-            joined[max(rank[v0], rank[v1])].append((edge, branches))
+            joined[max(rank[v0], rank[v1])].append(edge)
+            self.paired[v1].append(g1)
         frontier, layout, self.steps = [], [], []
         for v, new, checks, joins in zip(order, fresh, checked, joined):
             regions = link_regions[v] if v is not None else set()
@@ -174,10 +173,10 @@ class _Evaluator:
             local = {r: i for i, r in enumerate([frontier[i] for i in old] + new)}
             if v is not None:
                 layout += [(v, g) for g in range(len(sk.links[v].rotations))]
-            contractions = tuple([(layout.index(edge[0]), layout.index(edge[1]),
-                                   *_branch(branches, local)) for edge, branches in joins])
-            paired = {p for p0, p1, _, _ in contractions for p in (p0, p1)}
-            slots = [i for i in range(len(layout)) if i not in paired]
+            contractions = tuple([(layout.index(end0), layout.index(end1))
+                                  for end0, end1 in joins])
+            closed = {p for pair in contractions for p in pair}
+            slots = [i for i in range(len(layout)) if i not in closed]
             layout = [layout[i] for i in slots]
             for r in regions:
                 left[r] -= 1
@@ -200,7 +199,7 @@ class _Evaluator:
         visited = 0
         state = {(): (None, 1)}
         for step in self.steps:
-            old, keep, slots = step.old, step.keep, step.slots
+            old, contractions, keep, slots = step.old, step.contractions, step.keep, step.slots
             extensions, nxt = {}, {}
             for key, (tensor, count) in state.items():
                 local = old(key)
@@ -209,7 +208,7 @@ class _Evaluator:
                     exts = extensions[local] = self._extensions(step, local, sectors)
                 visited += len(exts)
                 entries = tensor.items() if tensor is not None else [((), None)]
-                for ext, link, contractions, scalar in exts:
+                for ext, link, scalar in exts:
                     if link is None:  # no vertices
                         out = {(): cat.field.one() if scalar is None else scalar}
                     else:
@@ -217,11 +216,9 @@ class _Evaluator:
                         for k, val in entries:
                             for idx, x in link.items():
                                 k2 = k + idx
-                                for p0, p1, ginv in contractions:
-                                    factor = ginv[k2[p0]][k2[p1]]
-                                    if factor.is_zero():
+                                for p0, p1 in contractions:
+                                    if k2[p0] != k2[p1]:
                                         break
-                                    x = x * factor
                                 else:
                                     if val is not None:
                                         x = val * x
@@ -244,10 +241,10 @@ class _Evaluator:
     def _extensions(self, step, local, sectors):
         """The admissible colorings of the new regions of ``step`` after
         ``local``, the colors of the old regions it reads, each with what it
-        fixes: the link tensor, the contractions with their inverse Gram
-        matrices, and the product of the weights (None when it is one)."""
-        v, _, new, checks, arcs, contractions, weights, _, _ = step
-        cat, admissible, grams = self.cat, self.admissible_cache, self.gram_cache
+        fixes: the link tensor and the product of the weights (None when it
+        is one)."""
+        v, _, new, checks, arcs, _, weights, _, _ = step
+        cat, admissible = self.cat, self.admissible_cache
         out = []
         for ext in product(*new(sectors)):
             colors = local + ext
@@ -264,21 +261,15 @@ class _Evaluator:
                     w = powers[colors[i]]
                     if w is not None:
                         scalar = w if scalar is None else scalar * w
-                ops = []
-                for p0, p1, pick, signs in contractions:
-                    items = pick(colors) + signs
-                    ginv = grams.get(items)
-                    if ginv is None:
-                        ginv = grams[items] = _gram_inverse(cat, _branch_items(items))
-                    ops.append((p0, p1, ginv))
-                out.append((ext, None if v is None else self._link(v, arcs(colors)), ops, scalar))
+                out.append((ext, None if v is None else self._link(v, arcs(colors)), scalar))
         return out
 
     def _link(self, v, colors) -> dict:
-        """The link tensor of vertex ``v`` with arc colors ``colors``."""
+        """The link tensor of vertex ``v`` with arc colors ``colors``, the
+        pairings of its end-1 slots folded in."""
         entries = self.link_cache.get((v, colors))
         if entries is None:
-            entries = _link_tensor(self.cat, self.sk.links[v], colors)
+            entries = _link_tensor(self.cat, self.sk.links[v].rotations, colors, self.paired[v])
             self.link_cache[(v, colors)] = entries
         return entries
 
@@ -343,7 +334,7 @@ def _branch(branches, local):
 
 def _branch_items(key):
     """The signed colour tuple of a branch list from its colors followed by
-    its signs, the flat key of the evaluator's branch caches."""
+    its signs, the flat key of the evaluator's admissibility cache."""
     n = len(key) // 2
     return tuple(zip(key[:n], key[n:]))
 
@@ -355,33 +346,6 @@ def _sum(a, b):
         cur = out.get(key)
         out[key] = val if cur is None else cur + val
     return out
-
-
-def _link_tensor(cat: GFusionData, lk, colors: tuple) -> dict:
-    """Entries of the link tensor of ``lk`` with arc colors ``colors``, in
-    the tree bases anchored at each vertex's first dart, as
-    ``evaluate_graph`` gives them."""
-    memo = cat._memo
-    rotations = tuple(map(tuple, lk.rotations))
-    form = memo.get(("link form", rotations))
-    if form is None:
-        code, order, starts, arc_order = _canonical_rotation_system(rotations)
-        rank = [order.index(v) for v in range(len(rotations))]
-        # the plan depends on the code alone, as the code's links share its
-        # class sweeps; from the last face, layout searches on 130 link and
-        # random sphere codes took 1,560 steps in all, from face 0 6,072
-        graph = _canonical_graph(code)
-        plan = _sweep_plan(cat, graph, len(graph.faces) - 1)
-        form = memo[("link form", rotations)] = (
-            code, arc_order, plan, tuple(plan[2][k] for k in rank),
-            tuple(starts[v] + plan[1][k] for v, k in enumerate(rank)))
-    code, arc_order, plan, positions, sources = form
-    class_colors = tuple([colors[a] for a in arc_order])
-    raw = memo.get(("link class", code, class_colors))
-    if raw is None:
-        raw = memo[("link class", code, class_colors)] = _sweep(cat, plan, class_colors)
-    items = [tuple([(colors[a], 1 if end == 1 else -1) for a, end in rot]) for rot in rotations]
-    return _rebased(cat, raw, items, positions, sources, [0] * len(rotations))
 
 
 def _sigma(sk: Skeleton, labeling, cat: GFusionData, ev: _Evaluator | None = None):

@@ -15,7 +15,7 @@ from itertools import product as iproduct
 from math import prod
 
 from statesum3d.catdata import neutral_dimension
-from statesum3d.graphcalc import CyclicCSet, _gram_inverse, hom_dim, tree_paths
+from statesum3d.graphcalc import CyclicCSet, PairingData, hom_dim, tree_paths
 from statesum3d.statesum import _Evaluator
 
 
@@ -63,7 +63,7 @@ def cobordism_map(cob, cat, c_bot, c_top, ev):
         if south.opp().items != top_sets[v].items:
             raise ValueError(f"top vertex {v}: the link's cyclic set is not the dual "
                              "of the top surface's")
-        convs.append(_gram_inverse(cat, south.items))
+        convs.append(PairingData(cat, south).gram_inverse())
     norm = neutral_dimension(cat) ** len(top_surf.faces)
     for e in range(len(top_surf.edges)):
         norm = norm / cat.dim(c_top[e])

@@ -3,15 +3,17 @@ coloring enumerator and the per-coloring contraction, so that the tests can
 check the contraction that runs along the enumeration against one that
 rebuilds the whole product for every coloring.  Unlike the engine, it
 evaluates each link tensor directly on the vertex's own link graph, without
-the per-category class memo, and computes ``dim**chi`` afresh for every
-region.  Nothing in ``src/`` imports it.
+the per-category class memo, contracts each edge through the dense inverse
+Gram matrix (``PairingData.gram_inverse``) rather than by equal indices,
+and computes ``dim**chi`` afresh for every region.  Nothing in ``src/``
+imports it.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
 
-from statesum3d.graphcalc import ColoredGraph, _gram_inverse, evaluate_graph, hom_dim
+from statesum3d.graphcalc import ColoredGraph, CyclicCSet, PairingData, evaluate_graph, hom_dim
 
 
 class Enumerator:
@@ -24,6 +26,7 @@ class Enumerator:
         self.ends = tuple(ends)
         self.link_cache: dict = {}
         self.admissible_cache: dict = {}
+        self.gram_inverses: dict = {}
         self.visited = 0
         self.edge_regions = [sk.links[v0].items_at(g0) for (v0, g0), _ in sk.edges]
         self.edges_done_at = [[] for _ in sk.regions]
@@ -69,6 +72,13 @@ class Enumerator:
             entries = self.link_cache[(v, colors)] = evaluate_graph(self.cat, graph).entries
         return entries
 
+    def gram_inverse(self, items):
+        """The dense inverse Gram matrix of the pairing of ``items``."""
+        ginv = self.gram_inverses.get(items)
+        if ginv is None:
+            ginv = self.gram_inverses[items] = PairingData(self.cat, CyclicCSet(items)).gram_inverse()
+        return ginv
+
     def contribution(self, coloring) -> dict:
         """prod_r dim^chi times the contraction of the link tensors over the
         edges, for one coloring, as {open end index tuple: value}."""
@@ -85,7 +95,7 @@ class Enumerator:
                 val = val * t[idx]
             entries[combo] = val
         for eid, ((v0, g0), (v1, g1)) in enumerate(sk.edges):
-            ginv = _gram_inverse(cat, self._branch_colors(eid, coloring))
+            ginv = self.gram_inverse(self._branch_colors(eid, coloring))
             nxt = {}
             for combo, val in entries.items():
                 factor = ginv[combo[v0][g0]][combo[v1][g1]]

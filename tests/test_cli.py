@@ -11,6 +11,8 @@ import pytest
 
 from statesum3d.cli import run
 
+from trifiles import load_tri
+
 GOLDEN = Path(__file__).resolve().parents[1] / "golden"
 
 
@@ -450,6 +452,24 @@ def test_malformed_cobordism_is_a_domain_error(tmp_path, line, edited, message):
                            "--cobordism", str(path)])
     assert code == 3 and out == "" and len(err.splitlines()) == 1
     assert message in err
+
+
+@pytest.mark.parametrize("category", ["vect_Z3_theta1", "fibonacci"])
+def test_cobordism_of_another_group_is_a_domain_error(tmp_path, category):
+    # a closed Z2 skeleton saved as a cobordism with empty boundary: its
+    # group line must match the backend's, as a surface file's must
+    from statesum3d.catdata import FiniteGroup
+    from statesum3d.complexes import dual_skeleton
+    from statesum3d.hqft import cobordism_from_closed, save_cobordism
+    sk = dual_skeleton(load_tri("s3_2tet"))
+    cob = cobordism_from_closed(sk, [0] * len(sk.regions), FiniteGroup.cyclic(2))
+    path = tmp_path / "closed.cob"
+    path.write_text(save_cobordism(cob))
+    argv = ["cobordism-map", "--cobordism", str(path), "--category"]
+    assert _run(argv + ["vect_Z2_theta1"])[0] == 0
+    code, out, err = _run(argv + [category])
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+    assert "cobordism file group does not match the backend group" in err
 
 
 def test_json_flag_and_reproducibility():

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,10 +132,37 @@ def test_canonicalization_idempotent(coeffs):
     assert x.coeffs == y.coeffs
 
 
-def test_power_and_approx():
+def test_power():
     phi = GOLD.gen()
     assert phi ** 2 == phi + GOLD.one()
-    assert abs(phi.approx().real - 1.618) < 1e-2
+
+
+def _floating_point(tree) -> list:
+    """The float and complex literals, ``complex(...)`` calls and ``cmath``
+    imports of a parsed module, as (line, what)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"literal {node.value!r}"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "complex":
+            found.append((node.lineno, "complex(...)"))
+        elif isinstance(node, ast.Import) and any(a.name == "cmath" for a in node.names):
+            found.append((node.lineno, "import cmath"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "cmath":
+            found.append((node.lineno, "from cmath import"))
+    return found
+
+
+def test_source_has_no_floating_point():
+    # every scalar of the package is exact: no module holds a float or
+    # complex literal, builds a complex number or imports cmath
+    package = Path(exactnum.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 10
+    found = {path.name: _floating_point(ast.parse(path.read_text(), str(path)))
+             for path in modules}
+    assert not {name: hits for name, hits in found.items() if hits}
 
 
 def test_fieldspec_requires_minpoly():

@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from statesum3d.catdata import CocycleTable, FiniteGroup, builtin_category
+from statesum3d.catdata import (CocycleTable, FiniteGroup, GroupHom, build_vec_g_theta,
+                                builtin_category)
 from statesum3d.complexes import pachner, dual_skeleton
 from statesum3d.exactnum import make_field, root_of_unity
 from statesum3d.oracle import (
@@ -153,6 +154,42 @@ def test_oracle_matches_pipeline_sample():
                 cat = builtin_category(f"vect_Z{n}_theta{q}")
                 assert dw_partition(ot, theta.group, theta) == \
                     partition_all_classes(sk, cat).aggregate
+
+
+def _sign_pullback():
+    """The Z2 cocycle ``cyclic_rep(2, 1)`` pulled back to S3 along the one
+    surjective homomorphism S3 -> Z2, the sign map."""
+    s3, z2 = FiniteGroup.symmetric(3), FiniteGroup.cyclic(2)
+    homs = []
+    for values in product(z2.elements(), repeat=s3.order):
+        try:
+            hom = GroupHom(s3, z2, values)
+        except ValueError:
+            continue
+        if hom.is_surjective():
+            homs.append(hom)
+    assert len(homs) == 1
+    sign, theta = homs[0], CocycleTable.cyclic_rep(2, 1)
+    return CocycleTable(s3, theta.field, {
+        (a, b, c): theta(sign(a), sign(b), sign(c))
+        for a, b, c in product(s3.elements(), repeat=3)})
+
+
+def test_oracle_matches_pipeline_for_s3():
+    # a non-abelian group: the partition aggregate of Vect_S3^theta against
+    # the simplicial oracle, for theta trivial and the sign pull-back
+    s3 = FiniteGroup.symmetric(3)
+    thetas = [CocycleTable.trivial(s3), _sign_pullback()]
+    want = {"rp3": ["[2/3]", "[-1/3]"], "s1xs2": ["[1]"] * 2, "s3_1vtx": ["[1/6]"] * 2,
+            "s3_2tet": ["[1/6]"] * 2, "s3_5tet": ["[1/6]"] * 2, "t3_6tet": ["[8]"] * 2}
+    for mname, values in want.items():
+        ot = _ordered(mname)
+        sk = dual_skeleton(load_tri(mname))
+        for theta, text in zip(thetas, values):
+            value = dw_partition(ot, s3, theta)
+            assert value == partition_all_classes(sk, build_vec_g_theta(s3, theta)).aggregate, \
+                (mname, text)
+            assert value.to_text() == text, mname
 
 
 def test_class_table_multiset_matches_pipeline():

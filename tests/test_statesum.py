@@ -5,10 +5,16 @@ import pytest
 from statesum3d.catdata import builtin_category, builtin_category_names, neutral_dimension
 from statesum3d.complexes import LinkGraph, Skeleton, dual_skeleton
 from statesum3d.gauge import gauge_classes
-from statesum3d.graphcalc import ColoredGraph, _canonical_rotation_system, evaluate_graph
+from statesum3d.graphcalc import (
+    ColoredGraph,
+    CyclicCSet,
+    PairingData,
+    _canonical_rotation_system,
+    _link_tensor,
+    evaluate_graph,
+)
 from statesum3d.statesum import (
     _Evaluator,
-    _link_tensor,
     closed_invariant,
     partition_all_classes,
     unnormalized_invariant,
@@ -324,44 +330,84 @@ def test_relative_invariant_matches_per_coloring_reference(category):
     assert blocks >= 4
 
 
+def _colored_links(sk, cat):
+    """Each ``(v, arc colors, coloring)`` of ``sk`` once per vertex and arc
+    colors, over the admissible colorings of every gauge class."""
+    seen = set()
+    for rep, _ in gauge_classes(sk, cat.group):
+        sectors = [cat.sector(rep[r]) for r in range(sk.nregions())]
+        for coloring in refstatesum.Enumerator(sk, cat).colorings(sectors):
+            for v, lk in enumerate(sk.links):
+                colors = tuple(coloring[r] for (_, _, r) in lk.arcs)
+                if (v, colors) not in seen:
+                    seen.add((v, colors))
+                    yield v, colors, coloring
+
+
 @pytest.mark.parametrize("category", ["fibonacci", "ising_like", "vect_Z3_theta1"])
 def test_memoized_link_tensors_match_direct_evaluation(category):
     # link tensors come from the per-category memo of isomorphism classes;
-    # each one must equal the evaluation of the vertex's own link graph on
-    # a separately built category, whose memo holds no link classes
+    # each one, with no pairing folded in, must equal the evaluation of the
+    # vertex's own link graph on a separately built category, whose memo
+    # holds no link classes
     cat = builtin_category(category)
     direct = builtin_category(category)
     skeletons = [dual_skeleton(load_tri(name)) for name in shipped_names()]
     skeletons.append(load_skeleton("s1xs2_paper"))
     for sk in skeletons:
-        ev = _Evaluator(sk, cat)
-        checked = set()
-        for rep, _ in gauge_classes(sk, cat.group):
-            sectors = [cat.sector(rep[r]) for r in range(sk.nregions())]
-            for coloring in refstatesum.Enumerator(sk, cat).colorings(sectors):
-                for v, lk in enumerate(sk.links):
-                    colors = tuple(coloring[r] for (_, _, r) in lk.arcs)
-                    if (v, colors) in checked:
-                        continue
-                    checked.add((v, colors))
-                    graph = ColoredGraph(len(lk.rotations),
-                                         [(t, h, c) for (t, h, _), c in zip(lk.arcs, colors)],
-                                         lk.rotations)
-                    want = evaluate_graph(direct, graph).entries
-                    assert ev._link(v, colors) == want, (sk.name, v, colors)
+        checked = 0
+        for v, colors, _ in _colored_links(sk, cat):
+            lk = sk.links[v]
+            graph = ColoredGraph(len(lk.rotations),
+                                 [(t, h, c) for (t, h, _), c in zip(lk.arcs, colors)],
+                                 lk.rotations)
+            want = evaluate_graph(direct, graph).entries
+            assert _link_tensor(cat, lk.rotations, colors, ()) == want, (sk.name, v, colors)
+            checked += 1
         assert checked
 
 
+@pytest.mark.parametrize("category", ["fibonacci", "ising_like", "vect_Z3_theta1"])
+def test_folded_link_tensors_contract_through_the_gram_inverse(category):
+    # the evaluator's link tensor folds in, at end 1 of each edge, the
+    # pairing of the edge's end-0 branch list E: it must equal the unfolded
+    # tensor contracted there with the dense inverse Gram matrix of E, whose
+    # entry [t][u] takes the end-1 index u to the end-0 index t
+    cat = builtin_category(category)
+    skeletons = [dual_skeleton(load_tri(name)) for name in ("s3_2tet", "rp3", "s1xs2")]
+    skeletons.append(load_skeleton("s1xs2_paper"))
+    for sk in skeletons:
+        ev = _Evaluator(sk, cat)
+        folded = 0
+        for v, colors, coloring in _colored_links(sk, cat):
+            want = _link_tensor(cat, sk.links[v].rotations, colors, ())
+            for (v0, g0), (v1, g) in sk.edges:
+                if v1 != v:
+                    continue
+                branches = [(coloring[r], s) for r, s in sk.links[v0].items_at(g0)]
+                ginv = PairingData(cat, CyclicCSet(branches)).gram_inverse()
+                nxt = {}
+                for idx, val in want.items():
+                    for t, row in enumerate(ginv):
+                        if not row[idx[g]].is_zero():
+                            key = idx[:g] + (t,) + idx[g + 1:]
+                            nxt[key] = nxt.get(key, cat.field.zero()) + val * row[idx[g]]
+                want = {k: x for k, x in nxt.items() if not x.is_zero()}
+                folded += 1
+            assert ev._link(v, colors) == want, (sk.name, v, colors)
+        assert folded, sk.name
+
+
 def test_link_tensors_are_evaluated_once_per_class(monkeypatch):
-    from statesum3d import statesum
+    from statesum3d import graphcalc
     calls = []
-    sweep = statesum._sweep
+    sweep = graphcalc._sweep
 
     def counted(cat, plan, edge_colors):
         calls.append(edge_colors)
         return sweep(cat, plan, edge_colors)
 
-    monkeypatch.setattr(statesum, "_sweep", counted)
+    monkeypatch.setattr(graphcalc, "_sweep", counted)
     sk = dual_skeleton(load_tri("t3_6tet"))
     cat = builtin_category("vect_Z4_theta1")
     ev = _Evaluator(sk, cat)
@@ -431,10 +477,10 @@ def test_link_classes_of_relabeled_and_reversed_random_graphs(category):
         for edges1, rotations1, colors1 in variants:
             for _ in range(2):
                 edges2, rotations2, colors2 = _relabeled(rnd, edges1, rotations1, colors1)
-                lk = LinkGraph([(t, h, 0) for t, h in edges2], rotations2)
                 graph = ColoredGraph(nv, [(t, h, c) for (t, h), c in zip(edges2, colors2)],
                                      rotations2)
                 want = evaluate_graph(direct, graph).entries
-                assert _link_tensor(cat, lk, tuple(colors2)) == want, (edges2, colors2)
+                assert _link_tensor(cat, rotations2, tuple(colors2), ()) == want, \
+                    (edges2, colors2)
                 graphs += 1
     assert graphs >= 60
