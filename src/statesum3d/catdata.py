@@ -295,8 +295,8 @@ class GFusionData:
         self._finv_cache: dict = {}
         # link-evaluation data of graphcalc (planar layouts, box and cap
         # transfer tables, tree bases, re-basing matrices, link classes,
-        # pairings), built once per key; values are tuples, dicts, action lists and
-        # matrices that hold no reference back to this object
+        # pairings), built once per key; values are tuples, dicts, action
+        # lists and matrices that hold no reference back to this object
         self._memo: dict = {}
         # duality scalars, see module docstring
         self._lev = {}

@@ -986,12 +986,9 @@ def _link_tensor(data: GFusionData, rotations, colors: tuple, paired) -> dict:
     (darts ``(arc, end)`` per link vertex) with arc colors ``colors``, in
     the tree bases anchored at each vertex's first dart, as
     ``evaluate_graph`` gives them, with the pairing of each link vertex in
-    ``paired`` folded in.
-
-    The sweep runs once per class: the canonical code of the rotation
-    system (:func:`_canonical_rotation_system`) with the arc colors in
-    canonical edge order, swept on the system rebuilt from the code and
-    memoized raw; each link re-bases it to its own first darts.
+    ``paired`` folded in.  The sweep runs once per class: the canonical
+    code of the rotation system (:func:`_canonical_rotation_system`) with
+    the arc colors in canonical edge order.
 
     A link vertex g in ``paired`` is end 1 of a skeleton edge, whose end-0
     branch list E is the reversed dual of the items at g.  Its index u, a
@@ -1018,11 +1015,18 @@ def _link_tensor(data: GFusionData, rotations, colors: tuple, paired) -> dict:
         raw = memo[("link class", code, class_colors)] = _sweep(data, plan, class_colors)
     items = [tuple([(colors[a], 1 if end == 1 else -1) for a, end in rot]) for rot in rotations]
     entries = _rebased(data, raw, items, positions, sources, [0] * len(rotations))
-    for g in paired:
-        pairing = _pairing(data, CyclicCSet(items[g]).opp().items)
-        entries = {idx[:g] + (pairing[idx[g]][0],) + idx[g + 1:]: val * pairing[idx[g]][1]
-                   for idx, val in entries.items()}
-    return entries
+    if not paired:
+        return entries
+    pairings = [(g, _pairing(data, tuple([(c, -s) for c, s in reversed(items[g])])))
+                for g in paired]
+    folded = {}
+    for idx, val in entries.items():
+        idx = list(idx)
+        for g, pairing in pairings:
+            idx[g], c = pairing[idx[g]]
+            val = val * c
+        folded[tuple(idx)] = val
+    return folded
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,11 @@ The matrix of a cobordism (:func:`assemble_block_matrix`) has one block per
 pair of bottom and top boundary colorings.  What depends on one coloring is
 built once for it: the tree count of each vertex's south-type set and the
 candidate lists of the regions pinned to its edges for either side; the
-pairings of those sets and the normalization for a top coloring.  Each pair then runs one state sum, with the boundary regions
-pinned, through an evaluator shared by all pairs, and its nonzero entries
-are written straight into the matrix, so a pair whose block is zero costs
-only its state sum.  :func:`relative_invariant` reads the tensor of one
+pairings of those sets and the normalization for a top coloring.  Each
+pair then runs one state sum, with the boundary regions pinned, through an
+evaluator shared by all pairs, and its nonzero entries are written
+straight into the matrix, so a pair whose block is zero costs only its
+state sum.  :func:`relative_invariant` reads the tensor of one
 pair through the same pinned state sum.
 """
 

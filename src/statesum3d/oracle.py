@@ -221,16 +221,6 @@ def _find(parent: list, x: int) -> int:
     return x
 
 
-def _union(parent: list, a: int, b: int) -> bool:
-    """Join the classes of ``a`` and ``b`` under the lesser root; False when
-    they are one class already."""
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra == rb:
-        return False
-    parent[max(ra, rb)] = min(ra, rb)
-    return True
-
-
 def flat_colorings(ot: OrderedTriangulation, group: FiniteGroup,
                    tree_trivial: bool = True):
     """Flat edge colorings (values stored in the branching direction).
@@ -246,7 +236,10 @@ def flat_colorings(ot: OrderedTriangulation, group: FiniteGroup,
         parent = list(range(tri.nvertices))
         for eid in range(n):
             t, a, b = tri.edge_members[eid][0]
-            if _union(parent, tri.vertex_class[(t, a)], tri.vertex_class[(t, b)]):
+            va, vb = tri.vertex_class[(t, a)], tri.vertex_class[(t, b)]
+            ra, rb = _find(parent, va), _find(parent, vb)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
                 fixed[eid] = group.identity
     out = []
     coloring = [None] * n
@@ -315,7 +308,9 @@ def dw_class_table(ot: OrderedTriangulation, group: FiniteGroup,
             moved = tuple(group.mul(group.mul(lam, g), group.inv(lam)) for g in col)
             j = index.get(moved)
             if j is not None:
-                _union(parent, i, j)
+                ra, rb = _find(parent, i), _find(parent, j)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
     classes = {}
     for i in range(len(cols)):
         classes.setdefault(_find(parent, i), []).append(i)
