@@ -30,8 +30,10 @@ satisfy, so inconsistent files are rejected with named witnesses.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
 from . import records
 from .exactnum import FieldElement, FieldSpec, make_field, root_of_unity
@@ -55,6 +57,9 @@ __all__ = [
     "save_category",
     "load_category",
 ]
+
+
+MAX_GROUP_ORDER = 24  # of S4, for FiniteGroup.by_name; groups in use have order <= 6
 
 
 class FiniteGroup:
@@ -146,34 +151,24 @@ class FiniteGroup:
 
     @staticmethod
     def symmetric(n: int) -> FiniteGroup:
-        if n > 4:
-            raise ValueError("symmetric groups shipped only up to S4")
-        perms = []
-
-        def gen(prefix, rest):
-            if not rest:
-                perms.append(tuple(prefix))
-                return
-            for i, x in enumerate(rest):
-                gen(prefix + [x], rest[:i] + rest[i + 1:])
-
-        gen([], list(range(n)))
-        perms.sort()
+        perms = list(permutations(range(n)))  # in lexicographic order
         index = {p: i for i, p in enumerate(perms)}
         table = [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
         return FiniteGroup(table, name=f"S{n}")
 
     @staticmethod
     def by_name(name: str) -> FiniteGroup:
+        """``1``, ``trivial``, or ``Zn``, ``Dn`` (order 2n), ``Sn`` of order 1..MAX_GROUP_ORDER."""
         if name in ("1", "trivial"):
             return FiniteGroup.trivial()
-        if name.startswith("Z"):
-            return FiniteGroup.cyclic(int(name[1:]))
-        if name.startswith("D"):
-            return FiniteGroup.dihedral(int(name[1:]))
-        if name.startswith("S"):
-            return FiniteGroup.symmetric(int(name[1:]))
-        raise ValueError(f"unknown group name {name!r}")
+        m = re.fullmatch(r"([ZDS])([1-9][0-9]{0,8})", name)
+        n = int(m[2]) if m else 0
+        order = {"Z": n, "D": 2 * n, "S": factorial(min(n, 5))}[m[1]] if m else 0
+        if not 1 <= order <= MAX_GROUP_ORDER:
+            raise ValueError(f"bad group name {name!r}: expected Zn, Dn or Sn with n >= 1 "
+                             f"and order at most {MAX_GROUP_ORDER}")
+        build = {"Z": FiniteGroup.cyclic, "D": FiniteGroup.dihedral, "S": FiniteGroup.symmetric}
+        return build[m[1]](n)
 
 
 class GroupHom:
@@ -248,9 +243,10 @@ class CocycleTable:
         theta_q(a,b,c) = zeta_n^(q a floor((b+c)/n)) with least residues."""
         group = FiniteGroup.cyclic(n)
         field = make_field("cyclotomic", n)
+        powers = [root_of_unity(field, k) for k in range(n)]
         vals = {}
         for a, b, c in product(range(n), repeat=3):
-            vals[(a, b, c)] = root_of_unity(field, q * a * ((b + c) // n))
+            vals[(a, b, c)] = powers[q * a * ((b + c) // n) % n]
         return CocycleTable(group, field, vals)
 
 

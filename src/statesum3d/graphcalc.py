@@ -43,6 +43,11 @@ The link tensors of a skeleton's vertices come from :func:`_link_tensor`:
 one sweep per isomorphism class of colored link, re-based to each link's
 own anchors, with the pairing of every edge folded into the tensor at the
 edge's end 1.  An edge of the state sum then contracts by equal indices.
+The classes forget edge directions: in a pivotal category a strand
+coloured c is the reversed strand coloured c* (Turaev and Virelizier,
+"Monoidal Categories and Topological Field Theory"), which every box and
+cap reads as the same letters, so only the cap's scalar changes, by
+``rev_c / lev_(c*)`` or ``lev_c / rev_(c*)`` (:func:`_reversal_scalar`).
 
 The cone isomorphism that re-anchors a multiplicity module one step on
 (moving the first leg to the end) is applied in closed form: n - 2 inverse
@@ -161,8 +166,6 @@ def tree_paths(data: GFusionData, word) -> list:
                     continue
                 nxt.append(p + (m2,))
         paths = nxt
-    if not word:
-        return [()]
     return paths
 
 
@@ -331,21 +334,10 @@ def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
     ``sum_t R[t][s] (target tree t)``.
 
     Each step moves the first leg of a left-comb tree to the end in closed
-    form, by F-moves and one bending scalar (the A/B move of Kitaev,
-    "Anyons in an exactly solved model and beyond", App. E; Bonderson,
-    "Non-Abelian anyons and interferometry", sec. 2): the tree
-    ``(m_1 = x_1, ..., m_n = 1)`` of the word ``(x_1, ..., x_n)`` goes to
-
-        sum_y lambda(c_1, s_1) prod_(j=3..n) Finv[x_1, y_(j-1), x_j, m_j]_(y_j, m_(j-1))
-              (y_2 = x_2, y_3, ..., y_n = x_1*, 1),
-
-    where ``lambda(c, +1) = rcoev_c lev_c F[x*, x, x*, x*]_(1, 1)`` and
-    ``lambda(c, -1) = lcoev_c rev_c F[x*, x, x*, x*]_(1, 1)``, ``x`` the
-    letter of ``(c, s)``: the round trip on ``B(x, x*; 1)`` takes the cup's
-    scalar, the F-entry that splits the unit between the cup's letters into
-    ``(x, x*)``, and the cap's scalar (derived in :func:`_bend_scalar`).  A
-    rotation takes ``min(steps, n - steps)`` steps: past half a turn it goes
-    the other way, moving the last leg to the front (:func:`_bend_last_leg`).
+    form, by F-moves and one bending scalar (:func:`_bend_first_leg`; the
+    A/B move of Kitaev, "Anyons in an exactly solved model and beyond", App.
+    E; Bonderson, "Non-Abelian anyons and interferometry", sec. 2); past
+    half a turn the rotation goes the other way (:func:`_bend_last_leg`).
     The matrix is the dense view of the sparse rows of :func:`_rebase_rows`.
     """
     rows = _rebase_rows(data, basis.cset.items, basis.anchor, steps % len(basis.cset))
@@ -640,67 +632,67 @@ def _walk_faces(rotations, dart_pos):
 
 
 def _canonical_rotation_system(rotations) -> tuple:
-    """Rooted canonical form of a connected rotation system with directed
-    edges (``rotations[v]`` the darts ``(edge, end)`` at v, as in
+    """Rooted canonical form of a connected rotation system, edge directions
+    forgotten (``rotations[v]`` the darts ``(edge, end)`` at v, as in
     :class:`ColoredGraph`).
 
     From a root dart, a breadth-first walk numbers the vertices in the order
     it reaches them, starts each vertex's rotation at the dart it arrived
     by (the root's at the root dart), and numbers the edges in the order it
     meets them.  Its code lists, per vertex in that order, the darts from
-    the start on as (end, number of the vertex at the other end, position
-    of the other dart after that vertex's start).  Two rotation systems
-    have the same least code over all root darts exactly when an
-    orientation-preserving isomorphism maps one onto the other, and then it
-    maps vertex ``order[k]`` with rotation start ``starts[order[k]]`` and
-    edge ``edge_order[j]`` to their counterparts.
+    the start on as (number of the vertex at the other end, position of the
+    other dart after that vertex's start).  Two rotation systems have the
+    same least code over all root darts exactly when an
+    orientation-preserving isomorphism of the undirected graphs maps one
+    onto the other, and then it maps vertex ``order[k]`` with rotation start
+    ``starts[order[k]]`` and the dart ``tails[j]``, where the walk meets
+    edge j first, to their counterparts: the tail of the canonical edge j.
 
     The walk from a root stops at the first row of its code that compares
-    greater than the same row of the least code so far, or that the least
-    code lacks; among equal codes the first root is kept.
-
-    Returns ``(code, order, starts, edge_order)``."""
+    greater than the same row of the least code so far; among equal codes
+    the first root is kept.  Returns ``(code, order, starts, tails)``."""
     dart_pos = {d: (v, i) for v, rot in enumerate(rotations) for i, d in enumerate(rot)}
+    other = [[dart_pos[(e, 1 - end)] for e, end in rot] for rot in rotations]
+    sizes = [len(rot) for rot in rotations]
     best = None
     for v0, i0 in sorted(dart_pos.values()):
-        number, starts, order, edges = {v0: 0}, {v0: i0}, [v0], {}
+        number, starts, order = [None] * len(other), [None] * len(other), [v0]
+        number[v0], starts[v0] = 0, i0
         code, less = [], best is None
         for v in order:
-            rot = rotations[v]
             row = []
-            for j in range(len(rot)):
-                e, end = rot[(starts[v] + j) % len(rot)]
-                w, i = dart_pos[(e, 1 - end)]
-                if w not in number:
+            for w, i in other[v][starts[v]:] + other[v][:starts[v]]:
+                if number[w] is None:
                     number[w], starts[w] = len(order), i
                     order.append(w)
-                edges.setdefault(e, len(edges))
-                row.append((end, number[w], (i - starts[w]) % len(rotations[w])))
+                row.append((number[w], (i - starts[w]) % sizes[w]))
             row = tuple(row)
             if not less:
-                k = len(code)
-                if k == len(best[0]) or row > best[0][k]:
+                if row > best[0][len(code)]:
                     break
-                less = row < best[0][k]
+                less = row < best[0][len(code)]
             code.append(row)
         else:
-            if less or len(code) < len(best[0]):
-                best = (tuple(code), tuple(order),
-                        tuple(starts[v] for v in range(len(rotations))),
-                        tuple(sorted(edges, key=edges.get)))
-    return best
+            if less:
+                best = (tuple(code), tuple(order), tuple(starts))
+    code, order, starts = best
+    tails = {}
+    for v in order:
+        for e, end in rotations[v][starts[v]:] + rotations[v][:starts[v]]:
+            tails.setdefault(e, end)
+    return code, order, starts, tuple(tails.items())
 
 
 def _canonical_graph(code) -> "ColoredGraph":
-    """The rotation system of the canonical ``code`` (see
-    :func:`_canonical_rotation_system`), numbered as the code numbers it."""
+    """The rotation system of ``code`` (:func:`_canonical_rotation_system`),
+    numbered as the code numbers it, each edge from its first listed dart."""
     rotations = [[None] * len(row) for row in code]
     edges = []
     for k, row in enumerate(code):
-        for j, (end, w, i) in enumerate(row):
+        for j, (w, i) in enumerate(row):
             if rotations[k][j] is None:
-                rotations[k][j], rotations[w][i] = (len(edges), end), (len(edges), 1 - end)
-                edges.append((k, w, 0) if end == 0 else (w, k, 0))
+                rotations[k][j], rotations[w][i] = (len(edges), 0), (len(edges), 1)
+                edges.append((k, w, 0))
     return ColoredGraph(len(code), edges, rotations)
 
 
@@ -953,28 +945,44 @@ def evaluate_graph(data: GFusionData, graph: ColoredGraph, slots=None,
 
 
 def _rebased(data: GFusionData, raw: dict, items, positions, sources, anchors) -> dict:
-    """Re-express a tensor over the vertex cyclic sets of the signed colour
-    tuples ``items`` in new bases.  The index of vertex v sits at
-    ``positions[v]`` of the keys of ``raw`` and counts trees of ``items[v]``
-    anchored at ``sources[v]``; the result holds the nonzero entries in the
-    bases anchored at ``anchors[v]``, keyed in vertex order.
+    """The tensor ``raw`` over the cyclic sets of the signed colour tuples
+    ``items``, whose index of vertex v sits at ``positions[v]`` of its keys
+    and counts trees anchored at ``sources[v]``, in the bases anchored at
+    ``anchors[v]``, keyed in vertex order: :func:`_mapped` by the re-basing
+    rows of each vertex (:func:`_rebase_rows`)."""
+    steps = [(source - anchor) % len(its) for its, source, anchor in zip(items, sources, anchors)]
+    return _mapped(raw, positions, [_rebase_rows(data, its, anchor % len(its), k) if k else None
+                                    for its, anchor, k in zip(items, anchors, steps)])
 
-    The re-basing rows of each vertex (:func:`_rebase_rows`) are applied in
-    turn, so vertex v costs one pass over the entries times the trees each
-    maps to; a vertex whose anchor does not move is left alone."""
-    entries = {tuple([key[p] for p in positions]): val for key, val in raw.items()}
-    for v, (its, source, anchor) in enumerate(zip(items, sources, anchors)):
-        anchor %= len(its)
-        steps = (source - anchor) % len(its)
-        if not steps:
+
+def _mapped(raw: dict, positions, maps, scale=None) -> dict:
+    """The entries of ``raw`` with the index at key position ``positions[v]``
+    mapped by ``maps[v]`` (entry i lists the pairs ``(t, coefficient)``
+    that index i maps to; None for the identity) and multiplied by
+    ``scale`` unless it is None, keyed in slot order.  One entry, whose
+    images fall on distinct keys, takes every slot in one pass; more take
+    one pass per slot, so images meeting on one key are summed first."""
+    if len(raw) == 1:
+        ((choice, val),) = raw.items()
+        terms = [((), val if scale is None else val * scale)]
+        for p, slot in zip(positions, maps):
+            i = choice[p]
+            if slot is None:
+                terms = [(idx + (i,), x) for idx, x in terms]
+            else:
+                terms = [(idx + (t,), x * y) for idx, x in terms for t, y in slot[i]]
+        return dict(terms)
+    entries = {tuple([key[p] for p in positions]): val if scale is None else val * scale
+               for key, val in raw.items()}
+    for v, slot in enumerate(maps):
+        if slot is None:
             continue
-        rows = _rebase_rows(data, its, anchor, steps)
         nxt: dict = {}
         for idx, val in entries.items():
             head, tail = idx[:v], idx[v + 1:]
-            for s, x in rows[idx[v]]:
-                k = head + (s,) + tail
-                term = val * x
+            for t, y in slot[idx[v]]:
+                k = head + (t,) + tail
+                term = val * y
                 cur = nxt.get(k)
                 nxt[k] = term if cur is None else cur + term
         entries = {k: x for k, x in nxt.items() if not x.is_zero()}
@@ -986,47 +994,80 @@ def _link_tensor(data: GFusionData, rotations, colors: tuple, paired) -> dict:
     (darts ``(arc, end)`` per link vertex) with arc colors ``colors``, in
     the tree bases anchored at each vertex's first dart, as
     ``evaluate_graph`` gives them, with the pairing of each link vertex in
-    ``paired`` folded in.  The sweep runs once per class: the canonical
-    code of the rotation system (:func:`_canonical_rotation_system`) with
-    the arc colors in canonical edge order.
+    ``paired`` folded in.
 
-    A link vertex g in ``paired`` is end 1 of a skeleton edge, whose end-0
-    branch list E is the reversed dual of the items at g.  Its index u, a
-    tree of H(E^opp), becomes the one tree t of H(E) it pairs with, times
-    ``Ginv[t][u]`` (:func:`_pairing`)."""
+    The sweep runs once per class: the canonical code of the undirected
+    rotation system (:func:`_canonical_rotation_system`) with each arc's
+    colour read in its canonical edge's direction, dualized where the arc
+    runs the other way.  Such a reversed arc of colour c reads the same
+    letters in every box and cap, and multiplies the class sweep by
+    ``rev_c / lev_(c*)`` where its plan caps the edge by lev and by
+    ``lev_c / rev_(c*)`` where it caps it by rev.  Each index is then
+    re-based and, at a link vertex in ``paired``, paired by one memoized map
+    per slot (:func:`_slot_map`)."""
     memo = data._memo
     rotations = tuple(map(tuple, rotations))
     form = memo.get(("link form", rotations))
     if form is None:
-        code, order, starts, arc_order = _canonical_rotation_system(rotations)
+        code, order, starts, tails = _canonical_rotation_system(rotations)
         rank = [order.index(v) for v in range(len(rotations))]
         # the plan depends on the code alone, as the code's links share its
         # class sweeps; from the last face, layout searches on 130 link and
         # random sphere codes took 1,560 steps in all, from face 0 6,072
         graph = _canonical_graph(code)
         plan = _sweep_plan(data, graph, len(graph.faces) - 1)
+        kinds = dict(op[2:] for op in plan[0] if op[0] == "cap")
         form = memo[("link form", rotations)] = (
-            code, arc_order, plan, tuple(plan[2][k] for k in rank),
+            code, plan, tuple((a, end, kinds[j]) for j, (a, end) in enumerate(tails)),
+            tuple(plan[2][k] for k in rank),
             tuple(starts[v] + plan[1][k] for v, k in enumerate(rank)))
-    code, arc_order, plan, positions, sources = form
-    class_colors = tuple([colors[a] for a in arc_order])
+    code, plan, arcs, positions, sources = form
+    dual = data.dual
+    class_colors = tuple([dual[colors[a]] if end else colors[a] for a, end, _ in arcs])
     raw = memo.get(("link class", code, class_colors))
     if raw is None:
         raw = memo[("link class", code, class_colors)] = _sweep(data, plan, class_colors)
-    items = [tuple([(colors[a], 1 if end == 1 else -1) for a, end in rot]) for rot in rotations]
-    entries = _rebased(data, raw, items, positions, sources, [0] * len(rotations))
-    if not paired:
-        return entries
-    pairings = [(g, _pairing(data, tuple([(c, -s) for c, s in reversed(items[g])])))
-                for g in paired]
-    folded = {}
-    for idx, val in entries.items():
-        idx = list(idx)
-        for g, pairing in pairings:
-            idx[g], c = pairing[idx[g]]
-            val = val * c
-        folded[tuple(idx)] = val
-    return folded
+    scale = None
+    for a, end, kind in arcs:
+        x = _reversal_scalar(data, colors[a], kind) if end else None
+        if x is not None:
+            scale = x if scale is None else scale * x
+    maps = [_slot_map(data, tuple([(colors[a], 1 if end else -1) for a, end in rot]),
+                      source % len(rot), g in paired)
+            for g, (rot, source) in enumerate(zip(rotations, sources))]
+    return _mapped(raw, positions, maps, scale)
+
+
+def _reversal_scalar(data: GFusionData, color: int, kind: str) -> FieldElement:
+    """``rev_c / lev_(c*)`` for kind 'l', ``lev_c / rev_(c*)`` for 'r' (c =
+    ``color``; None for one): what turns a sweep whose plan caps a strand
+    coloured c* by ``kind`` into that of the reversed strand coloured c."""
+    key = ("reversal", color, kind)
+    if key not in data._memo:
+        dual = data.dual[color]
+        x = (data.rev_scalar(color) / data.lev_scalar(dual) if kind == "l"
+             else data.lev_scalar(color) / data.rev_scalar(dual))
+        data._memo[key] = None if x.is_one() else x
+    return data._memo[key]
+
+
+def _slot_map(data: GFusionData, items: tuple, steps: int, paired: bool):
+    """The map (see :func:`_mapped`) of a link tensor slot over the trees of
+    ``items``, memoized on the category: the re-basing rows from the anchor
+    ``steps`` to the first item (:func:`_rebase_rows`), then, if
+    ``paired``, the pairing.  A paired slot is end 1 of a skeleton edge,
+    whose end-0 branch list E is the reversed dual of ``items``: its index
+    u, a tree of H(E^opp), becomes the one tree t of H(E) it pairs with,
+    times ``Ginv[t][u]`` (:func:`_pairing`)."""
+    key = ("slot", items, steps, paired)
+    if key not in data._memo:
+        rows = _rebase_rows(data, items, 0, steps) if steps else None
+        if paired:
+            pairing = _pairing(data, tuple([(c, -s) for c, s in reversed(items)]))
+            rows = tuple((pair,) for pair in pairing) if rows is None else tuple(
+                tuple((pairing[s][0], x * pairing[s][1]) for s, x in row) for row in rows)
+        data._memo[key] = rows
+    return data._memo[key]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,10 @@ category (:func:`graphcalc._link_tensor`).  This assumes that the
 evaluation of a colored graph does not depend on its outer face or on how
 its vertices and edges are numbered, which holds for spherical data: the
 ``spherical`` line of ``validate-category`` checks the data, and
-``test_outer_face_independence`` checks the evaluation.
+``test_outer_face_independence`` checks the evaluation.  The classes
+forget edge directions, exactly: a strand coloured c reversed and coloured
+c* reads the same letters, and only multiplies the class sweep by
+``rev_c / lev_(c*)`` or ``lev_c / rev_(c*)``, as its plan caps it by lev or rev.
 """
 
 from __future__ import annotations

@@ -193,11 +193,14 @@ def _layout_search(graph, frontier, gaps, placed, seen):
 
 def canonical_rotation_system(rotations) -> tuple:
     """``graphcalc._canonical_rotation_system``, walking every root dart to
-    the end and keeping the first least code."""
+    the end and keeping the first least code.  Edge directions are
+    forgotten: a code row lists (vertex number, dart position) per dart,
+    and each edge is recorded by the dart the walk meets it at first."""
     dart_pos = {d: (v, i) for v, rot in enumerate(rotations) for i, d in enumerate(rot)}
     best = None
     for v0, i0 in sorted(dart_pos.values()):
-        number, starts, order, edges = {v0: 0}, {v0: i0}, [v0], {}
+        number, starts, order, tails = {v0: 0}, {v0: i0}, [v0], []
+        met = set()
         code = []
         for v in order:
             rot = rotations[v]
@@ -208,13 +211,15 @@ def canonical_rotation_system(rotations) -> tuple:
                 if w not in number:
                     number[w], starts[w] = len(order), i
                     order.append(w)
-                edges.setdefault(e, len(edges))
-                row.append((end, number[w], (i - starts[w]) % len(rotations[w])))
+                if e not in met:
+                    met.add(e)
+                    tails.append((e, end))
+                row.append((number[w], (i - starts[w]) % len(rotations[w])))
             code.append(tuple(row))
         code = tuple(code)
         if best is None or code < best[0]:
             best = (code, tuple(order), tuple(starts[v] for v in range(len(rotations))),
-                    tuple(sorted(edges, key=edges.get)))
+                    tuple(tails))
     return best
 
 

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from statesum3d.catdata import (
+    MAX_GROUP_ORDER,
     CocycleTable,
     FiniteGroup,
     GroupHom,
@@ -28,6 +31,38 @@ def test_group_builtins():
     assert d3.order == 6 and s3.order == 6
     assert groups_isomorphic(d3, s3)
     assert not groups_isomorphic(FiniteGroup.cyclic(6), s3)
+
+
+@pytest.mark.parametrize("name", ["Z0", "Z-1", "D-2", "D0", "S0", "Z", "S", "Z03", "Z2x", "z2",
+                                  "Z100000", "D13", "S5", "Z" + "9" * 40])
+def test_bad_group_names_are_refused_before_any_table(monkeypatch, name):
+    # Zn, Dn and Sn with 1 <= n and order at most MAX_GROUP_ORDER; anything
+    # else is a ValueError naming the name, raised before a table is built
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{name} built a group table")
+
+    monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        FiniteGroup.by_name(name)
+
+
+@pytest.mark.parametrize("name, order", [("1", 1), ("trivial", 1), ("Z1", 1), ("S1", 1),
+                                         ("D1", 2), ("Z6", 6), ("D3", 6), ("S3", 6),
+                                         ("Z24", MAX_GROUP_ORDER), ("D12", MAX_GROUP_ORDER),
+                                         ("S4", MAX_GROUP_ORDER)])
+def test_group_names_up_to_the_bound(name, order):
+    assert FiniteGroup.by_name(name).order == order
+
+
+def test_cyclic_cocycle_values_are_the_stated_powers():
+    # theta_q(a, b, c) = zeta_n^(q a floor((b + c) / n)), each value built
+    # on its own
+    for n in (2, 3, 4):
+        field = make_field("cyclotomic", n)
+        for q in range(n):
+            theta = CocycleTable.cyclic_rep(n, q)
+            for (a, b, c), value in theta.values.items():
+                assert value == root_of_unity(field, q * a * ((b + c) // n)), (n, q, a, b, c)
 
 
 def test_group_rejects_bad_tables():

@@ -454,6 +454,45 @@ def test_malformed_cobordism_is_a_domain_error(tmp_path, line, edited, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, shipped, group", [
+    (["labelings", "--triangulation", "s3_2tet", "--group", "Z0"], None, "Z0"),
+    (["labelings", "--triangulation", "s3_2tet", "--group", "Z-1"], None, "Z-1"),
+    (["labelings", "--triangulation", "s3_2tet", "--group", "D-2"], None, "D-2"),
+    (["labelings", "--triangulation", "s3_2tet", "--group", "Z"], None, "Z"),
+    (["labelings", "--triangulation", "s3_2tet", "--group", "S"], None, "S"),
+    (["labelings", "--triangulation", "s3_2tet", "--group", "Z100000"], None, "Z100000"),
+    (["dw", "--triangulation", "s3_2tet", "--group", "Z100000"], None, "Z100000"),
+    (["validate-category", "--category"], "categories/vect_Z2_theta1.cat", "Z0"),
+    (_SURFACE_ARGV, "surfaces/sphere_circle_Z2.surf", "Z100000"),
+], ids=["cli-Z0", "cli-Z-1", "cli-D-2", "cli-Z", "cli-S", "cli-Z100000", "dw-Z100000",
+        "category-Z0", "surface-Z100000"])
+def test_bad_group_name_is_a_domain_error(tmp_path, monkeypatch, argv, shipped, group):
+    # the --group option and the group line of a file: exit 3 naming the
+    # group, and no table of a group outside orders 1..MAX_GROUP_ORDER is
+    # built (the category's own group still is)
+    from statesum3d.catdata import MAX_GROUP_ORDER, FiniteGroup
+
+    if shipped is not None:
+        lines = (_DATA / shipped).read_text().splitlines()
+        assert lines.count("group Z2") == 1
+        path = tmp_path / Path(shipped).name
+        path.write_text("\n".join(f"group {group}" if ln == "group Z2" else ln
+                                  for ln in lines) + "\n")
+        argv = argv + [str(path)]
+
+    build = FiniteGroup.__init__
+
+    def checked(self, table, *args, **kwargs):
+        if not 1 <= len(table) <= MAX_GROUP_ORDER:
+            raise AssertionError(f"{group} built a group table of order {len(table)}")
+        build(self, table, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", checked)
+    code, out, err = _run(argv)
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+    assert repr(group) in err
+
+
 @pytest.mark.parametrize("category", ["vect_Z3_theta1", "fibonacci"])
 def test_cobordism_of_another_group_is_a_domain_error(tmp_path, category):
     # a closed Z2 skeleton saved as a cobordism with empty boundary: its

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from statesum3d.catdata import (
+    GFusionData,
     builtin_category,
     builtin_category_names,
     fibonacci_category,
@@ -28,6 +29,9 @@ from statesum3d.graphcalc import (
     _cap,
     _find_layout,
     _rebased,
+    _reversal_scalar,
+    _sweep,
+    _sweep_plan,
     evaluate_graph,
     hom_dim,
     pairing_gram,
@@ -546,6 +550,49 @@ def test_edge_reversal_dualization(name):
             assert t1.value(idx) == val * factor
 
 
+def _skewed(cat):
+    """``cat`` with ``dim_r``, hence rev, doubled off the unit, so that
+    ``rev_c / lev_(c*)`` and ``lev_c / rev_(c*)`` differ (the data is no
+    longer a pivotal category, but a sweep reads only its F-symbols and
+    duality scalars)."""
+    two = cat.field.one() + cat.field.one()
+    dim_r = [d if c == cat.unit else d * two for c, d in enumerate(cat.dim_r)]
+    return GFusionData(cat.field, cat.group, cat.names, cat.grade, cat.dual, cat.fusion_set,
+                       cat.fsym, cat.dim_l, dim_r, cat.pivotal, name=f"skewed {cat.name}")
+
+
+@pytest.mark.parametrize("name", ["vect_Z4_theta1", "fibonacci", "ising_like"])
+def test_reversed_strand_changes_only_the_cap_scalar(name):
+    # a graph and its copy with one strand reversed and its colour dualized
+    # have one sweep layout, and every box and cap reads the same letters:
+    # the raw entries differ by the reversal scalar of the cap that closes
+    # the strand, lev or rev, whichever the layout takes
+    cat = _skewed(_cat(name))
+    rnd = random.Random(f"reversal/{name}")
+    kinds = set()
+    for _ in range(16):
+        g = random_admissible_graph(rnd, cat)
+        strands = [e for e, (_, _, c) in enumerate(g.edges) if c != cat.unit]
+        if not strands:
+            continue
+        k = rnd.choice(strands)
+        tail, head, c = g.edges[k]
+        g2 = ColoredGraph(g.nvertices,
+                          [(head, tail, cat.dual[c]) if e == k else edge
+                           for e, edge in enumerate(g.edges)],
+                          [[(e, 1 - end if e == k else end) for e, end in rot]
+                           for rot in g.rotations])
+        plan, plan2 = _sweep_plan(cat, g, 0), _sweep_plan(cat, g2, 0)
+        kind = next(op[3] for op in plan[0] if op[0] == "cap" and op[2] == k)
+        x = _reversal_scalar(cat, cat.dual[c], kind)
+        assert x != _reversal_scalar(cat, cat.dual[c], "r" if kind == "l" else "l")
+        raw = _sweep(cat, plan, [color for _, _, color in g.edges])
+        raw2 = _sweep(cat, plan2, [color for _, _, color in g2.edges])
+        assert raw2 == {key: val * x for key, val in raw.items()}, (name, g.edges, k)
+        kinds.add(kind)
+    assert kinds == {"l", "r"}
+
+
 def test_slot_anchor_change_is_rotation():
     cat = fibonacci_category()
     g = ColoredGraph(2, [(0, 1, 1), (0, 1, 1), (0, 1, 1)],
@@ -576,32 +623,39 @@ def test_embedding_certificate_errors():
 
 
 def _in_canonical_numbering(rotations, form):
-    _, order, starts, edge_order = form
-    number = {e: j for j, e in enumerate(edge_order)}
-    return [[(number[e], end) for e, end in rotations[v][starts[v]:] + rotations[v][:starts[v]]]
+    """The darts of ``rotations`` renamed as ``form`` numbers them: edge j
+    directed from the tail dart ``form[3][j]``."""
+    _, order, starts, tails = form
+    number = {e: (j, tail_end) for j, (e, tail_end) in enumerate(tails)}
+    return [[(number[e][0], end ^ number[e][1])
+             for e, end in rotations[v][starts[v]:] + rotations[v][:starts[v]]]
             for v in order]
 
 
 def test_canonical_form_is_invariant_under_relabeling():
-    # renumbering vertices and edges and re-anchoring every rotation list
-    # keeps the code, and both forms map their graph onto the same
-    # canonically numbered rotation system
+    # renumbering vertices and edges, reversing edges and re-anchoring every
+    # rotation list keeps the code, and both forms map their graph onto the
+    # same canonically numbered rotation system, which is the one the code
+    # builds
     rnd = random.Random("canonical-form")
     for _ in range(80):
         nv, edges, rotations = grow_random_planar(rnd)
         vperm = rnd.sample(range(nv), nv)
         eperm = rnd.sample(range(len(edges)), len(edges))
+        flip = [rnd.randrange(2) for _ in edges]
         relabeled = [None] * nv
         for v, rot in enumerate(rotations):
-            rot = [(eperm[e], end) for e, end in rot]
+            rot = [(eperm[e], end ^ flip[e]) for e, end in rot]
             shift = rnd.randrange(len(rot))
             relabeled[vperm[v]] = rot[shift:] + rot[:shift]
         form = _canonical_rotation_system(rotations)
         form2 = _canonical_rotation_system(relabeled)
         assert form2[0] == form[0]
-        assert sorted(form[1]) == list(range(nv)) and sorted(form[3]) == list(range(len(edges)))
-        assert (_in_canonical_numbering(rotations, form)
-                == _in_canonical_numbering(relabeled, form2))
+        assert sorted(form[1]) == list(range(nv))
+        assert sorted(e for e, _ in form[3]) == list(range(len(edges)))
+        numbered = _in_canonical_numbering(rotations, form)
+        assert numbered == _in_canonical_numbering(relabeled, form2)
+        assert numbered == [list(rot) for rot in _canonical_graph(form[0]).rotations]
 
 
 def _sweep_rotation_systems():

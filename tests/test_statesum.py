@@ -22,6 +22,7 @@ from statesum3d.statesum import (
 
 import refgauge
 import refstatesum
+import refsweep
 from graphutil import color_graph, grow_random_planar
 from trifiles import load_skeleton, load_tri, shipped_names
 
@@ -416,6 +417,37 @@ def test_link_tensors_are_evaluated_once_per_class(monkeypatch):
     assert 0 < len(calls) < len(ev.link_cache), (len(calls), len(ev.link_cache))
 
 
+# _sweep calls on s3_2tet+3 when classes were keyed by the directed
+# canonical code, which told a link from its copy with strands reversed
+DIRECTED_CLASS_SWEEPS = {"fibonacci": 30, "ising_like": 72}
+
+
+@pytest.mark.parametrize("category", ["fibonacci", "ising_like"])
+def test_link_classes_are_swept_once_up_to_strand_reversal(monkeypatch, category):
+    # one sweep per undirected canonical code (the reference walks every
+    # root) and class colours, each arc's colour read in its canonical
+    # edge's direction
+    from statesum3d import graphcalc
+    calls = []
+    sweep = graphcalc._sweep
+
+    def counted(cat, plan, edge_colors):
+        calls.append(edge_colors)
+        return sweep(cat, plan, edge_colors)
+
+    monkeypatch.setattr(graphcalc, "_sweep", counted)
+    sk = _grown("s3_2tet", 3)
+    cat = builtin_category(category)
+    ev = _Evaluator(sk, cat)
+    for rep, _ in gauge_classes(sk, cat.group):
+        closed_invariant(sk, rep, cat, _ev=ev)
+    keys = set()
+    for v, colors in ev.link_cache:
+        code, _, _, tails = refsweep.canonical_rotation_system(sk.links[v].rotations)
+        keys.add((code, tuple(cat.dual[colors[a]] if end else colors[a] for a, end in tails)))
+    assert len(calls) == len(keys) < DIRECTED_CLASS_SWEEPS[category], (len(calls), len(keys))
+
+
 def test_sweep_plans_are_built_once_per_canonical_code(monkeypatch):
     from statesum3d import graphcalc
     layouts = []
@@ -452,28 +484,39 @@ def _relabeled(rnd, edges, rotations, colors):
     return edges2, rotations2, colors2
 
 
-@pytest.mark.parametrize("category", ["vect_Z2_theta1", "vect_Z4_theta1", "fibonacci",
-                                      "ising_like"])
+def _reversed(edges, rotations, colors, reverse, dual):
+    """The same rotation system with the edges in ``reverse`` running the
+    other way, their colours dualized."""
+    return ([(h, t) if k in reverse else (t, h) for k, (t, h) in enumerate(edges)],
+            [[(k, 1 - end if k in reverse else end) for k, end in rot] for rot in rotations],
+            [dual[c] if k in reverse else c for k, c in enumerate(colors)])
+
+
+@pytest.mark.parametrize("category", ["vect_Z2_theta1", "vect_Z3_theta1", "vect_Z4_theta1",
+                                      "fibonacci", "ising_like"])
 def test_link_classes_of_relabeled_and_reversed_random_graphs(category):
-    # random sphere graphs, each with relabeled copies and a copy with one
-    # self-dual strand reversed (same words, other graph), through one
-    # category's class memo against direct evaluation on a fresh category
+    # random sphere graphs, each with relabeled copies, a copy with one
+    # self-dual strand reversed (same words, other graph), one with a strand
+    # that is not self-dual reversed and its colour dualized (same words,
+    # other colours: vect_Z4_theta1 has 1 <-> 3) and one with every strand
+    # reversed and dualized, through one category's class memo against
+    # direct evaluation on a fresh category
     rnd = random.Random(f"link-classes/{category}")
     cat, direct = builtin_category(category), builtin_category(category)
-    graphs = 0
+    graphs = dualized = 0
     for _ in range(30):
         nv, edges, rotations = grow_random_planar(rnd, max_vertices=4)
         colors = color_graph(rnd, cat, nv, edges, rotations)
         if colors is None:
             continue
-        variants = [(edges, rotations, colors)]
-        selfdual = [e for e, c in enumerate(colors) if cat.dual[c] == c]
-        if selfdual:
-            e = rnd.choice(selfdual)
-            t, h = edges[e]
-            variants.append(([(h, t) if k == e else ends for k, ends in enumerate(edges)],
-                             [[(k, 1 - end if k == e else end) for k, end in rot]
-                              for rot in rotations], colors))
+        variants = [(edges, rotations, colors),
+                    _reversed(edges, rotations, colors, set(range(len(edges))), cat.dual)]
+        for selfdual in (True, False):
+            strands = [e for e, c in enumerate(colors) if (cat.dual[c] == c) == selfdual]
+            if strands:
+                variants.append(_reversed(edges, rotations, colors, {rnd.choice(strands)},
+                                          cat.dual))
+                dualized += not selfdual
         for edges1, rotations1, colors1 in variants:
             for _ in range(2):
                 edges2, rotations2, colors2 = _relabeled(rnd, edges1, rotations1, colors1)
@@ -483,4 +526,5 @@ def test_link_classes_of_relabeled_and_reversed_random_graphs(category):
                 assert _link_tensor(cat, rotations2, tuple(colors2), ()) == want, \
                     (edges2, colors2)
                 graphs += 1
-    assert graphs >= 60
+    assert graphs >= 90
+    assert dualized >= 10 or all(cat.dual[c] == c for c in range(cat.n)), dualized
