@@ -30,7 +30,6 @@ satisfy, so inconsistent files are rejected with named witnesses.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -161,14 +160,15 @@ class FiniteGroup:
         """``1``, ``trivial``, or ``Zn``, ``Dn`` (order 2n), ``Sn`` of order 1..MAX_GROUP_ORDER."""
         if name in ("1", "trivial"):
             return FiniteGroup.trivial()
-        m = re.fullmatch(r"([ZDS])([1-9][0-9]{0,8})", name)
-        n = int(m[2]) if m else 0
-        order = {"Z": n, "D": 2 * n, "S": factorial(min(n, 5))}[m[1]] if m else 0
+        kind, digits = name[:1], name[1:]
+        plain = digits.isascii() and digits.isdigit() and digits[0] != "0" and len(digits) < 10
+        n = int(digits) if plain else 0
+        order = {"Z": n, "D": 2 * n, "S": factorial(min(n, 5)) if n else 0}.get(kind, 0)
         if not 1 <= order <= MAX_GROUP_ORDER:
             raise ValueError(f"bad group name {name!r}: expected Zn, Dn or Sn with n >= 1 "
                              f"and order at most {MAX_GROUP_ORDER}")
         build = {"Z": FiniteGroup.cyclic, "D": FiniteGroup.dihedral, "S": FiniteGroup.symmetric}
-        return build[m[1]](n)
+        return build[kind](n)
 
 
 class GroupHom:

@@ -166,6 +166,8 @@ def tree_paths(data: GFusionData, word) -> list:
                     continue
                 nxt.append(p + (m2,))
         paths = nxt
+    if not word:
+        return [()]
     return paths
 
 
@@ -334,10 +336,21 @@ def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
     ``sum_t R[t][s] (target tree t)``.
 
     Each step moves the first leg of a left-comb tree to the end in closed
-    form, by F-moves and one bending scalar (:func:`_bend_first_leg`; the
-    A/B move of Kitaev, "Anyons in an exactly solved model and beyond", App.
-    E; Bonderson, "Non-Abelian anyons and interferometry", sec. 2); past
-    half a turn the rotation goes the other way (:func:`_bend_last_leg`).
+    form, by F-moves and one bending scalar (the A/B move of Kitaev,
+    "Anyons in an exactly solved model and beyond", App. E; Bonderson,
+    "Non-Abelian anyons and interferometry", sec. 2): the tree
+    ``(m_1 = x_1, ..., m_n = 1)`` of the word ``(x_1, ..., x_n)`` goes to
+
+        sum_y lambda(c_1, s_1) prod_(j=3..n) Finv[x_1, y_(j-1), x_j, m_j]_(y_j, m_(j-1))
+              (y_2 = x_2, y_3, ..., y_n = x_1*, 1),
+
+    where ``lambda(c, +1) = rcoev_c lev_c F[x*, x, x*, x*]_(1, 1)`` and
+    ``lambda(c, -1) = lcoev_c rev_c F[x*, x, x*, x*]_(1, 1)``, ``x`` the
+    letter of ``(c, s)``: the round trip on ``B(x, x*; 1)`` takes the cup's
+    scalar, the F-entry that splits the unit between the cup's letters into
+    ``(x, x*)``, and the cap's scalar (derived in :func:`_bend_scalar`).  A
+    rotation takes ``min(steps, n - steps)`` steps: past half a turn it goes
+    the other way, moving the last leg to the front (:func:`_bend_last_leg`).
     The matrix is the dense view of the sparse rows of :func:`_rebase_rows`.
     """
     rows = _rebase_rows(data, basis.cset.items, basis.anchor, steps % len(basis.cset))
@@ -653,7 +666,6 @@ def _canonical_rotation_system(rotations) -> tuple:
     the first root is kept.  Returns ``(code, order, starts, tails)``."""
     dart_pos = {d: (v, i) for v, rot in enumerate(rotations) for i, d in enumerate(rot)}
     other = [[dart_pos[(e, 1 - end)] for e, end in rot] for rot in rotations]
-    sizes = [len(rot) for rot in rotations]
     best = None
     for v0, i0 in sorted(dart_pos.values()):
         number, starts, order = [None] * len(other), [None] * len(other), [v0]
@@ -665,7 +677,7 @@ def _canonical_rotation_system(rotations) -> tuple:
                 if number[w] is None:
                     number[w], starts[w] = len(order), i
                     order.append(w)
-                row.append((number[w], (i - starts[w]) % sizes[w]))
+                row.append((number[w], (i - starts[w]) % len(other[w])))
             row = tuple(row)
             if not less:
                 if row > best[0][len(code)]:
@@ -959,19 +971,8 @@ def _mapped(raw: dict, positions, maps, scale=None) -> dict:
     """The entries of ``raw`` with the index at key position ``positions[v]``
     mapped by ``maps[v]`` (entry i lists the pairs ``(t, coefficient)``
     that index i maps to; None for the identity) and multiplied by
-    ``scale`` unless it is None, keyed in slot order.  One entry, whose
-    images fall on distinct keys, takes every slot in one pass; more take
-    one pass per slot, so images meeting on one key are summed first."""
-    if len(raw) == 1:
-        ((choice, val),) = raw.items()
-        terms = [((), val if scale is None else val * scale)]
-        for p, slot in zip(positions, maps):
-            i = choice[p]
-            if slot is None:
-                terms = [(idx + (i,), x) for idx, x in terms]
-            else:
-                terms = [(idx + (t,), x * y) for idx, x in terms for t, y in slot[i]]
-        return dict(terms)
+    ``scale`` unless it is None, keyed in slot order.  One pass per slot,
+    so images meeting on one key are summed before the next slot."""
     entries = {tuple([key[p] for p in positions]): val if scale is None else val * scale
                for key, val in raw.items()}
     for v, slot in enumerate(maps):

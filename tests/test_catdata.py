@@ -34,7 +34,8 @@ def test_group_builtins():
 
 
 @pytest.mark.parametrize("name", ["Z0", "Z-1", "D-2", "D0", "S0", "Z", "S", "Z03", "Z2x", "z2",
-                                  "Z100000", "D13", "S5", "Z" + "9" * 40])
+                                  "Z100000", "D13", "S5", "Z" + "9" * 40, "Z" + "9" * 5000,
+                                  "Z\u0663", "D\u00b2", "Z 3", "Z+3"])
 def test_bad_group_names_are_refused_before_any_table(monkeypatch, name):
     # Zn, Dn and Sn with 1 <= n and order at most MAX_GROUP_ORDER; anything
     # else is a ValueError naming the name, raised before a table is built
