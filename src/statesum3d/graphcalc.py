@@ -10,8 +10,9 @@ on tree coordinates by single F-moves; see the convention block in
 :mod:`statesum3d.catdata`.
 
 A colored graph is evaluated by a planar sweep (:func:`evaluate_graph`):
-its plan of box and cap actions, found once per category, uncoloured graph
-and outer face (:func:`_sweep_plan`), runs with the edge colours
+its plan of box and cap actions, built once per category, uncoloured graph
+and outer face by one pass with no search (:func:`_sweep_plan`), runs
+with the edge colours
 (:func:`_sweep`) on a flat state ``{(path, choice): value}``: ``path`` is
 a tree of the current word and ``choice`` lists the basis tree taken at
 each vertex inserted so far.  Both sweep actions read transfer tables
@@ -27,8 +28,9 @@ memoized in the category's ``_memo``:
   inverse F-entry that fuses them into the unit times the lev or rev
   scalar (:func:`_cap_coeff`).
 
-The sweep's result is re-based to the slot anchors one vertex at a time
-(:func:`_rebased`).
+The sweep's result is re-based to the slot anchors one vertex at a time,
+through the same slot maps as a link tensor's (:func:`_slot_map`,
+:func:`_mapped`).
 
 :class:`PairingData` reads the Gram matrix of the duality pairing off the
 same cap table in closed form: both trees are boxed in after the unit,
@@ -353,31 +355,30 @@ def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
     the other way, moving the last leg to the front (:func:`_bend_last_leg`).
     The matrix is the dense view of the sparse rows of :func:`_rebase_rows`.
     """
-    rows = _rebase_rows(data, basis.cset.items, basis.anchor, steps % len(basis.cset))
+    rows = _rebase_rows(data, basis.anchored.items, steps % len(basis.cset))
     return [[row.get(s, data.field.zero()) for s in range(basis.dim())] for row in map(dict, rows)]
 
 
-def _rebase_rows(data: GFusionData, items: tuple, anchor: int, steps: int) -> tuple:
-    """Sparse rows of :func:`rotation_matrix` for the basis of ``items``
-    anchored at ``anchor`` and ``0 <= steps < n``: row t lists the pairs
+def _rebase_rows(data: GFusionData, items: tuple, steps: int) -> tuple:
+    """Sparse rows of :func:`rotation_matrix` for the basis anchored at the
+    first of ``items`` and ``0 <= steps < n``: row t lists the pairs
     ``(s, R[t][s])`` with a nonzero value, s ascending.  The first memoized
     one-step map gives the columns, each later one is pushed through, and
     the rows are read off the columns in one pass and memoized."""
     memo = data._memo
-    key = ("rebase", items, anchor, steps)
+    key = ("rebase", items, steps)
     rows = memo.get(key)
     if rows is not None:
         return rows
     n = len(items)
-    its = items[anchor:] + items[:anchor]
     cols = None
     forward = 2 * steps <= n
     for _ in range(steps if forward else n - steps):
-        step_key = ("bend" if forward else "bend back", its)
+        step_key = ("bend" if forward else "bend back", items)
         step = memo.get(step_key)
         if step is None:
             bend = _bend_first_leg if forward else _bend_last_leg
-            step = memo[step_key] = bend(data, its)
+            step = memo[step_key] = bend(data, items)
         if cols is None:
             cols = step
         else:
@@ -390,8 +391,8 @@ def _rebase_rows(data: GFusionData, items: tuple, anchor: int, steps: int) -> tu
                         nxt[t] = v * u if cur is None else cur + v * u
                 pushed.append(nxt.items())
             cols = pushed
-        its = its[1:] + its[:1] if forward else its[-1:] + its[:-1]
-    out = [[] for _ in _trees(data, _word(data, its))]
+        items = items[1:] + items[:1] if forward else items[-1:] + items[:-1]
+    out = [[] for _ in _trees(data, _word(data, items))]
     if cols is None:
         one = data.field.one()
         cols = [((s, one),) for s in range(len(out))]
@@ -759,8 +760,12 @@ class ColoredGraph:
             if covered != {c for orbit in orbits for c in orbit}:
                 raise ValueError("embedding certificate inconsistent with rotation system")
             self.faces = [tuple(sorted(f)) for f in given]
-        ncomp = self._component_count()
-        if len(self.faces) != 1 + ncomp - nvertices + len(self.edges):
+        classes = UnionFind(nvertices + len(self.faces))
+        for t, h, _ in self.edges:
+            classes.union(t, h)
+        # each vertex's component, named by its least vertex
+        self.component = [classes.find(v) for v in range(nvertices)]
+        if len(self.faces) != 1 + len(set(self.component)) - nvertices + len(self.edges):
             msg = ("embedding certificate inconsistent with rotation system"
                    if faces is not None else
                    "rotation system does not embed in the sphere "
@@ -770,12 +775,11 @@ class ColoredGraph:
         for fi, corners in enumerate(self.faces):
             for c in corners:
                 self.corner_face[c] = fi
-
-    def _component_count(self) -> int:
-        classes = UnionFind(self.nvertices)
-        for t, h, _ in self.edges:
-            classes.union(t, h)
-        return len({classes.find(v) for v in range(self.nvertices)})
+                classes.union(c[0], nvertices + fi)
+        # on the sphere the components and faces, joined where a face holds
+        # a corner, form a tree; with the Euler count, connected suffices
+        if len({classes.find(x) for x in range(nvertices + len(self.faces))}) != 1:
+            raise ValueError("embedding certificate inconsistent with rotation system")
 
     def vertex_cset(self, v: int) -> CyclicCSet:
         items = []
@@ -816,101 +820,82 @@ def _dense(t: GraphTensor):
     return {idx: t.value(idx) for idx in iproduct(*(range(d) for d in t.dims()))}
 
 
-class _SweepFail(Exception):
-    pass
-
-
-def _find_layout(graph: ColoredGraph, outer_face: int):
-    """Backtracking search for a bottom-up planar sweep realizing the given
-    embedding with the chosen outer face.  Returns a list of actions
-    ('box', vertex, offset, gap_index) and ('cap', strand_index).
-
-    The search is depth first on an explicit stack of move iterators
-    (:func:`_layout_moves`), so its depth is not bounded by the
-    interpreter's recursion limit; ``seen`` memoizes the states already
-    entered, and a state entered again is dead."""
-    state = ((), (outer_face,), frozenset())
-    seen, actions, stack = set(), [], []
-    while True:
-        frontier, gaps, placed = state
-        if len(placed) == graph.nvertices and not frontier:
-            return actions
-        if state in seen:
-            actions.pop()
-        else:
-            seen.add(state)
-            stack.append(_layout_moves(graph, frontier, gaps, placed))
-        while True:
-            move = next(stack[-1], None)
-            if move is not None:
-                break
-            stack.pop()
-            if not stack:
-                raise _SweepFail(f"no planar sweep found for outer face {outer_face}")
-            actions.pop()
-        action, state = move
-        actions.append(action)
-
-
-def _layout_moves(graph, frontier, gaps, placed):
-    """The moves of ``_find_layout`` from one state, in search order, as
-    ``(action, next state)``: caps first, then each unplaced vertex boxed
-    at each gap from each dart whose preceding corner lies in that gap."""
-    for q in range(len(frontier) - 1):
-        (e1, a1), (e2, a2) = frontier[q], frontier[q + 1]
-        if e1 == e2 and a1 != a2:
-            if gaps[q + 1] != graph.right_face_of_dart(frontier[q]):
-                continue
-            if gaps[q] != gaps[q + 2]:
-                continue
-            nf = frontier[:q] + frontier[q + 2:]
-            ng = gaps[:q] + (gaps[q],) + gaps[q + 3:]
-            yield ("cap", q), (nf, ng, placed)
-    for v in range(graph.nvertices):
-        if v in placed:
-            continue
-        rot = graph.rotations[v]
-        k = len(rot)
-        for p in range(len(gaps)):
-            for r in range(k):
-                under = graph.corner_face[(v, (r - 1) % k)]
-                if under != gaps[p]:
-                    continue
-                emitted = tuple(rot[(r + j) % k] for j in range(k))
-                corner_gaps = tuple(graph.corner_face[(v, (r + j) % k)]
-                                    for j in range(k - 1))
-                nf = frontier[:p] + emitted + frontier[p:]
-                ng = gaps[:p] + (gaps[p],) + corner_gaps + (gaps[p],) + gaps[p + 1:]
-                yield ("box", v, r, p), (nf, ng, placed | {v})
-
-
 def _sweep_plan(data: GFusionData, graph: ColoredGraph, outer_face: int) -> tuple:
     """Sweep plan ``(ops, offsets, positions)`` of the uncoloured ``graph``
     from ``outer_face``, memoized on the category: ops ``("box", p, darts)``
     insert a vertex's darts from its offset on at word position p, ops
     ``("cap", q, edge, 'l' (lev) or 'r' (rev))`` close an edge, and vertex
     v's index sits at choice position ``positions[v]``, anchored at
-    ``offsets[v]``."""
+    ``offsets[v]``.
+
+    The plan is built bottom up on a row of strands (the darts of edges not
+    yet closed) with a gap between each two and at both ends; a gap holds
+    a face, the outer face at both ends.  Boxing vertex v at gap p from
+    dart r needs the corner (v, r - 1) on the face of gap p, and the new
+    gaps between v's strands take the faces of the corners between them.
+    Each step makes the first of these moves that applies:
+
+    1. a component with no vertex boxed yet has a corner on a face that is
+       now a gap: box the lowest vertex with a corner on the first such
+       gap, from the dart after its first such corner (this also makes the
+       first box);
+    2. two adjacent strands are the two darts of one edge: cap the leftmost
+       such pair;
+    3. take the lowest unboxed vertex w that a strand leads to, and its
+       leftmost such strand q: box w at the gap left of q, from the dart
+       after the edge's dart at w, which comes out last, next to q, and
+       caps at once.
+
+    No cap can block: a strand's two gaps are always the faces on the two
+    sides of its edge, so two adjacent darts of one edge meet both cap
+    conditions (the gap between them is the face right of the left dart,
+    and the gaps outside them hold one face), and in move 3 the corner
+    right of the edge's dart at w lies on the face left of q.  The loop
+    never gets stuck: each move slides the drawing of what remains without
+    changing its embedding (a box slides w down its edge, a cap pulls an
+    arc down), so the strands that lead to boxed vertices pair off without
+    crossing, and two of them are adjacent unless a strand leads to an
+    unboxed vertex.  Every face of a boxed component is a gap right after
+    some box, and components and faces form a tree on the sphere, so move
+    1 reaches every component.  A stuck loop is an :class:`InternalError`.
+    """
     key = ("sweep plan", tuple(graph.rotations), tuple(graph.faces), outer_face)
     plan = data._memo.get(key)
     if plan is not None:
         return plan
-    ops, offsets, order, strand_darts = [], {}, [], []
-    for act in _find_layout(graph, outer_face):
-        if act[0] == "box":
-            _, v, r, p = act
-            rot = graph.rotations[v]
-            order.append(v)
-            offsets[v] = r
-            ops.append(("box", p, rot[r:] + rot[:r]))
-            strand_darts[p:p] = rot[r:] + rot[:r]
-        else:
-            _, q = act
-            e, end = strand_darts[q]
+    rotations, component = graph.rotations, graph.component
+    waiting = set(component)
+    strands, gaps, ops, offsets = [], [outer_face], [], {}
+    while strands or waiting:
+        starts = []
+        if waiting:
+            starts = [(p, v, (i + 1) % len(rotations[v])) for p, face in enumerate(gaps)
+                      for v, i in graph.faces[face] if component[v] in waiting]
+        q = next((q for q in range(len(strands) - 1) if strands[q][0] == strands[q + 1][0]), None)
+        if starts:
+            p, v, r = min(starts)
+            waiting.discard(component[v])
+        elif q is not None:
+            e, end = strands[q]
             ops.append(("cap", q, e, "l" if end == 0 else "r"))
-            del strand_darts[q:q + 2]
-    plan = data._memo[key] = (tuple(ops), tuple(map(offsets.get, range(len(order)))),
-                              tuple(map(order.index, range(len(order)))))
+            del strands[q:q + 2], gaps[q + 1:q + 3]
+            continue
+        else:
+            leads = [(graph.dart_pos[(e, 1 - end)], q) for q, (e, end) in enumerate(strands)]
+            leads = [(w, q, j) for (w, j), q in leads if w not in offsets]
+            if not leads:
+                raise InternalError(f"sweep from face {outer_face} stuck at strands {strands}")
+            v, p, j = min(leads)
+            r = (j + 1) % len(rotations[v])
+        rot = rotations[v]
+        ops.append(("box", p, rot[r:] + rot[:r]))
+        offsets[v] = r
+        strands[p:p] = rot[r:] + rot[:r]
+        gaps[p + 1:p + 1] = [graph.corner_face[(v, (r + j) % len(rot))]
+                             for j in range(len(rot) - 1)] + [gaps[p]]
+    position = {v: k for k, v in enumerate(offsets)}
+    plan = data._memo[key] = (tuple(ops), tuple(map(offsets.get, range(len(rotations)))),
+                              tuple(map(position.get, range(len(rotations)))))
     return plan
 
 
@@ -949,22 +934,11 @@ def evaluate_graph(data: GFusionData, graph: ColoredGraph, slots=None,
         raise ValueError("slots must cover each vertex exactly once")
     plan = _sweep_plan(data, graph, 0 if outer_face is None else outer_face)
     raw = _sweep(data, plan, [c for _, _, c in graph.edges])
-    csets = [graph.vertex_cset(v) for v in range(graph.nvertices)]
-    anchors = [slot_by_vertex[v].anchor for v in range(graph.nvertices)]
-    entries = _rebased(data, raw, [cs.items for cs in csets], plan[2], plan[1], anchors)
-    bases = [MultiplicityBasis(data, cs, a) for cs, a in zip(csets, anchors)]
-    return GraphTensor(data, range(graph.nvertices), bases, entries)
-
-
-def _rebased(data: GFusionData, raw: dict, items, positions, sources, anchors) -> dict:
-    """The tensor ``raw`` over the cyclic sets of the signed colour tuples
-    ``items``, whose index of vertex v sits at ``positions[v]`` of its keys
-    and counts trees anchored at ``sources[v]``, in the bases anchored at
-    ``anchors[v]``, keyed in vertex order: :func:`_mapped` by the re-basing
-    rows of each vertex (:func:`_rebase_rows`)."""
-    steps = [(source - anchor) % len(its) for its, source, anchor in zip(items, sources, anchors)]
-    return _mapped(raw, positions, [_rebase_rows(data, its, anchor % len(its), k) if k else None
-                                    for its, anchor, k in zip(items, anchors, steps)])
+    bases = [MultiplicityBasis(data, graph.vertex_cset(v), slot_by_vertex[v].anchor)
+             for v in range(graph.nvertices)]
+    maps = [_slot_map(data, b.anchored.items, (source - b.anchor) % len(b.cset), False)
+            for b, source in zip(bases, plan[1])]
+    return GraphTensor(data, range(graph.nvertices), bases, _mapped(raw, plan[2], maps))
 
 
 def _mapped(raw: dict, positions, maps, scale=None) -> dict:
@@ -1013,8 +987,10 @@ def _link_tensor(data: GFusionData, rotations, colors: tuple, paired) -> dict:
         code, order, starts, tails = _canonical_rotation_system(rotations)
         rank = [order.index(v) for v in range(len(rotations))]
         # the plan depends on the code alone, as the code's links share its
-        # class sweeps; from the last face, layout searches on 130 link and
-        # random sphere codes took 1,560 steps in all, from face 0 6,072
+        # class sweeps; a sweep costs exponentially in its width, and over
+        # 41 link and random sphere codes the plans from face 0 are wider
+        # than from the last face on 14 and narrower on 3, while from the
+        # last face none is wider than the backtracking search's layout
         graph = _canonical_graph(code)
         plan = _sweep_plan(data, graph, len(graph.faces) - 1)
         kinds = dict(op[2:] for op in plan[0] if op[0] == "cap")
@@ -1062,7 +1038,7 @@ def _slot_map(data: GFusionData, items: tuple, steps: int, paired: bool):
     times ``Ginv[t][u]`` (:func:`_pairing`)."""
     key = ("slot", items, steps, paired)
     if key not in data._memo:
-        rows = _rebase_rows(data, items, 0, steps) if steps else None
+        rows = _rebase_rows(data, items, steps) if steps else None
         if paired:
             pairing = _pairing(data, tuple([(c, -s) for c, s in reversed(items)]))
             rows = tuple((pair,) for pair in pairing) if rows is None else tuple(

@@ -99,3 +99,10 @@ def random_admissible_graph(rnd: random.Random, data, max_vertices=6):
         colored = [(t, h, colors[k]) for k, (t, h) in enumerate(edges)]
         return ColoredGraph(nv, colored, rotations)
     raise RuntimeError("failed to sample an admissible colored graph")
+
+
+def cycle_graph(n: int, color: int) -> ColoredGraph:
+    """The n-cycle with every edge coloured ``color``: edge v runs from
+    vertex v to v + 1, and each vertex lists its outgoing dart first."""
+    return ColoredGraph(n, [(v, (v + 1) % n, color) for v in range(n)],
+                        [[(v, 0), ((v - 1) % n, 1)] for v in range(n)])

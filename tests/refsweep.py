@@ -1,15 +1,17 @@
 """Reference for the planar sweep of ``statesum3d.graphcalc``: the original
 per-entry sweep, kept unchanged so that the tests can check the
-table-driven ``evaluate_graph``, ``PairingData`` and ``_rebased`` against an
-independent computation.
+table-driven ``evaluate_graph`` and ``PairingData`` and the re-basing maps
+against an independent computation.
 
 ``HomState`` is a vector of Hom(1, word) as a map from tree paths to
 scalars.  The sweep builds one for every state entry and every inserted
 tree, runs ``insert_unit``, k - 1 ``split``s, ``fuse`` and ``delete_unit``
 on it, and re-bases the result by summing, for every target index tuple,
-over every raw entry.  ``find_layout`` is the recursive layout search and
+over every raw entry.  ``find_layout`` is the backtracking layout search
+that ``graphcalc`` used before it built its sweep plans, and
 ``canonical_rotation_system`` the canonical form that walks every root to
-the end.  Nothing in ``src/`` imports this module.
+the end.  The sweep here shares no layout code with ``src/``, and nothing
+in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from itertools import product as iproduct
 from statesum3d.catdata import GFusionData
 from statesum3d.exactnum import FieldElement
 from statesum3d.graphcalc import (ColoredGraph, CyclicCSet, GraphTensor, InternalError,
-                                  MultiplicityBasis, VertexTensorSlot, _find_layout,
-                                  rotation_matrix)
+                                  MultiplicityBasis, VertexTensorSlot, rotation_matrix)
 
 
 class HomState:
@@ -148,7 +149,13 @@ class HomState:
 
 
 def find_layout(graph: ColoredGraph, outer_face: int):
-    """``graphcalc._find_layout`` by recursion, one frame per action."""
+    """A bottom-up planar sweep realizing the embedding of ``graph`` with
+    ``outer_face`` outside, found by a depth-first search with backtracking
+    over (strands, gaps, placed vertices) states, one frame per action:
+    caps first, then each unplaced vertex boxed at each gap from each dart
+    whose preceding corner lies in that gap.  Returns a list of actions
+    ``('box', vertex, offset, gap_index)`` and ``('cap', strand_index)``,
+    or None when there is none."""
     return _layout_search(graph, (), (outer_face,), frozenset(), set())
 
 
@@ -246,7 +253,7 @@ def pairing_gram(data: GFusionData, cset: CyclicCSet):
 
 def rebased(data: GFusionData, raw: dict, csets, positions, sources, anchors):
     """Entries of ``raw`` re-expressed in the bases anchored at ``anchors``
-    (see ``graphcalc._rebased``), summing for every target index tuple over
+    (as ``graphcalc.evaluate_graph`` re-bases its sweep), summing for every target index tuple over
     every raw entry; returns (bases, entries)."""
     field = data.field
     bases, mats = [], []
@@ -279,7 +286,9 @@ def evaluate_graph(data: GFusionData, graph: ColoredGraph, slots=None,
     slot_by_vertex = {s.vertex: s for s in slots}
     if sorted(slot_by_vertex) != list(range(graph.nvertices)):
         raise ValueError("slots must cover each vertex exactly once")
-    actions = _find_layout(graph, 0 if outer_face is None else outer_face)
+    actions = find_layout(graph, 0 if outer_face is None else outer_face)
+    if actions is None:
+        raise InternalError("no planar sweep found")
 
     csets = [graph.vertex_cset(v) for v in range(graph.nvertices)]
     insert_offset = {act[1]: act[2] for act in actions if act[0] == "box"}

@@ -375,10 +375,8 @@ def test_eval_graph_command(tmp_path):
 
 
 def test_eval_graph_of_a_long_cycle(tmp_path):
-    # the layout search keeps its own stack: a 1,000-vertex cycle needs one
-    # box and one cap per vertex, far more frames than the recursion limit;
-    # each rotation lists the incoming dart first, which makes face 0 (the
-    # default outer face) the face from which the search never backtracks
+    # a 1,000-vertex cycle needs one box and one cap per vertex, far more
+    # steps than the recursion limit; the sweep plan is built by one loop
     from statesum3d.graphcalc import ColoredGraph, save_graph
     n = 1000
     g = ColoredGraph(n, [(v, (v + 1) % n, 1) for v in range(n)],
@@ -389,6 +387,19 @@ def test_eval_graph_of_a_long_cycle(tmp_path):
                            "--category", "fibonacci"])
     assert code == 0, err
     assert json.loads(out)["results"]["dims"] == [1] * n
+
+
+def test_eval_graph_of_an_unrealizable_certificate(tmp_path):
+    # the faces certificate merges two faces of a theta graph and none of a
+    # loop's: the Euler count holds, but no sphere holds both components
+    path = tmp_path / "split.graph"
+    path.write_text("vertices 3\nedges 4\n"
+                    + "".join(f"edge {k} {t} {h} color 0\n"
+                              for k, (t, h) in enumerate([(0, 1), (0, 1), (0, 1), (2, 2)]))
+                    + "rot 0 o0 o1 o2\nrot 1 i2 i1 i0\nrot 2 o3 i3\n"
+                    + "face 0.0 0.1 1.0 1.1\nface 0.2 1.2\nface 2.0\nface 2.1\n")
+    code, _, err = _run(["eval-graph", "--graph", str(path), "--category", "fibonacci"])
+    assert code == 3 and "embedding certificate inconsistent" in err, err
 
 
 def test_cobordism_map_command(tmp_path):

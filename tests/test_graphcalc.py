@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 from pathlib import Path
 
@@ -27,9 +28,9 @@ from statesum3d.graphcalc import (
     _canonical_graph,
     _canonical_rotation_system,
     _cap,
-    _find_layout,
-    _rebased,
+    _mapped,
     _reversal_scalar,
+    _slot_map,
     _sweep,
     _sweep_plan,
     evaluate_graph,
@@ -38,6 +39,7 @@ from statesum3d.graphcalc import (
     parse_graph,
     rotation_matrix,
     save_graph,
+    trace_rotation_faces,
     tree_paths,
 )
 from statesum3d.linalg import identity_matrix, matrix_inverse, matrix_mul
@@ -45,7 +47,7 @@ from statesum3d.linalg import identity_matrix, matrix_inverse, matrix_mul
 import refrotation
 import refsweep
 from refsweep import HomState
-from graphutil import color_graph, grow_random_planar, random_admissible_graph
+from graphutil import color_graph, cycle_graph, grow_random_planar, random_admissible_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -142,9 +144,10 @@ def test_rotation_matrix_matches_round_trip():
 
 
 def test_rebasing_rows_match_round_trip():
-    # the sparse rows that _rebased applies, read off unit tensors, against
-    # the rows of the cup / insert / cap round trip, on seeded random
-    # admissible cyclic sets of 2-5 items at every anchor and step count
+    # the re-basing slot maps that evaluate_graph applies through _mapped,
+    # read off unit tensors, against the rows of the cup / insert / cap
+    # round trip, on seeded random admissible cyclic sets of 2-5 items at
+    # every anchor and step count
     rnd = random.Random("rebase/round-trip")
     for name in ("fibonacci", "ising_like", "vect_Z3_theta1", "vect_Z4_theta1"):
         cat = builtin_category(name)
@@ -162,8 +165,8 @@ def test_rebasing_rows_match_round_trip():
                         ref = refrotation.rotation_matrix(cat, basis, steps)
                         for t, row in enumerate(ref):
                             want = {(s,): x for s, x in enumerate(row) if not x.is_zero()}
-                            got = _rebased(cat, {(t,): one}, [items], [0], [anchor + steps],
-                                           [anchor])
+                            slot = _slot_map(cat, items[anchor:] + items[:anchor], steps, False)
+                            got = _mapped({(t,): one}, [0], [slot])
                             assert got == want, (name, items, anchor, steps, t)
 
 
@@ -620,6 +623,15 @@ def test_embedding_certificate_errors():
     with pytest.raises(ValueError, match="certificate"):
         ColoredGraph(1, [(0, 0, 0)], [[(0, 0), (0, 1)]],
                      faces=[((0, 0), (0, 1))])
+    # a theta graph and a loop whose certificate merges two faces of the
+    # theta and none of the loop: the Euler count holds, but no sphere
+    # holds both components, and no sweep reaches the loop
+    edges = [(0, 1, 0)] * 3 + [(2, 2, 0)]
+    rotations = [[(0, 0), (1, 0), (2, 0)], [(2, 1), (1, 1), (0, 1)], [(3, 0), (3, 1)]]
+    t0, t1, t2, l0, l1 = trace_rotation_faces(3, edges, rotations)[0]
+    ColoredGraph(3, edges, rotations, faces=[t0 + l0, t1, t2, l1])
+    with pytest.raises(ValueError, match="certificate"):
+        ColoredGraph(3, edges, rotations, faces=[t0 + t1, t2, l0, l1])
 
 
 def _in_canonical_numbering(rotations, form):
@@ -690,14 +702,146 @@ def test_canonical_form_matches_full_walk():
             refsweep.canonical_rotation_system(rotations), rotations
 
 
-def test_layout_search_matches_recursive_search():
-    # the explicit stack visits the moves in the recursion's order: the same
-    # actions from every face of every link code and of every pool graph
+def _checked_width(graph, plan, outer_face):
+    """The largest strand count of ``plan`` (``_sweep_plan``) from
+    ``outer_face``, after checking that each box starts after a corner on
+    the face of its gap, that each cap closes two adjacent darts of one edge
+    with the face right of the left one between them and one face outside
+    them, and that the plan boxes every vertex once, at its offset and
+    choice position, and closes every strand."""
+    ops, offsets, positions = plan
+    strands, gaps, order, width = [], [outer_face], [], 0
+    for op in ops:
+        if op[0] == "box":
+            _, p, darts = op
+            v, r = graph.dart_pos[darts[0]]
+            rot = graph.rotations[v]
+            assert v not in order and offsets[v] == r and darts == rot[r:] + rot[:r]
+            assert graph.corner_face[(v, (r - 1) % len(rot))] == gaps[p]
+            order.append(v)
+            strands[p:p] = darts
+            gaps[p + 1:p + 1] = [graph.corner_face[(v, (r + j) % len(rot))]
+                                 for j in range(len(rot) - 1)] + [gaps[p]]
+        else:
+            _, q, e, kind = op
+            assert {strands[q], strands[q + 1]} == {(e, 0), (e, 1)}
+            assert kind == ("l" if strands[q][1] == 0 else "r")
+            assert gaps[q + 1] == graph.right_face_of_dart(strands[q])
+            assert gaps[q] == gaps[q + 2]
+            del strands[q:q + 2], gaps[q + 1:q + 3]
+        width = max(width, len(strands))
+    assert not strands and gaps == [outer_face]
+    assert sorted(order) == list(range(graph.nvertices))
+    assert list(positions) == [order.index(v) for v in range(graph.nvertices)]
+    return width
+
+
+def _search_width(graph, outer_face):
+    """The largest strand count of ``refsweep.find_layout``'s layout."""
+    width = strands = 0
+    for act in refsweep.find_layout(graph, outer_face):
+        strands += len(graph.rotations[act[1]]) if act[0] == "box" else -2
+        width = max(width, strands)
+    return width
+
+
+def test_sweep_plans_are_valid_and_no_wider_than_the_search():
+    # every face of every link code, pool graph, 300 random sphere graphs
+    # and the n-cycles for n = 3..7 (from face 0 the search is exponential
+    # on them): the built plan is valid, and its largest strand count is at
+    # most that of the backtracking search's layout from the same face
+    rnd = random.Random("sweep-plan/width")
     graphs = [_canonical_graph(code) for code in
               sorted({_canonical_rotation_system(r)[0] for r in _sweep_rotation_systems()})]
     graphs += [parse_graph(path.read_text())
                for path in sorted((ROOT / "perfbench" / "graphs").glob("*.graph"))]
+    for _ in range(300):
+        nv, edges, rotations = grow_random_planar(rnd, 10, 14)
+        graphs.append(ColoredGraph(nv, [(t, h, 0) for t, h in edges], rotations))
+    graphs += [cycle_graph(n, 0) for n in range(3, 8)]
+    cat = fibonacci_category()
     for graph in graphs:
         for face in range(len(graph.faces)):
-            assert _find_layout(graph, face) == refsweep.find_layout(graph, face), \
-                (graph.rotations, face)
+            width = _checked_width(graph, _sweep_plan(cat, graph, face), face)
+            assert width <= _search_width(graph, face), (graph.rotations, face)
+
+
+def _nested_graph(rnd, parts):
+    """A disconnected graph on the sphere: ``parts`` random planar
+    components, each after the first drawn inside a random face of those
+    before it.  Its faces certificate merges that face with a random face
+    of the new component."""
+    nv, edges, rotations, faces = 0, [], [], []
+    for _ in range(parts):
+        n, es, rots = grow_random_planar(rnd, 4, 6)
+        orbits = [[(v + nv, i) for v, i in f] for f in trace_rotation_faces(n, es, rots)[0]]
+        if faces:
+            faces[rnd.randrange(len(faces))] += orbits.pop(rnd.randrange(len(orbits)))
+        faces += orbits
+        rotations += [[(e + len(edges), end) for e, end in rot] for rot in rots]
+        edges += [(t + nv, h + nv) for t, h in es]
+        nv += n
+    return nv, edges, rotations, faces
+
+
+def test_nested_disconnected_graphs_get_valid_plans():
+    # seeded random graphs of 2-4 components nested in each other's faces:
+    # a valid plan from every face, and, coloured admissibly under
+    # fibonacci, one tensor from every face
+    rnd = random.Random("sweep-plan/nested")
+    cat = fibonacci_category()
+    evaluated = 0
+    for k in range(120):
+        nv, edges, rotations, faces = _nested_graph(rnd, rnd.randint(2, 4))
+        colors = color_graph(rnd, cat, nv, edges, rotations) if k % 12 == 0 else None
+        graph = ColoredGraph(nv, [(t, h, c) for (t, h), c in zip(edges, colors or [0] * len(edges))],
+                             rotations, faces=faces)
+        for face in range(len(graph.faces)):
+            _checked_width(graph, _sweep_plan(cat, graph, face), face)
+        if colors is not None:
+            base = evaluate_graph(cat, graph, outer_face=0)
+            for face in range(1, len(graph.faces)):
+                assert evaluate_graph(cat, graph, outer_face=face) == base, (edges, face)
+            evaluated += bool(base.entries)
+    assert evaluated
+
+
+def test_graph_nested_in_two_faces_of_a_loop():
+    # a theta graph in one face of a loop and a second loop in the other,
+    # all coloured tau: the faces certificate merges trace orbits, and the
+    # one entry is the same from all five outer faces, equal to the
+    # per-entry sweep and to the product of the three components' values
+    cat = fibonacci_category()
+    tau = 1
+    loop = ColoredGraph(1, [(0, 0, tau)], [[(0, 0), (0, 1)]])
+    theta = ColoredGraph(2, [(0, 1, tau)] * 3, [[(0, 0), (1, 0), (2, 0)], [(2, 1), (1, 1), (0, 1)]])
+    edges = [(0, 0, tau), (1, 2, tau), (1, 2, tau), (1, 2, tau), (3, 3, tau)]
+    rotations = [[(0, 0), (0, 1)], [(1, 0), (2, 0), (3, 0)], [(3, 1), (2, 1), (1, 1)],
+                 [(4, 0), (4, 1)]]
+    orbits = trace_rotation_faces(4, edges, rotations)[0]
+    assert len(orbits) == 7
+    outer, inner = [f for f in orbits if f[0][0] == 0]
+    theta_faces = [f for f in orbits if f[0][0] in (1, 2)]
+    loop_faces = [f for f in orbits if f[0][0] == 3]
+    faces = [outer + theta_faces[0], inner + loop_faces[0]] + theta_faces[1:] + loop_faces[1:]
+    graph = parse_graph(save_graph(ColoredGraph(4, edges, rotations, faces=faces)))
+    assert len(graph.faces) == 5
+    want = evaluate_graph(cat, loop).value((0,)) ** 2 * evaluate_graph(cat, theta).value((0, 0))
+    for face in range(5):
+        got = evaluate_graph(cat, graph, outer_face=face)
+        assert got.entries == {(0, 0, 0, 0): want}, face
+        assert refsweep.evaluate_graph(cat, graph, outer_face=face).entries == got.entries, face
+
+
+def test_long_cycles_get_plans_fast_from_both_faces():
+    # the backtracking search took 14.8 s on an 8-cycle from face 0
+    cat = fibonacci_category()
+    graph = cycle_graph(1000, 1)
+    tensors = []
+    for face in (0, 1):
+        start = time.perf_counter()
+        plan = _sweep_plan(cat, graph, face)
+        assert time.perf_counter() - start < 1.0, face
+        assert _checked_width(graph, plan, face) <= 4
+        tensors.append(evaluate_graph(cat, graph, outer_face=face))
+    assert tensors[0].entries == tensors[1].entries and len(tensors[0].entries) == 1

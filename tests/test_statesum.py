@@ -448,23 +448,16 @@ def test_link_classes_are_swept_once_up_to_strand_reversal(monkeypatch, category
     assert len(calls) == len(keys) < DIRECTED_CLASS_SWEEPS[category], (len(calls), len(keys))
 
 
-def test_sweep_plans_are_built_once_per_canonical_code(monkeypatch):
-    from statesum3d import graphcalc
-    layouts = []
-    find_layout = graphcalc._find_layout
-
-    def counted(graph, outer_face):
-        layouts.append(graph)
-        return find_layout(graph, outer_face)
-
-    monkeypatch.setattr(graphcalc, "_find_layout", counted)
+def test_sweep_plans_are_built_once_per_canonical_code():
+    # each built plan is memoized on the category under one key
     sk = dual_skeleton(load_tri("t3_6tet"))
     cat = builtin_category("vect_Z4_theta1")
     ev = _Evaluator(sk, cat)
     for rep, _ in gauge_classes(sk, cat.group):
         closed_invariant(sk, rep, cat, _ev=ev)
+    plans = [key for key in cat._memo if key[0] == "sweep plan"]
     codes = {_canonical_rotation_system(tuple(map(tuple, lk.rotations)))[0] for lk in sk.links}
-    assert 0 < len(layouts) <= len(codes), (len(layouts), len(codes))
+    assert 0 < len(plans) <= len(codes), (len(plans), len(codes))
 
 
 def _relabeled(rnd, edges, rotations, colors):
