@@ -794,8 +794,8 @@ def test_nested_disconnected_graphs_get_valid_plans():
     for k in range(120):
         nv, edges, rotations, faces = _nested_graph(rnd, rnd.randint(2, 4))
         colors = color_graph(rnd, cat, nv, edges, rotations) if k % 12 == 0 else None
-        graph = ColoredGraph(nv, [(t, h, c) for (t, h), c in zip(edges, colors or [0] * len(edges))],
-                             rotations, faces=faces)
+        colored = [(t, h, c) for (t, h), c in zip(edges, colors or [0] * len(edges))]
+        graph = ColoredGraph(nv, colored, rotations, faces=faces)
         for face in range(len(graph.faces)):
             _checked_width(graph, _sweep_plan(cat, graph, face), face)
         if colors is not None:
