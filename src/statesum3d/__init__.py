@@ -4,10 +4,10 @@ The package computes, in exact number-field arithmetic, the state-sum
 invariant of a closed oriented 3-manifold equipped with a gauge orbit of
 group labelings (equivalently a homotopy class of maps to an aspherical
 space with fundamental group G), from skeletal spherical G-graded fusion
-data.  It also evaluates colored graphs on the 2-sphere, relative
-invariants of labeled cobordisms, cylinder projectors with their state
-space ranks, and an independent simplicial partition-function oracle for
-pointed (group-cocycle) backends.
+data.  It also evaluates colored graphs on the 2-sphere, the matrices of
+labeled cobordisms, cylinder projectors with their state space ranks, and
+an independent simplicial partition-function oracle for pointed
+(group-cocycle) backends.
 
 Module map: exactnum (scalars), catdata (fusion backends), graphcalc
 (multiplicity modules and sphere graphs), complexes (triangulations,
@@ -45,7 +45,7 @@ from .complexes import (
     save_skeleton,
     save_triangulation,
 )
-from .exactnum import FieldElement, FieldSpec, arith, make_field, root_of_unity
+from .exactnum import FieldElement, FieldSpec, make_field, root_of_unity
 from .gauge import gauge_classes
 from .graphcalc import (
     ColoredGraph,
@@ -54,7 +54,6 @@ from .graphcalc import (
     VertexTensorSlot,
     evaluate_graph,
     hom_dim,
-    pairing_gram,
     rotation_matrix,
 )
 from .hqft import (
@@ -65,7 +64,6 @@ from .hqft import (
     build_sheet_cylinder,
     cylinder_projector,
     hqft_space_rank,
-    relative_invariant,
 )
 from .oracle import dw_class_value, dw_partition, find_branching, subdivide
 from .statesum import closed_invariant, partition_all_classes, unnormalized_invariant

@@ -194,10 +194,6 @@ class GroupHom:
     def kernel(self):
         return [a for a in self.src.elements() if self.values[a] == self.dst.identity]
 
-    @staticmethod
-    def identity(g: FiniteGroup) -> GroupHom:
-        return GroupHom(g, g, list(g.elements()))
-
 
 class CocycleTable:
     """Normalized 3-cocycle on a finite group with values in roots of unity.
@@ -755,57 +751,6 @@ def graduator(data: GFusionData):
                 raise ValueError("fusion table admits no universal grading")
     group = FiniteGroup(table, name=f"graduator({data.name})")
     return group, proj
-
-
-def groups_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
-    """Brute-force isomorphism search, intended for small orders."""
-    if g1.order != g2.order:
-        return False
-    n = g1.order
-    orders1 = sorted(_element_order(g1, a) for a in range(n))
-    orders2 = sorted(_element_order(g2, a) for a in range(n))
-    if orders1 != orders2:
-        return False
-
-    image = [None] * n
-    used = [False] * n
-
-    def extend(a):
-        if a == n:
-            return True
-        for b in range(n):
-            if used[b] or _element_order(g1, a) != _element_order(g2, b):
-                continue
-            image[a] = b
-            used[b] = True
-            ok = True
-            for x in range(a + 1):
-                for y in range(a + 1):
-                    z = g1.mul(x, y)
-                    if z <= a and g2.mul(image[x], image[y]) != image[z]:
-                        ok = False
-                        break
-                    if z <= a and image[z] is None:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok and extend(a + 1):
-                return True
-            image[a] = None
-            used[b] = False
-        return False
-
-    return extend(0)
-
-
-def _element_order(g: FiniteGroup, a: int) -> int:
-    x = a
-    k = 1
-    while x != g.identity:
-        x = g.mul(x, a)
-        k += 1
-    return k
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ __all__ = [
     "FieldSpec",
     "FieldElement",
     "make_field",
-    "arith",
     "root_of_unity",
     "QQ",
 ]
@@ -435,19 +434,6 @@ def _has_rational_root(poly: list[Fraction]) -> bool:
                 if v == 0:
                     return True
     return False
-
-
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Binary field operation by name: add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def root_of_unity(spec: FieldSpec, k: int) -> FieldElement:

@@ -44,7 +44,9 @@ tree u of H(E^opp), memoized per signed colour tuple.
 The link tensors of a skeleton's vertices come from :func:`_link_tensor`:
 one sweep per isomorphism class of colored link, re-based to each link's
 own anchors, with the pairing of every edge folded into the tensor at the
-edge's end 1.  An edge of the state sum then contracts by equal indices.
+edge's end 1, and that of every top end of a cobordism at the end.  An edge
+of the state sum then contracts by equal indices, and a top index comes out
+in the tree basis of the top surface.
 The classes forget edge directions: in a pivotal category a strand
 coloured c is the reversed strand coloured c* (Turaev and Virelizier,
 "Monoidal Categories and Topological Field Theory"), which every box and
@@ -96,7 +98,6 @@ __all__ = [
     "hom_dim",
     "tree_paths",
     "rotation_matrix",
-    "pairing_gram",
     "PairingData",
     "evaluate_graph",
     "trace_rotation_faces",
@@ -604,11 +605,6 @@ def _pairing(data: GFusionData, items: tuple) -> tuple:
     return pairing
 
 
-def pairing_gram(data: GFusionData, cset: CyclicCSet):
-    """Gram matrix of the duality pairing (rows: opp trees, cols: trees)."""
-    return PairingData(data, cset).gram
-
-
 # ---------------------------------------------------------------------------
 # colored graphs on the sphere
 
@@ -1033,7 +1029,8 @@ def _slot_map(data: GFusionData, items: tuple, steps: int, paired: bool):
     ``items``, memoized on the category: the re-basing rows from the anchor
     ``steps`` to the first item (:func:`_rebase_rows`), then, if
     ``paired``, the pairing.  A paired slot is end 1 of a skeleton edge,
-    whose end-0 branch list E is the reversed dual of ``items``: its index
+    whose end-0 branch list E is the reversed dual of ``items``, or a
+    cobordism's top end, whose top surface south-type set E is: its index
     u, a tree of H(E^opp), becomes the one tree t of H(E) it pairs with,
     times ``Ginv[t][u]`` (:func:`_pairing`)."""
     key = ("slot", items, steps, paired)

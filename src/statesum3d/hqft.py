@@ -1,5 +1,4 @@
-"""Relative invariants of labeled cobordisms, cylinder projectors, and
-state-space ranks.
+"""Cobordism matrices, cylinder projectors, and state-space ranks.
 
 Surface skeletons are labeled rotation-system graphs whose complement
 faces are disks.  Cobordisms enter through cobordism skeletons: stratified
@@ -24,26 +23,25 @@ signs negated, north-pole rotation is the reversed order with the surface
 signs (one pole writer makes both: the top pole is the bottom one with its
 arcs and its rotation reversed, a chord included), a level edge reads (top
 strip +, right face -, bottom strip -, left face +) at its tail end, and
-sheet arcs run in the stored rotation direction.  The boundary index space at a vertex is the tree basis of the
-south-type cyclic set; a top index is converted to it by the inverse Gram
-matrix of the duality pairing, which realizes the canonical isomorphism of
-the functoriality normalization.  That inverse is monomial, so a top index
-goes to one south-type index times one scalar
-(:func:`graphcalc._pairing`).  The product condition of a labeling is
-the grade condition of the south-type sets: at each vertex, the product in
-dart order of the outgoing labels and the inverted incoming ones is the
-identity.
+sheet arcs run in the stored rotation direction.  The boundary index space
+at a vertex is the tree basis of the south-type cyclic set.  A top end
+reads the dual of that set, and the duality pairing, which realizes the
+canonical isomorphism of the functoriality normalization, takes its index
+to the south-type basis.  The state-sum engine applies that pairing itself,
+as it does at every edge's end 1 (the ``paired`` ends of
+:class:`statesum3d.statesum._Evaluator`).  The product condition of a
+labeling is the grade condition of the south-type sets: at each vertex, the
+product in dart order of the outgoing labels and the inverted incoming ones
+is the identity.
 
 The matrix of a cobordism (:func:`assemble_block_matrix`) has one block per
 pair of bottom and top boundary colorings.  What depends on one coloring is
-built once for it: the tree count of each vertex's south-type set and the
-candidate lists of the regions pinned to its edges for either side; the
-pairings of those sets and the normalization for a top coloring.  Each
-pair then runs one state sum, with the boundary regions pinned, through an
-evaluator shared by all pairs, and its nonzero entries are written
-straight into the matrix, so a pair whose block is zero costs only its
-state sum.  :func:`relative_invariant` reads the tensor of one
-pair through the same pinned state sum.
+built once for it: the tree count of each vertex's south-type set, the
+candidate lists of the regions pinned to its edges and, for a top
+coloring, the normalization.  Each pair then runs one state sum, with the
+boundary regions pinned, through an evaluator shared by all pairs, and its
+nonzero entries are written straight into the matrix, so a pair whose block
+is zero costs only its state sum.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from .catdata import FiniteGroup, GFusionData, neutral_dimension
 from .complexes import (LINK_FORMS, LINK_NUMBERS, LinkGraph, link_lines, read_links,
                         validate_links)
 from .exactnum import FieldElement
-from .graphcalc import CyclicCSet, _pairing, hom_dim, trace_rotation_faces
+from .graphcalc import CyclicCSet, hom_dim, trace_rotation_faces
 from .linalg import matrix_mul, matrix_rank
 from .statesum import _Evaluator
 
@@ -65,7 +63,6 @@ __all__ = [
     "CobordismSkeleton",
     "build_product_cylinder",
     "build_sheet_cylinder",
-    "relative_invariant",
     "cylinder_projector",
     "hqft_space_rank",
     "HqftSpace",
@@ -377,22 +374,6 @@ def _pole(arcs, rot, q_of, gv, strip, top):
 # evaluation
 
 
-def relative_invariant(cob: CobordismSkeleton, cat: GFusionData,
-                       c_bot, c_top, _ev: _Evaluator | None = None):
-    """Tensor of the labeled cobordism for pinned boundary colorings, with
-    one free index per boundary vertex (bottom ends then top ends), indexed
-    by the tree bases of the corresponding link cyclic sets.  Includes the
-    dim(C_1)^(-|P|) normalization.  ``_ev`` is an evaluator of ``cob`` with
-    these ends, shared by the blocks of one cobordism."""
-    norm = _neutral_power(cat, -cob.ball_count)
-    ev = _ev or _Evaluator(cob, cat, cob.bot_ends + cob.top_ends)
-    free = [cat.sector(label) for _, label, _ in cob.regions]
-    raw = _pinned_total(ev, free, _pins(cob, cat, "bot", c_bot), _pins(cob, cat, "top", c_top))
-    if raw is None:
-        return None  # grading obstruction: zero block
-    return {k: v * norm for k, v in raw.items() if not v.is_zero()}
-
-
 def _neutral_power(cat, k):
     """dim(C_1)^k, which is defined only when dim(C_1) is nonzero."""
     nd = neutral_dimension(cat)
@@ -401,51 +382,30 @@ def _neutral_power(cat, k):
     return nd ** k
 
 
-def _pins(cob, cat, side, coloring):
+def _pins(cob, side, coloring):
     """``(region, [color])`` for each region pinned to an edge of ``side``,
-    the color being that of the edge in ``coloring``, or None when one of
-    those colors has the wrong grade (a zero block)."""
-    pins = []
-    for r, (_, label, pin) in enumerate(cob.regions):
-        if pin is not None and pin[0] == side:
-            c = coloring[pin[1]]
-            if cat.grade[c] != label:
-                return None
-            pins.append((r, [c]))
-    return pins
-
-
-def _pinned_total(ev, free, bot, top):
-    """The tensor of ``ev.total`` over the candidate lists ``free`` with the
-    pins ``bot`` and ``top`` applied, or None when either is None."""
-    if bot is None or top is None:
-        return None
-    sectors = list(free)
-    for r, candidates in bot + top:
-        sectors[r] = candidates
-    return ev.total(sectors)[0]
+    the color being that of the edge in ``coloring``."""
+    return [(r, [coloring[pin[1]]]) for r, (_, _, pin) in enumerate(cob.regions)
+            if pin is not None and pin[0] == side]
 
 
 def _top_side(cob, cat, c_top, dims):
     """What a top coloring fixes in its blocks: ``dims``, the dimension of
-    each top vertex's south-type index; for each top vertex, the pairing of
-    its south-type set, which takes a link index to ``(south index,
-    value)``; and the normalization dim(C_1)^(#top faces - |P|) / dim(top
-    coloring)."""
+    each top vertex's south-type index, and the normalization
+    dim(C_1)^(#top faces - |P|) / dim(top coloring)."""
     surf = cob.top_surface
-    pairings = [_pairing(cat, surf.boundary_cset(v, c_top).items) for v in range(surf.nvertices)]
     norm = _neutral_power(cat, len(surf.faces) - cob.ball_count)
     for e in range(len(surf.edges)):
         norm = norm / cat.dim(c_top[e])
-    return dims, pairings, norm
+    return dims, norm
 
 
 def _scatter(raw, bot_dims, top, matrix, row0, col0):
     """Add the block of one coloring pair, from its unnormalized tensor
     ``raw``, into ``matrix`` at row ``row0`` and column ``col0``: the bottom
-    indices flatten to the column, and each top index is converted to the
-    south-type tree basis by its pairing."""
-    south_dims, pairings, norm = top
+    indices flatten to the column and the top ones, already in the
+    south-type tree bases, to the row."""
+    top_dims, norm = top
     nb = len(bot_dims)
     for idx, val in raw.items():
         if val.is_zero():
@@ -453,14 +413,10 @@ def _scatter(raw, bot_dims, top, matrix, row0, col0):
         col = 0
         for i, d in zip(idx, bot_dims):
             col = col * d + i
-        col += col0
-        f, row = val * norm, 0
-        for u, pairing, d in zip(idx[nb:], pairings, south_dims):
-            s, c = pairing[u]
-            f = f * c
-            row = row * d + s
-        row += row0
-        matrix[row][col] = matrix[row][col] + f
+        row = 0
+        for i, d in zip(idx[nb:], top_dims):
+            row = row * d + i
+        matrix[row0 + row][col0 + col] = matrix[row0 + row][col0 + col] + val * norm
 
 
 class HqftSpace:
@@ -492,16 +448,19 @@ def assemble_block_matrix(cob: CobordismSkeleton, cat: GFusionData):
     top_dims = [prod(trees) for trees in top_trees]
     zero = cat.field.zero()
     full = [[zero] * sum(bot_dims) for _ in range(sum(top_dims))]
-    ev = _Evaluator(cob, cat, cob.bot_ends + cob.top_ends)
+    ev = _Evaluator(cob, cat, cob.bot_ends + cob.top_ends, paired=cob.top_ends)
     free = [cat.sector(label) for _, label, _ in cob.regions]
-    bottoms = [_pins(cob, cat, "bot", c_bot) for c_bot in bot_cols]
+    bottoms = [_pins(cob, "bot", c_bot) for c_bot in bot_cols]
     row0 = 0
     for c_top, trees, top_dim in zip(top_cols, top_trees, top_dims):
         top = _top_side(cob, cat, c_top, trees)
-        pins = _pins(cob, cat, "top", c_top)
+        top_pins = _pins(cob, "top", c_top)
         col0 = 0
         for bot_pins, trees, bot_dim in zip(bottoms, bot_trees, bot_dims):
-            raw = _pinned_total(ev, free, bot_pins, pins)
+            sectors = list(free)
+            for r, candidates in bot_pins + top_pins:
+                sectors[r] = candidates
+            raw = ev.total(sectors)[0]
             if raw:
                 _scatter(raw, trees, top, full, row0, col0)
             col0 += bot_dim
@@ -631,7 +590,7 @@ def parse_surface(text: str, group: FiniteGroup) -> SurfaceSkeleton:
 
 def cobordism_from_closed(sk, labeling, group) -> CobordismSkeleton:
     """View a closed labeled skeleton as a cobordism with empty boundary;
-    its empty-index relative invariant equals the closed invariant."""
+    its 1x1 matrix holds the closed invariant."""
     regions = [(chi, labeling[r], None) for r, (chi, bn, bp) in enumerate(sk.regions)]
     empty = _EmptySurface(group)
     return CobordismSkeleton(group, regions, sk.links, sk.edges, [], [],

@@ -14,6 +14,8 @@ the tensor at the edge's end 1, so an edge contracts by equal indices.
 
 The same engine evaluates cobordism skeletons for :mod:`statesum3d.hqft`:
 boundary regions get pinned colors and boundary link vertices stay open.
+A top end is paired as an edge's end 1 is, so its index comes out in the
+tree basis of the top surface's south-type set.
 
 The sum is not enumerated coloring by coloring: it is contracted by
 eliminating the skeleton's vertices one at a time, in a greedy order, as in
@@ -40,7 +42,6 @@ c* reads the same letters, and only multiplies the class sweep by
 """
 
 from __future__ import annotations
-import time
 from collections import Counter, namedtuple
 from itertools import product
 from operator import itemgetter
@@ -61,12 +62,10 @@ __all__ = [
 
 
 class StateSumResult:
-    def __init__(self, value: FieldElement, visited: int, admissible: int,
-                 seconds: float):
+    def __init__(self, value: FieldElement, visited: int, admissible: int):
         self.value = value
         self.colorings_visited = visited  # extensions of the vertex elimination
         self.colorings_admissible = admissible
-        self.seconds = seconds
 
     def __repr__(self):
         return (f"StateSumResult({self.value.to_text()}, admissible "
@@ -94,7 +93,12 @@ class _Evaluator:
 
     It reads only ``regions`` (chi first), ``links`` and ``edges``.  The
     link vertices in ``ends`` stay open: a cobordism leaves its boundary
-    ends open, a closed skeleton none.
+    ends open, a closed skeleton none.  Those also in ``paired`` get their
+    pairing folded in as an edge's end 1 does: a cobordism's top end reads
+    the reversed dual of the top surface's south-type set E
+    (:class:`statesum3d.hqft.CobordismSkeleton` checks it), so its index,
+    a tree of H(E^opp), becomes the tree of H(E) it pairs with, times the
+    inverse Gram entry.
 
     :meth:`total` eliminates the vertices in the order :func:`_vertex_order`
     picks.  Its state maps the colors of the frontier (the regions already
@@ -110,8 +114,8 @@ class _Evaluator:
     * multiplies in v's link tensor (the first joins as it is, not
       multiplied by one) and contracts every edge whose ends are now both
       eliminated: the pairing of its branch colors is folded into the link
-      tensor at its end 1 (the vertex's slots in ``paired``), so the two
-      ends' indices must be equal;
+      tensor at its end 1 (a slot in ``self.paired``), so the two ends'
+      indices must be equal;
     * multiplies in ``dim(c)**chi`` of each region no later link meets
       (unit weights are not multiplied), drops those regions from the key,
       and adds the result, and the count, to the new key's.
@@ -130,7 +134,7 @@ class _Evaluator:
     are memoized on the category too.
     """
 
-    def __init__(self, sk, cat: GFusionData, ends=()):
+    def __init__(self, sk, cat: GFusionData, ends=(), paired=()):
         self.sk = sk
         self.cat = cat
         self.ends = tuple(ends)
@@ -158,10 +162,12 @@ class _Evaluator:
             fresh[k].append(r)
         # an edge is checked once its branch regions are colored and
         # contracted at the later of its ends; its pairing is folded in at
-        # end 1
+        # end 1, as it is at the ends in ``paired``
         checked = [[] for _ in order]
         joined = [[] for _ in order]
         self.paired = [[] for _ in sk.links]
+        for v, g in paired:
+            self.paired[v].append(g)
         for edge in sk.edges:
             (v0, g0), (v1, g1) = edge
             branches = sk.links[v0].items_at(g0)
@@ -367,10 +373,8 @@ def closed_invariant(sk: Skeleton, labeling, cat: GFusionData,
     nd = neutral_dimension(cat)
     if nd.is_zero():
         raise ValueError("neutral dimension is zero; normalized invariant undefined")
-    t0 = time.perf_counter()
     total, visited, admissible = _sigma(sk, labeling, cat, _ev)
-    value = total * nd.inv() ** sk.ball_count
-    return StateSumResult(value, visited, admissible, time.perf_counter() - t0)
+    return StateSumResult(total * nd.inv() ** sk.ball_count, visited, admissible)
 
 
 def unnormalized_invariant(sk: Skeleton, labeling, cat: GFusionData) -> FieldElement:

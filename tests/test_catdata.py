@@ -12,7 +12,6 @@ from statesum3d.catdata import (
     builtin_category_names,
     fibonacci_category,
     graduator,
-    groups_isomorphic,
     ising_like_category,
     load_category,
     neutral_dimension,
@@ -28,9 +27,9 @@ def test_group_builtins():
     assert z4.order == 4 and z4.identity == 0 and z4.inv(1) == 3
     d3 = FiniteGroup.dihedral(3)
     s3 = FiniteGroup.symmetric(3)
-    assert d3.order == 6 and s3.order == 6
-    assert groups_isomorphic(d3, s3)
-    assert not groups_isomorphic(FiniteGroup.cyclic(6), s3)
+    for g in (d3, s3):
+        assert g.order == 6
+        assert any(g.mul(a, b) != g.mul(b, a) for a in g.elements() for b in g.elements())
 
 
 @pytest.mark.parametrize("name", ["Z0", "Z-1", "D-2", "D0", "S0", "Z", "S", "Z03", "Z2x", "z2",
@@ -134,7 +133,7 @@ def test_corrupted_fibonacci_detected():
 def test_graduator():
     catz3 = builtin_category("vect_Z3_theta0")
     grp, proj = graduator(catz3)
-    assert groups_isomorphic(grp, FiniteGroup.cyclic(3))
+    assert grp.order == 3
     assert sorted(set(proj)) == [0, 1, 2]
 
     fib = fibonacci_category()
@@ -161,7 +160,7 @@ def test_push_forward():
     for i in range(cat.n):
         assert pushed.dim_l[i] == cat.dim_l[i]
 
-    ident = GroupHom.identity(z4)
+    ident = GroupHom(z4, z4, list(z4.elements()))
     same = push_forward(cat, ident)
     assert same.grade == cat.grade
 

@@ -24,6 +24,7 @@ from statesum3d.graphcalc import InternalError
 from statesum3d.statesum import partition_all_classes
 
 import refskeleton
+from homology import elementary_divisors, first_homology
 from trifiles import load_tri, shipped_names
 
 
@@ -62,6 +63,22 @@ def test_parse_all_shipped_counts():
         text = save_triangulation(tri, name=name)
         again = parse_triangulation(text)
         assert again.summary() == tri.summary()
+
+
+# (free rank, torsion) of H_1 of each shipped closed triangulation; l41 has
+# H_1 = Z/8, so it is not L(4,1) as its name says (its invariants are those
+# of L(8,3))
+FIRST_HOMOLOGY = {
+    "s3_1vtx": (0, ()), "s3_2tet": (0, ()), "s3_5tet": (0, ()), "rp3": (0, (2,)),
+    "l31": (0, (3,)), "l41": (0, (8,)), "s1xs2": (1, ()), "t3_6tet": (3, ()),
+}
+
+
+def test_first_homology_of_shipped_triangulations():
+    assert elementary_divisors([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
+    assert sorted(FIRST_HOMOLOGY) == shipped_names()
+    for name in shipped_names():
+        assert first_homology(load_tri(name)) == FIRST_HOMOLOGY[name], name
 
 
 def test_pachner_counts_and_errors():

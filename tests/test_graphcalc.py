@@ -35,7 +35,6 @@ from statesum3d.graphcalc import (
     _sweep_plan,
     evaluate_graph,
     hom_dim,
-    pairing_gram,
     parse_graph,
     rotation_matrix,
     save_graph,
@@ -393,7 +392,7 @@ def test_gram_examples():
     fib = fibonacci_category()
     # inadmissible set: 0x0 gram
     cs = CyclicCSet([(1, 1)])
-    assert pairing_gram(fib, cs) == []
+    assert PairingData(fib, cs).gram == []
     # pointed: 1x1 invertible
     cat = _cat("vect_Z3_theta2")
     cs = CyclicCSet([(1, 1), (2, 1)])

@@ -166,19 +166,17 @@ def test_evaluations_leave_no_reference_cycles():
     # to its category shows up as a cycle too.
     import gc
     from statesum3d.graphcalc import ColoredGraph, evaluate_graph
-    from statesum3d.hqft import (assemble_block_matrix, build_product_cylinder,
-                                 builtin_surface, relative_invariant)
+    from statesum3d.hqft import assemble_block_matrix, build_product_cylinder, builtin_surface
     sk = dual_skeleton(load_tri("l31"))
     rep = gauge_classes(sk, builtin_category("fibonacci").group)[0][0]
     surf = builtin_surface("torus_fine", builtin_category("ising_like").group)
     cob = build_product_cylinder(surf)
-    c = surf.colorings(builtin_category("ising_like"))[0]
     sphere = build_product_cylinder(builtin_surface("sphere_circle",
                                                     builtin_category("ising_like").group))
     theta = ColoredGraph(2, [(0, 1, 1), (0, 1, 1), (0, 1, 1)],
                          [[(0, 0), (1, 0), (2, 0)], [(2, 1), (1, 1), (0, 1)]])
     calls = [lambda: closed_invariant(sk, rep, builtin_category("fibonacci")),
-             lambda: relative_invariant(cob, builtin_category("ising_like"), c, c),
+             lambda: assemble_block_matrix(cob, builtin_category("ising_like")),
              lambda: evaluate_graph(builtin_category("fibonacci"), theta),
              # one evaluator shared by every orbit, and by every block
              lambda: partition_all_classes(sk, builtin_category("vect_Z3_theta1")),
@@ -307,10 +305,9 @@ def test_partition_aggregate_is_the_ungraded_state_sum_with_many_orbits(category
 def test_relative_invariant_matches_per_coloring_reference(category):
     # open ends: every boundary coloring pair of the product cylinder over
     # each shipped surface, through one evaluator shared by the blocks, as
-    # in assemble_block_matrix
-    from statesum3d.hqft import build_product_cylinder, builtin_surface, relative_invariant
+    # in assemble_block_matrix, but with the top ends left unpaired
+    from statesum3d.hqft import build_product_cylinder, builtin_surface
     cat = builtin_category(category)
-    norm = neutral_dimension(cat).inv()
     blocks = 0
     for name in ["sphere_circle", "sphere_fine", "torus_2loop", "torus_fine"]:
         surf = builtin_surface(name, cat.group)
@@ -320,13 +317,12 @@ def test_relative_invariant_matches_per_coloring_reference(category):
         cols = surf.colorings(cat)
         for c_bot in cols:
             for c_top in cols:
-                got = relative_invariant(cob, cat, c_bot, c_top, _ev=ev)
                 sectors = [cat.sector(label) if pin is None
                            else [(c_bot if pin[0] == "bot" else c_top)[pin[1]]]
                            for _, label, pin in cob.regions]
+                got = {k: v for k, v in ev.total(sectors)[0].items() if not v.is_zero()}
                 want, _, _ = refstatesum.total(cob, cat, sectors, ends)
-                assert got == {k: v * norm ** cob.ball_count for k, v in want.items()}, \
-                    (name, c_bot, c_top)
+                assert got == want, (name, c_bot, c_top)
                 blocks += 1
     assert blocks >= 4
 
