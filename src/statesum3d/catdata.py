@@ -227,8 +227,8 @@ class CocycleTable:
         return self.values[(a, b, c)]
 
     @staticmethod
-    def trivial(group: FiniteGroup, field: FieldSpec | None = None) -> CocycleTable:
-        field = field or make_field("rational")
+    def trivial(group: FiniteGroup) -> CocycleTable:
+        field = make_field("rational")
         one = field.one()
         vals = {(a, b, c): one for a, b, c in product(group.elements(), repeat=3)}
         return CocycleTable(group, field, vals)
@@ -283,12 +283,11 @@ class GFusionData:
                 self._products[(i, j)] = tuple(sorted(
                     k for k in range(self.n) if (i, j, k) in self.fusion_set))
         self.fsym = dict(fsym)
-        self._fblock_cache: dict = {}
         self._finv_cache: dict = {}
-        # link-evaluation data of graphcalc (planar layouts, box and cap
-        # transfer tables, tree bases, re-basing matrices, link classes,
-        # pairings), built once per key; values are tuples, dicts, action
-        # lists and matrices that hold no reference back to this object
+        # link-evaluation data of graphcalc (sweep plans, box and cap
+        # transfer tables, tree bases, link forms and classes, reversal
+        # scalars, slot maps, pairings), built once per key; values are
+        # tuples, dicts and scalars that hold no reference back to this object
         self._memo: dict = {}
         # duality scalars, see module docstring
         self._lev = {}
@@ -334,16 +333,11 @@ class GFusionData:
 
     def f_block(self, a, b, c, d):
         """(e_list, f_list, rows) of the F-block at (a,b,c,d)."""
-        key = (a, b, c, d)
-        if key in self._fblock_cache:
-            return self._fblock_cache[key]
         es = [e for e in self.fuse(a, b) if self.nmat(e, c, d)]
         fs = [f for f in self.fuse(b, c) if self.nmat(a, f, d)]
         rows = [[self.f_entry(a, b, c, d, e, f) or self.field.zero() for f in fs]
                 for e in es]
-        out = (es, fs, rows)
-        self._fblock_cache[key] = out
-        return out
+        return es, fs, rows
 
     def finv_entry(self, a, b, c, d, f, e) -> FieldElement | None:
         """Entry (f, e) of the inverse F-block at (a,b,c,d)."""

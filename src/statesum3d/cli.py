@@ -100,11 +100,11 @@ def _load_triangulation(name: str):
 
 
 def _skeleton_for(args):
-    if getattr(args, "skeleton", None):
+    if bool(args.skeleton) == bool(args.triangulation):
+        raise _CliError(4, "need exactly one of --triangulation and --skeleton")
+    if args.skeleton:
         return complexes.parse_skeleton(_data_text("skeleton", args.skeleton))
-    if getattr(args, "triangulation", None):
-        return complexes.dual_skeleton(_load_triangulation(args.triangulation))
-    raise _CliError(4, "need --triangulation or --skeleton")
+    return complexes.dual_skeleton(_load_triangulation(args.triangulation))
 
 
 def _cmd_validate_category(args, rep):
@@ -185,7 +185,7 @@ def _cmd_partition(args, rep):
 def _cmd_dw(args, rep):
     tri = _load_triangulation(args.triangulation)
     group = catdata.FiniteGroup.by_name(args.group)
-    if not args.group.startswith("Z"):
+    if group.order > 1 and not args.group.startswith("Z"):
         raise _CliError(3, "dw shipped cocycles are for cyclic groups")
     theta = catdata.CocycleTable.cyclic_rep(group.order, args.theta)
     try:

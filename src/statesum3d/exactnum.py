@@ -67,8 +67,7 @@ class FieldSpec:
     the rationals.
     """
 
-    def __init__(self, kind: str, n: int = 0, minpoly: Sequence[Fraction] | None = None,
-                 declared_irreducible: bool = False):
+    def __init__(self, kind: str, n: int = 0, minpoly: Sequence[Fraction] | None = None):
         self.kind = kind
         self.n = n
         if kind == "rational":
@@ -77,7 +76,6 @@ class FieldSpec:
             raise ValueError(f"{kind} field needs a minimal polynomial")
         self.minpoly = tuple(Fraction(c) for c in minpoly)
         self.degree = len(self.minpoly) - 1
-        self.declared_irreducible = declared_irreducible
         if self.minpoly[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
         if self.degree < 1:
@@ -367,16 +365,15 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 _FIELD_CACHE: dict = {}
 
 
-def make_field(kind: str, n: int = 0, minpoly: Sequence[Fraction] | None = None,
-               declared_irreducible: bool = False) -> FieldSpec:
+def make_field(kind: str, n: int = 0, minpoly: Sequence[Fraction] | None = None) -> FieldSpec:
     """Build a FieldSpec.
 
     ``make_field("rational")``, ``make_field("cyclotomic", N)`` with N >= 1,
-    or ``make_field("algebraic", minpoly=[c0, ..., 1])``.  Cyclotomic specs
-    precompute Phi_N; N = 1 and N = 2 degenerate to degree-1 fields.  The
-    small built-in algebraic polynomials are checked for irreducibility over
-    Q by rational root search plus, in degree <= 3, completeness of that
-    test; higher-degree user polynomials must be declared irreducible.
+    or ``make_field("algebraic", minpoly=[c0, ..., 1])`` of degree <= 3.
+    Cyclotomic specs precompute Phi_N; N = 1 and N = 2 degenerate to
+    degree-1 fields.  An algebraic polynomial is checked for irreducibility
+    over Q by rational root search, which is complete in degree <= 3; a
+    higher degree is refused, as no such check runs for it.
     """
     key = (kind, n, tuple(Fraction(c) for c in minpoly) if minpoly else None)
     if key in _FIELD_CACHE:
@@ -399,13 +396,12 @@ def make_field(kind: str, n: int = 0, minpoly: Sequence[Fraction] | None = None,
         if len(poly) - 1 < 1:
             raise ValueError("minimal polynomial must have degree >= 1")
         deg = len(poly) - 1
-        if deg <= 3:
-            if _has_rational_root(poly) and deg > 1:
-                raise ValueError("reducible polynomial (rational root found)")
-        elif not declared_irreducible:
-            raise ValueError("degree > 3 polynomials must be declared irreducible")
-        spec = FieldSpec("algebraic", minpoly=poly,
-                         declared_irreducible=declared_irreducible)
+        if deg > 3:
+            raise ValueError("algebraic minimal polynomials of degree > 3 are not "
+                             "supported (their irreducibility is not checked)")
+        if deg > 1 and _has_rational_root(poly):
+            raise ValueError("reducible polynomial (rational root found)")
+        spec = FieldSpec("algebraic", minpoly=poly)
     else:
         raise ValueError(f"unknown field kind {kind!r}")
     _FIELD_CACHE[key] = spec

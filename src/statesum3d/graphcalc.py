@@ -64,12 +64,11 @@ the remaining two-letter tree ``B(x_1, x_1*; 1)`` is bent to
 
 ``x`` the letter of the first signed colour; :func:`_bend_scalar` derives
 both from the cup and cap of the round trip they replace.  A rotation by k
-steps pushes sparse columns through k memoized one-step matrices; past
-half a turn it takes n - k inverse steps instead, each of which bends the
-last leg to the front, divides by lambda of the last item, and takes
-n - 2 F-moves back to a left comb.  The result is memoized as sparse rows
-(:func:`_rebase_rows`); a one-step rotation's rows are those of the
-memoized step itself.
+steps pushes sparse columns through k one-step matrices; past half a turn
+it takes n - k inverse steps instead, each of which bends the last leg to
+the front, divides by lambda of the last item, and takes n - 2 F-moves
+back to a left comb.  The result is read off as sparse rows
+(:func:`_rebase_rows`), which the slot maps memoize (:func:`_slot_map`).
 
 Cyclic sets follow the surface convention that the half-edge order at a
 vertex is taken clockwise (opposite surface orientation), a half-edge
@@ -363,23 +362,15 @@ def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
 def _rebase_rows(data: GFusionData, items: tuple, steps: int) -> tuple:
     """Sparse rows of :func:`rotation_matrix` for the basis anchored at the
     first of ``items`` and ``0 <= steps < n``: row t lists the pairs
-    ``(s, R[t][s])`` with a nonzero value, s ascending.  The first memoized
-    one-step map gives the columns, each later one is pushed through, and
-    the rows are read off the columns in one pass and memoized."""
-    memo = data._memo
-    key = ("rebase", items, steps)
-    rows = memo.get(key)
-    if rows is not None:
-        return rows
+    ``(s, R[t][s])`` with a nonzero value, s ascending.  The first one-step
+    map gives the columns, each later one is pushed through, and the rows
+    are read off the columns in one pass."""
     n = len(items)
     cols = None
     forward = 2 * steps <= n
+    bend = _bend_first_leg if forward else _bend_last_leg
     for _ in range(steps if forward else n - steps):
-        step_key = ("bend" if forward else "bend back", items)
-        step = memo.get(step_key)
-        if step is None:
-            bend = _bend_first_leg if forward else _bend_last_leg
-            step = memo[step_key] = bend(data, items)
+        step = bend(data, items)
         if cols is None:
             cols = step
         else:
@@ -401,8 +392,7 @@ def _rebase_rows(data: GFusionData, items: tuple, steps: int) -> tuple:
         for t, v in col:
             if not v.is_zero():
                 out[t].append((s, v))
-    rows = memo[key] = tuple(map(tuple, out))
-    return rows
+    return tuple(map(tuple, out))
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +540,6 @@ class PairingData:
         unit = data.unit
         caps = [_cap_table(data, c, "r" if s > 0 else "l") for c, s in cset.items]
         row_of = {u: i for i, u in enumerate(self.basis_opp.trees)}
-        zero = data.field.zero()
-        self.gram = [[zero] * self.basis.dim() for _ in range(self.basis_opp.dim())]
         self._support = []  # (row, column, value) of the nonzero entries
         for col, tree in enumerate(self.basis.trees):
             row = row_of.get(tree[-2::-1] + (unit,))
@@ -567,15 +555,25 @@ class PairingData:
                 prev = m
             else:
                 if row is not None:
-                    self.gram[row][col] = value
                     self._support.append((row, col, value))
+
+    @property
+    def gram(self):
+        """Gram matrix, entry [u][t]: the dense view of the nonzero
+        entries."""
+        zero = self.data.field.zero()
+        gram = [[zero] * self.basis.dim() for _ in range(self.basis_opp.dim())]
+        for row, col, value in self._support:
+            gram[row][col] = value
+        return gram
 
     def gram_inverse(self):
         """Inverse Gram; entry [t][u] pairs an H(E)-tree with an
         H(E^opp)-tree in the contraction of dual vectors: the dense view of
         :meth:`_inverse_pairs`."""
-        inv = [[self.data.field.zero()] * len(self.gram) for _ in self.gram]
-        for u, (t, value) in enumerate(self._inverse_pairs()):
+        pairs = self._inverse_pairs()
+        inv = [[self.data.field.zero()] * len(pairs) for _ in pairs]
+        for u, (t, value) in enumerate(pairs):
             inv[t][u] = value
         return inv
 
@@ -584,8 +582,8 @@ class PairingData:
         reciprocals at the transposed positions, by rows of the Gram matrix:
         entry u, a tree of H(E^opp), is ``(t, Ginv[t][u])`` for the one tree
         t of H(E) it pairs with."""
-        n = len(self.gram)
-        if any(len(row) != n for row in self.gram):
+        n = self.basis_opp.dim()
+        if self.basis.dim() != n:
             raise ValueError("matrix is not square")
         if len(self._support) < n:
             raise ValueError("singular matrix")

@@ -389,23 +389,11 @@ def _pins(cob, side, coloring):
             if pin is not None and pin[0] == side]
 
 
-def _top_side(cob, cat, c_top, dims):
-    """What a top coloring fixes in its blocks: ``dims``, the dimension of
-    each top vertex's south-type index, and the normalization
-    dim(C_1)^(#top faces - |P|) / dim(top coloring)."""
-    surf = cob.top_surface
-    norm = _neutral_power(cat, len(surf.faces) - cob.ball_count)
-    for e in range(len(surf.edges)):
-        norm = norm / cat.dim(c_top[e])
-    return dims, norm
-
-
-def _scatter(raw, bot_dims, top, matrix, row0, col0):
+def _scatter(raw, bot_dims, top_dims, norm, matrix, row0, col0):
     """Add the block of one coloring pair, from its unnormalized tensor
-    ``raw``, into ``matrix`` at row ``row0`` and column ``col0``: the bottom
-    indices flatten to the column and the top ones, already in the
-    south-type tree bases, to the row."""
-    top_dims, norm = top
+    ``raw`` times ``norm``, into ``matrix`` at row ``row0`` and column
+    ``col0``: the bottom indices flatten to the column and the top ones,
+    already in the south-type tree bases, to the row."""
     nb = len(bot_dims)
     for idx, val in raw.items():
         if val.is_zero():
@@ -452,8 +440,11 @@ def assemble_block_matrix(cob: CobordismSkeleton, cat: GFusionData):
     free = [cat.sector(label) for _, label, _ in cob.regions]
     bottoms = [_pins(cob, "bot", c_bot) for c_bot in bot_cols]
     row0 = 0
-    for c_top, trees, top_dim in zip(top_cols, top_trees, top_dims):
-        top = _top_side(cob, cat, c_top, trees)
+    for c_top, top_counts, top_dim in zip(top_cols, top_trees, top_dims):
+        # dim(C_1)^(#top faces - |P|) / dim(top coloring)
+        norm = _neutral_power(cat, len(cob.top_surface.faces) - cob.ball_count)
+        for c in c_top:
+            norm = norm / cat.dim(c)
         top_pins = _pins(cob, "top", c_top)
         col0 = 0
         for bot_pins, trees, bot_dim in zip(bottoms, bot_trees, bot_dims):
@@ -462,7 +453,7 @@ def assemble_block_matrix(cob: CobordismSkeleton, cat: GFusionData):
                 sectors[r] = candidates
             raw = ev.total(sectors)[0]
             if raw:
-                _scatter(raw, trees, top, full, row0, col0)
+                _scatter(raw, trees, top_counts, norm, full, row0, col0)
             col0 += bot_dim
         row0 += top_dim
     return full, bot_cols, bot_dims, top_cols, top_dims
@@ -493,14 +484,12 @@ def cylinder_projector(surf: SurfaceSkeleton, cat: GFusionData) -> HqftSpace:
     return HqftSpace(surf, cat, cols, dims, matrix, matrix_rank(matrix, cat.field))
 
 
-def hqft_space_rank(descriptor, cat: GFusionData, surf: SurfaceSkeleton | None = None) -> int:
-    """Rank of the surface state space via the skeleton projector; the
-    empty surface has rank 1 by convention."""
+def hqft_space_rank(descriptor, cat: GFusionData) -> int:
+    """Rank of the state space of a shipped surface skeleton via its
+    projector; the empty surface has rank 1 by convention."""
     if descriptor == "empty":
         return 1
-    if surf is None:
-        surf = builtin_surface(descriptor, cat.group)
-    return cylinder_projector(surf, cat).rank
+    return cylinder_projector(builtin_surface(descriptor, cat.group), cat).rank
 
 
 # ---------------------------------------------------------------------------
@@ -588,32 +577,14 @@ def parse_surface(text: str, group: FiniteGroup) -> SurfaceSkeleton:
                            recs.get("components", []), name=recs.get("name", "surface"))
 
 
-def cobordism_from_closed(sk, labeling, group) -> CobordismSkeleton:
-    """View a closed labeled skeleton as a cobordism with empty boundary;
-    its 1x1 matrix holds the closed invariant."""
-    regions = [(chi, labeling[r], None) for r, (chi, bn, bp) in enumerate(sk.regions)]
-    empty = _EmptySurface(group)
-    return CobordismSkeleton(group, regions, sk.links, sk.edges, [], [],
-                             sk.ball_count, empty, empty, name=f"closed({sk.name})")
-
-
 class _EmptySurface:
     """Stand-in for the empty surface: no vertices, edges, or faces."""
 
-    def __init__(self, group):
-        self.group = group
-        self.nvertices = 0
-        self.edges = []
-        self.rotations = []
-        self.labels = {}
-        self.faces = []
-        self.name = "empty"
+    nvertices = 0
+    edges = faces = ()
 
     def colorings(self, cat):
         return [()]
-
-    def boundary_cset(self, v, coloring):
-        raise IndexError("empty surface has no vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +629,7 @@ def parse_cobordism(text: str, group: FiniteGroup) -> CobordismSkeleton:
             raise recs.bad("region", r, "expected pin none, bot:E or top:E")
         regions.append((chi, label, None if pin == "none" else (side, int(e))))
     blocks = recs.numbered("begin", ("bot_surface", "top_surface"), "surface block")
-    bot, top = (_EmptySurface(group) if body == ["name empty"]
+    bot, top = (_EmptySurface() if body == ["name empty"]
                 else parse_surface("\n".join(body), group) for body in blocks)
     return CobordismSkeleton(group, regions, links, edges, recs.get("bot_ends", []),
                              recs.get("top_ends", []), balls, bot, top,

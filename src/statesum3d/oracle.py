@@ -180,7 +180,7 @@ def subdivide(tri: Triangulation) -> OrderedTriangulation:
     return OrderedTriangulation(sub, dirs)
 
 
-def _flat_ok(ot: OrderedTriangulation, group: FiniteGroup, coloring, eid_subset=None):
+def _flat_ok(ot: OrderedTriangulation, group: FiniteGroup, coloring):
     """Check the triangle condition on faces whose edges are all colored."""
     tri = ot.tri
     done = set()

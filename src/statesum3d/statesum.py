@@ -388,11 +388,9 @@ def unnormalized_invariant(sk: Skeleton, labeling, cat: GFusionData) -> FieldEle
 
 
 class PartitionTable:
-    def __init__(self, rows, aggregate, group_order, ball_count):
+    def __init__(self, rows, aggregate):
         self.rows = rows            # list of (representative labeling, orbit size, value)
         self.aggregate = aggregate
-        self.group_order = group_order
-        self.ball_count = ball_count
 
     def __repr__(self):
         return f"PartitionTable({len(self.rows)} orbits, aggregate {self.aggregate.to_text()})"
@@ -411,4 +409,4 @@ def partition_all_classes(sk: Skeleton, cat: GFusionData) -> PartitionTable:
         rows.append((rep, size, value))
         total = total + value * field.rational(size)
     aggregate = total * field.rational(group.order).inv() ** sk.ball_count
-    return PartitionTable(rows, aggregate, group.order, sk.ball_count)
+    return PartitionTable(rows, aggregate)

@@ -46,6 +46,26 @@ def test_dw_command():
     assert "subdivided" in out and "class 2" in out
 
 
+def test_dw_accepts_every_group_of_order_one():
+    partitions = set()
+    for group in ("Z1", "1", "trivial", "S1"):
+        code, out, _ = _run(["--json", "dw", "--triangulation", "rp3", "--group", group])
+        assert code == 0, group
+        partitions.add(json.loads(out)["results"]["partition"])
+    assert len(partitions) == 1
+
+
+@pytest.mark.parametrize("argv", [["labelings", "--group", "Z2"],
+                                  ["invariant", "--category", "vect_Z2_theta1"],
+                                  ["partition", "--category", "vect_Z2_theta1"]])
+@pytest.mark.parametrize("inputs", [[], ["--triangulation", "s3_2tet", "--skeleton", "s1xs2_paper"]])
+def test_skeleton_commands_need_exactly_one_input(argv, inputs):
+    # neither or both of --triangulation and --skeleton: an I/O error
+    code, out, err = _run(argv + inputs)
+    assert code == 4 and out == ""
+    assert err == "error: need exactly one of --triangulation and --skeleton\n"
+
+
 def test_validate_command_and_exit_codes(tmp_path):
     code, out, _ = _run(["validate-category", "--category", "fibonacci"])
     assert code == 0 and "passed: True" in out
@@ -510,9 +530,12 @@ def test_cobordism_of_another_group_is_a_domain_error(tmp_path, category):
     # group line must match the backend's, as a surface file's must
     from statesum3d.catdata import FiniteGroup
     from statesum3d.complexes import dual_skeleton
-    from statesum3d.hqft import cobordism_from_closed, save_cobordism
+    from statesum3d.hqft import CobordismSkeleton, _EmptySurface, save_cobordism
     sk = dual_skeleton(load_tri("s3_2tet"))
-    cob = cobordism_from_closed(sk, [0] * len(sk.regions), FiniteGroup.cyclic(2))
+    z2 = FiniteGroup.cyclic(2)
+    empty = _EmptySurface()
+    cob = CobordismSkeleton(z2, [(chi, 0, None) for chi, _, _ in sk.regions], sk.links,
+                            sk.edges, [], [], sk.ball_count, empty, empty)
     path = tmp_path / "closed.cob"
     path.write_text(save_cobordism(cob))
     argv = ["cobordism-map", "--cobordism", str(path), "--category"]

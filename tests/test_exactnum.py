@@ -53,6 +53,8 @@ def test_make_field_rejects_bad_polynomials():
         make_field("algebraic", minpoly=[1])  # degree 0
     with pytest.raises(ValueError):
         make_field("algebraic", minpoly=[-1, 0, 1])  # x^2 - 1 reducible
+    with pytest.raises(ValueError, match="degree > 3 are not supported"):
+        make_field("algebraic", minpoly=[1, 0, 0, 0, 1])  # x^4 + 1, unchecked degree
 
 
 def test_arith_examples():

@@ -7,12 +7,12 @@ from statesum3d.complexes import dual_skeleton
 from statesum3d.gauge import gauge_classes
 from statesum3d.hqft import (
     CobordismSkeleton,
+    _EmptySurface,
     SurfaceSkeleton,
     assemble_block_matrix,
     build_product_cylinder,
     build_sheet_cylinder,
     builtin_surface,
-    cobordism_from_closed,
     cylinder_projector,
     hqft_space_rank,
     parse_cobordism,
@@ -136,8 +136,12 @@ def test_transitivity_and_gluing():
 def test_relative_invariant_closed_case(cname, mname):
     sk = dual_skeleton(load_tri(mname))
     cat = builtin_category(cname)
+    empty = _EmptySurface()
     for rep, _ in gauge_classes(sk, cat.group):
-        cob = cobordism_from_closed(sk, rep, cat.group)
+        # the closed skeleton as a cobordism with empty boundary
+        regions = [(chi, rep[r], None) for r, (chi, _, _) in enumerate(sk.regions)]
+        cob = CobordismSkeleton(cat.group, regions, sk.links, sk.edges, [], [],
+                                sk.ball_count, empty, empty)
         mat, *_ = assemble_block_matrix(cob, cat)
         assert mat == [[closed_invariant(sk, rep, cat).value]]
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
+import json
 import random
 
 import pytest
 
 from statesum3d.catdata import builtin_category, builtin_category_names, neutral_dimension
+from statesum3d.cli import run
 from statesum3d.complexes import LinkGraph, Skeleton, dual_skeleton
+from statesum3d.exactnum import FieldElement
 from statesum3d.gauge import gauge_classes
 from statesum3d.graphcalc import (
     ColoredGraph,
@@ -21,6 +26,7 @@ from statesum3d.statesum import (
 )
 
 import refgauge
+import refmodular
 import refstatesum
 import refsweep
 from graphutil import color_graph, grow_random_planar
@@ -43,6 +49,37 @@ def test_s1xs2_paper_skeleton_values():
         cat = builtin_category(name)
         for rep, _ in gauge_classes(sk, cat.group):
             assert closed_invariant(sk, rep, cat).value.is_one()
+
+
+# one-tetrahedron lens spaces: the permutation of the second face pairing
+_ONE_TET = {"one_tet_l41": "1230", "one_tet_l52": "2031"}
+
+
+@pytest.mark.parametrize("name, p, q, value", [
+    ("s3_2tet", 1, 1, None),
+    ("rp3", 2, 1, None),
+    ("l31", 3, 1, None),
+    ("l41", 8, 3, None),   # the shipped l41 is L(8,3): its H_1 is Z/8
+    ("s1xs2", 0, 1, "[1, 0]"),
+    ("one_tet_l41", 4, 1, "[3/5, -1/5]"),
+    ("one_tet_l52", 5, 2, "[0, 0]"),
+])
+def test_fibonacci_lens_spaces_match_modular_data(tmp_path, name, p, q, value):
+    # TV(L(p, q)) = |RT(L(p, q))|^2 from the S and T matrices alone, against
+    # the invariant command's value
+    if name in _ONE_TET:
+        path = tmp_path / f"{name}.tri"
+        path.write_text(f"tets 1\nglue 0 0 0 1 1230\nglue 0 2 0 3 {_ONE_TET[name]}\n")
+        name = str(path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["--json", "invariant", "--triangulation", name, "--category", "fibonacci"])
+    assert code == 0
+    (row,) = json.loads(out.getvalue())["results"]["invariants"]
+    text = row.split(" value ")[1]
+    assert value is None or text == value
+    got = FieldElement.from_text(builtin_category("fibonacci").field, text)
+    assert refmodular.golden(got) == refmodular.lens_tv(p, q)
 
 
 def test_pointed_values_are_roots_of_unity():
