@@ -575,7 +575,7 @@ def validate_category(data: GFusionData) -> ValidationReport:
                 bad.append((a, b, c, d))
                 continue
             try:
-                data.finv_entry(a, b, c, d, fs[0], es[0])
+                matrix_inverse(rows, data.field)
             except ValueError:
                 bad.append((a, b, c, d))
     rep.add("F-blocks invertible", not bad, f"blocks {bad[:3]}" if bad else "")
@@ -694,6 +694,32 @@ class UnionFind:
             return False
         self.parent[max(rx, ry)] = min(rx, ry)
         return True
+
+
+def backtrack(candidates, checks) -> list:
+    """Every tuple whose value i comes from ``candidates[i]`` and passes each
+    function in ``checks[i]``, called on the list of values with slots
+    0..i set.  Slots are filled in index order, so the tuples come in the
+    order of the product of the candidate lists; zero slots give ``[()]``."""
+    n = len(candidates)
+    out, values, pos = [], [None] * n, [0] * n   # pos[i]: next candidate to try
+    i = 0
+    while i >= 0:
+        if i == n:
+            out.append(tuple(values))
+            i -= 1
+        elif pos[i] < len(candidates[i]):
+            values[i] = candidates[i][pos[i]]
+            pos[i] += 1
+            for check in checks[i]:
+                if not check(values):
+                    break
+            else:
+                i += 1
+        else:
+            pos[i] = 0
+            i -= 1
+    return out
 
 
 def graduator(data: GFusionData):

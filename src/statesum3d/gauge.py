@@ -27,7 +27,7 @@ over partial gauges (:func:`_least_member`), not from the orbit's members.
 
 from __future__ import annotations
 
-from .catdata import FiniteGroup
+from .catdata import FiniteGroup, backtrack
 from .complexes import Skeleton
 
 __all__ = ["gauge_classes"]
@@ -40,50 +40,27 @@ def _times_inverse(group: FiniteGroup):
 
 def _backtrack(sk: Skeleton, group: FiniteGroup, pinned):
     """Label tuples of all labelings whose ``pinned`` regions are the
-    identity, found by backtracking over regions in index order with the
-    edge conditions checked as soon as they complete.  Deterministic."""
-    nreg = len(sk.regions)
-    if nreg == 0:
-        return [()]
-    table, over_inv, ident, n = group.table, _times_inverse(group), group.identity, group.order
-    # checks[r]: per edge completed by region r, its branches as
-    # (region, table to multiply by that region's label or its inverse)
-    checks = [[] for _ in range(nreg)]
+    identity, in product order: each edge condition is checked as soon as
+    its last region is labeled."""
+    table, over_inv, ident = group.table, _times_inverse(group), group.identity
+
+    def edge_product_is_identity(branches):
+        def check(values):
+            total = ident
+            for reg, tab in branches:
+                total = tab[total][values[reg]]
+            return total == ident
+        return check
+
+    checks = [[] for _ in sk.regions]
     for eid in range(len(sk.edges)):
+        # each branch as (region, table to multiply by its label or the inverse)
         branches = tuple((r, table if sign > 0 else over_inv)
                          for r, sign in sk.edge_branches(eid))
         if branches:
-            checks[max(r for r, _ in branches)].append(branches)
-    # region r runs through first[r], ..., stop[r] - 1: all of G, or only
-    # the identity when pinned
-    first = [ident if r in pinned else 0 for r in range(nreg)]
-    stop = [ident + 1 if r in pinned else n for r in range(nreg)]
-    out = []
-    values = [f - 1 for f in first]
-    last = nreg - 1
-    r = 0
-    while r >= 0:
-        g = values[r] + 1
-        end = stop[r]
-        while g < end:
-            values[r] = g
-            for branches in checks[r]:
-                total = ident
-                for reg, tab in branches:
-                    total = tab[total][values[reg]]
-                if total != ident:
-                    break
-            else:
-                break
-            g += 1
-        if g == end:
-            values[r] = first[r] - 1
-            r -= 1
-        elif r == last:
-            out.append(tuple(values))
-        else:
-            r += 1
-    return out
+            checks[max(r for r, _ in branches)].append(edge_product_is_identity(branches))
+    return backtrack([(ident,) if r in pinned else group.elements()
+                      for r in range(len(sk.regions))], checks)
 
 
 def _ball_forest(sk: Skeleton):

@@ -168,8 +168,6 @@ def tree_paths(data: GFusionData, word) -> list:
                     continue
                 nxt.append(p + (m2,))
         paths = nxt
-    if not word:
-        return [()]
     return paths
 
 
@@ -607,7 +605,7 @@ def _pairing(data: GFusionData, items: tuple) -> tuple:
 # colored graphs on the sphere
 
 
-def trace_rotation_faces(nvertices, edges, rotations):
+def trace_rotation_faces(rotations):
     """Face orbits of a rotation system on any closed oriented surface.
     Returns (faces, dart_pos); corners (v, i) sit between rotations[v][i]
     and its cyclic successor."""

@@ -49,11 +49,11 @@ from __future__ import annotations
 from math import prod
 
 from . import records
-from .catdata import FiniteGroup, GFusionData, neutral_dimension
+from .catdata import FiniteGroup, GFusionData, backtrack, neutral_dimension
 from .complexes import (LINK_FORMS, LINK_NUMBERS, LinkGraph, link_lines, read_links,
                         validate_links)
 from .exactnum import FieldElement
-from .graphcalc import CyclicCSet, hom_dim, trace_rotation_faces
+from .graphcalc import hom_dim, trace_rotation_faces
 from .linalg import matrix_mul, matrix_rank
 from .statesum import _Evaluator
 
@@ -79,7 +79,7 @@ class SurfaceSkeleton:
     labels: edge -> group element, such that at each vertex the product
     in dart order of the labels of the outgoing edges and the inverses of
     those of the incoming ones is the identity (the grade condition of the
-    south-type set, see :meth:`boundary_cset`);
+    south-type set, see :meth:`_south_items`);
     component descriptors: list of (genus, base_face) checked against the
     traced Euler characteristic, base faces pairwise distinct per component.
     """
@@ -95,8 +95,7 @@ class SurfaceSkeleton:
         self.nvertices = len(rotations)
         if not self.edges:
             raise ValueError("surface skeleton needs at least one edge")
-        self.faces, self.dart_pos = trace_rotation_faces(
-            self.nvertices, self.edges, self.rotations)
+        self.faces, self.dart_pos = trace_rotation_faces(self.rotations)
         self.corner_face = {}
         for fi, corners in enumerate(self.faces):
             for c in corners:
@@ -122,50 +121,24 @@ class SurfaceSkeleton:
 
     def colorings(self, cat: GFusionData):
         """Admissible simple colorings: grade matches the label on every
-        edge and all vertex south-type sets have positive rank.  Found by
-        backtracking over edges in index order, each vertex checked as soon
-        as its last edge is colored, so they come in the order of the
-        product of the edges' sectors."""
-        nedges = len(self.edges)
-        sectors = [cat.sector(self.labels[e]) for e in range(nedges)]
-        # checks[e]: the vertices whose last edge is e
-        checks = [[] for _ in range(nedges)]
+        edge and all vertex south-type sets have positive rank.  Each vertex
+        is checked as soon as its last edge is colored; the colorings come
+        in the order of the product of the edges' sectors."""
+        checks = [[] for _ in self.edges]
         for v, rot in enumerate(self.rotations):
-            checks[max(e for e, _ in rot)].append(v)
-        out = []
-        combo = [None] * nedges
-        pos = [-1] * nedges        # position of combo[e] in sectors[e]
-        e = 0
-        while e >= 0:
-            k = pos[e] + 1
-            while k < len(sectors[e]):
-                combo[e] = sectors[e][k]
-                if all(hom_dim(cat, self._south_items(v, combo)) for v in checks[e]):
-                    break
-                k += 1
-            if k == len(sectors[e]):
-                pos[e] = -1
-                e -= 1
-            else:
-                pos[e] = k
-                if e == nedges - 1:
-                    out.append(tuple(combo))
-                else:
-                    e += 1
-        return out
-
-    def boundary_cset(self, v, coloring) -> CyclicCSet:
-        """South-type cyclic set at a vertex: stored dart order, negated
-        surface signs."""
-        return CyclicCSet(self._south_items(v, coloring))
+            checks[max(e for e, _ in rot)].append(
+                lambda combo, v=v: hom_dim(cat, self._south_items(v, combo)) > 0)
+        return backtrack([cat.sector(self.labels[e]) for e in range(len(self.edges))], checks)
 
     def _south_items(self, v, coloring):
+        """South-type cyclic set at a vertex, as (color, sign) items: stored
+        dart order, negated surface signs."""
         return [(coloring[e], -1 if end == 1 else 1) for (e, end) in self.rotations[v]]
 
     def block_dim(self, cat, coloring) -> int:
         d = 1
         for v in range(self.nvertices):
-            d *= hom_dim(cat, self.boundary_cset(v, coloring).items)
+            d *= hom_dim(cat, self._south_items(v, coloring))
         return d
 
 
@@ -251,7 +224,7 @@ class CobordismSkeleton:
             if len(keys) != surf.nvertices:
                 raise ValueError(f"{len(keys)} {side} ends for {surf.nvertices} surface vertices")
             for v, (lv, g) in enumerate(keys):
-                items = [(e, -1 if end == 1 else 1) for e, end in surf.rotations[v]]
+                items = surf._south_items(v, range(len(surf.edges)))
                 if side == "top":
                     items = [(e, -s) for e, s in reversed(items)]
                 if [(self.regions[r][2][1], s) for r, s in self.links[lv].items_at(g)] != items:
@@ -463,7 +436,7 @@ def _colorings(surf, cat):
     """The colorings of a surface skeleton, each with the tree count of
     every vertex's south-type set; a block's dimension is their product."""
     cols = surf.colorings(cat)
-    return cols, [[hom_dim(cat, surf.boundary_cset(v, c).items) for v in range(surf.nvertices)]
+    return cols, [[hom_dim(cat, surf._south_items(v, c)) for v in range(surf.nvertices)]
                   for c in cols]
 
 

@@ -53,7 +53,7 @@ def cobordism_map(cob, cat, c_bot, c_top, ev):
     top_sets = [CyclicCSet([(coloring[r], s) for (r, s) in cob.links[v].items_at(g)])
                 for (v, g) in cob.top_ends]
     bot_dims = [len(tree_paths(cat, s.word(cat))) for s in bot_sets]
-    souths = [top_surf.boundary_cset(v, c_top) for v in range(top_surf.nvertices)]
+    souths = [CyclicCSet(top_surf._south_items(v, c_top)) for v in range(top_surf.nvertices)]
     south_dims = [hom_dim(cat, south.items) for south in souths]
     rows = [[field.zero() for _ in range(prod(bot_dims))] for _ in range(prod(south_dims))]
     if raw is None:

@@ -1,12 +1,15 @@
 import re
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from statesum3d.catdata import (
     MAX_GROUP_ORDER,
     CocycleTable,
     FiniteGroup,
     GroupHom,
+    backtrack,
     build_vec_g_theta,
     builtin_category,
     builtin_category_names,
@@ -63,6 +66,30 @@ def test_cyclic_cocycle_values_are_the_stated_powers():
             theta = CocycleTable.cyclic_rep(n, q)
             for (a, b, c), value in theta.values.items():
                 assert value == root_of_unity(field, q * a * ((b + c) // n)), (n, q, a, b, c)
+
+
+# per slot: candidate values, and checks as (slots read, modulus, forbidden residue)
+_SLOTS = st.integers(0, 5).flatmap(lambda n: st.tuples(*[st.tuples(
+    st.lists(st.integers(-2, 3), max_size=3),
+    st.lists(st.tuples(st.sets(st.integers(0, i)), st.integers(1, 4), st.integers(0, 3)),
+             max_size=2)) for i in range(n)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SLOTS)
+@example(())
+@example((([0, 1], []), ([], []), ([2], [])))
+def test_backtrack_is_the_filtered_product(slots):
+    # each check reads only slots at or before its own, the order the
+    # search fills them in
+    def check(reads, modulus, residue):
+        return lambda values: sum(values[j] for j in reads) % modulus != residue
+
+    candidates = [cands for cands, _ in slots]
+    checks = [[check(*c) for c in cs] for _, cs in slots]
+    want = [t for t in product(*candidates)
+            if all(f(list(t)) for fs in checks for f in fs)]
+    assert backtrack(candidates, checks) == want
 
 
 def test_group_rejects_bad_tables():

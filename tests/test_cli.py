@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from statesum3d.cli import run
+from statesum3d.complexes import parse_triangulation
 
 from trifiles import load_tri
 
@@ -86,13 +87,23 @@ def test_validate_command_and_exit_codes(tmp_path):
     assert code == 2 and "FAIL F-table domain" in out
 
 
-def test_io_and_domain_errors():
+def test_io_and_domain_errors(tmp_path):
     code, _, err = _run(["invariant", "--triangulation", "nonexistent",
                          "--category", "vect_Z2_theta0"])
     assert code == 4
     code, _, err = _run(["invariant", "--triangulation", "s3_2tet",
                          "--category", "vect_Z2_theta0", "--orbit", "7"])
     assert code == 3
+    code, _, err = _run(["invariant", "--triangulation", "s3_2tet", "--category", "nosuch"])
+    assert code == 4 and "nosuch" in err
+    for group in ("S3", "D2"):
+        code, _, err = _run(["dw", "--triangulation", "s3_2tet", "--group", group])
+        assert code == 3 and "cyclic" in err
+    code, _, err = _run(["eval-graph", "--category", "fibonacci", "--graph", str(tmp_path)])
+    assert code == 4 and "cannot read" in err
+    code, out, err = _run(["pachner", "--triangulation", "s3_2tet", "--move", "1-4",
+                           "--location", "0", "--out", str(tmp_path / "missing" / "moved.tri")])
+    assert code == 4 and out == "" and err.startswith("error:")
 
 
 _THETA_GRAPH = """vertices 2
@@ -381,6 +392,14 @@ def test_labelings_partition_pachner_hqft(tmp_path):
     code, out, _ = _run(["hqft-rank", "--surface", "torus_2loop",
                          "--category", "vect_Z2_theta1"])
     assert code == 0 and "rank: 1" in out
+    code, out, _ = _run(["hqft-rank", "--surface", "empty", "--category", "fibonacci"])
+    assert code == 0 and "rank: 1" in out
+    # without --out the moved triangulation is listed in the report
+    code, out, _ = _run(["--json", "pachner", "--triangulation", "s3_2tet", "--move", "1-4",
+                         "--location", "0"])
+    assert code == 0
+    moved = parse_triangulation("\n".join(json.loads(out)["results"]["triangulation"]))
+    assert moved.ntets == 5
 
 
 def test_eval_graph_command(tmp_path):

@@ -627,7 +627,7 @@ def test_embedding_certificate_errors():
     # holds both components, and no sweep reaches the loop
     edges = [(0, 1, 0)] * 3 + [(2, 2, 0)]
     rotations = [[(0, 0), (1, 0), (2, 0)], [(2, 1), (1, 1), (0, 1)], [(3, 0), (3, 1)]]
-    t0, t1, t2, l0, l1 = trace_rotation_faces(3, edges, rotations)[0]
+    t0, t1, t2, l0, l1 = trace_rotation_faces(rotations)[0]
     ColoredGraph(3, edges, rotations, faces=[t0 + l0, t1, t2, l1])
     with pytest.raises(ValueError, match="certificate"):
         ColoredGraph(3, edges, rotations, faces=[t0 + t1, t2, l0, l1])
@@ -773,7 +773,7 @@ def _nested_graph(rnd, parts):
     nv, edges, rotations, faces = 0, [], [], []
     for _ in range(parts):
         n, es, rots = grow_random_planar(rnd, 4, 6)
-        orbits = [[(v + nv, i) for v, i in f] for f in trace_rotation_faces(n, es, rots)[0]]
+        orbits = [[(v + nv, i) for v, i in f] for f in trace_rotation_faces(rots)[0]]
         if faces:
             faces[rnd.randrange(len(faces))] += orbits.pop(rnd.randrange(len(orbits)))
         faces += orbits
@@ -817,7 +817,7 @@ def test_graph_nested_in_two_faces_of_a_loop():
     edges = [(0, 0, tau), (1, 2, tau), (1, 2, tau), (1, 2, tau), (3, 3, tau)]
     rotations = [[(0, 0), (0, 1)], [(1, 0), (2, 0), (3, 0)], [(3, 1), (2, 1), (1, 1)],
                  [(4, 0), (4, 1)]]
-    orbits = trace_rotation_faces(4, edges, rotations)[0]
+    orbits = trace_rotation_faces(rotations)[0]
     assert len(orbits) == 7
     outer, inner = [f for f in orbits if f[0][0] == 0]
     theta_faces = [f for f in orbits if f[0][0] in (1, 2)]

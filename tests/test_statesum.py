@@ -55,6 +55,21 @@ def test_s1xs2_paper_skeleton_values():
 _ONE_TET = {"one_tet_l41": "1230", "one_tet_l52": "2031"}
 
 
+def _lens_space_value(tmp_path, name, category):
+    """The ``invariant`` command's value on a shipped triangulation or a
+    one-tetrahedron lens space, as text."""
+    if name in _ONE_TET:
+        path = tmp_path / f"{name}.tri"
+        path.write_text(f"tets 1\nglue 0 0 0 1 1230\nglue 0 2 0 3 {_ONE_TET[name]}\n")
+        name = str(path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["--json", "invariant", "--triangulation", name, "--category", category])
+    assert code == 0
+    (row,) = json.loads(out.getvalue())["results"]["invariants"]
+    return row.split(" value ")[1]
+
+
 @pytest.mark.parametrize("name, p, q, value", [
     ("s3_2tet", 1, 1, None),
     ("rp3", 2, 1, None),
@@ -67,19 +82,27 @@ _ONE_TET = {"one_tet_l41": "1230", "one_tet_l52": "2031"}
 def test_fibonacci_lens_spaces_match_modular_data(tmp_path, name, p, q, value):
     # TV(L(p, q)) = |RT(L(p, q))|^2 from the S and T matrices alone, against
     # the invariant command's value
-    if name in _ONE_TET:
-        path = tmp_path / f"{name}.tri"
-        path.write_text(f"tets 1\nglue 0 0 0 1 1230\nglue 0 2 0 3 {_ONE_TET[name]}\n")
-        name = str(path)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = run(["--json", "invariant", "--triangulation", name, "--category", "fibonacci"])
-    assert code == 0
-    (row,) = json.loads(out.getvalue())["results"]["invariants"]
-    text = row.split(" value ")[1]
+    text = _lens_space_value(tmp_path, name, "fibonacci")
     assert value is None or text == value
     got = FieldElement.from_text(builtin_category("fibonacci").field, text)
-    assert refmodular.golden(got) == refmodular.lens_tv(p, q)
+    assert refmodular.FIBONACCI.embed(got) == refmodular.FIBONACCI.lens_tv(p, q)
+
+
+@pytest.mark.parametrize("name, p, q, value", [
+    ("s3_2tet", 1, 1, "[1/4, 0]"),
+    ("rp3", 2, 1, "[1/2, 1/4]"),
+    ("l31", 3, 1, "[1/4, 0]"),
+    ("l41", 8, 3, "[1, 0]"),
+    ("s1xs2", 0, 1, "[1, 0]"),
+    ("one_tet_l41", 4, 1, "[1/2, 0]"),
+    ("one_tet_l52", 5, 2, "[1/4, 0]"),
+])
+def test_ising_lens_spaces_match_modular_data(tmp_path, name, p, q, value):
+    # as for Fibonacci, with ising_like's sqrt 2 sent to zeta_16^2 - zeta_16^6
+    text = _lens_space_value(tmp_path, name, "ising_like")
+    assert text == value
+    got = FieldElement.from_text(builtin_category("ising_like").field, text)
+    assert refmodular.ISING.embed(got) == refmodular.ISING.lens_tv(p, q)
 
 
 def test_pointed_values_are_roots_of_unity():
