@@ -24,9 +24,7 @@ from .catdata import (
     build_vec_g_theta,
     builtin_category,
     builtin_category_names,
-    fibonacci_category,
     graduator,
-    ising_like_category,
     load_category,
     neutral_dimension,
     push_forward,

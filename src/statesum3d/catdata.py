@@ -26,11 +26,15 @@ Conventions fixed by this module (every consumer relies on them):
 
 Validation recomputes the snake and dimension identities these choices must
 satisfy, so inconsistent files are rejected with named witnesses.
+
+The shipped categories exist only as files, ``data/categories/<name>.cat``:
+:func:`builtin_category` reads one by name and :func:`build_vec_g_theta`
+builds a pointed category in memory from a group and a 3-cocycle.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import functools
 from itertools import permutations, product
 from math import factorial
 
@@ -45,8 +49,6 @@ __all__ = [
     "GFusionData",
     "ValidationReport",
     "build_vec_g_theta",
-    "fibonacci_category",
-    "ising_like_category",
     "validate_category",
     "neutral_dimension",
     "graduator",
@@ -404,74 +406,6 @@ def build_vec_g_theta(group: FiniteGroup, theta: CocycleTable,
     pivotal = [theta(a, group.inv(a), a).inv() for a in group.elements()]
     return GFusionData(field, group, names, grade, dual, triples, fsym,
                        dims, dims, pivotal, name=name or f"vect_{group.name}^theta")
-
-
-def fibonacci_category() -> GFusionData:
-    """Fibonacci fusion data over Q(phi) in the rational gauge
-    F[t,t,t,t] = [[1/phi, 1/phi], [1, -1/phi]] (rows/cols ordered unit, tau)."""
-    field = make_field("algebraic", minpoly=[-1, -1, 1])
-    phi = field.gen()
-    one = field.one()
-    group = FiniteGroup.trivial()
-    names = ["1", "tau"]
-    grade = [0, 0]
-    dual = [0, 1]
-    T = 1
-    triples = {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)}
-    invphi = phi.inv()
-    fsym = {
-        (T, T, T, T, 0, 0): invphi,
-        (T, T, T, T, 0, T): invphi,
-        (T, T, T, T, T, 0): one,
-        (T, T, T, T, T, T): -invphi,
-        (T, T, T, 0, T, T): one,
-    }
-    dims = [one, phi]
-    # A_tau = phi, so the pivotal coefficient is dim/A = 1
-    pivotal = [one, one]
-    return GFusionData(field, group, names, grade, dual, triples, fsym,
-                       dims, dims, pivotal, name="fibonacci")
-
-
-def ising_like_category() -> GFusionData:
-    """Ising-type fusion data {1, eps, sigma} over Q(sqrt2); the F-table is
-    the pentagon solution with F[s,s,s,s] = (1/sqrt2)[[1,1],[1,-1]] and
-    F[s,e,s,e] = F[e,s,e,s] = -1."""
-    field = make_field("algebraic", minpoly=[-2, 0, 1])
-    r = field.gen()
-    one = field.one()
-    half_r = r / field.rational(2)
-    group = FiniteGroup.trivial()
-    names = ["1", "eps", "sigma"]
-    grade = [0, 0, 0]
-    dual = [0, 1, 2]
-    U, E, S = 0, 1, 2
-    triples = set()
-    base = {(U, U): (U,), (U, E): (E,), (U, S): (S,), (E, U): (E,), (S, U): (S,),
-            (E, E): (U,), (E, S): (S,), (S, E): (S,), (S, S): (U, E)}
-    for (i, j), ks in base.items():
-        for k in ks:
-            triples.add((i, j, k))
-    fsym = {
-        (S, S, S, S, U, U): half_r,
-        (S, S, S, S, U, E): half_r,
-        (S, S, S, S, E, U): half_r,
-        (S, S, S, S, E, E): -half_r,
-        (S, E, S, U, S, S): one,
-        (S, E, S, E, S, S): -one,
-        (E, S, E, S, S, S): -one,
-        (E, S, S, U, S, E): one,
-        (E, S, S, E, S, U): one,
-        (S, S, E, U, E, S): one,
-        (S, S, E, E, U, S): one,
-        (E, E, S, S, U, S): one,
-        (S, E, E, S, S, U): one,
-        (E, E, E, E, U, U): one,
-    }
-    dims = [one, one, r]
-    pivotal = [one, one, one]
-    return GFusionData(field, group, names, grade, dual, triples, fsym,
-                       dims, dims, pivotal, name="ising_like")
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +780,9 @@ def _group_table(n: int, rows) -> FiniteGroup:
     return FiniteGroup(table)
 
 
-def load_category(text: str) -> GFusionData:
+def _category_args(text: str) -> tuple:
+    """The arguments of :class:`GFusionData` that a category file gives,
+    in order; the constructor copies what it keeps, so they can be reused."""
     recs = _CATEGORY.read(text)
     spec = recs.one("field")
     try:
@@ -877,40 +813,30 @@ def load_category(text: str) -> GFusionData:
     fsym = {key: element("fsym", key, value) for key, value in recs.items("fsym")}
     dims = [[element("simple", i, value) for value in values[3:]]
             for i, values in enumerate(simples)]
-    return GFusionData(field, group, [s[0] for s in simples], [s[1] for s in simples],
-                       [s[2] for s in simples], [triple for triple, _ in recs.items("fusion")],
-                       fsym, [d[0] for d in dims], [d[1] for d in dims], [d[2] for d in dims],
-                       name=recs.get("name", "category"))
+    return (field, group, [s[0] for s in simples], [s[1] for s in simples],
+            [s[2] for s in simples], [triple for triple, _ in recs.items("fusion")],
+            fsym, [d[0] for d in dims], [d[1] for d in dims], [d[2] for d in dims],
+            recs.get("name", "category"))
 
 
-_BUILTIN_BUILDERS = {}
+def load_category(text: str) -> GFusionData:
+    return GFusionData(*_category_args(text))
 
 
-def _register_builtins():
-    if _BUILTIN_BUILDERS:
-        return
-    for n in (2, 3, 4):
-        for q in range(n):
-            key = f"vect_Z{n}_theta{q}"
-            _BUILTIN_BUILDERS[key] = (
-                lambda n=n, q=q, key=key: build_vec_g_theta(
-                    FiniteGroup.cyclic(n), CocycleTable.cyclic_rep(n, q), name=key))
-    _BUILTIN_BUILDERS["vect_1_trivial"] = (
-        lambda: build_vec_g_theta(FiniteGroup.trivial(),
-                                  CocycleTable.trivial(FiniteGroup.trivial()),
-                                  name="vect_1_trivial"))
-    _BUILTIN_BUILDERS["fibonacci"] = fibonacci_category
-    _BUILTIN_BUILDERS["ising_like"] = ising_like_category
+@functools.cache
+def _shipped_category_args(name: str) -> tuple:
+    """The parse of a shipped category file, made once per process."""
+    return _category_args(records.shipped_text("category", name))
 
 
-def builtin_category_names():
-    _register_builtins()
-    return sorted(_BUILTIN_BUILDERS)
+def builtin_category_names() -> list:
+    """The names of the shipped categories: the files ``data/categories/<name>.cat``."""
+    return records.shipped_names("category")
 
 
 def builtin_category(name: str) -> GFusionData:
-    _register_builtins()
-    try:
-        return _BUILTIN_BUILDERS[name]()
-    except KeyError:
-        raise ValueError(f"unknown built-in category {name!r}") from None
+    """The shipped category ``data/categories/<name>.cat``; an unknown name
+    is a ``ValueError``.  Only the parse is kept between calls: each call
+    builds a new object, whose F-inverse and link-evaluation memos start
+    empty, so one command's work is not carried into the next."""
+    return GFusionData(*_shipped_category_args(name))

@@ -18,9 +18,8 @@ import json
 import os
 import sys
 import time
-from importlib import resources
 
-from . import catdata, complexes, gauge, graphcalc, hqft, oracle, statesum
+from . import catdata, complexes, gauge, graphcalc, hqft, oracle, records, statesum
 
 CONVENTION_VERSION = "statesum3d-conventions-1"
 
@@ -77,13 +76,10 @@ def _data_text(kind: str, name: str) -> str:
     """Load an input by shipped name or by path."""
     if os.path.exists(name):
         return _read_file(name)
-    sub, suffix = {"triangulation": ("triangulations", ".tri"), "skeleton": ("skeletons", ".skel"),
-                   "surface": ("surfaces", ".surf")}[kind]
     try:
-        root = resources.files("statesum3d").joinpath("data", sub, name + suffix)
-        return root.read_text()
-    except (FileNotFoundError, OSError):
-        raise _CliError(4, f"no shipped {kind} named {name!r} and no such file") from None
+        return records.shipped_text(kind, name)
+    except ValueError as exc:
+        raise _CliError(4, f"{exc} and no such file") from None
 
 
 def _load_category(name: str) -> catdata.GFusionData:
@@ -223,7 +219,7 @@ def _cmd_pachner(args, rep):
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _CliError(4, str(exc)) from None
+            raise _CliError(4, f"cannot write {args.out}: {exc}") from None
         rep.data["results"]["written"] = args.out
     else:
         rep.data["results"]["triangulation"] = text.splitlines()
@@ -235,15 +231,7 @@ def _cmd_hqft_rank(args, rep):
     if args.surface == "empty":
         rep.data["results"]["rank"] = 1
         return 0
-    # a path, a built-in name, or the name of a shipped surface file
-    surf = None
-    if not os.path.exists(args.surface):
-        try:
-            surf = hqft.builtin_surface(args.surface, cat.group)
-        except ValueError:
-            pass
-    if surf is None:
-        surf = hqft.parse_surface(_data_text("surface", args.surface), cat.group)
+    surf = hqft.parse_surface(_data_text("surface", args.surface), cat.group)
     space = hqft.cylinder_projector(surf, cat)
     rep.data["results"]["rank"] = space.rank
     rep.data["counts"]["block_space_dim"] = len(space.matrix)

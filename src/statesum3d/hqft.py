@@ -470,29 +470,18 @@ def hqft_space_rank(descriptor, cat: GFusionData) -> int:
 
 
 def builtin_surface(name: str, group: FiniteGroup, labels=None) -> SurfaceSkeleton:
-    """Shipped skeletons: ``sphere_circle`` (one-vertex great circle),
-    ``sphere_fine`` (two-vertex circle), ``torus_2loop`` (one vertex, two
-    loops), ``torus_fine`` (first loop subdivided).  Default labels are the
-    identity; pass explicit labels for twisted classes."""
-    e = group.identity
-    if name == "sphere_circle":
-        lab = {0: e} if labels is None else dict(labels)
-        return SurfaceSkeleton(group, [(0, 0)], [[(0, 0), (0, 1)]], lab,
-                               [(0, 0)], name=name)
-    if name == "sphere_fine":
-        base = builtin_surface("sphere_circle", group,
-                               labels={0: (labels or {0: e})[0]})
-        return subdivide_edge(base, 0)
-    if name == "torus_2loop":
-        lab = {0: e, 1: e} if labels is None else dict(labels)
-        surf = SurfaceSkeleton(group, [(0, 0), (0, 0)],
-                               [[(0, 0), (1, 0), (0, 1), (1, 1)]], lab,
-                               [(1, 0)], name=name)
+    """The shipped skeleton ``data/surfaces/<name>.surf`` over ``group``:
+    ``sphere_circle`` (one-vertex great circle), ``sphere_fine`` (its circle
+    subdivided), ``torus_2loop`` (one vertex, two loops), ``torus_fine``
+    (first loop subdivided) and ``genus2_k33`` (K3,3 on the genus-2 surface).
+    The files have no group line and no edge labels, so every edge carries
+    the identity; ``labels`` (edge -> element) overrides them edge by edge,
+    for twisted classes."""
+    surf = parse_surface(records.shipped_text("surface", name), group)
+    if labels is None:
         return surf
-    if name == "torus_fine":
-        base = builtin_surface("torus_2loop", group, labels=labels)
-        return subdivide_edge(base, 0)
-    raise ValueError(f"unknown surface skeleton {name!r}")
+    return SurfaceSkeleton(group, surf.edges, surf.rotations, {**surf.labels, **labels},
+                           surf.components, name=surf.name)
 
 
 def refinement_parent(name: str):
@@ -518,7 +507,7 @@ def save_surface(surf: SurfaceSkeleton) -> str:
 
 _SURFACE = records.Format(
     "surface", ("name NAME", "group GROUP", "components G:B...", "vertices N", "edges N",
-                "edge K T H label L", "rot V DART..."),
+                "edge K T H label L", "edge K T H", "rot V DART..."),
     numbered={"edge": 1, "rot": 1})
 
 
@@ -536,17 +525,18 @@ def parse_surface(text: str, group: FiniteGroup) -> SurfaceSkeleton:
     nv = recs.get("vertices", 0)
     edges = recs.numbered("edge", range(recs.count("edge")), "edge")
     rots = recs.numbered("rot", range(nv), "rot line for vertex")
-    for k, (t, h, label) in enumerate(edges):
+    labels = {}
+    for k, (t, h, *label) in enumerate(edges):
         if not (0 <= t < nv and 0 <= h < nv):
             raise recs.bad("edge", k, f"endpoint outside 0..{nv - 1}")
-        if not 0 <= label < group.order:
+        labels[k] = label[0] if label else group.identity
+        if not 0 <= labels[k] < group.order:
             raise recs.bad("edge", k, f"label outside 0..{group.order - 1}")
     for v, rot in enumerate(rots):
         at_v = [(e, end) for e, ends in enumerate(edges) for end in (0, 1) if ends[end] == v]
         if sorted(rot) != at_v:
             raise recs.bad("rot", v, f"expected each edge end at vertex {v} once")
-    return SurfaceSkeleton(group, [(t, h) for t, h, _ in edges], rots,
-                           {k: label for k, (_, _, label) in enumerate(edges)},
+    return SurfaceSkeleton(group, [edge[:2] for edge in edges], rots, labels,
                            recs.get("components", []), name=recs.get("name", "surface"))
 
 

@@ -24,11 +24,44 @@ The reader refuses an unknown key, a line that fits no form of its key
 dart) and a repeated number, each with a ``ValueError`` that names the
 line.  Gaps in the numbering are for the caller to find, who knows how
 many lines to expect: ``Records.numbered``.
+
+The shipped inputs are files of these formats under the package's ``data``
+directory, one per name: :func:`shipped_text` reads one and
+:func:`shipped_names` lists the names of a kind.
 """
 
 from __future__ import annotations
 
-__all__ = ["Format", "Records", "dart_tokens"]
+from importlib import resources
+
+__all__ = ["Format", "Records", "dart_tokens", "shipped_names", "shipped_text"]
+
+# kind of input -> (directory under data/, file suffix)
+_SHIPPED = {"category": ("categories", ".cat"), "triangulation": ("triangulations", ".tri"),
+            "skeleton": ("skeletons", ".skel"), "surface": ("surfaces", ".surf")}
+
+
+def _shipped_dir(kind: str):
+    sub, suffix = _SHIPPED[kind]
+    return resources.files(__package__).joinpath("data", sub), suffix
+
+
+def shipped_text(kind: str, name: str) -> str:
+    """The text of the shipped input of a kind with a name, e.g.
+    ``data/surfaces/<name>.surf`` for a surface; a name that no file has is
+    a ``ValueError``."""
+    folder, suffix = _shipped_dir(kind)
+    try:
+        return folder.joinpath(name + suffix).read_text()
+    except OSError:
+        raise ValueError(f"no shipped {kind} named {name!r}") from None
+
+
+def shipped_names(kind: str) -> list:
+    """The names of the shipped inputs of a kind, sorted."""
+    folder, suffix = _shipped_dir(kind)
+    return sorted(p.name.removesuffix(suffix) for p in folder.iterdir()
+                  if p.name.endswith(suffix))
 
 
 class _Refusal(ValueError):

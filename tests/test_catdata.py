@@ -13,9 +13,7 @@ from statesum3d.catdata import (
     build_vec_g_theta,
     builtin_category,
     builtin_category_names,
-    fibonacci_category,
     graduator,
-    ising_like_category,
     load_category,
     neutral_dimension,
     push_forward,
@@ -23,6 +21,9 @@ from statesum3d.catdata import (
     validate_category,
 )
 from statesum3d.exactnum import make_field, root_of_unity
+from statesum3d.graphcalc import evaluate_graph, parse_graph
+
+from trifiles import DATA
 
 
 def test_group_builtins():
@@ -130,17 +131,17 @@ def test_builtin_categories_validate(name):
 
 
 def test_neutral_dimension_values():
-    fib = fibonacci_category()
+    fib = builtin_category("fibonacci")
     nd = neutral_dimension(fib)
     phi = fib.field.gen()
     assert nd == fib.field.rational(2) + phi  # 1 + phi^2
-    isg = ising_like_category()
+    isg = builtin_category("ising_like")
     assert neutral_dimension(isg) == isg.field.rational(4)
     assert neutral_dimension(builtin_category("vect_Z3_theta1")).is_one()
 
 
 def test_corrupted_fibonacci_detected():
-    fib = fibonacci_category()
+    fib = builtin_category("fibonacci")
     fsym = dict(fib.fsym)
     key = (1, 1, 1, 1, 0, 0)
     fsym[key] = -fsym[key]
@@ -163,11 +164,11 @@ def test_graduator():
     assert grp.order == 3
     assert sorted(set(proj)) == [0, 1, 2]
 
-    fib = fibonacci_category()
+    fib = builtin_category("fibonacci")
     grp, proj = graduator(fib)
     assert grp.order == 1 and proj == [0, 0]
 
-    isg = ising_like_category()
+    isg = builtin_category("ising_like")
     grp, proj = graduator(isg)
     assert grp.order == 2
     assert proj[0] == proj[1] != proj[2]
@@ -224,6 +225,46 @@ def test_file_truncated_in_simple_lines_is_rejected(name):
     for cut in cuts:
         with pytest.raises(ValueError, match="simple line"):
             load_category(text[:cut])
+
+
+def test_builtin_categories_are_the_shipped_files():
+    # a name reaches exactly the files, and a file's parse writes it back
+    files = sorted(path.stem for path in (DATA / "categories").glob("*.cat"))
+    assert builtin_category_names() == files and len(files) == 12
+    for name in files:
+        text = (DATA / "categories" / f"{name}.cat").read_text()
+        assert save_category(builtin_category(name)) == text, name
+
+
+@pytest.mark.parametrize("name, n, q", [("vect_1_trivial", 1, 0)] + [
+    (f"vect_Z{n}_theta{q}", n, q) for n in (2, 3, 4) for q in range(n)])
+def test_pointed_files_are_the_cyclic_representatives(name, n, q):
+    # each shipped pointed category is build_vec_g_theta of the standard
+    # representative of its class in H^3(Z/n; k*), byte for byte
+    if n == 1:
+        group = FiniteGroup.trivial()
+        theta = CocycleTable.trivial(group)
+    else:
+        group, theta = FiniteGroup.cyclic(n), CocycleTable.cyclic_rep(n, q)
+    text = (DATA / "categories" / f"{name}.cat").read_text()
+    assert save_category(build_vec_g_theta(group, theta, name=name)) == text
+
+
+_THETA = parse_graph("vertices 2\nedges 3\n" + "".join(f"edge {k} 0 1 color 1\n" for k in range(3))
+                     + "rot 0 o0 o1 o2\nrot 1 i2 i1 i0\n")
+
+
+def test_builtin_category_builds_a_new_object_each_call():
+    # only the parse is kept between calls: evaluating a link with one
+    # object fills its memos and leaves another's as construction left them
+    first, second = builtin_category("fibonacci"), builtin_category("fibonacci")
+    assert first is not second
+    assert evaluate_graph(first, _THETA).entries
+    fresh = builtin_category("fibonacci")
+    assert len(first._memo) > len(fresh._memo)
+    assert len(first._finv_cache) > len(fresh._finv_cache)
+    assert second._memo.keys() == fresh._memo.keys()
+    assert second._finv_cache == fresh._finv_cache
 
 
 def test_sector_dimension_identity_all_builtins():

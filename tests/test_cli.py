@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from statesum3d.catdata import FiniteGroup
 from statesum3d.cli import run
 from statesum3d.complexes import parse_triangulation
+from statesum3d.hqft import builtin_surface, save_surface
 
 from trifiles import load_tri
 
@@ -101,9 +103,10 @@ def test_io_and_domain_errors(tmp_path):
         assert code == 3 and "cyclic" in err
     code, _, err = _run(["eval-graph", "--category", "fibonacci", "--graph", str(tmp_path)])
     assert code == 4 and "cannot read" in err
+    target = tmp_path / "missing" / "moved.tri"
     code, out, err = _run(["pachner", "--triangulation", "s3_2tet", "--move", "1-4",
-                           "--location", "0", "--out", str(tmp_path / "missing" / "moved.tri")])
-    assert code == 4 and out == "" and err.startswith("error:")
+                           "--location", "0", "--out", str(target)])
+    assert code == 4 and out == "" and err.startswith(f"error: cannot write {target}: ")
 
 
 _THETA_GRAPH = """vertices 2
@@ -126,9 +129,11 @@ _S3_2TET = "tets 2\n" + "".join(f"glue 0 {f} 1 {f} 0123\n" for f in range(4))
 
 _DATA = Path(__file__).resolve().parents[1] / "src" / "statesum3d" / "data"
 _S1XS2_SKELETON = (_DATA / "skeletons" / "s1xs2_paper.skel").read_text()
-_SPHERE_CIRCLE_SURFACE = (_DATA / "surfaces" / "sphere_circle_Z2.surf").read_text()
+# the shipped surfaces have no group line and no edge labels; saved over Z2
+# they have both
+_SPHERE_CIRCLE_SURFACE = save_surface(builtin_surface("sphere_circle", FiniteGroup.cyclic(2)))
 _FIBONACCI_FILE = (_DATA / "categories" / "fibonacci.cat").read_text()
-_TORUS_SURFACE = (_DATA / "surfaces" / "torus_2loop_Z2.surf").read_text()
+_TORUS_SURFACE = save_surface(builtin_surface("torus_2loop", FiniteGroup.cyclic(2)))
 _VECT_Z2_FILE = (_DATA / "categories" / "vect_Z2_theta1.cat").read_text()
 _SIMPLE_G1 = "simple 1 name g1 grade 1 dual 1 dim_l [1] dim_r [1] pivotal [-1]"
 
@@ -294,39 +299,40 @@ _SKELETON_ARGV = ["labelings", "--group", "Z2", "--skeleton"]
 _SURFACE_ARGV = ["hqft-rank", "--category", "vect_Z2_theta1", "--surface"]
 
 
-@pytest.mark.parametrize("argv, shipped, line, short", [
-    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "name s1xs2_paper", "name"),
-    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "balls 2", "balls"),
-    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "region 1 chi 0 balls 0 1",
+@pytest.mark.parametrize("argv, text, line, short", [
+    (_SKELETON_ARGV, _S1XS2_SKELETON, "name s1xs2_paper", "name"),
+    (_SKELETON_ARGV, _S1XS2_SKELETON, "balls 2", "balls"),
+    (_SKELETON_ARGV, _S1XS2_SKELETON, "region 1 chi 0 balls 0 1",
      "region 1 chi 0 balls 0"),
-    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "vertices 1", "vertices"),
-    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "vertex 0 gvertices 2 arcs 4",
+    (_SKELETON_ARGV, _S1XS2_SKELETON, "vertices 1", "vertices"),
+    (_SKELETON_ARGV, _S1XS2_SKELETON, "vertex 0 gvertices 2 arcs 4",
      "vertex 0 gvertices 2"),
-    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "arc 0 2 tail 0 head 1 region 2",
+    (_SKELETON_ARGV, _S1XS2_SKELETON, "arc 0 2 tail 0 head 1 region 2",
      "arc 0 2 tail 0 head 1"),
-    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "rot 0 1 i3 i2 o1 o0", "rot 0"),
-    (_SKELETON_ARGV, "skeletons/s1xs2_paper.skel", "edge 0 ends 0 0 0 1", "edge 0 ends 0"),
-    (_SURFACE_ARGV, "surfaces/sphere_circle_Z2.surf", "name sphere_circle", "name"),
-    (_SURFACE_ARGV, "surfaces/sphere_circle_Z2.surf", "group Z2", "group"),
-    (_SURFACE_ARGV, "surfaces/sphere_circle_Z2.surf", "vertices 1", "vertices"),
-    (_SURFACE_ARGV, "surfaces/sphere_circle_Z2.surf", "edge 0 0 0 label 0", "edge 0 0 0 label"),
-    (_SURFACE_ARGV, "surfaces/sphere_circle_Z2.surf", "rot 0 o0 i0", "rot 0"),
+    (_SKELETON_ARGV, _S1XS2_SKELETON, "rot 0 1 i3 i2 o1 o0", "rot 0"),
+    (_SKELETON_ARGV, _S1XS2_SKELETON, "edge 0 ends 0 0 0 1", "edge 0 ends 0"),
+    (_SURFACE_ARGV, _SPHERE_CIRCLE_SURFACE, "name sphere_circle", "name"),
+    (_SURFACE_ARGV, _SPHERE_CIRCLE_SURFACE, "group Z2", "group"),
+    (_SURFACE_ARGV, _SPHERE_CIRCLE_SURFACE, "vertices 1", "vertices"),
+    (_SURFACE_ARGV, _SPHERE_CIRCLE_SURFACE, "edge 0 0 0 label 0", "edge 0 0 0 label"),
+    (_SURFACE_ARGV, _SPHERE_CIRCLE_SURFACE, "rot 0 o0 i0", "rot 0"),
 ], ids=["skeleton-name", "skeleton-balls", "skeleton-region", "skeleton-vertices",
         "skeleton-vertex", "skeleton-arc", "skeleton-rot", "skeleton-edge", "surface-name",
         "surface-group", "surface-vertices", "surface-edge", "surface-rot"])
-def test_short_line_is_a_domain_error_naming_it(tmp_path, argv, shipped, line, short):
-    lines = (_DATA / shipped).read_text().splitlines()
+def test_short_line_is_a_domain_error_naming_it(tmp_path, argv, text, line, short):
+    lines = text.splitlines()
     assert lines.count(line) == 1
-    path = tmp_path / Path(shipped).name
+    path = tmp_path / "input"
     path.write_text("\n".join(short if ln == line else ln for ln in lines) + "\n")
     code, out, err = _run(argv + [str(path)])
     assert code == 3 and out == "" and len(err.splitlines()) == 1
     assert f"bad {line.split()[0]} line {short!r}: expected '" in err
 
 
-@pytest.mark.parametrize("name", ["sphere_circle_Z2", "sphere_fine_Z2", "torus_2loop_Z2",
-                                  "torus_fine_Z2"])
+@pytest.mark.parametrize("name", ["sphere_circle", "sphere_fine", "torus_2loop", "torus_fine"],
+                         ids=lambda name: f"{name}_Z2")
 def test_hqft_rank_reads_a_shipped_surface_by_name(name):
+    # each read by name and by path, for the Z2 category vect_Z2_theta1
     by_name = _run(_SURFACE_ARGV + [name])
     by_path = _run(_SURFACE_ARGV + [str(_DATA / "surfaces" / f"{name}.surf")])
 
@@ -504,7 +510,7 @@ def test_malformed_cobordism_is_a_domain_error(tmp_path, line, edited, message):
     assert message in err
 
 
-@pytest.mark.parametrize("argv, shipped, group", [
+@pytest.mark.parametrize("argv, text, group", [
     (["labelings", "--triangulation", "s3_2tet", "--group", "Z0"], None, "Z0"),
     (["labelings", "--triangulation", "s3_2tet", "--group", "Z-1"], None, "Z-1"),
     (["labelings", "--triangulation", "s3_2tet", "--group", "D-2"], None, "D-2"),
@@ -512,20 +518,20 @@ def test_malformed_cobordism_is_a_domain_error(tmp_path, line, edited, message):
     (["labelings", "--triangulation", "s3_2tet", "--group", "S"], None, "S"),
     (["labelings", "--triangulation", "s3_2tet", "--group", "Z100000"], None, "Z100000"),
     (["dw", "--triangulation", "s3_2tet", "--group", "Z100000"], None, "Z100000"),
-    (["validate-category", "--category"], "categories/vect_Z2_theta1.cat", "Z0"),
-    (_SURFACE_ARGV, "surfaces/sphere_circle_Z2.surf", "Z100000"),
+    (["validate-category", "--category"], _VECT_Z2_FILE, "Z0"),
+    (_SURFACE_ARGV, _SPHERE_CIRCLE_SURFACE, "Z100000"),
 ], ids=["cli-Z0", "cli-Z-1", "cli-D-2", "cli-Z", "cli-S", "cli-Z100000", "dw-Z100000",
         "category-Z0", "surface-Z100000"])
-def test_bad_group_name_is_a_domain_error(tmp_path, monkeypatch, argv, shipped, group):
+def test_bad_group_name_is_a_domain_error(tmp_path, monkeypatch, argv, text, group):
     # the --group option and the group line of a file: exit 3 naming the
     # group, and no table of a group outside orders 1..MAX_GROUP_ORDER is
     # built (the category's own group still is)
-    from statesum3d.catdata import MAX_GROUP_ORDER, FiniteGroup
+    from statesum3d.catdata import MAX_GROUP_ORDER
 
-    if shipped is not None:
-        lines = (_DATA / shipped).read_text().splitlines()
+    if text is not None:
+        lines = text.splitlines()
         assert lines.count("group Z2") == 1
-        path = tmp_path / Path(shipped).name
+        path = tmp_path / "input"
         path.write_text("\n".join(f"group {group}" if ln == "group Z2" else ln
                                   for ln in lines) + "\n")
         argv = argv + [str(path)]

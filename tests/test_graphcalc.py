@@ -9,8 +9,6 @@ from statesum3d.catdata import (
     GFusionData,
     builtin_category,
     builtin_category_names,
-    fibonacci_category,
-    ising_like_category,
     load_category,
 )
 from statesum3d.exactnum import make_field
@@ -61,7 +59,7 @@ def _cat(name):
 
 
 def test_hom_dim_examples():
-    fib = fibonacci_category()
+    fib = builtin_category("fibonacci")
     for cat in (fib, _cat("vect_Z4_theta2")):
         for i in range(cat.n):
             assert hom_dim(cat, [(i, 1), (cat.dual[i], 1)]) == 1
@@ -111,7 +109,7 @@ def test_rotation_identity_and_pointed_scalar():
 
 
 def test_rotation_matrix_and_trees_are_fresh_per_call():
-    cat = fibonacci_category()
+    cat = builtin_category("fibonacci")
     basis = MultiplicityBasis(cat, CyclicCSet([(1, 1)] * 4), 1)
     mat = rotation_matrix(cat, basis, 1)
     expected = [row[:] for row in mat]
@@ -198,13 +196,9 @@ def test_rotation_matrix_matches_round_trip_on_graph_pool():
 
 def test_bend_scalar_matches_two_letter_round_trip():
     # lambda(c, s) of the closed form against the round trip on the one tree
-    # of the word (x, x*), for every colour and sign, on every built-in
-    # category and every shipped category file; the inverse step divides
-    cats = [builtin_category(name) for name in builtin_category_names()]
-    files = sorted((ROOT / "src" / "statesum3d" / "data" / "categories").glob("*.cat"))
-    assert files
-    cats += [load_category(path.read_text()) for path in files]
-    for cat in cats:
+    # of the word (x, x*), for every colour and sign, on every shipped
+    # category; the inverse step divides
+    for cat in map(builtin_category, builtin_category_names()):
         for c in range(cat.n):
             for s in (1, -1):
                 x = c if s > 0 else cat.dual[c]
@@ -244,7 +238,7 @@ def test_categories_do_not_share_memoized_data():
 
 def test_broken_invariant_is_an_internal_error():
     assert not issubclass(InternalError, (ValueError, AssertionError))
-    fib = fibonacci_category()
+    fib = builtin_category("fibonacci")
     st = HomState.basis_tree(fib, (1, 1), (1, 0))
     with pytest.raises(InternalError):
         st.scalar()
@@ -258,7 +252,7 @@ def test_sweep_checks_raise_per_action():
     # the table-driven sweep keeps the per-entry sweep's checks, also on an
     # empty state: a tree off its first letter, an inadmissible split, cap
     # letters that do not match
-    fib = fibonacci_category()
+    fib = builtin_category("fibonacci")
     one = {((), ()): fib.field.one()}
     with pytest.raises(InternalError, match="does not start at letter"):
         _box(fib, one, 0, (0, 1), [(1, 0)])
@@ -389,7 +383,7 @@ def test_vanishing_pairing_column_is_singular(monkeypatch):
 
 
 def test_gram_examples():
-    fib = fibonacci_category()
+    fib = builtin_category("fibonacci")
     # inadmissible set: 0x0 gram
     cs = CyclicCSet([(1, 1)])
     assert PairingData(fib, cs).gram == []
@@ -596,7 +590,7 @@ def test_reversed_strand_changes_only_the_cap_scalar(name):
 
 
 def test_slot_anchor_change_is_rotation():
-    cat = fibonacci_category()
+    cat = builtin_category("fibonacci")
     g = ColoredGraph(2, [(0, 1, 1), (0, 1, 1), (0, 1, 1)],
                      [[(0, 0), (1, 0), (2, 0)], [(2, 1), (1, 1), (0, 1)]])
     t0 = evaluate_graph(cat, g, slots=[VertexTensorSlot(0, 0), VertexTensorSlot(1, 0)])
@@ -758,7 +752,7 @@ def test_sweep_plans_are_valid_and_no_wider_than_the_search():
         nv, edges, rotations = grow_random_planar(rnd, 10, 14)
         graphs.append(ColoredGraph(nv, [(t, h, 0) for t, h in edges], rotations))
     graphs += [cycle_graph(n, 0) for n in range(3, 8)]
-    cat = fibonacci_category()
+    cat = builtin_category("fibonacci")
     for graph in graphs:
         for face in range(len(graph.faces)):
             width = _checked_width(graph, _sweep_plan(cat, graph, face), face)
@@ -788,7 +782,7 @@ def test_nested_disconnected_graphs_get_valid_plans():
     # a valid plan from every face, and, coloured admissibly under
     # fibonacci, one tensor from every face
     rnd = random.Random("sweep-plan/nested")
-    cat = fibonacci_category()
+    cat = builtin_category("fibonacci")
     evaluated = 0
     for k in range(120):
         nv, edges, rotations, faces = _nested_graph(rnd, rnd.randint(2, 4))
@@ -810,7 +804,7 @@ def test_graph_nested_in_two_faces_of_a_loop():
     # all coloured tau: the faces certificate merges trace orbits, and the
     # one entry is the same from all five outer faces, equal to the
     # per-entry sweep and to the product of the three components' values
-    cat = fibonacci_category()
+    cat = builtin_category("fibonacci")
     tau = 1
     loop = ColoredGraph(1, [(0, 0, tau)], [[(0, 0), (0, 1)]])
     theta = ColoredGraph(2, [(0, 1, tau)] * 3, [[(0, 0), (1, 0), (2, 0)], [(2, 1), (1, 1), (0, 1)]])
@@ -834,7 +828,7 @@ def test_graph_nested_in_two_faces_of_a_loop():
 
 def test_long_cycles_get_plans_fast_from_both_faces():
     # the backtracking search took 14.8 s on an 8-cycle from face 0
-    cat = fibonacci_category()
+    cat = builtin_category("fibonacci")
     graph = cycle_graph(1000, 1)
     tensors = []
     for face in (0, 1):

@@ -254,18 +254,45 @@ _SURFACE_FILES = sorted((DATA / "surfaces").iterdir())
 
 @pytest.mark.parametrize("path", _SURFACE_FILES, ids=lambda p: p.stem)
 def test_surface_file_roundtrip(path):
-    # a file without a group line reads for any group; saving writes one
+    # a shipped file has no group line and no edge labels, so it reads for
+    # any group with the identity on every edge; saving writes both
     text = path.read_text()
-    saved = save_surface(parse_surface(text, Z2)).splitlines(keepends=True)
-    if "\ngroup " not in text:
-        saved.remove("group Z2\n")
-    assert "".join(saved) == text
+    saved = save_surface(parse_surface(text, Z2))
+    assert save_surface(parse_surface(saved, Z2)) == saved
+    lines = [line.removesuffix(" label 0") for line in saved.splitlines() if line != "group Z2"]
+    assert "\n".join(lines) + "\n" == text
+
+
+@pytest.mark.parametrize("group", [Z2, TRIV], ids=["Z2", "trivial"])
+def test_shipped_refinements_subdivide_edge_0(group):
+    # each fine surface is its coarse one with edge 0 subdivided: the new
+    # vertex and the second half of edge 0 come last, and the parent map
+    # sends each fine edge to the coarse edge it lies on
+    for coarse, fine in [("sphere_circle", "sphere_fine"), ("torus_2loop", "torus_fine")]:
+        base = builtin_surface(coarse, group)
+        assert save_surface(builtin_surface(fine, group)) == save_surface(subdivide_edge(base, 0))
+        n = len(base.edges)
+        assert refinement_parent(fine) == {e: e for e in range(n)} | {n: 0}
+
+
+def test_shipped_surfaces_carry_the_identity_of_any_group():
+    # the identity of a group given by its table need not be element 0;
+    # labels overrides the file's labels edge by edge
+    swapped = FiniteGroup([[1, 0], [0, 1]])
+    assert swapped.identity == 1
+    for name in ("sphere_circle", "sphere_fine", "torus_2loop", "torus_fine", "genus2_k33"):
+        surf = builtin_surface(name, swapped)
+        assert set(surf.labels.values()) == {1}, name
+    surf = builtin_surface("torus_2loop", Z3, labels={1: 2})
+    assert surf.labels == {0: 0, 1: 2}
+    with pytest.raises(ValueError, match="no shipped surface named 'torus'"):
+        builtin_surface("torus", Z2)
 
 
 def _cylinders():
     """Product cylinders of the shipped surfaces and the sheet cylinders of
     their shipped refinements, both ways."""
-    surf = {p.stem.removesuffix("_Z2"): parse_surface(p.read_text(), Z2) for p in _SURFACE_FILES}
+    surf = {p.stem: parse_surface(p.read_text(), Z2) for p in _SURFACE_FILES}
     out = {f"product-{name}": build_product_cylinder(s) for name, s in surf.items()}
     for coarse, fine in [("sphere_circle", "sphere_fine"), ("torus_2loop", "torus_fine")]:
         parent = refinement_parent(fine)
