@@ -25,7 +25,9 @@ Conventions fixed by this module (every consumer relies on them):
   ``rev_i   = dim_r(i) Y(i, i*; 1)``.
 
 Validation recomputes the snake and dimension identities these choices must
-satisfy, so inconsistent files are rejected with named witnesses.
+satisfy, and checks that the pivotal coefficients are monoidal (a full turn
+of every admissible three-letter word is the identity), so inconsistent
+files are rejected with named witnesses.
 
 The shipped categories exist only as files, ``data/categories/<name>.cat``:
 :func:`builtin_category` reads one by name and :func:`build_vec_g_theta`
@@ -440,8 +442,8 @@ class ValidationReport:
 
 
 def validate_category(data: GFusionData) -> ValidationReport:
-    """Structural, pentagon, duality and dimension checks; see spec of
-    conventions in the module docstring."""
+    """Structural, pentagon, duality, pivotal and dimension checks; see
+    spec of conventions in the module docstring."""
     rep = ValidationReport()
     n = data.n
     g = data.group
@@ -576,6 +578,29 @@ def validate_category(data: GFusionData) -> ValidationReport:
         if f11 is None or not (data.dim_r[i] * data.pivotal[i] * f11).is_one():
             bad.append((i, "dim_r * pivotal * F11 != 1"))
     rep.add("duality scalars", not bad, f"{bad[:3]}" if bad else "")
+
+    # the pivotal coefficients are monoidal when a full turn of every
+    # admissible word (a, b, c), one cone-isomorphism step at each anchor in
+    # the closed form of graphcalc.rotation_matrix, is the identity: the
+    # step from the anchor x, with letters (x, y, z), scales the one tree
+    # by lambda(x) Finv[x, y, z, 1]_(x*, z*), where lambda(x) = rcoev_x
+    # lev_x F[x*, x, x*, x*]_(1, 1); rotations by k steps rely on it
+    bad = []
+    for a, b in product(range(n), repeat=2):
+        for c in (data.dual[e] for e in data.fuse(a, b)):
+            turn = data.field.one()
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                xd = data.dual[x]
+                f11 = data.f_entry(xd, x, xd, xd, unit, unit)
+                f = data.finv_entry(x, y, z, unit, xd, data.dual[z])
+                if f11 is None or f is None:
+                    turn = data.field.zero()
+                    break
+                turn = turn * data.rcoev_scalar(x) * data.lev_scalar(x) * f11 * f
+            if not turn.is_one():
+                bad.append((a, b, c))
+    rep.add("pivotal monoidal", not bad,
+            f"full turn of (a,b,c) is not the identity at {bad[:3]}" if bad else "")
 
     bad = [i for i in range(n) if data.dim_l[i] != data.dim_r[i]]
     rep.add("spherical", not bad, f"labels {bad}" if bad else "")

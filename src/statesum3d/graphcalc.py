@@ -53,22 +53,24 @@ coloured c is the reversed strand coloured c* (Turaev and Virelizier,
 cap reads as the same letters, so only the cap's scalar changes, by
 ``rev_c / lev_(c*)`` or ``lev_c / rev_(c*)`` (:func:`_reversal_scalar`).
 
-The cone isomorphism that re-anchors a multiplicity module one step on
-(moving the first leg to the end) is applied in closed form: n - 2 inverse
-F-moves take the first leg ``x_1`` of a left-comb tree out of the comb, and
-the remaining two-letter tree ``B(x_1, x_1*; 1)`` is bent to
-``lambda B(x_1*, x_1; 1)`` with
+The cone isomorphism that re-anchors a multiplicity module k steps on
+(moving the first k legs to the end) is applied in closed form, as one
+block bend of the simple channel ``M = m_k`` that those legs fuse to in a
+tree ``(m_1, ..., m_n)``: n - k - 1 inverse F-moves pull M out of the comb
+of the later letters, ``B(M, M*; 1)`` is bent to ``lambda B(M*, M; 1)``
+with
 
-    lambda(c, +1) = rcoev_c lev_c F[x*, x, x*, x*]_(1, 1),
-    lambda(c, -1) = lcoev_c rev_c F[x*, x, x*, x*]_(1, 1),
+    lambda(M) = rcoev_M lev_M F[M*, M, M*, M*]_(1, 1)
 
-``x`` the letter of the first signed colour; :func:`_bend_scalar` derives
-both from the cup and cap of the round trip they replace.  A rotation by k
-steps pushes sparse columns through k one-step matrices; past half a turn
-it takes n - k inverse steps instead, each of which bends the last leg to
-the front, divides by lambda of the last item, and takes n - 2 F-moves
-back to a left comb.  The result is read off as sparse rows
-(:func:`_rebase_rows`), which the slot maps memoize (:func:`_slot_map`).
+(:func:`_bend_scalar` derives it from the cup and cap of the round trip it
+replaces), and k - 1 F-moves re-attach the comb of the first k letters
+after M*.  The two partial sums read different intermediates, so each
+column of the rotation is their product, at n - 2 F-moves per tree for
+every k.  One lambda per channel suffices: the pivotal structure is
+monoidal, so k one-step rotations are one rotation of the block, and the
+step of a signed colour ``(c, -1)`` is that of the label ``c*``.  The
+result is read off as sparse rows (:func:`_rebase_rows`), which the slot
+maps memoize (:func:`_slot_map`).
 
 Cyclic sets follow the surface convention that the half-edge order at a
 vertex is taken clockwise (opposite surface orientation), a half-edge
@@ -222,112 +224,31 @@ class VertexTensorSlot:
         self.anchor = anchor
 
 
-def _bend_scalar(data: GFusionData, item) -> FieldElement:
+def _bend_scalar(data: GFusionData, x: int) -> FieldElement:
     """The scalar lambda with which one cone-isomorphism step turns the
-    two-letter tree ``B(x, x*; 1)`` into ``lambda B(x*, x; 1)``, ``x`` the
-    letter of the signed colour ``item = (c, s)``.
+    two-letter tree ``B(x, x*; 1)`` into ``lambda B(x*, x; 1)``, for the
+    label ``x`` read as the signed colour ``(x, +1)``.
 
-    The step is the round trip ``(lev_c (x) id) (id_c* (x) T (x) id_c)
-    rcoev_c`` for s = +1 and ``(rev_c (x) id) (id_c (x) T (x) id_c*)
-    lcoev_c`` for s = -1.  On ``T = B(x, x*; 1)``: the cup puts the tree
-    ``(x*, 1)`` times ``rcoev_c`` (``lcoev_c``); inserting T after its
-    first letter splits the unit between them into ``(x, x*)`` by
-    ``F[x*, x, x*, x*]_(mu, 1)``, towards the intermediates
-    ``(x*, mu, x*, 1)``; the cap fuses the first two letters into the unit,
-    which keeps only ``mu = 1`` (an inverse unit block, 1), and scales by
-    ``lev_c`` (``rev_c``).  Hence
+    The step is the round trip ``(lev_x (x) id) (id_x* (x) T (x) id_x)
+    rcoev_x``.  On ``T = B(x, x*; 1)``: the cup puts the tree ``(x*, 1)``
+    times ``rcoev_x``; inserting T after its first letter splits the unit
+    between them into ``(x, x*)`` by ``F[x*, x, x*, x*]_(mu, 1)``, towards
+    the intermediates ``(x*, mu, x*, 1)``; the cap fuses the first two
+    letters into the unit, which keeps only ``mu = 1`` (an inverse unit
+    block, 1), and scales by ``lev_x``.  Hence
 
-        lambda(c, +1) = rcoev_c lev_c F[x*, x, x*, x*]_(1, 1),
-        lambda(c, -1) = lcoev_c rev_c F[x*, x, x*, x*]_(1, 1).
+        lambda(x) = rcoev_x lev_x F[x*, x, x*, x*]_(1, 1).
+
+    The step of a signed colour ``(c, -1)``, the round trip through
+    ``lcoev_c`` and ``rev_c``, bends the same letters by
+    ``lcoev_c rev_c F[x*, x, x*, x*]_(1, 1)`` with ``x = c*``, which is
+    ``lambda(c*)`` since ``dim_l(c*) = dim_r(c)`` in a pivotal category
+    (with the duality-scalar checks, the full turn of the word
+    ``(c, c*, 1)`` that ``validate_category`` checks implies it).
     """
-    color, sign = item
-    x = color if sign > 0 else data.dual[color]
     xd = data.dual[x]
-    if sign > 0:
-        lam = data.rcoev_scalar(color) * data.lev_scalar(color)
-    else:
-        lam = data.lcoev_scalar(color) * data.rev_scalar(color)
+    lam = data.rcoev_scalar(x) * data.lev_scalar(x)
     return lam * data.f_entry(xd, x, xd, xd, data.unit, data.unit)
-
-
-def _sparse_columns(data: GFusionData, sums, target_word: tuple, items) -> tuple:
-    """Column s lists ``(t, value)`` for the partial sums ``sums[s]``
-    (target tree -> value) in the ``tree_paths`` order of ``target_word``."""
-    index = {t: i for i, t in enumerate(_trees(data, target_word))}
-    try:
-        return tuple(tuple((index[t], v) for t, v in col.items()) for col in sums)
-    except KeyError as err:
-        raise InternalError(f"bending {items} reaches no tree {err}") from None
-
-
-def _bend_first_leg(data: GFusionData, items: tuple) -> tuple:
-    """Sparse matrix of one cone-isomorphism step, which moves the first leg
-    to the end: column s lists ``(t, value)`` over the trees of the word of
-    ``items`` rotated by one, in ``tree_paths`` order on both sides.
-
-    The step is natural in the letters after the first, so a tree
-    ``(m_1 = x_1, ..., m_n = 1)`` is first re-associated by n - 2 inverse
-    F-moves into ``(id_x1 (x) comb) B(x_1, y_n; 1)`` over the comb
-    ``(y_2 = x_2, y_3, ..., y_n = x_1*)`` of the letters after the first,
-    for j = 3..n:
-
-        (B(x_1, y_(j-1); m_(j-1)) (x) id) B(m_(j-1), x_j; m_j)
-            = sum_(y_j) Finv[x_1, y_(j-1), x_j, m_j]_(y_j, m_(j-1))
-              (id (x) B(y_(j-1), x_j; y_j)) B(x_1, y_j; m_j);
-
-    then ``B(x_1, x_1*; 1)`` is bent by :func:`_bend_scalar`, which leaves
-    the tree ``(y_2, ..., y_n, 1)`` of the rotated word.  A one-letter word
-    (the unit) takes no F-move.
-    """
-    word = _word(data, items)
-    x = word[0]
-    lam = _bend_scalar(data, items[0])
-    sums = []
-    for path in _trees(data, word):
-        partial = {tuple(word[1:2]): lam}
-        for j in range(2, len(word)):
-            nxt = {}
-            for ys, v in partial.items():
-                for y in data.fuse(ys[-1], word[j]):
-                    f = data.finv_entry(x, ys[-1], word[j], path[j], y, path[j - 1])
-                    if f is not None and not f.is_zero():
-                        nxt[ys + (y,)] = v * f
-            partial = nxt
-        sums.append({ys + (data.unit,): v for ys, v in partial.items()})
-    return _sparse_columns(data, sums, word[1:] + word[:1], items)
-
-
-def _bend_last_leg(data: GFusionData, items: tuple) -> tuple:
-    """Sparse matrix of the inverse step, which moves the last leg to the
-    front, laid out as in :func:`_bend_first_leg`.
-
-    The inverse of a natural isomorphism is natural, so a tree
-    ``(m_1, ..., m_(n-1) = x_n*, 1)`` is ``(comb (x) id_xn) B(x_n*, x_n; 1)``
-    and its image is ``(id_xn (x) comb) B(x_n, x_n*; 1)`` divided by the
-    bending scalar of the last item.  n - 2 F-moves, for j = n-1 down to 2,
-    bring it back to a left comb ``(z_1 = x_n, z_2, ..., z_n = 1)``:
-
-        (id (x) B(m_(j-1), x_j; m_j)) B(x_n, m_j; z_(j+1))
-            = sum_(z_j) F[x_n, m_(j-1), x_j, z_(j+1)]_(z_j, m_j)
-              (B(x_n, m_(j-1); z_j) (x) id) B(z_j, x_j; z_(j+1)).
-    """
-    word = _word(data, items)
-    x = word[-1]
-    mu = _bend_scalar(data, items[-1]).inv()
-    sums = []
-    for path in _trees(data, word):
-        partial = {(data.unit,): mu}
-        for j in range(len(word) - 2, 0, -1):
-            nxt = {}
-            for zs, v in partial.items():
-                for z in data.fuse(x, path[j - 1]):
-                    f = data.f_entry(x, path[j - 1], word[j], zs[0], z, path[j])
-                    if f is not None and not f.is_zero():
-                        nxt[(z,) + zs] = v * f
-            partial = nxt
-        head = (x,) if len(word) > 1 else ()
-        sums.append({head + zs: v for zs, v in partial.items()})
-    return _sparse_columns(data, sums, word[-1:] + word[:-1], items)
 
 
 def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
@@ -335,23 +256,43 @@ def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
     anchored ``steps`` further on: image of basis vector s is
     ``sum_t R[t][s] (target tree t)``.
 
-    Each step moves the first leg of a left-comb tree to the end in closed
-    form, by F-moves and one bending scalar (the A/B move of Kitaev,
-    "Anyons in an exactly solved model and beyond", App. E; Bonderson,
-    "Non-Abelian anyons and interferometry", sec. 2): the tree
-    ``(m_1 = x_1, ..., m_n = 1)`` of the word ``(x_1, ..., x_n)`` goes to
+    A rotation by k steps moves the first k legs of a left-comb tree to the
+    end as one block, in closed form by F-moves and one bending scalar (the
+    A/B move of Kitaev, "Anyons in an exactly solved model and beyond",
+    App. E; Bonderson, "Non-Abelian anyons and interferometry", sec. 2).
+    The pivotal structure of a spherical category is monoidal (Turaev and
+    Virelizier, "Monoidal Categories and Topological Field Theory"), so k
+    one-step rotations of the letters ``x_1, ..., x_k`` are one rotation of
+    their product, and by naturality one of the simple channel
+    ``M = m_k`` they fuse to in the tree ``(m_1, ..., m_n)``:
 
-        sum_y lambda(c_1, s_1) prod_(j=3..n) Finv[x_1, y_(j-1), x_j, m_j]_(y_j, m_(j-1))
-              (y_2 = x_2, y_3, ..., y_n = x_1*, 1),
+    1. n - k - 1 inverse F-moves pull M out of the comb of
+       ``x_(k+1), ..., x_n``, for j = k+2..n:
 
-    where ``lambda(c, +1) = rcoev_c lev_c F[x*, x, x*, x*]_(1, 1)`` and
-    ``lambda(c, -1) = lcoev_c rev_c F[x*, x, x*, x*]_(1, 1)``, ``x`` the
-    letter of ``(c, s)``: the round trip on ``B(x, x*; 1)`` takes the cup's
-    scalar, the F-entry that splits the unit between the cup's letters into
-    ``(x, x*)``, and the cap's scalar (derived in :func:`_bend_scalar`).  A
-    rotation takes ``min(steps, n - steps)`` steps: past half a turn it goes
-    the other way, moving the last leg to the front (:func:`_bend_last_leg`).
-    The matrix is the dense view of the sparse rows of :func:`_rebase_rows`.
+           (B(M, y_(j-1); m_(j-1)) (x) id) B(m_(j-1), x_j; m_j)
+               = sum_(y_j) Finv[M, y_(j-1), x_j, m_j]_(y_j, m_(j-1))
+                 (id (x) B(y_(j-1), x_j; y_j)) B(M, y_j; m_j),
+
+       from ``y_(k+1) = x_(k+1)`` to ``y_n = M*``;
+    2. ``B(M, M*; 1)`` is bent to ``lambda(M) B(M*, M; 1)``
+       (:func:`_bend_scalar`);
+    3. k - 1 F-moves re-attach the comb of ``x_1, ..., x_k`` after M*,
+       for j = k down to 2:
+
+           (id (x) B(m_(j-1), x_j; m_j)) B(M*, m_j; z_j)
+               = sum_(z_(j-1)) F[M*, m_(j-1), x_j, z_j]_(z_(j-1), m_j)
+                 (B(M*, m_(j-1); z_(j-1)) (x) id) B(z_(j-1), x_j; z_j),
+
+       from ``z_k = 1`` to ``z_1`` in ``M* (x) x_1``.
+
+    The two partial sums depend on different intermediates of the tree, so
+    its image is their product ``(y_(k+1), ..., y_n, z_1, ..., z_k)``, and
+    every k costs n - 2 F-moves per tree.  One lambda per channel suffices
+    because the step of a signed colour ``(c, -1)`` is that of the label
+    ``c*`` (:func:`_bend_scalar`); :func:`~statesum3d.catdata.validate_category`
+    checks that the pivotal coefficients are monoidal, by a full turn of
+    every admissible three-letter word.  The matrix is the dense view of the
+    sparse rows of :func:`_rebase_rows`.
     """
     rows = _rebase_rows(data, basis.anchored.items, steps % len(basis.cset))
     return [[row.get(s, data.field.zero()) for s in range(basis.dim())] for row in map(dict, rows)]
@@ -360,36 +301,47 @@ def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
 def _rebase_rows(data: GFusionData, items: tuple, steps: int) -> tuple:
     """Sparse rows of :func:`rotation_matrix` for the basis anchored at the
     first of ``items`` and ``0 <= steps < n``: row t lists the pairs
-    ``(s, R[t][s])`` with a nonzero value, s ascending.  The first one-step
-    map gives the columns, each later one is pushed through, and the rows
-    are read off the columns in one pass."""
-    n = len(items)
-    cols = None
-    forward = 2 * steps <= n
-    bend = _bend_first_leg if forward else _bend_last_leg
-    for _ in range(steps if forward else n - steps):
-        step = bend(data, items)
-        if cols is None:
-            cols = step
-        else:
-            pushed = []
-            for col in cols:
-                nxt = {}
-                for i, v in col:
-                    for t, u in step[i]:
-                        cur = nxt.get(t)
-                        nxt[t] = v * u if cur is None else cur + v * u
-                pushed.append(nxt.items())
-            cols = pushed
-        items = items[1:] + items[:1] if forward else items[-1:] + items[:-1]
-    out = [[] for _ in _trees(data, _word(data, items))]
-    if cols is None:
-        one = data.field.one()
-        cols = [((s, one),) for s in range(len(out))]
-    for s, col in enumerate(cols):
-        for t, v in col:
-            if not v.is_zero():
-                out[t].append((s, v))
+    ``(s, R[t][s])`` with a nonzero value, s ascending.  Column s is the
+    block bend of source tree s, the product of its two partial sums."""
+    word = _word(data, items)
+    trees = _trees(data, word)
+    if not steps:
+        return tuple(((s, data.field.one()),) for s in range(len(trees)))
+    index = {t: i for i, t in enumerate(_trees(data, word[steps:] + word[:steps]))}
+    out = [[] for _ in index]
+    lams = {}
+    for s, path in enumerate(trees):
+        m = path[steps - 1]
+        md = data.dual[m]
+        if m not in lams:
+            lams[m] = _bend_scalar(data, m)
+        # steps 1 and 2 of rotation_matrix: pull M out of the later comb, bend
+        heads = {(word[steps],): lams[m]}
+        for j in range(steps + 1, len(word)):
+            nxt = {}
+            for ys, v in heads.items():
+                for y in data.fuse(ys[-1], word[j]):
+                    f = data.finv_entry(m, ys[-1], word[j], path[j], y, path[j - 1])
+                    if f is not None and not f.is_zero():
+                        nxt[ys + (y,)] = v * f
+            heads = nxt
+        # step 3: re-attach the first k letters after M*; None stands for one,
+        # which takes no product
+        tails = {(data.unit,): None}
+        for j in range(steps - 1, 0, -1):
+            nxt = {}
+            for zs, v in tails.items():
+                for z in data.fuse(md, path[j - 1]):
+                    f = data.f_entry(md, path[j - 1], word[j], zs[0], z, path[j])
+                    if f is not None and not f.is_zero():
+                        nxt[(z,) + zs] = f if v is None else v * f
+            tails = nxt
+        for ys, u in heads.items():
+            for zs, v in tails.items():
+                t = index.get(ys + zs)
+                if t is None:
+                    raise InternalError(f"rotating {items} by {steps} reaches no tree {ys + zs}")
+                out[t].append((s, u if v is None else u * v))
     return tuple(map(tuple, out))
 
 

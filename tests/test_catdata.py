@@ -8,6 +8,7 @@ from statesum3d.catdata import (
     MAX_GROUP_ORDER,
     CocycleTable,
     FiniteGroup,
+    GFusionData,
     GroupHom,
     backtrack,
     build_vec_g_theta,
@@ -21,7 +22,14 @@ from statesum3d.catdata import (
     validate_category,
 )
 from statesum3d.exactnum import make_field, root_of_unity
-from statesum3d.graphcalc import evaluate_graph, parse_graph
+from statesum3d.graphcalc import (
+    CyclicCSet,
+    MultiplicityBasis,
+    evaluate_graph,
+    parse_graph,
+    rotation_matrix,
+)
+from statesum3d.linalg import identity_matrix, matrix_mul
 
 from trifiles import DATA
 
@@ -145,7 +153,6 @@ def test_corrupted_fibonacci_detected():
     fsym = dict(fib.fsym)
     key = (1, 1, 1, 1, 0, 0)
     fsym[key] = -fsym[key]
-    from statesum3d.catdata import GFusionData
     bad = GFusionData(fib.field, fib.group, fib.names, fib.grade, fib.dual,
                       fib.fusion_set, fsym, fib.dim_l, fib.dim_r, fib.pivotal,
                       name="fibonacci_corrupt")
@@ -156,6 +163,57 @@ def test_corrupted_fibonacci_detected():
     pentagon_details = [d for c, d in rep.failures() if c == "pentagon"]
     if pentagon_details:
         assert "(" in pentagon_details[0]  # names a 9-tuple
+
+
+def _sign_flipped(name, signs):
+    """The shipped category ``name`` with its pivotal coefficients and both
+    dimensions multiplied by ``signs``: the snake, duality-scalar and
+    dimension identities still hold."""
+    cat = builtin_category(name)
+    sc = [cat.field.rational(s) for s in signs]
+    dim = [d * s for d, s in zip(cat.dim_l, sc)]
+    return GFusionData(cat.field, cat.group, cat.names, cat.grade, cat.dual,
+                       cat.fusion_set, cat.fsym, dim, dim,
+                       [p * s for p, s in zip(cat.pivotal, sc)], name=f"{name}_flipped")
+
+
+def _full_turn_is_identity(cat, items):
+    cs = CyclicCSet(items)
+    turn = identity_matrix(MultiplicityBasis(cat, cs).dim(), cat.field)
+    for anchor in range(len(items)):
+        turn = matrix_mul(rotation_matrix(cat, MultiplicityBasis(cat, cs, anchor), 1),
+                          turn, cat.field)
+    return turn == identity_matrix(len(turn), cat.field)
+
+
+@pytest.mark.parametrize("name, signs, failures", [
+    ("vect_Z3_theta0", (1, -1, -1), 16),
+    ("vect_Z3_theta1", (1, -1, -1), 16),
+    ("fibonacci", (1, -1), 8),
+])
+def test_non_monoidal_pivotal_coefficients_are_rejected(name, signs, failures):
+    # every other check passes, and the full turns of the admissible signed
+    # three-letter words that the rotations compute disagree with the identity
+    # on exactly the words whose labels the pivotal check names
+    cat = _sign_flipped(name, signs)
+    rep = validate_category(cat)
+    assert [c for c, _ in rep.failures()] == ["pivotal monoidal"]
+    named = set(re.findall(r"\((\d+), (\d+), (\d+)\)", rep.failures()[0][1]))
+    signed = [(c, s) for c in range(cat.n) for s in (1, -1)]
+    bad = [items for items in product(signed, repeat=3)
+           if MultiplicityBasis(cat, CyclicCSet(items)).dim()
+           and not _full_turn_is_identity(cat, items)]
+    assert len(bad) == failures
+    labels = {tuple(str(c if s > 0 else cat.dual[c]) for c, s in items) for items in bad}
+    assert labels == named
+
+
+def test_shipped_pivotal_coefficients_are_monoidal():
+    s3 = FiniteGroup.symmetric(3)
+    cats = [builtin_category(name) for name in builtin_category_names()]
+    for cat in cats + [build_vec_g_theta(s3, CocycleTable.trivial(s3))]:
+        entries = {check: ok for check, ok, _ in validate_category(cat).entries}
+        assert entries["pivotal monoidal"], cat
 
 
 def test_graduator():

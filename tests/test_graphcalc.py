@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from statesum3d import graphcalc
 from statesum3d.catdata import (
     GFusionData,
     builtin_category,
@@ -19,14 +20,13 @@ from statesum3d.graphcalc import (
     MultiplicityBasis,
     PairingData,
     VertexTensorSlot,
-    _bend_first_leg,
-    _bend_last_leg,
     _bend_scalar,
     _box,
     _canonical_graph,
     _canonical_rotation_system,
     _cap,
     _mapped,
+    _rebase_rows,
     _reversal_scalar,
     _slot_map,
     _sweep,
@@ -194,28 +194,61 @@ def test_rotation_matrix_matches_round_trip_on_graph_pool():
                     expected = matrix_mul(one_step[(anchor + steps) % n], expected, cat.field)
 
 
+def test_rotation_cost_does_not_grow_with_steps():
+    # F-entry reads of one block bend per tree, on the graph pool's largest
+    # vertex cyclic set with a fresh fibonacci for each step count; k
+    # one-step bends read 4.4 times as many at k = 5 as at k = 1
+    graphs = [parse_graph(path.read_text())
+              for path in sorted((ROOT / "perfbench" / "graphs").glob("*.graph"))]
+    fib = builtin_category("fibonacci")
+    largest = max((g.vertex_cset(v) for g in graphs for v in range(g.nvertices)),
+                  key=lambda cs: (len(cs), MultiplicityBasis(fib, cs).dim()))
+    assert (len(largest), MultiplicityBasis(fib, largest).dim()) == (10, 13)
+    items = largest.items
+    reads = []
+    for k in range(1, len(items)):
+        cat = builtin_category("fibonacci")
+        calls = []
+        f_entry, finv_entry = cat.f_entry, cat.finv_entry
+        cat.f_entry = lambda *args: calls.append(args) or f_entry(*args)
+        cat.finv_entry = lambda *args: calls.append(args) or finv_entry(*args)
+        _rebase_rows(cat, items, k)
+        reads.append(len(calls))
+    assert max(reads) <= 1.25 * reads[0], reads
+
+
 def test_bend_scalar_matches_two_letter_round_trip():
     # lambda(c, s) of the closed form against the round trip on the one tree
     # of the word (x, x*), for every colour and sign, on every shipped
-    # category; the inverse step divides
+    # category; one step of the reversed word divides
     for cat in map(builtin_category, builtin_category_names()):
         for c in range(cat.n):
             for s in (1, -1):
                 x = c if s > 0 else cat.dual[c]
                 xd = cat.dual[x]
                 items = ((c, s), (c, -s))
-                lam = _bend_scalar(cat, (c, s))
                 if s > 0:
                     duality = cat.rcoev_scalar(c) * cat.lev_scalar(c)
                 else:
                     duality = cat.lcoev_scalar(c) * cat.rev_scalar(c)
-                assert lam == duality * cat.f_entry(xd, x, xd, xd, cat.unit, cat.unit)
+                lam = duality * cat.f_entry(xd, x, xd, xd, cat.unit, cat.unit)
                 rotated, st = refrotation.rotate_state_once(
                     cat, items, HomState.basis_tree(cat, (x, xd), (x, cat.unit)))
                 assert rotated == items[::-1]
                 assert st.word == (xd, x) and st.paths == {(xd, cat.unit): lam}, (cat, c, s)
-                assert _bend_first_leg(cat, items) == (((0, lam),),)
-                assert _bend_last_leg(cat, items[::-1]) == (((0, lam.inv()),),)
+                assert _rebase_rows(cat, items, 1) == (((0, lam),),)
+                assert _rebase_rows(cat, items[::-1], 1) == (((0, lam.inv()),),)
+
+
+def test_bend_scalar_of_a_dual_colour_is_that_of_the_dual_label():
+    # lambda(c, -1) = lambda(c*, +1) on every simple of every shipped
+    # category: the block bend reads one lambda per channel, also at k = 1
+    for cat in map(builtin_category, builtin_category_names()):
+        for c in range(cat.n):
+            x = cat.dual[c]
+            minus = cat.lcoev_scalar(c) * cat.rev_scalar(c) * cat.f_entry(
+                c, x, c, c, cat.unit, cat.unit)
+            assert _bend_scalar(cat, x) == minus, (cat, c)
 
 
 def test_categories_do_not_share_memoized_data():
@@ -246,6 +279,16 @@ def test_broken_invariant_is_an_internal_error():
         st.delete_unit(0)
     with pytest.raises(InternalError):
         HomState.empty(fib).insert_tree(0, (0, 1), (1, 0))
+
+
+def test_rotation_outside_the_target_basis_is_an_internal_error(monkeypatch):
+    # a block bend that reaches a tree the rotated word's basis lacks
+    fib = builtin_category("fibonacci")
+    trees = graphcalc._trees
+    monkeypatch.setattr(graphcalc, "_trees",
+                        lambda data, word: () if word == (0, 1, 1) else trees(data, word))
+    with pytest.raises(InternalError, match="reaches no tree"):
+        _rebase_rows(fib, ((1, 1), (0, 1), (1, 1)), 1)
 
 
 def test_sweep_checks_raise_per_action():
