@@ -181,7 +181,7 @@ def _cmd_partition(args, rep):
 def _cmd_dw(args, rep):
     tri = _load_triangulation(args.triangulation)
     group = catdata.FiniteGroup.by_name(args.group)
-    if group.order > 1 and not args.group.startswith("Z"):
+    if group != catdata.FiniteGroup.cyclic(group.order):
         raise _CliError(3, "dw shipped cocycles are for cyclic groups")
     theta = catdata.CocycleTable.cyclic_rep(group.order, args.theta)
     try:

@@ -65,16 +65,13 @@ def _backtrack(sk: Skeleton, group: FiniteGroup, pinned):
 
 def _ball_forest(sk: Skeleton):
     """Spanning forest of the ball graph, grown breadth-first from the least
-    unreached ball.  Returns the tree steps ``(region, ball, new ball,
-    new ball is ball+)`` in the order they reach each ball, per component
-    the ``(region, ball-, ball+)`` of its non-tree regions in region order,
-    and the component of each ball."""
+    unreached ball.  Returns the set of its regions, per component the
+    regions not in it in region order, and the component of each ball."""
     adjacent = [[] for _ in range(sk.ball_count)]
     for r, (_, bn, bp) in enumerate(sk.regions):
-        adjacent[bn].append((r, bp, True))
-        adjacent[bp].append((r, bn, False))
+        adjacent[bn].append((r, bp))
+        adjacent[bp].append((r, bn))
     component = [None] * sk.ball_count
-    steps = []
     tree = set()
     ncomp = 0
     for root in range(sk.ball_count):
@@ -83,18 +80,17 @@ def _ball_forest(sk: Skeleton):
         component[root] = ncomp
         queue = [root]
         for ball in queue:
-            for r, other, forward in adjacent[ball]:
+            for r, other in adjacent[ball]:
                 if component[other] is None:
                     component[other] = ncomp
                     tree.add(r)
-                    steps.append((r, ball, other, forward))
                     queue.append(other)
         ncomp += 1
     residual = [[] for _ in range(ncomp)]
-    for r, (_, bn, bp) in enumerate(sk.regions):
+    for r, (_, bn, _) in enumerate(sk.regions):
         if r not in tree:
-            residual[component[bn]].append((r, bn, bp))
-    return steps, residual, component
+            residual[component[bn]].append(r)
+    return frozenset(tree), residual, component
 
 
 def _conjugations(group: FiniteGroup):
@@ -203,15 +199,14 @@ def gauge_classes(sk: Skeleton, group: FiniteGroup):
     order.  The representative is the orbit's lexicographically least
     member (:func:`_least_member`).
     """
-    steps, residual, component = _ball_forest(sk)
+    tree, fixed_regions, component = _ball_forest(sk)
     conjugations = _conjugations(group)
     over_inv = _times_inverse(group)
     forms = {}
     plan = _search_plan(sk, component)
-    fixed_regions = [tuple(r for r, _, _ in res) for res in residual]
     size = group.order ** sk.ball_count
     rows = []
-    for key in _backtrack(sk, group, frozenset(r for r, _, _, _ in steps)):
+    for key in _backtrack(sk, group, tree):
         stabiliser = 1
         transversals = []
         for regions in fixed_regions:

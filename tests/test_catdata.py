@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import product
 
@@ -31,6 +32,7 @@ from statesum3d.graphcalc import (
 )
 from statesum3d.linalg import identity_matrix, matrix_mul
 
+import refvalidate
 from trifiles import DATA
 
 
@@ -148,21 +150,76 @@ def test_neutral_dimension_values():
     assert neutral_dimension(builtin_category("vect_Z3_theta1")).is_one()
 
 
+def _variant(cat, fusion_set=None, fsym=None):
+    """``cat`` with its fusion triples or F-symbols replaced."""
+    return GFusionData(cat.field, cat.group, cat.names, cat.grade, cat.dual,
+                       cat.fusion_set if fusion_set is None else fusion_set,
+                       cat.fsym if fsym is None else fsym,
+                       cat.dim_l, cat.dim_r, cat.pivotal, name=cat.name)
+
+
 def test_corrupted_fibonacci_detected():
     fib = builtin_category("fibonacci")
     fsym = dict(fib.fsym)
     key = (1, 1, 1, 1, 0, 0)
     fsym[key] = -fsym[key]
-    bad = GFusionData(fib.field, fib.group, fib.names, fib.grade, fib.dual,
-                      fib.fusion_set, fsym, fib.dim_l, fib.dim_r, fib.pivotal,
-                      name="fibonacci_corrupt")
+    bad = _variant(fib, fsym=fsym)
     rep = validate_category(bad)
     assert not rep.passed()
     failing = [c for c, _ in rep.failures()]
     assert any(c in ("pentagon", "snake consistency", "duality scalars") for c in failing)
-    pentagon_details = [d for c, d in rep.failures() if c == "pentagon"]
-    if pentagon_details:
-        assert "(" in pentagon_details[0]  # names a 9-tuple
+    # the witness is the least failing tuple in the order (a,b,c,d,u,e,k,f,g)
+    assert ("pentagon", "violated at (a,b,c,d,u,e,f,g,k) = (1, 1, 1, 1, 0, 0, 1, 1, 1)") \
+        in rep.failures()
+
+
+def _corrupted(cat):
+    """Three seeded F-symbol scalings of ``cat`` and every single fusion-triple
+    toggle that still builds (has a unit and non-degenerate duality data)."""
+    rng = random.Random(cat.name)
+    keys = sorted(cat.fsym)
+    for _ in range(3 if keys else 0):
+        fsym = dict(cat.fsym)
+        key = rng.choice(keys)
+        fsym[key] = fsym[key] * cat.field.rational(rng.choice((2, -1, 3)))
+        yield _variant(cat, fsym=fsym)
+    for triple in product(range(cat.n), repeat=3):
+        try:
+            yield _variant(cat, fusion_set=cat.fusion_set ^ {triple})
+        except ValueError:
+            pass
+
+
+def test_validation_matches_exhaustive_reference():
+    # the admissible walk reports what the loops over every index tuple
+    # report, witnesses and early stops included
+    fib = builtin_category("fibonacci")
+    dropped = _variant(fib, fsym={k: v for k, v in fib.fsym.items() if k != (1, 1, 1, 0, 1, 1)})
+    failed = set()
+    cats = [builtin_category(name) for name in builtin_category_names()]
+    for cat in cats + [dropped] + [bad for cat in cats for bad in _corrupted(cat)]:
+        rep = validate_category(cat)
+        assert rep.lines() == refvalidate.report_lines(cat), cat
+        failed.update(check for check, _ in rep.failures())
+    assert {"F-table domain", "F-blocks invertible", "pentagon"} <= failed
+
+
+def test_validation_walks_only_admissible_paths(monkeypatch):
+    # about 6,900 F-entry reads for vect_S3; a loop over every index tuple
+    # makes about 5.6 million
+    s3 = FiniteGroup.symmetric(3)
+    cat = build_vec_g_theta(s3, CocycleTable.trivial(s3))
+    calls = 0
+    f_entry = GFusionData.f_entry
+
+    def counted(self, *key):
+        nonlocal calls
+        calls += 1
+        return f_entry(self, *key)
+
+    monkeypatch.setattr(GFusionData, "f_entry", counted)
+    assert validate_category(cat).passed()
+    assert calls <= 20_000
 
 
 def _sign_flipped(name, signs):

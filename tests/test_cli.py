@@ -58,6 +58,18 @@ def test_dw_accepts_every_group_of_order_one():
     assert len(partitions) == 1
 
 
+def test_dw_accepts_every_group_with_the_cyclic_table():
+    # D1 and S2 have the multiplication table of Z2, so Z2's cocycles apply
+    partitions = set()
+    for group in ("Z2", "D1", "S2"):
+        code, out, _ = _run(["--json", "dw", "--triangulation", "rp3", "--group", group,
+                             "--theta", "1", "--per-class"])
+        assert code == 0, group
+        results = json.loads(out)["results"]
+        partitions.add((results["partition"], tuple(results["classes"])))
+    assert len(partitions) == 1
+
+
 @pytest.mark.parametrize("argv", [["labelings", "--group", "Z2"],
                                   ["invariant", "--category", "vect_Z2_theta1"],
                                   ["partition", "--category", "vect_Z2_theta1"]])

@@ -87,7 +87,7 @@ def _check_backtrack(sk, group):
     keys = [tuple(lab[r] for r in range(len(sk.regions)))
             for lab in refgauge.enumerate_labelings(sk, group)]
     assert _backtrack(sk, group, frozenset()) == keys
-    tree = frozenset(r for r, _, _, _ in _ball_forest(sk)[0])
+    tree = _ball_forest(sk)[0]
     assert _backtrack(sk, group, tree) == \
         [key for key in keys if all(key[r] == group.identity for r in tree)]
 
