@@ -64,6 +64,8 @@ __all__ = [
 ]
 
 
+_UNREAD = object()  # a 6-tuple not yet in GFusionData._f_memo
+
 MAX_GROUP_ORDER = 24  # of S4, for FiniteGroup.by_name; groups in use have order <= 6
 
 
@@ -257,7 +259,8 @@ class GFusionData:
 
     F-symbols are stored sparsely as ``fsym[(a,b,c,d,e,f)]`` for blocks with
     no unit among (a, b, c).  Lookup goes through :meth:`f_entry`, which
-    supplies the identity blocks and admissibility filtering.
+    supplies the identity blocks and admissibility filtering, once per
+    6-tuple.
     """
 
     def __init__(self, field: FieldSpec, group: FiniteGroup, names, grade, dual,
@@ -289,6 +292,7 @@ class GFusionData:
                 self._products[(i, j)] = tuple(sorted(
                     k for k in range(self.n) if (i, j, k) in self.fusion_set))
         self.fsym = dict(fsym)
+        self._f_memo: dict = {}  # f_entry by 6-tuple, see there
         self._finv_cache: dict = {}
         # link-evaluation data of graphcalc (sweep plans, box and cap
         # transfer tables, tree bases, link forms and classes, reversal
@@ -327,15 +331,24 @@ class GFusionData:
                 and self.nmat(b, c, f) and self.nmat(a, f, d)) == 1
 
     def f_entry(self, a, b, c, d, e, f) -> FieldElement | None:
-        """F[a,b,c,d]_{e,f}, or None when the index pair is inadmissible."""
-        if not self._fadm(a, b, c, d, e, f):
-            return None
-        if a == self.unit or b == self.unit or c == self.unit:
-            return self.field.one()
-        try:
-            return self.fsym[(a, b, c, d, e, f)]
-        except KeyError:
-            raise ValueError(f"missing F-symbol {(a, b, c, d, e, f)}") from None
+        """F[a,b,c,d]_{e,f}, or None when the index pair is inadmissible.
+
+        Each 6-tuple is read once through ``_f_memo``, which also keeps the
+        None of an inadmissible one.  A missing F-symbol is not kept, so
+        every read of it raises the ``ValueError`` that names it."""
+        key = (a, b, c, d, e, f)
+        value = self._f_memo.get(key, _UNREAD)
+        if value is _UNREAD:
+            if not self._fadm(a, b, c, d, e, f):
+                value = None
+            elif a == self.unit or b == self.unit or c == self.unit:
+                value = self.field.one()
+            else:
+                value = self.fsym.get(key)
+                if value is None:
+                    raise ValueError(f"missing F-symbol {key}")
+            self._f_memo[key] = value
+        return value
 
     def f_block(self, a, b, c, d):
         """(e_list, f_list, rows) of the F-block at (a,b,c,d)."""

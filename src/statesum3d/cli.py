@@ -155,11 +155,13 @@ def _cmd_invariant(args, rep):
     rep.data["counts"]["orbits"] = len(orbits)
     wanted = range(len(orbits)) if args.all_orbits else [args.orbit]
     rows = []
+    ev = None  # one evaluator, and its link tensors, for every orbit
     for k in wanted:
         if not (0 <= k < len(orbits)):
             raise _CliError(3, f"orbit index {k} out of range")
         rep_lab, size = orbits[k]
-        res = statesum.closed_invariant(sk, rep_lab, cat)
+        ev = ev or statesum._Evaluator(sk, cat)
+        res = statesum.closed_invariant(sk, rep_lab, cat, _ev=ev)
         rows.append(f"orbit {k}: size {size} value {res.value.to_text()}")
         rep.data["counts"][f"colorings_orbit_{k}"] = res.colorings_admissible
     rep.data["results"]["invariants"] = rows

@@ -20,6 +20,10 @@ exact.  The field alone picks how products and inverses are computed:
   product, and the inverse as conjugate over norm,
 * any other field: polynomial arithmetic over ``fractions.Fraction``.
 
+A product with one as a factor returns the other factor, with no
+arithmetic: one's canonical form is unique (numerators ``(1, 0, ...)`` over
+1), so the test is exact.  Operands of different fields still raise.
+
 Text forms used by the file formats and the CLI:
 
 * element:  ``[1/2, -3]``  (power-basis coordinates, low degree first),
@@ -90,6 +94,8 @@ class FieldSpec:
             self._q, self._p = int(self.minpoly[0]), int(self.minpoly[1])
         self._zero = None
         self._one = None
+        # numerators of one, whose denominator is 1 (see FieldElement.__mul__)
+        self._one_nums = (1,) + (0,) * (self.degree - 1)
 
     def __eq__(self, other: object) -> bool:
         return self is other or isinstance(other, FieldSpec) \
@@ -244,6 +250,11 @@ class FieldElement:
     def __mul__(self, other: FieldElement) -> FieldElement:
         self._check(other)
         spec = self.spec
+        one = spec._one_nums
+        if self.nums == one and self.den == 1:
+            return other
+        if other.nums == one and other.den == 1:
+            return self
         path = spec._path
         if path == 2:
             a0, a1 = self.nums
@@ -309,7 +320,7 @@ class FieldElement:
         return not any(self.nums)
 
     def is_one(self) -> bool:
-        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
+        return self.den == 1 and self.nums == self.spec._one_nums
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FieldElement) and self.nums == other.nums \

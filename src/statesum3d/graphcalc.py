@@ -16,17 +16,22 @@ with the edge colours
 (:func:`_sweep`) on a flat state ``{(path, choice): value}``: ``path`` is
 a tree of the current word and ``choice`` lists the basis tree taken at
 each vertex inserted so far.  Both sweep actions read transfer tables
-memoized in the category's ``_memo``:
+memoized in the category's ``_memo``, each checked once, when it is made:
 
-* box table ``("box", letters, tree)``, looked up by the intermediate
+* box tables ``("box", letters)``, one per basis tree ``tree`` of
+  ``Hom(1, letters)`` (:func:`_box`), looked up by the intermediate
   ``mb`` before the insertion point: the (inserted intermediates,
-  coefficient) pairs of basis tree ``tree`` of ``Hom(1, letters)``
-  inserted after ``mb`` (:func:`_box_rows`, k - 1 F-moves); the rest of
-  the path is unchanged;
-* cap table ``("cap", color, kind)``, looked up by the intermediates
-  ``(path[q-1], path[q], path[q+1])`` around the capped letters: the
-  inverse F-entry that fuses them into the unit times the lev or rev
-  scalar (:func:`_cap_coeff`).
+  coefficient) pairs of ``tree`` inserted after ``mb`` (:func:`_box_rows`,
+  k - 1 F-moves); the rest of the path is unchanged;
+* cap table ``("cap", color, kind)``, which holds the table, the two
+  letters and the lev or rev scalar (:func:`_cap_table`), its table looked
+  up by the intermediates ``(path[q-1], path[q], path[q+1])`` around the
+  capped letters: the inverse F-entry that fuses them into the unit times
+  the scalar (:func:`_cap_coeff`), or None where that vanishes.
+
+Every state value and table coefficient is nonzero, and in a number field
+so is their product; a cap tests for zero only the keys on which it summed
+two or more terms.
 
 The sweep's result is re-based to the slot anchors one vertex at a time,
 through the same slot maps as a link tensor's (:func:`_slot_map`,
@@ -375,32 +380,35 @@ def _box_rows(data: GFusionData, letters: tuple, tree: tuple, mb: int) -> tuple:
     return tuple(rows.items())
 
 
-def _box(data: GFusionData, states: dict, p: int, letters: tuple, trees) -> dict:
+def _box(data: GFusionData, states: dict, p: int, letters: tuple) -> dict:
     """Insert every basis tree of Hom(1, letters) at word position p into the
-    sweep states ``{(path, choice): value}``; tree ``trees[i]`` appends i to
-    the choice.  Each image is one path, so nothing sums or cancels."""
-    memo = data._memo
-    unit = data.unit
-    tables = []
-    for tree in trees:
-        key = ("box", letters, tree)
-        table = memo.get(key)
-        if table is None:
+    sweep states ``{(path, choice): value}``; the i-th tree appends i to
+    the choice.  Each image is one path, so nothing sums or cancels.
+
+    The box tables of the word are memoized as one tuple ``("box",
+    letters)``, a pair (tree, table) per basis tree, the table mapping
+    ``mb`` to the rows of :func:`_box_rows`; the trees are checked when it
+    is made."""
+    key = ("box", letters)
+    tables = data._memo.get(key)
+    if tables is None:
+        trees = _trees(data, letters)
+        for tree in trees:
             for j in range(len(letters) - 1, 0, -1):
                 if not data.nmat(tree[j - 1], letters[j], tree[j]):
                     raise ValueError("inadmissible split")
             if letters and tree[0] != letters[0]:
                 raise InternalError(f"tree {tree} does not start at letter {letters[0]}")
-            table = memo[key] = {}
-        tables.append(table)
+        tables = data._memo[key] = tuple((tree, {}) for tree in trees)
+    unit = data.unit
     out = {}
     for (path, choice), val in states.items():
         mb = path[p - 1] if p else unit
         head, tail = path[:p], path[p:]
-        for i, table in enumerate(tables):
+        for i, (tree, table) in enumerate(tables):
             rows = table.get(mb)
             if rows is None:
-                rows = table[mb] = _box_rows(data, letters, trees[i], mb)
+                rows = table[mb] = _box_rows(data, letters, tree, mb)
             chosen = choice + (i,)
             for ins, c in rows:
                 out[(head + ins + tail, chosen)] = val * c
@@ -418,49 +426,61 @@ def _cap_coeff(data: GFusionData, corner: tuple, a: int, b: int, scalar: FieldEl
     f = data.finv_entry(mb, a, b, ma, data.unit, mu)
     if f is None or f.is_zero():
         return None
-    return f * scalar
+    c = f * scalar
+    return None if c.is_zero() else c
 
 
 def _cap_table(data: GFusionData, color: int, kind: str) -> tuple:
     """``(table, left, right, scalar)`` of the cap that closes ``color`` by
     lev (kind 'l': letters (c*, c)) or rev ('r': (c, c*)): the letters, the
-    evaluation scalar and the memoized table ``("cap", color, kind)`` of
-    :func:`_cap_coeff` by corner."""
-    dual = data.dual[color]
-    if kind == "l":
-        left, right, scalar = dual, color, data.lev_scalar(color)
-    else:
-        left, right, scalar = color, dual, data.rev_scalar(color)
-    if not data.nmat(left, right, data.unit):
-        raise ValueError("inadmissible fuse")
+    evaluation scalar and the table of :func:`_cap_coeff` by corner,
+    memoized whole as ``("cap", color, kind)`` once the letters are found
+    to fuse to the unit."""
     key = ("cap", color, kind)
-    table = data._memo.get(key)
-    if table is None:
-        table = data._memo[key] = {}
-    return table, left, right, scalar
+    cap = data._memo.get(key)
+    if cap is None:
+        dual = data.dual[color]
+        if kind == "l":
+            left, right, scalar = dual, color, data.lev_scalar(color)
+        else:
+            left, right, scalar = color, dual, data.rev_scalar(color)
+        if not data.nmat(left, right, data.unit):
+            raise ValueError("inadmissible fuse")
+        cap = data._memo[key] = ({}, left, right, scalar)
+    return cap
 
 
 def _cap(data: GFusionData, states: dict, word: tuple, q: int, color: int,
          kind: str) -> dict:
     """Close the strands at word positions q and q + 1 of the sweep states by
-    lev (kind 'l': letters (c*, c)) or rev ('r': (c, c*)) of ``color``."""
+    lev (kind 'l': letters (c*, c)) or rev ('r': (c, c*)) of ``color``.
+    States and cap coefficients are nonzero, so only a key on which terms
+    were summed can vanish, and only those are tested."""
     table, left, right, scalar = _cap_table(data, color, kind)
     if word[q] != left or word[q + 1] != right:
         raise InternalError(f"cap {kind} of {color} at {q} meets letters {word[q:q + 2]}")
     unit = data.unit
     out: dict = {}
+    summed = set()
     for (path, choice), val in states.items():
         corner = (path[q - 1] if q else unit, path[q], path[q + 1])
-        if corner not in table:
-            table[corner] = _cap_coeff(data, corner, left, right, scalar)
-        c = table[corner]
+        c = table.get(corner, False)
+        if c is False:
+            c = table[corner] = _cap_coeff(data, corner, left, right, scalar)
         if c is None:
             continue
         key = (path[:q] + path[q + 2:], choice)
         term = val * c
         cur = out.get(key)
-        out[key] = term if cur is None else cur + term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        if cur is None:
+            out[key] = term
+        else:
+            out[key] = cur + term
+            summed.add(key)
+    for key in summed:
+        if out[key].is_zero():
+            del out[key]
+    return out
 
 
 class PairingData:
@@ -854,7 +874,7 @@ def _sweep(data: GFusionData, plan: tuple, edge_colors) -> dict:
         if op[0] == "box":
             _, p, darts = op
             letters = tuple([edge_colors[e] if end else dual[edge_colors[e]] for e, end in darts])
-            states = _box(data, states, p, letters, _trees(data, letters))
+            states = _box(data, states, p, letters)
             word = word[:p] + letters + word[p:]
         else:
             _, q, e, kind = op
@@ -890,21 +910,32 @@ def _mapped(raw: dict, positions, maps, scale=None) -> dict:
     mapped by ``maps[v]`` (entry i lists the pairs ``(t, coefficient)``
     that index i maps to; None for the identity) and multiplied by
     ``scale`` unless it is None, keyed in slot order.  One pass per slot,
-    so images meeting on one key are summed before the next slot."""
+    so images meeting on one key are summed before the next slot.  The
+    entries of a sweep, the reversal scalars and the re-basing and pairing
+    coefficients are nonzero, so, as in :func:`_cap`, only a key on which
+    terms were summed is tested for zero."""
     entries = {tuple([key[p] for p in positions]): val if scale is None else val * scale
                for key, val in raw.items()}
     for v, slot in enumerate(maps):
         if slot is None:
             continue
         nxt: dict = {}
+        summed = set()
         for idx, val in entries.items():
             head, tail = idx[:v], idx[v + 1:]
             for t, y in slot[idx[v]]:
                 k = head + (t,) + tail
                 term = val * y
                 cur = nxt.get(k)
-                nxt[k] = term if cur is None else cur + term
-        entries = {k: x for k, x in nxt.items() if not x.is_zero()}
+                if cur is None:
+                    nxt[k] = term
+                else:
+                    nxt[k] = cur + term
+                    summed.add(k)
+        for k in summed:
+            if nxt[k].is_zero():
+                del nxt[k]
+        entries = nxt
     return entries
 
 

@@ -173,6 +173,21 @@ def test_corrupted_fibonacci_detected():
         in rep.failures()
 
 
+def test_missing_f_symbol_raises_on_every_read():
+    # the memo keeps no missing F-symbol, so the second read raises as the
+    # first does, while admissible and inadmissible reads are kept
+    fib = builtin_category("fibonacci")
+    key = (1, 1, 1, 0, 1, 1)
+    dropped = _variant(fib, fsym={k: v for k, v in fib.fsym.items() if k != key})
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(f"missing F-symbol {key}")):
+            dropped.f_entry(*key)
+    assert key not in dropped._f_memo
+    assert dropped.f_entry(1, 1, 1, 1, 0, 0) == fib.fsym[(1, 1, 1, 1, 0, 0)]
+    assert dropped.f_entry(1, 1, 1, 0, 0, 0) is None
+    assert dropped._f_memo[(1, 1, 1, 0, 0, 0)] is None
+
+
 def _corrupted(cat):
     """Three seeded F-symbol scalings of ``cat`` and every single fusion-triple
     toggle that still builds (has a unit and non-degenerate duality data)."""
@@ -378,8 +393,14 @@ def test_builtin_category_builds_a_new_object_each_call():
     fresh = builtin_category("fibonacci")
     assert len(first._memo) > len(fresh._memo)
     assert len(first._finv_cache) > len(fresh._finv_cache)
+    assert len(first._f_memo) > len(fresh._f_memo)
     assert second._memo.keys() == fresh._memo.keys()
     assert second._finv_cache == fresh._finv_cache
+    # the F-symbol memo is a new dict in each object, holding only the reads
+    # of the duality scalars' F-blocks that construction makes
+    assert second._f_memo == fresh._f_memo
+    assert second._f_memo is not first._f_memo and second._f_memo is not fresh._f_memo
+    assert {key[:4] for key in fresh._f_memo} <= {(i, fresh.dual[i], i, i) for i in range(fresh.n)}
 
 
 def test_sector_dimension_identity_all_builtins():

@@ -38,6 +38,32 @@ def test_invariant_command():
     assert "orbit 0: size 8 value [1]" in out
 
 
+def test_invariant_all_orbits_shares_one_evaluator(monkeypatch):
+    # one evaluator serves the 64 orbits, and each row and coloring count is
+    # what a fresh evaluator per orbit gives
+    from statesum3d import complexes, gauge, statesum
+    from statesum3d.catdata import builtin_category
+    cat = builtin_category("vect_Z4_theta1")
+    sk = complexes.dual_skeleton(load_tri("t3_6tet"))
+    expected = {}
+    for k, (lab, size) in enumerate(gauge.gauge_classes(sk, cat.group)):
+        res = statesum.closed_invariant(sk, lab, cat)
+        expected[k] = (f"orbit {k}: size {size} value {res.value.to_text()}",
+                       res.colorings_admissible)
+    made = []
+    evaluator = statesum._Evaluator
+    monkeypatch.setattr(statesum, "_Evaluator",
+                        lambda *args, **kw: made.append(1) or evaluator(*args, **kw))
+    code, out, _ = _run(["--json", "invariant", "--triangulation", "t3_6tet",
+                         "--category", "vect_Z4_theta1", "--all-orbits"])
+    assert code == 0
+    assert len(made) == 1 and len(expected) == 64
+    report = json.loads(out)
+    assert report["results"]["invariants"] == [row for row, _ in expected.values()]
+    assert {k: report["counts"][f"colorings_orbit_{k}"] for k in expected} == \
+        {k: count for k, (_, count) in expected.items()}
+
+
 def test_dw_command():
     code, out, _ = _run(["dw", "--triangulation", "s3_2tet", "--group", "Z2",
                          "--theta", "1"])

@@ -219,6 +219,33 @@ def test_kernel_agrees_with_reference(spec, a, b, k):
 
 
 @pytest.mark.parametrize("spec", AGREEMENT_FIELDS)
+@given(a=COEFFS)
+@settings(max_examples=40, deadline=None)
+def test_product_with_one_agrees_with_reference(spec, a):
+    # a factor of one on either side returns the other factor as it is (the
+    # right one when both are one), also for a one that arithmetic produced,
+    # and that is the reference product
+    ref = refkernel.FieldSpec.from_json(spec.to_json())
+    x, rx, rone = spec.element(a), ref.element(a), ref.one()
+    two, y = spec.rational(2), spec.gen() + spec.rational(7)
+    for one in (spec.one(), spec.element([1]), two * two.inv(), y / y):
+        assert one.is_one()
+        assert one * x is x
+        assert x * one is (one if x.is_one() else x)
+        _agree(x * one, rx * rone)
+        _agree(one * x, rone * rx)
+        _agree(one * one, rone * rone)
+
+
+def test_product_with_one_checks_the_field():
+    for x, y in ((Z4.one(), Z6.one()), (Z4.one(), Z6.gen()), (Z4.gen(), Z6.one())):
+        with pytest.raises(ValueError, match="different fields"):
+            x * y
+        with pytest.raises(ValueError, match="different fields"):
+            y * x
+
+
+@pytest.mark.parametrize("spec", AGREEMENT_FIELDS)
 @given(a=COEFFS, b=COEFFS)
 @settings(max_examples=40, deadline=None)
 def test_equality_and_hash_consistent(spec, a, b):

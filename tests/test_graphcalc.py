@@ -12,7 +12,7 @@ from statesum3d.catdata import (
     builtin_category_names,
     load_category,
 )
-from statesum3d.exactnum import make_field
+from statesum3d.exactnum import QQ, make_field
 from statesum3d.graphcalc import (
     ColoredGraph,
     CyclicCSet,
@@ -291,21 +291,52 @@ def test_rotation_outside_the_target_basis_is_an_internal_error(monkeypatch):
         _rebase_rows(fib, ((1, 1), (0, 1), (1, 1)), 1)
 
 
-def test_sweep_checks_raise_per_action():
+def test_sweep_checks_raise_per_action(monkeypatch):
     # the table-driven sweep keeps the per-entry sweep's checks, also on an
-    # empty state: a tree off its first letter, an inadmissible split, cap
-    # letters that do not match
+    # empty state: a tree off its first letter, an inadmissible split (both
+    # from a basis that offers the tree (1, 0) for a word it does not fit),
+    # cap letters that do not match
     fib = builtin_category("fibonacci")
+    trees = graphcalc._trees
+    monkeypatch.setattr(graphcalc, "_trees", lambda data, word:
+                        ((1, 0),) if word in ((0, 1), (1, 0)) else trees(data, word))
     one = {((), ()): fib.field.one()}
     with pytest.raises(InternalError, match="does not start at letter"):
-        _box(fib, one, 0, (0, 1), [(1, 0)])
+        _box(fib, one, 0, (0, 1))
     with pytest.raises(ValueError, match="inadmissible split"):
-        _box(fib, {}, 0, (1, 0), [(1, 0)])
+        _box(fib, {}, 0, (1, 0))
     with pytest.raises(InternalError, match="meets letters"):
         _cap(fib, {}, (1, 0), 0, 1, "l")
-    states = _box(fib, one, 0, (1, 1), [(1, 0)])
+    states = _box(fib, one, 0, (1, 1))
     assert states == {((1, 0), (0,)): fib.field.one()}
     assert _cap(fib, states, (1, 1), 0, 1, "r") == {((), (0,)): fib.rev_scalar(1)}
+
+
+def test_cap_drops_a_key_whose_terms_cancel():
+    # two paths close to one key: where their terms cancel the key is
+    # dropped, where they do not it is kept, as is a key with one term
+    fib = builtin_category("fibonacci")
+    word, one = (1, 1, 1, 1), fib.field.one()
+
+    def cap(states):
+        return _cap(fib, states, word, 1, 1, "r")
+
+    c0 = cap({((1, 0, 1, 0), ()): one})[((1, 0), ())]
+    c1 = cap({((1, 1, 1, 0), ()): one})[((1, 0), ())]
+    states = {((1, 0, 1, 0), (0,)): one, ((1, 1, 1, 0), (0,)): -c0 / c1,
+              ((1, 0, 1, 0), (1,)): one, ((1, 1, 1, 0), (1,)): one,
+              ((1, 1, 1, 0), (2,)): one}
+    assert not (c0 + c1).is_zero()
+    assert cap(states) == {((1, 0), (1,)): c0 + c1, ((1, 0), (2,)): c1}
+
+
+def test_mapped_drops_a_key_whose_terms_cancel():
+    # index 0 and 1 meet on 0, where they cancel, and index 1 and 2 on 1,
+    # where they do not; index 2 alone reaches 2
+    one = QQ.one()
+    slot = (((0, one),), ((0, -one), (1, one)), ((1, one), (2, one)))
+    raw = {(0,): one, (1,): one, (2,): one}
+    assert _mapped(raw, [0], [slot]) == {(1,): one + one, (2,): one}
 
 
 def _sweep_graphs(cat, rnd):

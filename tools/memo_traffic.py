@@ -6,8 +6,9 @@ a benchmark workload's command list.
 Run from anywhere; the package is imported from this checkout's ``src/``
 and the command lists from ``perfbench/inputs.py``, which is only read.
 The layers are the category's ``_memo``, one per key kind (the key's first
-entry), its ``_finv_cache``, and the state-sum evaluator's ``link_cache``
-and ``admissible_cache``.  Counting dicts are installed from outside the
+entry), its F-symbol memo ``_f_memo`` (``f_entry`` by 6-tuple), its
+``_finv_cache``, and the state-sum evaluator's ``link_cache`` and
+``admissible_cache``.  Counting dicts are installed from outside the
 package, as ``perfbench/tracer.py`` wraps functions: a class attribute of
 ``GFusionData`` and ``_Evaluator`` wraps each of these dicts when the
 constructor assigns it, and is removed again after the pass.
@@ -75,6 +76,7 @@ class Counted:
 def counting(counts):
     from statesum3d import catdata, statesum
     layers = [(catdata.GFusionData, "_memo", lambda key: f"_memo[{key[0]!r}]"),
+              (catdata.GFusionData, "_f_memo", lambda key: "_f_memo"),
               (catdata.GFusionData, "_finv_cache", lambda key: "_finv_cache"),
               (statesum._Evaluator, "link_cache", lambda key: "_Evaluator.link_cache"),
               (statesum._Evaluator, "admissible_cache",
