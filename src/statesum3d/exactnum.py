@@ -22,7 +22,9 @@ exact.  The field alone picks how products and inverses are computed:
 
 A product with one as a factor returns the other factor, with no
 arithmetic: one's canonical form is unique (numerators ``(1, 0, ...)`` over
-1), so the test is exact.  Operands of different fields still raise.
+1), so the test is exact.  Operands of different fields still raise.  Call
+sites therefore pass one as a value, as the start of a running product or
+the scale of a tensor, and do not stand in for it with None.
 
 Text forms used by the file formats and the CLI:
 

@@ -89,6 +89,7 @@ unknot against a basis vector of Hom(1, U* (x) U) is the left evaluation.
 from __future__ import annotations
 
 from itertools import product as iproduct
+from math import prod
 
 from . import records
 from .catdata import GFusionData, UnionFind
@@ -310,8 +311,9 @@ def _rebase_rows(data: GFusionData, items: tuple, steps: int) -> tuple:
     block bend of source tree s, the product of its two partial sums."""
     word = _word(data, items)
     trees = _trees(data, word)
+    one = data.field.one()
     if not steps:
-        return tuple(((s, data.field.one()),) for s in range(len(trees)))
+        return tuple(((s, one),) for s in range(len(trees)))
     index = {t: i for i, t in enumerate(_trees(data, word[steps:] + word[:steps]))}
     out = [[] for _ in index]
     lams = {}
@@ -330,23 +332,22 @@ def _rebase_rows(data: GFusionData, items: tuple, steps: int) -> tuple:
                     if f is not None and not f.is_zero():
                         nxt[ys + (y,)] = v * f
             heads = nxt
-        # step 3: re-attach the first k letters after M*; None stands for one,
-        # which takes no product
-        tails = {(data.unit,): None}
+        # step 3: re-attach the first k letters after M*
+        tails = {(data.unit,): one}
         for j in range(steps - 1, 0, -1):
             nxt = {}
             for zs, v in tails.items():
                 for z in data.fuse(md, path[j - 1]):
                     f = data.f_entry(md, path[j - 1], word[j], zs[0], z, path[j])
                     if f is not None and not f.is_zero():
-                        nxt[(z,) + zs] = f if v is None else v * f
+                        nxt[(z,) + zs] = v * f
             tails = nxt
         for ys, u in heads.items():
             for zs, v in tails.items():
                 t = index.get(ys + zs)
                 if t is None:
                     raise InternalError(f"rotating {items} by {steps} reaches no tree {ys + zs}")
-                out[t].append((s, u if v is None else u * v))
+                out[t].append((s, u * v))
     return tuple(map(tuple, out))
 
 
@@ -513,7 +514,7 @@ class PairingData:
         self._support = []  # (row, column, value) of the nonzero entries
         for col, tree in enumerate(self.basis.trees):
             row = row_of.get(tree[-2::-1] + (unit,))
-            value, prev = None, unit
+            value, prev = data.field.one(), unit
             for (table, left, right, scalar), m in zip(caps, tree):
                 corner = (prev, m, prev)
                 c = table.get(corner, False)
@@ -521,7 +522,7 @@ class PairingData:
                     c = table[corner] = _cap_coeff(data, corner, left, right, scalar)
                 if c is None:
                     break
-                value = c if value is None else value * c
+                value = value * c
                 prev = m
             else:
                 if row is not None:
@@ -902,20 +903,20 @@ def evaluate_graph(data: GFusionData, graph: ColoredGraph, slots=None,
              for v in range(graph.nvertices)]
     maps = [_slot_map(data, b.anchored.items, (source - b.anchor) % len(b.cset), False)
             for b, source in zip(bases, plan[1])]
-    return GraphTensor(data, range(graph.nvertices), bases, _mapped(raw, plan[2], maps))
+    return GraphTensor(data, range(graph.nvertices), bases,
+                       _mapped(raw, plan[2], maps, data.field.one()))
 
 
-def _mapped(raw: dict, positions, maps, scale=None) -> dict:
+def _mapped(raw: dict, positions, maps, scale: FieldElement) -> dict:
     """The entries of ``raw`` with the index at key position ``positions[v]``
     mapped by ``maps[v]`` (entry i lists the pairs ``(t, coefficient)``
     that index i maps to; None for the identity) and multiplied by
-    ``scale`` unless it is None, keyed in slot order.  One pass per slot,
-    so images meeting on one key are summed before the next slot.  The
-    entries of a sweep, the reversal scalars and the re-basing and pairing
-    coefficients are nonzero, so, as in :func:`_cap`, only a key on which
-    terms were summed is tested for zero."""
-    entries = {tuple([key[p] for p in positions]): val if scale is None else val * scale
-               for key, val in raw.items()}
+    ``scale``, keyed in slot order.  One pass per slot, so images meeting
+    on one key are summed before the next slot.  The entries of a sweep,
+    the reversal scalars and the re-basing and pairing coefficients are
+    nonzero, so, as in :func:`_cap`, only a key on which terms were summed
+    is tested for zero."""
+    entries = {tuple([key[p] for p in positions]): val * scale for key, val in raw.items()}
     for v, slot in enumerate(maps):
         if slot is None:
             continue
@@ -979,11 +980,8 @@ def _link_tensor(data: GFusionData, rotations, colors: tuple, paired) -> dict:
     raw = memo.get(("link class", code, class_colors))
     if raw is None:
         raw = memo[("link class", code, class_colors)] = _sweep(data, plan, class_colors)
-    scale = None
-    for a, end, kind in arcs:
-        x = _reversal_scalar(data, colors[a], kind) if end else None
-        if x is not None:
-            scale = x if scale is None else scale * x
+    scale = prod([_reversal_scalar(data, colors[a], kind) for a, end, kind in arcs if end],
+                 start=data.field.one())
     maps = [_slot_map(data, tuple([(colors[a], 1 if end else -1) for a, end in rot]),
                       source % len(rot), g in paired)
             for g, (rot, source) in enumerate(zip(rotations, sources))]
@@ -992,14 +990,13 @@ def _link_tensor(data: GFusionData, rotations, colors: tuple, paired) -> dict:
 
 def _reversal_scalar(data: GFusionData, color: int, kind: str) -> FieldElement:
     """``rev_c / lev_(c*)`` for kind 'l', ``lev_c / rev_(c*)`` for 'r' (c =
-    ``color``; None for one): what turns a sweep whose plan caps a strand
+    ``color``), one included: what turns a sweep whose plan caps a strand
     coloured c* by ``kind`` into that of the reversed strand coloured c."""
     key = ("reversal", color, kind)
     if key not in data._memo:
         dual = data.dual[color]
-        x = (data.rev_scalar(color) / data.lev_scalar(dual) if kind == "l"
-             else data.lev_scalar(color) / data.rev_scalar(dual))
-        data._memo[key] = None if x.is_one() else x
+        data._memo[key] = (data.rev_scalar(color) / data.lev_scalar(dual) if kind == "l"
+                           else data.lev_scalar(color) / data.rev_scalar(dual))
     return data._memo[key]
 
 

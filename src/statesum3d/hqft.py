@@ -412,10 +412,11 @@ def assemble_block_matrix(cob: CobordismSkeleton, cat: GFusionData):
     ev = _Evaluator(cob, cat, cob.bot_ends + cob.top_ends, paired=cob.top_ends)
     free = [cat.sector(label) for _, label, _ in cob.regions]
     bottoms = [_pins(cob, "bot", c_bot) for c_bot in bot_cols]
+    # dim(C_1)^(#top faces - |P|), divided per top coloring by its dimension
+    top_norm = _neutral_power(cat, len(cob.top_surface.faces) - cob.ball_count)
     row0 = 0
     for c_top, top_counts, top_dim in zip(top_cols, top_trees, top_dims):
-        # dim(C_1)^(#top faces - |P|) / dim(top coloring)
-        norm = _neutral_power(cat, len(cob.top_surface.faces) - cob.ball_count)
+        norm = top_norm
         for c in c_top:
             norm = norm / cat.dim(c)
         top_pins = _pins(cob, "top", c_top)
@@ -512,10 +513,10 @@ _SURFACE = records.Format(
 
 
 def _check_group(recs, group: FiniteGroup, kind: str):
-    """Refuse a file whose ``group`` line names a group of another order
-    than the backend's."""
+    """Refuse a file whose ``group`` line names another group than the
+    backend's, one of the same order with another table included."""
     gname = recs.get("group")
-    if gname is not None and FiniteGroup.by_name(gname).order != group.order:
+    if gname is not None and FiniteGroup.by_name(gname) != group:
         raise ValueError(f"{kind} file group does not match the backend group")
 
 

@@ -44,6 +44,7 @@ c* reads the same letters, and only multiplies the class sweep by
 from __future__ import annotations
 from collections import Counter, namedtuple
 from itertools import product
+from math import prod
 from operator import itemgetter
 
 from .catdata import GFusionData, neutral_dimension
@@ -103,22 +104,23 @@ class _Evaluator:
     :meth:`total` eliminates the vertices in the order :func:`_vertex_order`
     picks.  Its state maps the colors of the frontier (the regions already
     colored that a later vertex's link still meets) to a pair: a sparse
-    tensor ``{open slot indices: value}``, None before the first link
-    tensor joins, and the number of admissible partial colorings.  For each
-    key, the step of vertex v
+    tensor ``{open slot indices: value}``, the unit tensor ``{(): one}``
+    before the first step, and the number of admissible partial colorings.
+    For each key, the step of vertex v
 
     * extends the key by each coloring of the regions v colors (those of
       its link not yet colored; at the first step also the regions no link
       meets) under which every edge whose branch regions are now all
       colored is admissible;
-    * multiplies in v's link tensor (the first joins as it is, not
-      multiplied by one) and contracts every edge whose ends are now both
-      eliminated: the pairing of its branch colors is folded into the link
-      tensor at its end 1 (a slot in ``self.paired``), so the two ends'
-      indices must be equal;
+    * multiplies in v's link tensor (a step without a vertex, the unit
+      tensor) and contracts every edge whose ends are now both eliminated:
+      the pairing of its branch colors is folded into the link tensor at
+      its end 1 (a slot in ``self.paired``), so the two ends' indices must
+      be equal;
     * multiplies in ``dim(c)**chi`` of each region no later link meets
-      (unit weights are not multiplied), drops those regions from the key,
-      and adds the result, and the count, to the new key's.
+      (their product once per tensor entry, before the link's entries),
+      drops those regions from the key, and adds the result, and the
+      count, to the new key's.
 
     All of this but the products depends only on the colors of the regions
     the step reads, so it is computed once per their coloring and step
@@ -141,9 +143,8 @@ class _Evaluator:
         self.link_cache: dict = {}
         self.admissible_cache: dict = {}
         self.visited = 0
-        # dim(c)**chi per chi and color, None when it is one
-        powers = {chi: [None if p.is_one() else p
-                        for p in (cat.dim(c) ** chi for c in range(cat.n))]
+        # dim(c)**chi per chi and color
+        powers = {chi: [cat.dim(c) ** chi for c in range(cat.n)]
                   for chi in {region[0] for region in sk.regions}}
         link_regions = [{r for _, _, r in lk.arcs} for lk in sk.links]
         order = _vertex_order(link_regions, max(Counter(cat.grade).values()))
@@ -204,9 +205,8 @@ class _Evaluator:
         """The state sum over the admissible colorings, one candidate list
         per region (a pinned region gets a singleton), as
         ``({open end index tuple: value}, admissible colorings)``."""
-        cat = self.cat
         visited = 0
-        state = {(): (None, 1)}
+        state = {(): ({(): self.cat.field.one()}, 1)}
         for step in self.steps:
             old, contractions, keep, slots = step.old, step.contractions, step.keep, step.slots
             extensions, nxt = {}, {}
@@ -216,26 +216,20 @@ class _Evaluator:
                 if exts is None:
                     exts = extensions[local] = self._extensions(step, local, sectors)
                 visited += len(exts)
-                entries = tensor.items() if tensor is not None else [((), None)]
                 for ext, link, scalar in exts:
-                    if link is None:  # no vertices
-                        out = {(): cat.field.one() if scalar is None else scalar}
-                    else:
-                        out = {}
-                        for k, val in entries:
-                            for idx, x in link.items():
-                                k2 = k + idx
-                                for p0, p1 in contractions:
-                                    if k2[p0] != k2[p1]:
-                                        break
-                                else:
-                                    if val is not None:
-                                        x = val * x
-                                    if scalar is not None:
-                                        x = x * scalar
-                                    k2 = slots(k2)
-                                    cur = out.get(k2)
-                                    out[k2] = x if cur is None else cur + x
+                    out = {}
+                    for k, val in tensor.items():
+                        weighted = val * scalar
+                        for idx, x in link.items():
+                            k2 = k + idx
+                            for p0, p1 in contractions:
+                                if k2[p0] != k2[p1]:
+                                    break
+                            else:
+                                x = weighted * x
+                                k2 = slots(k2)
+                                cur = out.get(k2)
+                                out[k2] = x if cur is None else cur + x
                     nk = keep(key + ext)
                     entry = nxt.get(nk)
                     nxt[nk] = (out, count) if entry is None else \
@@ -250,10 +244,11 @@ class _Evaluator:
     def _extensions(self, step, local, sectors):
         """The admissible colorings of the new regions of ``step`` after
         ``local``, the colors of the old regions it reads, each with what it
-        fixes: the link tensor and the product of the weights (None when it
-        is one)."""
+        fixes: the link tensor (the unit tensor ``{(): one}`` in a step
+        without a vertex) and the product of the weights."""
         v, _, new, checks, arcs, _, weights, _, _ = step
         cat, admissible = self.cat, self.admissible_cache
+        one = cat.field.one()
         out = []
         for ext in product(*new(sectors)):
             colors = local + ext
@@ -265,12 +260,8 @@ class _Evaluator:
                 if not ok:
                     break
             else:
-                scalar = None
-                for i, powers in weights:
-                    w = powers[colors[i]]
-                    if w is not None:
-                        scalar = w if scalar is None else scalar * w
-                out.append((ext, None if v is None else self._link(v, arcs(colors)), scalar))
+                scalar = prod([powers[colors[i]] for i, powers in weights], start=one)
+                out.append((ext, {(): one} if v is None else self._link(v, arcs(colors)), scalar))
         return out
 
     def _link(self, v, colors) -> dict:

@@ -608,6 +608,27 @@ def test_cobordism_of_another_group_is_a_domain_error(tmp_path, category):
     assert "cobordism file group does not match the backend group" in err
 
 
+@pytest.mark.parametrize("group, code", [("D2", 3), ("Z4", 0)])
+def test_surface_group_must_equal_the_backend_group(tmp_path, group, code):
+    # the Klein four-group D2 has the order of Z4 but another table: a torus
+    # file over D2 is refused for a Z4 category, its labels 1 and 2 being
+    # no Z4 elements, and the same file over Z4 runs
+    text = _TORUS_SURFACE
+    for line, new in [("group Z2", f"group {group}"), ("edge 0 0 0 label 0", "edge 0 0 0 label 1"),
+                      ("edge 1 0 0 label 0", "edge 1 0 0 label 2")]:
+        assert text.splitlines().count(line) == 1
+        text = text.replace(line, new)
+    path = tmp_path / "torus.surf"
+    path.write_text(text)
+    got, out, err = _run(["hqft-rank", "--category", "vect_Z4_theta1", "--surface", str(path)])
+    assert got == code
+    if code:
+        assert out == "" and len(err.splitlines()) == 1
+        assert "surface file group does not match the backend group" in err
+    else:
+        assert err == "" and "rank:" in out
+
+
 def test_json_flag_and_reproducibility():
     argv = ["--json", "partition", "--triangulation", "l31",
             "--category", "vect_Z3_theta1"]

@@ -12,7 +12,7 @@ from statesum3d.catdata import (
     builtin_category_names,
     load_category,
 )
-from statesum3d.exactnum import QQ, make_field
+from statesum3d.exactnum import QQ, FieldElement, make_field
 from statesum3d.graphcalc import (
     ColoredGraph,
     CyclicCSet,
@@ -163,7 +163,7 @@ def test_rebasing_rows_match_round_trip():
                         for t, row in enumerate(ref):
                             want = {(s,): x for s, x in enumerate(row) if not x.is_zero()}
                             slot = _slot_map(cat, items[anchor:] + items[:anchor], steps, False)
-                            got = _mapped({(t,): one}, [0], [slot])
+                            got = _mapped({(t,): one}, [0], [slot], one)
                             assert got == want, (name, items, anchor, steps, t)
 
 
@@ -336,7 +336,7 @@ def test_mapped_drops_a_key_whose_terms_cancel():
     one = QQ.one()
     slot = (((0, one),), ((0, -one), (1, one)), ((1, one), (2, one)))
     raw = {(0,): one, (1,): one, (2,): one}
-    assert _mapped(raw, [0], [slot]) == {(1,): one + one, (2,): one}
+    assert _mapped(raw, [0], [slot], one) == {(1,): one + one, (2,): one}
 
 
 def _sweep_graphs(cat, rnd):
@@ -661,6 +661,23 @@ def test_reversed_strand_changes_only_the_cap_scalar(name):
         assert raw2 == {key: val * x for key, val in raw.items()}, (name, g.edges, k)
         kinds.add(kind)
     assert kinds == {"l", "r"}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_reversal_scalar_is_a_field_element_one_included(name):
+    # rev_c / lev_(c*) for a lev cap and lev_c / rev_(c*) for a rev cap,
+    # returned as a field element for every colour, also where it is one
+    cat = _cat(name)
+    ones = 0
+    for c in range(cat.n):
+        dual = cat.dual[c]
+        want = {"l": cat.rev_scalar(c) / cat.lev_scalar(dual),
+                "r": cat.lev_scalar(c) / cat.rev_scalar(dual)}
+        for kind, x in want.items():
+            got = _reversal_scalar(cat, c, kind)
+            assert isinstance(got, FieldElement) and got == x, (name, c, kind)
+            ones += x.is_one()
+    assert ones  # the unit's scalars are one
 
 
 def test_slot_anchor_change_is_rotation():

@@ -2,8 +2,9 @@
 
 A code line holds a token other than a comment and is not part of a
 docstring (of the module, a class or a function); blank lines, comments
-and docstrings are not code.  Both counts are summed over the ``.py`` files
-under ``src/`` (or the directory given as the one argument).
+and docstrings are not code.  Both counts are printed for each ``.py`` file
+under ``src/`` (or the directory given as the one argument), relative to
+it, and then summed in the last two lines.
 
     python3 tools/src_lines.py [DIR]
 """
@@ -43,6 +44,7 @@ def main(argv) -> int:
     physical = code = 0
     for path in files:
         p, c = counts(path)
+        print(f"{path.relative_to(root)}: {p} physical, {c} code")
         physical += p
         code += c
     print(f"src physical lines: {physical}")
