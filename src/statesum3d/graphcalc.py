@@ -46,17 +46,24 @@ holds the reciprocals at the transposed positions; no elimination runs.
 :func:`_pairing` keeps that inverse as one pair ``(t, Ginv[t][u])`` per
 tree u of H(E^opp), memoized per signed colour tuple.
 
-The link tensors of a skeleton's vertices come from :func:`_link_tensor`:
-one sweep per isomorphism class of colored link, re-based to each link's
-own anchors, with the pairing of every edge folded into the tensor at the
-edge's end 1, and that of every top end of a cobordism at the end.  An edge
-of the state sum then contracts by equal indices, and a top index comes out
-in the tree basis of the top surface.
+The link tensors of a skeleton's vertices come from link programs
+(:class:`_LinkProgram`), one per link, which read off its uncoloured
+rotation system, once, all that does not depend on colour.  A program's
+tensor is one sweep per isomorphism class of colored link, re-based to the
+link's own anchors, with the pairing of every edge folded into the tensor
+at the edge's end 1, and that of every top end of a cobordism at the end.
+An edge of the state sum then contracts by equal indices, and a top index
+comes out in the tree basis of the top surface.
 The classes forget edge directions: in a pivotal category a strand
 coloured c is the reversed strand coloured c* (Turaev and Virelizier,
 "Monoidal Categories and Topological Field Theory"), which every box and
 cap reads as the same letters, so only the cap's scalar changes, by
-``rev_c / lev_(c*)`` or ``lev_c / rev_(c*)`` (:func:`_reversal_scalar`).
+``rev_c / lev_(c*)`` or ``lev_c / rev_(c*)`` (:func:`_reversal_scalar`),
+multiplied in only where it is not one.  Most class sweeps have one entry,
+whose every index the re-basing and pairing take to one tree; such a
+tensor is one product, made in one pass (:func:`_composed`).  Any other
+is mapped one slot at a time (:func:`_mapped`), so that dense rows do not
+multiply out.
 
 The cone isomorphism that re-anchors a multiplicity module k steps on
 (moving the first k legs to the end) is applied in closed form, as one
@@ -88,8 +95,9 @@ unknot against a basis vector of Hom(1, U* (x) U) is the left evaluation.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 from math import prod
+from operator import itemgetter
 
 from . import records
 from .catdata import GFusionData, UnionFind
@@ -627,38 +635,67 @@ def _canonical_rotation_system(rotations) -> tuple:
     ``starts[order[k]]`` and the dart ``tails[j]``, where the walk meets
     edge j first, to their counterparts: the tail of the canonical edge j.
 
-    The walk from a root stops at the first row of its code that compares
-    greater than the same row of the least code so far; among equal codes
-    the first root is kept.  Returns ``(code, order, starts, tails)``."""
+    The roots are taken in order, and a walk stops at the first row of its
+    code that compares greater than the same row of the least code so far
+    (:func:`_root_walk`); among equal codes the first root is kept.  A
+    root whose code ties the least one is the image of the first least
+    root under an automorphism, the dart permutation that matches the two
+    walks; each dart is merged with its image in a union-find, so the
+    classes are orbits of automorphisms, and a root is skipped when the
+    least dart of its class, walked or skipped before it, is not itself:
+    an automorphism keeps the code of every root.  Returns ``(code, order,
+    starts, tails)``."""
+    base = [0, *accumulate(map(len, rotations))]  # dart (v, i) is number base[v] + i
     dart_pos = {d: (v, i) for v, rot in enumerate(rotations) for i, d in enumerate(rot)}
     other = [[dart_pos[(e, 1 - end)] for e, end in rot] for rot in rotations]
+    orbits = UnionFind(base[-1])
     best = None
-    for v0, i0 in sorted(dart_pos.values()):
-        number, starts, order = [None] * len(other), [None] * len(other), [v0]
-        number[v0], starts[v0] = 0, i0
-        code, less = [], best is None
-        for v in order:
-            row = []
-            for w, i in other[v][starts[v]:] + other[v][:starts[v]]:
-                if number[w] is None:
-                    number[w], starts[w] = len(order), i
-                    order.append(w)
-                row.append((number[w], (i - starts[w]) % len(other[w])))
-            row = tuple(row)
-            if not less:
-                if row > best[0][len(code)]:
-                    break
-                less = row < best[0][len(code)]
-            code.append(row)
-        else:
-            if less:
-                best = (tuple(code), tuple(order), tuple(starts))
+    for v0, rot in enumerate(other):
+        for i0 in range(len(rot)):
+            root = base[v0] + i0
+            if orbits.find(root) != root:
+                continue
+            walk = _root_walk(other, v0, i0, best and best[0])
+            if walk is None:
+                continue
+            if best is None or walk[0] != best[0]:
+                best = walk
+                continue
+            for v, w in zip(best[1], walk[1]):
+                n = len(other[v])
+                for j in range(n):
+                    orbits.union(base[v] + (best[2][v] + j) % n, base[w] + (walk[2][w] + j) % n)
     code, order, starts = best
     tails = {}
     for v in order:
         for e, end in rotations[v][starts[v]:] + rotations[v][:starts[v]]:
             tails.setdefault(e, end)
     return code, order, starts, tuple(tails.items())
+
+
+def _root_walk(other, v0: int, i0: int, least):
+    """``(code, order, starts)`` of the walk of
+    :func:`_canonical_rotation_system` from the root dart ``(v0, i0)``,
+    ``other[v][i]`` being the position of the other dart of the i-th dart
+    at v; None once a row of its code compares greater than the same row of
+    ``least`` (None: no code yet)."""
+    number, starts, order = [None] * len(other), [None] * len(other), [v0]
+    number[v0], starts[v0] = 0, i0
+    code, less = [], least is None
+    for v in order:
+        row = []
+        for w, i in other[v][starts[v]:] + other[v][:starts[v]]:
+            if number[w] is None:
+                number[w], starts[w] = len(order), i
+                order.append(w)
+            row.append((number[w], (i - starts[w]) % len(other[w])))
+        row = tuple(row)
+        if not less:
+            if row > least[len(code)]:
+                return None
+            less = row < least[len(code)]
+        code.append(row)
+    return tuple(code), tuple(order), tuple(starts)
 
 
 def _canonical_graph(code) -> "ColoredGraph":
@@ -940,12 +977,13 @@ def _mapped(raw: dict, positions, maps, scale: FieldElement) -> dict:
     return entries
 
 
-def _link_tensor(data: GFusionData, rotations, colors: tuple, paired) -> dict:
-    """Entries of the link tensor of the rotation system ``rotations``
-    (darts ``(arc, end)`` per link vertex) with arc colors ``colors``, in
-    the tree bases anchored at each vertex's first dart, as
-    ``evaluate_graph`` gives them, with the pairing of each link vertex in
-    ``paired`` folded in.
+class _LinkProgram:
+    """The link tensor of one link as a function of its arc colours: what
+    :meth:`tensor` needs of the uncoloured rotation system ``rotations``
+    (darts ``(arc, end)`` per link vertex) and the paired link vertices
+    ``paired``, read off once.  The tensor's entries are in the tree bases
+    anchored at each vertex's first dart, as ``evaluate_graph`` gives them,
+    with the pairing of each link vertex in ``paired`` folded in.
 
     The sweep runs once per class: the canonical code of the undirected
     rotation system (:func:`_canonical_rotation_system`) with each arc's
@@ -955,36 +993,105 @@ def _link_tensor(data: GFusionData, rotations, colors: tuple, paired) -> dict:
     ``rev_c / lev_(c*)`` where its plan caps the edge by lev and by
     ``lev_c / rev_(c*)`` where it caps it by rev.  Each index is then
     re-based and, at a link vertex in ``paired``, paired by one memoized map
-    per slot (:func:`_slot_map`)."""
-    memo = data._memo
-    rotations = tuple(map(tuple, rotations))
-    form = memo.get(("link form", rotations))
-    if form is None:
-        code, order, starts, tails = _canonical_rotation_system(rotations)
-        rank = [order.index(v) for v in range(len(rotations))]
-        # the plan depends on the code alone, as the code's links share its
-        # class sweeps; a sweep costs exponentially in its width, and over
-        # 41 link and random sphere codes the plans from face 0 are wider
-        # than from the last face on 14 and narrower on 3, while from the
-        # last face none is wider than the backtracking search's layout
-        graph = _canonical_graph(code)
-        plan = _sweep_plan(data, graph, len(graph.faces) - 1)
-        kinds = dict(op[2:] for op in plan[0] if op[0] == "cap")
-        form = memo[("link form", rotations)] = (
-            code, plan, tuple((a, end, kinds[j]) for j, (a, end) in enumerate(tails)),
-            tuple(plan[2][k] for k in rank),
-            tuple(starts[v] + plan[1][k] for v, k in enumerate(rank)))
-    code, plan, arcs, positions, sources = form
-    dual = data.dual
-    class_colors = tuple([dual[colors[a]] if end else colors[a] for a, end, _ in arcs])
-    raw = memo.get(("link class", code, class_colors))
-    if raw is None:
-        raw = memo[("link class", code, class_colors)] = _sweep(data, plan, class_colors)
-    scale = prod([_reversal_scalar(data, colors[a], kind) for a, end, kind in arcs if end],
-                 start=data.field.one())
-    maps = [_slot_map(data, tuple([(colors[a], 1 if end else -1) for a, end in rot]),
-                      source % len(rot), g in paired)
-            for g, (rot, source) in enumerate(zip(rotations, sources))]
+    per slot (:func:`_slot_map`).  The program holds:
+
+    * the link form, memoized on the category per rotation system: the
+      code, the sweep plan of the code's graph from its last face (which
+      keys and runs the class sweeps), and each link vertex's key position
+      and anchor in the plan;
+    * the class arcs ``(arc, end)``, one per canonical edge, end 1 where
+      the arc runs against it;
+    * per link vertex, its slot: the picker of its darts' arc colours, the
+      ``(arc, sign)`` of each dart, the re-basing steps from the plan's
+      anchor to the first dart, whether it is paired, the reversed arcs
+      whose head is here, each with the kind of the cap that closes it,
+      and, by its darts' colours, the slot's map and the reversal scalars
+      of those arcs that are not one.
+    """
+
+    __slots__ = ("data", "code", "plan", "positions", "arcs", "slots")
+
+    def __init__(self, data: GFusionData, rotations, paired):
+        rotations = tuple(map(tuple, rotations))
+        form = data._memo.get(("link form", rotations))
+        if form is None:
+            code, order, starts, tails = _canonical_rotation_system(rotations)
+            rank = [order.index(v) for v in range(len(rotations))]
+            # the plan depends on the code alone, as the code's links share its
+            # class sweeps; a sweep costs exponentially in its width, and over
+            # 41 link and random sphere codes the plans from face 0 are wider
+            # than from the last face on 14 and narrower on 3, while from the
+            # last face none is wider than the backtracking search's layout
+            graph = _canonical_graph(code)
+            plan = _sweep_plan(data, graph, len(graph.faces) - 1)
+            kinds = dict(op[2:] for op in plan[0] if op[0] == "cap")
+            form = data._memo[("link form", rotations)] = (
+                code, plan, tuple((a, end, kinds[j]) for j, (a, end) in enumerate(tails)),
+                tuple(plan[2][k] for k in rank),
+                tuple(starts[v] + plan[1][k] for v, k in enumerate(rank)))
+        self.data = data
+        self.code, self.plan, arcs, self.positions, sources = form
+        self.arcs = tuple([(a, end) for a, end, _ in arcs])
+        flips = {a: kind for a, end, kind in arcs if end}  # reversed arcs' cap kinds
+        self.slots = tuple([(itemgetter(*[a for a, _ in rot]),
+                             tuple([(a, 1 if end else -1) for a, end in rot]),
+                             source % len(rot), g in paired,
+                             tuple([(a, flips[a]) for a, end in rot if end and a in flips]), {})
+                            for g, (rot, source) in enumerate(zip(rotations, sources))])
+
+    def tensor(self, colors) -> dict:
+        """The link tensor's entries for the arc colours ``colors``: the
+        class sweep, memoized on the category, through the slot maps and
+        times the reversal scalars that are not one (:func:`_composed`),
+        both kept per slot by its darts' colours."""
+        data = self.data
+        dual = data.dual
+        class_colors = tuple([dual[colors[a]] if end else colors[a] for a, end in self.arcs])
+        raw = data._memo.get(("link class", self.code, class_colors))
+        if raw is None:
+            raw = data._memo[("link class", self.code, class_colors)] = \
+                _sweep(data, self.plan, class_colors)
+        maps, factors = [], []
+        for pick, darts, steps, paired, reversals, known in self.slots:
+            key = pick(colors)
+            entry = known.get(key)
+            if entry is None:
+                entry = known[key] = (
+                    _slot_map(data, tuple([(colors[a], s) for a, s in darts]), steps, paired),
+                    tuple([x for x in [_reversal_scalar(data, colors[a], kind)
+                                       for a, kind in reversals] if not x.is_one()]))
+            maps.append(entry[0])
+            if entry[1]:
+                factors += entry[1]
+        return _composed(data, raw, self.positions, maps, factors)
+
+
+def _composed(data: GFusionData, raw: dict, positions, maps, factors: list) -> dict:
+    """:func:`_mapped` of ``raw`` scaled by the product of ``factors``.
+
+    When ``raw`` has one entry and the row of each slot map at its index is
+    one pair (or the map is the identity), the result is that one entry
+    with each index replaced and its value times the factors and the rows'
+    coefficients: one product, made in one pass, with no sum and so no
+    zero test.  Any other tensor takes the per-slot passes of
+    :func:`_mapped`, which keep dense rows from multiplying out."""
+    if len(raw) == 1:
+        (key, val), = raw.items()
+        index, coeffs = [], factors[:]
+        for slot, p in zip(maps, positions):
+            i = key[p]
+            if slot is None:
+                index.append(i)
+                continue
+            row = slot[i]
+            if len(row) != 1:
+                break
+            t, y = row[0]
+            index.append(t)
+            coeffs.append(y)
+        else:
+            return {tuple(index): prod(coeffs, start=val)}
+    scale = prod(factors[1:], start=factors[0]) if factors else data.field.one()
     return _mapped(raw, positions, maps, scale)
 
 

@@ -9,8 +9,9 @@ where a coloring assigns to each region a simple of the grade given by the
 labeling, each vertex link evaluated as a colored graph on its sphere
 contributes a tensor, and every edge contracts the two end tensors through
 the inverse Gram matrix of the duality pairing of its branch cyclic set.
-That inverse is monomial, and :func:`graphcalc._link_tensor` folds it into
-the tensor at the edge's end 1, so an edge contracts by equal indices.
+That inverse is monomial, and the link program of the edge's end-1 vertex
+(:class:`graphcalc._LinkProgram`) folds it into that tensor, so an edge
+contracts by equal indices.
 
 The same engine evaluates cobordism skeletons for :mod:`statesum3d.hqft`:
 boundary regions get pinned colors and boundary link vertices stay open.
@@ -31,7 +32,7 @@ then falls on one key.  Its cost grows with the number of frontier
 colorings, not with the number of colorings.
 
 Link tensors are swept once per isomorphism class of colored link and
-category (:func:`graphcalc._link_tensor`).  This assumes that the
+category (:class:`graphcalc._LinkProgram`).  This assumes that the
 evaluation of a colored graph does not depend on its outer face or on how
 its vertices and edges are numbered, which holds for spherical data: the
 ``spherical`` line of ``validate-category`` checks the data, and
@@ -51,7 +52,7 @@ from .catdata import GFusionData, neutral_dimension
 from .complexes import Skeleton
 from .exactnum import FieldElement
 from .gauge import gauge_classes
-from .graphcalc import _link_tensor, hom_dim
+from .graphcalc import _LinkProgram, hom_dim
 
 __all__ = [
     "StateSumResult",
@@ -129,11 +130,16 @@ class _Evaluator:
     :attr:`visited` counts the extensions of the last :meth:`total`, one
     per key and admissible coloring of a step's new regions.
 
-    Link tensors, and edge admissibility per colored branch list, are
-    memoized here; the admissibility cache is keyed by the colors followed
-    by the signs (:func:`_branch_items`), which hash faster than the pairs
-    ``graphcalc`` takes.  Link tensors per isomorphism class and pairings
-    are memoized on the category too.
+    Each vertex's link is evaluated by one link program
+    (:class:`graphcalc._LinkProgram`), built here with the vertex's paired
+    slots, so that a link evaluation does only the work that depends on
+    its colors.  Link tensors per vertex and arc colors, and edge
+    admissibility per colored branch list, are memoized here; the
+    admissibility cache is keyed by the colors followed by the signs
+    (:func:`_branch_items`), which hash faster than the pairs ``graphcalc``
+    takes.  Link forms, class sweeps, slot maps and pairings are memoized
+    on the category, and each program slot keeps its maps by the colors of
+    its darts.
     """
 
     def __init__(self, sk, cat: GFusionData, ends=(), paired=()):
@@ -200,6 +206,8 @@ class _Evaluator:
                 _picker([i for i, r in enumerate(colored) if left[r]]), _picker(slots)))
             frontier = [r for r in colored if left[r]]
         self.end_positions = _picker([layout.index(end) for end in self.ends])
+        self.programs = [_LinkProgram(cat, lk.rotations, self.paired[v])
+                         for v, lk in enumerate(sk.links)]
 
     def total(self, sectors):
         """The state sum over the admissible colorings, one candidate list
@@ -269,8 +277,7 @@ class _Evaluator:
         pairings of its end-1 slots folded in."""
         entries = self.link_cache.get((v, colors))
         if entries is None:
-            entries = _link_tensor(self.cat, self.sk.links[v].rotations, colors, self.paired[v])
-            self.link_cache[(v, colors)] = entries
+            entries = self.link_cache[(v, colors)] = self.programs[v].tensor(colors)
         return entries
 
 

@@ -1,6 +1,8 @@
 import random
 import time
+from fractions import Fraction
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,7 @@ from statesum3d.graphcalc import (
     _canonical_graph,
     _canonical_rotation_system,
     _cap,
+    _composed,
     _mapped,
     _rebase_rows,
     _reversal_scalar,
@@ -337,6 +340,64 @@ def test_mapped_drops_a_key_whose_terms_cancel():
     slot = (((0, one),), ((0, -one), (1, one)), ((1, one), (2, one)))
     raw = {(0,): one, (1,): one, (2,): one}
     assert _mapped(raw, [0], [slot], one) == {(1,): one + one, (2,): one}
+
+
+def _random_slot_map(rnd, field, dim, kind):
+    """Rows over ``range(dim)`` of one of three kinds: one pair each
+    ('monomial'), up to dim pairs each ('sparse'), or None, the
+    identity."""
+    if kind is None:
+        return None
+    rows = []
+    for _ in range(dim):
+        targets = rnd.sample(range(dim), 1 if kind == "monomial" else rnd.randrange(dim + 1))
+        rows.append(tuple((t, _nonzero(rnd, field)) for t in sorted(targets)))
+    return tuple(rows)
+
+
+def _nonzero(rnd, field):
+    return field.rational(Fraction(rnd.choice([-3, -2, -1, 1, 2, 3]), rnd.randrange(1, 4)))
+
+
+def test_one_pass_composition_matches_the_per_slot_passes(monkeypatch):
+    # random sparse tensors of one or several entries through random slot
+    # maps whose rows are one pair, sparse, or the identity: the composition
+    # equals the per-slot passes scaled by the factors' product, and takes
+    # the one pass exactly when the tensor has one entry and every row it
+    # reads is one pair (or an identity)
+    calls = []
+    monkeypatch.setattr(graphcalc, "_mapped", lambda *args: calls.append(1) or _mapped(*args))
+    rnd = random.Random("composed/one-pass")
+    cat = builtin_category("fibonacci")  # only its field is read
+    field, one = cat.field, cat.field.one()
+    paths = {True: 0, False: 0}
+    for _ in range(400):
+        n = rnd.randrange(1, 5)
+        dims = [rnd.randrange(1, 4) for _ in range(n)]
+        kinds = [None, "monomial", "monomial", "sparse"]
+        maps = [_random_slot_map(rnd, field, d, rnd.choice(kinds)) for d in dims]
+        positions = rnd.sample(range(n), n)
+        raw = {}
+        for _ in range(rnd.choice([1, 1, 2, 3])):
+            key = [None] * n
+            for v, p in enumerate(positions):
+                key[p] = rnd.randrange(dims[v])
+            raw[tuple(key)] = _nonzero(rnd, field)
+        factors = [_nonzero(rnd, field) for _ in range(rnd.randrange(3))]
+        factors = [x for x in factors if not x.is_one()]
+        want = _mapped(raw, positions, maps, prod(factors, start=one))
+        calls.clear()
+        assert _composed(cat, raw, positions, maps, list(factors)) == want, (raw, maps)
+        (key, _), = list(raw.items())[:1]
+        one_pass = len(raw) == 1 and all(
+            slot is None or len(slot[key[p]]) == 1 for slot, p in zip(maps, positions))
+        assert len(calls) == (not one_pass)
+        paths[one_pass] += 1
+    assert min(paths.values()) >= 50, paths
+    # two entries meet on index 0 and cancel there, so only the per-slot
+    # passes can see it
+    slot = (((0, one),), ((0, -one), (1, one)))
+    assert _composed(cat, {(0,): one, (1,): one}, [0], [slot], []) == {(1,): one}
 
 
 def _sweep_graphs(cat, rnd):
@@ -784,6 +845,55 @@ def test_canonical_form_matches_full_walk():
     for rotations in systems:
         assert _canonical_rotation_system(rotations) == \
             refsweep.canonical_rotation_system(rotations), rotations
+
+
+def test_canonical_walk_skips_only_roots_of_walked_codes(monkeypatch):
+    # a root is skipped only when it lies in the automorphism orbit of a
+    # walked root, so its code is a walked root's code; every dart of the
+    # tetrahedral links of s3_2tet is a least root (their rotation group is
+    # transitive on the 12 darts), and the automorphisms found from the
+    # first ties leave fewer than 12 roots to walk
+    from statesum3d.complexes import dual_skeleton
+    from trifiles import load_tri
+
+    walked = []
+    root_walk = graphcalc._root_walk
+
+    def recorded(other, v0, i0, least):
+        walked.append((other, v0, i0))
+        return root_walk(other, v0, i0, least)
+
+    monkeypatch.setattr(graphcalc, "_root_walk", recorded)
+    rnd = random.Random("canonical-walk/orbits")
+    tetrahedral = [tuple(map(tuple, lk.rotations))
+                   for lk in dual_skeleton(load_tri("s3_2tet")).links]
+    systems = tetrahedral + _sweep_rotation_systems()
+    systems += [grow_random_planar(rnd)[2] for _ in range(60)]
+    # an n-cycle with a pendant edge at each vertex: its automorphisms
+    # rotate the cycle, with four dart orbits; each rotation list starts
+    # at a random dart, so an automorphism must match darts by position
+    # after each walk's start
+    for n in range(3, 7):
+        for _ in range(4):
+            rotations = [[(k, 0), ((k - 1) % n, 1), (n + k, 0)] for k in range(n)]
+            rotations += [[(n + k, 1)] for k in range(n)]
+            for rot in rotations:
+                shift = rnd.randrange(len(rot))
+                rot[:] = rot[shift:] + rot[:shift]
+            systems.append(rotations)
+    skipped = 0
+    for rotations in systems:
+        walked.clear()
+        _canonical_rotation_system(rotations)
+        other = walked[0][0]
+        codes = {root_walk(other, v0, i0, None)[0] for _, v0, i0 in walked}
+        roots = {(v, i) for v, rot in enumerate(rotations) for i in range(len(rot))}
+        for v0, i0 in roots - {(v0, i0) for _, v0, i0 in walked}:
+            assert root_walk(other, v0, i0, None)[0] in codes, (rotations, v0, i0)
+            skipped += 1
+        if rotations in tetrahedral:
+            assert len(roots) == 12 and len(walked) < 12, len(walked)
+    assert skipped
 
 
 def _checked_width(graph, plan, outer_face):

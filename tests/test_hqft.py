@@ -97,6 +97,26 @@ def test_ranks():
     assert hqft_space_rank("torus_2loop", builtin_category("ising_like")) == 9
 
 
+def test_cylinder_links_take_both_link_composition_paths(monkeypatch):
+    # most link tensors of the fine torus cylinder with ising_like have one
+    # class-sweep entry and one pair in every slot row they read, and are
+    # one product; the others are composed by the per-slot passes
+    from statesum3d import graphcalc
+    calls = {"composed": 0, "per-slot": 0}
+    composed, mapped = graphcalc._composed, graphcalc._mapped
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(graphcalc, "_composed", counted("composed", composed))
+    monkeypatch.setattr(graphcalc, "_mapped", counted("per-slot", mapped))
+    assert hqft_space_rank("torus_fine", builtin_category("ising_like")) == 9
+    assert 0 < calls["per-slot"] < calls["composed"] - calls["per-slot"], calls
+
+
 def test_rank_agreement_across_skeletons():
     for cname, grp in [("vect_Z2_theta1", Z2), ("fibonacci", TRIV)]:
         cat = builtin_category(cname)

@@ -15,7 +15,7 @@ from statesum3d.graphcalc import (
     CyclicCSet,
     PairingData,
     _canonical_rotation_system,
-    _link_tensor,
+    _LinkProgram,
     evaluate_graph,
 )
 from statesum3d.statesum import (
@@ -401,7 +401,8 @@ def _colored_links(sk, cat):
                     yield v, colors, coloring
 
 
-@pytest.mark.parametrize("category", ["fibonacci", "ising_like", "vect_Z3_theta1"])
+@pytest.mark.parametrize("category", ["fibonacci", "ising_like", "vect_Z3_theta1",
+                                      "vect_Z4_theta1"])
 def test_memoized_link_tensors_match_direct_evaluation(category):
     # link tensors come from the per-category memo of isomorphism classes;
     # each one, with no pairing folded in, must equal the evaluation of the
@@ -419,12 +420,13 @@ def test_memoized_link_tensors_match_direct_evaluation(category):
                                  [(t, h, c) for (t, h, _), c in zip(lk.arcs, colors)],
                                  lk.rotations)
             want = evaluate_graph(direct, graph).entries
-            assert _link_tensor(cat, lk.rotations, colors, ()) == want, (sk.name, v, colors)
+            assert _LinkProgram(cat, lk.rotations, ()).tensor(colors) == want, (sk.name, v, colors)
             checked += 1
         assert checked
 
 
-@pytest.mark.parametrize("category", ["fibonacci", "ising_like", "vect_Z3_theta1"])
+@pytest.mark.parametrize("category", ["fibonacci", "ising_like", "vect_Z3_theta1",
+                                      "vect_Z4_theta1"])
 def test_folded_link_tensors_contract_through_the_gram_inverse(category):
     # the evaluator's link tensor folds in, at end 1 of each edge, the
     # pairing of the edge's end-0 branch list E: it must equal the unfolded
@@ -437,7 +439,7 @@ def test_folded_link_tensors_contract_through_the_gram_inverse(category):
         ev = _Evaluator(sk, cat)
         folded = 0
         for v, colors, coloring in _colored_links(sk, cat):
-            want = _link_tensor(cat, sk.links[v].rotations, colors, ())
+            want = _LinkProgram(cat, sk.links[v].rotations, ()).tensor(colors)
             for (v0, g0), (v1, g) in sk.edges:
                 if v1 != v:
                     continue
@@ -572,7 +574,7 @@ def test_link_classes_of_relabeled_and_reversed_random_graphs(category):
                 graph = ColoredGraph(nv, [(t, h, c) for (t, h), c in zip(edges2, colors2)],
                                      rotations2)
                 want = evaluate_graph(direct, graph).entries
-                assert _link_tensor(cat, rotations2, tuple(colors2), ()) == want, \
+                assert _LinkProgram(cat, rotations2, ()).tensor(tuple(colors2)) == want, \
                     (edges2, colors2)
                 graphs += 1
     assert graphs >= 90

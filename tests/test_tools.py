@@ -43,3 +43,43 @@ def test_main_prints_each_file_before_the_totals(tmp_path, capsys):
         "src physical lines: 13",
         "src code lines: 5",
     ]
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_on_fixed_numbers():
+    # inclusive quartiles of 1..5 are 2, 3, 4; the change wins the pairs it
+    # is better in, in the metric's direction, and a tie counts for neither
+    parent, change = [1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 2.5, 2.0, 3.0, 5.0]
+    lower = _bench_pairs().summary(parent, change, "lower")
+    assert lower == {
+        "parent": parent, "change": change,
+        "median_parent": 3.0, "quartiles_parent": [2.0, 3.0, 4.0],
+        "median_change": 2.5, "quartiles_change": [2.0, 2.5, 3.0],
+        "delta_median": -1 / 6, "change_wins": 3,
+    }
+    assert _bench_pairs().summary(parent, change, "higher")["change_wins"] == 1
+    assert _bench_pairs().summary([0, 0, 1], [1, 1, 1], "higher")["delta_median"] is None
+
+
+def test_bench_pairs_lists_the_traced_counts_that_differ():
+    # times, and the tracer's own overhead ratio, differ on every run and
+    # are not listed; counts, bits and ratios are listed where they differ
+    parent = {"a.mul_calls": {"value": 10, "unit": "count"},
+              "a.mul_s": {"value": 0.5, "unit": "s"},
+              "a.bits": {"value": 7, "unit": "bit"},
+              "a.ratio": {"value": 0.5, "unit": "ratio"},
+              "trace.overhead_ratio": {"value": 2.1, "unit": "ratio"}}
+    change = {"a.mul_calls": {"value": 8, "unit": "count"},
+              "a.mul_s": {"value": 0.4, "unit": "s"},
+              "a.bits": {"value": 7, "unit": "bit"},
+              "a.ratio": {"value": 0.25, "unit": "ratio"},
+              "trace.overhead_ratio": {"value": 1.9, "unit": "ratio"}}
+    assert _bench_pairs().traced_differences(parent, change) == {
+        "a.mul_calls": {"parent": 10, "change": 8},
+        "a.ratio": {"parent": 0.5, "change": 0.25}}
