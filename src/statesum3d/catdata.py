@@ -294,25 +294,20 @@ class GFusionData:
         self.fsym = dict(fsym)
         self._f_memo: dict = {}  # f_entry by 6-tuple, see there
         self._finv_cache: dict = {}
-        # link-evaluation data of graphcalc (sweep plans, box and cap
-        # transfer tables, tree bases, link forms and classes, reversal
-        # scalars, slot maps, pairings), built once per key; values are
-        # tuples, dicts and scalars that hold no reference back to this object
+        # link-evaluation data of graphcalc (tree bases, box and cap
+        # transfer tables, slot maps, reversal scalars, and per canonical
+        # link code its sweep plan and class sweeps), built once per key;
+        # values are tuples, dicts and scalars that hold no reference back
+        # to this object
         self._memo: dict = {}
-        # duality scalars, see module docstring
-        self._lev = {}
-        self._rev = {}
-        self._lcoev = {}
-        self._rcoev = {}
+        # lev_i, the one derived duality scalar, see module docstring
+        lev = []
         for i in range(self.n):
-            idual = self.dual[i]
-            finv_11 = self.finv_entry(i, idual, i, i, self.unit, self.unit)
+            finv_11 = self.finv_entry(i, self.dual[i], i, i, self.unit, self.unit)
             if finv_11 is None or finv_11.is_zero():
                 raise ValueError(f"degenerate duality data for simple {self.names[i]}")
-            self._lcoev[i] = field.one()
-            self._lev[i] = finv_11.inv()
-            self._rcoev[i] = self.pivotal[i]
-            self._rev[i] = self.dim_r[i]
+            lev.append(finv_11.inv())
+        self._lev = tuple(lev)
 
     # -- basic table access ----------------------------------------------
 
@@ -379,13 +374,13 @@ class GFusionData:
         return self._lev[i]
 
     def rev_scalar(self, i: int) -> FieldElement:
-        return self._rev[i]
+        return self.dim_r[i]
 
     def lcoev_scalar(self, i: int) -> FieldElement:
-        return self._lcoev[i]
+        return self.field.one()
 
     def rcoev_scalar(self, i: int) -> FieldElement:
-        return self._rcoev[i]
+        return self.pivotal[i]
 
     def dim(self, i: int) -> FieldElement:
         return self.dim_l[i]

@@ -10,12 +10,11 @@ on tree coordinates by single F-moves; see the convention block in
 :mod:`statesum3d.catdata`.
 
 A colored graph is evaluated by a planar sweep (:func:`evaluate_graph`):
-its plan of box and cap actions, built once per category, uncoloured graph
-and outer face by one pass with no search (:func:`_sweep_plan`), runs
-with the edge colours
-(:func:`_sweep`) on a flat state ``{(path, choice): value}``: ``path`` is
-a tree of the current word and ``choice`` lists the basis tree taken at
-each vertex inserted so far.  Both sweep actions read transfer tables
+its plan of box and cap actions, built from the uncoloured graph and outer
+face by one pass with no search (:func:`_sweep_plan`), runs with the edge
+colours (:func:`_sweep`) on a flat state ``{(path, choice): value}``:
+``path`` is a tree of the current word and ``choice`` lists the basis tree
+taken at each vertex inserted so far.  Both sweep actions read transfer tables
 memoized in the category's ``_memo``, each checked once, when it is made:
 
 * box tables ``("box", letters)``, one per basis tree ``tree`` of
@@ -43,15 +42,17 @@ where no F-move applies, and the caps from the middle out keep only the
 tree of H(E^opp) with the reversed intermediates, so column t holds one
 product of n cap coefficients.  The matrix is monomial, and its inverse
 holds the reciprocals at the transposed positions; no elimination runs.
-:func:`_pairing` keeps that inverse as one pair ``(t, Ginv[t][u])`` per
-tree u of H(E^opp), memoized per signed colour tuple.
+The paired slot map at steps 0 (:func:`_slot_map`) keeps that inverse as
+one pair ``(t, Ginv[t][u])`` per tree u of H(E^opp).
 
 The link tensors of a skeleton's vertices come from link programs
 (:class:`_LinkProgram`), one per link, which read off its uncoloured
 rotation system, once, all that does not depend on colour.  A program's
-tensor is one sweep per isomorphism class of colored link, re-based to the
-link's own anchors, with the pairing of every edge folded into the tensor
-at the edge's end 1, and that of every top end of a cobordism at the end.
+tensor is one sweep per isomorphism class of colored link, kept in the
+category's one memo entry per canonical code of the uncoloured link,
+re-based to the link's own anchors, with the pairing of every edge folded
+into the tensor at the edge's end 1, and that of every top end of a
+cobordism at the end.
 An edge of the state sum then contracts by equal indices, and a top index
 comes out in the tree basis of the top surface.
 The classes forget edge directions: in a pivotal category a strand
@@ -572,16 +573,6 @@ class PairingData:
         return tuple(pairs)
 
 
-def _pairing(data: GFusionData, items: tuple) -> tuple:
-    """``PairingData(data, CyclicCSet(items))._inverse_pairs()``, built once
-    per category and signed colour tuple."""
-    key = ("pairing", items)
-    pairing = data._memo.get(key)
-    if pairing is None:
-        pairing = data._memo[key] = PairingData(data, CyclicCSet(items))._inverse_pairs()
-    return pairing
-
-
 # ---------------------------------------------------------------------------
 # colored graphs on the sphere
 
@@ -822,9 +813,9 @@ def _dense(t: GraphTensor):
     return {idx: t.value(idx) for idx in iproduct(*(range(d) for d in t.dims()))}
 
 
-def _sweep_plan(data: GFusionData, graph: ColoredGraph, outer_face: int) -> tuple:
+def _sweep_plan(graph: ColoredGraph, outer_face: int) -> tuple:
     """Sweep plan ``(ops, offsets, positions)`` of the uncoloured ``graph``
-    from ``outer_face``, memoized on the category: ops ``("box", p, darts)``
+    from ``outer_face``: ops ``("box", p, darts)``
     insert a vertex's darts from its offset on at word position p, ops
     ``("cap", q, edge, 'l' (lev) or 'r' (rev))`` close an edge, and vertex
     v's index sits at choice position ``positions[v]``, anchored at
@@ -861,10 +852,6 @@ def _sweep_plan(data: GFusionData, graph: ColoredGraph, outer_face: int) -> tupl
     some box, and components and faces form a tree on the sphere, so move
     1 reaches every component.  A stuck loop is an :class:`InternalError`.
     """
-    key = ("sweep plan", tuple(graph.rotations), tuple(graph.faces), outer_face)
-    plan = data._memo.get(key)
-    if plan is not None:
-        return plan
     rotations, component = graph.rotations, graph.component
     waiting = set(component)
     strands, gaps, ops, offsets = [], [outer_face], [], {}
@@ -896,9 +883,8 @@ def _sweep_plan(data: GFusionData, graph: ColoredGraph, outer_face: int) -> tupl
         gaps[p + 1:p + 1] = [graph.corner_face[(v, (r + j) % len(rot))]
                              for j in range(len(rot) - 1)] + [gaps[p]]
     position = {v: k for k, v in enumerate(offsets)}
-    plan = data._memo[key] = (tuple(ops), tuple(map(offsets.get, range(len(rotations)))),
-                              tuple(map(position.get, range(len(rotations)))))
-    return plan
+    return (tuple(ops), tuple(map(offsets.get, range(len(rotations)))),
+            tuple(map(position.get, range(len(rotations)))))
 
 
 def _sweep(data: GFusionData, plan: tuple, edge_colors) -> dict:
@@ -934,7 +920,7 @@ def evaluate_graph(data: GFusionData, graph: ColoredGraph, slots=None,
     slot_by_vertex = {s.vertex: s for s in slots}
     if sorted(slot_by_vertex) != list(range(graph.nvertices)):
         raise ValueError("slots must cover each vertex exactly once")
-    plan = _sweep_plan(data, graph, 0 if outer_face is None else outer_face)
+    plan = _sweep_plan(graph, 0 if outer_face is None else outer_face)
     raw = _sweep(data, plan, [c for _, _, c in graph.edges])
     bases = [MultiplicityBasis(data, graph.vertex_cset(v), slot_by_vertex[v].anchor)
              for v in range(graph.nvertices)]
@@ -993,12 +979,14 @@ class _LinkProgram:
     ``rev_c / lev_(c*)`` where its plan caps the edge by lev and by
     ``lev_c / rev_(c*)`` where it caps it by rev.  Each index is then
     re-based and, at a link vertex in ``paired``, paired by one memoized map
-    per slot (:func:`_slot_map`).  The program holds:
+    per slot (:func:`_slot_map`).  The category memo holds one entry
+    ``("link code", code)`` per code: the sweep plan of the code's graph
+    from its last face, the kind of the cap that closes each canonical edge
+    in it, and the class sweeps keyed by the class colours.  The program
+    holds:
 
-    * the link form, memoized on the category per rotation system: the
-      code, the sweep plan of the code's graph from its last face (which
-      keys and runs the class sweeps), and each link vertex's key position
-      and anchor in the plan;
+    * that plan and that dict of class sweeps, and each link vertex's key
+      position in the plan;
     * the class arcs ``(arc, end)``, one per canonical edge, end 1 where
       the arc runs against it;
     * per link vertex, its slot: the picker of its darts' arc colours, the
@@ -1009,30 +997,29 @@ class _LinkProgram:
       of those arcs that are not one.
     """
 
-    __slots__ = ("data", "code", "plan", "positions", "arcs", "slots")
+    __slots__ = ("data", "plan", "sweeps", "positions", "arcs", "slots")
 
     def __init__(self, data: GFusionData, rotations, paired):
         rotations = tuple(map(tuple, rotations))
-        form = data._memo.get(("link form", rotations))
-        if form is None:
-            code, order, starts, tails = _canonical_rotation_system(rotations)
-            rank = [order.index(v) for v in range(len(rotations))]
+        code, order, starts, tails = _canonical_rotation_system(rotations)
+        link = data._memo.get(("link code", code))
+        if link is None:
             # the plan depends on the code alone, as the code's links share its
             # class sweeps; a sweep costs exponentially in its width, and over
             # 41 link and random sphere codes the plans from face 0 are wider
             # than from the last face on 14 and narrower on 3, while from the
             # last face none is wider than the backtracking search's layout
             graph = _canonical_graph(code)
-            plan = _sweep_plan(data, graph, len(graph.faces) - 1)
-            kinds = dict(op[2:] for op in plan[0] if op[0] == "cap")
-            form = data._memo[("link form", rotations)] = (
-                code, plan, tuple((a, end, kinds[j]) for j, (a, end) in enumerate(tails)),
-                tuple(plan[2][k] for k in rank),
-                tuple(starts[v] + plan[1][k] for v, k in enumerate(rank)))
-        self.data = data
-        self.code, self.plan, arcs, self.positions, sources = form
-        self.arcs = tuple([(a, end) for a, end, _ in arcs])
-        flips = {a: kind for a, end, kind in arcs if end}  # reversed arcs' cap kinds
+            plan = _sweep_plan(graph, len(graph.faces) - 1)
+            link = data._memo[("link code", code)] = (
+                plan, dict(op[2:] for op in plan[0] if op[0] == "cap"), {})
+        plan, kinds, self.sweeps = link
+        rank = [order.index(v) for v in range(len(rotations))]
+        self.data, self.plan, self.arcs = data, plan, tails
+        self.positions = tuple([plan[2][k] for k in rank])
+        sources = [starts[v] + plan[1][k] for v, k in enumerate(rank)]
+        # the reversed arcs' cap kinds
+        flips = {a: kinds[j] for j, (a, end) in enumerate(tails) if end}
         self.slots = tuple([(itemgetter(*[a for a, _ in rot]),
                              tuple([(a, 1 if end else -1) for a, end in rot]),
                              source % len(rot), g in paired,
@@ -1041,16 +1028,15 @@ class _LinkProgram:
 
     def tensor(self, colors) -> dict:
         """The link tensor's entries for the arc colours ``colors``: the
-        class sweep, memoized on the category, through the slot maps and
+        class sweep, memoized per code, through the slot maps and
         times the reversal scalars that are not one (:func:`_composed`),
         both kept per slot by its darts' colours."""
         data = self.data
         dual = data.dual
         class_colors = tuple([dual[colors[a]] if end else colors[a] for a, end in self.arcs])
-        raw = data._memo.get(("link class", self.code, class_colors))
+        raw = self.sweeps.get(class_colors)
         if raw is None:
-            raw = data._memo[("link class", self.code, class_colors)] = \
-                _sweep(data, self.plan, class_colors)
+            raw = self.sweeps[class_colors] = _sweep(data, self.plan, class_colors)
         maps, factors = [], []
         for pick, darts, steps, paired, reversals, known in self.slots:
             key = pick(colors)
@@ -1115,14 +1101,20 @@ def _slot_map(data: GFusionData, items: tuple, steps: int, paired: bool):
     whose end-0 branch list E is the reversed dual of ``items``, or a
     cobordism's top end, whose top surface south-type set E is: its index
     u, a tree of H(E^opp), becomes the one tree t of H(E) it pairs with,
-    times ``Ginv[t][u]`` (:func:`_pairing`)."""
+    times ``Ginv[t][u]`` (:meth:`PairingData._inverse_pairs`).  That is the
+    paired map at steps 0, which the paired map at other steps composes
+    with its re-basing rows."""
     key = ("slot", items, steps, paired)
     if key not in data._memo:
-        rows = _rebase_rows(data, items, steps) if steps else None
-        if paired:
-            pairing = _pairing(data, tuple([(c, -s) for c, s in reversed(items)]))
-            rows = tuple((pair,) for pair in pairing) if rows is None else tuple(
-                tuple((pairing[s][0], x * pairing[s][1]) for s, x in row) for row in rows)
+        if paired and not steps:
+            pairing = PairingData(data, CyclicCSet(items).opp())._inverse_pairs()
+            rows = tuple((pair,) for pair in pairing)
+        else:
+            rows = _rebase_rows(data, items, steps) if steps else None
+            if paired:
+                pairing = [row[0] for row in _slot_map(data, items, 0, True)]
+                rows = tuple(tuple((pairing[s][0], x * pairing[s][1]) for s, x in row)
+                             for row in rows)
         data._memo[key] = rows
     return data._memo[key]
 

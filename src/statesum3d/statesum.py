@@ -137,9 +137,9 @@ class _Evaluator:
     admissibility per colored branch list, are memoized here; the
     admissibility cache is keyed by the colors followed by the signs
     (:func:`_branch_items`), which hash faster than the pairs ``graphcalc``
-    takes.  Link forms, class sweeps, slot maps and pairings are memoized
-    on the category, and each program slot keeps its maps by the colors of
-    its darts.
+    takes.  Class sweeps, one dict per canonical link code, and slot maps
+    are memoized on the category, and each program slot keeps its maps by
+    the colors of its darts.
     """
 
     def __init__(self, sk, cat: GFusionData, ends=(), paired=()):

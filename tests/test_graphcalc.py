@@ -272,6 +272,16 @@ def test_categories_do_not_share_memoized_data():
     assert all(cat._memo for cat in cats.values())
 
 
+def test_evaluate_graph_stores_no_sweep_plan():
+    # the plan of a graph is built at each evaluation; the category memo
+    # keeps only the tree bases, transfer tables and slot maps it reads
+    cat = builtin_category("fibonacci")
+    graph = random_admissible_graph(random.Random("no-plan-memo"), cat)
+    for face in range(len(graph.faces)):
+        evaluate_graph(cat, graph, outer_face=face)
+    assert cat._memo and {key[0] for key in cat._memo} <= {"trees", "box", "cap", "slot"}
+
+
 def test_broken_invariant_is_an_internal_error():
     assert not issubclass(InternalError, (ValueError, AssertionError))
     fib = builtin_category("fibonacci")
@@ -713,7 +723,7 @@ def test_reversed_strand_changes_only_the_cap_scalar(name):
                            for e, edge in enumerate(g.edges)],
                           [[(e, 1 - end if e == k else end) for e, end in rot]
                            for rot in g.rotations])
-        plan, plan2 = _sweep_plan(cat, g, 0), _sweep_plan(cat, g2, 0)
+        plan, plan2 = _sweep_plan(g, 0), _sweep_plan(g2, 0)
         kind = next(op[3] for op in plan[0] if op[0] == "cap" and op[2] == k)
         x = _reversal_scalar(cat, cat.dual[c], kind)
         assert x != _reversal_scalar(cat, cat.dual[c], "r" if kind == "l" else "l")
@@ -956,7 +966,7 @@ def test_sweep_plans_are_valid_and_no_wider_than_the_search():
     cat = builtin_category("fibonacci")
     for graph in graphs:
         for face in range(len(graph.faces)):
-            width = _checked_width(graph, _sweep_plan(cat, graph, face), face)
+            width = _checked_width(graph, _sweep_plan(graph, face), face)
             assert width <= _search_width(graph, face), (graph.rotations, face)
 
 
@@ -991,7 +1001,7 @@ def test_nested_disconnected_graphs_get_valid_plans():
         colored = [(t, h, c) for (t, h), c in zip(edges, colors or [0] * len(edges))]
         graph = ColoredGraph(nv, colored, rotations, faces=faces)
         for face in range(len(graph.faces)):
-            _checked_width(graph, _sweep_plan(cat, graph, face), face)
+            _checked_width(graph, _sweep_plan(graph, face), face)
         if colors is not None:
             base = evaluate_graph(cat, graph, outer_face=0)
             for face in range(1, len(graph.faces)):
@@ -1034,7 +1044,7 @@ def test_long_cycles_get_plans_fast_from_both_faces():
     tensors = []
     for face in (0, 1):
         start = time.perf_counter()
-        plan = _sweep_plan(cat, graph, face)
+        plan = _sweep_plan(graph, face)
         assert time.perf_counter() - start < 1.0, face
         assert _checked_width(graph, plan, face) <= 4
         tensors.append(evaluate_graph(cat, graph, outer_face=face))

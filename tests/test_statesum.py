@@ -506,16 +506,54 @@ def test_link_classes_are_swept_once_up_to_strand_reversal(monkeypatch, category
     assert len(calls) == len(keys) < DIRECTED_CLASS_SWEEPS[category], (len(calls), len(keys))
 
 
-def test_sweep_plans_are_built_once_per_canonical_code():
-    # each built plan is memoized on the category under one key
+def test_sweep_plans_are_built_once_per_canonical_code(monkeypatch):
+    # each plan is built once, and memoized on the category in the one
+    # "link code" entry of its code
+    from statesum3d import graphcalc
+    built = []
+    sweep_plan = graphcalc._sweep_plan
+
+    def counted(graph, outer_face):
+        built.append(graph.rotations)
+        return sweep_plan(graph, outer_face)
+
+    monkeypatch.setattr(graphcalc, "_sweep_plan", counted)
     sk = dual_skeleton(load_tri("t3_6tet"))
     cat = builtin_category("vect_Z4_theta1")
     ev = _Evaluator(sk, cat)
     for rep, _ in gauge_classes(sk, cat.group):
         closed_invariant(sk, rep, cat, _ev=ev)
-    plans = [key for key in cat._memo if key[0] == "sweep plan"]
+    entries = [key[1] for key in cat._memo if key[0] == "link code"]
     codes = {_canonical_rotation_system(tuple(map(tuple, lk.rotations)))[0] for lk in sk.links}
-    assert 0 < len(plans) <= len(codes), (len(plans), len(codes))
+    assert len(built) == len(entries) == len(codes) and set(entries) == codes, \
+        (len(built), len(entries), len(codes))
+
+
+def test_links_of_one_code_share_its_entry_and_class_sweeps(monkeypatch):
+    # the two K4 links of s3_2tet have different rotation systems and one
+    # canonical code: one "link code" entry holds their class sweeps, and
+    # each class is swept once for both
+    from statesum3d import graphcalc
+    calls = []
+    sweep = graphcalc._sweep
+
+    def counted(cat, plan, edge_colors):
+        calls.append(edge_colors)
+        return sweep(cat, plan, edge_colors)
+
+    monkeypatch.setattr(graphcalc, "_sweep", counted)
+    sk = dual_skeleton(load_tri("s3_2tet"))
+    rotations = [tuple(map(tuple, lk.rotations)) for lk in sk.links]
+    assert len(rotations) == 2 and rotations[0] != rotations[1]
+    assert len({_canonical_rotation_system(r)[0] for r in rotations}) == 1
+    cat = builtin_category("fibonacci")
+    ev = _Evaluator(sk, cat)
+    assert [key[0] for key in cat._memo].count("link code") == 1
+    assert ev.programs[0].sweeps is ev.programs[1].sweeps
+    for rep, _ in gauge_classes(sk, cat.group):
+        closed_invariant(sk, rep, cat, _ev=ev)
+    assert len({v for v, _ in ev.link_cache}) == 2
+    assert calls and len(set(calls)) == len(calls) == len(ev.programs[0].sweeps), calls
 
 
 def _relabeled(rnd, edges, rotations, colors):

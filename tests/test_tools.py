@@ -1,5 +1,8 @@
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,3 +86,38 @@ def test_bench_pairs_lists_the_traced_counts_that_differ():
     assert _bench_pairs().traced_differences(parent, change) == {
         "a.mul_calls": {"parent": 10, "change": 8},
         "a.ratio": {"parent": 0.5, "change": 0.25}}
+
+
+@pytest.mark.parametrize("pairs", ["1", "0"])
+def test_bench_pairs_refuses_fewer_than_two_pairs_before_any_run(monkeypatch, capsys, pairs):
+    # the quartiles of each side need two runs: fewer pairs are a usage
+    # error, raised when the arguments are parsed
+    module = _bench_pairs()
+
+    def run_once(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    with pytest.raises(SystemExit) as exit_info:
+        module.main([str(ROOT), str(ROOT), "--pairs", pairs])
+    assert exit_info.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err
+
+
+def test_memo_traffic_counts_the_link_program_layers():
+    # the class sweeps and the slot maps by colour live in the link programs,
+    # outside the category memo; both get a row, and the class's own slot
+    # descriptors are back after the pass
+    spec = importlib.util.spec_from_file_location("memo_traffic",
+                                                  ROOT / "tools" / "memo_traffic.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    from statesum3d import cli, graphcalc
+    slots = {attr: vars(graphcalc._LinkProgram)[attr] for attr in ("sweeps", "slots")}
+    counts = defaultdict(lambda: [0, 0, 0])
+    with module.counting(counts):
+        assert cli.run(["invariant", "--triangulation", "s3_2tet", "--category", "fibonacci"]) == 0
+    assert {attr: vars(graphcalc._LinkProgram)[attr] for attr in slots} == slots
+    for row in ("_LinkProgram.sweeps", "_LinkProgram.slots maps", "_memo['link code']"):
+        lookups, hits, stores = counts[row]
+        assert 0 < lookups and hits <= lookups and stores == lookups - hits, (row, counts[row])

@@ -93,6 +93,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--output", type=Path)
     args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error(f"--pairs must be at least 2, for the quartiles of each side, not {args.pairs}")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     workloads, ok = {}, True

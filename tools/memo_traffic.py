@@ -7,11 +7,17 @@ Run from anywhere; the package is imported from this checkout's ``src/``
 and the command lists from ``perfbench/inputs.py``, which is only read.
 The layers are the category's ``_memo``, one per key kind (the key's first
 entry), its F-symbol memo ``_f_memo`` (``f_entry`` by 6-tuple), its
-``_finv_cache``, and the state-sum evaluator's ``link_cache`` and
-``admissible_cache``.  Counting dicts are installed from outside the
+``_finv_cache``, the state-sum evaluator's ``link_cache`` and
+``admissible_cache``, and two of each link program
+(``graphcalc._LinkProgram``): its class sweeps by class colours
+(``sweeps``, one dict per canonical code, which the programs of that code
+share), and its slots' maps by their darts' colours (the dict in each
+tuple of ``slots``).  Counting dicts are installed from outside the
 package, as ``perfbench/tracer.py`` wraps functions: a class attribute of
-``GFusionData`` and ``_Evaluator`` wraps each of these dicts when the
-constructor assigns it, and is removed again after the pass.
+``GFusionData``, ``_Evaluator`` and ``_LinkProgram`` wraps the dicts of
+each of these attributes when the constructor assigns it, and is removed
+again after the pass; a ``__slots__`` attribute is stored through the
+class's own slot descriptor.
 
 A lookup is a ``get`` or an ``in`` test, and it hits when the key is
 there; a store is an item assignment.  Reading an item right after an
@@ -26,6 +32,7 @@ import contextlib
 import io
 import sys
 import tempfile
+import types
 from collections import defaultdict
 from pathlib import Path
 
@@ -59,37 +66,84 @@ class CountingDict(dict):
 
 
 class Counted:
-    """Data descriptor that turns each dict assigned to the attribute into
-    a :class:`CountingDict` in the instance's own ``__dict__``."""
+    """Data descriptor that stores each value assigned to the attribute as
+    ``wrap(value)``: in the instance's own ``__dict__``, or through
+    ``slot``, the class's own descriptor of a ``__slots__`` attribute."""
 
-    def __init__(self, name, counts, kind):
-        self.name, self.counts, self.kind = name, counts, kind
+    def __init__(self, name, wrap, slot=None):
+        self.name, self.wrap, self.slot = name, wrap, slot
 
     def __get__(self, obj, owner=None):
-        return self if obj is None else obj.__dict__[self.name]
+        if obj is None:
+            return self
+        return self.slot.__get__(obj, owner) if self.slot else obj.__dict__[self.name]
 
     def __set__(self, obj, value):
-        obj.__dict__[self.name] = CountingDict(value, self.counts, self.kind)
+        if self.slot:
+            self.slot.__set__(obj, self.wrap(value))
+        else:
+            obj.__dict__[self.name] = self.wrap(value)
+
+
+def counting_dict(counts, kind):
+    """A wrap for :class:`Counted`: each dict becomes a new
+    :class:`CountingDict`."""
+    return lambda value: CountingDict(value, counts, kind)
+
+
+def shared_counting_dict(counts, kind):
+    """A wrap for :class:`Counted`: each dict becomes a :class:`CountingDict`,
+    the same one each time the same dict is assigned, so that instances
+    sharing a dict share its counting copy (the original is kept, unused,
+    so that its id is not reused)."""
+    copies = {}
+
+    def wrap(value):
+        entry = copies.get(id(value))
+        if entry is None:
+            entry = copies[id(value)] = (value, CountingDict(value, counts, kind))
+        return entry[1]
+    return wrap
+
+
+def counting_slot_dicts(counts, kind):
+    """A wrap for :class:`Counted`: a tuple of tuples with the dicts in
+    them turned into new :class:`CountingDict` s."""
+    return lambda value: tuple([tuple([CountingDict(x, counts, kind) if isinstance(x, dict)
+                                       else x for x in slot]) for slot in value])
 
 
 @contextlib.contextmanager
 def counting(counts):
-    from statesum3d import catdata, statesum
-    layers = [(catdata.GFusionData, "_memo", lambda key: f"_memo[{key[0]!r}]"),
-              (catdata.GFusionData, "_f_memo", lambda key: "_f_memo"),
-              (catdata.GFusionData, "_finv_cache", lambda key: "_finv_cache"),
-              (statesum._Evaluator, "link_cache", lambda key: "_Evaluator.link_cache"),
+    from statesum3d import catdata, graphcalc, statesum
+    layers = [(catdata.GFusionData, "_memo",
+               counting_dict(counts, lambda key: f"_memo[{key[0]!r}]")),
+              (catdata.GFusionData, "_f_memo", counting_dict(counts, lambda key: "_f_memo")),
+              (catdata.GFusionData, "_finv_cache",
+               counting_dict(counts, lambda key: "_finv_cache")),
+              (statesum._Evaluator, "link_cache",
+               counting_dict(counts, lambda key: "_Evaluator.link_cache")),
               (statesum._Evaluator, "admissible_cache",
-               lambda key: "_Evaluator.admissible_cache")]
-    for owner, attr, kind in layers:
-        if attr in vars(owner):
-            raise RuntimeError(f"{owner.__name__}.{attr} is already a class attribute")
-        setattr(owner, attr, Counted(attr, counts, kind))
+               counting_dict(counts, lambda key: "_Evaluator.admissible_cache")),
+              (graphcalc._LinkProgram, "sweeps",
+               shared_counting_dict(counts, lambda key: "_LinkProgram.sweeps")),
+              (graphcalc._LinkProgram, "slots",
+               counting_slot_dicts(counts, lambda key: "_LinkProgram.slots maps"))]
+    installed = []
     try:
+        for owner, attr, wrap in layers:
+            slot = vars(owner).get(attr)
+            if attr in vars(owner) and not isinstance(slot, types.MemberDescriptorType):
+                raise RuntimeError(f"{owner.__name__}.{attr} is already a class attribute")
+            setattr(owner, attr, Counted(attr, wrap, slot))
+            installed.append((owner, attr, slot))
         yield
     finally:
-        for owner, attr, _ in layers:
-            delattr(owner, attr)
+        for owner, attr, slot in installed:
+            if slot is None:
+                delattr(owner, attr)
+            else:
+                setattr(owner, attr, slot)
 
 
 def main(argv=None) -> int:
