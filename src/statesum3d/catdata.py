@@ -354,19 +354,28 @@ class GFusionData:
         return es, fs, rows
 
     def finv_entry(self, a, b, c, d, f, e) -> FieldElement | None:
-        """Entry (f, e) of the inverse F-block at (a,b,c,d)."""
+        """Entry (f, e) of the inverse F-block at (a,b,c,d), or None off the
+        block.  The inverse of each block is kept in ``_finv_cache``.  A 1x1
+        block, which most are, is inverted as the reciprocal of its entry,
+        any other by Gauss-Jordan elimination; a singular block raises the
+        ``ValueError("singular matrix")`` of ``linalg.matrix_inverse`` either
+        way."""
         key = (a, b, c, d)
-        if key not in self._finv_cache:
+        table = self._finv_cache.get(key)
+        if table is None:
             es, fs, rows = self.f_block(a, b, c, d)
             if len(es) != len(fs):
                 raise ValueError(f"non-square F-block at {key}")
-            inv = matrix_inverse(rows, self.field)
-            table = {}
-            for fi, fv in enumerate(fs):
-                for ei, ev in enumerate(es):
-                    table[(fv, ev)] = inv[fi][ei]
+            if len(es) == 1:
+                if rows[0][0].is_zero():
+                    raise ValueError("singular matrix")
+                table = {(fs[0], es[0]): rows[0][0].inv()}
+            else:
+                inv = matrix_inverse(rows, self.field)
+                table = {(fv, ev): inv[fi][ei]
+                         for fi, fv in enumerate(fs) for ei, ev in enumerate(es)}
             self._finv_cache[key] = table
-        return self._finv_cache[key].get((f, e))
+        return table.get((f, e))
 
     # -- duality scalars ---------------------------------------------------
 

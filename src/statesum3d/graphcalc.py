@@ -36,14 +36,16 @@ The sweep's result is re-based to the slot anchors one vertex at a time,
 through the same slot maps as a link tensor's (:func:`_slot_map`,
 :func:`_mapped`).
 
-:class:`PairingData` reads the Gram matrix of the duality pairing off the
-same cap table in closed form: both trees are boxed in after the unit,
-where no F-move applies, and the caps from the middle out keep only the
-tree of H(E^opp) with the reversed intermediates, so column t holds one
-product of n cap coefficients.  The matrix is monomial, and its inverse
-holds the reciprocals at the transposed positions; no elimination runs.
-The paired slot map at steps 0 (:func:`_slot_map`) keeps that inverse as
-one pair ``(t, Ginv[t][u])`` per tree u of H(E^opp).
+The Gram matrix of the duality pairing is read off the same cap table in
+closed form (:func:`_gram_support`): both trees are boxed in after the
+unit, where no F-move applies, and the caps from the middle out keep only
+the tree of H(E^opp) with the reversed intermediates, so column t holds
+one product of n cap coefficients.  The matrix is monomial, and its
+inverse holds the reciprocals at the transposed positions; no elimination
+runs.  The paired slot map at steps 0 (:func:`_slot_map`) keeps that
+inverse as one pair ``(t, Ginv[t][u])`` per tree u of H(E^opp), read off
+the memoized trees of the two words and the cap tables with no basis
+object; :class:`PairingData` is the dense view of the same entries.
 
 The link tensors of a skeleton's vertices come from link programs
 (:class:`_LinkProgram`), one per link, which read off its uncoloured
@@ -82,8 +84,9 @@ column of the rotation is their product, at n - 2 F-moves per tree for
 every k.  One lambda per channel suffices: the pivotal structure is
 monoidal, so k one-step rotations are one rotation of the block, and the
 step of a signed colour ``(c, -1)`` is that of the label ``c*``.  The
-result is read off as sparse rows (:func:`_rebase_rows`), which the slot
-maps memoize (:func:`_slot_map`).
+result is read off as sparse rows (:func:`_rebase_rows`), which depend on
+the word alone; the slot maps memoize them once per word and step count
+(:func:`_slot_map`), and a paired map composes them with its pairing.
 
 Cyclic sets follow the surface convention that the half-edge order at a
 vertex is taken clockwise (opposite surface orientation), a half-edge
@@ -317,7 +320,8 @@ def _rebase_rows(data: GFusionData, items: tuple, steps: int) -> tuple:
     """Sparse rows of :func:`rotation_matrix` for the basis anchored at the
     first of ``items`` and ``0 <= steps < n``: row t lists the pairs
     ``(s, R[t][s])`` with a nonzero value, s ascending.  Column s is the
-    block bend of source tree s, the product of its two partial sums."""
+    block bend of source tree s, the product of its two partial sums.  The
+    rows read only the word of ``items``."""
     word = _word(data, items)
     trees = _trees(data, word)
     one = data.field.one()
@@ -511,66 +515,82 @@ class PairingData:
 
     ``m_0`` the unit and ``cap`` the memoized coefficient of the sweep's cap
     table (:func:`_cap_coeff`).  The Gram matrix is therefore monomial, and
-    so is its inverse."""
+    so is its inverse.  The entries come from :func:`_gram_support`, which
+    the paired slot maps call directly; this class is their dense view, and
+    link evaluation builds none."""
 
     def __init__(self, data: GFusionData, cset: CyclicCSet):
         self.data = data
-        self.basis = MultiplicityBasis(data, cset, 0)
-        self.basis_opp = MultiplicityBasis(data, cset.opp(), 0)
-        unit = data.unit
-        caps = [_cap_table(data, c, "r" if s > 0 else "l") for c, s in cset.items]
-        row_of = {u: i for i, u in enumerate(self.basis_opp.trees)}
-        self._support = []  # (row, column, value) of the nonzero entries
-        for col, tree in enumerate(self.basis.trees):
-            row = row_of.get(tree[-2::-1] + (unit,))
-            value, prev = data.field.one(), unit
-            for (table, left, right, scalar), m in zip(caps, tree):
-                corner = (prev, m, prev)
-                c = table.get(corner, False)
-                if c is False:
-                    c = table[corner] = _cap_coeff(data, corner, left, right, scalar)
-                if c is None:
-                    break
-                value = value * c
-                prev = m
-            else:
-                if row is not None:
-                    self._support.append((row, col, value))
+        self._gram = _gram_support(data, cset.items)
 
     @property
     def gram(self):
         """Gram matrix, entry [u][t]: the dense view of the nonzero
         entries."""
+        support, rows, columns = self._gram
         zero = self.data.field.zero()
-        gram = [[zero] * self.basis.dim() for _ in range(self.basis_opp.dim())]
-        for row, col, value in self._support:
+        gram = [[zero] * columns for _ in range(rows)]
+        for row, col, value in support:
             gram[row][col] = value
         return gram
 
     def gram_inverse(self):
         """Inverse Gram; entry [t][u] pairs an H(E)-tree with an
         H(E^opp)-tree in the contraction of dual vectors: the dense view of
-        :meth:`_inverse_pairs`."""
-        pairs = self._inverse_pairs()
+        :func:`_inverse_pairs`."""
+        pairs = _inverse_pairs(*self._gram)
         inv = [[self.data.field.zero()] * len(pairs) for _ in pairs]
         for u, (t, value) in enumerate(pairs):
             inv[t][u] = value
         return inv
 
-    def _inverse_pairs(self) -> tuple:
-        """The inverse of the monomial Gram matrix, which holds the
-        reciprocals at the transposed positions, by rows of the Gram matrix:
-        entry u, a tree of H(E^opp), is ``(t, Ginv[t][u])`` for the one tree
-        t of H(E) it pairs with."""
-        n = self.basis_opp.dim()
-        if self.basis.dim() != n:
-            raise ValueError("matrix is not square")
-        if len(self._support) < n:
-            raise ValueError("singular matrix")
-        pairs = [None] * n
-        for row, col, value in self._support:
-            pairs[row] = (col, value.inv())
-        return tuple(pairs)
+
+def _gram_support(data: GFusionData, items: tuple) -> tuple:
+    """``(support, rows, columns)`` of the Gram matrix of
+    :class:`PairingData` for the cyclic set E of the signed colours
+    ``items``: its nonzero entries ``(row, column, value)`` and its shape.
+    They are read off the memoized trees of the word of E and of E^opp
+    (the reversed dual word) and the memoized cap tables, with no basis
+    object: column t, a tree ``(m_1, ..., m_n)`` of H(E), meets the row of
+    the tree ``(m_(n-1), ..., m_1, 1)`` of H(E^opp) in the product of its n
+    cap coefficients."""
+    unit = data.unit
+    row_of = {u: i for i, u in enumerate(
+        _trees(data, _word(data, [(c, -s) for c, s in reversed(items)])))}
+    caps = [_cap_table(data, c, "r" if s > 0 else "l") for c, s in items]
+    trees = _trees(data, _word(data, items))
+    support = []
+    for col, tree in enumerate(trees):
+        row = row_of.get(tree[-2::-1] + (unit,))
+        value, prev = data.field.one(), unit
+        for (table, left, right, scalar), m in zip(caps, tree):
+            corner = (prev, m, prev)
+            c = table.get(corner, False)
+            if c is False:
+                c = table[corner] = _cap_coeff(data, corner, left, right, scalar)
+            if c is None:
+                break
+            value = value * c
+            prev = m
+        else:
+            if row is not None:
+                support.append((row, col, value))
+    return support, len(row_of), len(trees)
+
+
+def _inverse_pairs(support: list, rows: int, columns: int) -> tuple:
+    """The inverse of the monomial Gram matrix ``(support, rows, columns)``
+    of :func:`_gram_support`, which holds the reciprocals at the transposed
+    positions, by rows of the Gram matrix: entry u, a tree of H(E^opp), is
+    ``(t, Ginv[t][u])`` for the one tree t of H(E) it pairs with."""
+    if rows != columns:
+        raise ValueError("matrix is not square")
+    if len(support) < rows:
+        raise ValueError("singular matrix")
+    pairs = [None] * rows
+    for row, col, value in support:
+        pairs[row] = (col, value.inv())
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -1097,26 +1117,38 @@ def _slot_map(data: GFusionData, items: tuple, steps: int, paired: bool):
     """The map (see :func:`_mapped`) of a link tensor slot over the trees of
     ``items``, memoized on the category: the re-basing rows from the anchor
     ``steps`` to the first item (:func:`_rebase_rows`), then, if
-    ``paired``, the pairing.  A paired slot is end 1 of a skeleton edge,
-    whose end-0 branch list E is the reversed dual of ``items``, or a
-    cobordism's top end, whose top surface south-type set E is: its index
-    u, a tree of H(E^opp), becomes the one tree t of H(E) it pairs with,
-    times ``Ginv[t][u]`` (:meth:`PairingData._inverse_pairs`).  That is the
-    paired map at steps 0, which the paired map at other steps composes
-    with its re-basing rows."""
-    key = ("slot", items, steps, paired)
-    if key not in data._memo:
-        if paired and not steps:
-            pairing = PairingData(data, CyclicCSet(items).opp())._inverse_pairs()
-            rows = tuple((pair,) for pair in pairing)
+    ``paired``, the pairing.  The identity, at steps 0 unpaired, is None.
+
+    The re-basing rows depend only on the word of ``items``, so an unpaired
+    map is kept as ``("slot", word, steps, False)``, one entry that the
+    darts ``(c, +1)`` and ``(c*, -1)`` share.  A paired slot is end 1 of a
+    skeleton edge, whose end-0 branch list E is the reversed dual of
+    ``items``, or a cobordism's top end, whose top surface south-type set E
+    is: its index u, a tree of H(E^opp), becomes the one tree t of H(E) it
+    pairs with, times ``Ginv[t][u]`` (:func:`_gram_support`,
+    :func:`_inverse_pairs`).  The cap scalars read the signs, so a paired
+    map is kept as ``("slot", items, steps, True)``: at steps 0 the
+    pairing, at other steps the word's re-basing rows composed with it."""
+    if not paired:
+        if not steps:
+            return None
+        key = ("slot", _word(data, items), steps, False)
+        rows = data._memo.get(key)
+        if rows is None:
+            rows = data._memo[key] = _rebase_rows(data, items, steps)
+        return rows
+    key = ("slot", items, steps, True)
+    rows = data._memo.get(key)
+    if rows is None:
+        if steps:
+            pairing = [row[0] for row in _slot_map(data, items, 0, True)]
+            rows = tuple(tuple((pairing[s][0], x * pairing[s][1]) for s, x in row)
+                         for row in _slot_map(data, items, steps, False))
         else:
-            rows = _rebase_rows(data, items, steps) if steps else None
-            if paired:
-                pairing = [row[0] for row in _slot_map(data, items, 0, True)]
-                rows = tuple(tuple((pairing[s][0], x * pairing[s][1]) for s, x in row)
-                             for row in rows)
+            opp = tuple((c, -s) for c, s in reversed(items))
+            rows = tuple((pair,) for pair in _inverse_pairs(*_gram_support(data, opp)))
         data._memo[key] = rows
-    return data._memo[key]
+    return rows
 
 
 # ---------------------------------------------------------------------------

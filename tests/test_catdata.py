@@ -30,7 +30,7 @@ from statesum3d.graphcalc import (
     parse_graph,
     rotation_matrix,
 )
-from statesum3d.linalg import identity_matrix, matrix_mul
+from statesum3d.linalg import identity_matrix, matrix_inverse, matrix_mul
 
 import refvalidate
 from trifiles import DATA
@@ -186,6 +186,40 @@ def test_missing_f_symbol_raises_on_every_read():
     assert dropped.f_entry(1, 1, 1, 1, 0, 0) == fib.fsym[(1, 1, 1, 1, 0, 0)]
     assert dropped.f_entry(1, 1, 1, 0, 0, 0) is None
     assert dropped._f_memo[(1, 1, 1, 0, 0, 0)] is None
+
+
+@pytest.mark.parametrize("name", builtin_category_names())
+def test_finv_tables_are_the_inverse_blocks(name):
+    # every F-block of every shipped category: the table that finv_entry
+    # keeps, reciprocals for the 1x1 blocks, against Gauss-Jordan elimination
+    cat = builtin_category(name)
+    singles = 0
+    for a, b, c in product(range(cat.n), repeat=3):
+        for d in sorted({d for e in cat.fuse(a, b) for d in cat.fuse(e, c)}):
+            es, fs, rows = cat.f_block(a, b, c, d)
+            inv = matrix_inverse(rows, cat.field)
+            cat.finv_entry(a, b, c, d, fs[0], es[0])
+            assert cat._finv_cache[(a, b, c, d)] == {
+                (f, e): inv[i][j] for i, f in enumerate(fs) for j, e in enumerate(es)}, \
+                (name, (a, b, c, d))
+            singles += len(es) == 1
+    assert singles
+
+
+def test_zero_one_by_one_f_block_is_singular(tmp_path, capsys):
+    # F[g,g,g,g]_(1,1) of vect_Z2_theta1 set to zero: construction reads it
+    # for lev_g, and the reciprocal refuses it with the error of Gauss-Jordan
+    # elimination, which validate-category reports as a domain error
+    from statesum3d.cli import run
+    text = (DATA / "categories" / "vect_Z2_theta1.cat").read_text()
+    bad = text.replace("fsym 1 1 1 1 0 0 [-1]", "fsym 1 1 1 1 0 0 [0]")
+    assert bad != text
+    with pytest.raises(ValueError, match="^singular matrix$"):
+        load_category(bad)
+    path = tmp_path / "bad.cat"
+    path.write_text(bad)
+    assert run(["validate-category", "--category", str(path)]) == 3
+    assert "singular matrix" in capsys.readouterr().err
 
 
 def _corrupted(cat):

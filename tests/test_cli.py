@@ -107,6 +107,27 @@ def test_skeleton_commands_need_exactly_one_input(argv, inputs):
     assert err == "error: need exactly one of --triangulation and --skeleton\n"
 
 
+def test_commands_leave_only_the_six_memo_kinds(monkeypatch, tmp_path):
+    # an invariant, a partition, a state-space rank and a graph evaluation:
+    # every category they build keeps its link data under the six memo kinds
+    from statesum3d import catdata
+    made = []
+    init = catdata.GFusionData.__init__
+    monkeypatch.setattr(catdata.GFusionData, "__init__",
+                        lambda self, *args, **kw: made.append(self) or init(self, *args, **kw))
+    graph = tmp_path / "theta.graph"
+    graph.write_text(_THETA_GRAPH)
+    for argv in (["invariant", "--triangulation", "s3_2tet", "--category", "fibonacci"],
+                 ["partition", "--triangulation", "s3_2tet", "--category", "vect_Z3_theta1"],
+                 ["hqft-rank", "--surface", "torus_2loop", "--category", "vect_Z2_theta1"],
+                 ["eval-graph", "--graph", str(graph), "--category", "fibonacci"]):
+        code, _, err = _run(argv)
+        assert code == 0, (argv, err)
+    kinds = {key[0] for cat in made for key in cat._memo}
+    assert {"slot", "link code"} <= kinds <= {"trees", "box", "cap", "slot", "reversal",
+                                              "link code"}, kinds
+
+
 def test_validate_command_and_exit_codes(tmp_path):
     code, out, _ = _run(["validate-category", "--category", "fibonacci"])
     assert code == 0 and "passed: True" in out

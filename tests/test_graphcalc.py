@@ -481,14 +481,10 @@ def _branch_patterns():
     return sorted(patterns)
 
 
-@pytest.mark.parametrize("name", SHIPPED)
-def test_pairing_gram_matches_per_entry_sweep(name):
-    # every colouring of every edge cyclic set of the shipped surfaces and
-    # of s1xs2_paper by the labels of each shipped category, and 40 random
-    # cyclic sets of lengths 1 to 6 with a nonzero multiplicity module: the
-    # closed-form Gram against the sweep of every entry, and its monomial
-    # inverse against Gauss-Jordan elimination
-    cat = load_category((DATA / "categories" / f"{name}.cat").read_text())
+def _pairing_csets(cat, name):
+    """Every colouring of every edge cyclic set of the shipped surfaces and
+    of s1xs2_paper by the labels of ``cat``, and 40 random cyclic sets of
+    lengths 1 to 6 with a nonzero multiplicity module, sorted."""
     csets = set()
     for pattern in _branch_patterns():
         ids = sorted({r for r, _ in pattern})
@@ -503,14 +499,57 @@ def test_pairing_gram_matches_per_entry_sweep(name):
         if hom_dim(cat, items):
             csets.add(items)
             drawn += 1
+    return sorted(csets)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_pairing_gram_matches_per_entry_sweep(name):
+    # the cyclic sets of _pairing_csets under each shipped category: the
+    # closed-form Gram against the sweep of every entry, and its monomial
+    # inverse against Gauss-Jordan elimination
+    cat = load_category((DATA / "categories" / f"{name}.cat").read_text())
     nonzero = 0
-    for items in sorted(csets):
+    for items in _pairing_csets(cat, name):
         cs = CyclicCSet(items)
         pd = PairingData(cat, cs)
         assert pd.gram == refsweep.pairing_gram(cat, cs), (name, items)
         assert pd.gram_inverse() == matrix_inverse(pd.gram, cat.field), (name, items)
         nonzero += bool(pd.gram) and bool(pd.gram[0])
     assert nonzero
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_slot_maps_match_the_references(name):
+    # the cyclic sets of _pairing_csets under each shipped category (all are
+    # multiplicity-free), at every step count: the unpaired map against the
+    # round-trip rotation; one entry per word, so the darts (c, +1) and
+    # (c*, -1) read the same object; and the paired map against the inverse
+    # of the per-entry sweep's Gram matrix of the reversed dual, read as one
+    # (tree, value) pair per column, composed with those re-basing rows
+    cat = load_category((DATA / "categories" / f"{name}.cat").read_text())
+    zero, one = cat.field.zero(), cat.field.one()
+    shared = 0
+    for items in _pairing_csets(cat, name):
+        cs = CyclicCSet(items)
+        dim = MultiplicityBasis(cat, cs).dim()
+        ginv = matrix_inverse(refsweep.pairing_gram(cat, cs.opp()), cat.field)
+        pairs = [next((t, row[u]) for t, row in enumerate(ginv) if not row[u].is_zero())
+                 for u in range(dim)]
+        flipped = tuple((cat.dual[c], -s) for c, s in items)
+        for steps in range(len(items)):
+            ref = refrotation.rotation_matrix(cat, MultiplicityBasis(cat, cs), steps)
+            rows = _slot_map(cat, items, steps, False)
+            if rows is None:
+                assert steps == 0
+                rows = tuple(((s, one),) for s in range(dim))
+            else:
+                assert _slot_map(cat, flipped, steps, False) is rows, (name, items, steps)
+                shared += dim > 0
+            assert [[dict(row).get(s, zero) for s in range(dim)] for row in rows] == ref, \
+                (name, items, steps)
+            want = tuple(tuple((pairs[s][0], x * pairs[s][1]) for s, x in row) for row in rows)
+            assert _slot_map(cat, items, steps, True) == want, (name, items, steps)
+    assert shared
 
 
 def test_vanishing_pairing_column_is_singular(monkeypatch):

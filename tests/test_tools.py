@@ -56,18 +56,21 @@ def _bench_pairs():
 
 
 def test_bench_pairs_summary_on_fixed_numbers():
-    # inclusive quartiles of 1..5 are 2, 3, 4; the change wins the pairs it
-    # is better in, in the metric's direction, and a tie counts for neither
+    # inclusive quartiles of 1..5 are 2, 3, 4, so the parent spreads by
+    # (4 - 2) / 3 of its median, more than the change's move of the median;
+    # the change wins the pairs it is better in, in the metric's direction,
+    # and a tie counts for neither
     parent, change = [1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 2.5, 2.0, 3.0, 5.0]
     lower = _bench_pairs().summary(parent, change, "lower")
     assert lower == {
         "parent": parent, "change": change,
         "median_parent": 3.0, "quartiles_parent": [2.0, 3.0, 4.0],
         "median_change": 2.5, "quartiles_change": [2.0, 2.5, 3.0],
-        "delta_median": -1 / 6, "change_wins": 3,
+        "delta_median": -1 / 6, "spread_parent": 2 / 3, "change_wins": 3,
     }
     assert _bench_pairs().summary(parent, change, "higher")["change_wins"] == 1
-    assert _bench_pairs().summary([0, 0, 1], [1, 1, 1], "higher")["delta_median"] is None
+    zero = _bench_pairs().summary([0, 0, 1], [1, 1, 1], "higher")
+    assert zero["delta_median"] is None and zero["spread_parent"] is None
 
 
 def test_bench_pairs_lists_the_traced_counts_that_differ():
@@ -118,6 +121,10 @@ def test_memo_traffic_counts_the_link_program_layers():
     with module.counting(counts):
         assert cli.run(["invariant", "--triangulation", "s3_2tet", "--category", "fibonacci"]) == 0
     assert {attr: vars(graphcalc._LinkProgram)[attr] for attr in slots} == slots
-    for row in ("_LinkProgram.sweeps", "_LinkProgram.slots maps", "_memo['link code']"):
+    for row in ("_LinkProgram.sweeps", "_LinkProgram.slots maps", "_memo['link code']",
+                "_memo['slot'] by word", "_memo['slot'] paired"):
         lookups, hits, stores = counts[row]
         assert 0 < lookups and hits <= lookups and stores == lookups - hits, (row, counts[row])
+    assert "_memo['slot']" not in counts
+    assert module.memo_layer(("slot", (1, 1, 1), 2, False)) == "_memo['slot'] by word"
+    assert module.memo_layer(("slot", ((1, 1), (1, -1)), 0, True)) == "_memo['slot'] paired"

@@ -13,12 +13,13 @@ the same seed, two seconds).
 The JSON written to FILE (standard output without ``--output``) holds,
 per workload and end-to-end metric of ``BENCHMARK.json``, the values of
 each side by pair, their medians and inclusive quartiles, the relative
-change of the median and the number of pairs in which the change is
-better (ties count for neither side); whether every run read
-``correct: true``, and the failed commands; the traced count, bit and
-ratio metrics that differ between the sides, but for the tracer's own
-``trace.*`` timings; and the ``src/`` line counts
-of both checkouts (``tools/src_lines.py``).  The verdict is left to the
+change of the median next to the parent's own spread (its interquartile
+range over its median, so that a change inside it reads as such), and the
+number of pairs in which the change is better (ties count for neither
+side); whether every run read ``correct: true``, and the failed commands;
+the traced count, bit and ratio metrics that differ between the sides, but
+for the tracer's own ``trace.*`` timings; and the ``src/`` line counts of
+both checkouts (``tools/src_lines.py``).  The verdict is left to the
 reader.  The exit code is 1 when a run fails or reads incorrect results.
 """
 
@@ -49,19 +50,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
 def summary(parent: list, change: list, better: str) -> dict:
     """The pairwise comparison of one metric: both sides' values by pair,
     medians, inclusive quartiles, ``(change - parent) / parent`` of the
-    medians (None for a zero parent median) and the pairs in which the
-    change is better in the direction ``better`` ('lower' or 'higher')."""
+    medians and the parent's spread ``(q3 - q1) / median`` (both None for a
+    zero parent median), and the pairs in which the change is better in the
+    direction ``better`` ('lower' or 'higher')."""
     sign = 1 if better == "lower" else -1
     median_parent, median_change = statistics.median(parent), statistics.median(change)
+    quartiles_parent = statistics.quantiles(parent, n=4, method="inclusive")
     return {
         "parent": parent,
         "change": change,
         "median_parent": median_parent,
-        "quartiles_parent": statistics.quantiles(parent, n=4, method="inclusive"),
+        "quartiles_parent": quartiles_parent,
         "median_change": median_change,
         "quartiles_change": statistics.quantiles(change, n=4, method="inclusive"),
         "delta_median": (median_change - median_parent) / median_parent if median_parent
         else None,
+        "spread_parent": (quartiles_parent[2] - quartiles_parent[0]) / median_parent
+        if median_parent else None,
         "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
     }
 
@@ -123,7 +128,8 @@ def main(argv=None) -> int:
         "method": f"{args.pairs} alternating pairs per workload at seed {args.seed}: odd pairs "
                   "run the parent first, even pairs the change first; quartiles by "
                   "statistics.quantiles(method='inclusive'); delta_median is (change - parent) "
-                  "/ parent; change_wins counts the pairs in which the change is better (ties "
+                  "/ parent of the medians, spread_parent the parent's (q3 - q1) / median; "
+                  "change_wins counts the pairs in which the change is better (ties "
                   "count for neither); traced_differences are the count, bit and ratio "
                   "metrics, but trace.*, that differ between one --trace 1 run per side "
                   f"(--seed {args.seed} --seconds 2)",

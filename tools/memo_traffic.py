@@ -6,8 +6,11 @@ a benchmark workload's command list.
 Run from anywhere; the package is imported from this checkout's ``src/``
 and the command lists from ``perfbench/inputs.py``, which is only read.
 The layers are the category's ``_memo``, one per key kind (the key's first
-entry), its F-symbol memo ``_f_memo`` (``f_entry`` by 6-tuple), its
-``_finv_cache``, the state-sum evaluator's ``link_cache`` and
+entry), but for the slot maps, which take two rows: the re-basings keyed
+by their word (``_memo['slot'] by word``), which the darts ``(c, +1)`` and
+``(c*, -1)`` share, and the paired maps keyed by their signed colours
+(``_memo['slot'] paired``); its F-symbol memo ``_f_memo`` (``f_entry`` by
+6-tuple), its ``_finv_cache``, the state-sum evaluator's ``link_cache`` and
 ``admissible_cache``, and two of each link program
 (``graphcalc._LinkProgram``): its class sweeps by class colours
 (``sweeps``, one dict per canonical code, which the programs of that code
@@ -113,11 +116,18 @@ def counting_slot_dicts(counts, kind):
                                        else x for x in slot]) for slot in value])
 
 
+def memo_layer(key) -> str:
+    """The row of a category ``_memo`` key: its kind, and for a slot map
+    whether it is a re-basing keyed by its word or a paired map."""
+    if key[0] == "slot":
+        return "_memo['slot'] paired" if key[3] else "_memo['slot'] by word"
+    return f"_memo[{key[0]!r}]"
+
+
 @contextlib.contextmanager
 def counting(counts):
     from statesum3d import catdata, graphcalc, statesum
-    layers = [(catdata.GFusionData, "_memo",
-               counting_dict(counts, lambda key: f"_memo[{key[0]!r}]")),
+    layers = [(catdata.GFusionData, "_memo", counting_dict(counts, memo_layer)),
               (catdata.GFusionData, "_f_memo", counting_dict(counts, lambda key: "_f_memo")),
               (catdata.GFusionData, "_finv_cache",
                counting_dict(counts, lambda key: "_finv_cache")),
