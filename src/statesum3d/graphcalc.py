@@ -7,7 +7,9 @@ tree is the tuple of intermediate labels ``(m_1, ..., m_n)`` with
 ``m_j in m_(j-1) (x) w_j`` (``m_0`` the unit) and ``m_n`` the unit.  All
 operations are insertions of ``id (x) elementary (x) id`` and are realized
 on tree coordinates by single F-moves; see the convention block in
-:mod:`statesum3d.catdata`.
+:mod:`statesum3d.catdata`.  The trees of a word are enumerated once per
+category (:func:`_trees`), and the rank of its multiplicity module
+(:func:`hom_dim`) is their number.
 
 A colored graph is evaluated by a planar sweep (:func:`evaluate_graph`):
 its plan of box and cap actions, built from the uncoloured graph and outer
@@ -79,12 +81,13 @@ with
 
 (:func:`_bend_scalar` derives it from the cup and cap of the round trip it
 replaces), and k - 1 F-moves re-attach the comb of the first k letters
-after M*.  The two partial sums read different intermediates, so each
-column of the rotation is their product, at n - 2 F-moves per tree for
-every k.  One lambda per channel suffices: the pivotal structure is
-monoidal, so k one-step rotations are one rotation of the block, and the
-step of a signed colour ``(c, -1)`` is that of the label ``c*``.  The
-result is read off as sparse rows (:func:`_rebase_rows`), which depend on
+after M*, by the comb F-moves of a box table (:func:`_box_rows`).  The
+two partial sums read different intermediates, so each column of the
+rotation is their product, at n - 2 F-moves per tree for every k.  One
+lambda per channel suffices: the pivotal structure is monoidal, so k
+one-step rotations are one rotation of the block, and the step of a
+signed colour ``(c, -1)`` is that of the label ``c*``.  The result is
+read off as sparse rows (:func:`_rebase_rows`), which depend on
 the word alone; the slot maps memoize them once per word and step count
 (:func:`_slot_map`), and a paired map composes them with its pairing.
 
@@ -192,18 +195,13 @@ def tree_paths(data: GFusionData, word) -> list:
 
 
 def hom_dim(data: GFusionData, seq) -> int:
-    """Rank of Hom(1, X1^e1 (x) ... (x) Xn^en) by fusion-table folding."""
-    counts = {data.unit: 1}
-    for c, s in seq:
+    """Rank of Hom(1, X1^e1 (x) ... (x) Xn^en): the number of its basis
+    trees (:func:`_trees`)."""
+    items = tuple(seq)
+    for c, _ in items:
         if not 0 <= c < data.n:
             raise ValueError(f"unknown simple index {c}")
-        obj = c if s > 0 else data.dual[c]
-        nxt: dict = {}
-        for m, mult in counts.items():
-            for m2 in data.fuse(m, obj):
-                nxt[m2] = nxt.get(m2, 0) + mult
-        counts = nxt
-    return counts.get(data.unit, 0)
+    return len(_trees(data, _word(data, items)))
 
 
 def _trees(data: GFusionData, word: tuple) -> tuple:
@@ -301,7 +299,9 @@ def rotation_matrix(data: GFusionData, basis: MultiplicityBasis, steps: int):
                = sum_(z_(j-1)) F[M*, m_(j-1), x_j, z_j]_(z_(j-1), m_j)
                  (B(M*, m_(j-1); z_(j-1)) (x) id) B(z_(j-1), x_j; z_j),
 
-       from ``z_k = 1`` to ``z_1`` in ``M* (x) x_1``.
+       from ``z_k = 1`` to ``z_1`` in ``M* (x) x_1``: the comb F-moves
+       of the sweep's box tables (:func:`_box_rows`), started from the
+       unit, where a box starts from the intermediate it goes in after.
 
     The two partial sums depend on different intermediates of the tree, so
     its image is their product ``(y_(k+1), ..., y_n, z_1, ..., z_k)``, and
@@ -320,8 +320,9 @@ def _rebase_rows(data: GFusionData, items: tuple, steps: int) -> tuple:
     """Sparse rows of :func:`rotation_matrix` for the basis anchored at the
     first of ``items`` and ``0 <= steps < n``: row t lists the pairs
     ``(s, R[t][s])`` with a nonzero value, s ascending.  Column s is the
-    block bend of source tree s, the product of its two partial sums.  The
-    rows read only the word of ``items``."""
+    block bend of source tree s, the product of its two partial sums; the
+    second is the comb of the first k letters after M* (:func:`_box_rows`).
+    The rows read only the word of ``items``."""
     word = _word(data, items)
     trees = _trees(data, word)
     one = data.field.one()
@@ -332,7 +333,6 @@ def _rebase_rows(data: GFusionData, items: tuple, steps: int) -> tuple:
     lams = {}
     for s, path in enumerate(trees):
         m = path[steps - 1]
-        md = data.dual[m]
         if m not in lams:
             lams[m] = _bend_scalar(data, m)
         # steps 1 and 2 of rotation_matrix: pull M out of the later comb, bend
@@ -346,17 +346,9 @@ def _rebase_rows(data: GFusionData, items: tuple, steps: int) -> tuple:
                         nxt[ys + (y,)] = v * f
             heads = nxt
         # step 3: re-attach the first k letters after M*
-        tails = {(data.unit,): one}
-        for j in range(steps - 1, 0, -1):
-            nxt = {}
-            for zs, v in tails.items():
-                for z in data.fuse(md, path[j - 1]):
-                    f = data.f_entry(md, path[j - 1], word[j], zs[0], z, path[j])
-                    if f is not None and not f.is_zero():
-                        nxt[(z,) + zs] = v * f
-            tails = nxt
+        tails = _box_rows(data, word[:steps], path, data.dual[m], data.unit)
         for ys, u in heads.items():
-            for zs, v in tails.items():
+            for zs, v in tails:
                 t = index.get(ys + zs)
                 if t is None:
                     raise InternalError(f"rotating {items} by {steps} reaches no tree {ys + zs}")
@@ -368,20 +360,24 @@ def _rebase_rows(data: GFusionData, items: tuple, steps: int) -> tuple:
 # the planar sweep on tree coordinates
 
 
-def _box_rows(data: GFusionData, letters: tuple, tree: tuple, mb: int) -> tuple:
-    """Row ``mb`` of the box table of ``(letters, tree)``: the pairs
-    (inserted intermediates, coefficient) with which the basis tree ``tree``
-    of Hom(1, letters), inserted after the intermediate ``mb``, expands.
+def _box_rows(data: GFusionData, letters: tuple, tree: tuple, mb: int, top: int) -> tuple:
+    """The comb F-moves: the pairs (inserted intermediates, coefficient)
+    with which the comb of the k letters ``letters`` through the
+    intermediates ``tree``, inserted after the intermediate ``mb`` and
+    fused with it into ``top``, expands in the comb after ``mb``.
 
-    The unit goes in after ``mb`` and is split k - 1 times at the insertion
-    point, for j = k-1 down to 1, by ``B(tree[j-1], letters[j]; tree[j])``:
+    Row ``mb`` of the box table of a basis tree ``tree`` of Hom(1, letters)
+    has ``top = mb``: the unit goes in after ``mb``.  Step 3 of
+    :func:`rotation_matrix` has ``mb = M*`` and ``top`` the unit: the first
+    k letters, which fuse to M in ``tree``, are re-attached after M*.
+    Either way ``top`` is split k - 1 times at the insertion point, for
+    j = k-1 down to 1, by ``B(tree[j-1], letters[j]; tree[j])``:
 
         (id (x) B(a, b; x)) B(mb, x; ma)
             = sum_mu F[mb, a, b, ma]_(mu, x) (B(mb, a; mu) (x) id) B(mu, b; ma),
 
-    where ``ma`` is the first intermediate inserted so far.  The last
-    inserted intermediate is ``mb`` again."""
-    rows = {(mb,): data.field.one()}
+    where ``ma`` is the first intermediate inserted so far."""
+    rows = {(top,): data.field.one()}
     for j in range(len(letters) - 1, 0, -1):
         a, b, x = tree[j - 1], letters[j], tree[j]
         nxt = {}
@@ -422,7 +418,7 @@ def _box(data: GFusionData, states: dict, p: int, letters: tuple) -> dict:
         for i, (tree, table) in enumerate(tables):
             rows = table.get(mb)
             if rows is None:
-                rows = table[mb] = _box_rows(data, letters, tree, mb)
+                rows = table[mb] = _box_rows(data, letters, tree, mb, mb)
             chosen = choice + (i,)
             for ins, c in rows:
                 out[(head + ins + tail, chosen)] = val * c

@@ -135,12 +135,6 @@ class SurfaceSkeleton:
         dart order, negated surface signs."""
         return [(coloring[e], -1 if end == 1 else 1) for (e, end) in self.rotations[v]]
 
-    def block_dim(self, cat, coloring) -> int:
-        d = 1
-        for v in range(self.nvertices):
-            d *= hom_dim(cat, self._south_items(v, coloring))
-        return d
-
 
 def subdivide_edge(surf: SurfaceSkeleton, edge: int) -> SurfaceSkeleton:
     """Refine a surface skeleton by one degree-2 vertex on an edge; both

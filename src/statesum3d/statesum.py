@@ -140,6 +140,10 @@ class _Evaluator:
     takes.  Class sweeps, one dict per canonical link code, and slot maps
     are memoized on the category, and each program slot keeps its maps by
     the colors of its darts.
+
+    A category with a simple of dimension zero, left or right, is refused
+    here with a ``ValueError`` naming it: the reversal scalars divide by
+    ``dim_r`` and a cobordism's normalization by ``dim_l``.
     """
 
     def __init__(self, sk, cat: GFusionData, ends=(), paired=()):
@@ -149,6 +153,9 @@ class _Evaluator:
         self.link_cache: dict = {}
         self.admissible_cache: dict = {}
         self.visited = 0
+        for c in range(cat.n):
+            if cat.dim_l[c].is_zero() or cat.dim_r[c].is_zero():
+                raise ValueError(f"simple {cat.names[c]} has dimension zero")
         # dim(c)**chi per chi and color
         powers = {chi: [cat.dim(c) ** chi for c in range(cat.n)]
                   for chi in {region[0] for region in sk.regions}}

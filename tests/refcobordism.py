@@ -91,12 +91,18 @@ def cobordism_map(cob, cat, c_bot, c_top, ev):
     return [[x * norm for x in row] for row in rows]
 
 
+def _block_dim(surf, cat, coloring):
+    """The dimension of a boundary coloring's block: the product of the
+    ranks of the surface's south-type sets."""
+    return prod(hom_dim(cat, surf._south_items(v, coloring)) for v in range(surf.nvertices))
+
+
 def assemble_block_matrix(cob, cat):
     """The full matrix, one ``cobordism_map`` block per coloring pair."""
     bot_cols = cob.bot_surface.colorings(cat)
     top_cols = cob.top_surface.colorings(cat)
-    bot_dims = [cob.bot_surface.block_dim(cat, c) for c in bot_cols]
-    top_dims = [cob.top_surface.block_dim(cat, c) for c in top_cols]
+    bot_dims = [_block_dim(cob.bot_surface, cat, c) for c in bot_cols]
+    top_dims = [_block_dim(cob.top_surface, cat, c) for c in top_cols]
     full = [[cat.field.zero() for _ in range(sum(bot_dims))] for _ in range(sum(top_dims))]
     ev = _Evaluator(cob, cat, cob.bot_ends + cob.top_ends)
     row0 = 0

@@ -430,6 +430,36 @@ def test_truncated_category_file_is_not_a_traceback(tmp_path, name):
             assert len(err.splitlines()) == 1 and out == "", err
 
 
+_TAU = "simple 1 name tau grade 0 dual 1 dim_l [0,1] dim_r [0,1]"
+_UNIT = "simple 0 name 1 grade 0 dual 0 dim_l [1,0]"
+
+
+@pytest.mark.parametrize("line, edited, simple", [
+    (_TAU, "simple 1 name tau grade 0 dual 1 dim_l [0] dim_r [0]", "tau"),
+    (_TAU, "simple 1 name tau grade 0 dual 1 dim_l [0] dim_r [0,1]", "tau"),
+    (_UNIT, "simple 0 name 1 grade 0 dual 0 dim_l [0]", "1"),
+], ids=["tau", "tau-left", "unit-left"])
+def test_zero_dimension_is_refused_by_the_state_sum(tmp_path, line, edited, simple):
+    # the state sum divides by dimensions: every command that runs it exits
+    # 3 naming the simple, and validation still reports the failed check
+    from statesum3d.hqft import build_product_cylinder, save_cobordism
+    assert _FIBONACCI_FILE.count(line) == 1
+    cat = tmp_path / "zero.cat"
+    cat.write_text(_FIBONACCI_FILE.replace(line, edited))
+    cob = tmp_path / "torus.cob"
+    cob.write_text(save_cobordism(build_product_cylinder(
+        builtin_surface("torus_2loop", FiniteGroup.cyclic(1)))))
+    for argv in (["invariant", "--triangulation", "s3_2tet"],
+                 ["partition", "--triangulation", "rp3"],
+                 ["hqft-rank", "--surface", "torus_2loop"],
+                 ["cobordism-map", "--cobordism", str(cob)]):
+        code, out, err = _run(argv + ["--category", str(cat)])
+        assert (code, out) == (3, ""), (argv, err)
+        assert err == f"domain error ({argv[0]}): simple {simple} has dimension zero\n"
+    code, out, _ = _run(["validate-category", "--category", str(cat)])
+    assert code == 2 and "FAIL dims invertible" in out
+
+
 def test_internal_error_has_its_own_exit_code(tmp_path, monkeypatch):
     from statesum3d import graphcalc
 

@@ -5,9 +5,11 @@ category files, the cobordism file of the product cylinder over each
 shipped surface, and the theta graph and seeded random sphere graphs
 colored by fibonacci, is mutated by line deletions and duplications, token
 deletions and small integer edits, and each result is run through
-``cli.run``.  Malformed input must end in a documented exit code (0, 2
-validation, 3 domain, 4 I/O) with at most one line on standard error,
-never in a traceback or an internal error.
+``cli.run``.  The four categories are also run through the state sum
+(``invariant`` and ``hqft-rank``), every other mutant with one bracketed
+value set to ``[0]``.  Malformed input must end in a documented exit code
+(0, 2 validation, 3 domain, 4 I/O) with at most one line on standard
+error, never in a traceback or an internal error.
 """
 
 import contextlib
@@ -33,6 +35,8 @@ _KINDS = {
     "surfaces": (["hqft-rank", "--category", "vect_Z2_theta1", "--surface"], 80),
     "triangulations": (["labelings", "--group", "Z2", "--triangulation"], 60),
 }
+# mutants per category run through the state sum
+_STATE_SUM_MUTANTS = 24
 
 
 def _originals(kind):
@@ -76,6 +80,25 @@ def _mutate(rnd, text):
     return "\n".join(lines) + "\n"
 
 
+def _zero_bracket(rnd, text):
+    """``text`` with one bracketed value, drawn by ``rnd``, set to ``[0]``."""
+    spot = rnd.choice(list(re.finditer(r"\[[^]]*\]", text)))
+    return text[:spot.start()] + "[0]" + text[spot.end():]
+
+
+def _check_run(argv, name, mutant):
+    """Run ``argv`` on a mutant and check that it ends in a documented exit
+    code with at most one line on standard error."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except Exception as exc:  # the mutant goes into the failure message
+            raise AssertionError(f"{name} mutant:\n{mutant}") from exc
+    assert code in (0, 2, 3, 4), (name, mutant, err.getvalue())
+    assert len(err.getvalue().splitlines()) <= 1, (name, mutant, err.getvalue())
+
+
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_mutated_inputs_exit_with_a_documented_code(tmp_path, kind):
     argv, per_file = _KINDS[kind]
@@ -89,13 +112,26 @@ def test_mutated_inputs_exit_with_a_documented_code(tmp_path, kind):
             if mutant is None:
                 continue
             path.write_text(mutant)
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                try:
-                    code = run(argv + [str(path)])
-                except Exception as exc:  # the mutant goes into the failure message
-                    raise AssertionError(f"{name} mutant:\n{mutant}") from exc
-            assert code in (0, 2, 3, 4), (name, mutant, err.getvalue())
-            assert len(err.getvalue().splitlines()) <= 1, (name, mutant, err.getvalue())
+            _check_run(argv + [str(path)], name, mutant)
             runs += 1
     assert runs >= len(originals) * per_file // 2
+
+
+def test_mutated_categories_through_the_state_sum(tmp_path):
+    # every other mutant sets one bracketed value (a dimension, a pivotal
+    # coefficient, an F-symbol, the minimal polynomial) to [0]
+    rnd = random.Random("parser-fuzz/state-sum")
+    path = tmp_path / "mutant.cat"
+    originals = _originals("categories")
+    runs = 0
+    for name, text in originals:
+        for k in range(_STATE_SUM_MUTANTS):
+            mutant = _zero_bracket(rnd, text) if k % 2 else _mutate(rnd, text)
+            if mutant is None:
+                continue
+            path.write_text(mutant)
+            for argv in (["invariant", "--triangulation", "s3_2tet"],
+                         ["hqft-rank", "--surface", "torus_2loop"]):
+                _check_run(argv + ["--category", str(path)], name, mutant)
+            runs += 1
+    assert runs >= len(originals) * _STATE_SUM_MUTANTS // 2

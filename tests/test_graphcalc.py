@@ -81,6 +81,35 @@ def test_hom_dim_examples():
         hom_dim(fib, [(7, 1)])
 
 
+def _fold_hom_dim(data, seq):
+    """Rank of Hom(1, X1^e1 (x) ... (x) Xn^en) by folding the fusion
+    multiplicities, independent of the tree enumeration."""
+    counts = {data.unit: 1}
+    for c, s in seq:
+        obj = c if s > 0 else data.dual[c]
+        nxt = {}
+        for m, mult in counts.items():
+            for m2 in data.fuse(m, obj):
+                nxt[m2] = nxt.get(m2, 0) + mult
+        counts = nxt
+    return counts.get(data.unit, 0)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_hom_dim_counts_the_trees_as_the_fusion_fold(name):
+    cat = _cat(name)
+    rnd = random.Random(f"hom-dim/{name}")
+    words = [()] + [tuple((rnd.randrange(cat.n), rnd.choice([1, -1]))
+                          for _ in range(rnd.randrange(1, 7))) for _ in range(60)]
+    for word in words:
+        assert hom_dim(cat, word) == _fold_hom_dim(cat, word), word
+        assert hom_dim(cat, iter(word)) == _fold_hom_dim(cat, word), word
+    assert hom_dim(cat, []) == 1
+    for c in (-1, cat.n):
+        with pytest.raises(ValueError, match="unknown simple index"):
+            hom_dim(cat, ((0, 1), (c, 1)))
+
+
 def test_rotation_identity_and_pointed_scalar():
     rnd = random.Random(11)
     for name in BACKENDS:
