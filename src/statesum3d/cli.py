@@ -7,6 +7,11 @@ the convention version; timing lives in a separate field so repeated runs
 are otherwise byte-identical.  Exit codes: 0 success, 2 validation
 failure, 3 domain error, 4 I/O error, 5 internal error (a broken invariant
 of the evaluator, a bug rather than bad input).
+
+Each command imports the modules it uses when it runs, at the top of its
+handler, so importing this module loads no other module of the package:
+a process that runs one command compiles and loads only what that command
+needs (only ``dw`` loads the oracle).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import os
 import sys
 import time
 
-from . import catdata, complexes, gauge, graphcalc, hqft, oracle, records, statesum
+from . import InternalError
 
 CONVENTION_VERSION = "statesum3d-conventions-1"
 
@@ -74,6 +79,7 @@ def _read_file(path: str) -> str:
 
 def _data_text(kind: str, name: str) -> str:
     """Load an input by shipped name or by path."""
+    from . import records
     if os.path.exists(name):
         return _read_file(name)
     try:
@@ -82,7 +88,8 @@ def _data_text(kind: str, name: str) -> str:
         raise _CliError(4, f"{exc} and no such file") from None
 
 
-def _load_category(name: str) -> catdata.GFusionData:
+def _load_category(name: str):
+    from . import catdata
     if os.path.exists(name):
         return catdata.load_category(_read_file(name))
     try:
@@ -92,10 +99,12 @@ def _load_category(name: str) -> catdata.GFusionData:
 
 
 def _load_triangulation(name: str):
+    from . import complexes
     return complexes.parse_triangulation(_data_text("triangulation", name))
 
 
 def _skeleton_for(args):
+    from . import complexes
     if bool(args.skeleton) == bool(args.triangulation):
         raise _CliError(4, "need exactly one of --triangulation and --skeleton")
     if args.skeleton:
@@ -104,6 +113,7 @@ def _skeleton_for(args):
 
 
 def _cmd_validate_category(args, rep):
+    from . import catdata
     cat = _load_category(args.category)
     rep.digest("category", catdata.save_category(cat))
     report = catdata.validate_category(cat)
@@ -115,6 +125,7 @@ def _cmd_validate_category(args, rep):
 
 
 def _cmd_eval_graph(args, rep):
+    from . import graphcalc
     cat = _load_category(args.category)
     text = _read_file(args.graph)
     rep.digest("graph", text)
@@ -135,6 +146,7 @@ def _cmd_eval_graph(args, rep):
 
 
 def _cmd_labelings(args, rep):
+    from . import catdata, gauge
     sk = _skeleton_for(args)
     group = catdata.FiniteGroup.by_name(args.group)
     orbits = gauge.gauge_classes(sk, group)
@@ -149,6 +161,7 @@ def _cmd_labelings(args, rep):
 
 
 def _cmd_invariant(args, rep):
+    from . import gauge, statesum
     sk = _skeleton_for(args)
     cat = _load_category(args.category)
     orbits = gauge.gauge_classes(sk, cat.group)
@@ -169,6 +182,7 @@ def _cmd_invariant(args, rep):
 
 
 def _cmd_partition(args, rep):
+    from . import statesum
     sk = _skeleton_for(args)
     cat = _load_category(args.category)
     table = statesum.partition_all_classes(sk, cat)
@@ -181,6 +195,7 @@ def _cmd_partition(args, rep):
 
 
 def _cmd_dw(args, rep):
+    from . import catdata, oracle
     tri = _load_triangulation(args.triangulation)
     group = catdata.FiniteGroup.by_name(args.group)
     if group != catdata.FiniteGroup.cyclic(group.order):
@@ -202,6 +217,7 @@ def _cmd_dw(args, rep):
 
 
 def _cmd_pachner(args, rep):
+    from . import complexes
     tri = _load_triangulation(args.triangulation)
     try:
         if args.move == "2-3":
@@ -229,6 +245,7 @@ def _cmd_pachner(args, rep):
 
 
 def _cmd_hqft_rank(args, rep):
+    from . import hqft
     cat = _load_category(args.category)
     if args.surface == "empty":
         rep.data["results"]["rank"] = 1
@@ -242,6 +259,7 @@ def _cmd_hqft_rank(args, rep):
 
 
 def _cmd_cobordism_map(args, rep):
+    from . import hqft
     cat = _load_category(args.category)
     text = _read_file(args.cobordism)
     rep.digest("cobordism", text)
@@ -347,7 +365,7 @@ def run(argv) -> int:
     except ValueError as exc:
         sys.stderr.write(f"domain error ({args.cmd}): {exc}\n")
         return 3
-    except graphcalc.InternalError as exc:
+    except InternalError as exc:
         sys.stderr.write(f"internal error ({args.cmd}): {exc}\n")
         return 5
     sys.stdout.write(rep.render(args.json))

@@ -46,9 +46,9 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, permutations
 
-from . import records
+from . import InternalError, records
 from .catdata import UnionFind
-from .graphcalc import ColoredGraph, InternalError
+from .graphcalc import ColoredGraph
 
 __all__ = [
     "Triangulation",

@@ -106,7 +106,7 @@ from itertools import accumulate, product as iproduct
 from math import prod
 from operator import itemgetter
 
-from . import records
+from . import InternalError, records
 from .catdata import GFusionData, UnionFind
 from .exactnum import FieldElement
 
@@ -126,11 +126,6 @@ __all__ = [
     "save_graph",
     "parse_graph",
 ]
-
-
-class InternalError(Exception):
-    """A broken internal invariant of the graph calculus: a bug in the
-    evaluator, never a property of the input."""
 
 
 class CyclicCSet:

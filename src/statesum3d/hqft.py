@@ -48,13 +48,13 @@ from __future__ import annotations
 
 from math import prod
 
-from . import records
+from . import InternalError, records
 from .catdata import FiniteGroup, GFusionData, backtrack, neutral_dimension
 from .complexes import (LINK_FORMS, LINK_NUMBERS, LinkGraph, link_lines, read_links,
                         validate_links)
 from .exactnum import FieldElement
 from .graphcalc import hom_dim, trace_rotation_faces
-from .linalg import matrix_mul, matrix_rank
+from .linalg import matrix_mul
 from .statesum import _Evaluator
 
 __all__ = [
@@ -443,13 +443,20 @@ def build_product_cylinder(surf: SurfaceSkeleton) -> CobordismSkeleton:
 
 def cylinder_projector(surf: SurfaceSkeleton, cat: GFusionData) -> HqftSpace:
     """Projector of the cylinder over a surface skeleton; verifies exact
-    idempotence and returns the exact rank."""
+    idempotence and returns the exact rank.  The rank of an idempotent over
+    a field of characteristic 0 is its trace, so a trace that is not a
+    whole number in ``0..len(matrix)`` is an :class:`InternalError`."""
     cob = build_product_cylinder(surf)
     matrix, cols, dims, _, _ = assemble_block_matrix(cob, cat)
     sq = matrix_mul(matrix, matrix, cat.field)
     if sq != matrix:
         raise ValueError("cylinder evaluation is not idempotent; convention bug")
-    return HqftSpace(surf, cat, cols, dims, matrix, matrix_rank(matrix, cat.field))
+    trace = sum((row[i] for i, row in enumerate(matrix)), cat.field.zero())
+    rank = trace.nums[0]
+    if trace.den != 1 or any(trace.nums[1:]) or not 0 <= rank <= len(matrix):
+        raise InternalError(f"projector of {surf.name} over {cat.name} has trace "
+                            f"{trace.to_text()}, not a rank 0..{len(matrix)}")
+    return HqftSpace(surf, cat, cols, dims, matrix, rank)
 
 
 def hqft_space_rank(descriptor, cat: GFusionData) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .exactnum import FieldSpec
 
-__all__ = ["matrix_inverse", "matrix_mul", "matrix_rank", "identity_matrix"]
+__all__ = ["matrix_inverse", "matrix_mul", "identity_matrix"]
 
 
 def identity_matrix(n: int, field: FieldSpec):
@@ -64,9 +64,3 @@ def matrix_inverse(rows, field: FieldSpec):
     if _row_reduce(aug, n) < n:
         raise ValueError("singular matrix")
     return [row[n:] for row in aug]
-
-
-def matrix_rank(rows, field: FieldSpec) -> int:
-    if not rows:
-        return 0
-    return _row_reduce([list(r) for r in rows], len(rows[0]))

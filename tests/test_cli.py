@@ -714,12 +714,64 @@ def test_golden_files_regenerate(name):
     assert _strip_timing(out) == _strip_timing(expected)
 
 
+def _src_env():
+    src = str(GOLDEN.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_module_entry_point():
     name = "invariant_s3_z2t1.txt"
-    src = str(GOLDEN.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "statesum3d.cli", *GOLDEN_COMMANDS[name]],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert _strip_timing(proc.stdout) == _strip_timing((GOLDEN / name).read_text())
+
+
+# the statesum3d modules each subcommand loads in a fresh process, beside
+# exactnum, linalg, records and catdata, which every command loads
+_OWN_MODULES = {
+    "validate-category": [],
+    "eval-graph": ["graphcalc"],
+    "pachner": ["complexes", "graphcalc"],
+    "labelings": ["complexes", "gauge", "graphcalc"],
+    "dw": ["complexes", "graphcalc", "oracle"],
+    "invariant": ["complexes", "gauge", "graphcalc", "statesum"],
+    "partition": ["complexes", "gauge", "graphcalc", "statesum"],
+    "hqft-rank": ["complexes", "gauge", "graphcalc", "hqft", "statesum"],
+    "cobordism-map": ["complexes", "gauge", "graphcalc", "hqft", "statesum"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_OWN_MODULES))
+def test_each_command_runs_in_a_fresh_interpreter(cmd, tmp_path):
+    """``python -m statesum3d.cli`` gives the in-process results and loads
+    only the command's modules; in-process runs share ``sys.modules``, so
+    only a fresh process sees a handler that lost one of its imports."""
+    (tmp_path / "theta.graph").write_text(_THETA_GRAPH)
+    (tmp_path / "cyl.cob").write_text(_cylinder_text())
+    argv = {
+        "validate-category": ["--category", "vect_Z2_theta1"],
+        "eval-graph": ["--graph", str(tmp_path / "theta.graph"), "--category", "fibonacci"],
+        "pachner": ["--triangulation", "s3_2tet", "--move", "1-4", "--location", "0",
+                    "--out", str(tmp_path / "moved.tri")],
+        "labelings": ["--skeleton", "s1xs2_paper", "--group", "Z2"],
+        "dw": ["--triangulation", "rp3", "--group", "Z2"],
+        "invariant": ["--triangulation", "s3_2tet", "--category", "fibonacci"],
+        "partition": ["--triangulation", "rp3", "--category", "vect_Z2_theta1"],
+        "hqft-rank": ["--surface", "torus_2loop", "--category", "vect_Z2_theta1"],
+        "cobordism-map": ["--cobordism", str(tmp_path / "cyl.cob"),
+                          "--category", "vect_Z2_theta1"],
+    }[cmd]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "statesum3d.cli",
+                           "--json", cmd, *argv],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = _run(["--json", cmd, *argv])
+    assert code == 0
+    assert json.loads(proc.stdout)["results"] == json.loads(out)["results"]
+    # -X importtime writes one line per module a process imports
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    ours = sorted(name.split(".", 1)[1] for name in loaded if name.startswith("statesum3d."))
+    assert ours == sorted(["catdata", "exactnum", "linalg", "records", *_OWN_MODULES[cmd]])

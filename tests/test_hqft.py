@@ -97,6 +97,30 @@ def test_ranks():
     assert hqft_space_rank("torus_2loop", builtin_category("ising_like")) == 9
 
 
+@pytest.mark.parametrize("sname,cname", [("torus_2loop", "fibonacci"),
+                                          ("torus_2loop", "ising_like"),
+                                          ("sphere_fine", "vect_Z3_theta1")])
+def test_projector_rank_is_its_row_rank(sname, cname):
+    # the rank is read off the trace; Gauss-Jordan elimination is the reference
+    from statesum3d.linalg import _row_reduce
+    cat = builtin_category(cname)
+    sp = cylinder_projector(builtin_surface(sname, cat.group), cat)
+    assert sp.rank == _row_reduce([list(row) for row in sp.matrix], len(sp.matrix))
+
+
+def test_projector_trace_that_is_no_rank_is_an_internal_error(monkeypatch):
+    from statesum3d import InternalError, hqft
+    cat = builtin_category("fibonacci")
+    half = cat.field.rational("1/2")
+    for diagonal in ([half, cat.field.zero()], [cat.field.gen(), cat.field.zero()]):
+        matrix = [[diagonal[0], cat.field.zero()], [cat.field.zero(), diagonal[1]]]
+        monkeypatch.setattr(hqft, "assemble_block_matrix",
+                            lambda cob, cat, matrix=matrix: (matrix, [], [], [], []))
+        monkeypatch.setattr(hqft, "matrix_mul", lambda a, b, field: a)
+        with pytest.raises(InternalError, match="not a rank 0..2"):
+            cylinder_projector(builtin_surface("sphere_circle", TRIV), cat)
+
+
 def test_cylinder_links_take_both_link_composition_paths(monkeypatch):
     # most link tensors of the fine torus cylinder with ising_like have one
     # class-sweep entry and one pair in every slot row they read, and are
